@@ -6,8 +6,8 @@ Systems* (Aspnes, Diamadi, Shah; PODC 2002).  The library provides:
 * ``repro.core`` — metric-space embedding, inverse power-law overlay graphs,
   greedy routing with failure recovery, failure models, the dynamic
   construction heuristic, and theoretical bounds.
-* ``repro.simulation`` — a discrete-event simulation substrate with message
-  passing, latency models, workload generators, and churn.
+* ``repro.simulation`` — workload generators (lookups, churn, key popularity)
+  and link-latency models consumed by the round-based scenarios.
 * ``repro.dht`` — a distributed hash table (put/get, replication) built on the
   routing layer.
 * ``repro.baselines`` — Chord, Kleinberg-grid, CAN, and Plaxton-style prefix

@@ -18,7 +18,10 @@ as data instead of per-figure functions:
   (:mod:`repro.util.rng`), and fan cells out over a process pool — parallel
   sweeps are byte-identical to serial ones;
 * :mod:`repro.scenarios.library` — the built-in scenarios porting all seven
-  legacy experiments (``repro list`` shows them).
+  legacy experiments (``repro list`` shows them);
+* :mod:`repro.scenarios.rounds` — the one round driver (engine session +
+  churn/repair/lookup burst loop) behind the ``churn``, ``maintenance-cost``,
+  ``service`` and ``degradation`` scenarios.
 
 Quickstart — run a registered scenario::
 

@@ -11,34 +11,28 @@ graceful-degradation argument actually talks about.
 
 The sweep axis is fault intensity (``failures.levels``); ``topology.protocol``
 selects the overlay family (the paper's power-law overlay by default, or any
-of the structured baselines), and ``engine`` selects the routing engine.  On
-``engine="fastpath"`` the router follows the overlay through the edge-liveness
-delta tier (:class:`~repro.fastpath.DeltaSnapshot`), never recompiling; the
-reported numbers are identical to the object engine at the same seed, which
-the CI faults smoke job asserts.
+of the structured baselines), and ``engine`` selects the routing engine.  An
+:class:`~repro.scenarios.rounds.EngineSession` keeps the router current with
+the overlay on either engine (on ``engine="fastpath"`` through the
+edge-liveness delta tier, never recompiling); the reported numbers are
+identical across engines at the same seed, which the tier-1 golden digests
+assert.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.baselines.can import CanNetwork
 from repro.baselines.chord import ChordNetwork
 from repro.baselines.kleinberg_grid import KleinbergGridNetwork
 from repro.baselines.plaxton import PlaxtonNetwork
 from repro.core.builder import build_ideal_network
-from repro.core.routing import GreedyRouter, RecoveryStrategy
+from repro.core.routing import RecoveryStrategy
 from repro.experiments.runner import ExperimentTable
 from repro.faults import FaultDriver, degradation_schedule
-from repro.fastpath import (
-    BatchGreedyRouter,
-    DeltaRecorder,
-    DeltaSnapshot,
-    select_engine,
-)
 from repro.scenarios.registry import register_scenario
+from repro.scenarios.rounds import EngineSession
 from repro.scenarios.run import ScenarioOutcome
 from repro.scenarios.spec import (
     FailureSpec,
@@ -49,9 +43,10 @@ from repro.scenarios.spec import (
     WorkloadSpec,
 )
 from repro.simulation.workload import LookupWorkload
+from repro.telemetry.core import spanned as telemetry_spanned
 from repro.util.rng import derive_seed
 
-__all__ = ["degradation_spec", "run_degradation"]
+__all__ = ["degradation_spec"]
 
 
 def degradation_spec(
@@ -92,6 +87,7 @@ def degradation_spec(
     )
 
 
+@telemetry_spanned("build")
 def _build_system(protocol: str, nodes: int, seed: int):
     """Build one overlay family at (approximately) ``nodes`` members.
 
@@ -130,16 +126,8 @@ def _repair_actions(entry: dict) -> int:
     )
 
 
-def run_degradation(
-    protocol: str,
-    nodes: int,
-    intensity: float,
-    searches: int,
-    recovery: RecoveryStrategy,
-    seed: int,
-    engine: str,
-    targeted_count: int | None = None,
-    include_stabilize: bool = True,
+def _run_intensity(
+    spec: ScenarioSpec, intensity: float, seed: int
 ) -> tuple[list[dict], str]:
     """Replay one escalating schedule at ``intensity``; measure after each event.
 
@@ -148,107 +136,59 @@ def run_degradation(
     right after one schedule event.  ``hop_stretch`` is the mean successful
     hop count relative to the healthy baseline.
     """
-    system = _build_system(protocol, nodes, seed=derive_seed(seed, "degradation-build"))
-    graph = getattr(system, "graph", None)
-    overlay = system if graph is None else graph
-    engine_used = select_engine(engine, recovery)
-    route_seed = derive_seed(seed, "degradation-route")
-    lookups = LookupWorkload(seed=derive_seed(seed, "degradation-lookups"))
-
-    recorder = mirror = batch_router = scalar_router = None
-    if engine_used == "fastpath":
-        if graph is not None:
-            recorder = DeltaRecorder.attach(graph)
-            mirror = DeltaSnapshot.from_graph(graph)
-            batch_router = BatchGreedyRouter(
-                mirror.snapshot(), recovery=recovery, seed=route_seed
-            )
-        else:
-            mirror = DeltaSnapshot.from_overlay(overlay)
-            batch_router = BatchGreedyRouter(
-                mirror.snapshot(), hop_limit=overlay.hop_limit
-            )
-    elif graph is not None:
-        scalar_router = GreedyRouter(graph, recovery=recovery, seed=route_seed)
-
-    def live_labels() -> list[int]:
-        if graph is not None:
-            return sorted(graph.labels(only_alive=True))
-        return list(overlay.labels(only_alive=True))
-
-    def measure() -> tuple[float, float]:
-        live = live_labels()
-        if len(live) < 2 or searches <= 0:
-            return 0.0, 0.0
-        pairs = lookups.pairs(live, searches)
-        if engine_used == "fastpath":
-            batch_router.rebase(mirror.snapshot())
-            if graph is not None and recovery is RecoveryStrategy.RANDOM_REROUTE:
-                # Match the scalar detour pool order (node-table order).
-                batch_router.reroute_pool = graph.labels(only_alive=True)
-            result = batch_router.route_pairs(pairs)
-            success, hops = result.success, result.hops
-            successful = hops[success]
-            mean_hops = float(successful.mean()) if successful.size else 0.0
-            return float(success.mean()), mean_hops
-        success_count = 0
-        hop_counts: list[int] = []
-        for source, target in pairs:
-            route = (
-                scalar_router.route(source, target)
-                if scalar_router is not None
-                else overlay.route(source, target)
-            )
-            if route.success:
-                success_count += 1
-                hop_counts.append(route.hops)
-        mean_hops = float(np.mean(hop_counts)) if hop_counts else 0.0
-        return success_count / len(pairs), mean_hops
-
-    rows: list[dict] = []
-    healthy_success, healthy_hops = measure()
-    rows.append(
-        {
-            "event": -1,
-            "kind": "healthy",
-            "live_nodes": len(live_labels()),
-            "failed_nodes": 0,
-            "failed_links": 0,
-            "repair_actions": 0,
-            "success_rate": healthy_success,
-            "mean_hops": healthy_hops,
-            "hop_stretch": 1.0 if healthy_hops else 0.0,
-        }
+    searches = spec.workload.searches
+    system = _build_system(
+        spec.topology.protocol,
+        spec.topology.nodes,
+        seed=derive_seed(seed, "degradation-build"),
     )
-
-    def on_event(index: int, event, entry: dict) -> None:
-        success, mean_hops = measure()
-        rows.append(
-            {
-                "event": index,
-                "kind": event.kind,
-                "live_nodes": len(live_labels()),
-                "failed_nodes": int(entry.get("failed_nodes", 0)),
-                "failed_links": int(entry.get("failed_links", 0)),
-                "repair_actions": _repair_actions(entry),
-                "success_rate": success,
-                "mean_hops": mean_hops,
-                "hop_stretch": mean_hops / healthy_hops if healthy_hops else 0.0,
-            }
-        )
-
+    lookups = LookupWorkload(seed=derive_seed(seed, "degradation-lookups"))
     schedule = degradation_schedule(
         intensity,
         seed=derive_seed(seed, "degradation-schedule"),
-        targeted_count=targeted_count,
-        include_stabilize=include_stabilize,
+        targeted_count=int(spec.extra("targeted_count", 0)) or None,
+        include_stabilize=bool(spec.extra("include_stabilize", True)),
     )
-    try:
-        FaultDriver(system, schedule, mirror=mirror, on_event=on_event).run()
-    finally:
-        if recorder is not None:
-            recorder.detach()
-    return rows, engine_used
+    rows: list[dict] = []
+    with EngineSession(
+        system,
+        spec.engine,
+        spec.routing.recovery_strategy(),
+        derive_seed(seed, "degradation-route"),
+    ) as session:
+
+        def measure(index: int, kind: str, entry: dict) -> None:
+            live = session.live_labels()
+            success_rate = mean_hops = 0.0
+            if len(live) >= 2 and searches > 0:
+                success, hops = session.route(lookups.pairs(live, searches))
+                delivered = hops[success]
+                success_rate = float(success.mean())
+                mean_hops = float(delivered.mean()) if delivered.size else 0.0
+            # The first call is the healthy baseline every stretch is relative to.
+            healthy_hops = rows[0]["mean_hops"] if rows else mean_hops
+            rows.append(
+                {
+                    "event": index,
+                    "kind": kind,
+                    "live_nodes": len(live),
+                    "failed_nodes": int(entry.get("failed_nodes", 0)),
+                    "failed_links": int(entry.get("failed_links", 0)),
+                    "repair_actions": _repair_actions(entry),
+                    "success_rate": success_rate,
+                    "mean_hops": mean_hops,
+                    "hop_stretch": mean_hops / healthy_hops if healthy_hops else 0.0,
+                }
+            )
+
+        measure(-1, "healthy", {})
+        FaultDriver(
+            system,
+            schedule,
+            mirror=session.mirror,
+            on_event=lambda index, event, entry: measure(index, event.kind, entry),
+        ).run()
+    return rows, session.engine_used
 
 
 @register_scenario(
@@ -259,8 +199,6 @@ def run_degradation(
 def _degradation(spec: ScenarioSpec) -> ScenarioOutcome:
     """One table per ``failures.levels`` intensity; rows follow the schedule."""
     intensities = [float(level) for level in spec.failures.levels] or [0.15]
-    targeted = int(spec.extra("targeted_count", 0)) or None
-    include_stabilize = bool(spec.extra("include_stabilize", True))
     protocol = spec.topology.protocol
     tables: list[ExperimentTable] = []
     raw: list[tuple[float, list[dict]]] = []
@@ -270,18 +208,10 @@ def _degradation(spec: ScenarioSpec) -> ScenarioOutcome:
         "repair_actions", "success_rate", "mean_hops", "hop_stretch",
     ]
     for index, intensity in enumerate(intensities):
-        rows, engine_used = run_degradation(
-            protocol=protocol,
-            nodes=spec.topology.nodes,
-            intensity=intensity,
-            searches=spec.workload.searches,
-            recovery=spec.routing.recovery_strategy(),
-            # Derived per level, so a level's numbers are stable under sweep
-            # reshaping (same convention as the churn scenarios).
-            seed=derive_seed(spec.seed, "degradation", index),
-            engine=spec.engine,
-            targeted_count=targeted,
-            include_stabilize=include_stabilize,
+        # Derived per level, so a level's numbers are stable under sweep
+        # reshaping (same convention as the churn scenarios).
+        rows, engine_used = _run_intensity(
+            spec, intensity, derive_seed(spec.seed, "degradation", index)
         )
         raw.append((intensity, rows))
         table = ExperimentTable(

@@ -1,32 +1,21 @@
-"""Discrete-event simulation substrate.
+"""Workload generators and link-latency models for the round-based scenarios.
 
-The paper's evaluation is an application-level simulation; this package
-provides a proper discrete-event substrate so that routing, churn, and repair
-can also be studied with per-message latencies and concurrent events rather
-than the synchronous hop-count model of :mod:`repro.core`.
+The paper's evaluation is an application-level simulation in synchronous
+rounds; :mod:`repro.scenarios.rounds` drives the rounds, and this package
+supplies what a round consumes.
 
 Modules
 -------
-``events``     priority event queue and the :class:`~repro.simulation.events.Event` type
 ``latency``    link-latency models (constant, uniform, log-normal)
-``engine``     the :class:`~repro.simulation.engine.Simulator` event loop
-``messages``   message records exchanged by simulated nodes
-``protocol``   the greedy-routing node process running on the simulator
 ``workload``   workload generators: lookup traffic, churn, key popularity
-``metrics``    statistics collection (hops, latency, success rates)
 """
 
-from repro.simulation.engine import Simulator
-from repro.simulation.events import Event, EventQueue
 from repro.simulation.latency import (
     ConstantLatency,
     LatencyModel,
     LogNormalLatency,
     UniformLatency,
 )
-from repro.simulation.messages import Message, MessageKind
-from repro.simulation.metrics import MetricsCollector, SearchRecord, summarize_searches
-from repro.simulation.protocol import ProtocolConfig, RoutingProtocol
 from repro.simulation.workload import (
     ChurnEvent,
     ChurnWorkload,
@@ -35,22 +24,12 @@ from repro.simulation.workload import (
 )
 
 __all__ = [
-    "Event",
-    "EventQueue",
-    "Simulator",
     "LatencyModel",
     "ConstantLatency",
     "UniformLatency",
     "LogNormalLatency",
-    "Message",
-    "MessageKind",
-    "RoutingProtocol",
-    "ProtocolConfig",
     "LookupWorkload",
     "ChurnWorkload",
     "ChurnEvent",
     "ZipfKeyPopularity",
-    "MetricsCollector",
-    "SearchRecord",
-    "summarize_searches",
 ]

@@ -1,8 +1,9 @@
-"""Link-latency models for the discrete-event simulator.
+"""Link-latency models.
 
 The paper measures cost in messages, so hop counts are the primary metric;
-the simulator nevertheless assigns a latency to every message so that
-wall-clock style results (completion times, timeout behaviour) can be studied.
+the round-based scenarios nevertheless draw a latency for every hop of a
+delivered lookup so that wall-clock style results (end-to-end latency
+quantiles) can be reported next to them.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ class LatencyModel(abc.ABC):
 class ConstantLatency(LatencyModel):
     """Every message takes exactly ``value`` time units (default 1.0).
 
-    With this model the simulator's completion times equal hop counts, which
-    makes cross-checking against the synchronous core router trivial.
+    With this model a lookup's end-to-end latency equals its hop count.
     """
 
     value: float = 1.0

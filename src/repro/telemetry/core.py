@@ -403,10 +403,9 @@ def spanned(name: str):
 def summarize_values(values: Iterable[float], percentiles: Sequence[int] = (50, 95)) -> dict:
     """Exact mean + percentiles of raw samples (NumPy semantics).
 
-    The shared summary kernel behind
-    :func:`repro.simulation.metrics.summarize_searches` and the benchmark
-    reports: unlike :meth:`Histogram.quantile` this is exact, because it
-    keeps the raw samples.  Returns ``{"mean": ..., "p50": ..., ...}`` with
+    The summary kernel behind the benchmark reports: unlike
+    :meth:`Histogram.quantile` this is exact, because it keeps the raw
+    samples.  Returns ``{"mean": ..., "p50": ..., ...}`` with
     one ``p<N>`` key per requested percentile; all zeros when empty.
     """
     array = np.asarray(list(values), dtype=float)

@@ -143,13 +143,6 @@ METRIC_NAMES: tuple[MetricName, ...] = (
                "wall-clock seconds per executed cell"),
     MetricName("sweep.queue_wait_s", "histogram", "Sweep.run",
                "seconds a cell sat queued before a worker picked it up"),
-    # -- messages_* : simulation MetricsCollector ---------------------------
-    MetricName("messages_sent", "counter", "MetricsCollector",
-               "simulated protocol messages sent"),
-    MetricName("messages_delivered", "counter", "MetricsCollector",
-               "simulated protocol messages delivered"),
-    MetricName("messages_dropped", "counter", "MetricsCollector",
-               "simulated protocol messages dropped"),
     # -- bench.* : benchmark scripts ----------------------------------------
     MetricName("bench.<phase>", "histogram", "benchmark_fastpath.py",
                "measured seconds per comparison phase (object / compile / route)"),

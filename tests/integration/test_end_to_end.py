@@ -17,8 +17,6 @@ from repro.core.failures import LinkFailureModel, NodeFailureModel
 from repro.core.network import P2PNetwork
 from repro.core.routing import GreedyRouter, RecoveryStrategy
 from repro.dht.dht import DhtConfig, DistributedHashTable
-from repro.simulation.engine import Simulator
-from repro.simulation.protocol import ProtocolConfig, RoutingProtocol
 from repro.simulation.workload import LookupWorkload
 
 
@@ -165,18 +163,3 @@ class TestApplicationStack:
                 crashed.add(holder)
         recovered = sum(1 for index in range(40) if dht.get(f"key-{index}", origin=100).ok)
         assert recovered >= 36  # replication should cover nearly everything
-
-    def test_discrete_event_simulation_agrees_with_sync_router(self):
-        build = build_ideal_network(512, seed=24)
-        pairs = LookupWorkload(seed=25).pairs(build.graph.labels(only_alive=True), 40)
-        simulator = Simulator()
-        protocol = RoutingProtocol(
-            build.graph, simulator, config=ProtocolConfig(recovery=RecoveryStrategy.TERMINATE)
-        )
-        for source, target in pairs:
-            protocol.start_search(source, target)
-        simulator.run()
-        sync_router = GreedyRouter(build.graph, recovery=RecoveryStrategy.TERMINATE)
-        des_hops = sorted(record.hops for record in protocol.metrics.searches)
-        sync_hops = sorted(sync_router.route(s, t).hops for s, t in pairs)
-        assert des_hops == sync_hops

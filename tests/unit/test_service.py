@@ -119,6 +119,9 @@ class TestServiceScenario:
         assert any(name.startswith("route.") for name in counters)
         assert "service.lookup_ms" in dump["histograms"]
         assert dump["gauges"]["service.qps"]["value"] > 0
+        # One set-up path for every round-based scenario: service records the
+        # same phase spans as churn.
+        assert {"build", "compile", "refresh", "repair", "route"} <= set(dump["spans"])
 
     def test_sweep_serial_equals_parallel(self):
         sweep = Sweep(

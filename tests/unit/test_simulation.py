@@ -1,111 +1,11 @@
-"""Unit tests for the discrete-event simulation substrate."""
+"""Unit tests for the simulation package: latency models and workload generators."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.builder import build_ideal_network
-from repro.core.failures import NodeFailureModel
-from repro.core.routing import GreedyRouter, RecoveryStrategy
-from repro.simulation.engine import Simulator
-from repro.simulation.events import EventQueue
 from repro.simulation.latency import ConstantLatency, LogNormalLatency, UniformLatency
-from repro.simulation.messages import Message, MessageKind
-from repro.simulation.metrics import MetricsCollector, SearchRecord, summarize_searches
-from repro.simulation.protocol import ProtocolConfig, RoutingProtocol
 from repro.simulation.workload import ChurnWorkload, LookupWorkload, ZipfKeyPopularity
-
-
-class TestEventQueue:
-    def test_orders_by_time(self):
-        queue = EventQueue()
-        fired = []
-        queue.push(2.0, lambda: fired.append("b"))
-        queue.push(1.0, lambda: fired.append("a"))
-        queue.push(3.0, lambda: fired.append("c"))
-        while queue:
-            queue.pop().action()
-        assert fired == ["a", "b", "c"]
-
-    def test_ties_broken_by_insertion_order(self):
-        queue = EventQueue()
-        fired = []
-        queue.push(1.0, lambda: fired.append("first"))
-        queue.push(1.0, lambda: fired.append("second"))
-        queue.pop().action()
-        queue.pop().action()
-        assert fired == ["first", "second"]
-
-    def test_cancelled_events_skipped(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        event.cancel()
-        assert queue.pop() is None
-        assert len(queue) == 0
-
-    def test_peek_time(self):
-        queue = EventQueue()
-        queue.push(5.0, lambda: None)
-        assert queue.peek_time() == 5.0
-
-    def test_negative_time_rejected(self):
-        queue = EventQueue()
-        with pytest.raises(ValueError):
-            queue.push(-1.0, lambda: None)
-
-
-class TestSimulator:
-    def test_runs_in_order_and_advances_clock(self):
-        simulator = Simulator()
-        times = []
-        simulator.schedule_at(3.0, lambda: times.append(simulator.now))
-        simulator.schedule_at(1.0, lambda: times.append(simulator.now))
-        simulator.run()
-        assert times == [1.0, 3.0]
-        assert simulator.now == 3.0
-        assert simulator.events_processed == 2
-
-    def test_schedule_after(self):
-        simulator = Simulator()
-        fired = []
-        simulator.schedule_after(2.5, lambda: fired.append(simulator.now))
-        simulator.run()
-        assert fired == [2.5]
-
-    def test_until_limit(self):
-        simulator = Simulator()
-        fired = []
-        simulator.schedule_at(1.0, lambda: fired.append(1))
-        simulator.schedule_at(10.0, lambda: fired.append(10))
-        simulator.run(until=5.0)
-        assert fired == [1]
-
-    def test_max_events_limit(self):
-        simulator = Simulator()
-        for t in range(10):
-            simulator.schedule_at(float(t), lambda: None)
-        simulator.run(max_events=4)
-        assert simulator.events_processed == 4
-
-    def test_scheduling_in_the_past_rejected(self):
-        simulator = Simulator()
-        simulator.schedule_at(5.0, lambda: None)
-        simulator.run()
-        with pytest.raises(ValueError):
-            simulator.schedule_at(1.0, lambda: None)
-
-    def test_events_can_schedule_more_events(self):
-        simulator = Simulator()
-        fired = []
-
-        def chain(depth):
-            fired.append(depth)
-            if depth < 3:
-                simulator.schedule_after(1.0, lambda: chain(depth + 1))
-
-        simulator.schedule_at(0.0, lambda: chain(0))
-        simulator.run()
-        assert fired == [0, 1, 2, 3]
 
 
 class TestLatencyModels:
@@ -129,109 +29,6 @@ class TestLatencyModels:
     def test_constant_negative_rejected(self):
         with pytest.raises(ValueError):
             ConstantLatency(-1.0)
-
-
-class TestMetrics:
-    def test_summarize_empty(self):
-        summary = summarize_searches([])
-        assert summary["searches"] == 0
-        assert summary["failed_fraction"] == 0.0
-
-    def test_summarize_mixed(self):
-        records = [
-            SearchRecord(0, 0, 10, True, 5, 0.0, 5.0),
-            SearchRecord(1, 0, 20, True, 7, 0.0, 7.0),
-            SearchRecord(2, 0, 30, False, 3, 0.0, 3.0),
-        ]
-        summary = summarize_searches(records)
-        assert summary["searches"] == 3
-        assert summary["failed_fraction"] == pytest.approx(1 / 3)
-        assert summary["mean_hops_successful"] == pytest.approx(6.0)
-        assert summary["mean_latency_successful"] == pytest.approx(6.0)
-
-    def test_collector_counters(self):
-        collector = MetricsCollector()
-        collector.record_message_sent()
-        collector.record_message_delivered()
-        collector.record_message_dropped()
-        collector.record_search(SearchRecord(0, 0, 1, True, 1, 0.0, 1.0))
-        summary = collector.summary()
-        assert summary["messages_sent"] == 1
-        assert summary["messages_delivered"] == 1
-        assert summary["messages_dropped"] == 1
-        assert summary["searches"] == 1
-
-
-class TestRoutingProtocol:
-    def test_search_completes_and_matches_sync_router(self):
-        build = build_ideal_network(256, seed=5)
-        simulator = Simulator()
-        protocol = RoutingProtocol(build.graph, simulator, seed=5)
-        completed = []
-        protocol.start_search(0, 200, on_complete=completed.append)
-        simulator.run()
-        assert len(completed) == 1
-        record = completed[0]
-        assert record.success
-        sync_router = GreedyRouter(build.graph, seed=5)
-        assert record.hops == sync_router.route(0, 200).hops
-
-    def test_constant_latency_makes_time_equal_hops(self):
-        build = build_ideal_network(256, seed=6)
-        simulator = Simulator()
-        protocol = RoutingProtocol(build.graph, simulator, latency=ConstantLatency(1.0))
-        completed = []
-        protocol.start_search(3, 130, on_complete=completed.append)
-        simulator.run()
-        record = completed[0]
-        assert record.latency == pytest.approx(record.hops)
-
-    def test_concurrent_searches(self):
-        build = build_ideal_network(256, seed=7)
-        simulator = Simulator()
-        protocol = RoutingProtocol(build.graph, simulator)
-        for index in range(20):
-            protocol.start_search(index, 255 - index)
-        simulator.run()
-        assert protocol.pending_searches() == 0
-        assert len(protocol.metrics.searches) == 20
-        assert all(record.success for record in protocol.metrics.searches)
-
-    def test_failures_with_terminate(self):
-        build = build_ideal_network(512, seed=8)
-        model = NodeFailureModel(0.5, seed=8)
-        model.apply(build.graph)
-        live = build.graph.labels(only_alive=True)
-        simulator = Simulator()
-        protocol = RoutingProtocol(
-            build.graph,
-            simulator,
-            config=ProtocolConfig(recovery=RecoveryStrategy.TERMINATE),
-        )
-        for source, target in zip(live[:60:2], live[1:60:2]):
-            protocol.start_search(source, target)
-        simulator.run()
-        summary = protocol.metrics.summary()
-        assert summary["searches"] == 30
-        assert 0.0 <= summary["failed_fraction"] <= 1.0
-        model.repair(build.graph)
-
-    def test_backtrack_recovery_terminates(self):
-        build = build_ideal_network(512, seed=9)
-        model = NodeFailureModel(0.6, seed=9)
-        model.apply(build.graph)
-        live = build.graph.labels(only_alive=True)
-        simulator = Simulator()
-        protocol = RoutingProtocol(
-            build.graph,
-            simulator,
-            config=ProtocolConfig(recovery=RecoveryStrategy.BACKTRACK),
-        )
-        for source, target in zip(live[:40:2], live[1:40:2]):
-            protocol.start_search(source, target)
-        simulator.run(max_events=200_000)
-        assert protocol.pending_searches() == 0
-        model.repair(build.graph)
 
 
 class TestWorkloads:
@@ -274,8 +71,3 @@ class TestWorkloads:
             else:
                 assert event.address in members
                 members.discard(event.address)
-
-    def test_message_ids_unique(self):
-        first = Message(kind=MessageKind.PING, source=0, destination=1)
-        second = Message(kind=MessageKind.PING, source=0, destination=1)
-        assert first.message_id != second.message_id
