@@ -10,22 +10,21 @@
 
 from __future__ import annotations
 
-from repro.experiments.ablations import (
-    run_backtrack_depth_ablation,
-    run_byzantine_experiment,
-    run_exponent_ablation,
-    run_replacement_ablation,
-)
+from repro.scenarios import get_scenario, run
+
+
+def _run_table(benchmark, scenario: str, overrides: dict, seed: int):
+    """Benchmark one registered ablation scenario; return its result table."""
+    spec = get_scenario(scenario).make_spec(overrides=overrides, seed=seed)
+    return benchmark.pedantic(run, args=(spec,), rounds=1, iterations=1).raw
 
 
 def test_ablation_replacement_policy(benchmark, paper_scale):
     """Section-5 ablation: link-replacement policies."""
     nodes = (1 << 13) if paper_scale else (1 << 10)
-    table = benchmark.pedantic(
-        run_replacement_ablation,
-        kwargs={"nodes": nodes, "networks": 2, "seed": 0},
-        rounds=1,
-        iterations=1,
+    table = _run_table(
+        benchmark, "ablation-replacement",
+        {"topology.nodes": nodes, "workload.networks": 2}, seed=0,
     )
     print()
     print(table.to_text())
@@ -42,11 +41,10 @@ def test_ablation_backtrack_depth(benchmark, paper_scale):
     """Backtracking-depth sweep at 50% failed nodes."""
     nodes = (1 << 14) if paper_scale else (1 << 12)
     searches = 1000 if paper_scale else 300
-    table = benchmark.pedantic(
-        run_backtrack_depth_ablation,
-        kwargs={"nodes": nodes, "failure_level": 0.5, "searches": searches, "seed": 1},
-        rounds=1,
-        iterations=1,
+    table = _run_table(
+        benchmark, "ablation-backtrack",
+        {"topology.nodes": nodes, "failures.levels": (0.5,), "workload.searches": searches},
+        seed=1,
     )
     print()
     print(table.to_text())
@@ -63,12 +61,11 @@ def test_ablation_exponent(benchmark, paper_scale):
     """Power-law exponent sweep: exponent 1 is the right choice on the line."""
     nodes = (1 << 14) if paper_scale else (1 << 12)
     searches = 800 if paper_scale else 300
-    table = benchmark.pedantic(
-        run_exponent_ablation,
-        kwargs={"nodes": nodes, "exponents": [0.0, 0.5, 1.0, 1.5, 2.0],
-                "searches": searches, "seed": 2},
-        rounds=1,
-        iterations=1,
+    table = _run_table(
+        benchmark, "ablation-exponent",
+        {"topology.nodes": nodes, "extras.exponents": (0.0, 0.5, 1.0, 1.5, 2.0),
+         "workload.searches": searches},
+        seed=2,
     )
     print()
     print(table.to_text())
@@ -85,12 +82,11 @@ def test_extension_byzantine_routing(benchmark, paper_scale):
     """Section-7 extension: redundant routing under Byzantine drop faults."""
     nodes = (1 << 12) if paper_scale else (1 << 11)
     searches = 500 if paper_scale else 150
-    table = benchmark.pedantic(
-        run_byzantine_experiment,
-        kwargs={"nodes": nodes, "fractions": [0.0, 0.1, 0.2, 0.3],
-                "redundancy": 3, "searches": searches, "seed": 3},
-        rounds=1,
-        iterations=1,
+    table = _run_table(
+        benchmark, "byzantine",
+        {"topology.nodes": nodes, "failures.levels": (0.0, 0.1, 0.2, 0.3),
+         "extras.redundancy": 3, "workload.searches": searches},
+        seed=3,
     )
     print()
     print(table.to_text())

@@ -35,7 +35,7 @@ if __name__ == "__main__":  # direct execution from a clean checkout
 
 import numpy as np
 
-from repro.experiments.baseline_comparison import run_baseline_comparison
+from repro.scenarios import RunResult, get_scenario, run
 from repro.telemetry import (
     SECONDS_BUCKETS,
     current as telemetry_current,
@@ -188,8 +188,6 @@ def write_baselines_artifact(
 ) -> Path:
     """Write the per-protocol engine comparison as BENCH_baselines.json."""
     from repro.experiments.runner import ExperimentTable
-    from repro.scenarios import RunResult
-    from repro.scenarios.library import baselines_spec
 
     if path is None:
         path = Path(__file__).resolve().parent.parent / "BENCH_baselines.json"
@@ -217,13 +215,16 @@ def write_baselines_artifact(
     # The spec must describe the run the rows record: n = 2^BITS per
     # protocol, TERMINATE recovery (the baselines' own scalar rule and the
     # batch router's default), the benchmark workload and failure level.
-    spec = baselines_spec(
-        bits=BITS,
-        searches=QUERIES,
-        failure_level=FAILURE_LEVEL,
+    spec = get_scenario("baselines").make_spec(
+        overrides={
+            "topology.nodes": 1 << BITS,
+            "workload.searches": QUERIES,
+            "failures.levels": (FAILURE_LEVEL,),
+            "engine": "fastpath",
+            "routing.recovery": "terminate",
+        },
         seed=SEED,
-        engine="fastpath",
-    ).with_overrides({"routing.recovery": "terminate"})
+    )
     record = RunResult(
         scenario="bench-baselines",
         spec=spec,
@@ -255,12 +256,15 @@ def test_baseline_comparison(benchmark, paper_scale):
     bits = 14 if paper_scale else 10
     searches = 1000 if paper_scale else 200
 
-    table = benchmark.pedantic(
-        run_baseline_comparison,
-        kwargs={"bits": bits, "searches": searches, "failure_level": 0.3, "seed": 4},
-        rounds=1,
-        iterations=1,
+    spec = get_scenario("baselines").make_spec(
+        overrides={
+            "topology.nodes": 1 << bits,
+            "workload.searches": searches,
+            "failures.levels": (0.3,),
+        },
+        seed=4,
     )
+    table = benchmark.pedantic(run, args=(spec,), rounds=1, iterations=1).raw
     print()
     print(table.to_text())
 

@@ -288,14 +288,16 @@ def write_figure6_artifact(
     ``BENCH_fastpath.json`` it forms the cross-PR performance trajectory.
     """
     from repro.experiments.runner import ExperimentTable
-    from repro.scenarios import run
-    from repro.scenarios.library import figure6_spec
+    from repro.scenarios import get_scenario, run
 
     if path is None:
         path = Path(__file__).resolve().parent.parent / "BENCH_figure6.json"
 
-    spec = figure6_spec(
-        nodes=nodes, searches_per_point=searches, seed=SEED, engine="fastpath"
+    spec = get_scenario("figure6").make_spec(
+        overrides={
+            "topology.nodes": nodes, "workload.searches": searches, "engine": "fastpath",
+        },
+        seed=SEED,
     )
     record = run(spec, collect_telemetry=True)
     assert record.engine_used == "fastpath", record.engine_used

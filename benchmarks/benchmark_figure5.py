@@ -8,7 +8,7 @@ pass ``--paper-scale`` for the full 2^14 x 10 run.
 
 from __future__ import annotations
 
-from repro.experiments.figure5 import run_figure5
+from repro.scenarios import get_scenario, run
 
 
 def test_figure5_link_distribution(benchmark, paper_scale):
@@ -17,12 +17,14 @@ def test_figure5_link_distribution(benchmark, paper_scale):
     networks = 10 if paper_scale else 3
     links = 14 if paper_scale else 12
 
-    result = benchmark.pedantic(
-        run_figure5,
-        kwargs={"nodes": nodes, "links_per_node": links, "networks": networks, "seed": 0},
-        rounds=1,
-        iterations=1,
+    spec = get_scenario("figure5").make_spec(
+        overrides={
+            "topology.nodes": nodes,
+            "topology.links_per_node": links,
+            "workload.networks": networks,
+        }
     )
+    result = benchmark.pedantic(run, args=(spec,), rounds=1, iterations=1).raw
 
     print()
     print(result.to_table(max_rows=15).to_text())

@@ -9,7 +9,7 @@ scale), and delivery time grows moderately with p (roughly 9 -> 17 hops).
 
 from __future__ import annotations
 
-from repro.experiments.figure6 import run_figure6
+from repro.scenarios import get_scenario, run
 
 
 def test_figure6_failure_recovery(benchmark, paper_scale):
@@ -18,17 +18,15 @@ def test_figure6_failure_recovery(benchmark, paper_scale):
     searches = 2000 if paper_scale else 250
     levels = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
 
-    result = benchmark.pedantic(
-        run_figure6,
-        kwargs={
-            "nodes": nodes,
-            "searches_per_point": searches,
-            "failure_levels": levels,
-            "seed": 1,
+    spec = get_scenario("figure6").make_spec(
+        overrides={
+            "topology.nodes": nodes,
+            "workload.searches": searches,
+            "failures.levels": tuple(levels),
         },
-        rounds=1,
-        iterations=1,
+        seed=1,
     )
+    result = benchmark.pedantic(run, args=(spec,), rounds=1, iterations=1).raw
 
     table_a, table_b = result.to_tables()
     print()

@@ -8,7 +8,7 @@ comparable across the whole failure range.
 
 from __future__ import annotations
 
-from repro.experiments.figure7 import run_figure7
+from repro.scenarios import get_scenario, run
 
 
 def test_figure7_constructed_vs_ideal(benchmark, paper_scale):
@@ -18,18 +18,16 @@ def test_figure7_constructed_vs_ideal(benchmark, paper_scale):
     searches = 1000 if paper_scale else 200
     levels = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 
-    result = benchmark.pedantic(
-        run_figure7,
-        kwargs={
-            "nodes": nodes,
-            "iterations": iterations,
-            "searches_per_point": searches,
-            "failure_levels": levels,
-            "seed": 2,
+    spec = get_scenario("figure7").make_spec(
+        overrides={
+            "topology.nodes": nodes,
+            "workload.iterations": iterations,
+            "workload.searches": searches,
+            "failures.levels": tuple(levels),
         },
-        rounds=1,
-        iterations=1,
+        seed=2,
     )
+    result = benchmark.pedantic(run, args=(spec,), rounds=1, iterations=1).raw
 
     print()
     print(result.to_table().to_text())

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.fitting import fit_log_squared_model, goodness_of_fit_r2
-from repro.experiments.table1 import run_table1
+from repro.scenarios import get_scenario, run
 
 
 def test_table1_all_rows(benchmark, paper_scale):
@@ -28,12 +28,10 @@ def test_table1_all_rows(benchmark, paper_scale):
         sizes = [1 << k for k in range(8, 13)]
         searches = 150
 
-    result = benchmark.pedantic(
-        run_table1,
-        kwargs={"sizes": sizes, "searches": searches, "seed": 3},
-        rounds=1,
-        iterations=1,
+    spec = get_scenario("table1").make_spec(
+        overrides={"extras.sizes": tuple(sizes), "workload.searches": searches}, seed=3
     )
+    result = benchmark.pedantic(run, args=(spec,), rounds=1, iterations=1).raw
 
     print()
     print(result.to_text())

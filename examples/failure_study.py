@@ -17,20 +17,23 @@ Run with::
 
 from __future__ import annotations
 
-from repro.experiments.figure6 import run_figure6
-from repro.experiments.figure7 import run_figure7
+from repro.scenarios import get_scenario, run
 
 
 def main() -> None:
     print("=" * 72)
     print("Figure 6 (scaled down): 4096 nodes, 300 searches per failure level")
     print("=" * 72)
-    figure6 = run_figure6(
-        nodes=1 << 12,
-        searches_per_point=300,
-        failure_levels=[0.0, 0.2, 0.4, 0.6, 0.8],
-        seed=11,
-    )
+    figure6 = run(
+        get_scenario("figure6").make_spec(
+            overrides={
+                "topology.nodes": 1 << 12,
+                "workload.searches": 300,
+                "failures.levels": (0.0, 0.2, 0.4, 0.6, 0.8),
+            },
+            seed=11,
+        )
+    ).raw
     table_a, table_b = figure6.to_tables()
     print(table_a.to_text())
     print()
@@ -40,13 +43,17 @@ def main() -> None:
     print("=" * 72)
     print("Figure 7 (scaled down): 2048 nodes, constructed vs ideal network")
     print("=" * 72)
-    figure7 = run_figure7(
-        nodes=1 << 11,
-        iterations=2,
-        searches_per_point=200,
-        failure_levels=[0.0, 0.3, 0.6, 0.9],
-        seed=12,
-    )
+    figure7 = run(
+        get_scenario("figure7").make_spec(
+            overrides={
+                "topology.nodes": 1 << 11,
+                "workload.iterations": 2,
+                "workload.searches": 200,
+                "failures.levels": (0.0, 0.3, 0.6, 0.9),
+            },
+            seed=12,
+        )
+    ).raw
     print(figure7.to_table().to_text())
 
     print()

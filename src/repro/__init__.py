@@ -15,8 +15,8 @@ Systems* (Aspnes, Diamadi, Shah; PODC 2002).  The library provides:
 * ``repro.scenarios`` — the unified experiment API: declarative
   ``ScenarioSpec`` records, the ``@register_scenario`` registry, the single
   ``run(spec) -> RunResult`` entrypoint, and the parallel ``Sweep`` executor.
-* ``repro.experiments`` — the measurement implementations behind the
-  scenarios (the legacy ``run_*`` entry points remain as deprecation shims).
+* ``repro.experiments`` — the paper's experiments, each one a registered
+  scenario (Figures 5–7, Table 1, ablations, baseline comparison).
 
 Quickstart
 ----------

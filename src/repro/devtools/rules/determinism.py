@@ -51,12 +51,11 @@ _CLOCK_CALLS = frozenset(
 )
 
 #: Modules that measure wall-clock time as an explicit, documented feature
-#: (RunResult.seconds, the sweep timings side table, route-bench throughput).
+#: (RunResult.seconds, the sweep timings side table).
 #: Timing there is opt-in output, never an input to any computed result.
 TIMING_OPT_IN = (
     "src/repro/scenarios/run.py",
     "src/repro/scenarios/sweep.py",
-    "src/repro/experiments/cli.py",
 )
 
 

@@ -1,6 +1,10 @@
 """Experiment harness regenerating every table and figure of the paper.
 
-Each module corresponds to one experiment of the evaluation:
+Each module is one experiment of the evaluation, and *is* its registered
+scenario: the measurement function is decorated with
+:func:`~repro.scenarios.register_scenario`, reads its
+:class:`~repro.scenarios.ScenarioSpec`, and states its defaults once, as the
+registered default spec.
 
 * :mod:`repro.experiments.figure5` — link-length distribution of the
   construction heuristic vs the ideal inverse power law (Figure 5a/5b).
@@ -15,49 +19,22 @@ Each module corresponds to one experiment of the evaluation:
 * :mod:`repro.experiments.baseline_comparison` — hop counts and failure
   resilience of Chord / Kleinberg / CAN / Plaxton vs this paper's overlay.
 
-Every experiment returns plain dataclasses/dicts and can print a text table,
-so the benchmark harness and the examples reuse the same entry points.
-
-.. deprecated::
-    The ``run_*`` functions are thin shims over :mod:`repro.scenarios` — the
-    declarative spec / registry / sweep API — and are kept for
-    backwards-compatible kwargs and result types.  New code should build a
-    :class:`~repro.scenarios.ScenarioSpec` and call
-    :func:`repro.scenarios.run` (or the ``repro run`` / ``repro sweep`` CLI).
+Run one with ``run(get_scenario("figure6").make_spec(overrides=...))`` from
+:mod:`repro.scenarios` (or ``repro run figure6 --set ...``); ``.raw`` on the
+result is the experiment's native result object (``Figure6Result`` etc.).
+The experiment modules are imported by the scenario registry on first lookup,
+not here: they import :mod:`repro.scenarios.run`, which imports
+:mod:`repro.experiments.runner` and therefore this package.
 """
 
-from repro.experiments.ablations import (
-    run_backtrack_depth_ablation,
-    run_byzantine_experiment,
-    run_exponent_ablation,
-    run_replacement_ablation,
-)
-from repro.experiments.baseline_comparison import run_baseline_comparison
-from repro.experiments.figure5 import Figure5Result, run_figure5
-from repro.experiments.figure6 import Figure6Result, run_figure6
-from repro.experiments.figure7 import Figure7Result, run_figure7
 from repro.experiments.runner import (
     EngineRouteResult,
     ExperimentTable,
     FastpathFallbackWarning,
     format_table,
 )
-from repro.experiments.table1 import Table1Result, run_table1
 
 __all__ = [
-    "run_figure5",
-    "Figure5Result",
-    "run_figure6",
-    "Figure6Result",
-    "run_figure7",
-    "Figure7Result",
-    "run_table1",
-    "Table1Result",
-    "run_replacement_ablation",
-    "run_backtrack_depth_ablation",
-    "run_exponent_ablation",
-    "run_byzantine_experiment",
-    "run_baseline_comparison",
     "ExperimentTable",
     "EngineRouteResult",
     "FastpathFallbackWarning",

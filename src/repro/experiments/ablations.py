@@ -20,117 +20,85 @@ import numpy as np
 
 from repro.core.builder import build_ideal_network
 from repro.core.byzantine import ByzantineAwareRouter, RedundantRouter
-from repro.core.construction import (
-    InverseDistanceReplacement,
-    NeverReplace,
-    OldestLinkReplacement,
-)
 from repro.core.failures import ByzantineBehavior, ByzantineModel, NodeFailureModel
 from repro.core.routing import GreedyRouter, RecoveryStrategy
-from repro.experiments.figure5 import _run_figure5_impl
+from repro.experiments.figure5 import REPLACEMENT_POLICIES, _measure_figure5
 from repro.experiments.runner import ExperimentTable
+from repro.scenarios.registry import register_scenario
+from repro.scenarios.run import ScenarioOutcome
+from repro.scenarios.spec import (
+    FailureSpec,
+    RoutingSpec,
+    ScenarioSpec,
+    SpecError,
+    TopologySpec,
+    WorkloadSpec,
+)
 from repro.simulation.workload import LookupWorkload
 
-__all__ = [
-    "run_replacement_ablation",
-    "run_backtrack_depth_ablation",
-    "run_exponent_ablation",
-    "run_byzantine_experiment",
-]
+#: Nothing to import: the four scenarios register themselves on import.
+__all__: list[str] = []
 
 
-def run_replacement_ablation(
-    nodes: int = 1 << 10,
-    links_per_node: int | None = None,
-    networks: int = 3,
-    seed: int = 0,
-) -> ExperimentTable:
+@register_scenario(
+    "ablation-replacement",
+    description="link-replacement policy ablation: inverse-distance vs oldest-link vs never-replace",
+    defaults=ScenarioSpec(
+        scenario="ablation-replacement",
+        topology=TopologySpec(kind="heuristic", nodes=1 << 10),
+        failures=FailureSpec(kind="none"),
+        workload=WorkloadSpec(searches=1, networks=3),
+    ),
+)
+def _ablation_replacement(spec: ScenarioSpec) -> ScenarioOutcome:
     """Compare link-replacement policies by distribution error (Section 5 ablation).
 
-    .. deprecated::
-        This is a thin shim over the scenario API: it builds a
-        :class:`~repro.scenarios.ScenarioSpec` and delegates to
-        :func:`repro.scenarios.run` (scenario ``"ablation-replacement"``), returning
-        identical numbers at a fixed seed.  New code should use the scenario
-        API directly — it adds JSON results, sweeps, and the CLI surface.
+    Construction-only, like Figure 5: the engine is ignored and reported as
+    ``"object"``.
     """
-    from repro.scenarios import run
-    from repro.scenarios.library import ablation_replacement_spec
-
-    spec = ablation_replacement_spec(
-        nodes=nodes, links_per_node=links_per_node, networks=networks, seed=seed
-    )
-    return run(spec).raw
-
-
-def _run_replacement_ablation_impl(
-    nodes: int = 1 << 10,
-    links_per_node: int | None = None,
-    networks: int = 3,
-    seed: int = 0,
-) -> ExperimentTable:
-    """The replacement-policy ablation (scenario ``"ablation-replacement"``)."""
-    policies = {
-        "inverse-distance": InverseDistanceReplacement(),
-        "oldest-link": OldestLinkReplacement(),
-        "never-replace": NeverReplace(),
-    }
     table = ExperimentTable(
         title="Ablation: link-replacement policy vs ideal 1/d distribution",
         columns=["policy", "max_absolute_error", "total_variation"],
         notes="The paper reports inverse-distance and oldest-link are nearly indistinguishable.",
     )
-    for name, policy in policies.items():
-        result = _run_figure5_impl(
-            nodes=nodes,
-            links_per_node=links_per_node,
-            networks=networks,
-            replacement_policy=policy,
-            seed=seed,
+    for name, policy in REPLACEMENT_POLICIES.items():
+        result = _measure_figure5(
+            spec.topology.nodes,
+            spec.topology.links_per_node,
+            spec.workload.networks,
+            policy(),
+            spec.seed,
         )
         table.add_row(name, result.max_absolute_error, result.total_variation)
-    return table
+    return ScenarioOutcome(tables=[table], raw=table, engine_used="object")
 
 
-def run_backtrack_depth_ablation(
-    nodes: int = 1 << 12,
-    depths: list[int] | None = None,
-    failure_level: float = 0.5,
-    searches: int = 300,
-    seed: int = 0,
-) -> ExperimentTable:
+@register_scenario(
+    "ablation-backtrack",
+    description="backtrack-depth ablation: failed-search fraction vs history depth at a fixed failure level",
+    defaults=ScenarioSpec(
+        scenario="ablation-backtrack",
+        topology=TopologySpec(kind="ideal", nodes=1 << 12),
+        failures=FailureSpec(kind="nodes", levels=(0.5,)),
+        routing=RoutingSpec(recovery=RecoveryStrategy.BACKTRACK.value),
+        workload=WorkloadSpec(searches=300),
+        extras={"depths": (1, 2, 5, 10, 20)},
+    ),
+)
+def _ablation_backtrack(spec: ScenarioSpec) -> ScenarioOutcome:
     """Sweep the backtracking history depth (the paper fixes it at 5).
 
-    .. deprecated::
-        This is a thin shim over the scenario API: it builds a
-        :class:`~repro.scenarios.ScenarioSpec` and delegates to
-        :func:`repro.scenarios.run` (scenario ``"ablation-backtrack"``), returning
-        identical numbers at a fixed seed.  New code should use the scenario
-        API directly — it adds JSON results, sweeps, and the CLI surface.
+    Object-engine scenario: the depth-limited backtracking router is scalar.
     """
-    from repro.scenarios import run
-    from repro.scenarios.library import ablation_backtrack_spec
-
-    spec = ablation_backtrack_spec(
-        nodes=nodes,
-        depths=depths,
-        failure_level=failure_level,
-        searches=searches,
-        seed=seed,
-    )
-    return run(spec).raw
-
-
-def _run_backtrack_depth_ablation_impl(
-    nodes: int = 1 << 12,
-    depths: list[int] | None = None,
-    failure_level: float = 0.5,
-    searches: int = 300,
-    seed: int = 0,
-) -> ExperimentTable:
-    """The backtrack-depth ablation (scenario ``"ablation-backtrack"``)."""
-    if depths is None:
-        depths = [1, 2, 5, 10, 20]
+    if len(spec.failures.levels) != 1:
+        raise SpecError(
+            "failures.levels must hold exactly one level for 'ablation-backtrack' "
+            f"(the sweep axis is extras.depths), got {spec.failures.levels!r}"
+        )
+    failure_level = spec.failures.levels[0]
+    nodes = spec.topology.nodes
+    searches = spec.workload.searches
+    seed = spec.seed
     build = build_ideal_network(nodes, seed=seed)
     graph = build.graph
     model = NodeFailureModel(failure_level, seed=seed + 1)
@@ -142,7 +110,7 @@ def _run_backtrack_depth_ablation_impl(
         title=f"Ablation: backtrack depth at {failure_level:.0%} failed nodes (n={nodes})",
         columns=["backtrack_depth", "failed_fraction", "mean_hops_successful"],
     )
-    for depth in depths:
+    for depth in spec.extra("depths"):
         router = GreedyRouter(
             graph=graph,
             recovery=RecoveryStrategy.BACKTRACK,
@@ -161,48 +129,34 @@ def _run_backtrack_depth_ablation_impl(
             depth, failures / len(pairs), float(np.mean(hops)) if hops else 0.0
         )
     model.repair(graph)
-    return table
+    return ScenarioOutcome(tables=[table], raw=table, engine_used="object")
 
 
-def run_exponent_ablation(
-    nodes: int = 1 << 12,
-    exponents: list[float] | None = None,
-    searches: int = 300,
-    seed: int = 0,
-) -> ExperimentTable:
+@register_scenario(
+    "ablation-exponent",
+    description="link-distribution exponent ablation: routing performance vs power-law exponent",
+    defaults=ScenarioSpec(
+        scenario="ablation-exponent",
+        topology=TopologySpec(kind="ideal", nodes=1 << 12),
+        failures=FailureSpec(kind="none"),
+        workload=WorkloadSpec(searches=300),
+        extras={"exponents": (0.0, 0.5, 1.0, 1.5, 2.0)},
+    ),
+)
+def _ablation_exponent(spec: ScenarioSpec) -> ScenarioOutcome:
     """Sweep the power-law exponent; exponent 1 should minimise hops on the line.
 
-    .. deprecated::
-        This is a thin shim over the scenario API: it builds a
-        :class:`~repro.scenarios.ScenarioSpec` and delegates to
-        :func:`repro.scenarios.run` (scenario ``"ablation-exponent"``), returning
-        identical numbers at a fixed seed.  New code should use the scenario
-        API directly — it adds JSON results, sweeps, and the CLI surface.
+    Object-engine scenario.
     """
-    from repro.scenarios import run
-    from repro.scenarios.library import ablation_exponent_spec
-
-    spec = ablation_exponent_spec(
-        nodes=nodes, exponents=exponents, searches=searches, seed=seed
-    )
-    return run(spec).raw
-
-
-def _run_exponent_ablation_impl(
-    nodes: int = 1 << 12,
-    exponents: list[float] | None = None,
-    searches: int = 300,
-    seed: int = 0,
-) -> ExperimentTable:
-    """The exponent ablation (scenario ``"ablation-exponent"``)."""
-    if exponents is None:
-        exponents = [0.0, 0.5, 1.0, 1.5, 2.0]
+    nodes = spec.topology.nodes
+    searches = spec.workload.searches
+    seed = spec.seed
     table = ExperimentTable(
         title=f"Ablation: link-distribution exponent (n={nodes}, l=lg n)",
         columns=["exponent", "mean_hops", "failed_fraction"],
         notes="Exponent 1 (harmonic) is the paper's choice and Kleinberg's 1-D optimum.",
     )
-    for index, exponent in enumerate(exponents):
+    for index, exponent in enumerate(spec.extra("exponents")):
         build = build_ideal_network(nodes, seed=seed + index, exponent=exponent)
         live = build.graph.labels(only_alive=True)
         pairs = LookupWorkload(seed=seed + 100 + index).pairs(live, searches)
@@ -218,56 +172,38 @@ def _run_exponent_ablation_impl(
         table.add_row(
             exponent, float(np.mean(hops)) if hops else 0.0, failures / len(pairs)
         )
-    return table
+    return ScenarioOutcome(tables=[table], raw=table, engine_used="object")
 
 
-def run_byzantine_experiment(
-    nodes: int = 1 << 11,
-    fractions: list[float] | None = None,
-    behavior: str = ByzantineBehavior.DROP,
-    redundancy: int = 3,
-    searches: int = 200,
-    seed: int = 0,
-) -> ExperimentTable:
+@register_scenario(
+    "byzantine",
+    description="Byzantine-node extension: plain vs redundant multi-path routing vs compromised fraction",
+    defaults=ScenarioSpec(
+        scenario="byzantine",
+        topology=TopologySpec(kind="ideal", nodes=1 << 11),
+        failures=FailureSpec(
+            kind="byzantine",
+            levels=(0.0, 0.05, 0.1, 0.2, 0.3),
+            behavior=ByzantineBehavior.DROP,
+        ),
+        workload=WorkloadSpec(searches=200),
+        extras={"redundancy": 3},
+    ),
+)
+def _byzantine(spec: ScenarioSpec) -> ScenarioOutcome:
     """Failed searches vs fraction of Byzantine nodes, plain vs redundant routing.
-
-    .. deprecated::
-        This is a thin shim over the scenario API: it builds a
-        :class:`~repro.scenarios.ScenarioSpec` and delegates to
-        :func:`repro.scenarios.run` (scenario ``"byzantine"``), returning
-        identical numbers at a fixed seed.  New code should use the scenario
-        API directly — it adds JSON results, sweeps, and the CLI surface.
-    """
-    from repro.scenarios import run
-    from repro.scenarios.library import byzantine_spec
-
-    spec = byzantine_spec(
-        nodes=nodes,
-        fractions=fractions,
-        behavior=behavior,
-        redundancy=redundancy,
-        searches=searches,
-        seed=seed,
-    )
-    return run(spec).raw
-
-
-def _run_byzantine_experiment_impl(
-    nodes: int = 1 << 11,
-    fractions: list[float] | None = None,
-    behavior: str = ByzantineBehavior.DROP,
-    redundancy: int = 3,
-    searches: int = 200,
-    seed: int = 0,
-) -> ExperimentTable:
-    """The Byzantine-routing extension (scenario ``"byzantine"``).
 
     This is the Section-7 future-work extension: plain greedy routing fails
     whenever a compromised node sits on the greedy path, while redundant
     multi-path routing tolerates a substantially larger compromised fraction.
+    Byzantine behaviour is object-router only, so this is an object-engine
+    scenario.
     """
-    if fractions is None:
-        fractions = [0.0, 0.05, 0.1, 0.2, 0.3]
+    nodes = spec.topology.nodes
+    behavior = spec.failures.behavior
+    redundancy = int(spec.extra("redundancy"))
+    searches = spec.workload.searches
+    seed = spec.seed
     build = build_ideal_network(nodes, seed=seed)
     graph = build.graph
     table = ExperimentTable(
@@ -280,7 +216,7 @@ def _run_byzantine_experiment_impl(
             "redundant_mean_hops",
         ],
     )
-    for index, fraction in enumerate(fractions):
+    for index, fraction in enumerate(spec.failures.levels):
         adversary = ByzantineModel(fraction, behavior=behavior, seed=seed + 10 + index)
         adversary.apply(graph)
         live = [
@@ -314,4 +250,4 @@ def _run_byzantine_experiment_impl(
             float(np.mean(redundant_hops)) if redundant_hops else 0.0,
         )
         adversary.repair(graph)
-    return table
+    return ScenarioOutcome(tables=[table], raw=table, engine_used="object")

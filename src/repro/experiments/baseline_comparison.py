@@ -30,9 +30,19 @@ from repro.core.failures import NodeFailureModel
 from repro.core.routing import RecoveryStrategy
 from repro.experiments.runner import ExperimentTable, route_pairs_with_engine
 from repro.overlay import PROTOCOLS, Overlay
+from repro.scenarios.registry import register_scenario
+from repro.scenarios.run import ScenarioOutcome
+from repro.scenarios.spec import (
+    FailureSpec,
+    ScenarioSpec,
+    SpecError,
+    TopologySpec,
+    WorkloadSpec,
+)
 from repro.simulation.workload import LookupWorkload
 
-__all__ = ["run_baseline_comparison"]
+#: Nothing to import: the scenario registers itself on import.
+__all__: list[str] = []
 
 
 def _measure(
@@ -63,37 +73,6 @@ def _measure(
         else:
             failures += 1
     return (float(np.mean(hops)) if hops else 0.0), failures / len(pairs)
-
-
-def run_baseline_comparison(
-    bits: int = 10,
-    searches: int = 200,
-    failure_level: float = 0.3,
-    seed: int = 0,
-    engine: str = "object",
-    protocol: str = "",
-) -> ExperimentTable:
-    """Compare all systems at ``n = 2^bits`` nodes (grids use the nearest square).
-
-    .. deprecated::
-        This is a thin shim over the scenario API: it builds a
-        :class:`~repro.scenarios.ScenarioSpec` and delegates to
-        :func:`repro.scenarios.run` (scenario ``"baselines"``), returning
-        identical numbers at a fixed seed.  New code should use the scenario
-        API directly — it adds JSON results, sweeps, and the CLI surface.
-    """
-    from repro.scenarios import run
-    from repro.scenarios.library import baselines_spec
-
-    spec = baselines_spec(
-        bits=bits,
-        searches=searches,
-        failure_level=failure_level,
-        seed=seed,
-        engine=engine,
-        protocol=protocol,
-    )
-    return run(spec).raw
 
 
 def _power_law_row(n, searches, failure_level, seed, engine):
@@ -143,24 +122,46 @@ def _overlay_row(system, name, state, searches, failure_level, seed_block, engin
     return row, {engine}
 
 
-def _run_baseline_comparison_impl(
-    bits: int = 10,
-    searches: int = 200,
-    failure_level: float = 0.3,
-    seed: int = 0,
-    engine: str = "object",
-    protocol: str = "",
-) -> tuple[ExperimentTable, set[str]]:
-    """The baseline comparison (executed via the ``"baselines"`` scenario).
+@register_scenario(
+    "baselines",
+    description="hop counts and failure resilience of Chord / Kleinberg / CAN / Plaxton vs this paper's overlay (both engines, protocol-grid ready)",
+    defaults=ScenarioSpec(
+        scenario="baselines",
+        topology=TopologySpec(kind="ideal", nodes=1 << 10),
+        failures=FailureSpec(kind="nodes", levels=(0.3,)),
+        workload=WorkloadSpec(searches=200),
+    ),
+)
+def _baselines(spec: ScenarioSpec) -> ScenarioOutcome:
+    """Compare all systems at ``n = topology.nodes`` (grids use the nearest square).
 
     Each system is measured twice: on the intact network and after failing
-    ``failure_level`` of its nodes uniformly at random (without running any
-    repair protocol, as in the paper's experiments).  ``protocol`` restricts
-    the run to one overlay family (one of :data:`repro.overlay.PROTOCOLS`);
-    ``""``/``"all"`` measures all five.  Returns the result table and the set
-    of engines that actually routed.
+    ``failures.levels[0]`` of its nodes uniformly at random (without running
+    any repair protocol, as in the paper's experiments).  ``topology.nodes``
+    must be a power of two — Chord and Plaxton are sized in bits — so
+    ``--set topology.nodes=...`` sweeps all systems at matched size.
+    ``topology.protocol`` restricts the run to one overlay family (one of
+    :data:`repro.overlay.PROTOCOLS`; ``""`` measures all five), which is the
+    sweep axis for protocol grids: ``repro sweep baselines --grid
+    topology.protocol=chord,can --grid failures.levels=0.1,0.3 --set
+    engine=fastpath``.
     """
-    n = 1 << bits
+    n = spec.topology.nodes
+    bits = n.bit_length() - 1
+    if n != 1 << bits:
+        raise SpecError(
+            f"topology.nodes must be a power of two for 'baselines', got {n} "
+            f"(nearest: {1 << bits} and {1 << (bits + 1)})"
+        )
+    if len(spec.failures.levels) != 1:
+        raise SpecError(
+            "failures.levels must hold exactly one level for 'baselines' "
+            f"(sweep it with --grid), got {spec.failures.levels!r}"
+        )
+    failure_level = spec.failures.levels[0]
+    searches = spec.workload.searches
+    seed = spec.seed
+    engine = spec.engine
     side = int(round(math.sqrt(n)))
     table = ExperimentTable(
         title=f"Baseline comparison at n = {n} nodes ({failure_level:.0%} failures in second pass)",
@@ -212,10 +213,12 @@ def _run_baseline_comparison_impl(
         "can": can_row,
         "plaxton": plaxton_row,
     }
-    selected = PROTOCOLS if protocol in ("", "all") else (protocol,)
+    selected = (spec.topology.protocol,) if spec.topology.protocol else PROTOCOLS
     engines_used: set[str] = set()
     for name in selected:
         row, used = builders[name]()
         table.add_row(*row)
         engines_used |= used
-    return table, engines_used
+    return ScenarioOutcome(
+        tables=[table], raw=table, engine_used="+".join(sorted(engines_used))
+    )

@@ -1,7 +1,7 @@
 """Command-line entry point for the experiment harness.
 
-The CLI is collapsed onto the scenario registry: any registered scenario runs
-through three generic subcommands::
+The CLI is the scenario registry: any registered scenario — every figure and
+table of the paper included — runs through three generic subcommands::
 
     repro list                                         # what can I run?
     repro run figure7 --set topology.nodes=4096 --engine fastpath
@@ -16,13 +16,9 @@ any spec field by dotted path, ``--grid key=v1,v2`` adds a sweep axis, and
 deterministic per-cell seed from ``--seed``, so ``--jobs N`` parallelism
 produces byte-identical JSON to a serial run.
 
-The historical per-figure subcommands (``figure5`` ... ``baselines``,
-``route-bench``, ``all``) are kept as aliases; they run through the same
-scenario layer::
-
-    python -m repro.experiments.cli figure6 --nodes 8192 --searches 500
-    python -m repro.experiments.cli figure7 --engine fastpath
-    python -m repro.experiments.cli table1 --format json
+Three tooling subcommands ride along: ``bench-diff`` (compare two BENCH
+artifacts), ``lint`` and ``analyze`` (the static checkers of
+:mod:`repro.devtools`).
 """
 
 from __future__ import annotations
@@ -30,24 +26,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 from typing import Sequence
-
-from repro.core.routing import RecoveryStrategy, RoutingMode
-from repro.experiments.ablations import (
-    run_backtrack_depth_ablation,
-    run_byzantine_experiment,
-    run_exponent_ablation,
-    run_replacement_ablation,
-)
-from repro.experiments.baseline_comparison import run_baseline_comparison
-from repro.experiments.figure5 import run_figure5
-from repro.experiments.figure6 import run_figure6
-from repro.experiments.figure7 import run_figure7
-from repro.experiments.runner import ExperimentTable, tables_to_csv
-from repro.experiments.table1 import run_table1
-from repro.overlay import PROTOCOLS
 
 __all__ = ["build_parser", "main"]
 
@@ -189,111 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.devtools.analyze.cli import add_analyze_arguments
 
     add_analyze_arguments(analyze)
-
-    # -- legacy per-figure aliases ------------------------------------------
-
-    figure5 = subparsers.add_parser("figure5", help="link-length distribution of the §5 heuristic")
-    figure5.add_argument("--nodes", type=int, default=1 << 12)
-    figure5.add_argument("--links", type=int, default=None)
-    figure5.add_argument("--networks", type=int, default=3)
-    add_format_option(figure5)
-
-    def add_engine_option(subparser) -> None:
-        subparser.add_argument(
-            "--engine",
-            choices=("object", "fastpath"),
-            default="object",
-            help="routing engine: scalar object router or batched fastpath "
-            "(covers all three recovery strategies with identical results; "
-            "ideal networks additionally build straight into CSR snapshots)",
-        )
-
-    figure6 = subparsers.add_parser("figure6", help="failed searches / delivery time vs node failures")
-    figure6.add_argument("--nodes", type=int, default=1 << 12)
-    figure6.add_argument("--searches", type=int, default=250)
-    add_engine_option(figure6)
-    add_format_option(figure6)
-
-    figure7 = subparsers.add_parser("figure7", help="constructed vs ideal network under failures")
-    figure7.add_argument("--nodes", type=int, default=1 << 11)
-    figure7.add_argument("--searches", type=int, default=200)
-    figure7.add_argument("--iterations", type=int, default=2)
-    add_engine_option(figure7)
-    add_format_option(figure7)
-
-    table1 = subparsers.add_parser("table1", help="measured delivery time vs Table-1 bound shapes")
-    table1.add_argument("--searches", type=int, default=150)
-    table1.add_argument(
-        "--recovery",
-        choices=[strategy.value for strategy in RecoveryStrategy],
-        default=RecoveryStrategy.BACKTRACK.value,
-        help="recovery strategy for every Table-1 measurement",
-    )
-    add_engine_option(table1)
-    add_format_option(table1)
-
-    bench = subparsers.add_parser(
-        "route-bench",
-        help="route N random queries through a chosen engine; print throughput",
-    )
-    bench.add_argument("--nodes", type=int, default=10_000)
-    bench.add_argument("--queries", type=int, default=10_000)
-    bench.add_argument("--links", type=int, default=None)
-    bench.add_argument(
-        "--mode",
-        choices=[mode.value for mode in RoutingMode],
-        default=RoutingMode.TWO_SIDED.value,
-        help="greedy routing mode",
-    )
-    bench.add_argument(
-        "--fail",
-        type=float,
-        default=0.0,
-        help="fraction of nodes to fail before routing",
-    )
-    bench.add_argument(
-        "--recovery",
-        choices=[strategy.value for strategy in RecoveryStrategy],
-        default=RecoveryStrategy.TERMINATE.value,
-        help="recovery strategy to benchmark (all three run on either engine)",
-    )
-    add_engine_option(bench)
-    add_format_option(bench)
-
-    ablations = subparsers.add_parser(
-        "ablations", help="replacement-policy, backtrack-depth, exponent, Byzantine ablations"
-    )
-    add_format_option(ablations)
-
-    baselines = subparsers.add_parser("baselines", help="Chord / Kleinberg / CAN / Plaxton comparison")
-    baselines.add_argument("--bits", type=int, default=10)
-    baselines.add_argument("--searches", type=int, default=200)
-    baselines.add_argument(
-        "--protocol",
-        choices=("all",) + PROTOCOLS,
-        default="all",
-        help="restrict the comparison to one overlay protocol family",
-    )
-    add_engine_option(baselines)
-    add_format_option(baselines)
-
-    subparsers.add_parser("all", help="run every experiment at its default scale")
     return parser
-
-
-# ---------------------------------------------------------------------------
-# Output encoding
-# ---------------------------------------------------------------------------
-
-
-def _emit_tables(tables: Sequence[ExperimentTable], output_format: str = "text") -> None:
-    """Print result tables in the requested encoding."""
-    if output_format == "json":
-        print(json.dumps([table.to_json_dict() for table in tables], indent=2, sort_keys=True))
-    elif output_format == "csv":
-        print(tables_to_csv(tables), end="")
-    else:
-        print("\n\n".join(table.to_text() for table in tables))
 
 
 def _parse_overrides(tokens: Sequence[str]) -> dict[str, str]:
@@ -434,159 +310,6 @@ def _run_bench_diff(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# Legacy per-figure aliases
-# ---------------------------------------------------------------------------
-
-
-def _run_figure5(args) -> None:
-    result = run_figure5(
-        nodes=args.nodes, links_per_node=args.links, networks=args.networks, seed=args.seed
-    )
-    _emit_tables([result.to_table(max_rows=20)], args.format)
-
-
-def _run_figure6(args) -> None:
-    result = run_figure6(
-        nodes=args.nodes,
-        searches_per_point=args.searches,
-        seed=args.seed,
-        engine=getattr(args, "engine", "object"),
-    )
-    _emit_tables(list(result.to_tables()), args.format)
-
-
-def _run_figure7(args) -> None:
-    result = run_figure7(
-        nodes=args.nodes,
-        searches_per_point=args.searches,
-        iterations=args.iterations,
-        seed=args.seed,
-        engine=getattr(args, "engine", "object"),
-    )
-    _emit_tables([result.to_table()], args.format)
-
-
-def _run_table1(args) -> None:
-    result = run_table1(
-        searches=args.searches,
-        seed=args.seed,
-        recovery=RecoveryStrategy(getattr(args, "recovery", "backtrack")),
-        engine=getattr(args, "engine", "object"),
-    )
-    _emit_tables(result.tables(), args.format)
-
-
-def _run_route_bench(args) -> None:
-    """Route N random queries through one engine and report throughput."""
-    import numpy as np
-
-    from repro.core.builder import build_ideal_network
-    from repro.core.failures import NodeFailureModel
-    from repro.core.routing import GreedyRouter
-    from repro.experiments.runner import route_sample
-    from repro.fastpath import BatchGreedyRouter
-    from repro.simulation.workload import LookupWorkload
-
-    mode = RoutingMode(args.mode)
-    recovery = RecoveryStrategy(args.recovery)
-    if args.engine == "fastpath":
-        # Direct-to-CSR build: no object graph at all on the fastpath side.
-        from repro.fastpath import build_snapshot, sample_node_failures
-
-        started = time.perf_counter()
-        snapshot = build_snapshot(args.nodes, links_per_node=args.links, seed=args.seed)
-        if args.fail > 0.0:
-            failed = sample_node_failures(snapshot, args.fail, seed=args.seed + 1)
-            snapshot = snapshot.with_alive(snapshot.alive & ~failed)
-        built = time.perf_counter()
-        live = snapshot.labels[snapshot.alive].tolist()
-        if len(live) < 2:
-            raise SystemExit(
-                f"route-bench: --fail {args.fail} leaves {len(live)} live node(s); "
-                "need at least two to generate queries — lower --fail or raise --nodes"
-            )
-        pairs = LookupWorkload(seed=args.seed + 2).pairs(live, args.queries)
-        router = BatchGreedyRouter(
-            snapshot=snapshot, mode=mode, recovery=recovery, seed=args.seed
-        )
-        started_route = time.perf_counter()
-        result = router.route_pairs(pairs)
-        finished = time.perf_counter()
-        setup_seconds = built - started
-        route_seconds = finished - started_route
-        successes = int(result.success.sum())
-        hops = result.mean_hops()
-    else:
-        build = build_ideal_network(args.nodes, links_per_node=args.links, seed=args.seed)
-        graph = build.graph
-        if args.fail > 0.0:
-            NodeFailureModel(args.fail, seed=args.seed + 1).apply(graph)
-        live = graph.labels(only_alive=True)
-        if len(live) < 2:
-            raise SystemExit(
-                f"route-bench: --fail {args.fail} leaves {len(live)} live node(s); "
-                "need at least two to generate queries — lower --fail or raise --nodes"
-            )
-        pairs = LookupWorkload(seed=args.seed + 2).pairs(live, args.queries)
-        router = GreedyRouter(
-            graph=graph, mode=mode, recovery=recovery, seed=args.seed
-        )
-        started = time.perf_counter()
-        failures, hop_counts = route_sample(graph, router, pairs)
-        finished = time.perf_counter()
-        successes = len(pairs) - failures
-        setup_seconds = 0.0
-        route_seconds = finished - started
-        hops = float(np.mean(hop_counts)) if hop_counts else 0.0
-
-    table = ExperimentTable(
-        title=f"route-bench: {args.engine} engine, {recovery.value} recovery, {mode.value} mode",
-        columns=[
-            "nodes", "queries", "failed_nodes", "setup_s", "route_s",
-            "queries_per_sec", "success_rate", "mean_hops",
-        ],
-        notes="setup_s is the direct-to-CSR snapshot build (fastpath only); "
-        "queries_per_sec counts routing time alone.",
-    )
-    table.add_row(
-        args.nodes,
-        len(pairs),
-        args.fail,
-        setup_seconds,
-        route_seconds,
-        len(pairs) / route_seconds if route_seconds > 0 else float("inf"),
-        successes / len(pairs),
-        hops,
-    )
-    _emit_tables([table], args.format)
-
-
-def _run_ablations(args) -> None:
-    tables = [
-        run_replacement_ablation(seed=args.seed),
-        run_backtrack_depth_ablation(seed=args.seed),
-        run_exponent_ablation(seed=args.seed),
-        run_byzantine_experiment(seed=args.seed),
-    ]
-    _emit_tables(tables, args.format)
-
-
-def _run_baselines(args) -> None:
-    _emit_tables(
-        [
-            run_baseline_comparison(
-                bits=args.bits,
-                searches=args.searches,
-                seed=args.seed,
-                engine=getattr(args, "engine", "object"),
-                protocol="" if getattr(args, "protocol", "all") == "all" else args.protocol,
-            )
-        ],
-        args.format,
-    )
-
-
 def _run_lint(args) -> int:
     from repro.devtools.cli import run_lint
 
@@ -606,45 +329,18 @@ _DISPATCH = {
     "bench-diff": _run_bench_diff,
     "lint": _run_lint,
     "analyze": _run_analyze,
-    "figure5": _run_figure5,
-    "figure6": _run_figure6,
-    "figure7": _run_figure7,
-    "table1": _run_table1,
-    "ablations": _run_ablations,
-    "baselines": _run_baselines,
-    "route-bench": _run_route_bench,
 }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """CLI entry point; returns a process exit code.
 
-    if args.command == "all":
-        defaults = build_parser()
-        for command in ("figure5", "figure6", "figure7", "table1", "ablations", "baselines"):
-            print("=" * 78)
-            print(f"== {command}")
-            print("=" * 78)
-            # --seed is a top-level option the subparsers do not re-declare;
-            # parse the bare command and carry the seed over by hand.
-            sub_args = defaults.parse_args([command])
-            sub_args.seed = args.seed
-            main_dispatch(sub_args)
-            print()
-        return 0
-    return main_dispatch(args) or 0
-
-
-def main_dispatch(args) -> int | None:
-    """Dispatch a parsed namespace to its runner (used by the ``all`` command).
-
-    Returns the handler's exit code; most handlers return ``None`` (success).
-    ``bench-diff`` returns 1 when a metric regresses past ``--fail-over``;
-    ``lint`` and ``analyze`` return 1 on findings and 2 on usage errors.
+    Most handlers return ``None`` (success).  ``bench-diff`` returns 1 when a
+    metric regresses past ``--fail-over``; ``lint`` and ``analyze`` return 1
+    on findings and 2 on usage errors.
     """
-    return _DISPATCH[args.command](args)
+    args = build_parser().parse_args(argv)
+    return _DISPATCH[args.command](args) or 0
 
 
 if __name__ == "__main__":

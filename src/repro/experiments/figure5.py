@@ -7,15 +7,17 @@ with exponent 1.  Figure 5(a) overlays the two distributions (log-log);
 Figure 5(b) plots the absolute error, whose largest magnitude is roughly
 0.022 at length 2.
 
-``run_figure5`` reproduces both panels as numeric series.  The default
-parameters are scaled down (2^11 nodes, 5 networks) so the experiment runs in
-seconds; pass ``nodes=1 << 14, links_per_node=14, networks=10`` for the
-paper-scale run.
+The ``"figure5"`` scenario reproduces both panels as numeric series.  The
+registered defaults are scaled down (2^11 nodes, 5 networks) so the
+experiment runs in seconds; override ``topology.nodes=16384``,
+``topology.links_per_node=14``, ``workload.networks=10`` for the paper-scale
+run.
 
 Unlike the routing experiments (figure6/figure7/table1), Figure 5 measures
-the *construction* heuristic only — no queries are routed — so it has no
-``engine`` switch; the :mod:`repro.fastpath` engine accelerates routing
-evaluation, not incremental construction.
+the *construction* heuristic only — no queries are routed — so the spec's
+``engine`` field is ignored and reported as ``"object"``; the
+:mod:`repro.fastpath` engine accelerates routing evaluation, not incremental
+construction.
 """
 
 from __future__ import annotations
@@ -28,12 +30,30 @@ from repro.analysis.stats import total_variation_distance
 from repro.core.construction import (
     InverseDistanceReplacement,
     LinkReplacementPolicy,
+    NeverReplace,
+    OldestLinkReplacement,
     build_heuristic_network,
 )
 from repro.core.distributions import InversePowerLawDistribution
 from repro.experiments.runner import ExperimentTable
+from repro.scenarios.registry import register_scenario
+from repro.scenarios.run import ScenarioOutcome
+from repro.scenarios.spec import (
+    FailureSpec,
+    ScenarioSpec,
+    SpecError,
+    TopologySpec,
+    WorkloadSpec,
+)
 
-__all__ = ["Figure5Result", "run_figure5", "empirical_link_distribution"]
+__all__ = ["Figure5Result", "REPLACEMENT_POLICIES", "empirical_link_distribution"]
+
+#: Link-replacement rules by their spec name (``extras.replacement_policy``).
+REPLACEMENT_POLICIES = {
+    "inverse-distance": InverseDistanceReplacement,
+    "oldest-link": OldestLinkReplacement,
+    "never-replace": NeverReplace,
+}
 
 
 @dataclass
@@ -100,71 +120,21 @@ def empirical_link_distribution(lengths: list[int], n: int) -> np.ndarray:
     return histogram
 
 
-def run_figure5(
-    nodes: int = 1 << 11,
-    links_per_node: int | None = None,
-    networks: int = 5,
-    replacement_policy: LinkReplacementPolicy | None = None,
-    seed: int = 0,
+def _measure_figure5(
+    nodes: int,
+    links_per_node: int | None,
+    networks: int,
+    replacement_policy: LinkReplacementPolicy,
+    seed: int,
 ) -> Figure5Result:
-    """Reproduce Figure 5(a)/(b).
+    """Average the link-length distribution of ``networks`` heuristic builds.
 
-    .. deprecated::
-        This is a thin shim over the scenario API: it builds a
-        :class:`~repro.scenarios.ScenarioSpec` and delegates to
-        :func:`repro.scenarios.run` (scenario ``"figure5"``), returning
-        identical numbers at a fixed seed.  New code should use the scenario
-        API directly — it adds JSON results, sweeps, and the CLI surface.
-
-    Parameters
-    ----------
-    nodes:
-        Number of nodes (the paper uses 2^14).
-    links_per_node:
-        Long links per node (the paper uses 14; default ``ceil(lg nodes)``).
-    networks:
-        Number of independently constructed networks to average (paper: 10).
-    replacement_policy:
-        Link-replacement rule (default: the paper's inverse-distance rule).
-    seed:
-        Base seed; network ``i`` uses ``seed + i``.
+    ``links_per_node=None`` means ``ceil(lg nodes)`` (the paper uses 14 at
+    2^14 nodes); network ``i`` is built with ``seed + i``.  Takes a policy
+    *object* so the ``"ablation-replacement"`` scenario can reuse it.
     """
-    from repro.scenarios import run
-    from repro.scenarios.library import figure5_spec, policy_name
-
-    name = policy_name(replacement_policy)
-    if name is None:
-        # A custom policy object cannot be expressed as declarative spec
-        # data; run the implementation directly.
-        return _run_figure5_impl(
-            nodes=nodes,
-            links_per_node=links_per_node,
-            networks=networks,
-            replacement_policy=replacement_policy,
-            seed=seed,
-        )
-    spec = figure5_spec(
-        nodes=nodes,
-        links_per_node=links_per_node,
-        networks=networks,
-        replacement_policy=name,
-        seed=seed,
-    )
-    return run(spec).raw
-
-
-def _run_figure5_impl(
-    nodes: int = 1 << 11,
-    links_per_node: int | None = None,
-    networks: int = 5,
-    replacement_policy: LinkReplacementPolicy | None = None,
-    seed: int = 0,
-) -> Figure5Result:
-    """The Figure-5 measurement (executed via the ``"figure5"`` scenario)."""
     if links_per_node is None:
         links_per_node = max(1, int(np.ceil(np.log2(nodes))))
-    if replacement_policy is None:
-        replacement_policy = InverseDistanceReplacement()
 
     max_distance = nodes // 2
     accumulated = np.zeros(max_distance, dtype=float)
@@ -199,4 +169,37 @@ def _run_figure5_impl(
             "replacement_policy": type(replacement_policy).__name__,
             "seed": seed,
         },
+    )
+
+
+@register_scenario(
+    "figure5",
+    description="link-length distribution of the §5 construction heuristic vs the ideal 1/d law (Figure 5a/5b)",
+    defaults=ScenarioSpec(
+        scenario="figure5",
+        topology=TopologySpec(kind="heuristic", nodes=1 << 11),
+        failures=FailureSpec(kind="none"),
+        workload=WorkloadSpec(searches=1, networks=5),
+        extras={"replacement_policy": "inverse-distance", "max_rows": 20},
+    ),
+)
+def _figure5(spec: ScenarioSpec) -> ScenarioOutcome:
+    """Reproduce Figure 5(a)/(b); ``extras.max_rows`` caps the printed head."""
+    name = spec.extra("replacement_policy")
+    if name not in REPLACEMENT_POLICIES:
+        raise SpecError(
+            f"extras.replacement_policy must be one of {sorted(REPLACEMENT_POLICIES)}, "
+            f"got {name!r}"
+        )
+    result = _measure_figure5(
+        spec.topology.nodes,
+        spec.topology.links_per_node,
+        spec.workload.networks,
+        REPLACEMENT_POLICIES[name](),
+        spec.seed,
+    )
+    return ScenarioOutcome(
+        tables=[result.to_table(max_rows=int(spec.extra("max_rows")))],
+        raw=result,
+        engine_used="object",
     )

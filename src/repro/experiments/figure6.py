@@ -6,7 +6,7 @@ source/destination pairs.  Figure 6(a) plots the fraction of failed searches
 and Figure 6(b) the average delivery time of successful searches, for the
 three recovery strategies: terminate, random re-route, and backtracking.
 
-Expected qualitative shape (what ``run_figure6`` should show):
+Expected qualitative shape (what the ``"figure6"`` scenario should show):
 
 * the terminate strategy loses roughly (slightly fewer than) ``p`` of its
   searches;
@@ -16,13 +16,14 @@ Expected qualitative shape (what ``run_figure6`` should show):
   longer average delivery time;
 * delivery time grows only moderately with ``p`` for all strategies.
 
-Defaults are scaled down (2^12 nodes, 200 searches per point); pass
-``nodes=1 << 17, searches_per_point=100_000`` for a paper-scale run.  With
-``engine="fastpath"`` the whole experiment is array-native: the network is
-built straight into a CSR snapshot (:func:`repro.fastpath.build_snapshot`),
-failures are bulk mask operations, and **all three** strategies route on the
-batched engine — no object graph is ever materialised, and the numbers are
-identical to ``engine="object"`` at the same seed.
+The registered defaults are scaled down (2^12 nodes, 200 searches per point);
+override ``topology.nodes=131072``, ``workload.searches=100000`` for a
+paper-scale run.  With ``engine="fastpath"`` the whole experiment is
+array-native: the network is built straight into a CSR snapshot
+(:func:`repro.fastpath.build_snapshot`), failures are bulk mask operations,
+and **all three** strategies route on the batched engine — no object graph is
+ever materialised, and the numbers are identical to ``engine="object"`` at the
+same seed.
 """
 
 from __future__ import annotations
@@ -36,10 +37,18 @@ from repro.core.failures import NodeFailureModel, failure_sweep_levels
 from repro.core.routing import RecoveryStrategy
 from repro.experiments.runner import ExperimentTable, route_pairs_with_engine
 from repro.fastpath import cached_build_snapshot, sample_node_failures
+from repro.scenarios.registry import register_scenario
+from repro.scenarios.run import ScenarioOutcome
+from repro.scenarios.spec import (
+    FailureSpec,
+    ScenarioSpec,
+    TopologySpec,
+    WorkloadSpec,
+)
 from repro.simulation.workload import LookupWorkload
 from repro.util.rng import derive_seed
 
-__all__ = ["Figure6Result", "run_figure6", "DEFAULT_STRATEGIES"]
+__all__ = ["Figure6Result", "DEFAULT_STRATEGIES"]
 
 DEFAULT_STRATEGIES = (
     RecoveryStrategy.TERMINATE,
@@ -78,56 +87,25 @@ class Figure6Result:
         return table_a, table_b
 
 
-def run_figure6(
-    nodes: int = 1 << 12,
-    links_per_node: int | None = None,
-    failure_levels: list[float] | None = None,
-    searches_per_point: int = 200,
-    strategies=DEFAULT_STRATEGIES,
-    seed: int = 0,
-    engine: str = "object",
-) -> Figure6Result:
+@register_scenario(
+    "figure6",
+    description="failed searches and delivery time vs failed-node fraction, three recovery strategies (Figure 6a/6b)",
+    defaults=ScenarioSpec(
+        scenario="figure6",
+        topology=TopologySpec(kind="ideal", nodes=1 << 12),
+        failures=FailureSpec(
+            kind="nodes", levels=tuple(failure_sweep_levels(maximum=0.8, step=0.1))
+        ),
+        workload=WorkloadSpec(searches=200),
+        extras={"strategies": tuple(strategy.value for strategy in DEFAULT_STRATEGIES)},
+    ),
+)
+def _figure6(spec: ScenarioSpec) -> ScenarioOutcome:
     """Reproduce Figure 6(a)/(b).
 
-    .. deprecated::
-        This is a thin shim over the scenario API: it builds a
-        :class:`~repro.scenarios.ScenarioSpec` and delegates to
-        :func:`repro.scenarios.run` (scenario ``"figure6"``), returning
-        identical numbers at a fixed seed.  New code should use the scenario
-        API directly — it adds JSON results, sweeps, and the CLI surface.
-
-    With ``engine="fastpath"`` every strategy — terminate, random re-route,
-    and backtracking — runs on the batched array engine over a direct-built
-    snapshot, with statistics identical to the object engine at the same
-    seed and far higher throughput at scale.
-    """
-    from repro.scenarios import run
-    from repro.scenarios.library import figure6_spec
-
-    spec = figure6_spec(
-        nodes=nodes,
-        links_per_node=links_per_node,
-        failure_levels=failure_levels,
-        searches_per_point=searches_per_point,
-        strategies=tuple(strategy.value for strategy in strategies),
-        seed=seed,
-        engine=engine,
-    )
-    return run(spec).raw
-
-
-def _run_figure6_impl(
-    nodes: int = 1 << 12,
-    links_per_node: int | None = None,
-    failure_levels: list[float] | None = None,
-    searches_per_point: int = 200,
-    strategies=DEFAULT_STRATEGIES,
-    seed: int = 0,
-    engine: str = "object",
-) -> Figure6Result:
-    """The Figure-6 measurement (executed via the ``"figure6"`` scenario).
-
-    The network is built once per failure level (as in the paper, "in each
+    ``topology.links_per_node=None`` means ``ceil(lg nodes)``;
+    ``extras.strategies`` names the recovery strategies to compare.  The
+    network is built once per failure level (as in the paper, "in each
     simulation, the network is set up afresh"), the failure model removes the
     requested fraction of nodes, and every strategy routes the same
     source/destination pairs so the comparison is paired.
@@ -143,10 +121,15 @@ def _run_figure6_impl(
     the same seed), and all strategies route batched.  The object layer is
     never touched, yet every number matches ``engine="object"`` exactly.
     """
+    nodes = spec.topology.nodes
+    links_per_node = spec.topology.links_per_node
     if links_per_node is None:
         links_per_node = max(1, int(np.ceil(np.log2(nodes))))
-    if failure_levels is None:
-        failure_levels = failure_sweep_levels(maximum=0.8, step=0.1)
+    failure_levels = spec.failures.levels
+    searches_per_point = spec.workload.searches
+    strategies = [RecoveryStrategy(name) for name in spec.extra("strategies")]
+    seed = spec.seed
+    engine = spec.engine
 
     result = Figure6Result(
         failure_levels=list(failure_levels),
@@ -218,4 +201,11 @@ def _run_figure6_impl(
         strategy: "+".join(sorted(set(levels_used))) if levels_used else engine
         for strategy, levels_used in engines_used.items()
     }
-    return result
+    # Report the engines that *actually* routed rather than a prediction, so
+    # a partial fallback shows up as a mixed "fastpath+object" run.
+    recorded = {used for levels_used in engines_used.values() for used in levels_used}
+    return ScenarioOutcome(
+        tables=list(result.to_tables()),
+        raw=result,
+        engine_used="+".join(sorted(recorded)) if recorded else engine,
+    )

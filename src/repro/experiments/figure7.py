@@ -7,8 +7,9 @@ redirects), fails a fraction of the nodes, and delivers 1000 messages between
 random live pairs.  Figure 7 plots the fraction of failed searches for both
 networks: the constructed network is somewhat worse but comparable.
 
-Defaults are scaled down (2^11 nodes, 2 iterations, 200 messages); pass
-``nodes=16384, iterations=10, searches_per_point=1000`` for paper scale.
+The registered defaults are scaled down (2^11 nodes, 2 iterations, 200
+messages); override ``topology.nodes=16384``, ``workload.iterations=10``,
+``workload.searches=1000`` for paper scale.
 """
 
 from __future__ import annotations
@@ -23,10 +24,19 @@ from repro.core.failures import NodeFailureModel, failure_sweep_levels
 from repro.core.routing import RecoveryStrategy
 from repro.experiments.runner import ExperimentTable, route_pairs_with_engine
 from repro.fastpath import cached_build_snapshot
+from repro.scenarios.registry import register_scenario
+from repro.scenarios.run import ScenarioOutcome
+from repro.scenarios.spec import (
+    FailureSpec,
+    RoutingSpec,
+    ScenarioSpec,
+    TopologySpec,
+    WorkloadSpec,
+)
 from repro.simulation.workload import LookupWorkload
 from repro.util.rng import derive_seed
 
-__all__ = ["Figure7Result", "run_figure7"]
+__all__ = ["Figure7Result"]
 
 
 @dataclass
@@ -53,57 +63,21 @@ class Figure7Result:
         return table
 
 
-def run_figure7(
-    nodes: int = 1 << 11,
-    links_per_node: int | None = None,
-    failure_levels: list[float] | None = None,
-    searches_per_point: int = 200,
-    iterations: int = 2,
-    recovery: RecoveryStrategy = RecoveryStrategy.TERMINATE,
-    seed: int = 0,
-    engine: str = "object",
-) -> Figure7Result:
-    """Reproduce Figure 7.
-
-    .. deprecated::
-        This is a thin shim over the scenario API: it builds a
-        :class:`~repro.scenarios.ScenarioSpec` and delegates to
-        :func:`repro.scenarios.run` (scenario ``"figure7"``), returning
-        identical numbers at a fixed seed.  New code should use the scenario
-        API directly — it adds JSON results, sweeps, and the CLI surface.
-
-    ``engine="fastpath"`` accelerates the whole sweep with identical
-    statistics for every recovery strategy: ideal networks are built straight
-    into CSR snapshots, constructed networks are compiled once per iteration,
-    and all routing runs batched.
-    """
-    from repro.scenarios import run
-    from repro.scenarios.library import figure7_spec
-
-    spec = figure7_spec(
-        nodes=nodes,
-        links_per_node=links_per_node,
-        failure_levels=failure_levels,
-        searches_per_point=searches_per_point,
-        iterations=iterations,
-        recovery=recovery.value,
-        seed=seed,
-        engine=engine,
-    )
-    return run(spec).raw
-
-
-def _run_figure7_impl(
-    nodes: int = 1 << 11,
-    links_per_node: int | None = None,
-    failure_levels: list[float] | None = None,
-    searches_per_point: int = 200,
-    iterations: int = 2,
-    recovery: RecoveryStrategy = RecoveryStrategy.TERMINATE,
-    seed: int = 0,
-    engine: str = "object",
-) -> Figure7Result:
-    """The Figure-7 measurement (executed via the ``"figure7"`` scenario).
+@register_scenario(
+    "figure7",
+    description="failed searches on the heuristically constructed vs the ideal network under node failures (Figure 7)",
+    defaults=ScenarioSpec(
+        scenario="figure7",
+        topology=TopologySpec(kind="ideal", nodes=1 << 11),
+        failures=FailureSpec(
+            kind="nodes", levels=tuple(failure_sweep_levels(maximum=0.9, step=0.1))
+        ),
+        routing=RoutingSpec(recovery=RecoveryStrategy.TERMINATE.value),
+        workload=WorkloadSpec(searches=200, iterations=2),
+    ),
+)
+def _figure7(spec: ScenarioSpec) -> ScenarioOutcome:
+    """Reproduce Figure 7 (``topology.links_per_node=None`` means ``ceil(lg nodes)``).
 
     For each failure level and iteration, an ideal and a heuristically
     constructed network of the same size are built, the same fraction of nodes
@@ -118,10 +92,16 @@ def _run_figure7_impl(
     node through the Section-5 heuristic — are compiled **once** per
     iteration and reuse their snapshot across all failure levels.
     """
+    nodes = spec.topology.nodes
+    links_per_node = spec.topology.links_per_node
     if links_per_node is None:
         links_per_node = max(1, int(np.ceil(np.log2(nodes))))
-    if failure_levels is None:
-        failure_levels = failure_sweep_levels(maximum=0.9, step=0.1)
+    failure_levels = spec.failures.levels
+    searches_per_point = spec.workload.searches
+    iterations = spec.workload.iterations
+    recovery = spec.routing.recovery_strategy()
+    seed = spec.seed
+    engine = spec.engine
 
     result = Figure7Result(
         failure_levels=list(failure_levels),
@@ -222,4 +202,4 @@ def _run_figure7_impl(
         result.ideal_failed_fraction.append(float(np.mean(ideal_fractions)))
         result.constructed_failed_fraction.append(float(np.mean(constructed_fractions)))
 
-    return result
+    return ScenarioOutcome(tables=[result.to_table()], raw=result, engine_used=resolved)

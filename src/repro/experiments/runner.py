@@ -50,10 +50,9 @@ class FastpathFallbackWarning(RuntimeWarning):
     batch router rejects (e.g. a multi-detour re-route budget).  The fallback
     still happens (sweeps must not fail half-way), but it is observable: this
     warning fires and :class:`EngineRouteResult.engine_used` reports
-    ``"object"``.  Experiments that pre-resolve their engine (e.g.
-    :func:`repro.experiments.figure6.run_figure6`) do so once up front, so
-    the warning is emitted at most once per experiment rather than once per
-    sweep cell.
+    ``"object"``.  Experiments that pre-resolve their engine (e.g. the
+    ``"figure7"`` scenario) do so once up front, so the warning is emitted at
+    most once per experiment rather than once per sweep cell.
     """
 
 

@@ -38,9 +38,12 @@ from repro.fastpath import (
     sample_node_failures,
     select_engine,
 )
+from repro.scenarios.registry import register_scenario
+from repro.scenarios.run import ScenarioOutcome
+from repro.scenarios.spec import RoutingSpec, ScenarioSpec, WorkloadSpec
 from repro.simulation.workload import LookupWorkload
 
-__all__ = ["Table1Result", "run_table1", "measure_mean_hops"]
+__all__ = ["Table1Result", "measure_mean_hops"]
 
 
 def measure_mean_hops(
@@ -114,65 +117,6 @@ class Table1Result:
         return "\n\n".join(table.to_text() for table in self.tables())
 
 
-def run_table1(
-    sizes: list[int] | None = None,
-    link_counts: list[int] | None = None,
-    bases: list[int] | None = None,
-    probabilities: list[float] | None = None,
-    searches: int = 150,
-    seed: int = 0,
-    recovery: RecoveryStrategy = RecoveryStrategy.BACKTRACK,
-    engine: str = "object",
-) -> Table1Result:
-    """Measure delivery time for every Table-1 model.
-
-    .. deprecated::
-        This is a thin shim over the scenario API: it builds a
-        :class:`~repro.scenarios.ScenarioSpec` and delegates to
-        :func:`repro.scenarios.run` (scenario ``"table1"``), returning
-        identical numbers at a fixed seed.  New code should use the scenario
-        API directly — it adds JSON results, sweeps, and the CLI surface.
-
-    Parameters
-    ----------
-    sizes:
-        Network sizes for the scaling sweeps (default ``2^8 .. 2^12``).
-    link_counts:
-        Values of ``l`` for the polylog-links sweep.
-    bases:
-        Bases for the deterministic scheme.
-    probabilities:
-        Survival probabilities for the failure sweeps.
-    searches:
-        Searches per measurement point.
-    seed:
-        Base seed.
-    recovery:
-        Recovery strategy used by every measurement (the paper's default is
-        backtracking, the best-performing strategy).
-    engine:
-        ``"object"`` or ``"fastpath"``.  Fastpath accelerates every
-        measurement — including the default backtracking strategy — and the
-        ideal-network rows additionally skip the object graph entirely via
-        the direct-to-CSR build, with results identical to the object engine
-        at the same seed.
-    """
-    from repro.scenarios import run
-    from repro.scenarios.library import table1_spec
-
-    spec = table1_spec(
-        sizes=sizes,
-        link_counts=link_counts,
-        bases=bases,
-        probabilities=probabilities,
-        searches=searches,
-        seed=seed,
-        recovery=recovery.value,
-        engine=engine,
-    )
-    return run(spec).raw
-
-
 def _link_failure_sweep(
     graph,
     probabilities,
@@ -217,25 +161,43 @@ def _link_failure_sweep(
             recorder.detach()
 
 
-def _run_table1_impl(
-    sizes: list[int] | None = None,
-    link_counts: list[int] | None = None,
-    bases: list[int] | None = None,
-    probabilities: list[float] | None = None,
-    searches: int = 150,
-    seed: int = 0,
-    recovery: RecoveryStrategy = RecoveryStrategy.BACKTRACK,
-    engine: str = "object",
-) -> Table1Result:
-    """The Table-1 measurement (executed via the ``"table1"`` scenario)."""
-    if sizes is None:
-        sizes = [1 << k for k in range(8, 13)]
-    if link_counts is None:
-        link_counts = [1, 2, 4, 8, 12]
-    if bases is None:
-        bases = [2, 4, 8, 16]
-    if probabilities is None:
-        probabilities = [1.0, 0.9, 0.75, 0.5, 0.25]
+@register_scenario(
+    "table1",
+    description="measured delivery time vs the theoretical bound shape for every Table-1 model",
+    defaults=ScenarioSpec(
+        scenario="table1",
+        routing=RoutingSpec(recovery=RecoveryStrategy.BACKTRACK.value),
+        workload=WorkloadSpec(searches=150),
+        extras={
+            "sizes": tuple(1 << k for k in range(8, 13)),
+            "link_counts": (1, 2, 4, 8, 12),
+            "bases": (2, 4, 8, 16),
+            "probabilities": (1.0, 0.9, 0.75, 0.5, 0.25),
+        },
+    ),
+)
+def _table1(spec: ScenarioSpec) -> ScenarioOutcome:
+    """Measure delivery time for every Table-1 model.
+
+    The four sweep axes live in ``extras``: ``sizes`` (network sizes for the
+    scaling sweeps), ``link_counts`` (values of ``l`` for the polylog-links
+    sweep), ``bases`` (the deterministic scheme) and ``probabilities``
+    (survival probabilities for the failure sweeps).  ``workload.searches``
+    is per measurement point and ``routing.recovery`` applies to every
+    measurement (the paper's default is backtracking, the best-performing
+    strategy).  ``engine="fastpath"`` accelerates every measurement, and the
+    ideal-network rows additionally skip the object graph entirely via the
+    direct-to-CSR build, with results identical to the object engine at the
+    same seed.
+    """
+    sizes = list(spec.extra("sizes"))
+    link_counts = list(spec.extra("link_counts"))
+    bases = list(spec.extra("bases"))
+    probabilities = list(spec.extra("probabilities"))
+    searches = spec.workload.searches
+    seed = spec.seed
+    recovery = spec.routing.recovery_strategy()
+    engine = spec.engine
 
     # Row 1: single long link, no failures — hops should grow ~ log^2 n.
     single = ExperimentTable(
@@ -367,7 +329,7 @@ def _run_table1_impl(
             presence, occupied, hops, bounds.upper_bound_single_link(max(2, occupied))
         )
 
-    return Table1Result(
+    result = Table1Result(
         single_link=single,
         polylog_links=polylog,
         deterministic=deterministic,
@@ -386,4 +348,9 @@ def _run_table1_impl(
             "engine": engine,
             "engine_used": select_engine(engine, recovery),
         },
+    )
+    return ScenarioOutcome(
+        tables=result.tables(),
+        raw=result,
+        engine_used=result.parameters["engine_used"],
     )

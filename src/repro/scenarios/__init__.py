@@ -17,8 +17,8 @@ as data instead of per-figure functions:
   parameter grid, derive a deterministic per-cell seed from the master seed
   (:mod:`repro.util.rng`), and fan cells out over a process pool — parallel
   sweeps are byte-identical to serial ones;
-* :mod:`repro.scenarios.library` — the built-in scenarios porting all seven
-  legacy experiments (``repro list`` shows them);
+* :mod:`repro.experiments` — the paper's experiments, each module's
+  measurement function registered as a scenario (``repro list`` shows them);
 * :mod:`repro.scenarios.rounds` — the one round driver (engine session +
   churn/repair/lookup burst loop) behind the ``churn``, ``maintenance-cost``,
   ``service`` and ``degradation`` scenarios.
@@ -45,7 +45,8 @@ and sweep a grid in parallel::
     4
 
 Defining a new scenario takes ~20 lines; see the README's "Define your own
-scenario" example or any registration in :mod:`repro.scenarios.library`.
+scenario" example or any experiment module, e.g.
+:mod:`repro.experiments.figure7`.
 """
 
 from __future__ import annotations

@@ -73,13 +73,23 @@ _BUILTIN_LOADED = False
 
 
 def _ensure_builtin_scenarios() -> None:
-    """Import the built-in scenario library exactly once (lazy to avoid cycles)."""
+    """Import the built-in scenario modules exactly once.
+
+    Lazy because they import :mod:`repro.scenarios.run` (for
+    :class:`~repro.scenarios.run.ScenarioOutcome`), which is itself still
+    importing when this package is first loaded.
+    """
     global _BUILTIN_LOADED
     if not _BUILTIN_LOADED:
         _BUILTIN_LOADED = True
+        import repro.experiments.ablations  # noqa: F401  (registers on import)
+        import repro.experiments.baseline_comparison  # noqa: F401  (registers on import)
+        import repro.experiments.figure5  # noqa: F401  (registers on import)
+        import repro.experiments.figure6  # noqa: F401  (registers on import)
+        import repro.experiments.figure7  # noqa: F401  (registers on import)
+        import repro.experiments.table1  # noqa: F401  (registers on import)
         import repro.scenarios.churn  # noqa: F401  (registers on import)
         import repro.scenarios.degradation  # noqa: F401  (registers on import)
-        import repro.scenarios.library  # noqa: F401  (registers on import)
         import repro.scenarios.service  # noqa: F401  (registers on import)
 
 

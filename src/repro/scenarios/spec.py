@@ -107,7 +107,8 @@ class FailureSpec:
     ``levels`` is the sweep axis: node-failure fractions, link survival
     probabilities, Byzantine fractions, or — for ``kind="churn"`` — per-round
     churn rates (events per round as a fraction of the membership) depending
-    on ``kind``.  An empty tuple means "use the scenario's default sweep".
+    on ``kind``.  The paper experiments register their default sweep here;
+    the round-based scenarios read an empty tuple as their own default level.
     """
 
     kind: str = "nodes"
@@ -315,13 +316,17 @@ def parse_assignment(text: str) -> tuple[str, str]:
 def _coerce(raw: Any, template: Any) -> Any:
     """Coerce a CLI string to the type of the field it overrides.
 
-    Non-string values (programmatic use) pass through unchanged; strings are
+    Non-string values (programmatic use) pass through unchanged, except that
+    a scalar given for a tuple field becomes a one-element tuple; strings are
     converted using the current field value as the type template, so
     ``"4096"`` becomes an int for ``topology.nodes`` and ``"0.1,0.5"``
     becomes a float tuple for ``failures.levels``.
     """
     if not isinstance(raw, str):
-        return _freeze(raw)
+        value = _freeze(raw)
+        if isinstance(template, tuple) and not isinstance(value, tuple):
+            return (value,)  # a typed scalar for a sweep axis, like "256"
+        return value
     if isinstance(template, tuple):
         if not raw.strip():
             return ()

@@ -13,24 +13,24 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args([])
 
-    def test_figure5_defaults(self):
-        args = build_parser().parse_args(["figure5"])
-        assert args.command == "figure5"
-        assert args.nodes == 1 << 12
-        assert args.networks == 3
-
     def test_seed_is_global(self):
-        args = build_parser().parse_args(["--seed", "9", "table1"])
+        args = build_parser().parse_args(["--seed", "9", "run", "table1"])
         assert args.seed == 9
 
     def test_all_commands_exist(self):
         parser = build_parser()
-        for command in (
-            "figure5", "figure6", "figure7", "table1",
-            "ablations", "baselines", "route-bench", "all",
+        for argv in (
+            ["list"], ["run", "figure6"], ["sweep", "figure6"],
+            ["bench-diff", "old.json", "new.json"], ["lint"], ["analyze"],
         ):
-            args = parser.parse_args([command]) if command != "all" else parser.parse_args(["all"])
-            assert args.command == command
+            assert parser.parse_args(argv).command == argv[0]
+
+    @pytest.mark.parametrize("command", ["figure6", "route-bench", "all"])
+    def test_per_figure_aliases_are_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command])
+        assert excinfo.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
     def test_scenario_commands_exist(self):
         parser = build_parser()
@@ -47,35 +47,38 @@ class TestParser:
         assert args.jobs == 2
 
     def test_format_option(self):
-        for command in ("figure5", "figure6", "figure7", "table1", "ablations", "baselines"):
-            assert build_parser().parse_args([command]).format == "text"
-        args = build_parser().parse_args(["table1", "--format", "json"])
+        for argv in (["list"], ["run", "figure5"], ["sweep", "figure5"]):
+            assert build_parser().parse_args(argv).format == "text"
+        args = build_parser().parse_args(["run", "table1", "--format", "json"])
         assert args.format == "json"
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["figure5", "--format", "yaml"])
+            build_parser().parse_args(["run", "figure5", "--format", "yaml"])
 
     def test_engine_option_defaults_to_object(self):
-        for command in ("figure6", "figure7", "table1", "route-bench"):
-            args = build_parser().parse_args([command])
-            assert args.engine == "object"
-        args = build_parser().parse_args(["figure6", "--engine", "fastpath"])
-        assert args.engine == "fastpath"
+        # No --engine leaves the choice to the spec, and every registered
+        # default spec says "object".
+        from repro.scenarios import available_scenarios
+
+        assert build_parser().parse_args(["run", "figure6"]).engine is None
+        assert all(d.defaults.engine == "object" for d in available_scenarios())
 
     def test_engine_option_rejects_unknown_engines(self):
+        args = build_parser().parse_args(["run", "figure6", "--engine", "fastpath"])
+        assert args.engine == "fastpath"
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["figure6", "--engine", "gpu"])
-
-    def test_route_bench_defaults(self):
-        args = build_parser().parse_args(["route-bench"])
-        assert args.nodes == 10_000
-        assert args.queries == 10_000
-        assert args.fail == 0.0
-        assert args.mode == "two-sided"
+            build_parser().parse_args(["run", "figure6", "--engine", "gpu"])
 
 
 class TestMain:
     def test_figure5_small(self, capsys):
-        exit_code = main(["figure5", "--nodes", "128", "--networks", "1", "--links", "4"])
+        exit_code = main(
+            [
+                "run", "figure5",
+                "--set", "topology.nodes=128",
+                "--set", "workload.networks=1",
+                "--set", "topology.links_per_node=4",
+            ]
+        )
         assert exit_code == 0
         output = capsys.readouterr().out
         assert "Figure 5" in output
@@ -83,48 +86,31 @@ class TestMain:
 
     def test_figure7_small(self, capsys):
         exit_code = main(
-            ["figure7", "--nodes", "128", "--searches", "20", "--iterations", "1"]
+            [
+                "run", "figure7",
+                "--set", "topology.nodes=128",
+                "--set", "workload.searches=20",
+                "--set", "workload.iterations=1",
+                "--engine", "fastpath",
+            ]
         )
         assert exit_code == 0
         assert "Figure 7" in capsys.readouterr().out
 
     def test_figure6_small(self, capsys):
-        exit_code = main(["figure6", "--nodes", "256", "--searches", "20"])
+        exit_code = main(
+            ["run", "figure6", "--set", "topology.nodes=256", "--set", "workload.searches=20"]
+        )
         assert exit_code == 0
         output = capsys.readouterr().out
         assert "Figure 6(a)" in output and "Figure 6(b)" in output
 
     def test_baselines_small(self, capsys):
-        exit_code = main(["baselines", "--bits", "6", "--searches", "20"])
+        exit_code = main(
+            ["run", "baselines", "--set", "topology.nodes=64", "--set", "workload.searches=20"]
+        )
         assert exit_code == 0
         assert "chord" in capsys.readouterr().out
-
-    def test_figure6_fastpath_engine_matches_object(self, capsys):
-        main(["figure6", "--nodes", "256", "--searches", "20"])
-        object_output = capsys.readouterr().out
-        main(["figure6", "--nodes", "256", "--searches", "20", "--engine", "fastpath"])
-        fastpath_output = capsys.readouterr().out
-        assert object_output == fastpath_output
-
-    @pytest.mark.parametrize("engine", ["object", "fastpath"])
-    def test_route_bench_small(self, capsys, engine):
-        exit_code = main(
-            ["route-bench", "--nodes", "256", "--queries", "40", "--engine", engine]
-        )
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "route-bench" in output
-        assert "queries_per_sec" in output
-
-    def test_route_bench_with_failures_and_one_sided_mode(self, capsys):
-        exit_code = main(
-            [
-                "route-bench", "--nodes", "256", "--queries", "40",
-                "--engine", "fastpath", "--fail", "0.3", "--mode", "one-sided",
-            ]
-        )
-        assert exit_code == 0
-        assert "one-sided" in capsys.readouterr().out
 
 
 class TestScenarioCommands:
@@ -218,20 +204,30 @@ class TestScenarioCommands:
         engines = sorted(cell["result"]["engine_used"] for cell in data["cells"])
         assert engines == ["fastpath", "object"]
 
-    def test_legacy_format_json(self, capsys):
+    def test_run_format_json(self, capsys):
         import json
 
         exit_code = main(
-            ["figure5", "--nodes", "128", "--networks", "1", "--format", "json"]
+            [
+                "run", "figure5",
+                "--set", "topology.nodes=128",
+                "--set", "workload.networks=1",
+                "--format", "json",
+            ]
         )
         assert exit_code == 0
-        tables = json.loads(capsys.readouterr().out)
+        tables = json.loads(capsys.readouterr().out)["tables"]
         assert tables[0]["title"].startswith("Figure 5")
 
-    def test_legacy_format_csv(self, capsys):
+    def test_run_format_csv(self, capsys):
         exit_code = main(
-            ["figure7", "--nodes", "128", "--searches", "10", "--iterations", "1",
-             "--format", "csv"]
+            [
+                "run", "figure7",
+                "--set", "topology.nodes=128",
+                "--set", "workload.searches=10",
+                "--set", "workload.iterations=1",
+                "--format", "csv",
+            ]
         )
         assert exit_code == 0
         output = capsys.readouterr().out

@@ -4,19 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.routing import RecoveryStrategy
-from repro.experiments.ablations import (
-    run_backtrack_depth_ablation,
-    run_byzantine_experiment,
-    run_exponent_ablation,
-    run_replacement_ablation,
-)
-from repro.experiments.baseline_comparison import run_baseline_comparison
-from repro.experiments.figure5 import empirical_link_distribution, run_figure5
-from repro.experiments.figure6 import run_figure6
-from repro.experiments.figure7 import run_figure7
+from repro.experiments.figure5 import empirical_link_distribution
 from repro.experiments.runner import ExperimentTable, format_table
-from repro.experiments.table1 import measure_mean_hops, run_table1
+from repro.experiments.table1 import measure_mean_hops
+from repro.scenarios import get_scenario, run
+
+
+def run_raw(scenario: str, overrides: dict):
+    """Run a registered scenario; return its native result object."""
+    return run(get_scenario(scenario).make_spec(overrides=overrides)).raw
 
 
 class TestExperimentTable:
@@ -79,7 +75,10 @@ class TestFigure5:
         assert histogram.sum() == 0.0
 
     def test_run_small(self):
-        result = run_figure5(nodes=128, networks=2, links_per_node=4, seed=0)
+        result = run_raw("figure5", {
+            "topology.nodes": 128, "workload.networks": 2,
+            "topology.links_per_node": 4, "seed": 0,
+        })
         assert result.derived.sum() == pytest.approx(1.0, abs=1e-6)
         assert result.ideal.sum() == pytest.approx(1.0, abs=1e-6)
         assert result.max_absolute_error < 0.25
@@ -88,7 +87,10 @@ class TestFigure5:
         assert "Figure 5" in table.to_text()
 
     def test_derived_tracks_ideal_shape(self):
-        result = run_figure5(nodes=256, networks=3, links_per_node=6, seed=1)
+        result = run_raw("figure5", {
+            "topology.nodes": 256, "workload.networks": 3,
+            "topology.links_per_node": 6, "seed": 1,
+        })
         # Short links should carry much more mass than long links, as in the
         # ideal 1/d law.
         assert result.derived[0] > result.derived[50]
@@ -96,12 +98,12 @@ class TestFigure5:
 
 class TestFigure6:
     def test_run_small(self):
-        result = run_figure6(
-            nodes=256,
-            searches_per_point=40,
-            failure_levels=[0.0, 0.4],
-            seed=0,
-        )
+        result = run_raw("figure6", {
+            "topology.nodes": 256,
+            "workload.searches": 40,
+            "failures.levels": (0.0, 0.4),
+            "seed": 0,
+        })
         assert result.failure_levels == [0.0, 0.4]
         for strategy in ("terminate", "random-reroute", "backtrack"):
             assert len(result.failed_fraction[strategy]) == 2
@@ -111,13 +113,13 @@ class TestFigure6:
         assert "6(a)" in table_a.title and "6(b)" in table_b.title
 
     def test_records_engine_actually_used(self):
-        result = run_figure6(
-            nodes=128,
-            searches_per_point=10,
-            failure_levels=[0.4, 0.6],
-            seed=0,
-            engine="fastpath",
-        )
+        result = run_raw("figure6", {
+            "topology.nodes": 128,
+            "workload.searches": 10,
+            "failures.levels": (0.4, 0.6),
+            "seed": 0,
+            "engine": "fastpath",
+        })
         # Every strategy runs on the fastpath engine at every failure level.
         assert result.parameters["engine_used"] == {
             "terminate": "fastpath",
@@ -139,13 +141,13 @@ class TestFigure6:
         reproduce these exact values.
         """
         for engine in ("object", "fastpath"):
-            result = run_figure6(
-                nodes=256,
-                searches_per_point=40,
-                failure_levels=[0.0, 0.4],
-                seed=0,
-                engine=engine,
-            )
+            result = run_raw("figure6", {
+                "topology.nodes": 256,
+                "workload.searches": 40,
+                "failures.levels": (0.0, 0.4),
+                "seed": 0,
+                "engine": engine,
+            })
             assert result.failed_fraction == {
                 "terminate": [0.0, 0.125],
                 "random-reroute": [0.0, 0.025],
@@ -157,21 +159,22 @@ class TestFigure6:
             assert result.mean_hops["backtrack"][1] == pytest.approx(4.625)
 
     def test_engines_agree_at_fixed_seed(self):
-        kwargs = dict(
-            nodes=256, searches_per_point=40, failure_levels=[0.0, 0.5], seed=4
-        )
-        obj = run_figure6(engine="object", **kwargs)
-        fast = run_figure6(engine="fastpath", **kwargs)
+        overrides = {
+            "topology.nodes": 256, "workload.searches": 40,
+            "failures.levels": (0.0, 0.5), "seed": 4,
+        }
+        obj = run_raw("figure6", {**overrides, "engine": "object"})
+        fast = run_raw("figure6", {**overrides, "engine": "fastpath"})
         assert obj.failed_fraction == fast.failed_fraction
         assert obj.mean_hops == fast.mean_hops
 
     def test_backtracking_not_worse_than_terminate(self):
-        result = run_figure6(
-            nodes=512,
-            searches_per_point=80,
-            failure_levels=[0.5],
-            seed=1,
-        )
+        result = run_raw("figure6", {
+            "topology.nodes": 512,
+            "workload.searches": 80,
+            "failures.levels": (0.5,),
+            "seed": 1,
+        })
         assert (
             result.failed_fraction["backtrack"][0]
             <= result.failed_fraction["terminate"][0]
@@ -180,13 +183,13 @@ class TestFigure6:
 
 class TestFigure7:
     def test_run_small(self):
-        result = run_figure7(
-            nodes=128,
-            searches_per_point=30,
-            iterations=1,
-            failure_levels=[0.0, 0.5],
-            seed=0,
-        )
+        result = run_raw("figure7", {
+            "topology.nodes": 128,
+            "workload.searches": 30,
+            "workload.iterations": 1,
+            "failures.levels": (0.0, 0.5),
+            "seed": 0,
+        })
         assert len(result.ideal_failed_fraction) == 2
         assert len(result.constructed_failed_fraction) == 2
         assert result.ideal_failed_fraction[0] == 0.0
@@ -196,14 +199,14 @@ class TestFigure7:
     def test_golden_numbers_pinned(self):
         """Expected-value pin of the derive_seed-based figure7 streams."""
         for engine in ("object", "fastpath"):
-            result = run_figure7(
-                nodes=128,
-                searches_per_point=30,
-                iterations=1,
-                failure_levels=[0.0, 0.5],
-                seed=0,
-                engine=engine,
-            )
+            result = run_raw("figure7", {
+                "topology.nodes": 128,
+                "workload.searches": 30,
+                "workload.iterations": 1,
+                "failures.levels": (0.0, 0.5),
+                "seed": 0,
+                "engine": engine,
+            })
             assert result.ideal_failed_fraction == pytest.approx([0.0, 1 / 3])
             assert result.constructed_failed_fraction == pytest.approx([0.0, 13 / 30])
 
@@ -215,14 +218,14 @@ class TestTable1:
         assert failed == 0.0
 
     def test_run_small(self):
-        result = run_table1(
-            sizes=[64, 128],
-            link_counts=[1, 4],
-            bases=[2, 4],
-            probabilities=[1.0, 0.5],
-            searches=25,
-            seed=0,
-        )
+        result = run_raw("table1", {
+            "extras.sizes": (64, 128),
+            "extras.link_counts": (1, 4),
+            "extras.bases": (2, 4),
+            "extras.probabilities": (1.0, 0.5),
+            "workload.searches": 25,
+            "seed": 0,
+        })
         tables = result.tables()
         assert len(tables) == 7
         text = result.to_text()
@@ -232,14 +235,14 @@ class TestTable1:
         assert polylog_hops[-1] <= polylog_hops[0]
 
     def test_single_link_scaling_increases_with_n(self):
-        result = run_table1(
-            sizes=[64, 512],
-            link_counts=[1],
-            bases=[2],
-            probabilities=[1.0],
-            searches=40,
-            seed=1,
-        )
+        result = run_raw("table1", {
+            "extras.sizes": (64, 512),
+            "extras.link_counts": (1,),
+            "extras.bases": (2,),
+            "extras.probabilities": (1.0,),
+            "workload.searches": 40,
+            "seed": 1,
+        })
         hops = result.single_link.column("measured_hops")
         assert hops[1] > hops[0]
 
@@ -249,16 +252,16 @@ class TestTable1:
         identical to the object engine."""
         from repro.telemetry.core import session as telemetry_session
 
-        kwargs = dict(
-            sizes=[64, 128], link_counts=[1], bases=[2],
-            probabilities=[0.9, 0.5], searches=25, seed=2,
-        )
+        overrides = {
+            "extras.sizes": (64, 128), "extras.link_counts": (1,), "extras.bases": (2,),
+            "extras.probabilities": (0.9, 0.5), "workload.searches": 25, "seed": 2,
+        }
         with telemetry_session() as tel:
-            fast = run_table1(engine="fastpath", **kwargs)
+            fast = run_raw("table1", {**overrides, "engine": "fastpath"})
         counters = tel.to_dict()["counters"]
         assert counters.get("refresh.ops.link_fail", 0) > 0
         assert counters.get("refresh.ops.link_revive", 0) > 0
-        obj = run_table1(engine="object", **kwargs)
+        obj = run_raw("table1", {**overrides, "engine": "object"})
         for name in ("link_failures_random", "link_failures_deterministic"):
             assert (
                 getattr(fast, name).to_json_dict()["rows"]
@@ -268,26 +271,34 @@ class TestTable1:
 
 class TestAblations:
     def test_replacement_ablation(self):
-        table = run_replacement_ablation(nodes=128, networks=1, links_per_node=4, seed=0)
+        table = run_raw("ablation-replacement", {
+            "topology.nodes": 128, "workload.networks": 1,
+            "topology.links_per_node": 4, "seed": 0,
+        })
         policies = table.column("policy")
         assert set(policies) == {"inverse-distance", "oldest-link", "never-replace"}
 
     def test_backtrack_depth_ablation(self):
-        table = run_backtrack_depth_ablation(
-            nodes=256, depths=[1, 5], failure_level=0.4, searches=40, seed=0
-        )
+        table = run_raw("ablation-backtrack", {
+            "topology.nodes": 256, "extras.depths": (1, 5),
+            "failures.levels": (0.4,), "workload.searches": 40, "seed": 0,
+        })
         fractions = table.column("failed_fraction")
         assert len(fractions) == 2
         assert fractions[1] <= fractions[0] + 0.15
 
     def test_exponent_ablation(self):
-        table = run_exponent_ablation(nodes=256, exponents=[1.0, 2.0], searches=40, seed=0)
+        table = run_raw("ablation-exponent", {
+            "topology.nodes": 256, "extras.exponents": (1.0, 2.0),
+            "workload.searches": 40, "seed": 0,
+        })
         assert len(table.rows) == 2
 
     def test_byzantine_experiment(self):
-        table = run_byzantine_experiment(
-            nodes=256, fractions=[0.0, 0.2], redundancy=2, searches=30, seed=0
-        )
+        table = run_raw("byzantine", {
+            "topology.nodes": 256, "failures.levels": (0.0, 0.2),
+            "extras.redundancy": 2, "workload.searches": 30, "seed": 0,
+        })
         plain = table.column("plain_failed_fraction")
         redundant = table.column("redundant_failed_fraction")
         assert plain[0] == 0.0 and redundant[0] == 0.0
@@ -296,7 +307,10 @@ class TestAblations:
 
 class TestBaselineComparison:
     def test_run_small(self):
-        table = run_baseline_comparison(bits=6, searches=30, failure_level=0.2, seed=0)
+        table = run_raw("baselines", {
+            "topology.nodes": 1 << 6, "workload.searches": 30,
+            "failures.levels": (0.2,), "seed": 0,
+        })
         systems = table.column("system")
         assert len(systems) == 5
         assert any("chord" in s for s in systems)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from repro.baselines.chord import ChordNetwork
 from repro.core.construction import build_heuristic_network
 from repro.core.maintenance import MaintenanceDaemon
 from repro.core.routing import RecoveryStrategy
+from repro.experiments import ablations, baseline_comparison
 from repro.faults import FaultDriver, degradation_schedule
 from repro.scenarios import SpecError, churn, get_scenario, run, service
 from repro.scenarios.rounds import EngineSession
@@ -111,18 +112,35 @@ def test_recorder_detached_when_body_raises():
     assert graph.observer is None
 
 
+REJECTED_SPECS = [
+    *(
+        (scenario, f"extras.{key}", value)
+        for scenario in ("churn", "maintenance-cost", "service")
+        for key, value in (
+            ("crash_fraction", -0.1), ("crash_fraction", 1.5), ("latency_sigma", -1.0),
+        )
+    ),
+    # The echoed spec must be what ran: no rounding to the next power of two,
+    # no silently dropped failure levels.
+    ("baselines", "topology.nodes", 1000),
+    ("baselines", "failures.levels", (0.2, 0.6)),
+    ("ablation-backtrack", "failures.levels", (0.2, 0.6)),
+]
+
+
 @pytest.mark.parametrize(
-    "key,value",
-    [("crash_fraction", -0.1), ("crash_fraction", 1.5), ("latency_sigma", -1.0)],
+    "scenario,field,value",
+    REJECTED_SPECS,
+    ids=lambda arg: arg.removeprefix("extras.") if isinstance(arg, str) else None,
 )
-@pytest.mark.parametrize("scenario", ["churn", "maintenance-cost", "service"])
-def test_out_of_range_extras_rejected_before_any_build(scenario, key, value, monkeypatch):
+def test_out_of_range_extras_rejected_before_any_build(scenario, field, value, monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("the network was built before the spec was validated")
 
     for module in (churn, service):
         monkeypatch.setattr(module, "build_heuristic_network", no_build)
+    for module in (ablations, baseline_comparison):
+        monkeypatch.setattr(module, "build_ideal_network", no_build)
     spec = get_scenario(scenario).make_spec(overrides={"topology.nodes": 128})
-    bad = replace(spec, extras={**spec.extras_dict(), key: value})
-    with pytest.raises(SpecError, match=rf"extras\.{key}"):
-        run(bad)
+    with pytest.raises(SpecError, match=re.escape(field)):
+        run(spec.with_overrides({field: value}))

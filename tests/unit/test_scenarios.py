@@ -116,6 +116,7 @@ class TestSpecOverrides:
     def test_single_value_coerces_to_one_element_tuple(self):
         spec = ScenarioSpec(scenario="x", extras={"sizes": (64, 128)})
         assert apply_overrides(spec, {"extras.sizes": "256"}).extra("sizes") == (256,)
+        assert apply_overrides(spec, {"extras.sizes": 256}).extra("sizes") == (256,)
 
     def test_coerce_override_canonicalises_cli_strings(self):
         spec = ScenarioSpec(scenario="x")
@@ -379,19 +380,3 @@ class TestRun:
         restored = RunResult.from_json(result.to_json(include_timing=False))
         assert restored.seconds is None
         assert "seconds" not in restored.to_json_dict(include_timing=True)
-
-    def test_shim_and_scenario_agree(self):
-        from repro.experiments.figure7 import run_figure7
-
-        legacy = run_figure7(
-            nodes=128, searches_per_point=20, iterations=1, failure_levels=[0.0, 0.5]
-        )
-        spec = get_scenario("figure7").make_spec(
-            overrides={
-                "topology.nodes": 128,
-                "workload.searches": 20,
-                "workload.iterations": 1,
-                "failures.levels": "0.0,0.5",
-            }
-        )
-        assert run(spec).raw.to_table().to_text() == legacy.to_table().to_text()
