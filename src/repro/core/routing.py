@@ -45,10 +45,10 @@ same tie-breaks, same hop limit, same re-route draws and backtrack victim
 selection), which ``tests/property/test_property_fastpath.py`` asserts
 path-for-path.  Re-route parity additionally assumes the scalar default
 detour budget (``max_reroutes=1``) — one shared RNG stream, drawn in query
-order — and the batch router rejects larger budgets.  The experiment harness
-(:func:`repro.experiments.runner.route_pairs_with_engine`) falls back here
-automatically whenever a configuration is outside the fastpath envelope
-(e.g. a graph in a metric space the snapshot compiler cannot handle).
+order — and the batch router rejects larger budgets.  The engine session
+(:class:`repro.scenarios.rounds.EngineSession`) falls back here, with a
+warning, whenever a configuration is outside the fastpath envelope (a graph
+in a metric space that has no array mirror).
 """
 
 from __future__ import annotations

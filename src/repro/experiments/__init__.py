@@ -27,16 +27,6 @@ not here: they import :mod:`repro.scenarios.run`, which imports
 :mod:`repro.experiments.runner` and therefore this package.
 """
 
-from repro.experiments.runner import (
-    EngineRouteResult,
-    ExperimentTable,
-    FastpathFallbackWarning,
-    format_table,
-)
+from repro.experiments.runner import ExperimentTable, format_table
 
-__all__ = [
-    "ExperimentTable",
-    "EngineRouteResult",
-    "FastpathFallbackWarning",
-    "format_table",
-]
+__all__ = ["ExperimentTable", "format_table"]

@@ -7,30 +7,29 @@ uniformly random lookup workload over each system (at matched network size)
 with and without node failures and reporting mean hop counts and failed-search
 fractions.
 
-Every system implements the :class:`~repro.overlay.Overlay` protocol, so the
-measurement is engine-agnostic: ``engine="object"`` walks each system's
-scalar ``route()`` while ``engine="fastpath"`` compiles each topology into
-its array snapshot (``compile_snapshot()``) and batch-routes the identical
-workload — hop-for-hop identical numbers, 10x+ the throughput, which is what
-lets ``repro sweep`` grid protocols x failure rates x n at scale.
+Every system — the four table-backed :class:`~repro.overlay.Overlay`
+protocols and the power-law graph alike — is measured through one
+:class:`~repro.scenarios.rounds.EngineSession`: ``engine="object"`` walks the
+system's scalar ``route()`` while ``engine="fastpath"`` mirrors the topology
+into its array snapshot and batch-routes the identical workload — hop-for-hop
+identical numbers, 10x+ the throughput, which is what lets ``repro sweep``
+grid protocols x failure rates x n at scale.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.baselines.can import CanNetwork
 from repro.baselines.chord import ChordNetwork
 from repro.baselines.kleinberg_grid import KleinbergGridNetwork
 from repro.baselines.plaxton import PlaxtonNetwork
 from repro.core.builder import build_ideal_network
-from repro.core.failures import NodeFailureModel
 from repro.core.routing import RecoveryStrategy
-from repro.experiments.runner import ExperimentTable, route_pairs_with_engine
-from repro.overlay import PROTOCOLS, Overlay
+from repro.experiments.runner import ExperimentTable, measure_mean_hops
+from repro.overlay import PROTOCOLS
 from repro.scenarios.registry import register_scenario
+from repro.scenarios.rounds import EngineSession
 from repro.scenarios.run import ScenarioOutcome
 from repro.scenarios.spec import (
     FailureSpec,
@@ -45,81 +44,41 @@ from repro.simulation.workload import LookupWorkload
 __all__: list[str] = []
 
 
-def _measure(
-    overlay: Overlay, searches: int, seed: int, engine: str
-) -> tuple[float, float]:
-    """Run ``searches`` random lookups; return (mean hops, failed fraction).
+def _row(system, name, state, searches, failure_level, seed_block, engine):
+    """One freshly built system: measure intact, fail nodes, measure again.
 
-    The workload is drawn over the overlay's current live members; the two
-    engines route the identical pairs and agree hop for hop, so the returned
-    statistics are independent of ``engine``.
+    ``seed_block`` is the system's historical seed base (``seed + 10*k``;
+    ``seed`` itself for the power-law overlay, whose backtracking router is
+    also seeded with it), so the per-system workload and failure draws are
+    unchanged from the original hand-rolled comparison — and a
+    single-protocol run reproduces exactly its row of the full table.  The
+    table-backed systems route with their own policy and ignore the recovery
+    strategy.
     """
-    labels = overlay.labels(only_alive=True)
-    pairs = LookupWorkload(seed=seed).pairs(labels, searches)
-    if engine == "fastpath":
-        from repro.fastpath import BatchGreedyRouter
+    with EngineSession(
+        system, engine, RecoveryStrategy.BACKTRACK, seed_block
+    ) as session:
 
-        router = BatchGreedyRouter(
-            overlay.compile_snapshot(), hop_limit=overlay.hop_limit
-        )
-        result = router.route_pairs(pairs)
-        return result.mean_hops(), result.failed_count() / len(pairs)
-    hops: list[int] = []
-    failures = 0
-    for source, target in pairs:
-        result = overlay.route(source, target)
-        if result.success:
-            hops.append(result.hops)
-        else:
-            failures += 1
-    return (float(np.mean(hops)) if hops else 0.0), failures / len(pairs)
+        def measure(workload_seed):
+            pairs = LookupWorkload(seed=workload_seed).pairs(
+                session.live_labels(), searches
+            )
+            return measure_mean_hops(session, pairs)
+
+        nodes = len(session.live_labels())
+        healthy = measure(seed_block + 1)
+        session.fail_nodes(failure_level, seed_block + 2)
+        failed = measure(seed_block + 3)
+    return (name, nodes, state, *healthy, *failed), session.engine_used
 
 
 def _power_law_row(n, searches, failure_level, seed, engine):
     """This paper's overlay (inverse power-law, lg n links, backtracking)."""
     build = build_ideal_network(n, seed=seed)
-    graph = build.graph
-    engines_used = set()
-
-    def measure(workload_seed):
-        pairs = LookupWorkload(seed=workload_seed).pairs(
-            graph.labels(only_alive=True), searches
-        )
-        outcome = route_pairs_with_engine(
-            graph, pairs, engine=engine,
-            recovery=RecoveryStrategy.BACKTRACK, seed=seed,
-        )
-        engines_used.add(outcome.engine_used)
-        mean_hops = float(np.mean(outcome.hops)) if outcome.hops else 0.0
-        return mean_hops, outcome.failures / len(pairs)
-
-    healthy = measure(seed + 1)
-    failure_model = NodeFailureModel(failure_level, seed=seed + 2)
-    failure_model.apply(graph)
-    failed = measure(seed + 3)
-    failure_model.repair(graph)
-    row = (
-        "this-paper (power-law + backtrack)", n, build.links_per_node + 2,
-        healthy[0], healthy[1], failed[0], failed[1],
+    return _row(
+        build, "this-paper (power-law + backtrack)", build.links_per_node + 2,
+        searches, failure_level, seed, engine,
     )
-    return row, engines_used
-
-
-def _overlay_row(system, name, state, searches, failure_level, seed_block, engine):
-    """One baseline system: measure intact, fail nodes, measure again, repair.
-
-    ``seed_block`` is the system's historical seed base (``seed + 10*k``), so
-    the per-system workload and failure draws are unchanged from the original
-    hand-rolled comparison — and a single-protocol run reproduces exactly its
-    row of the full table.
-    """
-    healthy = _measure(system, searches, seed_block + 1, engine)
-    system.fail_fraction(failure_level, seed=seed_block + 2)
-    failed = _measure(system, searches, seed_block + 3, engine)
-    system.repair()
-    nodes = len(system.labels(only_alive=False))
-    row = (name, nodes, state, healthy[0], healthy[1], failed[0], failed[1])
-    return row, {engine}
 
 
 @register_scenario(
@@ -178,7 +137,7 @@ def _baselines(spec: ScenarioSpec) -> ScenarioOutcome:
 
     def chord_row():
         chord = ChordNetwork(bits=bits)
-        return _overlay_row(
+        return _row(
             chord, "chord", round(chord.average_table_size(), 1),
             searches, failure_level, seed + 10, engine,
         )
@@ -187,21 +146,21 @@ def _baselines(spec: ScenarioSpec) -> ScenarioOutcome:
         kleinberg = KleinbergGridNetwork(
             side=side, links_per_node=max(1, bits), seed=seed
         )
-        return _overlay_row(
+        return _row(
             kleinberg, "kleinberg-grid (r=2)", 4 + max(1, bits),
             searches, failure_level, seed + 20, engine,
         )
 
     def can_row():
         can = CanNetwork(side=side, dimensions=2)
-        return _overlay_row(
+        return _row(
             can, "can (d=2)", can.state_per_node(),
             searches, failure_level, seed + 30, engine,
         )
 
     def plaxton_row():
         plaxton = PlaxtonNetwork(digits=max(1, int(round(bits / 2))), base=4)
-        return _overlay_row(
+        return _row(
             plaxton, "plaxton (base 4)", plaxton.state_per_node(),
             searches, failure_level, seed + 40, engine,
         )
@@ -218,7 +177,7 @@ def _baselines(spec: ScenarioSpec) -> ScenarioOutcome:
     for name in selected:
         row, used = builders[name]()
         table.add_row(*row)
-        engines_used |= used
+        engines_used.add(used)
     return ScenarioOutcome(
         tables=[table], raw=table, engine_used="+".join(sorted(engines_used))
     )

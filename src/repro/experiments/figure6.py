@@ -18,12 +18,12 @@ Expected qualitative shape (what the ``"figure6"`` scenario should show):
 
 The registered defaults are scaled down (2^12 nodes, 200 searches per point);
 override ``topology.nodes=131072``, ``workload.searches=100000`` for a
-paper-scale run.  With ``engine="fastpath"`` the whole experiment is
-array-native: the network is built straight into a CSR snapshot
-(:func:`repro.fastpath.build_snapshot`), failures are bulk mask operations,
-and **all three** strategies route on the batched engine — no object graph is
-ever materialised, and the numbers are identical to ``engine="object"`` at the
-same seed.
+paper-scale run.  Every level opens one
+:class:`~repro.scenarios.rounds.EngineSession` on the network's parameters, so
+with ``engine="fastpath"`` the whole experiment is array-native — direct-to-CSR
+build, failures as bulk mask operations, **all three** strategies on the
+batched engine, no object graph ever materialised — and the numbers are
+identical to ``engine="object"`` at the same seed.
 """
 
 from __future__ import annotations
@@ -32,12 +32,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.builder import build_ideal_network
-from repro.core.failures import NodeFailureModel, failure_sweep_levels
+from repro.core.failures import failure_sweep_levels
 from repro.core.routing import RecoveryStrategy
-from repro.experiments.runner import ExperimentTable, route_pairs_with_engine
-from repro.fastpath import cached_build_snapshot, sample_node_failures
+from repro.experiments.runner import ExperimentTable, measure_mean_hops
 from repro.scenarios.registry import register_scenario
+from repro.scenarios.rounds import EngineSession, IdealNetwork
 from repro.scenarios.run import ScenarioOutcome
 from repro.scenarios.spec import (
     FailureSpec,
@@ -115,11 +114,9 @@ def _figure6(spec: ScenarioSpec) -> ScenarioOutcome:
     failures, workload, routing — so adding a consumer never perturbs the
     others.
 
-    ``engine="fastpath"`` takes the array-native path end to end: the network
-    is sampled straight into a CSR snapshot, node failures are drawn as a bulk
-    mask (same victims as :class:`~repro.core.failures.NodeFailureModel` at
-    the same seed), and all strategies route batched.  The object layer is
-    never touched, yet every number matches ``engine="object"`` exactly.
+    One session per level builds the network, fails the nodes (the same
+    victims on either engine at the same seed) and is re-armed per strategy,
+    so every number under ``engine="fastpath"`` matches ``engine="object"``.
     """
     nodes = spec.topology.nodes
     links_per_node = spec.topology.links_per_node
@@ -152,45 +149,24 @@ def _figure6(spec: ScenarioSpec) -> ScenarioOutcome:
         workload_seed = derive_seed(seed, "figure6", "workload", level_index)
         route_seed = derive_seed(seed, "figure6", "route", level_index)
 
-        graph = None
-        snapshot = None
-        if engine == "fastpath":
-            # Array-native topology: one batched build serves every strategy
-            # at this failure level, and failures are a derived alive mask.
-            # Both draws match the object path exactly (same streams, same
-            # candidate order), so the two engines stay paired.
-            base = cached_build_snapshot(
-                nodes, links_per_node=links_per_node, seed=build_seed
+        # One topology serves every strategy at this failure level; each
+        # strategy starts from the same route seed, like a fresh router.
+        with EngineSession(
+            IdealNetwork(nodes, links_per_node, build_seed),
+            engine,
+            spec.routing.recovery_strategy(),
+            route_seed,
+        ) as session:
+            session.fail_nodes(level, failure_seed)
+            pairs = LookupWorkload(seed=workload_seed).pairs(
+                session.live_labels(), searches_per_point
             )
-            failed = sample_node_failures(base, level, seed=failure_seed)
-            snapshot = base.with_alive(base.alive & ~failed)
-            live = snapshot.labels[snapshot.alive].tolist()
-        else:
-            build = build_ideal_network(
-                nodes, links_per_node=links_per_node, seed=build_seed
-            )
-            graph = build.graph
-            failure_model = NodeFailureModel(level, seed=failure_seed)
-            failure_model.apply(graph)
-            live = graph.labels(only_alive=True)
-
-        workload = LookupWorkload(seed=workload_seed)
-        pairs = workload.pairs(live, searches_per_point)
-
-        for strategy in strategies:
-            outcome = route_pairs_with_engine(
-                graph,
-                pairs,
-                engine=engine,
-                recovery=strategy,
-                seed=route_seed,
-                snapshot=snapshot,
-            )
-            engines_used[strategy.value].append(outcome.engine_used)
-            result.failed_fraction[strategy.value].append(outcome.failures / len(pairs))
-            result.mean_hops[strategy.value].append(
-                float(np.mean(outcome.hops)) if outcome.hops else 0.0
-            )
+            for strategy in strategies:
+                session.rearm(strategy, route_seed)
+                mean_hops, failed_fraction = measure_mean_hops(session, pairs)
+                engines_used[strategy.value].append(session.engine_used)
+                result.failed_fraction[strategy.value].append(failed_fraction)
+                result.mean_hops[strategy.value].append(mean_hops)
 
     # ``engine_used`` keeps the strategy -> engine summary shape; a strategy
     # routed by different engines at different levels shows up as e.g.

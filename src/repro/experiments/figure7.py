@@ -18,13 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.builder import build_ideal_network
 from repro.core.construction import build_heuristic_network
-from repro.core.failures import NodeFailureModel, failure_sweep_levels
+from repro.core.failures import failure_sweep_levels
 from repro.core.routing import RecoveryStrategy
-from repro.experiments.runner import ExperimentTable, route_pairs_with_engine
-from repro.fastpath import cached_build_snapshot
+from repro.experiments.runner import ExperimentTable, measure_mean_hops
 from repro.scenarios.registry import register_scenario
+from repro.scenarios.rounds import EngineSession, IdealNetwork
 from repro.scenarios.run import ScenarioOutcome
 from repro.scenarios.spec import (
     FailureSpec,
@@ -85,12 +84,14 @@ def _figure7(spec: ScenarioSpec) -> ScenarioOutcome:
     failed-search fractions are averaged over iterations.
 
     Seeds are derived with :func:`repro.util.rng.derive_seed`, namespaced by
-    purpose and sweep position.  With ``engine="fastpath"`` the ideal
-    networks are built straight into CSR snapshots
-    (:func:`repro.fastpath.build_snapshot`) and every level routes on a
-    derived alive mask; the constructed networks — inherently built node by
-    node through the Section-5 heuristic — are compiled **once** per
-    iteration and reuse their snapshot across all failure levels.
+    purpose and sweep position.  Each network is built once per iteration and
+    serves every failure level through one
+    :class:`~repro.scenarios.rounds.EngineSession` (failures are restored
+    after each level), which matches the paper's "10 iterations of
+    constructing a network" methodology: with ``engine="fastpath"`` the ideal
+    networks never exist as object graphs and the constructed ones —
+    inherently built node by node through the Section-5 heuristic — are
+    mirrored once and follow the failures as liveness deltas.
     """
     nodes = spec.topology.nodes
     links_per_node = spec.topology.links_per_node
@@ -115,91 +116,47 @@ def _figure7(spec: ScenarioSpec) -> ScenarioOutcome:
             "engine": engine,
         },
     )
-    from repro.fastpath import compile_snapshot, sample_node_failures, select_engine
-
-    resolved = select_engine(engine, recovery)
-    result.parameters["engine_used"] = resolved
-    fastpath = resolved == "fastpath"
-
-    # Build the networks once per iteration and reuse them across failure
-    # levels (failures are repaired after each level), which matches the
-    # paper's "10 iterations of constructing a network" methodology.  Each
-    # entry is (graph, base snapshot): ideal fastpath networks skip the
-    # object layer entirely (graph is None); constructed networks always
-    # carry a graph and, under fastpath, a one-time compiled snapshot.
-    ideal_networks: list[tuple] = []
-    constructed_networks: list[tuple] = []
+    # [level][iteration] failed-search fractions, per network kind.
+    ideal_fractions: list[list[float]] = [[] for _ in failure_levels]
+    constructed_fractions: list[list[float]] = [[] for _ in failure_levels]
+    engines_used: set[str] = set()
     for iteration in range(iterations):
-        ideal_seed = derive_seed(seed, "figure7", "ideal", iteration)
-        constructed_seed = derive_seed(seed, "figure7", "constructed", iteration)
-        if fastpath:
-            ideal_networks.append(
-                (
-                    None,
-                    cached_build_snapshot(
-                        nodes, links_per_node=links_per_node, seed=ideal_seed
-                    ),
-                )
-            )
-        else:
-            ideal_networks.append(
-                (
-                    build_ideal_network(
-                        nodes, links_per_node=links_per_node, seed=ideal_seed
-                    ).graph,
-                    None,
-                )
-            )
-        constructed = build_heuristic_network(
-            n=nodes, links_per_node=links_per_node, seed=constructed_seed
-        ).graph
-        constructed_networks.append(
-            (constructed, compile_snapshot(constructed) if fastpath else None)
+        ideal = IdealNetwork(
+            nodes, links_per_node, derive_seed(seed, "figure7", "ideal", iteration)
         )
+        constructed = build_heuristic_network(
+            n=nodes,
+            links_per_node=links_per_node,
+            seed=derive_seed(seed, "figure7", "constructed", iteration),
+        )
+        for network, fractions in (
+            (ideal, ideal_fractions),
+            (constructed, constructed_fractions),
+        ):
+            with EngineSession(network, engine, recovery, seed) as session:
+                engines_used.add(session.engine_used)
+                for level_index, level in enumerate(failure_levels):
+                    session.fail_nodes(
+                        level,
+                        derive_seed(seed, "figure7", "failures", iteration, level_index),
+                    )
+                    session.rearm(
+                        recovery, derive_seed(seed, "figure7", "route", level_index)
+                    )
+                    workload = LookupWorkload(
+                        seed=derive_seed(seed, "figure7", "workload", level_index)
+                    )
+                    pairs = workload.pairs(session.live_labels(), searches_per_point)
+                    fractions[level_index].append(measure_mean_hops(session, pairs)[1])
+                    session.restore()
 
-    for level_index, level in enumerate(failure_levels):
-        ideal_fractions = []
-        constructed_fractions = []
-        workload_seed = derive_seed(seed, "figure7", "workload", level_index)
-        route_seed = derive_seed(seed, "figure7", "route", level_index)
-        for iteration in range(iterations):
-            failure_seed = derive_seed(seed, "figure7", "failures", iteration, level_index)
-            for (graph, base), bucket in (
-                (ideal_networks[iteration], ideal_fractions),
-                (constructed_networks[iteration], constructed_fractions),
-            ):
-                snapshot = None
-                if graph is None:
-                    # Direct-built ideal network: failures are a derived mask
-                    # (same victims as NodeFailureModel at the same seed).
-                    failed = sample_node_failures(base, level, seed=failure_seed)
-                    snapshot = base.with_alive(base.alive & ~failed)
-                    live = snapshot.labels[snapshot.alive].tolist()
-                else:
-                    failure_model = NodeFailureModel(level, seed=failure_seed)
-                    failure_model.apply(graph)
-                    live = graph.labels(only_alive=True)
-                    if base is not None:
-                        # Reuse the one-time compiled topology; only the
-                        # liveness mask changes per level.
-                        alive = base.alive.copy()
-                        if failure_model.failed_labels:
-                            alive[base.indices_of(failure_model.failed_labels)] = False
-                        snapshot = base.with_alive(alive)
-                workload = LookupWorkload(seed=workload_seed)
-                pairs = workload.pairs(live, searches_per_point)
-                outcome = route_pairs_with_engine(
-                    graph,
-                    pairs,
-                    engine=engine,
-                    recovery=recovery,
-                    seed=route_seed,
-                    snapshot=snapshot,
-                )
-                bucket.append(outcome.failures / len(pairs))
-                if graph is not None:
-                    failure_model.repair(graph)
-        result.ideal_failed_fraction.append(float(np.mean(ideal_fractions)))
-        result.constructed_failed_fraction.append(float(np.mean(constructed_fractions)))
-
-    return ScenarioOutcome(tables=[result.to_table()], raw=result, engine_used=resolved)
+    result.ideal_failed_fraction = [float(np.mean(f)) for f in ideal_fractions]
+    result.constructed_failed_fraction = [
+        float(np.mean(f)) for f in constructed_fractions
+    ]
+    result.parameters["engine_used"] = "+".join(sorted(engines_used)) or engine
+    return ScenarioOutcome(
+        tables=[result.to_table()],
+        raw=result,
+        engine_used=result.parameters["engine_used"],
+    )

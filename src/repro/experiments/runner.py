@@ -5,17 +5,10 @@ values — which can be printed as aligned text tables (the library has no
 plotting dependency; the "figures" are reproduced as the numeric series the
 paper plots).
 
-The harness also owns the **engine switch**: every routing experiment accepts
-``engine="object"`` (the scalar :class:`~repro.core.routing.GreedyRouter`,
-one Python hop at a time) or ``engine="fastpath"`` (the batched NumPy engine
-of :mod:`repro.fastpath`).  :func:`route_pairs_with_engine` is the single
-place that arbitrates between them: fastpath covers both routing modes and
-all three Section-6 recovery strategies, hop-for-hop identical to the object
-engine at the same seed.  The rare configurations still outside the fastpath
-envelope (a graph in a metric space the snapshot compiler cannot handle)
-fall back to the object engine so sweeps keep working, but the downgrade is
-not silent — the returned :class:`EngineRouteResult` records the engine
-actually used and a :class:`FastpathFallbackWarning` is emitted.
+The routing experiments take their engine from ``spec.engine`` and route
+through :class:`repro.scenarios.rounds.EngineSession`, the one place that
+arbitrates between the object and fastpath engines;
+:func:`measure_mean_hops` is the statistic they all report.
 """
 
 from __future__ import annotations
@@ -23,37 +16,16 @@ from __future__ import annotations
 import csv
 import io
 import json
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple, Sequence
-
-from repro.core.routing import GreedyRouter, RecoveryStrategy, RoutingMode
+from typing import Any, Sequence
 
 __all__ = [
     "ExperimentTable",
-    "EngineRouteResult",
-    "FastpathFallbackWarning",
     "format_table",
     "jsonify_value",
+    "measure_mean_hops",
     "tables_to_csv",
-    "route_sample",
-    "route_pairs_with_engine",
 ]
-
-
-class FastpathFallbackWarning(RuntimeWarning):
-    """Emitted when a requested ``engine="fastpath"`` run is downgraded.
-
-    The fastpath engine implements all three recovery strategies, so the
-    remaining downgrade triggers are structural: a graph whose metric space
-    the snapshot compiler does not support, or a recovery configuration the
-    batch router rejects (e.g. a multi-detour re-route budget).  The fallback
-    still happens (sweeps must not fail half-way), but it is observable: this
-    warning fires and :class:`EngineRouteResult.engine_used` reports
-    ``"object"``.  Experiments that pre-resolve their engine (e.g. the
-    ``"figure7"`` scenario) do so once up front, so the warning is emitted at
-    most once per experiment rather than once per sweep cell.
-    """
 
 
 def jsonify_value(value: Any) -> Any:
@@ -194,125 +166,13 @@ def format_table(
     return "\n".join(lines)
 
 
-def route_sample(graph, router, pairs) -> tuple[int, list[int]]:
-    """Route every (source, target) pair; return (failures, hops_of_successes)."""
-    failures = 0
-    hops: list[int] = []
-    for source, target in pairs:
-        result = router.route(source, target)
-        if result.success:
-            hops.append(result.hops)
-        else:
-            failures += 1
-    return failures, hops
+def measure_mean_hops(session, pairs) -> tuple[float, float]:
+    """Route ``pairs`` through an open :class:`~repro.scenarios.rounds.EngineSession`.
 
-
-class EngineRouteResult(NamedTuple):
-    """Outcome of :func:`route_pairs_with_engine`.
-
-    ``failures`` and ``hops`` match the old ``(failures, hops)`` tuple;
-    ``engine_used`` records which engine actually routed the pairs — it can
-    differ from the requested engine when a fastpath request is downgraded
-    because the recovery strategy is unsupported.
+    Returns (mean hops of successful searches, failed fraction) — identical
+    on both engines at the same route seed.
     """
-
-    failures: int
-    hops: list[int]
-    engine_used: str
-
-
-def route_pairs_with_engine(
-    graph,
-    pairs,
-    engine: str = "object",
-    mode: RoutingMode = RoutingMode.TWO_SIDED,
-    recovery: RecoveryStrategy = RecoveryStrategy.TERMINATE,
-    strict_best_neighbor: bool = False,
-    seed: int = 0,
-    snapshot=None,
-) -> EngineRouteResult:
-    """Route every pair through the requested engine.
-
-    Returns an :class:`EngineRouteResult` ``(failures, hops_of_successes,
-    engine_used)`` regardless of engine, so experiment code is
-    engine-agnostic.  The two engines are hop-for-hop identical at the same
-    seed for every configuration they both support, including all three
-    recovery strategies.
-
-    Parameters
-    ----------
-    graph:
-        The overlay graph (with any failures already applied).  May be
-        ``None`` for a pure-fastpath run when ``snapshot`` is given — e.g. a
-        direct-built network (:func:`repro.fastpath.build_snapshot`) that
-        never had an object graph.
-    pairs:
-        Sequence of (source, target) label pairs.
-    engine:
-        ``"object"`` or ``"fastpath"``.  A fastpath request whose graph
-        cannot be compiled into a snapshot falls back to the object engine;
-        the downgrade emits a :class:`FastpathFallbackWarning` and is
-        recorded in the returned ``engine_used`` field.
-    seed:
-        Routing seed (the random re-route stream); both engines derive the
-        same stream from it.
-    snapshot:
-        Optional precompiled :class:`~repro.fastpath.FastpathSnapshot` of
-        the topology — pass it when several strategies share one topology so
-        the graph is compiled once, not per strategy.  Ignored by the object
-        engine.  The caller is responsible for the snapshot actually matching
-        ``graph``'s current liveness.
-    """
-    from repro.fastpath import BatchGreedyRouter, compile_snapshot, select_engine
-
-    resolved = select_engine(engine, recovery)
-    if graph is None and snapshot is None:
-        raise ValueError(
-            "route_pairs_with_engine needs a graph or (for fastpath runs) a "
-            "precompiled snapshot; got neither"
-        )
-    if resolved == "fastpath" and snapshot is None:
-        try:
-            snapshot = compile_snapshot(graph)
-        except NotImplementedError as error:
-            warnings.warn(
-                f"engine='fastpath' cannot compile this graph ({error}); "
-                "routing through the object engine instead",
-                FastpathFallbackWarning,
-                stacklevel=2,
-            )
-            resolved = "object"
-    if resolved == "fastpath":
-        reroute_pool = None
-        if recovery is RecoveryStrategy.RANDOM_REROUTE and graph is not None:
-            # Detour draws index the scalar router's live-node list; hand the
-            # batch router the graph's own ordering so parity holds even for
-            # graphs whose nodes were not inserted in sorted label order.
-            reroute_pool = graph.labels(only_alive=True)
-        router = BatchGreedyRouter(
-            snapshot=snapshot,
-            mode=mode,
-            recovery=recovery,
-            strict_best_neighbor=strict_best_neighbor,
-            seed=seed,
-            reroute_pool=reroute_pool,
-        )
-        result = router.route_pairs(pairs)
-        return EngineRouteResult(
-            result.failed_count(), result.hops[result.success].tolist(), resolved
-        )
-
-    if graph is None:
-        raise ValueError(
-            "the object engine needs an overlay graph; only snapshot-backed "
-            "fastpath runs may pass graph=None"
-        )
-    router = GreedyRouter(
-        graph=graph,
-        mode=mode,
-        recovery=recovery,
-        strict_best_neighbor=strict_best_neighbor,
-        seed=seed,
-    )
-    failures, hops = route_sample(graph, router, pairs)
-    return EngineRouteResult(failures, hops, resolved)
+    success, hops = session.route(pairs)
+    delivered = hops[success]
+    mean_hops = float(delivered.mean()) if delivered.size else 0.0
+    return mean_hops, int((~success).sum()) / len(pairs)

@@ -27,64 +27,17 @@ from repro.core.builder import (
     build_ideal_network,
 )
 from repro.core.distributions import InversePowerLawDistribution
-from repro.core.failures import LinkFailureModel, NodeFailureModel
+from repro.core.failures import LinkFailureModel
 from repro.core.metric import RingMetric
 from repro.core.routing import RecoveryStrategy
-from repro.experiments.runner import ExperimentTable, route_pairs_with_engine
-from repro.fastpath import (
-    DeltaRecorder,
-    DeltaSnapshot,
-    cached_build_snapshot,
-    sample_node_failures,
-    select_engine,
-)
+from repro.experiments.runner import ExperimentTable, measure_mean_hops
 from repro.scenarios.registry import register_scenario
+from repro.scenarios.rounds import EngineSession, IdealNetwork
 from repro.scenarios.run import ScenarioOutcome
 from repro.scenarios.spec import RoutingSpec, ScenarioSpec, WorkloadSpec
 from repro.simulation.workload import LookupWorkload
 
-__all__ = ["Table1Result", "measure_mean_hops"]
-
-
-def measure_mean_hops(
-    graph,
-    searches: int,
-    seed: int,
-    recovery: RecoveryStrategy = RecoveryStrategy.BACKTRACK,
-    engine: str = "object",
-    snapshot=None,
-) -> tuple[float, float]:
-    """Return (mean hops of successful searches, failed fraction).
-
-    ``engine="fastpath"`` routes every recovery strategy — including the
-    default backtracking — on the batched engine, with results identical to
-    the object engine at the same seed.  Pass a precompiled (or direct-built)
-    ``snapshot`` to skip per-call compilation; ``graph`` may then be ``None``
-    for topologies that never existed as object graphs.
-    """
-    if graph is not None:
-        live = graph.labels(only_alive=True)
-    else:
-        live = snapshot.labels[snapshot.alive].tolist()
-    workload = LookupWorkload(seed=seed)
-    pairs = workload.pairs(live, searches)
-    outcome = route_pairs_with_engine(
-        graph, pairs, engine=engine, recovery=recovery, seed=seed, snapshot=snapshot
-    )
-    mean_hops = float(np.mean(outcome.hops)) if outcome.hops else 0.0
-    return mean_hops, outcome.failures / len(pairs)
-
-
-def _ideal_topology(n: int, links: int, seed: int, engine: str):
-    """Build the standard ring network for one measurement point.
-
-    Returns ``(graph, snapshot)``: the fastpath engine builds straight into a
-    CSR snapshot (no object graph at all); the object engine builds the
-    overlay graph.  Both realise the identical network at the same seed.
-    """
-    if engine == "fastpath":
-        return None, cached_build_snapshot(n, links_per_node=links, seed=seed)
-    return build_ideal_network(n, links_per_node=links, seed=seed).graph, None
+__all__ = ["Table1Result"]
 
 
 @dataclass
@@ -117,50 +70,6 @@ class Table1Result:
         return "\n\n".join(table.to_text() for table in self.tables())
 
 
-def _link_failure_sweep(
-    graph,
-    probabilities,
-    searches: int,
-    recovery: RecoveryStrategy,
-    engine: str,
-    model_seed: int,
-    measure_seed: int,
-    add_row,
-) -> None:
-    """Sweep link-survival probabilities over one shared topology (rows 4/5).
-
-    Each level fails links with :class:`~repro.core.failures.LinkFailureModel`,
-    measures, and repairs.  Under ``engine="fastpath"`` the routing tables are
-    maintained through edge-liveness deltas: a recorder captures the model's
-    ``link_fail``/``link_revive`` flips and a delta mirror folds them into the
-    snapshot in place, so no level ever recompiles the topology.  Hop counts
-    are identical to the object engine at the same seed either way.
-    """
-    recorder = mirror = None
-    if select_engine(engine, recovery) == "fastpath":
-        recorder = DeltaRecorder.attach(graph)
-        mirror = DeltaSnapshot.from_graph(graph)
-    try:
-        for index, p in enumerate(probabilities):
-            model = LinkFailureModel(p, seed=model_seed + index)
-            model.apply(graph)
-            snapshot = None
-            if mirror is not None:
-                mirror.apply(recorder.drain())
-                snapshot = mirror.snapshot()
-            hops, failed = measure_mean_hops(
-                graph, searches, measure_seed + index,
-                recovery=recovery, engine=engine, snapshot=snapshot,
-            )
-            add_row(p, hops, failed)
-            model.repair(graph)
-        if mirror is not None:
-            mirror.apply(recorder.drain())
-    finally:
-        if recorder is not None:
-            recorder.detach()
-
-
 @register_scenario(
     "table1",
     description="measured delivery time vs the theoretical bound shape for every Table-1 model",
@@ -185,10 +94,12 @@ def _table1(spec: ScenarioSpec) -> ScenarioOutcome:
     (survival probabilities for the failure sweeps).  ``workload.searches``
     is per measurement point and ``routing.recovery`` applies to every
     measurement (the paper's default is backtracking, the best-performing
-    strategy).  ``engine="fastpath"`` accelerates every measurement, and the
-    ideal-network rows additionally skip the object graph entirely via the
-    direct-to-CSR build, with results identical to the object engine at the
-    same seed.
+    strategy).  Every measurement routes through an
+    :class:`~repro.scenarios.rounds.EngineSession`: ``engine="fastpath"``
+    accelerates all of them, the ideal-network rows skip the object graph
+    entirely, and the link-failure sweeps follow the model's fail/revive
+    flips as edge-liveness deltas instead of recompiling — with results
+    identical to the object engine at the same seed.
     """
     sizes = list(spec.extra("sizes"))
     link_counts = list(spec.extra("link_counts"))
@@ -198,6 +109,27 @@ def _table1(spec: ScenarioSpec) -> ScenarioOutcome:
     seed = spec.seed
     recovery = spec.routing.recovery_strategy()
     engine = spec.engine
+    engines_used: set[str] = set()
+
+    def measure(session: EngineSession, measure_seed: int) -> tuple[float, float]:
+        """(mean hops, failed fraction) of ``measure_seed``'s lookups, freshly armed."""
+        engines_used.add(session.engine_used)
+        session.rearm(recovery, measure_seed)
+        pairs = LookupWorkload(seed=measure_seed).pairs(session.live_labels(), searches)
+        return measure_mean_hops(session, pairs)
+
+    def measure_once(system, measure_seed: int) -> tuple[float, float]:
+        with EngineSession(system, engine, recovery, measure_seed) as session:
+            return measure(session, measure_seed)
+
+    def link_failure_sweep(build, model_seed: int, measure_seed: int, add_row) -> None:
+        """Sweep link-survival probabilities over one shared topology (rows 4/5)."""
+        with EngineSession(build, engine, recovery, measure_seed) as session:
+            for index, p in enumerate(probabilities):
+                model = LinkFailureModel(p, seed=model_seed + index)
+                model.apply(build.graph)
+                add_row(p, *measure(session, measure_seed + index))
+                model.repair(build.graph)
 
     # Row 1: single long link, no failures — hops should grow ~ log^2 n.
     single = ExperimentTable(
@@ -205,8 +137,7 @@ def _table1(spec: ScenarioSpec) -> ScenarioOutcome:
         columns=["n", "measured_hops", "bound_shape_log2n_sq"],
     )
     for index, n in enumerate(sizes):
-        graph, snapshot = _ideal_topology(n, 1, seed + index, engine)
-        hops, _ = measure_mean_hops(graph, searches, seed + 10 + index, recovery=recovery, engine=engine, snapshot=snapshot)
+        hops, _ = measure_once(IdealNetwork(n, 1, seed + index), seed + 10 + index)
         single.add_row(n, hops, bounds.upper_bound_single_link(n))
 
     # Row 2: l links in [1, lg n] — hops should fall roughly like 1/l.
@@ -216,8 +147,9 @@ def _table1(spec: ScenarioSpec) -> ScenarioOutcome:
         columns=["links", "measured_hops", "bound_shape"],
     )
     for index, links in enumerate(link_counts):
-        graph, snapshot = _ideal_topology(polylog_n, links, seed + 20 + index, engine)
-        hops, _ = measure_mean_hops(graph, searches, seed + 30 + index, recovery=recovery, engine=engine, snapshot=snapshot)
+        hops, _ = measure_once(
+            IdealNetwork(polylog_n, links, seed + 20 + index), seed + 30 + index
+        )
         polylog.add_row(links, hops, bounds.upper_bound_multiple_links(polylog_n, links))
 
     # Row 3: deterministic base-b scheme — hops should be ~ log_b n.
@@ -230,7 +162,7 @@ def _table1(spec: ScenarioSpec) -> ScenarioOutcome:
             space=RingMetric(polylog_n), base=base, variant="full", seed=seed + 40 + index
         )
         build = builder.build()
-        hops, _ = measure_mean_hops(build.graph, searches, seed + 50 + index, recovery=recovery, engine=engine)
+        hops, _ = measure_once(build, seed + 50 + index)
         deterministic.add_row(
             base, build.links_per_node, hops, bounds.upper_bound_deterministic(polylog_n, base)
         )
@@ -246,9 +178,8 @@ def _table1(spec: ScenarioSpec) -> ScenarioOutcome:
         columns=["p_link_alive", "measured_hops", "failed_fraction", "bound_shape"],
     )
     base_build = build_ideal_network(failure_n, links_per_node=failure_links, seed=seed + 60)
-    _link_failure_sweep(
-        base_build.graph, probabilities, searches, recovery, engine,
-        model_seed=seed + 70, measure_seed=seed + 80,
+    link_failure_sweep(
+        base_build, model_seed=seed + 70, measure_seed=seed + 80,
         add_row=lambda p, hops, failed: link_failures_random.add_row(
             p, hops, failed, bounds.upper_bound_link_failures_random(failure_n, failure_links, p)
         ),
@@ -267,9 +198,8 @@ def _table1(spec: ScenarioSpec) -> ScenarioOutcome:
         space=RingMetric(failure_n), base=deterministic_base, variant="powers", seed=seed + 90
     )
     det_build = det_builder.build()
-    _link_failure_sweep(
-        det_build.graph, probabilities, searches, recovery, engine,
-        model_seed=seed + 100, measure_seed=seed + 110,
+    link_failure_sweep(
+        det_build, model_seed=seed + 100, measure_seed=seed + 110,
         add_row=lambda p, hops, failed: link_failures_det.add_row(
             p, hops, failed,
             bounds.upper_bound_link_failures_deterministic(failure_n, deterministic_base, p),
@@ -284,26 +214,18 @@ def _table1(spec: ScenarioSpec) -> ScenarioOutcome:
         ),
         columns=["p_node_failed", "measured_hops", "failed_fraction", "bound_shape"],
     )
-    node_graph, node_base = _ideal_topology(failure_n, failure_links, seed + 120, engine)
-    for index, p_alive in enumerate(probabilities):
-        p_failed = round(1.0 - p_alive, 10)
-        if node_graph is None:
-            # Direct-built topology: failures are a derived alive mask with
-            # the same victims NodeFailureModel would pick at this seed.
-            failed_mask = sample_node_failures(node_base, p_failed, seed=seed + 130 + index)
-            snapshot = node_base.with_alive(node_base.alive & ~failed_mask)
-            hops, failed = measure_mean_hops(
-                None, searches, seed + 140 + index, recovery=recovery, engine=engine, snapshot=snapshot
+    with EngineSession(
+        IdealNetwork(failure_n, failure_links, seed + 120), engine, recovery, seed + 140
+    ) as session:
+        for index, p_alive in enumerate(probabilities):
+            p_failed = round(1.0 - p_alive, 10)
+            session.fail_nodes(p_failed, seed + 130 + index)
+            hops, failed = measure(session, seed + 140 + index)
+            session.restore()
+            node_failures.add_row(
+                p_failed, hops, failed,
+                bounds.upper_bound_node_failures(failure_n, failure_links, p_failed),
             )
-        else:
-            model = NodeFailureModel(p_failed, seed=seed + 130 + index)
-            model.apply(node_graph)
-            hops, failed = measure_mean_hops(node_graph, searches, seed + 140 + index, recovery=recovery, engine=engine)
-            model.repair(node_graph)
-        node_failures.add_row(
-            p_failed, hops, failed,
-            bounds.upper_bound_node_failures(failure_n, failure_links, p_failed),
-        )
 
     # Section 4.3.4.1: binomially distributed nodes — delivery time unchanged.
     binomial = ExperimentTable(
@@ -323,7 +245,7 @@ def _table1(spec: ScenarioSpec) -> ScenarioOutcome:
             seed=seed + 150 + index,
         )
         build = builder.build()
-        hops, _ = measure_mean_hops(build.graph, searches, seed + 160 + index, recovery=recovery, engine=engine)
+        hops, _ = measure_once(build, seed + 160 + index)
         occupied = len(build.present_labels)
         binomial.add_row(
             presence, occupied, hops, bounds.upper_bound_single_link(max(2, occupied))
@@ -346,7 +268,7 @@ def _table1(spec: ScenarioSpec) -> ScenarioOutcome:
             "seed": seed,
             "recovery": recovery.value,
             "engine": engine,
-            "engine_used": select_engine(engine, recovery),
+            "engine_used": "+".join(sorted(engines_used)) or engine,
         },
     )
     return ScenarioOutcome(

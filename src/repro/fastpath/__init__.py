@@ -28,8 +28,8 @@ it is hop-for-hop identical to the scalar
 failure verdicts, same detour draws and backtrack moves) — asserted by
 ``tests/property/test_property_fastpath.py``.  Byzantine behaviour and the
 maintenance/DHT layers remain object-engine only, as do graphs embedded in
-spaces the snapshot compiler does not support; :func:`select_engine` and the
-experiment harness arbitrate the fallback.
+spaces the snapshot compiler does not support; :func:`select_engine` and
+:class:`repro.scenarios.rounds.EngineSession` arbitrate the fallback.
 
 The standard experimental network can additionally be built straight into a
 snapshot — :func:`build_snapshot` samples every node's long links in one
@@ -104,7 +104,7 @@ __all__ = [
     "select_engine",
 ]
 
-#: Engine names accepted by the experiment harness.
+#: Engine names accepted by :class:`repro.scenarios.rounds.EngineSession`.
 ENGINES = ("object", "fastpath")
 
 #: Recovery strategies the batched engine implements — since the vectorized
@@ -130,9 +130,8 @@ def select_engine(engine: str, recovery: RecoveryStrategy) -> str:
     fastpath-supported (today: every strategy); a request outside the
     envelope falls back to ``"object"`` rather than failing, so sweeps that
     mix configurations keep working.  Fallbacks for reasons this predicate
-    cannot see (e.g. a graph embedded in an unsupported metric space) are
-    handled — and warned about — by
-    :func:`repro.experiments.runner.route_pairs_with_engine`.
+    cannot see (a graph embedded in an unsupported metric space) are handled
+    — and warned about — by :class:`repro.scenarios.rounds.EngineSession`.
 
     Raises
     ------

@@ -19,9 +19,10 @@ as data instead of per-figure functions:
   sweeps are byte-identical to serial ones;
 * :mod:`repro.experiments` — the paper's experiments, each module's
   measurement function registered as a scenario (``repro list`` shows them);
-* :mod:`repro.scenarios.rounds` — the one round driver (engine session +
-  churn/repair/lookup burst loop) behind the ``churn``, ``maintenance-cost``,
-  ``service`` and ``degradation`` scenarios.
+* :mod:`repro.scenarios.rounds` — the engine session every routing scenario
+  goes through (the one object/fastpath seam) and the churn/repair/lookup
+  burst loop behind the ``churn``, ``maintenance-cost``, ``service`` and
+  ``degradation`` scenarios.
 
 Quickstart — run a registered scenario::
 

@@ -158,7 +158,7 @@ def _run_intensity(
     ) as session:
 
         def measure(index: int, kind: str, entry: dict) -> None:
-            live = session.live_labels()
+            live = sorted(session.live_labels())
             success_rate = mean_hops = 0.0
             if len(live) >= 2 and searches > 0:
                 success, hops = session.route(lookups.pairs(live, searches))

@@ -8,12 +8,15 @@ every round-based scenario shares, so ``churn``, ``maintenance-cost``,
 build, their per-batch hook and their tabulation:
 
 * :class:`EngineSession` — *how a router stays current with a mutating
-  overlay on either engine*.  The object engine routes on the live overlay;
+  overlay on either engine*, and the only place outside :mod:`repro.fastpath`
+  that knows there are two.  The object engine routes on the live overlay;
   the fastpath engine follows it through recorded
   :class:`~repro.fastpath.DeltaSnapshot` deltas and rebases its batch router
   before every batch, never recompiling.  Both are hop-for-hop identical at
   the same route seed, which is what keeps every scenario table
-  byte-identical across engines.
+  byte-identical across engines.  The static paper experiments (``figure6``,
+  ``figure7``, ``table1``, ``baselines``) open the same session, fail nodes
+  through it and re-arm its router per measurement.
 * :func:`run_rounds` — *the order of churn, repair and lookup inside a
   round*: the deterministic :func:`build_service_schedule` interleave of
   churn bursts, batched repair passes and lookup batches.  ``churn`` and
@@ -22,18 +25,23 @@ build, their per-batch hook and their tabulation:
 
 from __future__ import annotations
 
+import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
 
+from repro.core.builder import build_ideal_network
+from repro.core.failures import NodeFailureModel
 from repro.core.maintenance import MaintenanceDaemon, MaintenanceReport
 from repro.core.routing import GreedyRouter, RecoveryStrategy
 from repro.fastpath import (
     BatchGreedyRouter,
     DeltaRecorder,
     DeltaSnapshot,
+    cached_build_snapshot,
+    sample_node_failures,
     select_engine,
 )
 from repro.scenarios.spec import ScenarioSpec, SpecError
@@ -44,6 +52,8 @@ from repro.util.rng import derive_seed
 
 __all__ = [
     "EngineSession",
+    "FastpathFallbackWarning",
+    "IdealNetwork",
     "RoundParameters",
     "RoundRow",
     "build_service_schedule",
@@ -58,22 +68,57 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+class FastpathFallbackWarning(RuntimeWarning):
+    """Emitted when a requested ``engine="fastpath"`` session is downgraded.
+
+    The fastpath engine implements all three recovery strategies, so the
+    remaining downgrade trigger is structural: a graph whose metric space the
+    snapshot compiler does not support.  The fallback still happens (sweeps
+    must not fail half-way), but it is observable: this warning fires once,
+    when the session opens, and :attr:`EngineSession.engine_used` reports
+    ``"object"``.
+    """
+
+
+@dataclass(frozen=True)
+class IdealNetwork:
+    """Parameters of the paper's standard experimental network (Section 6).
+
+    A session opened on these instead of a built system sets the network up
+    itself: :func:`~repro.core.builder.build_ideal_network` on the object
+    engine, the direct-to-CSR :func:`~repro.fastpath.build_snapshot` (no
+    object graph at all) on the fastpath engine — the same network at the
+    same ``seed``.  ``links_per_node=None`` means ``ceil(lg nodes)``.
+    """
+
+    nodes: int
+    links_per_node: int | None
+    seed: int
+
+
 class EngineSession:
     """A router kept current with one mutating overlay, on either engine.
 
     ``system`` is a construction exposing the mutating
     :class:`~repro.core.graph.OverlayGraph` as ``.graph`` (the paper's
-    power-law overlay), or a table-backed
+    power-law overlay), a table-backed
     :class:`~repro.overlay.protocol.Overlay` (Chord, CAN, Kleinberg,
     Plaxton), which routes with its own policy and ignores ``recovery`` and
-    ``route_seed``.  Use as a context manager: on the fastpath engine a
+    ``route_seed``, or the :class:`IdealNetwork` parameters of a network the
+    session builds itself.  Use as a context manager: on the fastpath engine a
     :class:`~repro.fastpath.DeltaRecorder` observes the graph from entry to
     exit, so mutate the overlay only inside the ``with`` body.
 
     Attributes
     ----------
     engine_used:
-        The engine that routes (:func:`~repro.fastpath.select_engine`).
+        The engine that routes: :func:`~repro.fastpath.select_engine`'s
+        answer, downgraded to ``"object"`` (with a
+        :class:`FastpathFallbackWarning`) on entry when the graph's metric
+        space has no array mirror.
+    graph:
+        The overlay graph, ``None`` for table-backed overlays and for an
+        :class:`IdealNetwork` on the fastpath engine.
     mirror:
         The :class:`~repro.fastpath.DeltaSnapshot` following the overlay on
         the fastpath engine, ``None`` on the object engine — exactly what
@@ -89,41 +134,89 @@ class EngineSession:
         self.route_seed = route_seed
         self.engine_used = select_engine(engine, recovery)
         self.mirror: DeltaSnapshot | None = None
+        # Whoever answers labels() / revive_node(): the graph, the table-backed
+        # overlay, or — for an IdealNetwork until the object engine builds
+        # its graph on entry — nobody but the mirror's arrays.
+        self._members: Any = None
+        if not isinstance(system, IdealNetwork):
+            self._members = system if self.graph is None else self.graph
         self._recorder: DeltaRecorder | None = None
         self._batch_router: BatchGreedyRouter | None = None
         self._route_one: Callable | None = None
+        self._failed: Any = ()
 
     def __enter__(self) -> "EngineSession":
-        if self.engine_used == "object":
-            self._route_one = (
-                self.system.route
-                if self.graph is None
-                else GreedyRouter(
-                    self.graph, recovery=self.recovery, seed=self.route_seed
-                ).route
-            )
-            return self
-        tel = telemetry_current()
-        with tel.span("compile") if tel is not None else nullcontext():
-            if self.graph is None:
-                self.mirror = DeltaSnapshot.from_overlay(self.system)
-                self._batch_router = BatchGreedyRouter(
-                    self.mirror.snapshot(), hop_limit=self.system.hop_limit
-                )
-            else:
-                self.mirror = DeltaSnapshot.from_graph(self.graph)
-                self._batch_router = BatchGreedyRouter(
-                    self.mirror.snapshot(), recovery=self.recovery, seed=self.route_seed
-                )
-        if self.graph is not None:
+        if self.engine_used == "fastpath":
+            tel = telemetry_current()
+            with tel.span("compile") if tel is not None else nullcontext():
+                self.mirror = self._open_mirror()
+                if self.mirror is not None:
+                    self.rearm(self.recovery, self.route_seed)
+        if self.mirror is None:  # the object engine, asked for or fallen back to
+            if self._members is None:
+                self.graph = self._members = build_ideal_network(
+                    self.system.nodes,
+                    links_per_node=self.system.links_per_node,
+                    seed=self.system.seed,
+                ).graph
+            self.rearm(self.recovery, self.route_seed)
+        elif self.graph is not None:
             # Attached last: nothing mutates the graph between the compile
             # above and here, and nothing after it can fail and leak it.
             self._recorder = DeltaRecorder.attach(self.graph)
         return self
 
+    def _open_mirror(self) -> DeltaSnapshot | None:
+        """The array mirror of :attr:`system`, or ``None`` after a warned downgrade."""
+        if self._members is None:
+            return DeltaSnapshot.from_snapshot(
+                cached_build_snapshot(
+                    self.system.nodes,
+                    links_per_node=self.system.links_per_node,
+                    seed=self.system.seed,
+                )
+            )
+        if self.graph is None:
+            return DeltaSnapshot.from_overlay(self.system)
+        try:
+            return DeltaSnapshot.from_graph(self.graph)
+        except NotImplementedError as error:
+            warnings.warn(
+                f"engine='fastpath' cannot mirror this graph ({error}); "
+                "routing through the object engine instead",
+                FastpathFallbackWarning,
+                stacklevel=3,
+            )
+            self.engine_used = "object"
+            return None
+
     def __exit__(self, *exc_info: object) -> None:
         if self._recorder is not None:
             self._recorder.detach()
+
+    def rearm(self, recovery: RecoveryStrategy, route_seed: int) -> None:
+        """Route from here on under ``recovery``, restarting the ``route_seed`` stream.
+
+        A router construction over the topology as it stands — never a
+        recompile — so one open session serves several strategies or
+        per-measurement seeds, each exactly like a fresh scalar router.
+        """
+        self.recovery = recovery
+        self.route_seed = route_seed
+        if self.mirror is None:
+            self._route_one = (
+                self.system.route
+                if self.graph is None
+                else GreedyRouter(self.graph, recovery=recovery, seed=route_seed).route
+            )
+        elif self._members is self.system:  # table-backed: its own policy and budget
+            self._batch_router = BatchGreedyRouter(
+                self.mirror.snapshot(), hop_limit=self.system.hop_limit
+            )
+        else:
+            self._batch_router = BatchGreedyRouter(
+                self.mirror.snapshot(), recovery=recovery, seed=route_seed
+            )
 
     @property
     def pending_ops(self) -> int:
@@ -131,10 +224,46 @@ class EngineSession:
         return 0 if self._recorder is None else len(self._recorder)
 
     def live_labels(self) -> list[int]:
-        """The live members lookups are drawn from, in sorted label order."""
+        """The live members lookups are drawn from, in the overlay's own order.
+
+        That is node-table order — the order the scalar random-reroute pool
+        uses, and sorted only while no join has landed out of label order.
+        """
+        if self._members is None:
+            snapshot = self.mirror.snapshot()
+            return snapshot.labels[snapshot.alive].tolist()
+        return self._members.labels(only_alive=True)
+
+    def fail_nodes(self, fraction: float, seed: int) -> None:
+        """Fail exactly ``fraction`` of the live members, until :meth:`restore`.
+
+        The same victims on either engine at the same ``seed``: a graph takes
+        :class:`~repro.core.failures.NodeFailureModel` (and the recorder sees
+        it), a table-backed overlay its own ``fail_fraction``, and a network
+        held only as arrays :func:`~repro.fastpath.sample_node_failures`.
+        """
         if self.graph is not None:
-            return sorted(self.graph.labels(only_alive=True))
-        return list(self.system.labels(only_alive=True))
+            model = NodeFailureModel(fraction, seed=seed)
+            model.apply(self.graph)
+            self._failed = model.failed_labels
+        elif self._members is None:
+            snapshot = self.mirror.snapshot()
+            self._failed = snapshot.labels[
+                sample_node_failures(snapshot, fraction, seed=seed)
+            ]
+        else:
+            self._failed = self.system.fail_fraction(fraction, seed=seed)
+        if self.mirror is not None and self._recorder is None:
+            self.mirror.crash(self._failed)
+
+    def restore(self) -> None:
+        """Revive the members the last :meth:`fail_nodes` failed."""
+        if self._members is not None:
+            for label in self._failed:
+                self._members.revive_node(label)
+        if self.mirror is not None and self._recorder is None:
+            self.mirror.revive(self._failed)
+        self._failed = ()
 
     def route(self, pairs: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
         """Route ``pairs`` on the overlay as it is now.
@@ -392,7 +521,7 @@ def run_rounds(
             elif op[0] == "repair":
                 row.repair = row.repair.merge(daemon.repair_all_batched())
             else:  # lookup
-                live = session.live_labels()
+                live = sorted(session.live_labels())
                 row.live_nodes = len(live)
                 if len(live) >= 2 and parameters.searches > 0:
                     on_batch(session, op[1], op[2], lookups.pairs(live, parameters.searches))

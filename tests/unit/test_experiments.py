@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro.experiments
+from repro.core.routing import RecoveryStrategy
 from repro.experiments.figure5 import empirical_link_distribution
-from repro.experiments.runner import ExperimentTable, format_table
-from repro.experiments.table1 import measure_mean_hops
+from repro.experiments.runner import ExperimentTable, format_table, measure_mean_hops
 from repro.scenarios import get_scenario, run
+from repro.scenarios.rounds import EngineSession
+from repro.simulation.workload import LookupWorkload
 
 
 def run_raw(scenario: str, overrides: dict):
@@ -213,7 +219,11 @@ class TestFigure7:
 
 class TestTable1:
     def test_measure_mean_hops(self, ideal_network_256):
-        hops, failed = measure_mean_hops(ideal_network_256.graph, 30, seed=0)
+        with EngineSession(
+            ideal_network_256, "object", RecoveryStrategy.BACKTRACK, 0
+        ) as session:
+            pairs = LookupWorkload(seed=0).pairs(session.live_labels(), 30)
+            hops, failed = measure_mean_hops(session, pairs)
         assert hops > 0
         assert failed == 0.0
 
@@ -316,3 +326,25 @@ class TestBaselineComparison:
         assert any("chord" in s for s in systems)
         healthy = table.column("failed_fraction")
         assert all(fraction == 0.0 for fraction in healthy)
+
+
+def test_experiments_route_only_through_the_engine_session():
+    """One engine seam: no experiment module picks a router or builds a snapshot."""
+    engine_internals = {
+        "BatchGreedyRouter",
+        "DeltaRecorder",
+        "DeltaSnapshot",
+        "compile_snapshot",
+        "cached_build_snapshot",
+        "sample_node_failures",
+    }
+    modules = sorted(Path(repro.experiments.__file__).parent.glob("*.py"))
+    assert len(modules) >= 8
+    for module in modules:
+        imported = {
+            alias.name.rpartition(".")[2]
+            for node in ast.walk(ast.parse(module.read_text()))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        assert not imported & engine_internals, module.name

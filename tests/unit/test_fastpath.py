@@ -16,7 +16,6 @@ from repro.core.routing import (
     RecoveryStrategy,
     RoutingMode,
 )
-from repro.experiments.runner import route_pairs_with_engine
 from repro.fastpath import (
     BatchGreedyRouter,
     apply_node_failures,
@@ -326,42 +325,6 @@ class TestEngineSelection:
             assert select_engine("object", recovery) == "object"
         with pytest.raises(ValueError):
             select_engine("gpu", RecoveryStrategy.TERMINATE)
-
-    def test_route_pairs_with_engine_parity_all_strategies(self):
-        graph = build_ideal_network(128, seed=10).graph
-        pairs = LookupWorkload(seed=3).pairs(graph.labels(only_alive=True), 40)
-        for recovery in RecoveryStrategy:
-            obj = route_pairs_with_engine(
-                graph, pairs, engine="object", recovery=recovery, seed=9
-            )
-            fast = route_pairs_with_engine(
-                graph, pairs, engine="fastpath", recovery=recovery, seed=9
-            )
-            assert (obj.failures, obj.hops) == (fast.failures, fast.hops)
-            assert obj.engine_used == "object"
-            assert fast.engine_used == "fastpath"
-
-    def test_unsupported_space_falls_back_with_warning(self):
-        from repro.experiments.runner import FastpathFallbackWarning
-
-        graph = OverlayGraph(TorusMetric(side=6, dimensions=2))
-        # The torus has no 1-D snapshot compilation; the harness downgrades
-        # loudly instead of failing the sweep.
-        with pytest.warns(FastpathFallbackWarning):
-            outcome = route_pairs_with_engine(graph, [], engine="fastpath")
-        assert outcome.engine_used == "object"
-
-    def test_snapshot_only_run_without_graph(self):
-        from repro.fastpath import build_snapshot
-
-        snapshot = build_snapshot(128, links_per_node=4, seed=2)
-        outcome = route_pairs_with_engine(
-            None, [(0, 64), (3, 99)], engine="fastpath", snapshot=snapshot
-        )
-        assert outcome.engine_used == "fastpath"
-        assert outcome.failures == 0
-        with pytest.raises(ValueError):
-            route_pairs_with_engine(None, [(0, 64)], engine="object")
 
 
 class TestNetworkHook:

@@ -3,18 +3,26 @@
 from __future__ import annotations
 
 import re
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.baselines.chord import ChordNetwork
 from repro.core.construction import build_heuristic_network
+from repro.core.graph import OverlayGraph
 from repro.core.maintenance import MaintenanceDaemon
-from repro.core.routing import RecoveryStrategy
+from repro.core.metric import TorusMetric
+from repro.core.routing import GreedyRouter, RecoveryStrategy
 from repro.experiments import ablations, baseline_comparison
 from repro.faults import FaultDriver, degradation_schedule
 from repro.scenarios import SpecError, churn, get_scenario, run, service
-from repro.scenarios.rounds import EngineSession
+from repro.scenarios.rounds import (
+    EngineSession,
+    FastpathFallbackWarning,
+    IdealNetwork,
+)
 from repro.simulation.workload import LookupWorkload
 
 RECOVERIES = list(RecoveryStrategy)
@@ -110,6 +118,104 @@ def test_recorder_detached_when_body_raises():
             assert graph.observer is not None
             raise RuntimeError("boom")
     assert graph.observer is None
+
+
+STATIC_SYSTEMS = {
+    # Parameters only: the fastpath side never materialises an object graph.
+    "ideal": lambda: IdealNetwork(256, 6, seed=51),
+    # Random arrival order: node-table order differs from sorted-label order.
+    "constructed": lambda: build_heuristic_network(256, seed=52),
+    "chord": lambda: ChordNetwork(bits=8),
+}
+
+
+def _static_batches(system_name: str, engine: str) -> list[tuple]:
+    """Intact, 30%-failed and restored measurements under every recovery."""
+    batches: list[tuple] = []
+    with EngineSession(
+        STATIC_SYSTEMS[system_name](), engine, RecoveryStrategy.TERMINATE, 53
+    ) as session:
+        assert session.engine_used == engine
+        for phase in ("intact", "failed", "restored"):
+            if phase == "failed":
+                session.fail_nodes(0.3, seed=54)
+            elif phase == "restored":
+                session.restore()
+            live = session.live_labels()
+            assert len(live) == (179 if phase == "failed" else 256)
+            pairs = LookupWorkload(seed=55).pairs(live, 40)
+            for recovery in RECOVERIES:
+                session.rearm(recovery, 56)
+                batches.append(session.route(pairs))
+    return batches
+
+
+@pytest.mark.parametrize("system_name", list(STATIC_SYSTEMS))
+def test_session_parity_all_strategies(system_name):
+    object_batches = _static_batches(system_name, "object")
+    fastpath_batches = _static_batches(system_name, "fastpath")
+    assert len(object_batches) == len(fastpath_batches) == 9
+    for (obj_success, obj_hops), (fast_success, fast_hops) in zip(
+        object_batches, fastpath_batches
+    ):
+        assert np.array_equal(obj_success, fast_success)
+        assert np.array_equal(obj_hops, fast_hops)
+    intact, failed, restored = object_batches[0], object_batches[3], object_batches[6]
+    assert intact[0].all()
+    if system_name != "chord":  # successor lists deliver all 40 regardless
+        assert not failed[0].all()
+    assert np.array_equal(intact[1], restored[1])
+
+
+def test_ideal_network_session_has_no_graph_on_fastpath():
+    network = IdealNetwork(128, 4, seed=2)
+    with EngineSession(network, "object", RecoveryStrategy.TERMINATE, 0) as session:
+        assert session.engine_used == "object"
+        assert session.graph is not None and session.mirror is None
+        object_labels = session.live_labels()
+    with EngineSession(network, "fastpath", RecoveryStrategy.TERMINATE, 0) as session:
+        assert session.engine_used == "fastpath"
+        assert session.graph is None and not session.mirror.structural
+        assert session.live_labels() == object_labels == list(range(128))
+        success, _hops = session.route([(0, 64), (3, 99)])
+        assert success.all()
+        session.fail_nodes(0.0, seed=1)
+        assert session.live_labels() == object_labels
+
+
+def test_unsupported_space_falls_back_with_warning():
+    # The torus has no 1-D array mirror; the session downgrades loudly
+    # instead of failing the sweep.
+    system = SimpleNamespace(graph=OverlayGraph(TorusMetric(side=6, dimensions=2)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with EngineSession(system, "fastpath", RecoveryStrategy.TERMINATE, 0) as session:
+            assert session.engine_used == "object"
+            assert session.mirror is None and system.graph.observer is None
+            success, hops = session.route([])
+    assert success.size == hops.size == 0
+    assert [w.category for w in caught] == [FastpathFallbackWarning]
+
+
+@pytest.mark.parametrize("engine", ["object", "fastpath"])
+def test_rearm_restarts_the_reroute_stream_like_a_fresh_router(engine):
+    construction = build_heuristic_network(256, seed=61)
+    reroute = RecoveryStrategy.RANDOM_REROUTE
+    with EngineSession(construction, engine, RecoveryStrategy.TERMINATE, 62) as session:
+        session.fail_nodes(0.4, seed=63)
+        pairs = LookupWorkload(seed=64).pairs(session.live_labels(), 80)
+        terminated = session.route(pairs)[0]
+        session.rearm(reroute, 65)
+        first = session.route(pairs)
+        session.rearm(reroute, 65)
+        again = session.route(pairs)
+        fresh = GreedyRouter(construction.graph, recovery=reroute, seed=65)
+        reference = [fresh.route(source, target) for source, target in pairs]
+    assert np.array_equal(first[0], again[0]) and np.array_equal(first[1], again[1])
+    assert first[0].tolist() == [route.success for route in reference]
+    assert first[1].tolist() == [route.hops for route in reference]
+    # Detours were drawn: re-routing delivered lookups terminate gave up on.
+    assert first[0].sum() > terminated.sum()
 
 
 REJECTED_SPECS = [

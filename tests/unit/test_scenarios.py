@@ -333,8 +333,7 @@ class TestRun:
 
     def test_custom_scenario_in_twenty_lines(self):
         # The README example: measure mean hops on one intact network.
-        from repro.core.builder import build_ideal_network
-        from repro.experiments.runner import route_pairs_with_engine
+        from repro.scenarios.rounds import EngineSession, IdealNetwork
         from repro.simulation.workload import LookupWorkload
 
         try:
@@ -344,17 +343,16 @@ class TestRun:
                 defaults=ScenarioSpec(scenario="test-mean-hops"),
             )
             def _mean_hops(spec):
-                graph = build_ideal_network(spec.topology.nodes, seed=spec.seed).graph
-                pairs = LookupWorkload(seed=spec.seed + 1).pairs(
-                    graph.labels(only_alive=True), spec.workload.searches
-                )
-                outcome = route_pairs_with_engine(
-                    graph, pairs, engine=spec.engine,
-                    recovery=spec.routing.recovery_strategy(), seed=spec.seed,
-                )
+                network = IdealNetwork(spec.topology.nodes, spec.topology.links_per_node, spec.seed)
+                recovery = spec.routing.recovery_strategy()
+                with EngineSession(network, spec.engine, recovery, spec.seed) as session:
+                    pairs = LookupWorkload(seed=spec.seed + 1).pairs(
+                        session.live_labels(), spec.workload.searches
+                    )
+                    success, hops = session.route(pairs)
                 table = ExperimentTable(title="mean hops", columns=["nodes", "mean_hops"])
-                table.add_row(spec.topology.nodes, sum(outcome.hops) / len(pairs))
-                return ScenarioOutcome(tables=[table], engine_used=outcome.engine_used)
+                table.add_row(spec.topology.nodes, hops[success].mean())
+                return ScenarioOutcome(tables=[table], engine_used=session.engine_used)
 
             result = run(
                 get_scenario("test-mean-hops").make_spec(
