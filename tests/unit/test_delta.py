@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core.construction import build_heuristic_network
 from repro.core.maintenance import MaintenanceDaemon
 from repro.fastpath import (
@@ -14,7 +15,13 @@ from repro.fastpath import (
     SnapshotDelta,
     compile_snapshot,
 )
-from repro.fastpath.delta import _Slab, assert_snapshots_identical
+from repro.fastpath.delta import (
+    OP_FAIL,
+    OP_LINK_FAIL,
+    OP_REVIVE,
+    _Slab,
+    assert_snapshots_identical,
+)
 
 
 @pytest.fixture
@@ -196,6 +203,76 @@ class TestDeltaSnapshot:
         can = CanNetwork(side=4, dimensions=2)
         with pytest.raises(NotImplementedError, match="one-dimensional"):
             DeltaSnapshot.from_graph(can)  # not an OverlayGraph in a 1-d space
+
+
+def _refresh_strategy(mirror) -> tuple[str, object]:
+    """The one ``refresh.strategy.*`` counter a ``snapshot()`` call bumps."""
+    with telemetry.session() as tel:
+        snapshot = mirror.snapshot()
+    (name,) = [n for n in tel.counters if n.startswith("refresh.strategy.")]
+    assert tel.counters[name].value == 1
+    return name.removeprefix("refresh.strategy."), snapshot
+
+
+class TestRefreshStrategy:
+    """Each refresh takes the cheapest tier its delta allows; a fall back to
+    rebuilding every row shows up here, not in a timing."""
+
+    def test_structural_tier(self, mirrored):
+        construction, daemon, recorder, mirror = mirrored
+        graph = construction.graph
+
+        def refresh() -> str:
+            mirror.apply(recorder.drain())
+            strategy, snapshot = _refresh_strategy(mirror)
+            assert_snapshots_identical(snapshot, compile_snapshot(graph), strategy)
+            return strategy
+
+        assert refresh() == "full_rebuild"  # first call: nothing to splice from
+        victim = sorted(graph.labels(only_alive=True))[2]
+        graph.fail_node(victim)
+        assert refresh() == "liveness_reuse"
+        graph.revive_node(victim)
+        assert refresh() == "liveness_reuse"
+        # Dead links leave the compiled rows, so a link flip re-gathers the
+        # two rows it touches and splices the rest.
+        holder = next(node.label for node in graph.nodes() if node.long_links)
+        graph.fail_long_link(holder, graph.node(holder).long_links[0].target)
+        assert refresh() == "row_splice"
+        # A join + leave burst dirties a few rows of 48.
+        construction.add_point(next(label for label in range(128) if not graph.has_node(label)))
+        daemon.handle_departure(sorted(graph.labels(only_alive=True))[5])
+        assert len(mirror._dirty) * 3 < 2 * len(graph)
+        assert refresh() == "row_splice"
+        # Rewiring the whole ring dirties every row: >= 2/3, rebuild them all.
+        graph.wire_ring()
+        assert refresh() == "full_rebuild"
+
+    def test_liveness_tier(self, construction):
+        graph = construction.graph
+        mirror = DeltaSnapshot.from_snapshot(compile_snapshot(graph))
+        assert _refresh_strategy(mirror)[0] == "liveness_reuse"
+        victim = graph.labels()[2]
+        holder = next(node.label for node in graph.nodes() if node.long_links)
+        target = graph.node(holder).long_links[0].target
+        for op in ((OP_FAIL, victim), (OP_REVIVE, victim), (OP_LINK_FAIL, holder, target)):
+            mirror.apply(SnapshotDelta(ops=[op]))
+            assert _refresh_strategy(mirror)[0] == "liveness_reuse"
+
+    def test_rebase_onto_liveness_only_snapshot_keeps_the_dense_matrices(self, mirrored):
+        construction, _daemon, recorder, mirror = mirrored
+        graph = construction.graph
+        router = BatchGreedyRouter(mirror.snapshot())
+        matrices = router.snapshot.routing_matrices()
+        graph.fail_node(sorted(graph.labels(only_alive=True))[1])
+        mirror.apply(recorder.drain())
+        strategy, snapshot = _refresh_strategy(mirror)
+        router.rebase(snapshot)
+        assert strategy == "liveness_reuse"
+        assert all(
+            now is before
+            for now, before in zip(router.snapshot.routing_matrices(), matrices)
+        )
 
 
 class TestRouterRebase:

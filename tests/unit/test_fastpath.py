@@ -25,6 +25,7 @@ from repro.fastpath import (
     select_engine,
     supports_recovery,
 )
+from repro.fastpath.delta import assert_snapshots_identical
 from repro.simulation.workload import LookupWorkload
 
 
@@ -157,6 +158,8 @@ class TestBuildSnapshot:
             assert np.array_equal(compiled.neighbor_indices, direct.neighbor_indices)
             assert compiled.space_size == direct.space_size
             assert direct.kind == "ring"
+            # ... dtypes included (labels and indptr narrow on both paths).
+            assert_snapshots_identical(direct, compiled)
 
     def test_asymmetric_build_drops_incoming(self):
         compiled = compile_snapshot(
