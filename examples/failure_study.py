@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Failure study: reproduce the paper's Figure 6 and Figure 7 at laptop scale.
 
-This example runs the same experiments as the benchmark harness but at a
+This example runs the `figure6` and `figure7` experiments at a
 smaller scale and prints the resulting series, so you can eyeball the paper's
 headline claims in under a minute:
 

@@ -21,10 +21,40 @@ Run with::
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro.dht import DhtConfig, DistributedHashTable, SuccessorReplication
-from repro.simulation.workload import ZipfKeyPopularity
 from repro.util.rng import spawn_rng
+
+
+@dataclass
+class ZipfKeyPopularity:
+    """Zipf-distributed key popularity over a fixed key universe.
+
+    Key ``i`` (0-indexed) is requested with probability proportional to
+    ``1 / (i + 1)^alpha``; ``alpha`` around 0.8–1.2 matches measured
+    file-sharing workloads.
+    """
+
+    universe: int
+    alpha: float = 1.0
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        self._rng = spawn_rng(self.seed, "zipf-keys")
+        weights = np.arange(1, self.universe + 1, dtype=float) ** -self.alpha
+        self._probabilities = weights / weights.sum()
+
+    def sample_keys(self, count: int, prefix: str = "key") -> list[str]:
+        """Return ``count`` key names sampled by popularity."""
+        indices = self._rng.choice(self.universe, size=count, p=self._probabilities)
+        return [f"{prefix}-{int(index)}" for index in indices]
+
+    def all_keys(self, prefix: str = "key") -> list[str]:
+        """Return the full key universe in rank order."""
+        return [f"{prefix}-{index}" for index in range(self.universe)]
 
 
 def main() -> None:

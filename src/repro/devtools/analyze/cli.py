@@ -9,8 +9,8 @@ Usage::
     repro analyze --list-checks               # the check catalog, one line per check
 
 Exit codes match ``repro lint``: **0** clean, **1** at least one finding,
-**2** usage error (argparse errors and unknown ``--select``/``--ignore``
-check ids).
+**2** usage error (argparse errors, unknown ``--select``/``--ignore`` check
+ids, and a path that is neither a ``.py`` file nor a directory).
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ def run_analyze(args: argparse.Namespace) -> int:
     engine = AnalyzeEngine(root=root, select=args.select or None, ignore=args.ignore)
     try:
         result = engine.run(args.paths)
-    except KeyError as error:
+    except (KeyError, FileNotFoundError) as error:
         print(f"repro analyze: {error.args[0]}", file=sys.stderr)
         return USAGE_EXIT_CODE
     if args.format == "json":

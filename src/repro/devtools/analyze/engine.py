@@ -23,7 +23,7 @@ from repro.devtools.analyze.checks import (
     check_ids,
 )
 from repro.devtools.analyze.interp import ModuleAnalyzer, SharedAnalysisState
-from repro.devtools.engine import discover_root
+from repro.devtools.engine import discover_root, walk
 from repro.devtools.findings import Finding
 from repro.devtools.rules import LintModule
 from repro.devtools.suppressions import Suppression, parse_suppressions
@@ -33,11 +33,9 @@ __all__ = ["ANALYZE_SCHEMA", "AnalyzeEngine", "AnalysisResult", "discover_root"]
 #: Schema version stamped into the JSON report envelope.
 ANALYZE_SCHEMA = "repro.analyze/v1"
 
-_SKIP_DIRS = {"__pycache__", ".git", ".venv", "node_modules", ".claude"}
-
 #: The packages whose dtype discipline the analyzer governs.  Anything the
-#: snapshot contract flows through belongs here; tests and benchmarks are
-#: exercised by the fixtures instead (they intentionally build odd dtypes).
+#: snapshot contract flows through belongs here; tests are exercised by the
+#: fixtures instead (they intentionally build odd dtypes).
 _GOVERNED_TARGETS = (
     "src/repro/fastpath",
     "src/repro/faults",
@@ -109,30 +107,8 @@ class AnalyzeEngine:
 
     def walk(self, paths: Sequence[str | Path] = ()) -> list[Path]:
         """Every ``.py`` file under the given paths (default: governed packages)."""
-        targets: list[Path] = []
-        if paths:
-            targets = [Path(path) for path in paths]
-        else:
-            targets = [
-                self.root / name
-                for name in _GOVERNED_TARGETS
-                if (self.root / name).is_dir()
-            ]
-            if not targets:
-                targets = [self.root / "src"]
-        files: list[Path] = []
-        for target in targets:
-            target = target if target.is_absolute() else self.root / target
-            if target.is_file() and target.suffix == ".py":
-                files.append(target)
-            elif target.is_dir():
-                for candidate in sorted(target.rglob("*.py")):
-                    if not any(part in _SKIP_DIRS for part in candidate.parts):
-                        files.append(candidate)
-        unique: dict[Path, None] = {}
-        for file in files:
-            unique.setdefault(file.resolve(), None)
-        return list(unique)
+        governed = [name for name in _GOVERNED_TARGETS if (self.root / name).is_dir()]
+        return walk(self.root, paths, governed or ["src"])
 
     # -- the run -------------------------------------------------------------
 

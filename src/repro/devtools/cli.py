@@ -2,14 +2,15 @@
 
 Usage::
 
-    repro lint                              # src/ tests/ benchmarks/ from the repo root
+    repro lint                              # src/ and tests/ from the repo root
     repro lint --format json                # machine-readable report (repro.lint/v1)
     repro lint --select RPR001 --select RPR003
     repro lint --ignore RPR000 src/repro/fastpath
     repro lint --list-rules                 # the rule catalog, one line per rule
 
 Exit codes: **0** clean, **1** at least one finding, **2** usage error
-(argparse errors and unknown ``--select``/``--ignore`` rule ids).
+(argparse errors, unknown ``--select``/``--ignore`` rule ids, and a path
+that is neither a ``.py`` file nor a directory).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "paths",
         nargs="*",
         metavar="PATHS",
-        help="files or directories to lint (default: src tests benchmarks at the repo root)",
+        help="files or directories to lint (default: src tests at the repo root)",
     )
     parser.add_argument(
         "--format",
@@ -80,7 +81,7 @@ def run_lint(args: argparse.Namespace) -> int:
     engine = LintEngine(root=root, select=args.select or None, ignore=args.ignore)
     try:
         result = engine.run(args.paths)
-    except KeyError as error:
+    except (KeyError, FileNotFoundError) as error:
         print(f"repro lint: {error.args[0]}", file=sys.stderr)
         return USAGE_EXIT_CODE
     if args.format == "json":

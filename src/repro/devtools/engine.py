@@ -18,10 +18,10 @@ from repro.devtools.findings import LINT_SCHEMA, UNUSED_SUPPRESSION_ID, Finding
 from repro.devtools.rules import ALL_RULES, LintModule, LintProject, Rule
 from repro.devtools.suppressions import Suppression, parse_suppressions
 
-__all__ = ["LintEngine", "LintResult", "discover_root"]
+__all__ = ["LintEngine", "LintResult", "discover_root", "walk"]
 
 _SKIP_DIRS = {"__pycache__", ".git", ".venv", "node_modules", ".claude"}
-_DEFAULT_TARGETS = ("src", "tests", "benchmarks")
+_DEFAULT_TARGETS = ("src", "tests")
 
 
 def discover_root(start: Path | None = None) -> Path:
@@ -31,6 +31,32 @@ def discover_root(start: Path | None = None) -> Path:
         if (candidate / "pyproject.toml").is_file():
             return candidate
     return current
+
+
+def walk(root: Path, paths: Sequence[str | Path], defaults: Sequence[str]) -> list[Path]:
+    """Every ``.py`` file under ``paths``, or under the ``defaults`` that exist.
+
+    Raises
+    ------
+    FileNotFoundError
+        If a path the caller named is neither a ``.py`` file nor a directory
+        (a default that is missing is skipped).
+    """
+    targets = [root / path for path in paths]
+    for target in targets:
+        if not (target.is_dir() or (target.is_file() and target.suffix == ".py")):
+            raise FileNotFoundError(f"not a .py file or a directory: {target}")
+    if not targets:
+        targets = [root / name for name in defaults if (root / name).is_dir()]
+    unique: dict[Path, None] = {}
+    for target in targets:
+        if target.is_file():
+            unique.setdefault(target.resolve(), None)
+            continue
+        for candidate in sorted(target.rglob("*.py")):
+            if not any(part in _SKIP_DIRS for part in candidate.parts):
+                unique.setdefault(candidate.resolve(), None)
+    return list(unique)
 
 
 @dataclass
@@ -96,25 +122,8 @@ class LintEngine:
     # -- file walking --------------------------------------------------------
 
     def walk(self, paths: Sequence[str | Path] = ()) -> list[Path]:
-        """Every ``.py`` file under the given paths (default: src/tests/benchmarks)."""
-        targets: list[Path] = []
-        if paths:
-            targets = [Path(path) for path in paths]
-        else:
-            targets = [self.root / name for name in _DEFAULT_TARGETS]
-        files: list[Path] = []
-        for target in targets:
-            target = target if target.is_absolute() else self.root / target
-            if target.is_file() and target.suffix == ".py":
-                files.append(target)
-            elif target.is_dir():
-                for candidate in sorted(target.rglob("*.py")):
-                    if not any(part in _SKIP_DIRS for part in candidate.parts):
-                        files.append(candidate)
-        unique: dict[Path, None] = {}
-        for file in files:
-            unique.setdefault(file.resolve(), None)
-        return list(unique)
+        """Every ``.py`` file under the given paths (default: src/ and tests/)."""
+        return walk(self.root, paths, _DEFAULT_TARGETS)
 
     # -- the run -------------------------------------------------------------
 

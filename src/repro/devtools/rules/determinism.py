@@ -13,8 +13,8 @@ and results must never depend on a wall clock:
   deterministic and allowed, the zero-argument form is not);
 * clock reads (``time.time`` / ``perf_counter`` / ``monotonic`` /
   ``process_time`` and their ``_ns`` variants, ``datetime.now`` /
-  ``utcnow``) are flagged outside the telemetry layer, ``benchmarks/``,
-  and the explicitly timing-opt-in modules listed in ``TIMING_OPT_IN``.
+  ``utcnow``) are flagged outside the telemetry layer and the explicitly
+  timing-opt-in modules listed in ``TIMING_OPT_IN``.
 
 Clock reads that are only reachable with telemetry enabled (inside a
 ``tel is not None`` guard) are still flagged — suppress them with a
@@ -64,7 +64,7 @@ class DeterminismRule(Rule):
     name = "determinism"
     description = (
         "no unseeded random.*/np.random.* calls, no wall-clock reads outside "
-        "telemetry/benchmarks/timing-opt-in modules; randomness flows through "
+        "telemetry/timing-opt-in modules; randomness flows through "
         "util.rng seed derivation"
     )
 
@@ -73,11 +73,7 @@ class DeterminismRule(Rule):
         return module.path != "src/repro/util/rng.py"
 
     def _clocks_exempt(self, module: LintModule) -> bool:
-        return (
-            module.in_dir("benchmarks")
-            or module.in_dir("src/repro/telemetry")
-            or module.path in TIMING_OPT_IN
-        )
+        return module.in_dir("src/repro/telemetry") or module.path in TIMING_OPT_IN
 
     def check_module(self, module: LintModule) -> Iterable[Finding]:
         imports = ImportMap(module.tree)
@@ -100,6 +96,6 @@ class DeterminismRule(Rule):
                 yield module.finding(
                     self.id,
                     call,
-                    f"wall-clock read: `{resolved}` outside telemetry/benchmarks/"
-                    "timing-opt-in modules — results must not depend on the clock",
+                    f"wall-clock read: `{resolved}` outside telemetry/timing-opt-in "
+                    "modules — results must not depend on the clock",
                 )

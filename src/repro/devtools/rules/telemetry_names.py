@@ -2,10 +2,10 @@
 
 :mod:`repro.telemetry.names` is the single source of truth for counter /
 gauge / histogram names (it also generates the README glossary).  This rule
-statically extracts the name string of every telemetry call in ``src/`` and
-``benchmarks/`` — method calls on a session object (``tel.count(...)``,
-``tel.observe(...)``, ...) and direct ``Counter(...)`` / ``Gauge(...)`` /
-``Histogram(...)`` constructions — and checks it against the registry.
+statically extracts the name string of every telemetry call in ``src/`` —
+method calls on a session object (``tel.count(...)``, ``tel.observe(...)``,
+...) and direct ``Counter(...)`` / ``Gauge(...)`` / ``Histogram(...)``
+constructions — and checks it against the registry.
 
 F-strings are matched structurally: ``f"refresh.ops.{kind}"`` becomes the
 pattern ``refresh.ops.*`` and must match a registered name with a
@@ -90,9 +90,7 @@ class TelemetryNamesRule(Rule):
             return False
         # telemetry/core.py forwards caller-supplied names by variable; tests
         # construct synthetic metrics on purpose.
-        return (module.in_dir("src") or module.in_dir("benchmarks")) and not module.in_dir(
-            "src/repro/telemetry"
-        )
+        return module.in_dir("src") and not module.in_dir("src/repro/telemetry")
 
     def _session_names(self, module: LintModule, imports: ImportMap) -> set[str]:
         """Names bound to a telemetry session anywhere in the module.
@@ -133,8 +131,8 @@ class TelemetryNamesRule(Rule):
                     isinstance(receiver, ast.Call)
                     and imports.resolve_call(receiver) in _SESSION_SOURCES
                 )
-                # Session objects passed as function parameters (the
-                # benchmark helpers do this) are conventionally named `tel`.
+                # Session objects passed as function parameters are
+                # conventionally named `tel`.
                 receiver_is_session = receiver_is_session or (
                     isinstance(receiver, ast.Name) and receiver.id == "tel"
                 )
@@ -197,7 +195,7 @@ class TelemetryNamesRule(Rule):
                 rule=self.id,
                 message=(
                     f"registered metric `{entry.name}` is never emitted by any "
-                    "telemetry call in src/ or benchmarks/ — remove the stale "
-                    "registry entry (and its glossary row)"
+                    "telemetry call in src/ — remove the stale registry entry "
+                    "(and its glossary row)"
                 ),
             )

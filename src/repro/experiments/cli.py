@@ -16,9 +16,8 @@ any spec field by dotted path, ``--grid key=v1,v2`` adds a sweep axis, and
 deterministic per-cell seed from ``--seed``, so ``--jobs N`` parallelism
 produces byte-identical JSON to a serial run.
 
-Three tooling subcommands ride along: ``bench-diff`` (compare two BENCH
-artifacts), ``lint`` and ``analyze`` (the static checkers of
-:mod:`repro.devtools`).
+Two tooling subcommands ride along: ``lint`` and ``analyze``, the static
+checkers of :mod:`repro.devtools`.
 """
 
 from __future__ import annotations
@@ -135,25 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_telemetry_options(sweep_command)
     add_format_option(sweep_command, ("text", "json"))
 
-    bench_diff = subparsers.add_parser(
-        "bench-diff",
-        help="compare two BENCH_*.json artifacts metric-by-metric and flag regressions "
-        "(exit 0: within threshold; exit 1: a directional metric regressed past --fail-over)",
-    )
-    bench_diff.add_argument("old", metavar="OLD.json", help="baseline BENCH artifact")
-    bench_diff.add_argument("new", metavar="NEW.json", help="candidate BENCH artifact")
-    bench_diff.add_argument(
-        "--fail-over",
-        type=float,
-        default=50.0,
-        metavar="PCT",
-        help="exit non-zero when any directional metric regresses by more "
-        "than PCT percent (default: 50)",
-    )
-
     lint = subparsers.add_parser(
         "lint",
-        help="run the AST-based invariant linter over src/tests/benchmarks "
+        help="run the AST-based invariant linter over src/ and tests/ "
         "(exit 0: clean; exit 1: findings; exit 2: usage error)",
     )
     from repro.devtools.cli import add_lint_arguments
@@ -279,37 +262,6 @@ def _run_sweep(args) -> None:
         print(telemetry.render_telemetry(sweep_telemetry))
 
 
-def _run_bench_diff(args) -> int:
-    from repro.telemetry import diff_bench, load_bench, render_bench_diff
-
-    old = load_bench(args.old)
-    new = load_bench(args.new)
-    old_schema = old.get("bench_schema")
-    new_schema = new.get("bench_schema")
-    if old_schema != new_schema:
-        print(
-            f"bench-diff: schema note: old={old_schema or '<unstamped>'} "
-            f"new={new_schema or '<unstamped>'}",
-            file=sys.stderr,
-        )
-    diffs = diff_bench(old, new)
-    print(render_bench_diff(diffs, fail_over=args.fail_over))
-    failing = [
-        diff
-        for diff in diffs
-        if diff.regression_pct is not None and diff.regression_pct > args.fail_over
-    ]
-    if failing:
-        print(
-            f"bench-diff: {len(failing)} metric(s) regressed more than "
-            f"{args.fail_over:.1f}%: "
-            + ", ".join(f"{d.name} ({d.regression_pct:+.1f}%)" for d in failing),
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def _run_lint(args) -> int:
     from repro.devtools.cli import run_lint
 
@@ -326,7 +278,6 @@ _DISPATCH = {
     "list": _run_list,
     "run": _run_scenario,
     "sweep": _run_sweep,
-    "bench-diff": _run_bench_diff,
     "lint": _run_lint,
     "analyze": _run_analyze,
 }
@@ -335,9 +286,8 @@ _DISPATCH = {
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code.
 
-    Most handlers return ``None`` (success).  ``bench-diff`` returns 1 when a
-    metric regresses past ``--fail-over``; ``lint`` and ``analyze`` return 1
-    on findings and 2 on usage errors.
+    Most handlers return ``None`` (success); ``lint`` and ``analyze`` return
+    1 on findings and 2 on usage errors.
     """
     args = build_parser().parse_args(argv)
     return _DISPATCH[args.command](args) or 0

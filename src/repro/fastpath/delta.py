@@ -80,8 +80,8 @@ def assert_snapshots_identical(
 
     Every scalar field and every array of ``actual`` must equal the
     corresponding field of ``expected`` (values *and* dtypes).  Used by the
-    property tests, the churn benchmark, and the CI smoke job to pin
-    delta-updated snapshots against fresh compiles.
+    property tests and ``bench/`` to pin delta-updated and arena-mapped
+    snapshots against fresh compiles.
     """
     prefix = f"{context}: " if context else ""
     if actual.kind != expected.kind:

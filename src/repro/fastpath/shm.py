@@ -36,8 +36,8 @@ registration collapses into the owner's single entry, which the owner's
 :meth:`unlink` removes.  Attachers therefore leave the tracker alone
 (unregistering would erase the owner's entry); attaching from a process
 that does not share the owner's tracker is outside this module's contract,
-and every consumer in this repository (sweep workers, the service-benchmark
-pool) is a child of the owner.
+and every consumer in this repository (sweep workers, the benchmark's
+fan-out workers) is a child of the owner.
 """
 
 from __future__ import annotations

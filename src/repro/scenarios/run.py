@@ -167,7 +167,7 @@ def run(spec: ScenarioSpec, collect_telemetry: bool = False) -> RunResult:
     :attr:`RunResult.telemetry`; results are bit-identical either way (the
     instrumentation only observes).  When a session is already active and
     ``collect_telemetry`` is off, the scenario's spans and counters land in
-    that outer session — which is how the benchmark scripts aggregate.
+    that outer session — which is how ``bench/run.py`` aggregates.
     """
     spec.validate()
     definition = get_scenario(spec.scenario)

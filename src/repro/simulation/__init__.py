@@ -7,7 +7,7 @@ supplies what a round consumes.
 Modules
 -------
 ``latency``    link-latency models (constant, uniform, log-normal)
-``workload``   workload generators: lookup traffic, churn, key popularity
+``workload``   workload generators: lookup traffic, churn
 """
 
 from repro.simulation.latency import (
@@ -16,12 +16,7 @@ from repro.simulation.latency import (
     LogNormalLatency,
     UniformLatency,
 )
-from repro.simulation.workload import (
-    ChurnEvent,
-    ChurnWorkload,
-    LookupWorkload,
-    ZipfKeyPopularity,
-)
+from repro.simulation.workload import ChurnEvent, ChurnWorkload, LookupWorkload
 
 __all__ = [
     "LatencyModel",
@@ -31,5 +26,4 @@ __all__ = [
     "LookupWorkload",
     "ChurnWorkload",
     "ChurnEvent",
-    "ZipfKeyPopularity",
 ]

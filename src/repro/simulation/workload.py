@@ -1,10 +1,9 @@
-"""Workload generators: lookup traffic, key popularity, and churn.
+"""Workload generators: lookup traffic and churn.
 
 The paper's experiments use uniformly random (source, destination) pairs of
-live nodes; real deployments additionally see skewed key popularity and
-continuous node churn.  This module provides generators for all three so that
-examples and extension experiments can exercise the system under realistic
-conditions.
+live nodes; real deployments additionally see continuous node churn.  This
+module provides generators for both so that examples and extension
+experiments can exercise the system under realistic conditions.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 from repro.util.rng import spawn_rng
 from repro.util.validation import ensure_positive, ensure_probability
 
-__all__ = ["LookupWorkload", "ZipfKeyPopularity", "ChurnEvent", "ChurnWorkload"]
+__all__ = ["LookupWorkload", "ChurnEvent", "ChurnWorkload"]
 
 
 @dataclass
@@ -53,44 +52,6 @@ class LookupWorkload:
                 origin, target = self._rng.choice(labels, size=2, replace=False)
             result.append((int(origin), int(target)))
         return result
-
-    def poisson_arrival_times(self, count: int, rate: float) -> list[float]:
-        """Return ``count`` arrival times of a Poisson process with ``rate``."""
-        ensure_positive(rate, "rate")
-        gaps = self._rng.exponential(1.0 / rate, size=count)
-        return list(np.cumsum(gaps))
-
-
-@dataclass
-class ZipfKeyPopularity:
-    """Zipf-distributed key popularity over a fixed key universe.
-
-    Key ``i`` (0-indexed) is requested with probability proportional to
-    ``1 / (i + 1)^alpha``; ``alpha`` around 0.8–1.2 matches measured
-    file-sharing workloads.
-    """
-
-    universe: int
-    alpha: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        ensure_positive(self.universe, "universe")
-        ensure_positive(self.alpha, "alpha")
-        self._rng = spawn_rng(self.seed, "zipf-keys")
-        ranks = np.arange(1, self.universe + 1, dtype=float)
-        weights = ranks**-self.alpha
-        self._probabilities = weights / weights.sum()
-
-    def sample_keys(self, count: int, prefix: str = "key") -> list[str]:
-        """Return ``count`` key names sampled by popularity."""
-        ensure_positive(count, "count")
-        indices = self._rng.choice(self.universe, size=count, p=self._probabilities)
-        return [f"{prefix}-{int(index)}" for index in indices]
-
-    def all_keys(self, prefix: str = "key") -> list[str]:
-        """Return the full key universe in rank order."""
-        return [f"{prefix}-{index}" for index in range(self.universe)]
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Zero-overhead-when-disabled telemetry: spans, counters, histograms, bench gate.
+"""Zero-overhead-when-disabled telemetry: spans, counters, histograms.
 
 See :mod:`repro.telemetry.core` for the design; the usual import is::
 
@@ -9,16 +9,6 @@ See :mod:`repro.telemetry.core` for the design; the usual import is::
         print(tel.render())
 """
 
-from repro.telemetry.bench import (
-    BENCH_SCHEMA,
-    BenchMetricDiff,
-    diff_bench,
-    extract_metrics,
-    load_bench,
-    metric_direction,
-    render_bench_diff,
-    write_bench_result,
-)
 from repro.telemetry.names import (
     METRIC_NAMES,
     MetricName,
@@ -47,8 +37,6 @@ from repro.telemetry.core import (
 from repro.telemetry.report import render_telemetry
 
 __all__ = [
-    "BENCH_SCHEMA",
-    "BenchMetricDiff",
     "Counter",
     "Gauge",
     "HOP_BUCKETS",
@@ -61,20 +49,14 @@ __all__ = [
     "SpanNode",
     "Telemetry",
     "current",
-    "diff_bench",
     "disable",
     "enable",
-    "extract_metrics",
     "find_metric",
-    "load_bench",
-    "metric_direction",
     "metric_is_registered",
-    "render_bench_diff",
     "render_glossary",
     "render_telemetry",
     "update_glossary_block",
     "session",
     "spanned",
     "summarize_values",
-    "write_bench_result",
 ]

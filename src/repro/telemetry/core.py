@@ -12,7 +12,7 @@ paths fetch the active context once (``tel = telemetry.current()``) and
 guard every record with a plain truthiness check (``if tel is not None``);
 no object is allocated, no dict is touched, and no clock is read unless a
 session is active.  The batch router's vectorized loops therefore keep
-their benchmark-pinned throughput with telemetry off — property-tested to
+their throughput with telemetry off — property-tested to
 be *bit-identical* either way in ``tests/property/test_property_telemetry.py``.
 
 Usage::
@@ -68,7 +68,7 @@ MS_BUCKETS: tuple[float, ...] = (
     0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0,
     100.0, 300.0, 1_000.0, 3_000.0, 10_000.0, 30_000.0,
 )
-#: Second-scale durations (sweep cells, whole benchmark sections).
+#: Second-scale durations (sweep cells).
 SECONDS_BUCKETS: tuple[float, ...] = (
     0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0,
 )
@@ -403,8 +403,7 @@ def spanned(name: str):
 def summarize_values(values: Iterable[float], percentiles: Sequence[int] = (50, 95)) -> dict:
     """Exact mean + percentiles of raw samples (NumPy semantics).
 
-    The summary kernel behind the benchmark reports: unlike
-    :meth:`Histogram.quantile` this is exact, because it keeps the raw
+    Unlike :meth:`Histogram.quantile` this is exact, because it keeps the raw
     samples.  Returns ``{"mean": ..., "p50": ..., ...}`` with
     one ``p<N>`` key per requested percentile; all zeros when empty.
     """

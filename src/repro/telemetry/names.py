@@ -5,7 +5,7 @@ declared here, once.  Two consumers keep the registry honest:
 
 * the ``RPR002`` lint rule (:mod:`repro.devtools.rules.telemetry_names`)
   statically checks that every name string passed to a telemetry call in
-  ``src/`` and ``benchmarks/`` appears here, and that no registered name is
+  ``src/`` appears here, and that no registered name is
   orphaned (declared but never emitted);
 * the README counter glossary is *generated* from this module
   (``python -m repro.telemetry.names --write README.md`` refreshes the block
@@ -143,19 +143,6 @@ METRIC_NAMES: tuple[MetricName, ...] = (
                "wall-clock seconds per executed cell"),
     MetricName("sweep.queue_wait_s", "histogram", "Sweep.run",
                "seconds a cell sat queued before a worker picked it up"),
-    # -- bench.* : benchmark scripts ----------------------------------------
-    MetricName("bench.<phase>", "histogram", "benchmark_fastpath.py",
-               "measured seconds per comparison phase (object / compile / route)"),
-    MetricName("bench.<protocol>.object_seconds", "histogram", "benchmark_baselines.py",
-               "scalar routing seconds per protocol"),
-    MetricName("bench.<protocol>.fastpath_compile_seconds", "histogram", "benchmark_baselines.py",
-               "snapshot compile seconds per protocol"),
-    MetricName("bench.<protocol>.fastpath_route_seconds", "histogram", "benchmark_baselines.py",
-               "batched routing seconds per protocol"),
-    MetricName("bench.delta_refresh_ms", "histogram", "benchmark_churn.py / benchmark_faults.py",
-               "per-refresh delta materialization milliseconds"),
-    MetricName("bench.recompile_ms", "histogram", "benchmark_churn.py / benchmark_faults.py",
-               "per-refresh full recompile milliseconds"),
 )
 
 

@@ -20,12 +20,11 @@ class TestParser:
     def test_all_commands_exist(self):
         parser = build_parser()
         for argv in (
-            ["list"], ["run", "figure6"], ["sweep", "figure6"],
-            ["bench-diff", "old.json", "new.json"], ["lint"], ["analyze"],
+            ["list"], ["run", "figure6"], ["sweep", "figure6"], ["lint"], ["analyze"],
         ):
             assert parser.parse_args(argv).command == argv[0]
 
-    @pytest.mark.parametrize("command", ["figure6", "route-bench", "all"])
+    @pytest.mark.parametrize("command", ["figure6", "route-bench", "all", "bench-diff"])
     def test_per_figure_aliases_are_gone(self, command, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([command])
@@ -181,6 +180,16 @@ class TestScenarioCommands:
     def test_run_unknown_scenario_fails_loudly(self):
         with pytest.raises(KeyError, match="figure99"):
             main(["run", "figure99"])
+
+    @pytest.mark.parametrize("command", ["lint", "analyze"])
+    @pytest.mark.parametrize("target", ["no/such/dir", "README.md"])
+    def test_checker_path_that_is_not_python_or_a_directory_is_a_usage_error(
+        self, command, target, capsys
+    ):
+        assert main([command, target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert target in captured.err
 
     def test_sweep_cli(self, capsys, tmp_path):
         import json

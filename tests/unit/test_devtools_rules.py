@@ -64,19 +64,19 @@ class TestDeterminismRule:
         assert len(result.findings) == 1
         assert "wall-clock read" in result.findings[0].message
 
-    def test_benchmarks_may_read_clocks(self, tmp_path):
+    def test_only_the_telemetry_layer_may_read_clocks(self, tmp_path):
+        source = """
+        import time
+
+        def measure():
+            return time.perf_counter()
+        """
         project = make_project(
             tmp_path,
-            {
-                "benchmarks/bench_app.py": """
-                import time
-
-                def measure():
-                    return time.perf_counter()
-                """
-            },
+            {"src/repro/telemetry/clock.py": source, "src/repro/clock.py": source},
         )
-        assert lint(project, "RPR001").findings == []
+        findings = lint(project, "RPR001").findings
+        assert [finding.path for finding in findings] == ["src/repro/clock.py"]
 
     def test_seeded_default_rng_is_clean_unseeded_is_not(self, tmp_path):
         project = make_project(

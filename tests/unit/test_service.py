@@ -105,8 +105,7 @@ class TestServiceScenario:
     def test_fastpath_telemetry_counters(self):
         # ``collect_telemetry=True`` runs the scenario inside its own session
         # and attaches the dump to the result; an already-active outer session
-        # would instead absorb the counters (that path is covered implicitly
-        # by the benchmark scripts).
+        # would instead absorb the counters (the path bench/run.py takes).
         result = run(
             service_spec(engine="fastpath", **self.SMALL),
             collect_telemetry=True,

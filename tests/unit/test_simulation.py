@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import runpy
+from pathlib import Path
+
 import pytest
 
 from repro.simulation.latency import ConstantLatency, LogNormalLatency, UniformLatency
-from repro.simulation.workload import ChurnWorkload, LookupWorkload, ZipfKeyPopularity
+from repro.simulation.workload import ChurnWorkload, LookupWorkload
 
 
 class TestLatencyModels:
@@ -45,13 +48,12 @@ class TestWorkloads:
         with pytest.raises(ValueError):
             LookupWorkload().pairs([1], 5)
 
-    def test_poisson_arrival_times_increasing(self):
-        workload = LookupWorkload(seed=1)
-        times = workload.poisson_arrival_times(100, rate=2.0)
-        assert all(b > a for a, b in zip(times, times[1:]))
-
     def test_zipf_keys(self):
-        popularity = ZipfKeyPopularity(universe=50, alpha=1.0, seed=2)
+        # The class lives in the one example that uses it.
+        example = Path(__file__).parents[2] / "examples" / "file_sharing.py"
+        popularity = runpy.run_path(str(example))["ZipfKeyPopularity"](
+            universe=50, alpha=1.0, seed=2
+        )
         keys = popularity.sample_keys(500)
         assert len(keys) == 500
         # The most popular key should appear more often than a mid-rank key.

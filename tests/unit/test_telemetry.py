@@ -1,26 +1,12 @@
-"""Unit tests for the telemetry subsystem (spans, metrics, bench gate)."""
+"""Unit tests for the telemetry subsystem (spans, metrics)."""
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.telemetry import (
-    BENCH_SCHEMA,
-    Histogram,
-    Telemetry,
-    diff_bench,
-    extract_metrics,
-    load_bench,
-    metric_direction,
-    render_bench_diff,
-    render_telemetry,
-    summarize_values,
-    write_bench_result,
-)
+from repro.telemetry import Histogram, Telemetry, render_telemetry, summarize_values
 from repro.telemetry.core import TELEMETRY_SCHEMA
 
 
@@ -174,123 +160,3 @@ class TestSummarizeValues:
 
     def test_empty_is_all_zero(self):
         assert summarize_values([], percentiles=(50,)) == {"mean": 0.0, "p50": 0.0}
-
-
-def _bench_result(route_seconds: float, qps: float):
-    from repro.experiments.runner import ExperimentTable
-    from repro.scenarios import RunResult, ScenarioSpec, TopologySpec, WorkloadSpec
-
-    spec = ScenarioSpec(
-        scenario="bench-fastpath",
-        topology=TopologySpec(kind="ideal", nodes=256),
-        workload=WorkloadSpec(searches=100),
-        engine="fastpath",
-        seed=1,
-    )
-    table = ExperimentTable(title="engine comparison", columns=["metric", "value"])
-    table.add_row("fastpath_route_seconds", route_seconds)
-    table.add_row("fastpath_qps", qps)
-    table.add_row("nodes", 256)
-    return RunResult(
-        scenario="bench-fastpath",
-        spec=spec,
-        engine_requested="fastpath",
-        engine_used="fastpath",
-        tables=[table],
-        seconds=route_seconds,
-    )
-
-
-class TestBenchArtifacts:
-    def test_write_stamps_schema_and_embeds_telemetry(self, tmp_path):
-        path = write_bench_result(
-            _bench_result(0.5, 200.0),
-            tmp_path / "bench.json",
-            telemetry={"schema": TELEMETRY_SCHEMA, "counters": {"route.rounds": 3}},
-        )
-        data = load_bench(path)
-        assert data["bench_schema"] == BENCH_SCHEMA
-        assert data["telemetry"]["counters"]["route.rounds"] == 3
-        # The envelope stays a loadable RunResult for every other consumer.
-        from repro.scenarios import RunResult
-
-        restored = RunResult.from_json_dict(data)
-        assert restored.scenario == "bench-fastpath"
-
-    def test_load_rejects_non_bench_files(self, tmp_path):
-        path = tmp_path / "not-bench.json"
-        path.write_text(json.dumps({"hello": 1}), encoding="utf-8")
-        with pytest.raises(ValueError, match="no tables"):
-            load_bench(path)
-
-    def test_metric_direction_classification(self):
-        assert metric_direction("fastpath_route_seconds") == "lower"
-        assert metric_direction("delta_ms_per_refresh") == "lower"
-        assert metric_direction("fastpath_qps") == "higher"
-        assert metric_direction("throughput_speedup") == "higher"
-        assert metric_direction("object_success_rate") == "higher"
-        assert metric_direction("nodes") == "neutral"
-        assert metric_direction("mean_hops") == "neutral"
-
-    def test_extract_metrics_qualifies_duplicates(self, tmp_path):
-        data = json.loads(_bench_result(0.5, 200.0).to_json())
-        data["tables"].append(dict(data["tables"][0], title="second table"))
-        metrics = extract_metrics(data)
-        assert "engine comparison::fastpath_qps" in metrics
-        assert "second table::fastpath_qps" in metrics
-        assert metrics["wall_clock_seconds"] == pytest.approx(0.5)
-
-
-class TestBenchDiff:
-    def test_regression_is_flagged_worst_first(self):
-        old = json.loads(_bench_result(1.0, 100.0).to_json())
-        new = json.loads(_bench_result(2.0, 52.0).to_json())
-        diffs = diff_bench(old, new)
-        by_name = {diff.name: diff for diff in diffs}
-        assert by_name["fastpath_route_seconds"].regression_pct == pytest.approx(100.0)
-        assert by_name["fastpath_qps"].regression_pct == pytest.approx(48.0)
-        assert by_name["nodes"].regression_pct is None  # neutral, never flagged
-        assert diffs[0].name == "fastpath_route_seconds"  # sorted worst-first
-
-    def test_improvement_is_negative(self):
-        old = json.loads(_bench_result(2.0, 100.0).to_json())
-        new = json.loads(_bench_result(1.0, 200.0).to_json())
-        diffs = {diff.name: diff for diff in diff_bench(old, new)}
-        assert diffs["fastpath_route_seconds"].regression_pct == pytest.approx(-50.0)
-        assert diffs["fastpath_qps"].regression_pct == pytest.approx(-100.0)
-        assert not any(diff.flagged for diff in diffs.values())
-
-    def test_render_marks_failures(self):
-        old = json.loads(_bench_result(1.0, 100.0).to_json())
-        new = json.loads(_bench_result(2.5, 99.0).to_json())
-        text = render_bench_diff(diff_bench(old, new), fail_over=50.0)
-        assert "FAIL" in text
-        assert "fastpath_route_seconds" in text
-
-    def test_cli_exits_nonzero_on_injected_regression(self, tmp_path, capsys):
-        from repro.experiments.cli import main
-
-        old_path = write_bench_result(_bench_result(1.0, 100.0), tmp_path / "old.json")
-        new_path = write_bench_result(_bench_result(1.6, 62.0), tmp_path / "new.json")
-
-        # A >= 50% regression fails the default gate ...
-        assert main(["bench-diff", str(old_path), str(new_path)]) == 1
-        captured = capsys.readouterr()
-        assert "FAIL" in captured.out
-        assert "regressed" in captured.err
-        # ... passes a generous threshold, and the no-change diff is clean.
-        assert main(["bench-diff", str(old_path), str(new_path), "--fail-over", "100"]) == 0
-        assert main(["bench-diff", str(old_path), str(old_path)]) == 0
-
-    def test_fail_over_boundary_is_strictly_greater(self, tmp_path, capsys):
-        from repro.experiments.cli import main
-
-        old_path = write_bench_result(_bench_result(1.0, 100.0), tmp_path / "old.json")
-        exact = write_bench_result(_bench_result(1.5, 100.0), tmp_path / "exact.json")
-        over = write_bench_result(_bench_result(1.52, 100.0), tmp_path / "over.json")
-
-        # A regression of exactly --fail-over percent still passes; the gate
-        # fires only strictly past the threshold.
-        assert main(["bench-diff", str(old_path), str(exact), "--fail-over", "50"]) == 0
-        assert main(["bench-diff", str(old_path), str(over), "--fail-over", "50"]) == 1
-        capsys.readouterr()
