@@ -6,10 +6,10 @@ Systems* (Aspnes, Diamadi, Shah; PODC 2002).  The library provides:
 * ``repro.core`` — metric-space embedding, inverse power-law overlay graphs,
   greedy routing with failure recovery, failure models, the dynamic
   construction heuristic, and theoretical bounds.
-* ``repro.simulation`` — workload generators (lookups, churn, key popularity)
-  and link-latency models consumed by the round-based scenarios.
-* ``repro.dht`` — a distributed hash table (put/get, replication) built on the
-  routing layer.
+* ``repro.simulation`` — workload generators (lookups, churn) and the
+  link-latency model consumed by the round-based scenarios.
+* ``repro.dht`` — the resource-location layer: a distributed hash table
+  (put/get, replication) over the ``P2PNetwork`` membership/routing facade.
 * ``repro.baselines`` — Chord, Kleinberg-grid, CAN, and Plaxton-style prefix
   routing baselines for comparison.
 * ``repro.scenarios`` — the unified experiment API: declarative
@@ -20,12 +20,13 @@ Systems* (Aspnes, Diamadi, Shah; PODC 2002).  The library provides:
 
 Quickstart
 ----------
->>> from repro import P2PNetwork
->>> network = P2PNetwork(space_size=1 << 10, seed=7)
->>> network.join_many(list(range(0, 1 << 10, 8)))
->>> network.publish("readme", value="hello world", owner=0)  # doctest: +SKIP
->>> network.lookup("readme").found                            # doctest: +SKIP
+>>> from repro.dht import DhtConfig, DistributedHashTable
+>>> dht = DistributedHashTable(DhtConfig(space_size=1 << 10, seed=7))
+>>> dht.join_many(range(0, 1 << 10, 8))
+>>> dht.put("readme", "hello world", origin=0).ok
 True
+>>> dht.get("readme").value
+'hello world'
 """
 
 from repro.core import (
@@ -39,7 +40,6 @@ from repro.core import (
     InversePowerLawDistribution,
     LineMetric,
     LinkFailureModel,
-    LookupOutcome,
     MaintenanceDaemon,
     NodeFailureModel,
     OldestLinkReplacement,
@@ -68,7 +68,6 @@ __all__ = [
     "RoutingMode",
     "RecoveryStrategy",
     "RouteResult",
-    "LookupOutcome",
     "RingMetric",
     "LineMetric",
     "TorusMetric",

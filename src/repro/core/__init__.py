@@ -41,13 +41,11 @@ from repro.core.graph import LongLink, OverlayGraph, OverlayNode
 from repro.core.identifiers import (
     FibonacciHasher,
     KeyHasher,
-    Resource,
-    ResourceEmbedding,
     Sha256Hasher,
 )
 from repro.core.maintenance import MaintenanceDaemon, MaintenanceReport, prune_dead_links
 from repro.core.metric import LineMetric, MetricSpace, RingMetric, TorusMetric
-from repro.core.network import LookupOutcome, NetworkStatistics, P2PNetwork
+from repro.core.network import NetworkStatistics, P2PNetwork
 from repro.core.routing import (
     FailureReason,
     GreedyRouter,
@@ -65,8 +63,6 @@ __all__ = [
     "KeyHasher",
     "Sha256Hasher",
     "FibonacciHasher",
-    "Resource",
-    "ResourceEmbedding",
     # distributions
     "InversePowerLawDistribution",
     "UniformLinkDistribution",
@@ -109,6 +105,5 @@ __all__ = [
     "Table1Bounds",
     # facade
     "P2PNetwork",
-    "LookupOutcome",
     "NetworkStatistics",
 ]

@@ -1,62 +1,28 @@
-"""Keys, resources, and their embedding into the metric space.
+"""Resource keys and their embedding into the metric space.
 
 Section 2 of the paper assumes a hash function ``h : K -> V`` mapping resource
 keys to points of the metric space, and assumes the hash populates the space
-*evenly*.  This module provides:
-
-* :class:`Resource` — a (key, owner, payload) record.
-* :class:`KeyHasher` — the hash family used to embed keys.  Two concrete
-  hashers are provided: a SHA-256 based hasher (the realistic choice) and a
-  Fibonacci-multiplicative hasher (cheap and well-spread, handy for very large
-  simulated spaces).
-* :class:`ResourceEmbedding` — bookkeeping that maps keys to points and
-  remembers, per node, the set of points the node occupies (the paper's
-  ``V_n``).
+*evenly*.  This module provides :class:`KeyHasher`, the hash family used to
+embed keys, with two concrete hashers: a SHA-256 based hasher (the realistic
+choice) and a Fibonacci-multiplicative hasher (cheap and well-spread, handy
+for very large simulated spaces).  What is stored where is the DHT layer's
+business (:mod:`repro.dht`).
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Any, Iterable
 
-from repro.core.metric import MetricSpace
-from repro.util.validation import ensure_positive, ensure_type
+from repro.util.validation import ensure_positive
 
-__all__ = [
-    "Resource",
-    "KeyHasher",
-    "Sha256Hasher",
-    "FibonacciHasher",
-    "ResourceEmbedding",
-]
-
-
-@dataclass(frozen=True)
-class Resource:
-    """A resource stored in the peer-to-peer system.
-
-    Attributes
-    ----------
-    key:
-        The resource's unique key (any string).
-    owner:
-        Identifier of the network node that provides the resource
-        (the paper's ``owner(r)``).
-    payload:
-        Arbitrary application data associated with the resource.
-    """
-
-    key: str
-    owner: Any = None
-    payload: Any = None
+__all__ = ["KeyHasher", "Sha256Hasher", "FibonacciHasher"]
 
 
 class KeyHasher:
     """Base class for hash functions embedding keys into ``{0, .., space_size - 1}``.
 
-    Subclasses implement :meth:`hash_key`; the base class provides
-    :meth:`hash_resource` and input validation.
+    Subclasses implement :meth:`hash_key`; the base class validates the
+    space size.
     """
 
     def __init__(self, space_size: int) -> None:
@@ -66,11 +32,6 @@ class KeyHasher:
     def hash_key(self, key: str) -> int:
         """Map ``key`` to a point label in ``[0, space_size)``."""
         raise NotImplementedError
-
-    def hash_resource(self, resource: Resource) -> int:
-        """Map a :class:`Resource` to a point label via its key."""
-        ensure_type(resource, "resource", Resource)
-        return self.hash_key(resource.key)
 
 
 class Sha256Hasher(KeyHasher):
@@ -105,105 +66,3 @@ class FibonacciHasher(KeyHasher):
             value = (value * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
         value = (value * self._MULTIPLIER) & 0xFFFFFFFFFFFFFFFF
         return value % self.space_size
-
-
-@dataclass
-class ResourceEmbedding:
-    """Tracks the mapping of resources onto metric-space points.
-
-    The embedding records, for every inserted resource, the point it hashes to
-    and, for every owner, the set of points it occupies (the paper's ``V_n``).
-    It does not itself store payloads; that is the job of the DHT storage
-    layer.
-
-    Parameters
-    ----------
-    space:
-        The metric space into which resources are embedded.
-    hasher:
-        The key hasher.  Its ``space_size`` must equal ``space.size()``.
-    """
-
-    space: MetricSpace
-    hasher: KeyHasher
-
-    _point_of_key: dict[str, int] = field(default_factory=dict, repr=False)
-    _keys_at_point: dict[int, set[str]] = field(default_factory=dict, repr=False)
-    _points_of_owner: dict[Any, set[int]] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.hasher.space_size != self.space.size():
-            raise ValueError(
-                "hasher space_size "
-                f"({self.hasher.space_size}) must equal metric-space size "
-                f"({self.space.size()})"
-            )
-
-    # ------------------------------------------------------------------ #
-    # Insertion / removal
-    # ------------------------------------------------------------------ #
-
-    def embed(self, resource: Resource) -> int:
-        """Embed ``resource`` and return the point it maps to."""
-        point = self.hasher.hash_resource(resource)
-        self._point_of_key[resource.key] = point
-        self._keys_at_point.setdefault(point, set()).add(resource.key)
-        if resource.owner is not None:
-            self._points_of_owner.setdefault(resource.owner, set()).add(point)
-        return point
-
-    def remove(self, resource: Resource) -> None:
-        """Remove a previously embedded resource.
-
-        Removing a resource that was never embedded is a no-op.
-        """
-        point = self._point_of_key.pop(resource.key, None)
-        if point is None:
-            return
-        keys = self._keys_at_point.get(point)
-        if keys is not None:
-            keys.discard(resource.key)
-            if not keys:
-                del self._keys_at_point[point]
-        if resource.owner is not None:
-            owned = self._points_of_owner.get(resource.owner)
-            if owned is not None and not any(
-                self._point_of_key.get(key) == point
-                for key in self.keys_of_owner(resource.owner)
-            ):
-                owned.discard(point)
-                if not owned:
-                    del self._points_of_owner[resource.owner]
-
-    # ------------------------------------------------------------------ #
-    # Queries
-    # ------------------------------------------------------------------ #
-
-    def point_of(self, key: str) -> int:
-        """Return the point a key maps to (embedding it virtually if unknown)."""
-        if key in self._point_of_key:
-            return self._point_of_key[key]
-        return self.hasher.hash_key(key)
-
-    def keys_at(self, point: int) -> frozenset[str]:
-        """Return the set of embedded keys mapped to ``point``."""
-        return frozenset(self._keys_at_point.get(point, frozenset()))
-
-    def points_of_owner(self, owner: Any) -> frozenset[int]:
-        """Return the paper's ``V_n``: the points occupied by ``owner``'s resources."""
-        return frozenset(self._points_of_owner.get(owner, frozenset()))
-
-    def keys_of_owner(self, owner: Any) -> Iterable[str]:
-        """Iterate over the keys whose resources belong to ``owner``."""
-        owned_points = self._points_of_owner.get(owner, set())
-        for key, point in self._point_of_key.items():
-            if point in owned_points:
-                yield key
-
-    def occupied_points(self) -> frozenset[int]:
-        """Return all points that currently host at least one resource."""
-        return frozenset(self._keys_at_point)
-
-    def __len__(self) -> int:
-        """Number of embedded resources."""
-        return len(self._point_of_key)

@@ -1,26 +1,24 @@
-"""High-level facade: a complete peer-to-peer resource-location network.
+"""High-level facade: the membership and routing half of a peer-to-peer network.
 
 :class:`P2PNetwork` ties the pieces of the core library together into the
-system the paper describes end to end:
+overlay the paper describes end to end:
 
-* a metric space (ring) and a key hash embedding resources into it,
+* a metric space (ring),
 * an overlay graph maintained by the Section-5 construction heuristic as
   nodes join and leave,
-* greedy routing with a configurable failure-recovery strategy for resource
-  location, and
+* greedy routing with a configurable failure-recovery strategy, and
 * a maintenance daemon that repairs the overlay after crashes.
 
-The facade exposes the operations a downstream application needs —
-``join``, ``leave``, ``crash``, ``publish``, ``lookup`` — and keeps simple
-traffic counters so that applications can observe the message complexity the
-paper analyses.  The richer storage semantics (replication, explicit
-key-value payload transfer) live in :mod:`repro.dht`.
+The facade exposes ``join``, ``leave``, ``crash``, ``repair`` and ``route``
+and keeps simple traffic counters so that applications can observe the
+message complexity the paper analyses.  Resource location — hashing keys to
+points, storing them at the responsible node, replication — is
+:class:`repro.dht.DistributedHashTable`, which composes this class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +27,6 @@ from repro.core.construction import (
     InverseDistanceReplacement,
     LinkReplacementPolicy,
 )
-from repro.core.identifiers import KeyHasher, Resource, ResourceEmbedding, Sha256Hasher
 from repro.core.maintenance import MaintenanceDaemon
 from repro.core.metric import RingMetric
 from repro.core.routing import (
@@ -38,48 +35,15 @@ from repro.core.routing import (
     RouteResult,
     RoutingMode,
 )
-from repro.util.rng import RandomSource
 from repro.util.validation import ensure_positive
 
-__all__ = ["LookupOutcome", "NetworkStatistics", "P2PNetwork"]
-
-
-@dataclass
-class LookupOutcome:
-    """Result of a resource lookup through the network facade.
-
-    Attributes
-    ----------
-    key:
-        The key that was looked up.
-    point:
-        The metric-space point the key hashes to.
-    found:
-        Whether routing reached the node responsible for the point and that
-        node holds the key.
-    responsible:
-        Label of the node that answered (or ``None`` when routing failed).
-    route:
-        The underlying :class:`~repro.core.routing.RouteResult`.
-    value:
-        The stored payload, when found.
-    """
-
-    key: str
-    point: int
-    found: bool
-    responsible: int | None
-    route: RouteResult
-    value: Any = None
+__all__ = ["NetworkStatistics", "P2PNetwork"]
 
 
 @dataclass
 class NetworkStatistics:
     """Running traffic counters for a :class:`P2PNetwork`."""
 
-    lookups: int = 0
-    successful_lookups: int = 0
-    publishes: int = 0
     joins: int = 0
     leaves: int = 0
     crashes: int = 0
@@ -89,9 +53,6 @@ class NetworkStatistics:
     def as_dict(self) -> dict:
         """Return the counters as a plain dictionary (for reports)."""
         return {
-            "lookups": self.lookups,
-            "successful_lookups": self.successful_lookups,
-            "publishes": self.publishes,
             "joins": self.joins,
             "leaves": self.leaves,
             "crashes": self.crashes,
@@ -101,35 +62,29 @@ class NetworkStatistics:
 
 
 class P2PNetwork:
-    """A complete peer-to-peer lookup network over a ring identifier space.
+    """A peer-to-peer overlay over a ring identifier space.
 
     Parameters
     ----------
     space_size:
-        Number of grid points of the identifier ring.  Node addresses and key
-        hashes both live in ``[0, space_size)``.
+        Number of grid points of the identifier ring.  Node addresses live
+        in ``[0, space_size)``.
     links_per_node:
         Number of long-distance links per node (defaults to ``ceil(lg
         space_size)``, the paper's choice).
     recovery:
-        Failure-recovery strategy for lookups (default: backtracking, the
+        Failure-recovery strategy for routes (default: backtracking, the
         best-performing strategy in the paper's experiments).
     replacement_policy:
         Link-replacement rule used by the construction heuristic.
-    hasher:
-        Key hasher; defaults to SHA-256.
     seed:
         Base seed for all randomness.
 
     Examples
     --------
     >>> network = P2PNetwork(space_size=1024, seed=1)
-    >>> for address in range(0, 1024, 16):
-    ...     network.join(address)
-    >>> network.publish("alice.txt", value=b"hello", owner=0)
-    0
-    >>> outcome = network.lookup("alice.txt", origin=512)
-    >>> outcome.found
+    >>> network.join_many(list(range(0, 1024, 16)))
+    >>> network.route(0, 512).success
     True
     """
 
@@ -139,7 +94,6 @@ class P2PNetwork:
         links_per_node: int | None = None,
         recovery: RecoveryStrategy = RecoveryStrategy.BACKTRACK,
         replacement_policy: LinkReplacementPolicy | None = None,
-        hasher: KeyHasher | None = None,
         routing_mode: RoutingMode = RoutingMode.TWO_SIDED,
         strict_best_neighbor: bool = False,
         seed: int = 0,
@@ -153,7 +107,6 @@ class P2PNetwork:
         self.routing_mode = routing_mode
         self.strict_best_neighbor = strict_best_neighbor
         self.seed = seed
-        self._random = RandomSource(seed=seed)
 
         self.construction = HeuristicConstruction(
             space=self.space,
@@ -162,12 +115,7 @@ class P2PNetwork:
             seed=seed,
         )
         self.maintenance = MaintenanceDaemon(self.construction)
-        self.hasher = hasher or Sha256Hasher(space_size)
-        self.embedding = ResourceEmbedding(space=self.space, hasher=self.hasher)
         self.statistics = NetworkStatistics()
-
-        # key -> (value, point) store at the responsible node; keyed by node label.
-        self._stored: dict[int, dict[str, Any]] = {}
 
     # ------------------------------------------------------------------ #
     # Membership
@@ -218,8 +166,21 @@ class P2PNetwork:
         return apply_fail_fraction(self, fraction, seed, protect, "network-failures")
 
     def route(self, source: int, target: int) -> RouteResult:
-        """Route between two member nodes using the configured strategy."""
-        return self._route(source, target)
+        """Route between two member nodes using the configured strategy.
+
+        Each call spins up a fresh router, so every route starts the random
+        re-route detour stream from this network's seed.
+        """
+        router = GreedyRouter(
+            graph=self.graph,
+            mode=self.routing_mode,
+            recovery=self.recovery,
+            strict_best_neighbor=self.strict_best_neighbor,
+            seed=self.seed,
+        )
+        result = router.route(source, target)
+        self.statistics.routing_messages += result.hops
+        return result
 
     def compile_snapshot(self):
         """Compile the current overlay into an immutable array snapshot.
@@ -247,9 +208,7 @@ class P2PNetwork:
                 f"[0, {self.space.size()})"
             )
         self.construction.add_point(address)
-        self._stored.setdefault(address, {})
         self.statistics.joins += 1
-        self._rebalance_keys_to(address)
 
     def join_many(self, addresses: list[int]) -> None:
         """Add several nodes in the given order."""
@@ -257,19 +216,15 @@ class P2PNetwork:
             self.join(address)
 
     def leave(self, address: int) -> None:
-        """Gracefully remove a node: its keys are handed to its successor."""
+        """Gracefully remove a node; its former neighbours regenerate links."""
         if not self.graph.has_node(address):
             raise ValueError(f"no node at address {address}")
-        keys = self._stored.pop(address, {})
         report = self.maintenance.handle_departure(address)
         self.statistics.leaves += 1
         self.statistics.maintenance_messages += report.messages
-        successor = self.graph.closest_live_vertex(address)
-        if successor is not None and keys:
-            self._stored.setdefault(successor, {}).update(keys)
 
     def crash(self, address: int) -> None:
-        """Abruptly fail a node: its keys are lost until maintenance runs."""
+        """Abruptly fail a node; it stays in the graph, dead, until :meth:`repair`."""
         if not self.graph.has_node(address):
             raise ValueError(f"no node at address {address}")
         self.graph.fail_node(address)
@@ -278,112 +233,17 @@ class P2PNetwork:
     def repair(self) -> None:
         """Run a maintenance pass over the whole network.
 
-        Crashed nodes are excised from the construction, their former
-        neighbours regenerate links, and stored keys whose responsible node
-        died are re-homed at the new responsible node when any replica of the
-        key is still reachable (the facade keeps none, so crashed keys are
-        simply dropped — the DHT layer adds replication).
+        Crashed nodes are excised from the construction and their former
+        neighbours regenerate links.
         """
         crashed = [
             node.label for node in self.graph.nodes() if not node.alive
         ]
         for label in crashed:
-            self._stored.pop(label, None)
             report = self.maintenance.handle_departure(label)
             self.statistics.maintenance_messages += report.messages
         report = self.maintenance.repair_all()
         self.statistics.maintenance_messages += report.messages
-
-    # ------------------------------------------------------------------ #
-    # Resource operations
-    # ------------------------------------------------------------------ #
-
-    def responsible_node(self, point: int) -> int | None:
-        """Return the live node responsible for ``point`` (the closest one)."""
-        return self.graph.closest_live_vertex(point)
-
-    def publish(self, key: str, value: Any = None, owner: int | None = None) -> int | None:
-        """Publish a resource: route it to the responsible node and store it there.
-
-        Parameters
-        ----------
-        key:
-            Resource key.
-        value:
-            Payload stored at the responsible node.
-        owner:
-            Address of the publishing node; used as the routing origin.  When
-            omitted, a random live member is used.
-
-        Returns
-        -------
-        int or None
-            The label of the node now storing the key, or ``None`` when the
-            publish could not be routed.
-        """
-        members = self.members()
-        if not members:
-            raise RuntimeError("cannot publish into an empty network")
-        origin = owner if owner is not None and self.graph.is_alive(owner) else None
-        if origin is None:
-            index = int(self._random.stream("publish-origin").integers(0, len(members)))
-            origin = members[index]
-
-        resource = Resource(key=key, owner=origin, payload=value)
-        point = self.embedding.embed(resource)
-        responsible = self.responsible_node(point)
-        if responsible is None:
-            return None
-
-        route = self._route(origin, responsible)
-        self.statistics.publishes += 1
-        self.statistics.routing_messages += route.hops
-        if not route.success:
-            return None
-        self._stored.setdefault(responsible, {})[key] = value
-        return responsible
-
-    def lookup(self, key: str, origin: int | None = None) -> LookupOutcome:
-        """Locate the resource with ``key`` starting from ``origin``.
-
-        The lookup routes greedily towards the point the key hashes to and
-        succeeds when it reaches the responsible live node and that node holds
-        the key.
-        """
-        members = self.members()
-        if not members:
-            raise RuntimeError("cannot look up in an empty network")
-        if origin is None or not self.graph.is_alive(origin):
-            index = int(self._random.stream("lookup-origin").integers(0, len(members)))
-            origin = members[index]
-
-        point = self.embedding.point_of(key)
-        responsible = self.responsible_node(point)
-        self.statistics.lookups += 1
-        if responsible is None:
-            empty = RouteResult(success=False, hops=0, path=[origin])
-            return LookupOutcome(
-                key=key, point=point, found=False, responsible=None, route=empty
-            )
-
-        route = self._route(origin, responsible)
-        self.statistics.routing_messages += route.hops
-        stored = self._stored.get(responsible, {})
-        found = route.success and key in stored
-        if found:
-            self.statistics.successful_lookups += 1
-        return LookupOutcome(
-            key=key,
-            point=point,
-            found=found,
-            responsible=responsible if route.success else None,
-            route=route,
-            value=stored.get(key) if found else None,
-        )
-
-    def stored_keys(self, address: int) -> frozenset[str]:
-        """Return the keys currently stored at the node with ``address``."""
-        return frozenset(self._stored.get(address, {}))
 
     # ------------------------------------------------------------------ #
     # Fastpath compilation
@@ -408,7 +268,7 @@ class P2PNetwork:
             is hop-for-hop identical to routing the same pairs sequentially
             through one scalar :class:`~repro.core.routing.GreedyRouter`
             seeded with this network's seed; note that is a different
-            random-re-route draw sequence than per-call :meth:`lookup`,
+            random-re-route draw sequence than per-call :meth:`route`,
             which spins up a fresh router (fresh detour stream) per query.
         """
         # Imported here: repro.fastpath depends on repro.core, so a module-level
@@ -429,36 +289,3 @@ class P2PNetwork:
             seed=self.seed,
             reroute_pool=reroute_pool,
         )
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-
-    def _route(self, source: int, target: int) -> RouteResult:
-        """Route between two member nodes using the configured strategy."""
-        router = GreedyRouter(
-            graph=self.graph,
-            mode=self.routing_mode,
-            recovery=self.recovery,
-            strict_best_neighbor=self.strict_best_neighbor,
-            seed=self._random.seed,
-        )
-        return router.route(source, target)
-
-    def _rebalance_keys_to(self, newcomer: int) -> None:
-        """Move keys whose point is now closest to ``newcomer`` onto it.
-
-        Run after a join so that responsibility follows the metric-space rule
-        "the responsible node is the live node closest to the key's point".
-        """
-        for holder in list(self._stored):
-            if holder == newcomer or not self.graph.is_alive(holder):
-                continue
-            stored_here = self._stored[holder]
-            moving = []
-            for key in stored_here:
-                point = self.embedding.point_of(key)
-                if self.space.distance(newcomer, point) < self.space.distance(holder, point):
-                    moving.append(key)
-            for key in moving:
-                self._stored.setdefault(newcomer, {})[key] = stored_here.pop(key)

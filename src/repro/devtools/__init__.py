@@ -1,10 +1,10 @@
-"""Project-specific static analysis: ``repro lint`` and ``repro analyze``.
+"""Project-specific static analysis: ``repro check``.
 
 The repository's guarantees — engine parity, serial==parallel sweep
 byte-identity, telemetry on/off result identity, the snapshot dtype
 contract — are *determinism contracts*.  Property tests enforce them
 dynamically; this package enforces their source-level preconditions
-statically, so a violation is caught at lint time instead of waiting for a
+statically, so a violation is caught at check time instead of waiting for a
 seed (or a million-node space) to hit it.
 
 Layout:
@@ -14,31 +14,32 @@ Layout:
 * :mod:`repro.devtools.suppressions` — ``# repro: allow[RULE-ID]`` inline
   suppression parsing and unused-suppression detection;
 * :mod:`repro.devtools.engine` — the file walker / rule driver;
-* :mod:`repro.devtools.rules` — the rule catalog (RPR001..RPR006);
+* :mod:`repro.devtools.rules` — the rule catalog: six AST rules
+  (RPR001..RPR006) and the dtype dataflow rule (RPA101..RPA104), which
+  enforces the snapshot dtype contract from :mod:`repro.fastpath.dtypes`
+  through the abstract interpreter in :mod:`repro.devtools.analyze`;
 * :mod:`repro.devtools.reporters` — ``file:line`` text and JSON output;
-* :mod:`repro.devtools.cli` — the ``repro lint`` subcommand;
-* :mod:`repro.devtools.analyze` — the ``repro analyze`` dtype/shape dataflow
-  analyzer (check family RPA101..RPA104) enforcing the snapshot dtype
-  contract from :mod:`repro.fastpath.dtypes`.
+* :mod:`repro.devtools.cli` — the ``repro check`` subcommand.
 
-Run them as ``repro lint`` / ``repro analyze`` with the shared option
-surface ``[--format text|json] [--select/--ignore ID] [PATHS]``; exit code
-0 means clean, 1 means findings, 2 means usage error.
+Run it as ``repro check [--format text|json] [--select/--ignore ID]
+[PATHS]``; exit code 0 means clean, 1 means findings, 2 means usage error.
+Adding a rule: see :mod:`repro.devtools.rules`.
 """
 
 from repro.devtools.engine import LintEngine, LintResult
-from repro.devtools.findings import LINT_SCHEMA, Finding
-from repro.devtools.rules import ALL_RULES, Rule, get_rule, rule_ids
+from repro.devtools.findings import CHECK_SCHEMA, Finding
+from repro.devtools.rules import ALL_RULES, Rule, catalog, get_rule, rule_ids
 from repro.devtools.suppressions import Suppression, parse_suppressions
 
 __all__ = [
     "ALL_RULES",
+    "CHECK_SCHEMA",
     "Finding",
-    "LINT_SCHEMA",
     "LintEngine",
     "LintResult",
     "Rule",
     "Suppression",
+    "catalog",
     "get_rule",
     "parse_suppressions",
     "rule_ids",

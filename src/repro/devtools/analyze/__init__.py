@@ -1,38 +1,10 @@
-"""``repro analyze`` — NumPy dtype/shape dataflow analysis for the repo.
+"""NumPy dtype/shape dataflow analysis behind the RPA1xx ids of ``repro check``.
 
-The linter (:mod:`repro.devtools.rules`) checks *syntactic* invariants; this
-package checks a *semantic* one: every array the fastpath, faults, and
-overlay packages build carries the dtype the snapshot contract in
-:mod:`repro.fastpath.dtypes` declares.  An abstract interpreter
-(:mod:`~repro.devtools.analyze.interp`) walks each module's AST with
-per-binding dtype lattice values and intraprocedural call summaries, and
-fires the RPA1xx checks (:mod:`~repro.devtools.analyze.checks`) where a
-violation is definite.  Findings flow through the same
-:class:`~repro.devtools.findings.Finding` / reporter / ``# repro:
-allow[...]`` suppression machinery as ``repro lint``.
+An abstract interpreter (:mod:`~repro.devtools.analyze.interp`) walks each
+module's AST with per-binding dtype lattice values
+(:mod:`~repro.devtools.analyze.values`) and intraprocedural call summaries,
+and fires the RPA1xx checks (:mod:`~repro.devtools.analyze.checks`) where a
+violation is definite.  :class:`repro.devtools.rules.dtype_flow.DtypeFlowRule`
+drives it; findings flow through the same engine, reporters and ``# repro:
+allow[...]`` suppressions as every other rule.
 """
-
-from repro.devtools.analyze.checks import (
-    ALL_CHECKS,
-    ANALYZE_UNUSED_SUPPRESSION_ID,
-    Check,
-    check_ids,
-    get_check,
-)
-from repro.devtools.analyze.engine import ANALYZE_SCHEMA, AnalysisResult, AnalyzeEngine
-from repro.devtools.analyze.values import AbstractValue, definitely_widens, join, promote_sets
-
-__all__ = [
-    "ALL_CHECKS",
-    "ANALYZE_SCHEMA",
-    "ANALYZE_UNUSED_SUPPRESSION_ID",
-    "AbstractValue",
-    "AnalysisResult",
-    "AnalyzeEngine",
-    "Check",
-    "check_ids",
-    "definitely_widens",
-    "get_check",
-    "join",
-    "promote_sets",
-]

@@ -1,99 +1,30 @@
-"""The ``repro analyze`` check catalog (the RPA1xx family).
+"""Ids of the dtype dataflow checks (the RPA1xx family) and their contract.
 
-Unlike the lint rules (independent AST visitors), every analyze check is a
-probe the one dataflow interpreter fires while walking a module; this module
-holds their stable ids, the catalog the CLI lists, and the dtype contract
-the RPA102 check enforces — imported straight from
-:mod:`repro.fastpath.dtypes`, so the analyzer and the runtime share a single
-source of truth.
-
-Adding a check: give it the next ``RPAnnn`` id here, emit it from the
-interpreter (:mod:`repro.devtools.analyze.interp`), document it in the
-README check catalog, and add violating/clean/suppressed fixtures to
-``tests/unit/test_devtools_analyze.py``.
+Every check is a probe the one dataflow interpreter
+(:mod:`repro.devtools.analyze.interp`) fires while walking a module; this
+module holds their stable ids and the dtype contract RPA102 enforces —
+imported straight from :mod:`repro.fastpath.dtypes`, so the analyzer and the
+runtime share a single source of truth.  The catalog rows live with the rule
+that runs the interpreter, :mod:`repro.devtools.rules.dtype_flow`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.fastpath.dtypes import SNAPSHOT_CONTRACT
 
 __all__ = [
-    "ALL_CHECKS",
-    "ANALYZE_UNUSED_SUPPRESSION_ID",
-    "Check",
     "SILENT_UPCAST",
     "CONTRACT_MISMATCH",
     "DEFAULT_DTYPE",
     "MIXED_CONCAT",
-    "check_ids",
-    "get_check",
     "snapshot_field_contract",
     "mirror_field_contract",
 ]
-
-#: Pseudo-check id for ``# repro: allow[RPA...]`` comments that matched no
-#: finding; mirrors the linter's RPR000 and is equally unsuppressable.
-ANALYZE_UNUSED_SUPPRESSION_ID = "RPA000"
 
 SILENT_UPCAST = "RPA101"
 CONTRACT_MISMATCH = "RPA102"
 DEFAULT_DTYPE = "RPA103"
 MIXED_CONCAT = "RPA104"
-
-
-@dataclass(frozen=True)
-class Check:
-    """One analyzer check: a stable id, a short name, what it catches."""
-
-    id: str
-    name: str
-    description: str
-
-
-#: The ordered check catalog; ids are stable and never reused.
-ALL_CHECKS: tuple[Check, ...] = (
-    Check(
-        SILENT_UPCAST,
-        "silent-upcast",
-        "integer arrays of definitely different widths combine (the narrow "
-        "side is silently widened), or an int8/int16/int32 sum/cumsum "
-        "without dtype=/out= promotes to the platform intp",
-    ),
-    Check(
-        CONTRACT_MISMATCH,
-        "contract-mismatch",
-        "a snapshot or mirror array field is built with a dtype outside its "
-        "declared contract in repro/fastpath/dtypes.py",
-    ),
-    Check(
-        DEFAULT_DTYPE,
-        "default-dtype-constructor",
-        "an array constructor without dtype= takes a platform-dependent "
-        "default (zeros/ones/empty/full/arange, or array/asarray of a "
-        "non-array operand)",
-    ),
-    Check(
-        MIXED_CONCAT,
-        "mixed-dtype-concatenate",
-        "concatenate/stack/where over operands of definitely different "
-        "integer widths silently promotes every element to the widest",
-    ),
-)
-
-
-def check_ids() -> tuple[str, ...]:
-    return tuple(check.id for check in ALL_CHECKS)
-
-
-def get_check(check_id: str) -> Check:
-    for check in ALL_CHECKS:
-        if check.id == check_id.upper():
-            return check
-    raise KeyError(
-        f"unknown analyze check {check_id!r}; known: {', '.join(check_ids())}"
-    )
 
 
 def snapshot_field_contract() -> dict[str, frozenset]:

@@ -1,21 +1,23 @@
-"""The lint driver: walk files, run rules, apply suppressions, report.
+"""The ``repro check`` driver: walk files, run rules, apply suppressions, report.
 
 The engine is deliberately rule-agnostic: it parses each file once, hands
 the module to every selected rule, runs cross-file ``finalize`` passes, then
 applies ``# repro: allow[...]`` suppressions and reports the stale ones.
 Rule instances are created fresh per run (cross-file rules accumulate state
-in ``check_module``).
+in ``check_module``).  A rule may report under several ids (the dtype
+dataflow rule owns RPA101..RPA104): it runs when any of them is selected
+and only findings under a selected id are kept.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.devtools.findings import LINT_SCHEMA, UNUSED_SUPPRESSION_ID, Finding
-from repro.devtools.rules import ALL_RULES, LintModule, LintProject, Rule
+from repro.devtools.findings import CHECK_SCHEMA, UNUSED_SUPPRESSION_ID, Finding
+from repro.devtools.rules import ALL_RULES, LintModule, LintProject, rule_ids
 from repro.devtools.suppressions import Suppression, parse_suppressions
 
 __all__ = ["LintEngine", "LintResult", "discover_root", "walk"]
@@ -61,7 +63,7 @@ def walk(root: Path, paths: Sequence[str | Path], defaults: Sequence[str]) -> li
 
 @dataclass
 class LintResult:
-    """Everything one lint run produced."""
+    """Everything one run produced."""
 
     findings: list[Finding]
     files_checked: int
@@ -73,7 +75,7 @@ class LintResult:
 
     def to_dict(self) -> dict:
         return {
-            "schema": LINT_SCHEMA,
+            "schema": CHECK_SCHEMA,
             "files_checked": self.files_checked,
             "rules_run": list(self.rules_run),
             "findings": [finding.to_dict() for finding in self.findings],
@@ -82,42 +84,36 @@ class LintResult:
 
 @dataclass
 class LintEngine:
-    """One configured lint run over a project tree."""
+    """One configured run over a project tree."""
 
     root: Path
     select: Sequence[str] | None = None
     ignore: Sequence[str] = ()
-    _suppressions: dict[str, list[Suppression]] = field(default_factory=dict, repr=False)
 
-    def selected_rules(self) -> list[Rule]:
-        """Fresh instances of every rule the select/ignore filters keep.
+    def selected_ids(self) -> tuple[str, ...]:
+        """The catalog ids the select/ignore filters keep, in catalog order.
+
+        RPR000 — the unused-suppression pseudo-rule — filters like any id
+        and sorts first.
 
         Raises
         ------
         KeyError
-            If a select/ignore id names no known rule (RPR000 is accepted —
-            it filters the unused-suppression pseudo-findings).
+            If a select/ignore id names no known rule.
         """
-        known = {rule.id for rule in ALL_RULES} | {UNUSED_SUPPRESSION_ID}
+        known = (UNUSED_SUPPRESSION_ID, *rule_ids())
         requested = {rule_id.upper() for rule_id in (self.select or [])}
         ignored = {rule_id.upper() for rule_id in self.ignore}
-        for rule_id in requested | ignored:
+        for rule_id in sorted(requested | ignored):
             if rule_id not in known:
                 raise KeyError(
-                    f"unknown lint rule {rule_id!r}; known: {', '.join(sorted(known))}"
+                    f"unknown rule id {rule_id!r}; known: {', '.join(sorted(known))}"
                 )
-        return [
-            type(rule)()
-            for rule in ALL_RULES
-            if (not requested or rule.id in requested) and rule.id not in ignored
-        ]
-
-    def _unused_suppressions_selected(self) -> bool:
-        requested = {rule_id.upper() for rule_id in (self.select or [])}
-        ignored = {rule_id.upper() for rule_id in self.ignore}
-        if UNUSED_SUPPRESSION_ID in ignored:
-            return False
-        return not requested or UNUSED_SUPPRESSION_ID in requested
+        return tuple(
+            rule_id
+            for rule_id in known
+            if (not requested or rule_id in requested) and rule_id not in ignored
+        )
 
     # -- file walking --------------------------------------------------------
 
@@ -128,10 +124,12 @@ class LintEngine:
     # -- the run -------------------------------------------------------------
 
     def run(self, paths: Sequence[str | Path] = ()) -> LintResult:
-        rules = self.selected_rules()
+        selected = self.selected_ids()
+        rules_run = tuple(rule_id for rule_id in selected if rule_id != UNUSED_SUPPRESSION_ID)
+        rules = [type(rule)() for rule in ALL_RULES if set(rules_run).intersection(rule.ids())]
         modules: list[LintModule] = []
         raw_findings: list[Finding] = []
-        self._suppressions = {}
+        suppressions: dict[str, list[Suppression]] = {}
 
         for abs_path in self.walk(paths):
             try:
@@ -154,7 +152,7 @@ class LintEngine:
                 continue
             module = LintModule(path=relative, abs_path=abs_path, source=source, tree=tree)
             modules.append(module)
-            self._suppressions[relative] = parse_suppressions(source)
+            suppressions[relative] = parse_suppressions(source)
             for rule in rules:
                 if rule.applies_to(module):
                     raw_findings.extend(rule.check_module(module))
@@ -163,50 +161,46 @@ class LintEngine:
         for rule in rules:
             raw_findings.extend(rule.finalize(project))
 
-        findings = self._apply_suppressions(raw_findings)
-        if self._unused_suppressions_selected():
-            findings.extend(self._unused_suppression_findings())
+        findings: list[Finding] = []
+        for finding in raw_findings:
+            if finding.rule not in selected and finding.rule != "SYNTAX":
+                continue
+            matching = [
+                suppression
+                for suppression in suppressions.get(finding.path, [])
+                if suppression.matches(finding.rule, finding.line)
+            ]
+            for suppression in matching:
+                suppression.used = True
+            if not matching:
+                findings.append(finding)
+        if UNUSED_SUPPRESSION_ID in selected:
+            findings.extend(_unused_suppression_findings(suppressions, set(rules_run)))
         findings.sort()
-        return LintResult(
-            findings=findings,
-            files_checked=len(modules),
-            rules_run=tuple(rule.id for rule in rules),
-        )
+        return LintResult(findings=findings, files_checked=len(modules), rules_run=rules_run)
 
-    def _apply_suppressions(self, findings: Iterable[Finding]) -> list[Finding]:
-        kept: list[Finding] = []
-        for finding in findings:
-            suppressed = False
-            for suppression in self._suppressions.get(finding.path, []):
-                if suppression.matches(finding.rule, finding.line):
-                    suppression.used = True
-                    suppressed = True
-            if not suppressed:
-                kept.append(finding)
-        return kept
 
-    def _unused_suppression_findings(self) -> list[Finding]:
-        unused: list[Finding] = []
-        active = {rule.id for rule in self.selected_rules()}
-        for path, suppressions in self._suppressions.items():
-            for suppression in suppressions:
-                if suppression.used:
-                    continue
-                # Only call a suppression stale when every rule it names
-                # actually ran — otherwise we cannot know it is unused.
-                if not suppression.rules <= active:
-                    continue
-                unused.append(
-                    Finding(
-                        path=path,
-                        line=suppression.line,
-                        col=1,
-                        rule=UNUSED_SUPPRESSION_ID,
-                        message=(
-                            "unused suppression: `# repro: allow["
-                            + ",".join(sorted(suppression.rules))
-                            + "]` matched no finding — remove it"
-                        ),
-                    )
+def _unused_suppression_findings(
+    suppressions: dict[str, list[Suppression]], ran: set[str]
+) -> list[Finding]:
+    unused: list[Finding] = []
+    for path, in_file in suppressions.items():
+        for suppression in in_file:
+            # Only call a suppression stale when every id it names actually
+            # ran — otherwise we cannot know it is unused.
+            if suppression.used or not suppression.rules <= ran:
+                continue
+            unused.append(
+                Finding(
+                    path=path,
+                    line=suppression.line,
+                    col=1,
+                    rule=UNUSED_SUPPRESSION_ID,
+                    message=(
+                        "unused suppression: `# repro: allow["
+                        + ",".join(sorted(suppression.rules))
+                        + "]` matched no finding — remove it"
+                    ),
                 )
-        return unused
+            )
+    return unused

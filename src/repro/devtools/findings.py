@@ -1,14 +1,14 @@
-"""The :class:`Finding` record every lint rule emits."""
+"""The :class:`Finding` record every rule emits."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any
 
-__all__ = ["LINT_SCHEMA", "UNUSED_SUPPRESSION_ID", "Finding"]
+__all__ = ["CHECK_SCHEMA", "UNUSED_SUPPRESSION_ID", "Finding"]
 
 #: Schema version stamped into the JSON report envelope.
-LINT_SCHEMA = "repro.lint/v1"
+CHECK_SCHEMA = "repro.check/v1"
 
 #: Pseudo-rule id for suppression comments that matched no finding.  It is
 #: reported like any rule (and honours ``--select`` / ``--ignore``) but can

@@ -1,15 +1,19 @@
-"""The lint rule catalog and the shared AST toolkit rules build on.
+"""The ``repro check`` rule catalog and the shared AST toolkit rules build on.
 
 Each rule is a subclass of :class:`Rule` with a stable id (``RPR001`` ...),
 a per-module visitor (:meth:`Rule.check_module`), and — for cross-file
 invariants like registry drift — a :meth:`Rule.finalize` pass over the whole
-project.  ``ALL_RULES`` is the ordered catalog the engine and the CLI share.
+project.  ``ALL_RULES`` is the ordered catalog the engine and the CLI share;
+the dtype dataflow rule is one pass reporting under four ids (the ``RPA1nn``
+family), so the catalog has more rows than rules.
 
 Adding a rule: subclass :class:`Rule` in a new module here, give it the next
-``RPRnnn`` id, append an instance to ``ALL_RULES``, document it in the README
-rule catalog, and add violating/clean/suppressed fixtures to
-``tests/unit/test_devtools_rules.py`` — the self-check test will hold the
-repo to it immediately.
+``RPRnnn`` id (syntactic invariants) or emit the next ``RPAnnn`` id from the
+dataflow interpreter and add its row to the catalog in ``dtype_flow.py``
+(dtype facts), append new rule classes to ``ALL_RULES``, add the row to the README
+catalog, and add violating/clean/suppressed fixtures to
+``tests/unit/test_devtools_rules.py`` / ``test_devtools_analyze.py`` — the
+self-check test will hold the repo to it immediately.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ __all__ = [
     "LintModule",
     "LintProject",
     "Rule",
+    "catalog",
     "dotted_name",
     "get_rule",
     "iter_calls",
@@ -116,6 +121,13 @@ class Rule:
     name: str = ""
     description: str = ""
 
+    def catalog(self) -> tuple[tuple[str, str, str], ...]:
+        """The ``(id, name, description)`` rows this rule reports under."""
+        return ((self.id, self.name, self.description),)
+
+    def ids(self) -> tuple[str, ...]:
+        return tuple(row[0] for row in self.catalog())
+
     def applies_to(self, module: LintModule) -> bool:
         """Path scope; rules narrow this to the layers their invariant covers."""
         return True
@@ -199,8 +211,9 @@ from repro.devtools.rules.telemetry_guard import TelemetryGuardRule  # noqa: E40
 from repro.devtools.rules.registry_drift import RegistryDriftRule  # noqa: E402
 from repro.devtools.rules.array_hygiene import ArrayHygieneRule  # noqa: E402
 from repro.devtools.rules.overlay_conformance import OverlayConformanceRule  # noqa: E402
+from repro.devtools.rules.dtype_flow import DtypeFlowRule  # noqa: E402
 
-#: The ordered rule catalog; ids are stable and never reused.
+#: The ordered rules; ids are stable and a retired id is never reused.
 ALL_RULES: tuple[Rule, ...] = (
     DeterminismRule(),
     TelemetryNamesRule(),
@@ -208,15 +221,22 @@ ALL_RULES: tuple[Rule, ...] = (
     RegistryDriftRule(),
     ArrayHygieneRule(),
     OverlayConformanceRule(),
+    DtypeFlowRule(),
 )
 
 
+def catalog() -> tuple[tuple[str, str, str], ...]:
+    """Every ``(id, name, description)`` row, in catalog order."""
+    return tuple(row for rule in ALL_RULES for row in rule.catalog())
+
+
 def rule_ids() -> tuple[str, ...]:
-    return tuple(rule.id for rule in ALL_RULES)
+    return tuple(row[0] for row in catalog())
 
 
 def get_rule(rule_id: str) -> Rule:
+    """The rule that reports under ``rule_id``."""
     for rule in ALL_RULES:
-        if rule.id == rule_id.upper():
+        if rule_id.upper() in rule.ids():
             return rule
-    raise KeyError(f"unknown lint rule {rule_id!r}; known: {', '.join(rule_ids())}")
+    raise KeyError(f"unknown rule id {rule_id!r}; known: {', '.join(rule_ids())}")

@@ -10,11 +10,11 @@ and cross-checks the catalog both ways:
 * a registered scenario missing from the catalog — undocumented surface;
 * a catalog row naming an unregistered scenario — stale documentation;
 * duplicate registrations of the same name (the runtime registry rejects
-  them with an exception, but the linter catches it before anything runs).
+  them with an exception, but the checker catches it before anything runs).
 
 This replaces the CI shell guard that asserted a hard-coded name list
 against ``repro list`` output: the catalog is now the committed claim, and
-lint fails the moment code and claim disagree.
+``repro check`` fails the moment code and claim disagree.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.devtools.rules import LintModule, LintProject, Rule
 
 __all__ = ["RegistryDriftRule", "CATALOG_BEGIN", "CATALOG_END"]
 
-CATALOG_BEGIN = "<!-- scenario-catalog:begin (checked by repro lint RPR004) -->"
+CATALOG_BEGIN = "<!-- scenario-catalog:begin (checked by repro check RPR004) -->"
 CATALOG_END = "<!-- scenario-catalog:end -->"
 
 #: A catalog table row: the first cell holds the backticked scenario name.

@@ -1,9 +1,10 @@
-"""The distributed hash table facade.
+"""The distributed hash table facade: the repo's one resource-location API.
 
-:class:`DistributedHashTable` combines the overlay construction heuristic,
-greedy routing, per-node storage, and a replication policy into the put/get
-service the paper's introduction motivates.  Every operation is routed over
-the overlay from a caller-chosen origin node, and the message cost of each
+:class:`DistributedHashTable` adds a key hash, per-node storage and a
+replication policy to a :class:`~repro.core.network.P2PNetwork` (which owns
+membership, maintenance and greedy routing), giving the put/get service the
+paper's introduction motivates.  Every operation is routed over the overlay
+from a caller-chosen origin node, and the message cost of each
 operation is reported so that applications can observe the
 ``O(log^2 n / l)``-style behaviour the paper proves.
 """
@@ -15,11 +16,9 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.construction import HeuristicConstruction, InverseDistanceReplacement
 from repro.core.identifiers import KeyHasher, Sha256Hasher
-from repro.core.maintenance import MaintenanceDaemon
-from repro.core.metric import RingMetric
-from repro.core.routing import GreedyRouter, RecoveryStrategy, RouteResult
+from repro.core.network import P2PNetwork
+from repro.core.routing import RecoveryStrategy, RouteResult
 from repro.dht.replication import ReplicationPolicy, SuccessorReplication
 from repro.dht.storage import NodeStorage
 from repro.util.rng import RandomSource
@@ -100,14 +99,13 @@ class DistributedHashTable:
 
     def __init__(self, config: DhtConfig) -> None:
         self.config = config
-        self.space = RingMetric(config.space_size)
-        self.construction = HeuristicConstruction(
-            space=self.space,
+        self.network = P2PNetwork(
+            space_size=config.space_size,
             links_per_node=config.links_per_node,
-            replacement_policy=InverseDistanceReplacement(),
+            recovery=config.recovery,
             seed=config.seed,
         )
-        self.maintenance = MaintenanceDaemon(self.construction)
+        self.space = self.network.space
         self.hasher: KeyHasher = Sha256Hasher(config.space_size)
         self.storage: dict[int, NodeStorage] = {}
         self._versions: dict[str, int] = {}
@@ -120,15 +118,15 @@ class DistributedHashTable:
     @property
     def graph(self):
         """The underlying overlay graph."""
-        return self.construction.graph
+        return self.network.graph
 
     def members(self) -> list[int]:
         """Labels of all live member nodes."""
-        return self.graph.labels(only_alive=True)
+        return self.network.members()
 
     def join(self, address: int) -> None:
         """Add a node and transfer to it the keys it is now responsible for."""
-        self.construction.add_point(int(address))
+        self.network.join(int(address))
         self.storage.setdefault(int(address), NodeStorage(owner=int(address)))
         self._transfer_keys_to(int(address))
 
@@ -139,15 +137,13 @@ class DistributedHashTable:
 
     def crash(self, address: int) -> None:
         """Abruptly fail a node (its stored data becomes unreachable)."""
-        self.graph.fail_node(int(address))
+        self.network.crash(int(address))
 
     def leave(self, address: int) -> None:
         """Gracefully remove a node, handing its primaries to the next closest node."""
         address = int(address)
-        if not self.graph.has_node(address):
-            raise ValueError(f"no node at address {address}")
+        self.network.leave(address)
         departing_storage = self.storage.pop(address, None)
-        self.maintenance.handle_departure(address)
         if departing_storage is None:
             return
         for item in list(departing_storage.primary_items()):
@@ -162,10 +158,10 @@ class DistributedHashTable:
 
         Returns the number of keys re-homed from replicas.
         """
-        crashed = [node.label for node in self.graph.nodes() if not node.alive]
-        for label in crashed:
-            self.storage.pop(label, None)
-            self.maintenance.handle_departure(label)
+        for node in self.graph.nodes():
+            if not node.alive:
+                self.storage.pop(node.label, None)
+        self.network.repair()
         rehomed = 0
         for storage in list(self.storage.values()):
             if not self.graph.is_alive(storage.owner):
@@ -189,7 +185,7 @@ class DistributedHashTable:
         if responsible is None:
             return DhtOperationResult(ok=False, key=key)
 
-        route = self._route(origin, responsible)
+        route = self.network.route(origin, responsible)
         messages = route.hops
         if not route.success:
             return DhtOperationResult(
@@ -203,7 +199,7 @@ class DistributedHashTable:
         for replica in self.config.replication.replica_holders(
             self.graph, self.space, point, responsible
         ):
-            replica_route = self._route(responsible, replica)
+            replica_route = self.network.route(responsible, replica)
             messages += replica_route.hops
             if replica_route.success:
                 self._store_at(replica, key, value, point, version, is_replica=True)
@@ -226,7 +222,7 @@ class DistributedHashTable:
         if responsible is None:
             return DhtOperationResult(ok=False, key=key)
 
-        route = self._route(origin, responsible)
+        route = self.network.route(origin, responsible)
         messages = route.hops
         if route.success:
             item = self._read_from(responsible, key)
@@ -240,7 +236,7 @@ class DistributedHashTable:
         for holder in self.config.replication.replica_holders(
             self.graph, self.space, point, responsible
         ):
-            probe = self._route(origin, holder)
+            probe = self.network.route(origin, holder)
             messages += probe.hops
             if not probe.success:
                 continue
@@ -259,7 +255,7 @@ class DistributedHashTable:
         responsible = self.graph.closest_live_vertex(point)
         if responsible is None:
             return DhtOperationResult(ok=False, key=key)
-        route = self._route(origin, responsible)
+        route = self.network.route(origin, responsible)
         messages = route.hops
         if not route.success:
             return DhtOperationResult(ok=False, key=key, messages=messages, route=route)
@@ -288,16 +284,6 @@ class DistributedHashTable:
             return int(origin)
         index = int(self._random.stream("origin").integers(0, len(members)))
         return members[index]
-
-    def _route(self, source: int, target: int) -> RouteResult:
-        if source == target:
-            return RouteResult(success=True, hops=0, path=[source])
-        router = GreedyRouter(
-            graph=self.graph,
-            recovery=self.config.recovery,
-            seed=self.config.seed,
-        )
-        return router.route(source, target)
 
     def _store_at(
         self, holder: int, key: str, value: Any, point: int, version: int, is_replica: bool

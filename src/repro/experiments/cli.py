@@ -16,8 +16,8 @@ any spec field by dotted path, ``--grid key=v1,v2`` adds a sweep axis, and
 deterministic per-cell seed from ``--seed``, so ``--jobs N`` parallelism
 produces byte-identical JSON to a serial run.
 
-Two tooling subcommands ride along: ``lint`` and ``analyze``, the static
-checkers of :mod:`repro.devtools`.
+One tooling subcommand rides along: ``check``, the static checker of
+:mod:`repro.devtools`.
 """
 
 from __future__ import annotations
@@ -134,24 +134,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_telemetry_options(sweep_command)
     add_format_option(sweep_command, ("text", "json"))
 
-    lint = subparsers.add_parser(
-        "lint",
-        help="run the AST-based invariant linter over src/ and tests/ "
-        "(exit 0: clean; exit 1: findings; exit 2: usage error)",
+    check = subparsers.add_parser(
+        "check",
+        help="run the static checker (AST invariant rules and the NumPy dtype "
+        "dataflow rule) over src/ and tests/ (exit 0: clean; exit 1: "
+        "findings; exit 2: usage error)",
     )
-    from repro.devtools.cli import add_lint_arguments
+    from repro.devtools.cli import add_check_arguments
 
-    add_lint_arguments(lint)
-
-    analyze = subparsers.add_parser(
-        "analyze",
-        help="run the NumPy dtype/shape dataflow analyzer over the fastpath, "
-        "faults and overlay packages (exit 0: clean; exit 1: findings; "
-        "exit 2: usage error)",
-    )
-    from repro.devtools.analyze.cli import add_analyze_arguments
-
-    add_analyze_arguments(analyze)
+    add_check_arguments(check)
     return parser
 
 
@@ -262,32 +253,25 @@ def _run_sweep(args) -> None:
         print(telemetry.render_telemetry(sweep_telemetry))
 
 
-def _run_lint(args) -> int:
-    from repro.devtools.cli import run_lint
+def _run_check(args) -> int:
+    from repro.devtools.cli import run_check
 
-    return run_lint(args)
-
-
-def _run_analyze(args) -> int:
-    from repro.devtools.analyze.cli import run_analyze
-
-    return run_analyze(args)
+    return run_check(args)
 
 
 _DISPATCH = {
     "list": _run_list,
     "run": _run_scenario,
     "sweep": _run_sweep,
-    "lint": _run_lint,
-    "analyze": _run_analyze,
+    "check": _run_check,
 }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code.
 
-    Most handlers return ``None`` (success); ``lint`` and ``analyze`` return
-    1 on findings and 2 on usage errors.
+    Most handlers return ``None`` (success); ``check`` returns 1 on findings
+    and 2 on usage errors.
     """
     args = build_parser().parse_args(argv)
     return _DISPATCH[args.command](args) or 0

@@ -10,8 +10,8 @@ what dtype every snapshot / delta-mirror array field carries:
   delta materializer, ``OverlayMixin.compile_snapshot``) call
   :func:`narrow_labels` / :func:`narrow_indptr` so labels and row pointers
   land in ``int32`` whenever the space and the total degree fit;
-* the static analyzer (``repro analyze``, :mod:`repro.devtools.analyze`)
-  checks inferred dtypes against :data:`SNAPSHOT_CONTRACT` (check RPA102);
+* the static checker (``repro check``, :mod:`repro.devtools.analyze`)
+  checks inferred dtypes against :data:`SNAPSHOT_CONTRACT` (id RPA102);
 * the README's dtype-contract table is generated from
   :data:`SNAPSHOT_CONTRACT` via :func:`render_contract`, mirroring the
   telemetry counter glossary (``python -m repro.fastpath.dtypes --write

@@ -319,37 +319,6 @@ class FastpathSnapshot:
             _dense_cache=self._dense_cache,
         )
 
-    # ------------------------------------------------------------------ #
-    # Vectorized metric arithmetic
-    # ------------------------------------------------------------------ #
-
-    def distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Vectorized metric distance between label arrays ``a`` and ``b``.
-
-        Protocol snapshots delegate to their policy's metric; ring/line
-        labels are grid points in ``[0, space_size)``, so the ring arithmetic
-        skips the general modulo reduction (``|a - b| < space_size`` already).
-        """
-        if self.policy is not None:
-            return self.policy.distance(a, b)
-        diff = np.abs(a - b)
-        if self.kind == "ring":
-            return np.minimum(diff, self.space_size - diff)
-        return diff
-
-    def displacement(self, source: np.ndarray, target: np.ndarray) -> np.ndarray:
-        """Vectorized signed displacement, matching the scalar metric spaces.
-
-        Ring: the shorter-arc displacement, positive (clockwise) on ties.
-        Line: the plain signed difference ``target - source``.
-        """
-        delta = target - source
-        if self.kind == "ring":
-            forward = np.where(delta < 0, delta + self.space_size, delta)
-            backward = forward - self.space_size
-            return np.where(forward <= -backward, forward, backward)
-        return delta
-
 
 @telemetry_spanned("compile")
 def compile_snapshot(

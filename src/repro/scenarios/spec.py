@@ -127,7 +127,13 @@ class FailureSpec:
 
 @dataclass(frozen=True)
 class RoutingSpec:
-    """Greedy-routing and failure-recovery configuration."""
+    """Greedy-routing and failure-recovery configuration.
+
+    Only ``recovery`` is read by the registered scenarios.  The other three
+    fields are echoed in the spec JSON at their defaults (result digests
+    hash the echo) and rejected at any other value rather than silently
+    ignored.
+    """
 
     mode: str = RoutingMode.TWO_SIDED.value
     recovery: str = RecoveryStrategy.BACKTRACK.value
@@ -135,22 +141,21 @@ class RoutingSpec:
     backtrack_depth: int = 5
 
     def validate(self) -> None:
-        modes = tuple(mode.value for mode in RoutingMode)
         recoveries = tuple(strategy.value for strategy in RecoveryStrategy)
-        _require(self.mode in modes, f"routing.mode must be one of {modes}, got {self.mode!r}")
         _require(self.recovery in recoveries, f"routing.recovery must be one of {recoveries}, got {self.recovery!r}")
-        _require(
-            isinstance(self.backtrack_depth, int) and self.backtrack_depth >= 1,
-            f"routing.backtrack_depth must be an integer >= 1, got {self.backtrack_depth!r}",
-        )
+        for field in dataclasses.fields(self):
+            if field.name == "recovery":
+                continue
+            value = getattr(self, field.name)
+            _require(
+                value == field.default and type(value) is type(field.default),
+                f"routing.{field.name} must stay {field.default!r}, got {value!r}: no registered "
+                "scenario reads it; construct `GreedyRouter` / `BatchGreedyRouter` directly",
+            )
 
     def recovery_strategy(self) -> RecoveryStrategy:
         """The recovery field as its enum."""
         return RecoveryStrategy(self.recovery)
-
-    def routing_mode(self) -> RoutingMode:
-        """The mode field as its enum."""
-        return RoutingMode(self.mode)
 
 
 @dataclass(frozen=True)

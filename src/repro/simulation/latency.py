@@ -1,4 +1,4 @@
-"""Link-latency models.
+"""The link-latency model.
 
 The paper measures cost in messages, so hop counts are the primary metric;
 the round-based scenarios nevertheless draw a latency for every hop of a
@@ -8,7 +8,6 @@ quantiles) can be reported next to them.
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,53 +15,11 @@ import numpy as np
 from repro.util.rng import spawn_rng
 from repro.util.validation import ensure_non_negative, ensure_positive
 
-__all__ = ["LatencyModel", "ConstantLatency", "UniformLatency", "LogNormalLatency"]
-
-
-class LatencyModel(abc.ABC):
-    """Interface for per-message latency sampling."""
-
-    @abc.abstractmethod
-    def sample(self, source: int, target: int) -> float:
-        """Return the latency of one message from ``source`` to ``target``."""
+__all__ = ["LogNormalLatency"]
 
 
 @dataclass
-class ConstantLatency(LatencyModel):
-    """Every message takes exactly ``value`` time units (default 1.0).
-
-    With this model a lookup's end-to-end latency equals its hop count.
-    """
-
-    value: float = 1.0
-
-    def __post_init__(self) -> None:
-        ensure_non_negative(self.value, "value")
-
-    def sample(self, source: int, target: int) -> float:
-        return self.value
-
-
-@dataclass
-class UniformLatency(LatencyModel):
-    """Latency drawn uniformly from ``[low, high]`` per message."""
-
-    low: float = 0.5
-    high: float = 1.5
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        ensure_non_negative(self.low, "low")
-        if self.high < self.low:
-            raise ValueError(f"high ({self.high}) must be >= low ({self.low})")
-        self._rng = spawn_rng(self.seed, "uniform-latency")
-
-    def sample(self, source: int, target: int) -> float:
-        return float(self._rng.uniform(self.low, self.high))
-
-
-@dataclass
-class LogNormalLatency(LatencyModel):
+class LogNormalLatency:
     """Heavy-tailed latency: ``exp(N(mu, sigma))`` per message.
 
     A reasonable stand-in for wide-area round-trip times, which are famously
@@ -80,4 +37,5 @@ class LogNormalLatency(LatencyModel):
         self._mu = float(np.log(self.median))
 
     def sample(self, source: int, target: int) -> float:
+        """Return the latency of one message from ``source`` to ``target``."""
         return float(self._rng.lognormal(self._mu, self.sigma))

@@ -32,7 +32,6 @@ from repro.telemetry.core import (
     enable,
     session,
     spanned,
-    summarize_values,
 )
 from repro.telemetry.report import render_telemetry
 
@@ -58,5 +57,4 @@ __all__ = [
     "update_glossary_block",
     "session",
     "spanned",
-    "summarize_values",
 ]

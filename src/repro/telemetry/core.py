@@ -54,7 +54,6 @@ __all__ = [
     "disable",
     "session",
     "spanned",
-    "summarize_values",
     "MS_BUCKETS",
     "POW2_BUCKETS",
     "HOP_BUCKETS",
@@ -129,8 +128,7 @@ class Histogram:
 
     Quantiles (:meth:`quantile`) interpolate linearly inside the winning
     bucket and clamp to the exact observed min/max — good enough for p50/p99
-    reporting; callers that need exact percentiles over raw samples should
-    use :func:`summarize_values` instead.
+    reporting.
     """
 
     __slots__ = ("name", "bounds", "bucket_counts", "count", "total", "min", "max")
@@ -393,24 +391,3 @@ def spanned(name: str):
         return wrapper
 
     return decorate
-
-
-# ---------------------------------------------------------------------------
-# Exact summaries over raw samples
-# ---------------------------------------------------------------------------
-
-
-def summarize_values(values: Iterable[float], percentiles: Sequence[int] = (50, 95)) -> dict:
-    """Exact mean + percentiles of raw samples (NumPy semantics).
-
-    Unlike :meth:`Histogram.quantile` this is exact, because it keeps the raw
-    samples.  Returns ``{"mean": ..., "p50": ..., ...}`` with
-    one ``p<N>`` key per requested percentile; all zeros when empty.
-    """
-    array = np.asarray(list(values), dtype=float)
-    if array.size == 0:
-        return {"mean": 0.0, **{f"p{p}": 0.0 for p in percentiles}}
-    return {
-        "mean": float(array.mean()),
-        **{f"p{p}": float(np.percentile(array, p)) for p in percentiles},
-    }

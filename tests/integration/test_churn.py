@@ -7,8 +7,8 @@ import pytest
 from repro.core.construction import HeuristicConstruction
 from repro.core.maintenance import MaintenanceDaemon
 from repro.core.metric import RingMetric
-from repro.core.network import P2PNetwork
 from repro.core.routing import GreedyRouter
+from repro.dht import DhtConfig, DistributedHashTable
 from repro.simulation.workload import ChurnWorkload, LookupWorkload
 
 
@@ -66,9 +66,10 @@ class TestChurnOnConstruction:
 
 class TestChurnOnFacade:
     def test_network_facade_under_churn(self):
-        network = P2PNetwork(space_size=512, seed=4)
-        network.join_many(list(range(0, 512, 8)))
-        network.publish("sticky-key", value="data", owner=0)
+        dht = DistributedHashTable(DhtConfig(space_size=512, seed=4))
+        dht.join_many(range(0, 512, 8))
+        network = dht.network
+        dht.put("sticky-key", "data", origin=0)
 
         churn = ChurnWorkload(space_size=512, join_rate=1.5, leave_rate=1.0,
                               crash_fraction=0.4, seed=5)
@@ -78,15 +79,15 @@ class TestChurnOnFacade:
             if event.address in survivors_needed:
                 continue
             if event.action == "join" and not network.graph.has_node(event.address):
-                network.join(event.address)
+                dht.join(event.address)
             elif event.action == "leave" and event.address in network.members():
-                network.leave(event.address)
+                dht.leave(event.address)
             elif event.action == "crash" and event.address in network.members():
-                network.crash(event.address)
-        network.repair()
+                dht.crash(event.address)
+        dht.repair()
         # The overlay must still accept and serve new publications.
-        assert network.publish("fresh-key", value=1, owner=0) is not None
-        assert network.lookup("fresh-key").found
+        assert dht.put("fresh-key", 1, origin=0).ok
+        assert dht.get("fresh-key").ok
         # Statistics reflect the churn that was applied.
         stats = network.statistics
         assert stats.joins >= 64

@@ -14,9 +14,9 @@ from repro.core.builder import build_ideal_network
 from repro.core.bounds import upper_bound_multiple_links
 from repro.core.construction import build_heuristic_network
 from repro.core.failures import LinkFailureModel, NodeFailureModel
-from repro.core.network import P2PNetwork
 from repro.core.routing import GreedyRouter, RecoveryStrategy
 from repro.dht.dht import DhtConfig, DistributedHashTable
+from repro.dht.replication import SuccessorReplication
 from repro.simulation.workload import LookupWorkload
 
 
@@ -131,21 +131,23 @@ class TestHeuristicallyConstructedNetwork:
 
 class TestApplicationStack:
     def test_p2p_network_full_lifecycle(self):
-        network = P2PNetwork(space_size=1 << 10, seed=22)
-        network.join_many(list(range(0, 1 << 10, 8)))
+        dht = DistributedHashTable(
+            DhtConfig(space_size=1 << 10, seed=22, replication=SuccessorReplication(degree=0))
+        )
+        dht.join_many(range(0, 1 << 10, 8))
         # Publish a batch of resources from different owners.
         for index in range(30):
-            assert network.publish(f"file-{index}", value=index, owner=(index * 8) % 1024) is not None
+            assert dht.put(f"file-{index}", index, origin=(index * 8) % 1024).ok
         # Everyone can find everything.
         for index in range(30):
-            assert network.lookup(f"file-{index}").found
+            assert dht.get(f"file-{index}").ok
         # Crash a tenth of the members, repair, and verify the overlay still works.
-        members = network.members()
+        members = dht.members()
         for victim in members[:: max(1, len(members) // 12)]:
-            network.crash(victim)
-        network.repair()
-        assert network.publish("post-repair", value=1) is not None
-        assert network.lookup("post-repair").found
+            dht.crash(victim)
+        dht.repair()
+        assert dht.put("post-repair", 1).ok
+        assert dht.get("post-repair").ok
 
     def test_dht_with_replication_survives_crashes(self):
         dht = DistributedHashTable(DhtConfig(space_size=512, seed=23))

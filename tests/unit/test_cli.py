@@ -20,11 +20,13 @@ class TestParser:
     def test_all_commands_exist(self):
         parser = build_parser()
         for argv in (
-            ["list"], ["run", "figure6"], ["sweep", "figure6"], ["lint"], ["analyze"],
+            ["list"], ["run", "figure6"], ["sweep", "figure6"], ["check"],
         ):
             assert parser.parse_args(argv).command == argv[0]
 
-    @pytest.mark.parametrize("command", ["figure6", "route-bench", "all", "bench-diff"])
+    @pytest.mark.parametrize(
+        "command", ["figure6", "route-bench", "all", "bench-diff", "lint", "analyze"]
+    )
     def test_per_figure_aliases_are_gone(self, command, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([command])
@@ -181,12 +183,11 @@ class TestScenarioCommands:
         with pytest.raises(KeyError, match="figure99"):
             main(["run", "figure99"])
 
-    @pytest.mark.parametrize("command", ["lint", "analyze"])
     @pytest.mark.parametrize("target", ["no/such/dir", "README.md"])
     def test_checker_path_that_is_not_python_or_a_directory_is_a_usage_error(
-        self, command, target, capsys
+        self, target, capsys
     ):
-        assert main([command, target]) == 2
+        assert main(["check", target]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert target in captured.err

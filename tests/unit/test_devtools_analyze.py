@@ -1,11 +1,11 @@
-"""Per-check fixture projects for ``repro analyze``.
+"""Per-id fixture projects for the dtype dataflow rule of ``repro check``.
 
-Every RPA1xx check is exercised three ways — a violating fixture, a clean
+Every RPA1xx id is exercised three ways — a violating fixture, a clean
 fixture, and a suppressed fixture — plus a unit suite for the promotion
-model and the self-check that the repository's own governed packages
-analyze clean.  Fixture projects are written to ``tmp_path`` (never
-committed) so the repository's own analyze run stays clean even though
-these strings spell out the violations.
+model.  Fixture projects are written to ``tmp_path`` (never committed), in
+a package the rule governs, so the repository's own run stays clean even
+though these strings spell out the violations.  The engine surface the rule
+shares with every other rule is tested in ``test_devtools_engine.py``.
 """
 
 from __future__ import annotations
@@ -13,10 +13,7 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
-import pytest
-
-from repro.devtools.analyze import AnalysisResult, AnalyzeEngine
-from repro.devtools.analyze.cli import render_text
+from repro.devtools import LintEngine, LintResult
 from repro.devtools.analyze.values import (
     array_of,
     definitely_widens,
@@ -26,11 +23,8 @@ from repro.devtools.analyze.values import (
     scalar_of,
 )
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-
 
 def make_project(tmp_path: Path, files: dict[str, str]) -> Path:
-    tmp_path.mkdir(parents=True, exist_ok=True)
     (tmp_path / "pyproject.toml").write_text(
         '[project]\nname = "fixture"\n', encoding="utf-8"
     )
@@ -41,8 +35,8 @@ def make_project(tmp_path: Path, files: dict[str, str]) -> Path:
     return tmp_path
 
 
-def analyze(root: Path, *checks: str) -> AnalysisResult:
-    return AnalyzeEngine(root=root, select=list(checks) or None).run()
+def analyze(root: Path, *checks: str) -> LintResult:
+    return LintEngine(root=root, select=list(checks) or None).run()
 
 
 class TestSilentUpcast:
@@ -50,7 +44,7 @@ class TestSilentUpcast:
         project = make_project(
             tmp_path,
             {
-                "src/app.py": """
+                "src/repro/fastpath/app.py": """
                 import numpy as np
 
                 def combine():
@@ -69,7 +63,7 @@ class TestSilentUpcast:
         project = make_project(
             tmp_path,
             {
-                "src/app.py": """
+                "src/repro/fastpath/app.py": """
                 import numpy as np
 
                 def count():
@@ -86,7 +80,7 @@ class TestSilentUpcast:
         project = make_project(
             tmp_path,
             {
-                "src/app.py": """
+                "src/repro/fastpath/app.py": """
                 import numpy as np
 
                 def combine():
@@ -104,7 +98,7 @@ class TestSilentUpcast:
         project = make_project(
             tmp_path,
             {
-                "src/app.py": """
+                "src/repro/fastpath/app.py": """
                 import numpy as np
 
                 def shift():
@@ -119,7 +113,7 @@ class TestSilentUpcast:
         project = make_project(
             tmp_path,
             {
-                "src/app.py": """
+                "src/repro/fastpath/app.py": """
                 import numpy as np
 
                 def combine():
@@ -135,7 +129,7 @@ class TestSilentUpcast:
         project = make_project(
             tmp_path,
             {
-                "src/app.py": """
+                "src/repro/fastpath/app.py": """
                 import numpy as np
 
                 def narrow():
@@ -156,7 +150,7 @@ class TestContractMismatch:
         project = make_project(
             tmp_path,
             {
-                "src/app.py": """
+                "src/repro/fastpath/app.py": """
                 import numpy as np
                 from repro.fastpath.snapshot import FastpathSnapshot
 
@@ -180,7 +174,7 @@ class TestContractMismatch:
         project = make_project(
             tmp_path,
             {
-                "src/app.py": """
+                "src/repro/fastpath/app.py": """
                 import numpy as np
 
                 def rewire(mirror):
@@ -196,7 +190,7 @@ class TestContractMismatch:
         project = make_project(
             tmp_path,
             {
-                "src/app.py": """
+                "src/repro/fastpath/app.py": """
                 import numpy as np
                 from repro.fastpath.snapshot import FastpathSnapshot
 
@@ -217,7 +211,7 @@ class TestContractMismatch:
         project = make_project(
             tmp_path,
             {
-                "src/app.py": """
+                "src/repro/fastpath/app.py": """
                 import numpy as np
 
                 def rewire(mirror):
@@ -234,7 +228,7 @@ class TestDefaultDtypeConstructor:
         project = make_project(
             tmp_path,
             {
-                "src/app.py": """
+                "src/repro/fastpath/app.py": """
                 import numpy as np
 
                 def build():
@@ -250,7 +244,7 @@ class TestDefaultDtypeConstructor:
         project = make_project(
             tmp_path,
             {
-                "src/app.py": """
+                "src/repro/fastpath/app.py": """
                 import numpy as np
 
                 def build(existing):
@@ -267,7 +261,7 @@ class TestDefaultDtypeConstructor:
         project = make_project(
             tmp_path,
             {
-                "src/app.py": """
+                "src/repro/fastpath/app.py": """
                 import numpy as np
 
                 def build():
@@ -283,7 +277,7 @@ class TestMixedConcat:
         project = make_project(
             tmp_path,
             {
-                "src/app.py": """
+                "src/repro/fastpath/app.py": """
                 import numpy as np
 
                 def splice():
@@ -301,7 +295,7 @@ class TestMixedConcat:
         project = make_project(
             tmp_path,
             {
-                "src/app.py": """
+                "src/repro/fastpath/app.py": """
                 import numpy as np
 
                 def splice():
@@ -317,7 +311,7 @@ class TestMixedConcat:
         project = make_project(
             tmp_path,
             {
-                "src/app.py": """
+                "src/repro/fastpath/app.py": """
                 import numpy as np
 
                 def splice():
@@ -329,60 +323,6 @@ class TestMixedConcat:
             },
         )
         assert analyze(project, "RPA104").findings == []
-
-
-class TestUnusedSuppression:
-    def test_stale_allow_is_reported(self, tmp_path):
-        project = make_project(
-            tmp_path,
-            {
-                "src/app.py": """
-                import numpy as np
-
-                def build():
-                    return np.zeros(8, dtype=np.int64)  # repro: allow[RPA103] stale
-                """
-            },
-        )
-        result = analyze(project)
-        assert len(result.findings) == 1
-        assert result.findings[0].rule == "RPA000"
-
-    def test_lint_suppressions_are_out_of_scope(self, tmp_path):
-        project = make_project(
-            tmp_path,
-            {
-                "src/app.py": """
-                import numpy as np
-
-                def build():
-                    return np.zeros(8, dtype=np.int64)  # repro: allow[RPR001] lint-only
-                """
-            },
-        )
-        assert analyze(project).findings == []
-
-
-class TestEngineSurface:
-    def test_unknown_check_id_raises(self, tmp_path):
-        project = make_project(tmp_path, {"src/app.py": "x = 1\n"})
-        with pytest.raises(KeyError):
-            analyze(project, "RPA999")
-
-    def test_exit_codes(self, tmp_path):
-        clean = make_project(tmp_path / "clean", {"src/app.py": "x = 1\n"})
-        assert analyze(clean).exit_code == 0
-        dirty = make_project(
-            tmp_path / "dirty",
-            {"src/app.py": "import numpy as np\n\nbad = np.zeros(8)\n"},
-        )
-        assert analyze(dirty).exit_code == 1
-
-    def test_json_envelope_schema(self, tmp_path):
-        project = make_project(tmp_path, {"src/app.py": "x = 1\n"})
-        payload = analyze(project).to_dict()
-        assert payload["schema"] == "repro.analyze/v1"
-        assert payload["findings"] == []
 
 
 class TestPromotionModel:
@@ -423,11 +363,3 @@ class TestPromotionModel:
         assert join(array_of("int32"), scalar_of("int32")).kind == "unknown"
         both = join(array_of("int32"), array_of("int64"))
         assert both.dtypes == frozenset({"int32", "int64"})
-
-
-class TestRepoAnalyzesClean:
-    def test_governed_packages_have_zero_findings(self):
-        result = AnalyzeEngine(root=REPO_ROOT).run()
-        assert result.findings == [], "\n" + render_text(result)
-        assert result.files_checked >= 10
-        assert result.checks_run == ("RPA101", "RPA102", "RPA103", "RPA104")

@@ -1,4 +1,4 @@
-"""Engine-level behaviour of ``repro lint``: suppressions, reporters, exit codes."""
+"""Engine-level behaviour of ``repro check``: suppressions, reporters, exit codes."""
 
 from __future__ import annotations
 
@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 from repro.devtools import (
-    ALL_RULES,
+    CHECK_SCHEMA,
     Finding,
-    LINT_SCHEMA,
     LintEngine,
+    catalog,
     get_rule,
     parse_suppressions,
     rule_ids,
@@ -38,6 +38,15 @@ import random
 
 def draw():
     return random.random()
+"""
+
+#: One finding per id family: RPA103 on line 5, RPR005 on line 6.
+BOTH_FAMILIES = """
+import numpy as np
+
+def grow(values):
+    fresh = np.zeros(4)
+    return np.append(values, fresh)
 """
 
 
@@ -83,10 +92,21 @@ class TestEngine:
         result = LintEngine(root=project, select=["RPR005", "RPR000"]).run()
         assert result.findings == []
 
+    def test_stale_dtype_suppression_is_reported_as_rpr000(self, tmp_path):
+        stale = "x = 1  # repro: allow[RPA101] nothing widens here\n"
+        project = make_project(tmp_path, {"src/repro/fastpath/app.py": stale})
+        (finding,) = LintEngine(root=project).run().findings
+        assert (finding.rule, finding.line) == (UNUSED_SUPPRESSION_ID, 1)
+        assert "allow[RPA101]" in finding.message
+        assert LintEngine(root=project, ignore=["RPA101"]).run().findings == []
+
     def test_unknown_rule_id_raises(self, tmp_path):
         project = make_project(tmp_path, {"src/app.py": "x = 1\n"})
-        with pytest.raises(KeyError, match="unknown lint rule"):
-            LintEngine(root=project, select=["RPR999"]).run()
+        for unknown in ("RPR999", "RPA999"):
+            with pytest.raises(KeyError, match="unknown rule id"):
+                LintEngine(root=project, select=[unknown]).run()
+            with pytest.raises(KeyError, match="unknown rule id"):
+                LintEngine(root=project, ignore=[unknown]).run()
 
     def test_syntax_error_becomes_a_finding(self, tmp_path):
         project = make_project(tmp_path, {"src/broken.py": "def f(:\n"})
@@ -133,6 +153,33 @@ class TestEngine:
         locations = [(finding.path, finding.line) for finding in result.findings]
         assert locations == sorted(locations)
 
+    def test_one_run_reports_both_id_families(self, tmp_path):
+        project = make_project(tmp_path, {"src/repro/fastpath/app.py": BOTH_FAMILIES})
+        result = LintEngine(root=project).run()
+        assert [(f.rule, f.line) for f in result.findings] == [("RPA103", 5), ("RPR005", 6)]
+        assert result.files_checked == 1
+        assert result.rules_run == rule_ids()
+
+    @pytest.mark.parametrize("suppressed, left", [("RPA103", "RPR005"), ("RPR005", "RPA103")])
+    def test_each_family_is_suppressed_by_its_own_allow(self, tmp_path, suppressed, left):
+        line = {"RPA103": "fresh = np.zeros(4)", "RPR005": "return np.append(values, fresh)"}
+        source = BOTH_FAMILIES.replace(
+            line[suppressed], f"{line[suppressed]}  # repro: allow[{suppressed}] fixture"
+        )
+        project = make_project(tmp_path, {"src/repro/fastpath/app.py": source})
+        assert [f.rule for f in LintEngine(root=project).run().findings] == [left]
+
+    def test_select_one_dtype_id_runs_and_lists_only_it(self, tmp_path):
+        project = make_project(tmp_path, {"src/repro/fastpath/app.py": BOTH_FAMILIES})
+        result = LintEngine(root=project, select=["RPA103"]).run()
+        assert [f.rule for f in result.findings] == ["RPA103"]
+        assert result.rules_run == ("RPA103",)
+
+    def test_scope_is_the_rules_not_the_commands(self, tmp_path):
+        project = make_project(tmp_path, {"src/repro/scenarios/app.py": BOTH_FAMILIES})
+        assert LintEngine(root=project).run().findings == []
+        assert LintEngine(root=project).run(["src/repro/scenarios/app.py"]).findings == []
+
     def test_discover_root_finds_pyproject(self, tmp_path):
         project = make_project(tmp_path, {"src/app.py": "x = 1\n"})
         assert discover_root(project / "src") == project
@@ -141,16 +188,17 @@ class TestEngine:
 class TestRuleRegistry:
     def test_at_least_six_rules_with_unique_ids(self):
         ids = rule_ids()
-        assert len(ids) >= 6
-        assert len(set(ids)) == len(ids)
-        for rule in ALL_RULES:
-            assert rule.id.startswith("RPR")
-            assert rule.name
-            assert rule.description
+        assert ids == tuple(
+            [f"RPR00{n}" for n in range(1, 7)] + [f"RPA10{n}" for n in range(1, 5)]
+        )
+        for rule_id, name, description in catalog():
+            assert rule_id in ids
+            assert name
+            assert description
 
     def test_get_rule_roundtrip_and_unknown(self):
         for rule_id in rule_ids():
-            assert get_rule(rule_id).id == rule_id
+            assert rule_id in get_rule(rule_id).ids()
         with pytest.raises(KeyError):
             get_rule("RPR999")
 
@@ -162,13 +210,13 @@ class TestReporters:
         text = render_text(result)
         assert "src/bad.py:5:" in text
         assert "RPR001" in text
-        assert "repro lint: 1 finding" in text
+        assert "repro check: 1 finding" in text
 
     def test_json_report_round_trips(self, tmp_path):
         project = make_project(tmp_path, {"src/bad.py": VIOLATING})
         result = LintEngine(root=project).run()
         payload = json.loads(render_json(result))
-        assert payload["schema"] == LINT_SCHEMA
+        assert payload["schema"] == CHECK_SCHEMA
         restored = parse_json_report(render_json(result))
         assert restored.findings == result.findings
         assert restored.files_checked == result.files_checked
@@ -176,7 +224,7 @@ class TestReporters:
         assert restored.exit_code == result.exit_code
 
     def test_json_report_rejects_wrong_schema(self):
-        with pytest.raises(ValueError, match="not a repro lint report"):
+        with pytest.raises(ValueError, match="not a repro check report"):
             parse_json_report(json.dumps({"schema": "something/else", "findings": []}))
 
     def test_finding_dict_round_trip(self):
@@ -190,36 +238,35 @@ class TestLintCli:
         from repro.experiments.cli import main
 
         project = make_project(tmp_path, {"src/app.py": "x = 1\n"})
-        assert main(["lint", "--root", str(project)]) == 0
+        assert main(["check", "--root", str(project)]) == 0
         assert "0 findings" in capsys.readouterr().out
 
     def test_exit_one_on_findings(self, tmp_path, capsys):
         from repro.experiments.cli import main
 
         project = make_project(tmp_path, {"src/bad.py": VIOLATING})
-        assert main(["lint", "--root", str(project)]) == 1
+        assert main(["check", "--root", str(project)]) == 1
         assert "RPR001" in capsys.readouterr().out
 
     def test_exit_two_on_unknown_rule(self, tmp_path, capsys):
         from repro.experiments.cli import main
 
         project = make_project(tmp_path, {"src/app.py": "x = 1\n"})
-        assert main(["lint", "--root", str(project), "--select", "RPR999"]) == 2
-        assert "unknown lint rule" in capsys.readouterr().err
+        assert main(["check", "--root", str(project), "--select", "RPR999"]) == 2
+        assert "unknown rule id" in capsys.readouterr().err
 
     def test_json_format_emits_schema(self, tmp_path, capsys):
         from repro.experiments.cli import main
 
         project = make_project(tmp_path, {"src/bad.py": VIOLATING})
-        assert main(["lint", "--root", str(project), "--format", "json"]) == 1
+        assert main(["check", "--root", str(project), "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema"] == LINT_SCHEMA
+        assert payload["schema"] == CHECK_SCHEMA
         assert payload["findings"][0]["rule"] == "RPR001"
 
     def test_list_rules_exits_zero(self, capsys):
         from repro.experiments.cli import main
 
-        assert main(["lint", "--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule in ALL_RULES:
-            assert rule.id in out
+        assert main(["check", "--list-rules"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.split()[0] for row in rows] == list(rule_ids())

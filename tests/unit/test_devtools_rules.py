@@ -1,8 +1,8 @@
-"""Per-rule fixture projects for ``repro lint``.
+"""Per-rule fixture projects for the AST rules of ``repro check``.
 
 Every rule is exercised three ways — a violating fixture, a clean fixture,
 and a suppressed fixture.  Fixture projects are written to ``tmp_path``
-(never committed) so the repository's own lint run stays clean even though
+(never committed) so the repository's own run stays clean even though
 these strings spell out the violations.
 """
 
@@ -283,7 +283,7 @@ class TestRegistryDriftRule:
         rows = "\n".join(f"| `{name}` | fixture row |" for name in names)
         return (
             "# fixture\n\n"
-            "<!-- scenario-catalog:begin (checked by repro lint RPR004) -->\n"
+            "<!-- scenario-catalog:begin (checked by repro check RPR004) -->\n"
             "| scenario | what it reproduces |\n"
             "|----------|--------------------|\n"
             f"{rows}\n"

@@ -116,13 +116,13 @@ class TestCompileSnapshot:
         for label in range(97):
             graph.add_node(label)
         graph.wire_ring()
-        snapshot = compile_snapshot(graph)
+        policy = compile_snapshot(graph).greedy_policy()
         a = np.arange(97)
         for b in (0, 13, 48, 49, 96):
             expected_d = [space.distance(int(x), b) for x in a]
             expected_s = [space.displacement(int(x), b) for x in a]
-            assert snapshot.distance(a, np.int64(b)).tolist() == expected_d
-            assert snapshot.displacement(a, np.int64(b)).tolist() == expected_s
+            assert policy.distance(a, np.int64(b)).tolist() == expected_d
+            assert policy.displacement(a, np.int64(b)).tolist() == expected_s
 
     def test_with_alive_shares_topology_and_checks_shape(self, snapshot_256):
         _graph, snapshot = snapshot_256

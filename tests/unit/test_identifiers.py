@@ -1,16 +1,10 @@
-"""Unit tests for key hashing and resource embedding."""
+"""Unit tests for key hashing."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.identifiers import (
-    FibonacciHasher,
-    Resource,
-    ResourceEmbedding,
-    Sha256Hasher,
-)
-from repro.core.metric import RingMetric
+from repro.core.identifiers import FibonacciHasher, Sha256Hasher
 
 
 class TestHashers:
@@ -32,71 +26,6 @@ class TestHashers:
         # Collisions are possible but should be rare at this load factor.
         assert len(points) > 480
 
-    def test_hash_resource_uses_key(self):
-        hasher = Sha256Hasher(1024)
-        resource = Resource(key="movie.mp4", owner=3)
-        assert hasher.hash_resource(resource) == hasher.hash_key("movie.mp4")
-
     def test_rejects_non_positive_space(self):
         with pytest.raises(ValueError):
             Sha256Hasher(0)
-
-    def test_hash_resource_type_checked(self):
-        hasher = Sha256Hasher(64)
-        with pytest.raises(TypeError):
-            hasher.hash_resource("not-a-resource")
-
-
-class TestResourceEmbedding:
-    def _embedding(self, n=256):
-        space = RingMetric(n)
-        return ResourceEmbedding(space=space, hasher=Sha256Hasher(n))
-
-    def test_embed_and_lookup(self):
-        embedding = self._embedding()
-        resource = Resource(key="doc", owner=1)
-        point = embedding.embed(resource)
-        assert embedding.point_of("doc") == point
-        assert "doc" in embedding.keys_at(point)
-        assert point in embedding.points_of_owner(1)
-
-    def test_point_of_unknown_key_is_still_computable(self):
-        embedding = self._embedding()
-        point = embedding.point_of("never-embedded")
-        assert 0 <= point < 256
-
-    def test_remove(self):
-        embedding = self._embedding()
-        resource = Resource(key="doc", owner=1)
-        point = embedding.embed(resource)
-        embedding.remove(resource)
-        assert "doc" not in embedding.keys_at(point)
-        assert len(embedding) == 0
-
-    def test_remove_unknown_is_noop(self):
-        embedding = self._embedding()
-        embedding.remove(Resource(key="ghost"))
-        assert len(embedding) == 0
-
-    def test_len_counts_resources(self):
-        embedding = self._embedding()
-        for index in range(10):
-            embedding.embed(Resource(key=f"k{index}", owner=index % 3))
-        assert len(embedding) == 10
-
-    def test_occupied_points(self):
-        embedding = self._embedding()
-        points = {embedding.embed(Resource(key=f"k{i}")) for i in range(5)}
-        assert embedding.occupied_points() == frozenset(points)
-
-    def test_keys_of_owner(self):
-        embedding = self._embedding()
-        embedding.embed(Resource(key="a", owner=7))
-        embedding.embed(Resource(key="b", owner=7))
-        embedding.embed(Resource(key="c", owner=8))
-        assert set(embedding.keys_of_owner(7)) == {"a", "b"}
-
-    def test_mismatched_space_size_rejected(self):
-        space = RingMetric(100)
-        with pytest.raises(ValueError):
-            ResourceEmbedding(space=space, hasher=Sha256Hasher(64))

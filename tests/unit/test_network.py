@@ -1,4 +1,11 @@
-"""Unit tests for the P2PNetwork facade."""
+"""Unit tests for the P2PNetwork facade, and for resource location over it.
+
+``P2PNetwork`` is membership, maintenance and routing; publishing and looking
+up resources is ``DistributedHashTable``, which composes one.  The store
+tests below drive the DHT at replication degree 0 — one copy at the
+responsible node, the configuration the facade's own ``publish``/``lookup``
+used to implement — and keep the names they had then.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +13,7 @@ import pytest
 
 from repro.core.network import P2PNetwork
 from repro.core.routing import RecoveryStrategy
+from repro.dht import DhtConfig, DistributedHashTable, SuccessorReplication
 
 
 @pytest.fixture
@@ -13,6 +21,20 @@ def network() -> P2PNetwork:
     net = P2PNetwork(space_size=512, seed=1)
     net.join_many(list(range(0, 512, 8)))
     return net
+
+
+def single_copy_store(space_size: int, step: int, seed: int, **config) -> DistributedHashTable:
+    store = DistributedHashTable(
+        DhtConfig(space_size=space_size, seed=seed,
+                  replication=SuccessorReplication(degree=0), **config)
+    )
+    store.join_many(range(0, space_size, step))
+    return store
+
+
+@pytest.fixture
+def store() -> DistributedHashTable:
+    return single_copy_store(512, 8, seed=1)
 
 
 class TestMembership:
@@ -50,78 +72,73 @@ class TestMembership:
 
 
 class TestPublishAndLookup:
-    def test_publish_then_lookup(self, network):
-        holder = network.publish("video.mp4", value=b"data", owner=0)
-        assert holder is not None
-        outcome = network.lookup("video.mp4", origin=256)
-        assert outcome.found
+    def test_publish_then_lookup(self, store):
+        published = store.put("video.mp4", b"data", origin=0)
+        assert published.ok
+        outcome = store.get("video.mp4", origin=256)
+        assert outcome.ok
         assert outcome.value == b"data"
-        assert outcome.responsible == holder
+        assert outcome.holder == published.holder
 
-    def test_lookup_missing_key(self, network):
-        outcome = network.lookup("never-published", origin=0)
-        assert not outcome.found
+    def test_lookup_missing_key(self, store):
+        outcome = store.get("never-published", origin=0)
+        assert not outcome.ok
         assert outcome.value is None
 
-    def test_publish_routes_to_closest_node(self, network):
-        holder = network.publish("doc", value=1, owner=0)
-        point = network.embedding.point_of("doc")
-        expected = network.responsible_node(point)
-        assert holder == expected
+    def test_publish_routes_to_closest_node(self, store):
+        holder = store.put("doc", 1, origin=0).holder
+        point = store.hasher.hash_key("doc")
+        assert holder == store.graph.closest_live_vertex(point)
 
-    def test_lookup_random_origin(self, network):
-        network.publish("k", value="v", owner=0)
-        outcome = network.lookup("k")
-        assert outcome.found
+    def test_lookup_random_origin(self, store):
+        store.put("k", "v", origin=0)
+        assert store.get("k").ok
 
-    def test_stored_keys(self, network):
-        holder = network.publish("a-key", value=3, owner=0)
-        assert "a-key" in network.stored_keys(holder)
+    def test_stored_keys(self, store):
+        holder = store.put("a-key", 3, origin=0).holder
+        assert "a-key" in store.storage[holder]
+        assert sum("a-key" in node for node in store.storage.values()) == 1
 
-    def test_lookup_counts_statistics(self, network):
-        network.publish("x", value=1, owner=0)
-        before = network.statistics.lookups
-        network.lookup("x", origin=0)
-        assert network.statistics.lookups == before + 1
-        assert network.statistics.successful_lookups >= 1
+    def test_lookup_counts_statistics(self, store):
+        store.put("x", 1, origin=0)
+        before = store.network.statistics.routing_messages
+        outcome = store.get("x", origin=256)
+        assert outcome.messages >= 1
+        assert store.network.statistics.routing_messages == before + outcome.messages
 
-    def test_rebalance_on_join(self, network):
-        holder = network.publish("rebalance-me", value=9, owner=0)
-        point = network.embedding.point_of("rebalance-me")
+    def test_rebalance_on_join(self, store):
+        holder = store.put("rebalance-me", 9, origin=0).holder
+        point = store.hasher.hash_key("rebalance-me")
         # Join a node exactly at the key's point: it must take over the key.
-        if not network.graph.has_node(point):
-            network.join(point)
-            assert "rebalance-me" in network.stored_keys(point)
-            assert "rebalance-me" not in network.stored_keys(holder) or holder == point
+        if not store.graph.has_node(point):
+            store.join(point)
+            assert "rebalance-me" in store.storage[point]
+            assert "rebalance-me" not in store.storage[holder] or holder == point
 
 
 class TestFailuresAndRepair:
-    def test_lookup_survives_crashes_of_other_nodes(self, network):
-        holder = network.publish("persistent", value=1, owner=0)
-        for victim in network.members():
-            if victim not in (holder, 0) and len(network.members()) > 40:
-                network.crash(victim)
-                break
-        outcome = network.lookup("persistent", origin=0)
-        assert outcome.found
+    def test_lookup_survives_crashes_of_other_nodes(self, store):
+        holder = store.put("persistent", 1, origin=0).holder
+        victim = next(label for label in store.members() if label not in (holder, 0))
+        store.crash(victim)
+        assert store.get("persistent", origin=0).ok
 
     def test_repair_removes_crashed_nodes(self, network):
         network.crash(16)
         network.repair()
         assert not network.graph.has_node(16)
         # The network remains routable after repair.
-        outcome = network.publish("after-repair", value=2, owner=0)
-        assert outcome is not None
+        assert network.route(0, 256).success
 
     def test_empty_network_operations_raise(self):
-        empty = P2PNetwork(space_size=64, seed=0)
+        empty = DistributedHashTable(DhtConfig(space_size=64, seed=0))
         with pytest.raises(RuntimeError):
-            empty.publish("k", value=1)
+            empty.put("k", 1)
         with pytest.raises(RuntimeError):
-            empty.lookup("k")
+            empty.get("k")
 
     def test_recovery_strategy_configurable(self):
-        net = P2PNetwork(space_size=128, recovery=RecoveryStrategy.TERMINATE, seed=2)
-        net.join_many(range(0, 128, 4))
-        net.publish("k", value=1, owner=0)
-        assert net.lookup("k", origin=64).found
+        store = single_copy_store(128, 4, seed=2, recovery=RecoveryStrategy.TERMINATE)
+        assert store.network.recovery is RecoveryStrategy.TERMINATE
+        store.put("k", 1, origin=0)
+        assert store.get("k", origin=64).ok

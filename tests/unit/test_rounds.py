@@ -231,6 +231,10 @@ REJECTED_SPECS = [
     ("baselines", "topology.nodes", 1000),
     ("baselines", "failures.levels", (0.2, 0.6)),
     ("ablation-backtrack", "failures.levels", (0.2, 0.6)),
+    # Knobs no scenario reads are refused, not echoed and ignored.
+    ("churn", "routing.mode", "one-sided"),
+    ("churn", "routing.strict_best_neighbor", True),
+    ("churn", "routing.backtrack_depth", 1),
 ]
 
 

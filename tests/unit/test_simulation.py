@@ -1,4 +1,4 @@
-"""Unit tests for the simulation package: latency models and workload generators."""
+"""Unit tests for the simulation package: the latency model and workload generators."""
 
 from __future__ import annotations
 
@@ -7,31 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.simulation.latency import ConstantLatency, LogNormalLatency, UniformLatency
+from repro.simulation.latency import LogNormalLatency
 from repro.simulation.workload import ChurnWorkload, LookupWorkload
 
 
 class TestLatencyModels:
-    def test_constant(self):
-        assert ConstantLatency(2.0).sample(0, 1) == 2.0
-
-    def test_uniform_in_range(self):
-        model = UniformLatency(low=1.0, high=3.0, seed=0)
-        samples = [model.sample(0, 1) for _ in range(200)]
-        assert all(1.0 <= s <= 3.0 for s in samples)
-
-    def test_uniform_invalid_range(self):
-        with pytest.raises(ValueError):
-            UniformLatency(low=2.0, high=1.0)
-
     def test_lognormal_positive(self):
         model = LogNormalLatency(median=1.0, sigma=0.5, seed=1)
         samples = [model.sample(0, 1) for _ in range(200)]
         assert all(s > 0 for s in samples)
-
-    def test_constant_negative_rejected(self):
-        with pytest.raises(ValueError):
-            ConstantLatency(-1.0)
 
 
 class TestWorkloads:

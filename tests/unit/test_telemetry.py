@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.telemetry import Histogram, Telemetry, render_telemetry, summarize_values
+from repro.telemetry import Histogram, Telemetry, render_telemetry
 from repro.telemetry.core import TELEMETRY_SCHEMA
 
 
@@ -148,15 +148,3 @@ class TestRender:
         assert "route.batch_ms" in text
         # render() over the raw dict is the same path the CLI uses.
         assert render_telemetry(tel.to_dict()) == text
-
-
-class TestSummarizeValues:
-    def test_matches_numpy(self):
-        values = [3.0, 1.0, 4.0, 1.0, 5.0]
-        summary = summarize_values(values, percentiles=(50, 95))
-        assert summary["mean"] == pytest.approx(np.mean(values))
-        assert summary["p50"] == pytest.approx(np.median(values))
-        assert summary["p95"] == pytest.approx(np.percentile(values, 95))
-
-    def test_empty_is_all_zero(self):
-        assert summarize_values([], percentiles=(50,)) == {"mean": 0.0, "p50": 0.0}
