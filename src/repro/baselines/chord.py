@@ -67,7 +67,7 @@ class ChordNetwork(OverlayMixin):
         self._init_members(self.members)
         self._fingers: dict[int, list[int]] = {}
         self._successors: dict[int, list[int]] = {}
-        self.build_routing_tables()
+        self.build_routing_tables_batched()
 
     # ------------------------------------------------------------------ #
     # Table construction
@@ -83,9 +83,9 @@ class ChordNetwork(OverlayMixin):
     def build_routing_tables(self) -> None:
         """(Re)build every member's finger table and successor list.
 
-        The scalar reference implementation; :meth:`build_routing_tables_batched`
-        produces identical tables with vectorized searchsorted sweeps and is
-        what :meth:`stabilize` uses.
+        The scalar reference implementation, kept for the identity test:
+        :meth:`build_routing_tables_batched` produces identical tables with
+        vectorized searchsorted sweeps and is what the overlay itself calls.
         """
         for label in self.members:
             fingers = []
@@ -142,13 +142,14 @@ class ChordNetwork(OverlayMixin):
 
     def _after_repair(self) -> None:
         """Reviving everyone invalidates the tables; rebuild them."""
-        self.build_routing_tables()
+        self.build_routing_tables_batched()
 
     def stabilize(self) -> None:
         """Rebuild tables over the live membership (Chord's repair protocol outcome).
 
         Failed members are excised entirely: the surviving ring has only the
         live nodes as members, all alive, with fresh finger/successor tables.
+        Observed as one bulk rebuild.
         """
         live = self.labels(only_alive=True)
         if len(live) < 2:
@@ -156,6 +157,8 @@ class ChordNetwork(OverlayMixin):
         self.members = live
         self._init_members(live)
         self.build_routing_tables_batched()
+        if self._observer is not None:
+            self._observer.on_rebuild()
 
     # ------------------------------------------------------------------ #
     # Routing (the scalar loop comes from OverlayMixin.route)

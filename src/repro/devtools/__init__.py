@@ -28,7 +28,7 @@ Adding a rule: see :mod:`repro.devtools.rules`.
 
 from repro.devtools.engine import LintEngine, LintResult
 from repro.devtools.findings import CHECK_SCHEMA, Finding
-from repro.devtools.rules import ALL_RULES, Rule, catalog, get_rule, rule_ids
+from repro.devtools.rules import ALL_RULES, Rule, catalog, rule_ids
 from repro.devtools.suppressions import Suppression, parse_suppressions
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "Rule",
     "Suppression",
     "catalog",
-    "get_rule",
     "parse_suppressions",
     "rule_ids",
 ]

@@ -5,9 +5,8 @@ from __future__ import annotations
 import json
 
 from repro.devtools.engine import LintResult
-from repro.devtools.findings import CHECK_SCHEMA, Finding
 
-__all__ = ["render_text", "render_json", "parse_json_report"]
+__all__ = ["render_text", "render_json"]
 
 
 def render_text(result: LintResult) -> str:
@@ -27,24 +26,3 @@ def render_text(result: LintResult) -> str:
 def render_json(result: LintResult) -> str:
     """The JSON report envelope (schema ``repro.check/v1``)."""
     return json.dumps(result.to_dict(), indent=2, sort_keys=True)
-
-
-def parse_json_report(text: str) -> LintResult:
-    """Round-trip a JSON report back into a :class:`LintResult`.
-
-    Raises
-    ------
-    ValueError
-        If the payload does not carry the ``repro.check/v1`` schema stamp.
-    """
-    data = json.loads(text)
-    if data.get("schema") != CHECK_SCHEMA:
-        raise ValueError(
-            f"not a repro check report: schema={data.get('schema')!r}, "
-            f"expected {CHECK_SCHEMA!r}"
-        )
-    return LintResult(
-        findings=[Finding.from_dict(entry) for entry in data["findings"]],
-        files_checked=int(data["files_checked"]),
-        rules_run=tuple(data["rules_run"]),
-    )

@@ -33,7 +33,6 @@ __all__ = [
     "Rule",
     "catalog",
     "dotted_name",
-    "get_rule",
     "iter_calls",
     "rule_ids",
 ]
@@ -232,11 +231,3 @@ def catalog() -> tuple[tuple[str, str, str], ...]:
 
 def rule_ids() -> tuple[str, ...]:
     return tuple(row[0] for row in catalog())
-
-
-def get_rule(rule_id: str) -> Rule:
-    """The rule that reports under ``rule_id``."""
-    for rule in ALL_RULES:
-        if rule_id.upper() in rule.ids():
-            return rule
-    raise KeyError(f"unknown rule id {rule_id!r}; known: {', '.join(rule_ids())}")

@@ -28,8 +28,8 @@ it is hop-for-hop identical to the scalar
 failure verdicts, same detour draws and backtrack moves) — asserted by
 ``tests/property/test_property_fastpath.py``.  Byzantine behaviour and the
 maintenance/DHT layers remain object-engine only, as do graphs embedded in
-spaces the snapshot compiler does not support; :func:`select_engine` and
-:class:`repro.scenarios.rounds.EngineSession` arbitrate the fallback.
+spaces the snapshot compiler does not support;
+:class:`repro.scenarios.rounds.EngineSession` arbitrates that fallback.
 
 The standard experimental network can additionally be built straight into a
 snapshot — :func:`build_snapshot` samples every node's long links in one
@@ -50,7 +50,6 @@ True
 
 from __future__ import annotations
 
-from repro.core.routing import RecoveryStrategy
 from repro.fastpath.batch_router import (
     FAILURE_CODES,
     BatchGreedyRouter,
@@ -99,39 +98,20 @@ __all__ = [
     "apply_node_failures",
     "sample_node_failures",
     "ENGINES",
-    "FASTPATH_RECOVERIES",
-    "supports_recovery",
     "select_engine",
 ]
 
 #: Engine names accepted by :class:`repro.scenarios.rounds.EngineSession`.
 ENGINES = ("object", "fastpath")
 
-#: Recovery strategies the batched engine implements — since the vectorized
-#: recovery work, all three Section-6 strategies.
-FASTPATH_RECOVERIES = frozenset(
-    {
-        RecoveryStrategy.TERMINATE,
-        RecoveryStrategy.RANDOM_REROUTE,
-        RecoveryStrategy.BACKTRACK,
-    }
-)
 
+def select_engine(engine: str) -> str:
+    """Validate an engine request and return it.
 
-def supports_recovery(recovery: RecoveryStrategy) -> bool:
-    """Return ``True`` when the fastpath engine implements ``recovery``."""
-    return recovery in FASTPATH_RECOVERIES
-
-
-def select_engine(engine: str, recovery: RecoveryStrategy) -> str:
-    """Validate an engine request and resolve the fastpath fallback rule.
-
-    Returns ``"fastpath"`` when it was requested and the recovery strategy is
-    fastpath-supported (today: every strategy); a request outside the
-    envelope falls back to ``"object"`` rather than failing, so sweeps that
-    mix configurations keep working.  Fallbacks for reasons this predicate
-    cannot see (a graph embedded in an unsupported metric space) are handled
-    — and warned about — by :class:`repro.scenarios.rounds.EngineSession`.
+    The batched engine implements every recovery strategy, so a valid name
+    is never downgraded here.  The one remaining fallback — a graph embedded
+    in a metric space the snapshot compiler does not support — is handled,
+    and warned about, by :class:`repro.scenarios.rounds.EngineSession`.
 
     Raises
     ------
@@ -140,6 +120,4 @@ def select_engine(engine: str, recovery: RecoveryStrategy) -> str:
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    if engine == "fastpath" and supports_recovery(recovery):
-        return "fastpath"
-    return "object"
+    return engine

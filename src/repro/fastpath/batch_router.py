@@ -34,8 +34,9 @@ guarantee rests on three details:
   queries;
 * random re-route draws come from ``spawn_rng(seed, "random-reroute")`` in
   ascending query order — the order a scalar router consuming one shared
-  stream would draw in (exact for ``max_reroutes=1``, the scalar default;
-  larger budgets interleave draws across queries and stay scalar-only).
+  stream would draw in (exact for the scalar default budget of one detour
+  per query, which is the only budget the batch router has: larger ones
+  interleave draws across queries and stay scalar-only).
 
 Supported: both routing modes (``TWO_SIDED`` and ``ONE_SIDED``, Sections 2
 and 4 of the paper), both neighbour-knowledge regimes
@@ -78,6 +79,10 @@ FAILURE_CODES: dict[FailureReason, int] = {
     FailureReason.DEAD_TARGET: 4,
 }
 _CODE_TO_REASON = {code: reason for reason, code in FAILURE_CODES.items()}
+
+# Random re-route detours per query: the scalar router's default, and the only
+# budget whose draw order a batch can reproduce (see the module docstring).
+_MAX_REROUTES = 1
 
 
 @dataclass
@@ -266,11 +271,6 @@ class BatchGreedyRouter:
     backtrack_depth:
         Number of recently visited nodes remembered for backtracking
         (the paper uses 5).
-    max_reroutes:
-        Random re-route detour budget per query.  Only 0 and 1 are supported
-        (1 is the scalar default): larger budgets interleave RNG draws across
-        queries in an order only sequential routing can reproduce, so they
-        raise :class:`NotImplementedError` — use the scalar router.
     strict_best_neighbor:
         Same knowledge-regime switch as the scalar router.
     hop_limit:
@@ -291,7 +291,6 @@ class BatchGreedyRouter:
     mode: RoutingMode = RoutingMode.TWO_SIDED
     recovery: RecoveryStrategy = RecoveryStrategy.TERMINATE
     backtrack_depth: int = 5
-    max_reroutes: int = 1
     strict_best_neighbor: bool = False
     hop_limit: int | None = None
     seed: int = 0
@@ -367,13 +366,6 @@ class BatchGreedyRouter:
     def __post_init__(self) -> None:
         if self.backtrack_depth < 1:
             raise ValueError(f"backtrack_depth must be >= 1, got {self.backtrack_depth}")
-        if self.max_reroutes not in (0, 1):
-            raise NotImplementedError(
-                f"the fastpath engine supports max_reroutes 0 or 1 (the scalar "
-                f"default), got {self.max_reroutes}: larger budgets interleave "
-                "RNG draws across queries — use the scalar "
-                "repro.core.routing.GreedyRouter"
-            )
         if self.hop_limit is None:
             size = max(4, self.snapshot.space_size)
             self.hop_limit = int(50 * np.ceil(np.log2(size)) ** 2 + 100)
@@ -569,7 +561,7 @@ class BatchGreedyRouter:
             if stuck.any():
                 stuck_queries = active[stuck]
                 if rerouting:
-                    can_detour = reroutes[stuck_queries] < self.max_reroutes
+                    can_detour = reroutes[stuck_queries] < _MAX_REROUTES
                     pending.extend(int(q) for q in stuck_queries[can_detour])
                     codes[stuck_queries[~can_detour]] = FAILURE_CODES[
                         FailureReason.STUCK

@@ -10,8 +10,10 @@ much weaker invariants").  This module makes the *repair path* array-native:
   (join/leave/crash/repair expressed as node, liveness, ring-pointer, and
   long-link operations);
 * :class:`DeltaRecorder` — an observer attached to an
-  :class:`~repro.core.graph.OverlayGraph` that captures every mutation the
-  construction heuristic, failure models, and maintenance daemon perform;
+  :class:`~repro.core.graph.OverlayGraph` (every mutation the construction
+  heuristic, failure models, and maintenance daemon perform) or to a table
+  overlay (:class:`~repro.overlay.mixin.OverlayMixin`'s liveness flips and
+  bulk rebuilds);
 * :class:`DeltaSnapshot` — a mutable, array-backed mirror of the overlay
   that applies deltas with slack-capacity CSR slabs (edge insertions land in
   per-node spare slots; periodic compaction reclaims orphaned rows), flips
@@ -55,7 +57,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 import numpy as np
 
@@ -64,6 +66,9 @@ from repro.core.metric import LineMetric, RingMetric
 from repro.fastpath.dtypes import label_dtype, narrow_indptr, narrow_labels
 from repro.fastpath.snapshot import FastpathSnapshot
 from repro.telemetry.core import current as telemetry_current
+
+if TYPE_CHECKING:
+    from repro.overlay.mixin import OverlayMixin
 
 __all__ = [
     "SnapshotDelta",
@@ -183,29 +188,30 @@ class SnapshotDelta:
 
 
 class DeltaRecorder:
-    """Observer that turns :class:`OverlayGraph` mutations into a delta.
+    """Observer that turns an overlay's mutations into a delta.
 
     Attach with :meth:`attach` *before* the events you want to capture;
     every construction, failure-injection, and maintenance call that goes
-    through the graph's mutator methods is recorded.  :meth:`drain` hands
-    back the accumulated :class:`SnapshotDelta` and starts a fresh batch, so
-    a churn loop records one delta per round.
+    through the mutator methods of the :class:`OverlayGraph` or table
+    overlay is recorded, whoever makes it.  :meth:`drain` hands back the
+    accumulated :class:`SnapshotDelta` and starts a fresh batch, so a churn
+    loop records one delta per round.
     """
 
-    def __init__(self, graph: OverlayGraph) -> None:
+    def __init__(self, graph: "OverlayGraph | OverlayMixin") -> None:
         self.graph = graph
         self._ops: list[tuple] = []
 
     # -- lifecycle -----------------------------------------------------------
 
     @classmethod
-    def attach(cls, graph: OverlayGraph) -> "DeltaRecorder":
-        """Create a recorder and register it as the graph's observer.
+    def attach(cls, graph: "OverlayGraph | OverlayMixin") -> "DeltaRecorder":
+        """Create a recorder and register it as the overlay's observer.
 
         Raises
         ------
         ValueError
-            If the graph already has an observer attached.
+            If the overlay already has an observer attached.
         """
         recorder = cls(graph)
         graph.set_observer(recorder)
@@ -225,7 +231,7 @@ class DeltaRecorder:
     def __len__(self) -> int:
         return len(self._ops)
 
-    # -- observer interface (called by OverlayGraph mutators) ----------------
+    # -- observer interface (called by the overlay's mutators) ---------------
 
     def on_add_node(self, label: int) -> None:
         self._ops.append((OP_ADD_NODE, label))
@@ -260,6 +266,9 @@ class DeltaRecorder:
 
     def on_revive_long_link(self, source: int, target: int) -> None:
         self._ops.append((OP_LINK_REVIVE, source, target))
+
+    def on_rebuild(self) -> None:
+        self._ops.append((OP_REBUILD,))
 
 
 class _Slab:

@@ -1,9 +1,9 @@
 """Deterministic fault-schedule injection (PR 8).
 
 Fault timelines as data (:mod:`repro.faults.schedule`) replayed against any
-overlay through recorded delta mutations (:mod:`repro.faults.driver`), so
-routing under an evolving fault process is measurable on both engines with
-identical tables.
+overlay through the overlay's own observable mutators
+(:mod:`repro.faults.driver`), so routing under an evolving fault process is
+measurable on both engines with identical tables.
 """
 
 from repro.faults.driver import FaultDriver

@@ -1,49 +1,83 @@
 """Replay a :class:`~repro.faults.schedule.FaultSchedule` against an overlay.
 
-The driver is the bridge between fault timelines (data) and the two overlay
-families (state):
+The driver is the adversary: it turns a fault timeline (data) into calls on
+the overlay's own mutators, and knows nothing else about the system under
+test.  Whoever wants to follow the mutations — an
+:class:`~repro.scenarios.rounds.EngineSession` keeping an array mirror
+current, a test holding a recorder — attaches to the overlay's mutation
+observer, exactly as for any other caller of those mutators.
+
+The eight event kinds are written once.  What differs between the two
+overlay families is only how a node's links are enumerated and flipped, and
+that sits behind a small link view (``nodes``, ``pairs``, ``fail_link``,
+``revive_link``, ``out_degree``, ``stabilize``) chosen at construction:
 
 * **graph-backed overlays** — an :class:`~repro.core.graph.OverlayGraph` (or
   any object exposing one as ``.graph``, e.g. the paper's power-law
-  networks): every mutation goes through the graph's observable mutators, so
-  an attached :class:`~repro.fastpath.delta.DeltaRecorder` captures the
-  exact op stream and the structural-tier mirror replays it;
+  networks): the links are the long links, parallel ones included;
 * **table-backed overlays** — :class:`~repro.overlay.mixin.OverlayMixin`
-  protocols (Chord, CAN, Kleinberg, Plaxton): the driver mutates the overlay
-  through its liveness/link methods and emits the equivalent delta ops
-  itself, feeding a liveness-tier mirror
-  (:meth:`~repro.fastpath.delta.DeltaSnapshot.from_overlay`).
+  protocols (Chord, CAN, Kleinberg, Plaxton): the links are the distinct
+  ``(holder, target)`` routing-table entries.
 
-Either way, after every event the optional mirror is delta-updated and the
-optional ``on_event`` callback fires — which is how the ``degradation``
-scenario measures routing along the timeline without ever recompiling.
+After every event the optional ``on_event`` callback fires — which is how the
+``degradation`` scenario measures routing along the timeline.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
 from repro.core.graph import OverlayGraph
 from repro.faults.schedule import FaultEvent, FaultSchedule
-from repro.fastpath.delta import (
-    OP_FAIL,
-    OP_LINK_FAIL,
-    OP_LINK_REVIVE,
-    OP_REBUILD,
-    OP_REVIVE,
-    DeltaRecorder,
-    DeltaSnapshot,
-    SnapshotDelta,
-)
 from repro.telemetry.core import current as telemetry_current
 
-if TYPE_CHECKING:
-    from repro.overlay.protocol import Overlay
-    from repro.telemetry.core import Telemetry
-
 __all__ = ["FaultDriver"]
+
+
+class _GraphLinks:
+    """The long links of an :class:`OverlayGraph`."""
+
+    #: Graph overlays repair through the maintenance daemon; the stabilize
+    #: event is a table-overlay concept.
+    stabilize = None
+
+    def __init__(self, graph: OverlayGraph) -> None:
+        self.nodes = graph
+        self.fail_link = graph.fail_long_link
+        self.revive_link = graph.revive_long_link
+
+    def pairs(self, alive: bool) -> Iterator[tuple[int, int]]:
+        """Links whose flag is ``alive`` when reached, in sorted-holder order."""
+        for label in sorted(self.nodes.labels()):
+            for link in self.nodes.node(label).long_links:
+                if link.alive == alive:
+                    yield label, link.target
+
+    def out_degree(self, label: int) -> int:
+        return self.nodes.node(label).out_degree()
+
+
+class _TableLinks:
+    """The distinct routing-table entries of a table-backed overlay."""
+
+    def __init__(self, overlay: Any) -> None:
+        self.nodes = overlay
+        self.fail_link = overlay.fail_link
+        self.revive_link = overlay.revive_link
+        self.stabilize: Callable[[], None] | None = getattr(overlay, "stabilize", None)
+
+    def pairs(self, alive: bool) -> Iterator[tuple[int, int]]:
+        """Entries whose state is ``alive`` when reached, in sorted-holder order."""
+        overlay = self.nodes
+        for holder in overlay.labels(only_alive=False):
+            for target in dict.fromkeys(overlay.neighbors_of(holder)):
+                if target != holder and overlay.link_is_alive(holder, target) == alive:
+                    yield holder, int(target)
+
+    def out_degree(self, label: int) -> int:
+        return len(dict.fromkeys(self.nodes.neighbors_of(label)))
 
 
 class FaultDriver:
@@ -57,274 +91,121 @@ class FaultDriver:
         liveness/link API).
     schedule:
         The timeline to replay.
-    mirror:
-        Optional :class:`~repro.fastpath.delta.DeltaSnapshot` kept current
-        with one :meth:`~repro.fastpath.delta.DeltaSnapshot.apply` per event.
-        Graph-backed runs reuse an already-attached
-        :class:`~repro.fastpath.delta.DeltaRecorder` or attach (and detach)
-        their own; table-backed runs synthesize the op stream directly.
     on_event:
         Optional ``callback(index, event, entry)`` fired after each event has
-        mutated the overlay and updated the mirror.
+        mutated the overlay.
     """
 
     def __init__(
         self,
         overlay: Any,
         schedule: FaultSchedule,
-        mirror: DeltaSnapshot | None = None,
         on_event: Callable[[int, FaultEvent, dict], None] | None = None,
     ) -> None:
         self.overlay = overlay
         self.schedule = schedule
-        self.mirror = mirror
         self.on_event = on_event
         graph = overlay if isinstance(overlay, OverlayGraph) else getattr(overlay, "graph", None)
-        self.graph: OverlayGraph | None = graph if isinstance(graph, OverlayGraph) else None
-
-    # ------------------------------------------------------------------ #
-    # Execution
-    # ------------------------------------------------------------------ #
+        self._links = (
+            _GraphLinks(graph) if isinstance(graph, OverlayGraph) else _TableLinks(overlay)
+        )
 
     def run(self) -> dict:
         """Replay every event in order; return the per-event report.
 
         The report maps ``"events"`` to one entry dict per event (kind plus
-        what it touched) and ``"ops"`` to the aggregated delta-op counts when
-        a mirror was attached.
+        what it touched).
         """
         tel = telemetry_current()
         if tel is not None:
             tel.count("faults.runs")
-        if self.graph is not None:
-            return self._run_graph(tel)
-        return self._run_table(tel)
-
-    def _run_graph(self, tel: "Telemetry | None") -> dict:
-        graph = self.graph
-        recorder = None
-        attached_here = False
-        if self.mirror is not None:
-            observer = graph.observer
-            if isinstance(observer, DeltaRecorder):
-                recorder = observer
-            else:
-                recorder = DeltaRecorder.attach(graph)
-                attached_here = True
         entries: list[dict] = []
-        op_totals: dict[str, int] = {}
-        try:
-            for index, event in enumerate(self.schedule.events):
-                rng = self.schedule.event_rng(index)
-                entry = self._apply_graph_event(graph, event, rng)
-                if tel is not None:
-                    tel.count(f"faults.events.{event.kind}")
-                if recorder is not None:
-                    delta = recorder.drain()
-                    self.mirror.apply(delta)
-                    for kind, count in delta.counts().items():
-                        op_totals[kind] = op_totals.get(kind, 0) + count
-                    entry["ops"] = len(delta)
-                entries.append(entry)
-                if self.on_event is not None:
-                    self.on_event(index, event, entry)
-        finally:
-            if attached_here:
-                recorder.detach()
-        return {"events": entries, "ops": op_totals}
-
-    def _run_table(self, tel: "Telemetry | None") -> dict:
-        overlay = self.overlay
-        entries: list[dict] = []
-        op_totals: dict[str, int] = {}
         for index, event in enumerate(self.schedule.events):
-            rng = self.schedule.event_rng(index)
-            ops: list[tuple] = []
-            entry = self._apply_table_event(overlay, event, rng, ops)
+            entry = self._apply(event, self.schedule.event_rng(index))
             if tel is not None:
                 tel.count(f"faults.events.{event.kind}")
-            if self.mirror is not None:
-                delta = SnapshotDelta(ops=ops)
-                self.mirror.apply(delta)
-                for kind, count in delta.counts().items():
-                    op_totals[kind] = op_totals.get(kind, 0) + count
-                entry["ops"] = len(delta)
             entries.append(entry)
             if self.on_event is not None:
                 self.on_event(index, event, entry)
-        return {"events": entries, "ops": op_totals}
+        return {"events": entries}
 
-    # ------------------------------------------------------------------ #
-    # Graph-backed events
-    # ------------------------------------------------------------------ #
-
-    def _apply_graph_event(
-        self, graph: OverlayGraph, event: FaultEvent, rng: np.random.Generator
-    ) -> dict:
+    def _apply(self, event: FaultEvent, rng: np.random.Generator) -> dict:
+        links = self._links
+        # The node half (labels / is_alive / fail_node / revive_node / space)
+        # is spelled the same way on a graph and on a table overlay.
+        nodes: Any = links.nodes
         kind = event.kind
         entry: dict = {"kind": kind}
         if kind == "crash":
-            victims = _draw(sorted(graph.labels(only_alive=True)), event.level, rng)
+            victims = _draw(sorted(nodes.labels(only_alive=True)), event.level, rng)
             for label in victims:
-                graph.fail_node(label)
+                nodes.fail_node(label)
             entry["failed_nodes"] = len(victims)
         elif kind == "revive":
-            dead = sorted(
-                label for label in graph.labels() if not graph.is_alive(label)
-            )
-            victims = _draw(dead, event.level, rng)
+            victims = _draw(_dead(nodes), event.level, rng)
             for label in victims:
-                graph.revive_node(label)
+                nodes.revive_node(label)
             entry["revived_nodes"] = len(victims)
         elif kind == "link_fail":
             failed = 0
             # One draw per live link in sorted-holder order: the per-event
             # stream makes the victim set a pure function of (seed, index).
-            for label in sorted(graph.labels()):
-                for link in graph.node(label).long_links:
-                    if link.alive and rng.random() < event.level:
-                        graph.fail_long_link(label, link.target)
-                        failed += 1
-            entry["failed_links"] = failed
-        elif kind == "region_fail":
-            size = graph.space.size()
-            span = int(round(event.level * size))
-            start = int(rng.integers(size))
-            failed = 0
-            for label in sorted(graph.labels()):
-                if span <= 0 or (label - start) % size >= span:
-                    continue
-                for link in graph.node(label).long_links:
-                    if link.alive:
-                        graph.fail_long_link(label, link.target)
-                        failed += 1
-            entry.update(region_start=start, region_span=span, failed_links=failed)
-        elif kind == "targeted":
-            live = sorted(graph.labels(only_alive=True))
-            ranked = sorted(
-                live,
-                key=lambda label: (-graph.node(label).out_degree(), label),
-            )
-            victims = ranked[: event.count]
-            for label in victims:
-                graph.fail_node(label)
-            entry["failed_nodes"] = len(victims)
-        elif kind == "byzantine":
-            compromised = _draw(sorted(graph.labels(only_alive=True)), event.level, rng)
-            entry["compromised"] = compromised
-        elif kind == "repair":
-            revived_nodes = 0
-            revived_links = 0
-            for label in sorted(graph.labels()):
-                node = graph.node(label)
-                if not node.alive:
-                    graph.revive_node(label)
-                    revived_nodes += 1
-                for link in node.long_links:
-                    if not link.alive:
-                        graph.revive_long_link(label, link.target)
-                        revived_links += 1
-            entry.update(revived_nodes=revived_nodes, revived_links=revived_links)
-        elif kind == "stabilize":
-            # Graph overlays repair through the maintenance daemon; the
-            # stabilize event is a table-overlay concept, so it is a no-op.
-            entry["noop"] = True
-        else:  # pragma: no cover - FaultEvent validates kinds
-            raise ValueError(f"unknown fault event kind {kind!r}")
-        return entry
-
-    # ------------------------------------------------------------------ #
-    # Table-backed events
-    # ------------------------------------------------------------------ #
-
-    def _apply_table_event(
-        self,
-        overlay: "Overlay",
-        event: FaultEvent,
-        rng: np.random.Generator,
-        ops: list,
-    ) -> dict:
-        kind = event.kind
-        entry: dict = {"kind": kind}
-        if kind == "crash":
-            victims = _draw(overlay.labels(only_alive=True), event.level, rng)
-            for label in victims:
-                overlay.fail_node(label)
-                ops.append((OP_FAIL, label))
-            entry["failed_nodes"] = len(victims)
-        elif kind == "revive":
-            dead = [
-                label
-                for label in overlay.labels(only_alive=False)
-                if not overlay.is_alive(label)
-            ]
-            victims = _draw(dead, event.level, rng)
-            for label in victims:
-                overlay.revive_node(label)
-                ops.append((OP_REVIVE, label))
-            entry["revived_nodes"] = len(victims)
-        elif kind == "link_fail":
-            failed = 0
-            for holder, target in _table_pairs(overlay):
-                if overlay.link_is_alive(holder, target) and rng.random() < event.level:
-                    overlay.fail_link(holder, target)
-                    ops.append((OP_LINK_FAIL, holder, target))
+            for holder, target in links.pairs(alive=True):
+                if rng.random() < event.level:
+                    links.fail_link(holder, target)
                     failed += 1
             entry["failed_links"] = failed
         elif kind == "region_fail":
-            size = overlay.space.size()
+            size = nodes.space.size()
             span = int(round(event.level * size))
             start = int(rng.integers(size))
             failed = 0
-            for holder, target in _table_pairs(overlay):
-                if span <= 0 or (holder - start) % size >= span:
-                    continue
-                if overlay.link_is_alive(holder, target):
-                    overlay.fail_link(holder, target)
-                    ops.append((OP_LINK_FAIL, holder, target))
+            for holder, target in links.pairs(alive=True):
+                if span > 0 and (holder - start) % size < span:
+                    links.fail_link(holder, target)
                     failed += 1
             entry.update(region_start=start, region_span=span, failed_links=failed)
         elif kind == "targeted":
-            live = overlay.labels(only_alive=True)
             ranked = sorted(
-                live,
-                key=lambda label: (-len(dict.fromkeys(overlay.neighbors_of(label))), label),
+                nodes.labels(only_alive=True),
+                key=lambda label: (-links.out_degree(label), label),
             )
             victims = ranked[: event.count]
             for label in victims:
-                overlay.fail_node(label)
-                ops.append((OP_FAIL, label))
+                nodes.fail_node(label)
             entry["failed_nodes"] = len(victims)
         elif kind == "byzantine":
-            compromised = _draw(overlay.labels(only_alive=True), event.level, rng)
-            entry["compromised"] = compromised
+            entry["compromised"] = _draw(
+                sorted(nodes.labels(only_alive=True)), event.level, rng
+            )
         elif kind == "repair":
-            revived_nodes = 0
+            # Everything dead comes back one mutator call at a time, so the
+            # cost reported is exactly what was revived.
+            dead = _dead(nodes)
+            for label in dead:
+                nodes.revive_node(label)
             revived_links = 0
-            for label in overlay.labels(only_alive=False):
-                if not overlay.is_alive(label):
-                    ops.append((OP_REVIVE, label))
-                    revived_nodes += 1
-            for holder, target in _table_pairs(overlay):
-                if not overlay.link_is_alive(holder, target):
-                    ops.append((OP_LINK_REVIVE, holder, target))
-                    revived_links += 1
-            # The ops are computed first: overlay.repair() clears the dead
-            # sets in bulk (and runs the protocol's repair hook, an identity
-            # rebuild — tables depend on membership, not liveness).
-            overlay.repair()
-            entry.update(revived_nodes=revived_nodes, revived_links=revived_links)
+            for holder, target in links.pairs(alive=False):
+                links.revive_link(holder, target)
+                revived_links += 1
+            entry.update(revived_nodes=len(dead), revived_links=revived_links)
         elif kind == "stabilize":
-            stabilize = getattr(overlay, "stabilize", None)
+            stabilize = links.stabilize
             if stabilize is None:
                 entry["noop"] = True
             else:
                 stabilize()
-                ops.append((OP_REBUILD,))
-                entry["members"] = len(overlay.labels(only_alive=False))
+                entry["members"] = len(nodes.labels(only_alive=False))
         else:  # pragma: no cover - FaultEvent validates kinds
             raise ValueError(f"unknown fault event kind {kind!r}")
         return entry
+
+
+def _dead(nodes: Any) -> list[int]:
+    """The failed members, in ascending label order."""
+    return sorted(
+        label for label in nodes.labels(only_alive=False) if not nodes.is_alive(label)
+    )
 
 
 def _draw(candidates: list[int], level: float, rng: np.random.Generator) -> list[int]:
@@ -334,11 +215,3 @@ def _draw(candidates: list[int], level: float, rng: np.random.Generator) -> list
         return []
     chosen = rng.choice(len(candidates), size=count, replace=False)
     return [candidates[int(i)] for i in chosen]
-
-
-def _table_pairs(overlay):
-    """Every distinct ``(holder, target)`` table entry, in deterministic order."""
-    for holder in overlay.labels(only_alive=False):
-        for target in dict.fromkeys(overlay.neighbors_of(holder)):
-            if target != holder:
-                yield holder, int(target)

@@ -8,8 +8,8 @@ abstraction a first-class value: a :class:`FaultSchedule` is an ordered
 timeline of typed :class:`FaultEvent`\\ s (crashes, revivals, independent and
 correlated link failures, targeted attacks, Byzantine flips, repair and
 stabilize rounds) that :class:`~repro.faults.driver.FaultDriver` replays
-deterministically against any overlay — recording every mutation through the
-delta vocabulary instead of ad-hoc model ``.apply()`` calls.
+deterministically against any overlay — every mutation a call on the
+overlay's observable mutators instead of an ad-hoc model ``.apply()``.
 
 Schedules are pure data (frozen dataclasses): the same schedule + seed
 replays the same fault process on the object engine and on the fastpath

@@ -9,6 +9,11 @@ copy of the scalar greedy loop.  :class:`OverlayMixin` hoists all of that:
 * **failure injection** with the exact per-protocol RNG stream the old
   copies used (``failure_stream``), so seeded experiments reproduce the
   same victim draws;
+* the **mutation observer** hook (``set_observer`` / ``observer``), the same
+  single-observer seam :class:`~repro.core.graph.OverlayGraph` has: every
+  liveness mutator notifies it, so a
+  :class:`~repro.fastpath.delta.DeltaRecorder` attached to a table overlay
+  records the op stream whoever mutates it;
 * the **scalar greedy loop** (``route``), parameterised by one method —
   ``next_hop`` — and ordered (arrival check, hop budget, step) to match the
   batched router's per-query semantics move for move;
@@ -25,7 +30,7 @@ per-edge classes (Chord's finger/successor tiers).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -37,7 +42,21 @@ from repro.util.rng import spawn_rng
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fastpath imports us)
     from repro.fastpath.snapshot import FastpathSnapshot
 
-__all__ = ["OverlayMixin", "apply_fail_fraction"]
+__all__ = ["MutationObserver", "OverlayMixin", "apply_fail_fraction"]
+
+
+class MutationObserver(Protocol):
+    """What a table overlay tells its observer (the graph's hook names)."""
+
+    def on_fail_node(self, label: int) -> None: ...
+
+    def on_revive_node(self, label: int) -> None: ...
+
+    def on_fail_long_link(self, source: int, target: int) -> None: ...
+
+    def on_revive_long_link(self, source: int, target: int) -> None: ...
+
+    def on_rebuild(self) -> None: ...
 
 
 def apply_fail_fraction(
@@ -82,6 +101,32 @@ class OverlayMixin:
     #: ``kind`` tag stamped on compiled snapshots (documentation/repr only
     #: for protocol snapshots — the attached policy owns the arithmetic).
     snapshot_kind: str = "overlay"
+
+    #: The single mutation observer.  A class-level default rather than
+    #: ``_init_members`` state, so a membership rebuild keeps it attached.
+    _observer: MutationObserver | None = None
+
+    # ------------------------------------------------------------------ #
+    # Mutation observation
+    # ------------------------------------------------------------------ #
+
+    @property
+    def observer(self) -> MutationObserver | None:
+        """The attached mutation observer, or ``None``."""
+        return self._observer
+
+    def set_observer(self, observer: MutationObserver | None) -> None:
+        """Attach (or with ``None`` detach) the single mutation observer.
+
+        Raises
+        ------
+        ValueError
+            When an observer is already attached (mutations must not be
+            double-recorded; detach the old one first).
+        """
+        if observer is not None and self._observer is not None:
+            raise ValueError("overlay already has a mutation observer attached")
+        self._observer = observer
 
     # ------------------------------------------------------------------ #
     # Membership state (subclasses call this once from __post_init__)
@@ -133,12 +178,16 @@ class OverlayMixin:
         position = self._label_position(label)
         if position is not None:
             self._alive[position] = False
+            if self._observer is not None:
+                self._observer.on_fail_node(int(label))
 
     def revive_node(self, label: int) -> None:
         """Revive the member at ``label`` (no-op for non-members)."""
         position = self._label_position(label)
         if position is not None:
             self._alive[position] = True
+            if self._observer is not None:
+                self._observer.on_revive_node(int(label))
 
     def fail_fraction(
         self, fraction: float, seed: int = 0, protect: set[int] | None = None
@@ -153,21 +202,32 @@ class OverlayMixin:
         successor entries to the same node) shares the fate — the paper's
         link-failure model is per node pair, not per table slot.
         """
-        self._dead_edges.add((int(source), int(target)))
+        pair = (int(source), int(target))
+        self._dead_edges.add(pair)
+        if self._observer is not None:
+            self._observer.on_fail_long_link(*pair)
 
     def revive_link(self, source: int, target: int) -> None:
         """Mark the table entry ``source -> target`` as usable again."""
-        self._dead_edges.discard((int(source), int(target)))
+        pair = (int(source), int(target))
+        self._dead_edges.discard(pair)
+        if self._observer is not None:
+            self._observer.on_revive_long_link(*pair)
 
     def link_is_alive(self, source: int, target: int) -> bool:
         """Whether the ``source -> target`` table entry is usable."""
         return (source, target) not in self._dead_edges
 
     def repair(self) -> None:
-        """Revive every member and link, then run the protocol's repair hook."""
+        """Revive every member and link, then run the protocol's repair hook.
+
+        Observed as one bulk rebuild, not as a revive per member and link.
+        """
         self._dead_edges.clear()
         self._alive[:] = True
         self._after_repair()
+        if self._observer is not None:
+            self._observer.on_rebuild()
 
     def _after_repair(self) -> None:
         """Hook for protocols that rebuild state on repair (Chord's tables)."""

@@ -13,8 +13,9 @@ The sweep axis is fault intensity (``failures.levels``); ``topology.protocol``
 selects the overlay family (the paper's power-law overlay by default, or any
 of the structured baselines), and ``engine`` selects the routing engine.  An
 :class:`~repro.scenarios.rounds.EngineSession` keeps the router current with
-the overlay on either engine (on ``engine="fastpath"`` through the
-edge-liveness delta tier, never recompiling); the reported numbers are
+the overlay on either engine (on ``engine="fastpath"`` through the deltas
+its recorder observes the fault driver make, never recompiling outside a
+table rebuild); the reported numbers are
 identical across engines at the same seed, which the tier-1 golden digests
 assert.
 """
@@ -185,7 +186,6 @@ def _run_intensity(
         FaultDriver(
             system,
             schedule,
-            mirror=session.mirror,
             on_event=lambda index, event, entry: measure(index, event.kind, entry),
         ).run()
     return rows, session.engine_used

@@ -12,7 +12,11 @@ build, their per-batch hook and their tabulation:
   that knows there are two.  The object engine routes on the live overlay;
   the fastpath engine follows it through recorded
   :class:`~repro.fastpath.DeltaSnapshot` deltas and rebases its batch router
-  before every batch, never recompiling.  Both are hop-for-hop identical at
+  before every batch, never recompiling.  There is one way a mutation
+  reaches the mirror, whichever family the overlay belongs to and whoever
+  makes it: the overlay's mutator notifies the session's
+  :class:`~repro.fastpath.DeltaRecorder`, and :meth:`EngineSession.route`
+  drains it.  Both engines are hop-for-hop identical at
   the same route seed, which is what keeps every scenario table
   byte-identical across engines.  The static paper experiments (``figure6``,
   ``figure7``, ``table1``, ``baselines``) open the same session, fail nodes
@@ -71,8 +75,7 @@ __all__ = [
 class FastpathFallbackWarning(RuntimeWarning):
     """Emitted when a requested ``engine="fastpath"`` session is downgraded.
 
-    The fastpath engine implements all three recovery strategies, so the
-    remaining downgrade trigger is structural: a graph whose metric space the
+    The one downgrade trigger is structural: a graph whose metric space the
     snapshot compiler does not support.  The fallback still happens (sweeps
     must not fail half-way), but it is observable: this warning fires once,
     when the session opens, and :attr:`EngineSession.engine_used` reports
@@ -106,8 +109,9 @@ class EngineSession:
     Plaxton), which routes with its own policy and ignores ``recovery`` and
     ``route_seed``, or the :class:`IdealNetwork` parameters of a network the
     session builds itself.  Use as a context manager: on the fastpath engine a
-    :class:`~repro.fastpath.DeltaRecorder` observes the graph from entry to
-    exit, so mutate the overlay only inside the ``with`` body.
+    :class:`~repro.fastpath.DeltaRecorder` observes the overlay from entry to
+    exit, so mutate it — through its own methods, from anywhere — only inside
+    the ``with`` body.
 
     Attributes
     ----------
@@ -121,8 +125,7 @@ class EngineSession:
         :class:`IdealNetwork` on the fastpath engine.
     mirror:
         The :class:`~repro.fastpath.DeltaSnapshot` following the overlay on
-        the fastpath engine, ``None`` on the object engine — exactly what
-        :class:`~repro.faults.FaultDriver` takes as ``mirror=``.
+        the fastpath engine, ``None`` on the object engine.
     """
 
     def __init__(
@@ -132,7 +135,7 @@ class EngineSession:
         self.graph = getattr(system, "graph", None)
         self.recovery = recovery
         self.route_seed = route_seed
-        self.engine_used = select_engine(engine, recovery)
+        self.engine_used = select_engine(engine)
         self.mirror: DeltaSnapshot | None = None
         # Whoever answers labels() / revive_node(): the graph, the table-backed
         # overlay, or — for an IdealNetwork until the object engine builds
@@ -160,10 +163,10 @@ class EngineSession:
                     seed=self.system.seed,
                 ).graph
             self.rearm(self.recovery, self.route_seed)
-        elif self.graph is not None:
-            # Attached last: nothing mutates the graph between the compile
+        elif self._members is not None:
+            # Attached last: nothing mutates the overlay between the compile
             # above and here, and nothing after it can fail and leak it.
-            self._recorder = DeltaRecorder.attach(self.graph)
+            self._recorder = DeltaRecorder.attach(self._members)
         return self
 
     def _open_mirror(self) -> DeltaSnapshot | None:
@@ -220,7 +223,7 @@ class EngineSession:
 
     @property
     def pending_ops(self) -> int:
-        """Recorded graph mutations the next :meth:`route` will apply."""
+        """Recorded mutations the next :meth:`route` will apply."""
         return 0 if self._recorder is None else len(self._recorder)
 
     def live_labels(self) -> list[int]:
@@ -238,9 +241,10 @@ class EngineSession:
         """Fail exactly ``fraction`` of the live members, until :meth:`restore`.
 
         The same victims on either engine at the same ``seed``: a graph takes
-        :class:`~repro.core.failures.NodeFailureModel` (and the recorder sees
-        it), a table-backed overlay its own ``fail_fraction``, and a network
-        held only as arrays :func:`~repro.fastpath.sample_node_failures`.
+        :class:`~repro.core.failures.NodeFailureModel` and a table-backed
+        overlay its own ``fail_fraction`` (the recorder sees both), and a
+        network held only as arrays — no object to observe — takes
+        :func:`~repro.fastpath.sample_node_failures` as one bulk mask write.
         """
         if self.graph is not None:
             model = NodeFailureModel(fraction, seed=seed)
@@ -251,29 +255,27 @@ class EngineSession:
             self._failed = snapshot.labels[
                 sample_node_failures(snapshot, fraction, seed=seed)
             ]
+            self.mirror.crash(self._failed)
         else:
             self._failed = self.system.fail_fraction(fraction, seed=seed)
-        if self.mirror is not None and self._recorder is None:
-            self.mirror.crash(self._failed)
 
     def restore(self) -> None:
         """Revive the members the last :meth:`fail_nodes` failed."""
-        if self._members is not None:
+        if self._members is None:
+            self.mirror.revive(self._failed)
+        else:
             for label in self._failed:
                 self._members.revive_node(label)
-        if self.mirror is not None and self._recorder is None:
-            self.mirror.revive(self._failed)
         self._failed = ()
 
     def route(self, pairs: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
         """Route ``pairs`` on the overlay as it is now.
 
         Returns per-query ``(success, hops)`` arrays.  The fastpath engine
-        first brings its router up to date: recorded graph mutations are
-        drained into the mirror (table-backed overlays have none — whoever
-        mutates them updates :attr:`mirror`, as ``FaultDriver`` does), the
-        batch router is rebased onto the refreshed snapshot, and the
-        random-reroute detour pool is realigned.
+        first brings its router up to date: recorded mutations are drained
+        into the mirror (the one place a delta is applied), the batch router
+        is rebased onto the refreshed snapshot, and the random-reroute detour
+        pool is realigned.
         """
         if self._batch_router is None:
             success = np.zeros(len(pairs), dtype=bool)

@@ -292,6 +292,20 @@ def _freeze(value: Any) -> Any:
 _SUB_SPECS = ("topology", "failures", "routing", "workload")
 _TOP_FIELDS = ("engine", "seed")
 
+#: Fields no registered scenario reads, mapped to where the axis really
+#: lives.  Each scenario's own value stays in the echoed spec (result digests
+#: hash the echo); an override would be echoed and ignored, so it is refused.
+_UNREAD_FIELDS = {
+    "topology.kind": "every scenario builds the topology its name says "
+    "(`figure7` compares heuristic and ideal; `table1` builds each model)",
+    "topology.exponent": "sweep the link exponent with `ablation-exponent` "
+    "(`extras.exponents`)",
+    "topology.base": "`table1` sweeps the deterministic bases (`extras.bases`)",
+    "topology.variant": "`table1` builds both deterministic variants itself",
+    "failures.kind": "the failure model is the scenario's own (`figure6` nodes, "
+    "`table1` links, `byzantine`, `churn`, `degradation` schedules)",
+}
+
 
 def parse_scalar(text: str) -> Any:
     """Parse one CLI value: int, float, bool, None, or the raw string."""
@@ -359,6 +373,11 @@ def _coerce(raw: Any, template: Any) -> Any:
 
 def override_template(spec: ScenarioSpec, key: str) -> Any:
     """Return the current value of dotted-path ``key`` (the coercion template)."""
+    if key in _UNREAD_FIELDS:
+        raise SpecError(
+            f"{key} cannot be overridden: no registered scenario reads it; "
+            f"{_UNREAD_FIELDS[key]}"
+        )
     head, _, tail = key.partition(".")
     if head in _TOP_FIELDS and not tail:
         return getattr(spec, head)

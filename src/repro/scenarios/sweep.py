@@ -185,31 +185,6 @@ class SweepResult:
         """Read a sweep previously written by :meth:`save`."""
         return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
-    def diff(self, other: "SweepResult") -> list[str]:
-        """Human-readable differences against another sweep (empty = identical).
-
-        Compares scenario, master seed, and every cell's deterministic JSON
-        (timings excluded); useful for checking a re-run against a saved
-        baseline.
-        """
-        differences: list[str] = []
-        if self.scenario != other.scenario:
-            differences.append(f"scenario: {self.scenario!r} != {other.scenario!r}")
-        if self.master_seed != other.master_seed:
-            differences.append(f"master_seed: {self.master_seed} != {other.master_seed}")
-        mine = {cell.key: cell for cell in self.cells}
-        theirs = {cell.key: cell for cell in other.cells}
-        for key in sorted(mine.keys() - theirs.keys()):
-            differences.append(f"cell only in self: {key}")
-        for key in sorted(theirs.keys() - mine.keys()):
-            differences.append(f"cell only in other: {key}")
-        for key in sorted(mine.keys() & theirs.keys()):
-            left = json.dumps(mine[key].to_json_dict(), sort_keys=True)
-            right = json.dumps(theirs[key].to_json_dict(), sort_keys=True)
-            if left != right:
-                differences.append(f"cell differs: {key}")
-        return differences
-
     def to_text(self) -> str:
         """Render every cell's tables, prefixed by the cell header."""
         blocks = []

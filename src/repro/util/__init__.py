@@ -11,7 +11,6 @@ from repro.util.validation import (
     ensure_non_negative,
     ensure_positive,
     ensure_probability,
-    ensure_type,
 )
 
 __all__ = [
@@ -22,5 +21,4 @@ __all__ = [
     "ensure_non_negative",
     "ensure_positive",
     "ensure_probability",
-    "ensure_type",
 ]

@@ -9,15 +9,14 @@ randomness through this module.  The goals are:
 * **Independence** — subsystems receive *derived* generators so that, for
   example, adding extra failure sampling does not perturb the link choices of
   an otherwise identical run.
-* **Convenience** — a thin :class:`RandomSource` wrapper exposes the handful
-  of sampling primitives the library needs with clear names.
+* **Convenience** — a thin :class:`RandomSource` wrapper hands a component
+  its named sub-streams lazily, one generator per label.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Sequence
 
 import numpy as np
 
@@ -93,40 +92,3 @@ class RandomSource:
         if label not in self._streams:
             self._streams[label] = spawn_rng(self.seed, label)
         return self._streams[label]
-
-    def child(self, *labels: str | int) -> "RandomSource":
-        """Return a new :class:`RandomSource` with a seed derived from this one."""
-        return RandomSource(seed=derive_seed(self.seed, *labels))
-
-    # -- convenience sampling primitives -------------------------------------
-
-    def integers(self, label: str, low: int, high: int, size: int | None = None) -> Any:
-        """Sample uniform integers in ``[low, high)`` from the named stream.
-
-        Returns a scalar when ``size`` is ``None``, else an ndarray (hence
-        the ``Any`` — numpy's own overloads decide).
-        """
-        return self.stream(label).integers(low, high, size=size)
-
-    def random(self, label: str, size: int | None = None) -> Any:
-        """Sample uniform floats in ``[0, 1)`` from the named stream."""
-        return self.stream(label).random(size=size)
-
-    def choice(
-        self,
-        label: str,
-        options: Sequence[Any] | np.ndarray,
-        size: int | None = None,
-        p: Sequence[float] | np.ndarray | None = None,
-        replace: bool = True,
-    ) -> Any:
-        """Sample from ``options`` (optionally weighted by ``p``)."""
-        return self.stream(label).choice(options, size=size, p=p, replace=replace)
-
-    def poisson(self, label: str, lam: float) -> int:
-        """Sample a Poisson variate with rate ``lam`` from the named stream."""
-        return int(self.stream(label).poisson(lam))
-
-    def shuffle(self, label: str, values: list[Any]) -> None:
-        """Shuffle ``values`` in place using the named stream."""
-        self.stream(label).shuffle(values)

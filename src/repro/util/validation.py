@@ -2,20 +2,17 @@
 
 Every public constructor and function validates its inputs eagerly so that
 misconfiguration surfaces at the call site rather than deep inside a
-simulation loop.  The helpers below raise :class:`ValueError` or
-:class:`TypeError` with messages that name the offending parameter.
+simulation loop.  The helpers below raise :class:`ValueError` with messages
+that name the offending parameter.
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 __all__ = [
     "ensure_positive",
     "ensure_non_negative",
     "ensure_probability",
     "ensure_in_range",
-    "ensure_type",
 ]
 
 
@@ -44,16 +41,4 @@ def ensure_in_range(value: float, name: str, low: float, high: float) -> float:
     """Raise :class:`ValueError` unless ``low <= value <= high``."""
     if not low <= value <= high:
         raise ValueError(f"{name} must lie in [{low}, {high}], got {value!r}")
-    return value
-
-
-def ensure_type(value: Any, name: str, expected: type | tuple[type, ...]) -> Any:
-    """Raise :class:`TypeError` unless ``value`` is an instance of ``expected``."""
-    if not isinstance(value, expected):
-        expected_names = (
-            expected.__name__
-            if isinstance(expected, type)
-            else " or ".join(t.__name__ for t in expected)
-        )
-        raise TypeError(f"{name} must be {expected_names}, got {type(value).__name__}")
     return value

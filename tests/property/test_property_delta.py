@@ -248,17 +248,17 @@ class TestFaultScheduleParity:
 
         build = build_ideal_network(128, seed=seed)
         mirror = DeltaSnapshot.from_graph(build.graph)
+        recorder = DeltaRecorder.attach(build.graph)
 
         def check(index, event, entry):
+            mirror.apply(recorder.drain())
             assert_snapshots_identical(
                 mirror.snapshot(),
                 compile_snapshot(build.graph),
                 context=f"{event.kind}@{index}",
             )
 
-        FaultDriver(
-            build, random_schedule(seed, length=8), mirror=mirror, on_event=check
-        ).run()
+        FaultDriver(build, random_schedule(seed, length=8), on_event=check).run()
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -273,17 +273,17 @@ class TestFaultScheduleParity:
 
         overlay = _build_overlay(protocol, seed)
         mirror = DeltaSnapshot.from_overlay(overlay)
+        recorder = DeltaRecorder.attach(overlay)
 
         def check(index, event, entry):
+            mirror.apply(recorder.drain())
             assert_snapshots_identical(
                 mirror.snapshot(),
                 overlay.compile_snapshot(),
                 context=f"{protocol}:{event.kind}@{index}",
             )
 
-        FaultDriver(
-            overlay, random_schedule(seed, length=6), mirror=mirror, on_event=check
-        ).run()
+        FaultDriver(overlay, random_schedule(seed, length=6), on_event=check).run()
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -298,7 +298,9 @@ class TestFaultScheduleParity:
 
         overlay = _build_overlay(protocol, seed)
         mirror = DeltaSnapshot.from_overlay(overlay)
-        FaultDriver(overlay, random_schedule(seed, length=5), mirror=mirror).run()
+        recorder = DeltaRecorder.attach(overlay)
+        FaultDriver(overlay, random_schedule(seed, length=5)).run()
+        mirror.apply(recorder.drain())
 
         live = overlay.labels(only_alive=True)
         if len(live) < 2:

@@ -13,13 +13,12 @@ from repro.devtools import (
     Finding,
     LintEngine,
     catalog,
-    get_rule,
     parse_suppressions,
     rule_ids,
 )
 from repro.devtools.engine import discover_root
 from repro.devtools.findings import UNUSED_SUPPRESSION_ID
-from repro.devtools.reporters import parse_json_report, render_json, render_text
+from repro.devtools.reporters import render_json, render_text
 
 
 def make_project(tmp_path: Path, files: dict[str, str]) -> Path:
@@ -196,12 +195,6 @@ class TestRuleRegistry:
             assert name
             assert description
 
-    def test_get_rule_roundtrip_and_unknown(self):
-        for rule_id in rule_ids():
-            assert rule_id in get_rule(rule_id).ids()
-        with pytest.raises(KeyError):
-            get_rule("RPR999")
-
 
 class TestReporters:
     def test_text_report_has_locations_and_summary(self, tmp_path):
@@ -217,15 +210,9 @@ class TestReporters:
         result = LintEngine(root=project).run()
         payload = json.loads(render_json(result))
         assert payload["schema"] == CHECK_SCHEMA
-        restored = parse_json_report(render_json(result))
-        assert restored.findings == result.findings
-        assert restored.files_checked == result.files_checked
-        assert restored.rules_run == result.rules_run
-        assert restored.exit_code == result.exit_code
-
-    def test_json_report_rejects_wrong_schema(self):
-        with pytest.raises(ValueError, match="not a repro check report"):
-            parse_json_report(json.dumps({"schema": "something/else", "findings": []}))
+        assert [Finding.from_dict(entry) for entry in payload["findings"]] == result.findings
+        assert payload["files_checked"] == result.files_checked
+        assert tuple(payload["rules_run"]) == result.rules_run
 
     def test_finding_dict_round_trip(self):
         finding = Finding(path="src/x.py", line=3, col=7, rule="RPR001", message="m")

@@ -423,3 +423,33 @@ def test_experiments_route_only_through_the_engine_session():
             for alias in node.names
         }
         assert not imported & engine_internals, module.name
+
+
+def test_one_way_a_mutation_reaches_the_mirror():
+    """The fault driver cannot see the array engine; only the session holds a mirror."""
+    delta_layer = {"DeltaSnapshot", "DeltaRecorder", "SnapshotDelta"}
+    source_root = Path(repro.__file__).parent
+    modules = sorted(source_root.rglob("*.py"))
+    assert len([m for m in modules if m.parent.name == "faults"]) >= 3
+    holders = set()
+    for module in modules:
+        package = module.relative_to(source_root).parts[0]
+        if package == "fastpath":
+            continue
+        imports = [
+            node
+            for node in ast.walk(ast.parse(module.read_text()))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        ]
+        if package == "faults":
+            origins = {
+                getattr(node, "module", None) or alias.name
+                for node in imports
+                for alias in node.names
+            }
+            assert not any(
+                origin.startswith("repro.fastpath") for origin in origins
+            ), module.name
+        if delta_layer & {alias.name for node in imports for alias in node.names}:
+            holders.add(module.relative_to(source_root).as_posix())
+    assert holders == {"scenarios/rounds.py"}

@@ -81,16 +81,16 @@ class TestFaultDriverGraph:
 
     def test_mirror_stays_field_identical(self, build):
         mirror = DeltaSnapshot.from_graph(build.graph)
+        recorder = DeltaRecorder.attach(build.graph)
 
         def check(index, event, entry):
+            mirror.apply(recorder.drain())
             assert_snapshots_identical(
                 mirror.snapshot(), compile_snapshot(build.graph),
                 context=f"{event.kind}@{index}",
             )
 
-        report = FaultDriver(
-            build, random_schedule(5, length=10), mirror=mirror, on_event=check
-        ).run()
+        report = FaultDriver(build, random_schedule(5, length=10), on_event=check).run()
         assert len(report["events"]) == 10
 
     def test_replay_is_deterministic(self):
@@ -102,30 +102,16 @@ class TestFaultDriverGraph:
         assert reports[0] == reports[1]
 
     def test_reuses_attached_recorder(self, build):
+        # The driver only calls the graph's mutators: whatever observer the
+        # caller attached records them, and is still attached afterwards.
         recorder = DeltaRecorder.attach(build.graph)
-        try:
-            mirror = DeltaSnapshot.from_graph(build.graph)
-            FaultDriver(
-                build,
-                FaultSchedule(events=(FaultEvent("crash", level=0.2),), seed=1),
-                mirror=mirror,
-            ).run()
-            # The externally attached recorder survives the run.
-            assert build.graph.observer is recorder
-            assert_snapshots_identical(
-                mirror.snapshot(), compile_snapshot(build.graph)
-            )
-        finally:
-            recorder.detach()
-
-    def test_detaches_own_recorder(self, build):
         mirror = DeltaSnapshot.from_graph(build.graph)
         FaultDriver(
-            build,
-            FaultSchedule(events=(FaultEvent("crash", level=0.2),), seed=1),
-            mirror=mirror,
+            build, FaultSchedule(events=(FaultEvent("crash", level=0.2),), seed=1)
         ).run()
-        assert build.graph.observer is None
+        assert build.graph.observer is recorder
+        mirror.apply(recorder.drain())
+        assert_snapshots_identical(mirror.snapshot(), compile_snapshot(build.graph))
 
     def test_targeted_attacks_highest_degree_nodes(self, build):
         graph = build.graph
@@ -184,8 +170,14 @@ class TestFaultDriverTable:
     def test_mirror_stays_field_identical_through_stabilize(self):
         overlay = ChordNetwork(bits=6)
         mirror = DeltaSnapshot.from_overlay(overlay)
+        recorder = DeltaRecorder.attach(overlay)
+        ops: dict[str, int] = {}
 
         def check(index, event, entry):
+            delta = recorder.drain()
+            for kind, count in delta.counts().items():
+                ops[kind] = ops.get(kind, 0) + count
+            mirror.apply(delta)
             assert_snapshots_identical(
                 mirror.snapshot(), overlay.compile_snapshot(),
                 context=f"{event.kind}@{index}",
@@ -200,9 +192,11 @@ class TestFaultDriverTable:
             ),
             seed=9,
         )
-        report = FaultDriver(overlay, schedule, mirror=mirror, on_event=check).run()
-        assert report["ops"].get("link_fail", 0) > 0
-        assert report["ops"].get("rebuild", 0) == 1
+        FaultDriver(overlay, schedule, on_event=check).run()
+        assert ops.get("link_fail", 0) > 0
+        assert ops.get("rebuild", 0) == 1
+        # The membership rebuild kept the observer attached.
+        assert overlay.observer is recorder
 
     def test_stabilize_excises_crashed_members(self):
         overlay = ChordNetwork(bits=6)
@@ -219,12 +213,11 @@ class TestFaultDriverTable:
 
     def test_link_fail_ops_match_entry_counts(self):
         overlay = ChordNetwork(bits=5)
-        mirror = DeltaSnapshot.from_overlay(overlay)
+        recorder = DeltaRecorder.attach(overlay)
         report = FaultDriver(
             overlay,
             FaultSchedule(events=(FaultEvent("link_fail", level=0.2),), seed=8),
-            mirror=mirror,
         ).run()
         entry = report["events"][0]
         assert entry["failed_links"] > 0
-        assert report["ops"]["link_fail"] == entry["failed_links"]
+        assert recorder.drain().counts() == {"link_fail": entry["failed_links"]}

@@ -9,13 +9,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.baselines.chord import ChordNetwork
+from repro.baselines import CanNetwork, ChordNetwork, KleinbergGridNetwork, PlaxtonNetwork
 from repro.core.construction import build_heuristic_network
 from repro.core.graph import OverlayGraph
 from repro.core.maintenance import MaintenanceDaemon
 from repro.core.metric import TorusMetric
 from repro.core.routing import GreedyRouter, RecoveryStrategy
 from repro.experiments import ablations, baseline_comparison
+from repro.fastpath.delta import assert_snapshots_identical
 from repro.faults import FaultDriver, degradation_schedule
 from repro.scenarios import SpecError, churn, get_scenario, run, service
 from repro.scenarios.rounds import (
@@ -81,26 +82,74 @@ def test_engines_route_identically_through_interleaved_churn(recovery):
         assert not all(success.all() for success, _hops in object_batches)
 
 
-def _chord_batches(engine: str) -> list[tuple]:
-    overlay = ChordNetwork(bits=7)
+TABLE_SYSTEMS = {
+    "chord": lambda: ChordNetwork(bits=7),
+    "can": lambda: CanNetwork(side=11, dimensions=2),
+    "kleinberg": lambda: KleinbergGridNetwork(side=11, links_per_node=3, seed=34),
+    "plaxton": lambda: PlaxtonNetwork(digits=3, base=5),
+}
+
+
+def _replay_schedule(overlay, step) -> None:
+    FaultDriver(
+        overlay,
+        degradation_schedule(0.25, seed=32),
+        on_event=lambda index, event, entry: step(),
+    ).run()
+
+
+def _mutate_directly(overlay, step) -> None:
+    """Any caller of the overlay's own mutators, with no session in hand."""
+    members = overlay.labels()
+    for label in members[::3]:
+        overlay.fail_node(label)
+    step()
+    links = [(holder, overlay.neighbors_of(holder)[0]) for holder in members[1::3]]
+    for holder, target in links:
+        overlay.fail_link(holder, target)
+    step()
+    for label in members[::6]:
+        overlay.revive_node(label)
+    for holder, target in links[::2]:
+        overlay.revive_link(holder, target)
+    step()
+    if isinstance(overlay, ChordNetwork):
+        overlay.stabilize()
+        step()
+        # The rebuilt ring is observed like the original one.
+        first, *_rest, last = overlay.labels()
+        overlay.fail_node(last)
+        overlay.fail_link(first, overlay.neighbors_of(first)[0])
+        step()
+    overlay.repair()
+    step()
+
+
+def _table_batches(protocol: str, mutate, engine: str) -> list[tuple]:
+    overlay = TABLE_SYSTEMS[protocol]()
     lookups = LookupWorkload(seed=31)
-    schedule = degradation_schedule(0.25, seed=32)
     batches: list[tuple] = []
     with EngineSession(overlay, engine, RecoveryStrategy.BACKTRACK, route_seed=33) as session:
         assert session.engine_used == engine
         assert (session.mirror is None) == (engine == "object")
 
-        def on_event(index, event, entry) -> None:
+        def step() -> None:
             pairs = lookups.pairs(session.live_labels(), 50)
             batches.append(session.route(pairs))
+            if session.mirror is not None:
+                assert_snapshots_identical(
+                    session.mirror.snapshot(), overlay.compile_snapshot(),
+                    context=f"step {len(batches)}",
+                )
 
-        FaultDriver(overlay, schedule, mirror=session.mirror, on_event=on_event).run()
+        mutate(overlay, step)
+    assert overlay.observer is None
     return batches
 
 
-def test_table_backed_overlay_follows_fault_driver_through_mirror():
-    object_batches = _chord_batches("object")
-    fastpath_batches = _chord_batches("fastpath")
+def _assert_table_parity(protocol: str, mutate) -> None:
+    object_batches = _table_batches(protocol, mutate, "object")
+    fastpath_batches = _table_batches(protocol, mutate, "fastpath")
     assert len(object_batches) == len(fastpath_batches) > 0
     for (obj_success, obj_hops), (fast_success, fast_hops) in zip(
         object_batches, fastpath_batches
@@ -108,6 +157,16 @@ def test_table_backed_overlay_follows_fault_driver_through_mirror():
         assert np.array_equal(obj_success, fast_success)
         assert np.array_equal(obj_hops, fast_hops)
     assert not all(success.all() for success, _hops in object_batches)
+
+
+def test_table_backed_overlay_follows_fault_driver_through_mirror():
+    _assert_table_parity("chord", _replay_schedule)
+
+
+@pytest.mark.parametrize("protocol", list(TABLE_SYSTEMS))
+def test_direct_mutations_of_a_table_overlay_reach_the_mirror(protocol):
+    # The mirror hears of a mutation from the overlay, not from its caller.
+    _assert_table_parity(protocol, _mutate_directly)
 
 
 def test_recorder_detached_when_body_raises():
@@ -235,6 +294,11 @@ REJECTED_SPECS = [
     ("churn", "routing.mode", "one-sided"),
     ("churn", "routing.strict_best_neighbor", True),
     ("churn", "routing.backtrack_depth", 1),
+    ("figure7", "topology.kind", "deterministic"),
+    ("figure7", "topology.exponent", 2.5),
+    ("table1", "topology.base", 4),
+    ("table1", "topology.variant", "powers"),
+    ("figure7", "failures.kind", "links"),
 ]
 
 

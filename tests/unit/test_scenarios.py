@@ -123,6 +123,9 @@ class TestSpecOverrides:
         assert coerce_override(spec, "topology.nodes", "128") == 128
         assert coerce_override(spec, "topology.nodes", 128) == 128
         assert coerce_override(spec, "engine", "fastpath") == "fastpath"
+        # The sweep-grid path refuses an unread field like `--set` does.
+        with pytest.raises(SpecError, match="topology.exponent"):
+            coerce_override(spec, "topology.exponent", "2")
 
     def test_parse_helpers(self):
         assert parse_assignment("a.b=3") == ("a.b", "3")

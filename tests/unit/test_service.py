@@ -140,5 +140,4 @@ class TestServiceScenario:
         serial = sweep.run(jobs=1)
         parallel = sweep.run(jobs=2)
         assert serial.to_json() == parallel.to_json()
-        assert serial.diff(parallel) == []
         assert len(serial.cells) == 4

@@ -69,15 +69,16 @@ class TestSweepExecution:
         serial = sweep.run(jobs=1)
         parallel = sweep.run(jobs=4)
         assert serial.to_json() == parallel.to_json()
-        assert serial.diff(parallel) == []
 
     def test_same_master_seed_reproduces_different_differs(self):
         again = tiny_sweep().run(jobs=1)
         assert again.to_json() == tiny_sweep().run(jobs=1).to_json()
         other = tiny_sweep(master_seed=9).run(jobs=1)
-        differences = again.diff(other)
-        assert differences  # different master seed => different cells
-        assert any("master_seed" in line for line in differences)
+        # Same grid, different master seed: every cell draws a different seed.
+        assert [cell.key for cell in other.cells] == [cell.key for cell in again.cells]
+        assert {cell.seed for cell in other.cells}.isdisjoint(
+            cell.seed for cell in again.cells
+        )
 
     def test_json_round_trip_and_save_load(self, tmp_path):
         result = tiny_sweep().run(jobs=1)
