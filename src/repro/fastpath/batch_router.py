@@ -2,10 +2,27 @@
 
 The scalar :class:`~repro.core.routing.GreedyRouter` walks one message at a
 time through Python objects; this module advances **thousands of queries one
-hop per vectorized step**.  Each step gathers the dense neighbour rows of all
-still-active queries, computes every candidate's metric distance to its
-query's target in one NumPy expression, masks out unusable candidates, and
-picks each query's next hop with a single ``argmin``.
+hop per vectorized step**.  Each step gathers one row per active query from
+the snapshot's single derived matrix
+(:meth:`~repro.fastpath.snapshot.FastpathSnapshot.label_matrix`: neighbour
+labels, short rows padded with the node's own label, which no policy ever
+admits), asks the policy for every slot's key towards the query's target in
+one NumPy expression, and takes the row's first minimum.  Slot ``j`` of row
+``v`` is CSR entry ``neighbor_indptr[v] + j``, so the chosen vertex — and
+everything known about it — is read straight from the CSR arrays; the router
+derives nothing else and caches nothing that depends on liveness.
+
+**Pick, then repair.**  A failed node or link is something the step
+discovers when it looks (Sections 4.3.4 and 6), not something folded into the
+matrix beforehand.  Liveness is checked on the pick alone — ``edge_alive`` at
+its slot in both knowledge regimes (a node knows its own table's health),
+``alive`` of the vertex in the lenient regime — and only the rows whose pick
+is ruled out are re-keyed once against the liveness of their own CSR slice
+and re-``argmin``-ed.  This equals masking every row first: when the first
+minimum over *all* admissible slots is usable it is also the first minimum
+over the usable ones (same key, and no earlier slot can tie it), and a
+repaired row is exactly the masked row.  The strict regime is unchanged —
+commit to the best candidate, then learn whether it is alive.
 
 All three Section-6 recovery strategies are implemented:
 
@@ -27,8 +44,9 @@ identical** to the scalar router — not merely statistically similar.  The
 guarantee rests on three details:
 
 * the snapshot's per-vertex neighbour order equals the scalar router's
-  candidate order, and ``argmin`` / stable ``argsort`` reproduce the scalar
-  router's stable sort-by-distance tie-break;
+  candidate order (the label matrix keeps it slot for slot), and ``argmin``
+  / stable ``argsort`` reproduce the scalar router's stable sort-by-distance
+  tie-break;
 * each query's hop budget is tracked individually, reproducing the scalar
   per-route hop limit exactly even when recovery detours desynchronise the
   queries;
@@ -262,7 +280,8 @@ class BatchGreedyRouter:
     ----------
     snapshot:
         The compiled overlay.  Its ``alive`` mask is the node-liveness the
-        router respects; link liveness was baked in at compile time.
+        router respects; link liveness was baked in at compile time, or
+        rides along as the ``edge_alive`` mask of a liveness-tier delta.
     mode:
         Two-sided (default) or one-sided greedy forwarding.
     recovery:
@@ -296,8 +315,6 @@ class BatchGreedyRouter:
     seed: int = 0
     reroute_pool: object = None
     _pool_cache: tuple | None = field(default=None, repr=False, compare=False)
-    _usable_cache: object = field(default=None, repr=False, compare=False)
-    _edge_valid_cache: object = field(default=None, repr=False, compare=False)
 
     @property
     def policy(self):
@@ -307,61 +324,16 @@ class BatchGreedyRouter:
     def rebase(self, snapshot: FastpathSnapshot) -> None:
         """Point the router at a delta-updated snapshot.
 
-        Invalidates the per-snapshot caches (the liveness-folded usable
-        matrix and the detour pool) while keeping the router's configuration
-        and its random re-route stream — batches routed across successive
+        Swaps the snapshot and drops the detour pool (it lists the live
+        vertices) — nothing else: the router holds no liveness-derived state,
+        so the next batch costs a warm batch (a liveness-only delta's snapshot
+        shares the previous one's label matrix).  The configuration and the
+        random re-route stream are kept — batches routed across successive
         deltas continue the same draw sequence, exactly like a scalar router
-        observing the overlay mutate in place.  This is the per-*delta*
-        invalidation point: liveness-only deltas hand back a snapshot that
-        shares its dense adjacency matrices with the previous one (see
-        :meth:`~repro.fastpath.delta.DeltaSnapshot.snapshot`), so only the
-        two caches cleared here are actually recomputed.
+        observing the overlay mutate in place.
         """
         self.snapshot = snapshot
-        self._usable_cache = None
         self._pool_cache = None
-        self._edge_valid_cache = None
-
-    def _valid_matrix(
-        self, matrices: tuple[np.ndarray, np.ndarray, np.ndarray]
-    ) -> np.ndarray:
-        """The padding-validity matrix with dead *edges* masked out, cached.
-
-        With no ``edge_alive`` mask this is the plain padding mask; with one,
-        each dead table entry's dense slot is switched off — the node knows
-        its own table's health, so dead edges are excluded as candidates in
-        both knowledge regimes (exactly as the scalar rules skip them).
-        """
-        snapshot = self.snapshot
-        if snapshot.edge_alive is None:
-            return matrices[1]
-        if self._edge_valid_cache is None:
-            _dense, valid, _labels = matrices
-            edge_ok = valid.copy()
-            degrees = snapshot.degrees()
-            rows = np.repeat(np.arange(snapshot.num_nodes, dtype=np.int64), degrees)
-            offsets = np.arange(
-                snapshot.neighbor_indices.shape[0], dtype=np.int64
-            ) - np.repeat(snapshot.neighbor_indptr[:-1], degrees)
-            edge_ok[rows, offsets] = snapshot.edge_alive
-            self._edge_valid_cache = edge_ok
-        return self._edge_valid_cache
-
-    def _usable_matrix(
-        self, matrices: tuple[np.ndarray, np.ndarray, np.ndarray]
-    ) -> np.ndarray:
-        """Edge-validity with dead neighbours also masked out, cached per router.
-
-        The snapshot's ``alive`` mask is immutable, so in the lenient
-        knowledge regime (dead candidates skipped) liveness can be folded
-        into the validity mask once instead of being re-gathered every hop.
-        """
-        if self._usable_cache is None:
-            dense, _valid, _ = matrices
-            valid = self._valid_matrix(matrices)
-            alive = self.snapshot.alive
-            self._usable_cache = valid & alive[np.where(valid, dense, 0)]
-        return self._usable_cache
 
     def __post_init__(self) -> None:
         if self.backtrack_depth < 1:
@@ -515,7 +487,6 @@ class BatchGreedyRouter:
         """
         snapshot = self.snapshot
         labels = snapshot.labels
-        matrices = snapshot.routing_matrices()
         # Skip the per-hop liveness gather entirely on a failure-free
         # snapshot — the common case for the no-failure experiment rows.
         all_alive = bool(snapshot.alive.all())
@@ -543,11 +514,6 @@ class BatchGreedyRouter:
                 if not active.size:
                     continue
 
-            if tel is not None:
-                tel.count("route.rounds")
-                tel.count("route.rows_scanned", int(active.size))
-                tel.observe("route.frontier", float(active.size), buckets=POW2_BUCKETS)
-
             # Arriving at the detour node costs no hop: resume routing to
             # the real target from there.
             active_detour = detour[active]
@@ -556,7 +522,12 @@ class BatchGreedyRouter:
                 detour[active[at_detour]] = -1
             goal = np.where(detour[active] >= 0, detour[active], target_index[active])
 
-            chosen, stuck = self._step(matrices, current[active], goal, all_alive)
+            chosen, stuck, repaired = self._step(current[active], goal, all_alive)
+            if tel is not None:
+                tel.count("route.rounds")
+                tel.count("route.rows_scanned", int(active.size))
+                tel.count("route.rows_repaired", repaired)
+                tel.observe("route.frontier", float(active.size), buckets=POW2_BUCKETS)
 
             if stuck.any():
                 stuck_queries = active[stuck]
@@ -651,10 +622,7 @@ class BatchGreedyRouter:
         terminal verdict), so hop counts, paths, and tie-breaks match the
         scalar router move for move.
         """
-        snapshot = self.snapshot
-        matrices = snapshot.routing_matrices()
-        alive = snapshot.alive
-        labels = snapshot.labels
+        labels = self.snapshot.labels
         depth = self.backtrack_depth
         num_queries = current.shape[0]
 
@@ -678,14 +646,14 @@ class BatchGreedyRouter:
                 if not active.size:
                     break
 
+            chosen, new_consumed, consumed_nodes, stuck, repaired = self._backtrack_select(
+                active, current, target_index, tried
+            )
             if tel is not None:
                 tel.count("route.rounds")
                 tel.count("route.rows_scanned", int(active.size))
+                tel.count("route.rows_repaired", repaired)
                 tel.observe("route.frontier", float(active.size), buckets=POW2_BUCKETS)
-
-            chosen, new_consumed, consumed_nodes, stuck = self._backtrack_select(
-                matrices, alive, active, current, target_index, tried
-            )
             tried.store(active, consumed_nodes, new_consumed)
 
             movers = ~stuck
@@ -740,60 +708,47 @@ class BatchGreedyRouter:
 
     def _backtrack_select(
         self,
-        matrices: tuple[np.ndarray, np.ndarray, np.ndarray],
-        alive: np.ndarray,
         active: np.ndarray,
         current: np.ndarray,
         target_index: np.ndarray,
         tried: _PrefixTable,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
         """Pick each active query's next untried candidate, consuming prefixes.
 
-        Returns ``(chosen, new_consumed, nodes, stuck)``: the next-hop vertex
-        per query (undefined where stuck), the updated consumed-prefix length
-        for the query's current vertex, that vertex, and the stuck mask.
+        Returns ``(chosen, new_consumed, nodes, stuck, repaired)``: the
+        next-hop vertex per query (undefined where stuck), the updated
+        consumed-prefix length for the query's current vertex, that vertex,
+        the stuck mask, and how many first-visit rows had an unusable pick.
         """
+        snapshot = self.snapshot
+        alive, edge_alive = snapshot.alive, snapshot.edge_alive
         cur = current[active]
-        neighbors, valid, keyed, blocked = self._candidate_keys(
-            matrices, cur, target_index[active]
-        )
-        row = np.arange(active.size, dtype=np.int64)
+        keyed, blocked, has_candidate, slot, chosen = self._first_pick(cur, target_index[active])
 
-        # Fast path — by far the most common case: the query is visiting this
-        # node for the first time (nothing consumed), so the scalar router
-        # simply takes its closest candidate.  ``argmin`` finds it without
-        # the sort-and-dedup machinery; consuming it sets the prefix to 1.
-        # Lenient queries whose closest candidate is dead (they would skip
-        # and consume further) drop to the full path below.
+        # By far the most common case: the query is visiting this node for
+        # the first time (nothing consumed), so the scalar router simply
+        # takes its closest candidate — the first pick, consumed (prefix 1)
+        # whether or not it turns out alive.  Rows that are revisited, or
+        # whose pick the node knows better than to propose, take the general
+        # path below over their own CSR slice.
         consumed = tried.lookup(active, cur)
-        first_pick = np.argmin(keyed, axis=1)
-        has_candidate = keyed[row, first_pick] < blocked
-        first_choice = neighbors[row, first_pick].astype(np.int64)
-        first_alive = alive[np.where(has_candidate, first_choice, 0)]
+        cheap = (consumed == 0) & (
+            ~has_candidate | self._entry_live(slot, chosen, not self.strict_best_neighbor)
+        )
+        stuck = ~has_candidate
         if self.strict_best_neighbor:
-            cheap = consumed == 0
-            cheap_stuck = ~has_candidate | ~first_alive
-        else:
-            cheap = (consumed == 0) & (~has_candidate | first_alive)
-            cheap_stuck = ~has_candidate
-        if cheap.all():
-            chosen = first_choice
-            stuck = cheap_stuck
-            new_consumed = np.where(has_candidate, 1, 0)
-            return chosen, new_consumed, cur, stuck
-
-        chosen = first_choice
-        stuck = cheap_stuck.copy()
+            stuck |= ~alive[chosen]
         new_consumed = np.where(has_candidate, 1, 0)
         full = np.flatnonzero(~cheap)
-        (
-            chosen[full],
-            new_consumed[full],
-            stuck[full],
-        ) = self._backtrack_select_full(
-            neighbors[full], keyed[full], blocked, alive, consumed[full]
-        )
-        return chosen, new_consumed, cur, stuck
+        if full.size:
+            slots = self._row_slots(cur[full])
+            rekeyed = keyed[full]
+            if edge_alive is not None:
+                rekeyed = np.where(edge_alive[slots], rekeyed, blocked)
+            chosen[full], new_consumed[full], stuck[full] = self._backtrack_select_full(
+                snapshot.neighbor_indices[slots], rekeyed, blocked, alive, consumed[full]
+            )
+        return chosen, new_consumed, cur, stuck, int(np.count_nonzero(consumed[full] == 0))
 
     def _backtrack_select_full(
         self,
@@ -842,15 +797,13 @@ class BatchGreedyRouter:
             at_consumed = distinct & (rank == consumed[:, None])
             pick = at_consumed.argmax(axis=1)
             chosen = sorted_neighbors[row, pick].astype(np.int64)
-            chosen_alive = alive[np.where(has_untried, chosen, 0)]
-            stuck = ~has_untried | ~chosen_alive
+            stuck = ~has_untried | ~alive[chosen]
             new_consumed = np.where(has_untried, consumed + 1, consumed)
         else:
             # Lenient model: dead untried candidates are consumed and
             # skipped until a live one is found.
-            safe_neighbors = np.where(sorted_neighbors >= 0, sorted_neighbors, 0)
             eligible = (
-                distinct & (rank >= consumed[:, None]) & alive[safe_neighbors]
+                distinct & (rank >= consumed[:, None]) & alive[sorted_neighbors]
             )
             found = eligible.any(axis=1)
             pick = eligible.argmax(axis=1)
@@ -863,82 +816,99 @@ class BatchGreedyRouter:
     # One vectorized greedy step
     # ------------------------------------------------------------------ #
 
-    def _candidate_keys(
-        self,
-        matrices: tuple[np.ndarray, np.ndarray, np.ndarray],
-        current: np.ndarray,
-        target: np.ndarray,
-        valid_matrix: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Gather neighbour rows and ask the snapshot's policy to key them.
+    def _first_pick(
+        self, current: np.ndarray, target: np.ndarray
+    ) -> tuple[np.ndarray, np.generic, np.ndarray, np.ndarray, np.ndarray]:
+        """Key each query's label row and take the row's first minimum.
 
-        Returns ``(neighbors, valid, keyed, blocked)``: the dense neighbour
-        rows of the queried vertices, the non-padding mask, the policy's key
-        matrix (``>= blocked`` marks inadmissible candidates), and the
-        blocked sentinel in the key dtype.  *Node* liveness is not applied
-        here unless the caller folds it into ``valid_matrix`` (the
-        knowledge-regime handling stays with the caller); *edge* liveness
-        always is — a node never proposes a table entry it knows is down.
+        Returns ``(keyed, blocked, has_candidate, slot, chosen)``: the key
+        matrix (``>= blocked``, the sentinel in the key dtype, marks
+        inadmissible slots, padding included); whether the row's minimum is
+        admissible; and the CSR entry and vertex it names (0 where there is
+        none).  Liveness is not looked at here.
         """
         snapshot = self.snapshot
-        dense, _padding_valid, label_matrix = matrices
-        if valid_matrix is None:
-            valid_matrix = self._valid_matrix(matrices)
         compact_labels = snapshot.labels_compact()
-
-        neighbors = dense[current]  # (k, max_degree) vertex indices, -1 pad
-        valid = valid_matrix[current]
-        neighbor_labels = label_matrix[current]
-        current_labels = compact_labels[current]
-        target_labels = compact_labels[target]
-
-        policy = self.policy
         class_matrix = snapshot.class_matrix()
+        policy = self.policy
         keyed = policy.candidate_keys(
-            current_labels,
-            neighbor_labels,
-            valid,
-            target_labels,
+            compact_labels[current],
+            snapshot.label_matrix()[current],
+            compact_labels[target],
             self.mode,
             edge_class=class_matrix[current] if class_matrix is not None else None,
         )
         blocked = keyed.dtype.type(policy.blocked)
-        return neighbors, valid, keyed, blocked
-
-    def _step(
-        self,
-        matrices: tuple[np.ndarray, np.ndarray, np.ndarray],
-        current: np.ndarray,
-        target: np.ndarray,
-        all_alive: bool,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Advance every active query one hop towards its goal.
-
-        Returns ``(chosen, stuck)``: the next-hop vertex index per query
-        (undefined where stuck) and the boolean stuck mask.
-        """
-        alive = self.snapshot.alive
-        # Lenient regime: dead candidates are skipped, which is equivalent to
-        # never having them in the row — fold the (immutable) liveness mask
-        # into validity once per router instead of re-gathering it per hop.
-        usable = None
-        if not self.strict_best_neighbor and not all_alive:
-            usable = self._usable_matrix(matrices)
-        neighbors, _valid, keyed, blocked = self._candidate_keys(
-            matrices, current, target, valid_matrix=usable
-        )
-
         # First minimum along the row == the scalar router's stable
         # sort-by-distance with earliest-neighbour tie-break.
         pick = np.argmin(keyed, axis=1)
         row = np.arange(current.shape[0], dtype=np.int64)
         has_candidate = keyed[row, pick] < blocked
-        chosen = neighbors[row, pick]
+        slot = np.where(has_candidate, snapshot.neighbor_indptr[current] + pick, 0)
+        indices = snapshot.neighbor_indices
+        # An edgeless overlay has no entry 0 to read; nobody has a candidate.
+        chosen = indices[slot] if indices.size else slot
+        return keyed, blocked, has_candidate, slot, chosen
 
+    def _row_slots(self, vertices: np.ndarray) -> np.ndarray:
+        """CSR entry numbers aligned slot-for-slot with ``label_matrix()[vertices]``.
+
+        Padding slots are clamped onto the last entry: they key at
+        ``blocked``, so what is read through them is never used.
+        """
+        snapshot = self.snapshot
+        width = snapshot.label_matrix().shape[1]
+        slots = snapshot.neighbor_indptr[vertices][:, None] + np.arange(width, dtype=np.int64)
+        return np.minimum(slots, snapshot.neighbor_indices.shape[0] - 1)
+
+    def _entry_live(self, slot: np.ndarray, vertex: np.ndarray, skip_dead: bool) -> np.ndarray:
+        """Whether a node would propose CSR entry ``slot`` (leading to ``vertex``).
+
+        A node knows its own table's health, so a dead *link* is never
+        proposed in either knowledge regime; a dead *neighbour* is skipped
+        only in the lenient one (``skip_dead``).
+        """
+        snapshot = self.snapshot
+        usable = np.take(snapshot.alive, vertex) if skip_dead else np.ones(slot.shape, dtype=bool)
+        if snapshot.edge_alive is not None:
+            usable &= np.take(snapshot.edge_alive, slot)
+        return usable
+
+    def _step(
+        self, current: np.ndarray, target: np.ndarray, all_alive: bool
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """Advance every active query one hop towards its goal.
+
+        Returns ``(chosen, stuck, repaired)``: the next-hop vertex index per
+        query (undefined where stuck), the boolean stuck mask, and how many
+        rows had an unusable first pick and were re-keyed.
+        """
+        snapshot = self.snapshot
+        skip_dead = not self.strict_best_neighbor and not all_alive
+        keyed, blocked, has_candidate, slot, chosen = self._first_pick(current, target)
+
+        repaired = 0
+        if skip_dead or snapshot.edge_alive is not None:
+            # Pick, then repair: a usable first minimum of the whole row is
+            # also the first minimum among the usable slots, so liveness is
+            # read at the pick alone and only the rows it rules out are
+            # re-keyed against their own CSR slice.
+            repair = np.flatnonzero(has_candidate & ~self._entry_live(slot, chosen, skip_dead))
+            repaired = int(repair.size)
+            if repaired:
+                slots = self._row_slots(current[repair])
+                indices = snapshot.neighbor_indices
+                rekeyed = np.where(
+                    self._entry_live(slots, indices[slots], skip_dead), keyed[repair], blocked
+                )
+                pick = np.argmin(rekeyed, axis=1)
+                row = np.arange(repaired, dtype=np.int64)
+                has_candidate[repair] = rekeyed[row, pick] < blocked
+                chosen[repair] = indices[slots[row, pick]]
+
+        stuck = ~has_candidate
         if self.strict_best_neighbor and not all_alive:
             # The node commits to its best candidate before learning whether
             # it is alive; a dead best candidate means the query is stuck.
-            stuck = ~has_candidate | ~alive[np.where(has_candidate, chosen, 0)]
-        else:
-            stuck = ~has_candidate
-        return chosen, stuck
+            stuck |= ~snapshot.alive[chosen]
+        return chosen, stuck, repaired

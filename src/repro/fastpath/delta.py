@@ -696,10 +696,12 @@ class DeltaSnapshot:
         structural = False
         for op in delta.ops:
             code = op[0]
-            if code == OP_FAIL:
-                alive[op[1]] = False
-            elif code == OP_REVIVE:
-                alive[op[1]] = True
+            if code == OP_FAIL or code == OP_REVIVE:
+                label = op[1]
+                # As on the liveness tier; -1 would wrap onto the top label.
+                if not 0 <= label < occupied.shape[0] or not occupied[label]:
+                    raise KeyError(f"labels {[int(label)]} are not vertices of this snapshot")
+                alive[label] = code == OP_REVIVE
             elif code == OP_SET_RING:
                 left[op[1]] = op[2]
                 right[op[1]] = op[3]

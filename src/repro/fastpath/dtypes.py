@@ -71,8 +71,8 @@ INT32_SPACE_CUTOFF = 1 << 30
 INT32_COUNT_CUTOFF = (1 << 31) - 1
 
 #: Dtype of ``neighbor_indices`` (positions into ``labels``): node counts
-#: beyond ``int32`` would overflow the dense routing matrices long before
-#: this, so the index dtype is fixed rather than parametric.
+#: beyond ``int32`` would outgrow memory for the padded label matrix long
+#: before this, so the index dtype is fixed rather than parametric.
 INDEX_DTYPE = np.dtype(np.int32)
 
 #: Dtype of per-edge class codes (Chord's finger/successor tiers).
@@ -128,7 +128,7 @@ def snapshot_nbytes(snapshot: Any) -> int:
     """Total bytes of a snapshot's array fields (the shippable footprint).
 
     Counts the CSR arrays and masks a worker would need — not the lazily
-    built dense caches — so it measures exactly what narrowing saves.
+    derived label matrix — so it measures exactly what narrowing saves.
     """
     total = (
         snapshot.labels.nbytes
@@ -185,7 +185,7 @@ SNAPSHOT_CONTRACT: tuple[FieldContract, ...] = (
         "int32 (INDEX_DTYPE)",
         ("int32",),
         "Neighbour positions into labels; node counts past int32 would "
-        "overflow the dense routing matrices first.",
+        "outgrow memory for the padded label matrix first.",
     ),
     FieldContract(
         "FastpathSnapshot",
@@ -201,6 +201,14 @@ SNAPSHOT_CONTRACT: tuple[FieldContract, ...] = (
         "bool | None",
         ("bool",),
         "Per-edge liveness mask; None means every compiled edge is usable.",
+    ),
+    FieldContract(
+        "FastpathSnapshot (derived)",
+        "label_matrix()",
+        "label_dtype(space_size)",
+        ("int32", "int64"),
+        "The router's one derived view, (num_nodes, max_degree): slot j of row "
+        "v is the label of CSR entry neighbor_indptr[v] + j; pad slots hold v's own label.",
     ),
     FieldContract(
         "DeltaSnapshot",

@@ -24,6 +24,16 @@ omitted, mirroring the scalar router's ``only_alive_links=True``); the edge
 mask exists for the delta layer's liveness tier, where table-based overlays
 flip per-edge health without recompiling.
 
+The batch router needs one thing the CSR does not give it in a gatherable
+shape: a vertex's neighbour *labels* as a fixed-width row.
+:meth:`FastpathSnapshot.label_matrix` is that single derived view — slot
+``j`` of row ``v`` aligned with CSR entry ``neighbor_indptr[v] + j``, short
+rows padded with ``v``'s own label (inadmissible under every
+:class:`~repro.overlay.policy.GreedyPolicy`, so there is no validity mask).
+Everything else a hop needs — the chosen vertex, its liveness, the link's —
+is read from the CSR at the picked slot.  The three padded matrices the
+router used to gather survive as one measurement-only accessor for ``bench/``.
+
 Only one-dimensional spaces are supported (:class:`~repro.core.metric.RingMetric`
 and :class:`~repro.core.metric.LineMetric`) — the spaces the paper's analysis
 and experiments use.
@@ -97,8 +107,8 @@ class FastpathSnapshot:
     policy: GreedyPolicy | None = None
     edge_class: np.ndarray | None = None
     edge_alive: np.ndarray | None = None
-    # Dense (num_nodes, max_degree) padded adjacency, built lazily from the
-    # CSR arrays because the batch router gathers whole rows per hop.
+    # Lazily derived, liveness-independent views of the CSR arrays (the
+    # label matrix the batch router gathers rows of, the class matrix, ...).
     _dense_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     # ------------------------------------------------------------------ #
@@ -167,44 +177,52 @@ class FastpathSnapshot:
     # Derived views
     # ------------------------------------------------------------------ #
 
-    def dense_neighbors(self) -> np.ndarray:
-        """Return the padded ``int32[num_nodes, max_degree]`` adjacency matrix.
+    def _slot_mask(self) -> np.ndarray:
+        """``bool[num_nodes, max_degree]``: slot ``j`` of row ``v`` is a CSR entry.
 
-        Rows are padded with ``-1``; the matrix is built on first use and
-        cached (it is a pure function of the immutable CSR arrays, so sharing
-        it between derived snapshots via :meth:`with_alive` is safe).
+        Its ``True`` positions, row-major, enumerate the CSR entries in order,
+        so ``matrix[mask] = per_entry_array`` lays the array out slot by slot.
         """
-        return self.routing_matrices()[0]
+        degrees = self.degrees()
+        width = max(int(degrees.max()) if degrees.size else 0, 1)
+        return np.arange(width, dtype=degrees.dtype) < degrees[:, None]
+
+    def label_matrix(self) -> np.ndarray:
+        """The one derived routing view (see the module docstring), cached.
+
+        ``label_dtype(space_size)[num_nodes, max_degree]``: slot ``j`` of row
+        ``v`` holds the label of CSR entry ``neighbor_indptr[v] + j``, padding
+        slots ``v``'s **own** label.  A pure function of the immutable CSR
+        arrays: built on first use and shared between liveness variants via
+        :meth:`with_alive` / :meth:`with_edge_alive`.
+        """
+        cached = self._dense_cache.get("label_matrix")
+        if cached is None:
+            compact = self.labels_compact()
+            mask = self._slot_mask()
+            cached = np.empty(mask.shape, dtype=compact.dtype)
+            cached[:] = compact[:, None]
+            cached[mask] = compact[self.neighbor_indices]
+            self._dense_cache["label_matrix"] = cached
+        return cached
 
     def routing_matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return ``(dense, valid, neighbor_labels)`` padded matrices, cached.
+        """Measurement accessor: the retired ``(dense, valid, neighbor_labels)``.
 
-        ``dense`` is the ``int32[num_nodes, max_degree]`` adjacency padded
-        with ``-1``; ``valid`` marks real (non-pad) entries; and
-        ``neighbor_labels`` holds each neighbour's metric-space label (0 in
-        pad slots).  The batch router gathers whole rows of these per hop, so
-        they are precomputed once per topology rather than re-derived per
-        step.  All three are pure functions of the immutable CSR arrays and
-        are shared between liveness variants via :meth:`with_alive`.
+        Nothing in ``src/`` calls this.  It keeps the shapes and dtypes it
+        always had (``int32`` adjacency padded with ``-1``, the non-pad mask,
+        neighbour labels with 0 in pad slots) because the benchmark harness
+        sizes and times it, and goes when that is re-pointed (ROADMAP 1).
         """
         cached = self._dense_cache.get("matrices")
-        if cached is not None:
-            return cached
-        degrees = self.degrees()
-        max_degree = int(degrees.max()) if degrees.size else 0
-        max_degree = max(max_degree, 1)
-        dense = np.full((self.num_nodes, max_degree), -1, dtype=np.int32)
-        # Scatter each CSR entry to (row, position-within-row).
-        rows = np.repeat(np.arange(self.num_nodes, dtype=np.int64), degrees)
-        offsets = np.arange(
-            self.neighbor_indices.shape[0], dtype=np.int64
-        ) - np.repeat(self.neighbor_indptr[:-1], degrees)
-        dense[rows, offsets] = self.neighbor_indices
-        valid = dense >= 0
-        neighbor_labels = self.labels_compact()[np.where(valid, dense, 0)]
-        matrices = (dense, valid, neighbor_labels)
-        self._dense_cache["matrices"] = matrices
-        return matrices
+        if cached is None:
+            valid = self._slot_mask()
+            dense = np.full(valid.shape, -1, dtype=np.int32)
+            dense[valid] = self.neighbor_indices
+            labels = self.label_matrix()
+            cached = (dense, valid, np.where(valid, labels, labels.dtype.type(0)))
+            self._dense_cache["matrices"] = cached
+        return cached
 
     def greedy_policy(self) -> GreedyPolicy:
         """The next-hop rule this snapshot routes under.
@@ -225,21 +243,16 @@ class FastpathSnapshot:
         """Padded ``int8[num_nodes, max_degree]`` edge classes, or ``None``.
 
         The dense counterpart of ``edge_class``, aligned slot-for-slot with
-        :meth:`dense_neighbors` (0 in padding slots); cached like the other
-        routing matrices and shared between liveness variants.
+        :meth:`label_matrix` (0 in padding slots); cached and shared between
+        liveness variants the same way.
         """
         if self.edge_class is None:
             return None
         cached = self._dense_cache.get("class_matrix")
         if cached is None:
-            degrees = self.degrees()
-            max_degree = max(int(degrees.max()) if degrees.size else 0, 1)
-            cached = np.zeros((self.num_nodes, max_degree), dtype=np.int8)
-            rows = np.repeat(np.arange(self.num_nodes, dtype=np.int64), degrees)
-            offsets = np.arange(
-                self.neighbor_indices.shape[0], dtype=np.int64
-            ) - np.repeat(self.neighbor_indptr[:-1], degrees)
-            cached[rows, offsets] = self.edge_class
+            mask = self._slot_mask()
+            cached = np.zeros(mask.shape, dtype=np.int8)
+            cached[mask] = self.edge_class
             self._dense_cache["class_matrix"] = cached
         return cached
 
@@ -264,7 +277,7 @@ class FastpathSnapshot:
     def with_alive(self, alive: np.ndarray) -> "FastpathSnapshot":
         """Return a copy of this snapshot with a different liveness mask.
 
-        The adjacency arrays (and the cached dense matrix) are shared — node
+        The adjacency arrays (and the cached label matrix) are shared — node
         failures do not change the topology, only which vertices count as
         usable, exactly as :meth:`OverlayGraph.fail_node` flips a flag.
         """
@@ -290,10 +303,10 @@ class FastpathSnapshot:
     def with_edge_alive(self, edge_alive: np.ndarray | None) -> "FastpathSnapshot":
         """Return a copy of this snapshot with a different per-edge mask.
 
-        The adjacency arrays and dense-matrix cache are shared — edge
+        The adjacency arrays and derived-view cache are shared — edge
         failures do not change the topology, only which table entries count
-        as usable (the cache holds only pure-adjacency derivatives; masked
-        validity is folded in by the batch router per snapshot).  An
+        as usable (the cache holds only pure-adjacency derivatives; the batch
+        router reads this mask at the slot it picked).  An
         all-``True`` mask is normalised to ``None`` so a fully repaired
         snapshot is field-identical to a fresh compile.
         """

@@ -7,15 +7,23 @@ distance it shrinks and which neighbours are admissible at each hop.  A
 key computation, so one :class:`~repro.fastpath.BatchGreedyRouter` loop can
 evaluate every topology:
 
-* per hop the router gathers the dense neighbour rows of all active queries
-  and asks the policy for a **key matrix** — one integer per (query,
-  candidate) pair;
+* per hop the router gathers the neighbour-label rows of all active queries
+  (:meth:`~repro.fastpath.snapshot.FastpathSnapshot.label_matrix`) and asks
+  the policy for a **key matrix** — one integer per (query, slot) pair;
 * entries ``>= policy.blocked`` mark inadmissible candidates (farther than
-  the current node, overshooting, padding);
+  the current node, overshooting);
 * the router forwards each query to its row's first minimal key, which must
   reproduce the scalar protocol's next-hop choice *including tie-breaks*
   (every scalar rule here breaks ties in favour of the earliest neighbour,
   and ``argmin`` returns the first minimum).
+
+**A node's own label is never an admissible candidate.**  Every greedy rule
+makes strict progress — strictly closer, a clockwise advance of at least
+one, a strictly longer shared prefix — so a slot holding the current node's
+label keys at ``>= blocked`` for every target.  That is part of the
+contract, not an accident: the label matrix pads short rows with the row's
+own label, so padding needs no mask and ``candidate_keys`` takes none
+(``tests/property/test_property_overlay.py`` pins it for every policy).
 
 Policies are pure value objects over plain integers/arrays — no graph or
 snapshot references — so they serialise with the spec layer and are shared
@@ -61,7 +69,6 @@ class GreedyPolicy:
         self,
         current_labels: np.ndarray,
         neighbor_labels: np.ndarray,
-        valid: np.ndarray,
         target_labels: np.ndarray,
         mode: RoutingMode,
         edge_class: np.ndarray | None = None,
@@ -74,9 +81,8 @@ class GreedyPolicy:
             ``(queries,)`` label arrays of each query's current node and goal.
         neighbor_labels:
             ``(queries, max_degree)`` labels of each current node's neighbour
-            row (garbage in padding slots).
-        valid:
-            ``(queries, max_degree)`` mask of real (non-padding) entries.
+            row; padding slots repeat the current node's own label and must
+            key at ``>= blocked`` (see the module docstring).
         mode:
             The router's greedy mode.  Policies whose protocol fixes the rule
             (Chord's one-sided clockwise walk, prefix resolution) ignore it.
@@ -125,14 +131,13 @@ class MetricGreedyPolicy(GreedyPolicy):
         self,
         current_labels: np.ndarray,
         neighbor_labels: np.ndarray,
-        valid: np.ndarray,
         target_labels: np.ndarray,
         mode: RoutingMode,
         edge_class: np.ndarray | None = None,
     ) -> np.ndarray:
         current_distance = self.distance(current_labels, target_labels)
         neighbor_distance = self.distance(neighbor_labels, target_labels[:, None])
-        candidates = valid & (neighbor_distance < current_distance[:, None])
+        candidates = neighbor_distance < current_distance[:, None]
         if mode is RoutingMode.ONE_SIDED:
             # Never traverse a link that jumps past the target: the signed
             # displacement towards the target must not change sign.
@@ -173,14 +178,13 @@ class TorusGreedyPolicy(GreedyPolicy):
         self,
         current_labels: np.ndarray,
         neighbor_labels: np.ndarray,
-        valid: np.ndarray,
         target_labels: np.ndarray,
         mode: RoutingMode,
         edge_class: np.ndarray | None = None,
     ) -> np.ndarray:
         current_distance = self.distance(current_labels, target_labels)
         neighbor_distance = self.distance(neighbor_labels, target_labels[:, None])
-        candidates = valid & (neighbor_distance < current_distance[:, None])
+        candidates = neighbor_distance < current_distance[:, None]
         return np.where(candidates, neighbor_distance, np.int64(self.blocked))
 
 
@@ -214,7 +218,6 @@ class PrefixGreedyPolicy(GreedyPolicy):
         self,
         current_labels: np.ndarray,
         neighbor_labels: np.ndarray,
-        valid: np.ndarray,
         target_labels: np.ndarray,
         mode: RoutingMode,
         edge_class: np.ndarray | None = None,
@@ -240,7 +243,7 @@ class PrefixGreedyPolicy(GreedyPolicy):
         agrees = neighbors // scale[:, None] == (
             targets.astype(dtype) // scale
         )[:, None]
-        candidates = valid & agrees & (current_distance[:, None] >= 1)
+        candidates = agrees & (current_distance[:, None] >= 1)
         keys = current_distance.astype(dtype) - dtype.type(1)
         return np.where(candidates, keys[:, None], dtype.type(self.blocked))
 
@@ -278,7 +281,6 @@ class ChordGreedyPolicy(GreedyPolicy):
         self,
         current_labels: np.ndarray,
         neighbor_labels: np.ndarray,
-        valid: np.ndarray,
         target_labels: np.ndarray,
         mode: RoutingMode,
         edge_class: np.ndarray | None = None,
@@ -295,7 +297,7 @@ class ChordGreedyPolicy(GreedyPolicy):
         remaining = np.where(delta < 0, delta + size, delta)
         delta = neighbors - current[:, None]
         advance = np.where(delta < 0, delta + size, delta)
-        candidates = valid & (advance >= 1) & (advance <= remaining[:, None])
+        candidates = (advance >= 1) & (advance <= remaining[:, None])
         keys = remaining[:, None] - advance
         if edge_class is not None:
             keys = np.where(edge_class > 0, advance + (size + dtype.type(1)), keys)

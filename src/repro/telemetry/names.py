@@ -68,7 +68,9 @@ METRIC_NAMES: tuple[MetricName, ...] = (
     MetricName("route.rounds", "counter", "BatchGreedyRouter",
                "vectorized frontier-advance rounds executed"),
     MetricName("route.rows_scanned", "counter", "BatchGreedyRouter",
-               "active query rows scanned across all rounds"),
+               "label rows gathered (one per active query per round)"),
+    MetricName("route.rows_repaired", "counter", "BatchGreedyRouter",
+               "rows whose first pick was unusable (dead node or link) and were re-keyed"),
     MetricName("route.recovery.reroute", "counter", "BatchGreedyRouter",
                "queries granted a random-reroute detour"),
     MetricName("route.recovery.backtrack", "counter", "BatchGreedyRouter",

@@ -14,13 +14,19 @@ object build path at every seed.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
+from repro.baselines import CanNetwork, ChordNetwork, KleinbergGridNetwork, PlaxtonNetwork
 from repro.core.builder import build_ideal_network
 from repro.core.failures import NodeFailureModel
+from repro.core.graph import OverlayGraph
+from repro.core.metric import LineMetric, RingMetric
 from repro.core.routing import GreedyRouter, RecoveryStrategy, RoutingMode
 from repro.fastpath import BatchGreedyRouter, build_snapshot, compile_snapshot
+from repro.fastpath.dtypes import label_dtype
 from repro.simulation.workload import LookupWorkload
 
 
@@ -37,13 +43,14 @@ def routed_scenario(draw):
 
 
 def _assert_parity(
-    graph, pairs, mode, strict, recovery=RecoveryStrategy.TERMINATE, seed=0
+    graph, pairs, mode, strict, recovery=RecoveryStrategy.TERMINATE, seed=0, snapshot=None
 ):
     """Assert hop-for-hop equality between the two engines on ``pairs``.
 
     The scalar router routes the batch sequentially through one instance (one
     shared re-route stream), which is exactly the draw order the batch engine
-    reproduces.
+    reproduces.  ``snapshot`` (default: a fresh compile of ``graph``) lets a
+    case route a liveness-masked snapshot against the mutated graph.
     """
     scalar = GreedyRouter(
         graph,
@@ -53,7 +60,7 @@ def _assert_parity(
         seed=seed,
     )
     batch = BatchGreedyRouter(
-        compile_snapshot(graph),
+        compile_snapshot(graph) if snapshot is None else snapshot,
         mode=mode,
         recovery=recovery,
         strict_best_neighbor=strict,
@@ -69,6 +76,7 @@ def _assert_parity(
         assert bool(result.success[index]) == reference.success
         assert int(result.hops[index]) == reference.hops
         assert result.paths[index] == reference.path
+        assert int(result.final[index]) == reference.path[-1]
         assert result.failure_reason(index) == reference.failure_reason
         assert int(result.reroutes[index]) == reference.reroutes
         assert int(result.backtracks[index]) == reference.backtracks
@@ -156,6 +164,95 @@ class TestHopForHopParity:
         if pairs:
             _assert_parity(graph, pairs, RoutingMode.TWO_SIDED, strict=False)
         model.repair(graph)
+
+
+class TestPickThenRepair:
+    """The step reads liveness at its pick and re-keys only the rows it rules out."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("recovery", list(RecoveryStrategy))
+    def test_dead_best_then_dead_edge_then_parallel_link(self, recovery, strict):
+        """Best candidate dead, second behind a dead edge, its parallel twin usable."""
+        graph = OverlayGraph(RingMetric(64))
+        for label in range(64):
+            graph.add_node(label)
+        graph.wire_ring()
+        for target in (24, 12, 12, 8):
+            graph.add_long_link(0, target)
+        # Compiled before the faults, so row 0 holds both parallel entries to
+        # 12; the faults then reach the batch side as masks only.
+        snapshot = compile_snapshot(graph)
+        twins = np.flatnonzero(snapshot.neighbors_of_index(0) == 12)
+        assert twins.size == 2
+        edge_alive = np.ones(snapshot.neighbor_indices.shape[0], dtype=bool)
+        edge_alive[snapshot.neighbor_indptr[0] + twins[0]] = False
+        alive = snapshot.alive.copy()
+        alive[24] = False
+        graph.fail_node(24)
+        assert graph.fail_long_link(0, 12)
+        # 0 -> 20: 24 is closest (dead), then 12 twice (first link dead);
+        # 0 -> 12: the best candidate itself sits behind the dead link;
+        # 30 -> 23: walks into the dead node and needs the recovery strategy.
+        with telemetry.session() as tel:
+            _assert_parity(
+                graph, [(0, 20), (0, 12), (30, 23)], RoutingMode.TWO_SIDED, strict,
+                recovery=recovery, seed=5,
+                snapshot=snapshot.with_alive(alive).with_edge_alive(edge_alive),
+            )
+        assert tel.counters["route.rows_repaired"].value >= 1
+
+
+def _ring_or_line(kind: str, seed: int) -> OverlayGraph:
+    """A sparse graph-compiled overlay: uneven degrees, non-contiguous labels."""
+    rng = np.random.default_rng(seed)
+    size = 200
+    graph = OverlayGraph(RingMetric(size) if kind == "ring" else LineMetric(size))
+    members = sorted(rng.choice(size, size=60, replace=False).tolist())
+    for label in members:
+        graph.add_node(label)
+    graph.wire_ring()
+    for source in members[::3]:
+        for target in rng.choice(members, size=int(rng.integers(1, 6))).tolist():
+            if target != source:
+                graph.add_long_link(source, target)
+    return graph
+
+
+def _snapshots(seed: int):
+    """Graph-compiled ring and line snapshots plus the four protocol snapshots."""
+    return [
+        compile_snapshot(_ring_or_line("ring", seed)),
+        compile_snapshot(_ring_or_line("line", seed)),
+        ChordNetwork(bits=6, members=list(range(0, 64, 3))).compile_snapshot(),
+        CanNetwork(side=5, dimensions=2).compile_snapshot(),
+        PlaxtonNetwork(digits=3, base=3).compile_snapshot(),
+        KleinbergGridNetwork(side=6, links_per_node=2, seed=seed).compile_snapshot(),
+    ]
+
+
+class TestLabelMatrix:
+    """The router's one derived view: slot-aligned with the CSR, self-padded."""
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=40))
+    def test_rows_follow_the_csr_and_pad_with_own_label(self, seed):
+        for snapshot in _snapshots(seed):
+            matrix = snapshot.label_matrix()
+            degrees = snapshot.degrees()
+            assert matrix.shape == (snapshot.num_nodes, max(int(degrees.max()), 1))
+            assert matrix.dtype == label_dtype(snapshot.space_size)
+            for vertex in range(snapshot.num_nodes):
+                degree = int(degrees[vertex])
+                neighbors = snapshot.neighbors_of_index(vertex)
+                assert np.array_equal(matrix[vertex, :degree], snapshot.labels[neighbors])
+                assert (matrix[vertex, degree:] == snapshot.labels[vertex]).all()
+            # Liveness variants share the one matrix object.
+            dead = snapshot.alive.copy()
+            dead[::2] = False
+            edges = np.ones(snapshot.neighbor_indices.shape[0], dtype=bool)
+            edges[::3] = False
+            assert snapshot.with_alive(dead).label_matrix() is matrix
+            assert snapshot.with_edge_alive(edges).label_matrix() is matrix
 
 
 class TestDirectBuildEquivalence:

@@ -13,6 +13,7 @@ exactly that, plus snapshot-build determinism: compiling the same overlay
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,15 @@ from repro.baselines import (
     KleinbergGridNetwork,
     PlaxtonNetwork,
 )
+from repro.core.routing import RoutingMode
 from repro.fastpath import BatchGreedyRouter
+from repro.fastpath.dtypes import label_dtype
+from repro.overlay import (
+    ChordGreedyPolicy,
+    MetricGreedyPolicy,
+    PrefixGreedyPolicy,
+    TorusGreedyPolicy,
+)
 from repro.simulation.workload import LookupWorkload
 
 
@@ -149,3 +158,44 @@ class TestSnapshotDeterminism:
         before = snapshot.alive.copy()
         overlay.fail_fraction(0.5, seed=9)
         assert np.array_equal(snapshot.alive, before)
+
+
+def _policy(family: str, scale: int):
+    """A small instance of each policy family and the size of its label space."""
+    if family in ("ring", "line"):
+        size = 5 + 13 * scale
+        return MetricGreedyPolicy(kind=family, space_size=size), size
+    if family == "torus":
+        side, dimensions = 3 + scale, 2 + scale % 2
+        return TorusGreedyPolicy(side=side, dimensions=dimensions), side**dimensions
+    if family == "prefix":
+        base, digits = 2 + scale % 2, 3 + scale // 2
+        return PrefixGreedyPolicy(base=base, digits=digits), base**digits
+    if family == "chord":
+        size = 8 << scale
+        return ChordGreedyPolicy(size=size), size
+    raise AssertionError(family)
+
+
+class TestSelfIsNeverAdmissible:
+    """The contract ``FastpathSnapshot.label_matrix`` pads rows on."""
+
+    @pytest.mark.parametrize("family", ["ring", "line", "torus", "prefix", "chord"])
+    @pytest.mark.parametrize("scale", range(4))
+    def test_own_label_keys_blocked_for_every_target(self, family, scale):
+        """A slot holding the current node's own label is never a candidate."""
+        policy, size = _policy(family, scale)
+        labels = np.arange(size, dtype=label_dtype(size))
+        current, target = (grid.ravel() for grid in np.meshgrid(labels, labels))
+        distinct = current != target
+        current, target = current[distinct], target[distinct]
+        own = np.stack([current, current], axis=1)
+        # Chord is the one policy that reads edge classes: none, fingers, successors.
+        tiers = [None]
+        if family == "chord":
+            tiers += [np.full(own.shape, tier, dtype=np.int8) for tier in (0, 1)]
+        for mode in RoutingMode:
+            for edge_class in tiers:
+                keyed = policy.candidate_keys(current, own, target, mode, edge_class)
+                assert keyed.shape == own.shape
+                assert (keyed >= policy.blocked).all(), (mode, edge_class is None)

@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro import telemetry
 from repro.core.construction import build_heuristic_network
+from repro.core.graph import OverlayGraph
 from repro.core.maintenance import MaintenanceDaemon
+from repro.core.metric import RingMetric
+from repro.core.routing import GreedyRouter, RecoveryStrategy, RoutingMode
 from repro.fastpath import (
     BatchGreedyRouter,
     DeltaRecorder,
     DeltaSnapshot,
     SnapshotDelta,
+    build_snapshot,
     compile_snapshot,
 )
 from repro.fastpath.delta import (
@@ -144,7 +150,7 @@ class TestDeltaSnapshot:
         assert delta.liveness_only
         mirror.apply(delta)
         after = mirror.snapshot()
-        # The adjacency arrays (and the cached dense matrices) are shared.
+        # The adjacency arrays (and the cached label matrix) are shared.
         assert after.neighbor_indices is before.neighbor_indices
         assert after.neighbor_indptr is before.neighbor_indptr
         assert not np.array_equal(after.alive, before.alive)
@@ -196,6 +202,25 @@ class TestDeltaSnapshot:
         assert np.array_equal(mirror.snapshot().alive, construction_alive)
         mirror.revive(victims)
         assert np.array_equal(mirror.snapshot().alive, base.alive)
+
+    @pytest.mark.parametrize("tier", ["structural", "liveness"])
+    @pytest.mark.parametrize("op", [OP_FAIL, OP_REVIVE])
+    def test_liveness_ops_on_non_vertices_are_refused(self, tier, op):
+        """Both tiers refuse a label that is no vertex; -1 must not wrap to the top."""
+        graph = OverlayGraph(RingMetric(16))
+        for label in range(16):
+            if label != 5:
+                graph.add_node(label)
+        graph.wire_ring()
+        graph.fail_node(3)
+        if tier == "structural":
+            mirror = DeltaSnapshot.from_graph(graph)
+        else:
+            mirror = DeltaSnapshot.from_snapshot(compile_snapshot(graph))
+        for label in (-1, 5, 16):
+            with pytest.raises(KeyError, match="are not vertices of this snapshot"):
+                mirror.apply(SnapshotDelta(ops=[(op, label)]))
+        assert_snapshots_identical(mirror.snapshot(), compile_snapshot(graph))
 
     def test_unsupported_space_raises(self):
         from repro.baselines import CanNetwork
@@ -263,42 +288,79 @@ class TestRefreshStrategy:
         construction, _daemon, recorder, mirror = mirrored
         graph = construction.graph
         router = BatchGreedyRouter(mirror.snapshot())
-        matrices = router.snapshot.routing_matrices()
+        matrix = router.snapshot.label_matrix()
         graph.fail_node(sorted(graph.labels(only_alive=True))[1])
         mirror.apply(recorder.drain())
         strategy, snapshot = _refresh_strategy(mirror)
         router.rebase(snapshot)
         assert strategy == "liveness_reuse"
-        assert all(
-            now is before
-            for now, before in zip(router.snapshot.routing_matrices(), matrices)
-        )
+        assert router.snapshot.label_matrix() is matrix
 
 
 class TestRouterRebase:
     def test_rebase_invalidates_usable_and_pool_caches(self, mirrored):
+        """A rebased router keeps its detour stream and redraws its detour pool."""
         construction, daemon, recorder, mirror = mirrored
         graph = construction.graph
-        router = BatchGreedyRouter(mirror.snapshot())
+        config = dict(recovery=RecoveryStrategy.RANDOM_REROUTE, seed=4)
+        scalar = GreedyRouter(graph, **config)
+
+        def pairs_over_live():
+            live = sorted(graph.labels(only_alive=True))
+            return [(s, t) for s in live[::2] for t in live[1::5] if s != t]
+
+        def assert_batch_matches_scalar(router):
+            pairs = pairs_over_live()
+            result = router.route_pairs(pairs, record_paths=True)
+            # Detours were drawn, so the pool (and the stream) mattered.
+            assert result.reroutes.any()
+            for index, reference in enumerate(scalar.route_many(pairs)):
+                assert result.paths[index] == reference.path
+                assert int(result.reroutes[index]) == reference.reroutes
+
+        for victim in sorted(graph.labels())[1::3]:
+            graph.fail_node(victim)
+        mirror.apply(recorder.drain())
+        router = BatchGreedyRouter(
+            mirror.snapshot(), reroute_pool=graph.labels(only_alive=True), **config
+        )
+        assert_batch_matches_scalar(router)
+        # Mutate: crash more nodes, repair around one, then rebase onto the
+        # delta result — the scalar router just sees its graph change.
         live = sorted(graph.labels(only_alive=True))
-        first = router.route_pairs([(live[0], live[-1])])
-        assert first.success.all()
-        # Mutate: crash a node and repair, then rebase onto the delta result.
-        graph.fail_node(live[1])
-        daemon.repair_all_batched()
+        for victim in live[2::4]:
+            graph.fail_node(victim)
+        daemon.handle_departure(live[2])
         mirror.apply(recorder.drain())
         router.rebase(mirror.snapshot())
-        assert router._usable_cache is None and router._pool_cache is None
-        live = sorted(graph.labels(only_alive=True))
-        pairs = [(live[0], live[len(live) // 2]), (live[1], live[-1])]
-        from repro.core.routing import GreedyRouter
+        router.reroute_pool = graph.labels(only_alive=True)
+        assert_batch_matches_scalar(router)
 
-        scalar = GreedyRouter(graph)
-        result = router.route_pairs(pairs, record_paths=True)
-        for index, (source, target) in enumerate(pairs):
-            reference = scalar.route(source, target)
-            assert bool(result.success[index]) == reference.success
-            assert result.paths[index] == reference.path
+    def test_rebase_derives_nothing(self):
+        """The first batch after a rebase allocates like a warm one (no fold)."""
+        snapshot = build_snapshot(4096, seed=3, symmetric_neighbors=False)
+        mirror = DeltaSnapshot.from_snapshot(snapshot)
+        router = BatchGreedyRouter(mirror.snapshot(), mode=RoutingMode.ONE_SIDED)
+        sources = np.arange(0, 4096, 64, dtype=np.int64)
+        targets = (sources + 2001) % 4096
+        assert router.route_batch(sources, targets).success.all()
+        matrix = router.snapshot.label_matrix()
+        holder = 7
+        target = int(snapshot.labels[snapshot.neighbors_of_index(holder)[-1]])
+        mirror.apply(SnapshotDelta(ops=[(OP_FAIL, 1000)]))
+        mirror.apply(SnapshotDelta(ops=[(OP_LINK_FAIL, holder, target)]))
+        router.rebase(mirror.snapshot())
+        assert router.snapshot.edge_alive is not None and not router.snapshot.alive.all()
+        tracemalloc.start()
+        try:
+            result = router.route_batch(sources, targets)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result) == 64
+        # A liveness fold over the matrix would allocate at least a bool per slot.
+        assert peak < matrix.nbytes / 4
+        assert router.snapshot.label_matrix() is matrix
 
     def test_snapshot_delta_repr_roundtrip(self):
         delta = SnapshotDelta()

@@ -453,3 +453,37 @@ def test_one_way_a_mutation_reaches_the_mirror():
         if delta_layer & {alias.name for node in imports for alias in node.names}:
             holders.add(module.relative_to(source_root).as_posix())
     assert holders == {"scenarios/rounds.py"}
+
+
+def _identifiers(tree: ast.AST) -> set[str]:
+    """Every name a module binds, reads or reaches through an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_the_batch_router_derives_only_the_label_matrix():
+    """No dense triple, no liveness fold: the step reads label_matrix() and the CSR."""
+    source_root = Path(repro.__file__).parent
+    router = ast.parse((source_root / "fastpath" / "batch_router.py").read_text())
+    retired = ("routing_matrices", "dense_neighbors", "_usable", "_edge_valid")
+    assert "label_matrix" in _identifiers(router)
+    assert not [
+        name for name in _identifiers(router) if any(old in name for old in retired)
+    ]
+    # The accessor survives for the benchmark harness only: nothing calls it.
+    callers = [
+        module.relative_to(source_root).as_posix()
+        for module in sorted(source_root.rglob("*.py"))
+        for node in ast.walk(ast.parse(module.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "routing_matrices"
+    ]
+    assert callers == []

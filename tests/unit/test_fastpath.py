@@ -129,19 +129,9 @@ class TestCompileSnapshot:
         assert derived.neighbor_indices is snapshot.neighbor_indices
         assert derived.alive_count() == 0
         assert snapshot.alive_count() == snapshot.num_nodes
-        assert derived.dense_neighbors() is snapshot.dense_neighbors()
+        assert derived.label_matrix() is snapshot.label_matrix()
         with pytest.raises(ValueError):
             snapshot.with_alive(np.ones(3, dtype=bool))
-
-    def test_dense_neighbors_padded_with_minus_one(self, snapshot_256):
-        _graph, snapshot = snapshot_256
-        dense = snapshot.dense_neighbors()
-        degrees = snapshot.degrees()
-        assert dense.shape == (snapshot.num_nodes, int(degrees.max()))
-        for index in (0, 5, snapshot.num_nodes - 1):
-            degree = int(degrees[index])
-            assert np.all(dense[index, :degree] >= 0)
-            assert np.all(dense[index, degree:] == -1)
 
 
 class TestBuildSnapshot:

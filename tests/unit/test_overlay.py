@@ -133,10 +133,9 @@ class TestGreedyPolicies:
         # Neighbour row: finger advancing 2, successor landing exactly on the
         # target.  Chord's scalar rule takes the finger; so must the keys.
         neighbors = np.array([[2, 3]])
-        valid = np.ones((1, 2), dtype=bool)
         classes = np.array([[0, 1]], dtype=np.int8)
         keyed = policy.candidate_keys(
-            current, neighbors, valid, targets, RoutingMode.TWO_SIDED, classes
+            current, neighbors, targets, RoutingMode.TWO_SIDED, classes
         )
         assert keyed[0, 0] < keyed[0, 1] < policy.blocked
         assert int(np.argmin(keyed[0])) == 0
@@ -146,7 +145,6 @@ class TestGreedyPolicies:
         keyed = policy.candidate_keys(
             np.array([0]),
             np.array([[10]]),
-            np.ones((1, 1), dtype=bool),
             np.array([5]),
             RoutingMode.TWO_SIDED,
             np.zeros((1, 1), dtype=np.int8),
@@ -160,7 +158,6 @@ class TestGreedyPolicies:
         keyed = policy.candidate_keys(
             np.array([0]),
             np.array([[1, 2]]),
-            np.ones((1, 2), dtype=bool),
             np.array([10]),
             RoutingMode.TWO_SIDED,
             np.ones((1, 2), dtype=np.int8),
