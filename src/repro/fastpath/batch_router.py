@@ -33,9 +33,11 @@ All three Section-6 recovery strategies are implemented:
   from the same derived stream the scalar router uses, so the draw sequence is
   identical to routing the batch one query at a time.
 * **backtracking** — a ``(queries, backtrack_depth)`` history ring buffer plus
-  a per-query map from visited node to the number of already-tried candidates.
-  The scalar router's tried-set is always a *prefix* of the distance-sorted
-  candidate list, so one integer per (query, node) reproduces it exactly.
+  a per-query map from visited node to the row slot of the last candidate it
+  consumed there.  The scalar router's tried-set is always a *prefix* of the
+  candidates in (key, slot) order, so that one integer per (query, node)
+  reproduces it exactly, and backtracking runs the same step: only a row the
+  query revisits is re-keyed against its tried set before the pick.
 
 Equivalence contract (see also :mod:`repro.core.routing`)
 ---------------------------------------------------------
@@ -44,9 +46,9 @@ identical** to the scalar router — not merely statistically similar.  The
 guarantee rests on three details:
 
 * the snapshot's per-vertex neighbour order equals the scalar router's
-  candidate order (the label matrix keeps it slot for slot), and ``argmin``
-  / stable ``argsort`` reproduce the scalar router's stable sort-by-distance
-  tie-break;
+  candidate order (the label matrix keeps it slot for slot), so the first
+  minimum of a row — and (key, slot) order — reproduce the scalar router's
+  stable sort-by-distance tie-break;
 * each query's hop budget is tracked individually, reproducing the scalar
   per-route hop limit exactly even when recovery detours desynchronise the
   queries;
@@ -206,38 +208,41 @@ class BatchRouteResult:
 
 
 class _PrefixTable:
-    """Per-query map ``visited node -> consumed candidate-prefix length``.
+    """Per-query map ``visited node -> row slot of the last consumed candidate``.
 
     The scalar backtracking router remembers, per visited node, which
     next-hop candidates it has already tried.  Because candidates are
-    consumed in distance-sorted order, that set is always a prefix of the
-    sorted candidate list, so a single integer per (query, node) pair carries
-    the full state.  Entries live in a small, growable slot table per query
-    (``-1`` marks a free slot); the scalar router's bounded-memory rule —
-    forget a node's tried-set when it falls out of the backtrack window —
-    maps to :meth:`delete`.
+    consumed in distance-sorted order — (key, slot) order over the node's
+    label row — that set is always a prefix of it, so the row slot of the
+    prefix's *last* candidate carries the full state; the row width (one past
+    the last slot) marks a lenient node with nothing usable left.  Entries
+    live in a small, growable table per query (``-1`` marks a free entry);
+    the scalar router's bounded-memory rule — forget a node's tried-set when
+    it falls out of the backtrack window — maps to :meth:`delete`.
     """
 
-    def __init__(self, num_queries: int, initial_slots: int = 8) -> None:
-        self._nodes = np.full((num_queries, initial_slots), -1, dtype=np.int64)
-        self._counts = np.zeros((num_queries, initial_slots), dtype=np.int64)
+    def __init__(self, num_queries: int, initial_entries: int = 8) -> None:
+        self._nodes = np.full((num_queries, initial_entries), -1, dtype=np.int64)
+        self._last = np.full((num_queries, initial_entries), -1, dtype=np.int64)
 
-    def lookup(self, queries: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-        """Consumed-prefix length of ``nodes[i]`` for query ``queries[i]`` (0 if absent)."""
+    def lookup(self, queries: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Last consumed slot of ``nodes[i]`` for query ``queries[i]`` and the
+        entry holding it for :meth:`store` (both ``-1`` where nothing was tried)."""
         match = self._nodes[queries] == nodes[:, None]
-        found = match.any(axis=1)
-        slot = match.argmax(axis=1)
-        counts = self._counts[queries, slot]
-        return np.where(found, counts, 0)
+        entry = np.where(match.any(axis=1), match.argmax(axis=1), -1)
+        return np.where(entry >= 0, self._last[queries, entry], -1), entry
 
-    def store(self, queries: np.ndarray, nodes: np.ndarray, counts: np.ndarray) -> None:
-        """Set the consumed-prefix length, creating slots for new nodes."""
-        match = self._nodes[queries] == nodes[:, None]
-        found = match.any(axis=1)
-        slot = match.argmax(axis=1)
+    def store(
+        self, queries: np.ndarray, nodes: np.ndarray, last: np.ndarray, entry: np.ndarray
+    ) -> None:
+        """Record ``last`` per row at the ``entry`` :meth:`lookup` returned.
+
+        A node without an entry takes a free one unless nothing was consumed.
+        """
+        found = entry >= 0
         if found.any():
-            self._counts[queries[found], slot[found]] = counts[found]
-        new = ~found & (counts > 0)
+            self._last[queries[found], entry[found]] = last[found]
+        new = ~found & (last >= 0)
         if not new.any():
             return
         new_queries = queries[new]
@@ -246,9 +251,9 @@ class _PrefixTable:
             if free.any(axis=1).all():
                 break
             self._grow()
-        free_slot = free.argmax(axis=1)
-        self._nodes[new_queries, free_slot] = nodes[new]
-        self._counts[new_queries, free_slot] = counts[new]
+        free_entry = free.argmax(axis=1)
+        self._nodes[new_queries, free_entry] = nodes[new]
+        self._last[new_queries, free_entry] = last[new]
 
     def delete(self, queries: np.ndarray, nodes: np.ndarray) -> None:
         """Forget the entries of ``nodes[i]`` for query ``queries[i]`` (if present)."""
@@ -256,17 +261,15 @@ class _PrefixTable:
         found = match.any(axis=1)
         if not found.any():
             return
-        slot = match.argmax(axis=1)
-        self._nodes[queries[found], slot[found]] = -1
-        self._counts[queries[found], slot[found]] = 0
+        self._nodes[queries[found], match.argmax(axis=1)[found]] = -1
 
     def _grow(self) -> None:
-        num_queries, slots = self._nodes.shape
-        nodes = np.full((num_queries, 2 * slots), -1, dtype=np.int64)
-        counts = np.zeros((num_queries, 2 * slots), dtype=np.int64)
-        nodes[:, :slots] = self._nodes
-        counts[:, :slots] = self._counts
-        self._nodes, self._counts = nodes, counts
+        num_queries, entries = self._nodes.shape
+        nodes = np.full((num_queries, 2 * entries), -1, dtype=np.int64)
+        last = np.full((num_queries, 2 * entries), -1, dtype=np.int64)
+        nodes[:, :entries] = self._nodes
+        last[:, :entries] = self._last
+        self._nodes, self._last = nodes, last
 
 
 @dataclass
@@ -522,7 +525,7 @@ class BatchGreedyRouter:
                 detour[active[at_detour]] = -1
             goal = np.where(detour[active] >= 0, detour[active], target_index[active])
 
-            chosen, stuck, repaired = self._step(current[active], goal, all_alive)
+            chosen, stuck, repaired, _ = self._step(current[active], goal, all_alive)
             if tel is not None:
                 tel.count("route.rounds")
                 tel.count("route.rows_scanned", int(active.size))
@@ -617,12 +620,13 @@ class BatchGreedyRouter:
 
         Per query: a ``backtrack_depth``-deep ring buffer of recently
         forwarded-from vertices and a :class:`_PrefixTable` of consumed
-        candidates.  Each iteration advances every in-flight query by exactly
-        one scalar-loop iteration (a forward move, a backtrack move, or a
-        terminal verdict), so hop counts, paths, and tie-breaks match the
-        scalar router move for move.
+        candidates, which :meth:`_step` reads and updates.  Each iteration
+        advances every in-flight query by exactly one scalar-loop iteration
+        (a forward move, a backtrack move, or a terminal verdict), so hop
+        counts, paths, and tie-breaks match the scalar router move for move.
         """
         labels = self.snapshot.labels
+        all_alive = bool(self.snapshot.alive.all())
         depth = self.backtrack_depth
         num_queries = current.shape[0]
 
@@ -646,15 +650,15 @@ class BatchGreedyRouter:
                 if not active.size:
                     break
 
-            chosen, new_consumed, consumed_nodes, stuck, repaired = self._backtrack_select(
-                active, current, target_index, tried
+            chosen, stuck, repaired, revisited = self._step(
+                current[active], target_index[active], all_alive, tried, active
             )
             if tel is not None:
                 tel.count("route.rounds")
                 tel.count("route.rows_scanned", int(active.size))
                 tel.count("route.rows_repaired", repaired)
+                tel.count("route.rows_revisited", revisited)
                 tel.observe("route.frontier", float(active.size), buckets=POW2_BUCKETS)
-            tried.store(active, consumed_nodes, new_consumed)
 
             movers = ~stuck
             moving_queries = active[movers]
@@ -706,149 +710,9 @@ class BatchGreedyRouter:
 
             active = np.sort(np.concatenate([moving_queries, returning]))
 
-    def _backtrack_select(
-        self,
-        active: np.ndarray,
-        current: np.ndarray,
-        target_index: np.ndarray,
-        tried: _PrefixTable,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-        """Pick each active query's next untried candidate, consuming prefixes.
-
-        Returns ``(chosen, new_consumed, nodes, stuck, repaired)``: the
-        next-hop vertex per query (undefined where stuck), the updated
-        consumed-prefix length for the query's current vertex, that vertex,
-        the stuck mask, and how many first-visit rows had an unusable pick.
-        """
-        snapshot = self.snapshot
-        alive, edge_alive = snapshot.alive, snapshot.edge_alive
-        cur = current[active]
-        keyed, blocked, has_candidate, slot, chosen = self._first_pick(cur, target_index[active])
-
-        # By far the most common case: the query is visiting this node for
-        # the first time (nothing consumed), so the scalar router simply
-        # takes its closest candidate — the first pick, consumed (prefix 1)
-        # whether or not it turns out alive.  Rows that are revisited, or
-        # whose pick the node knows better than to propose, take the general
-        # path below over their own CSR slice.
-        consumed = tried.lookup(active, cur)
-        cheap = (consumed == 0) & (
-            ~has_candidate | self._entry_live(slot, chosen, not self.strict_best_neighbor)
-        )
-        stuck = ~has_candidate
-        if self.strict_best_neighbor:
-            stuck |= ~alive[chosen]
-        new_consumed = np.where(has_candidate, 1, 0)
-        full = np.flatnonzero(~cheap)
-        if full.size:
-            slots = self._row_slots(cur[full])
-            rekeyed = keyed[full]
-            if edge_alive is not None:
-                rekeyed = np.where(edge_alive[slots], rekeyed, blocked)
-            chosen[full], new_consumed[full], stuck[full] = self._backtrack_select_full(
-                snapshot.neighbor_indices[slots], rekeyed, blocked, alive, consumed[full]
-            )
-        return chosen, new_consumed, cur, stuck, int(np.count_nonzero(consumed[full] == 0))
-
-    def _backtrack_select_full(
-        self,
-        neighbors: np.ndarray,
-        keyed: np.ndarray,
-        blocked: np.generic,
-        alive: np.ndarray,
-        consumed: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The general prefix-consuming selection for revisited/degraded rows."""
-        # Stable argsort by distance == the scalar router's stable
-        # sort-by-distance with earliest-neighbour tie-break; non-candidates
-        # sink to the back.
-        order = np.argsort(keyed, axis=1, kind="stable")
-        sorted_neighbors = np.take_along_axis(neighbors, order, axis=1)
-        sorted_keyed = np.take_along_axis(keyed, order, axis=1)
-        is_candidate = sorted_keyed < blocked
-
-        # A neighbour row may list the same vertex twice (e.g. a long link to
-        # the node's own ring neighbour).  The scalar tried-set holds *labels*,
-        # so consuming a candidate consumes every duplicate of it: the prefix
-        # arithmetic lives on the deduplicated sorted list.  Mark every
-        # repeated occurrence (value-sorted adjacency; the stable sort keeps
-        # the distance-order first occurrence first).
-        value = np.where(is_candidate, sorted_neighbors.astype(np.int64), -1)
-        value_order = np.argsort(value, axis=1, kind="stable")
-        value_sorted = np.take_along_axis(value, value_order, axis=1)
-        repeat_sorted = np.zeros_like(is_candidate)
-        repeat_sorted[:, 1:] = (value_sorted[:, 1:] == value_sorted[:, :-1]) & (
-            value_sorted[:, 1:] >= 0
-        )
-        repeated = np.zeros_like(is_candidate)
-        np.put_along_axis(repeated, value_order, repeat_sorted, axis=1)
-        distinct = is_candidate & ~repeated
-        candidate_count = distinct.sum(axis=1).astype(np.int64)
-        # 0-based rank of each distinct candidate in distance order (garbage
-        # in non-distinct slots; every use below is masked by ``distinct``).
-        rank = distinct.cumsum(axis=1, dtype=np.int64) - 1
-
-        row = np.arange(neighbors.shape[0], dtype=np.int64)
-        if self.strict_best_neighbor:
-            # The node commits to its single best untried candidate: the
-            # candidate is consumed either way, and a dead pick means the
-            # node is stuck for this visit.
-            has_untried = consumed < candidate_count
-            at_consumed = distinct & (rank == consumed[:, None])
-            pick = at_consumed.argmax(axis=1)
-            chosen = sorted_neighbors[row, pick].astype(np.int64)
-            stuck = ~has_untried | ~alive[chosen]
-            new_consumed = np.where(has_untried, consumed + 1, consumed)
-        else:
-            # Lenient model: dead untried candidates are consumed and
-            # skipped until a live one is found.
-            eligible = (
-                distinct & (rank >= consumed[:, None]) & alive[sorted_neighbors]
-            )
-            found = eligible.any(axis=1)
-            pick = eligible.argmax(axis=1)
-            chosen = sorted_neighbors[row, pick].astype(np.int64)
-            stuck = ~found
-            new_consumed = np.where(found, rank[row, pick] + 1, candidate_count)
-        return chosen, new_consumed, stuck
-
     # ------------------------------------------------------------------ #
     # One vectorized greedy step
     # ------------------------------------------------------------------ #
-
-    def _first_pick(
-        self, current: np.ndarray, target: np.ndarray
-    ) -> tuple[np.ndarray, np.generic, np.ndarray, np.ndarray, np.ndarray]:
-        """Key each query's label row and take the row's first minimum.
-
-        Returns ``(keyed, blocked, has_candidate, slot, chosen)``: the key
-        matrix (``>= blocked``, the sentinel in the key dtype, marks
-        inadmissible slots, padding included); whether the row's minimum is
-        admissible; and the CSR entry and vertex it names (0 where there is
-        none).  Liveness is not looked at here.
-        """
-        snapshot = self.snapshot
-        compact_labels = snapshot.labels_compact()
-        class_matrix = snapshot.class_matrix()
-        policy = self.policy
-        keyed = policy.candidate_keys(
-            compact_labels[current],
-            snapshot.label_matrix()[current],
-            compact_labels[target],
-            self.mode,
-            edge_class=class_matrix[current] if class_matrix is not None else None,
-        )
-        blocked = keyed.dtype.type(policy.blocked)
-        # First minimum along the row == the scalar router's stable
-        # sort-by-distance with earliest-neighbour tie-break.
-        pick = np.argmin(keyed, axis=1)
-        row = np.arange(current.shape[0], dtype=np.int64)
-        has_candidate = keyed[row, pick] < blocked
-        slot = np.where(has_candidate, snapshot.neighbor_indptr[current] + pick, 0)
-        indices = snapshot.neighbor_indices
-        # An edgeless overlay has no entry 0 to read; nobody has a candidate.
-        chosen = indices[slot] if indices.size else slot
-        return keyed, blocked, has_candidate, slot, chosen
 
     def _row_slots(self, vertices: np.ndarray) -> np.ndarray:
         """CSR entry numbers aligned slot-for-slot with ``label_matrix()[vertices]``.
@@ -874,18 +738,89 @@ class BatchGreedyRouter:
             usable &= np.take(snapshot.edge_alive, slot)
         return usable
 
+    def _untried_keys(
+        self, vertices: np.ndarray, keyed: np.ndarray, blocked: np.generic, last: np.ndarray
+    ) -> np.ndarray:
+        """Re-key revisited rows against their node's tried set.
+
+        The tried set is every usable candidate at or before ``(keyed[last],
+        last)`` in (key, slot) order — all of them where ``last`` is the row
+        width.  The scalar router holds it as *labels*, so every slot sharing
+        a consumed label is blocked too (parallel links, Chord's class-keyed
+        duplicates); so is every dead-edge slot, which was never a candidate.
+        """
+        snapshot = self.snapshot
+        width = keyed.shape[1]
+        usable = keyed < blocked
+        if snapshot.edge_alive is not None:
+            usable &= snapshot.edge_alive[self._row_slots(vertices)]
+        row = np.arange(vertices.shape[0], dtype=np.int64)
+        # An exhausted row's threshold key is ``blocked``: every usable slot
+        # lies before it.
+        threshold = np.where(last < width, keyed[row, np.minimum(last, width - 1)], blocked)
+        column = np.arange(width, dtype=np.int64)
+        consumed = usable & (
+            (keyed < threshold[:, None])
+            | ((keyed == threshold[:, None]) & (column <= last[:, None]))
+        )
+        labels = snapshot.label_matrix()[vertices]
+        seen = ((labels[:, :, None] == labels[:, None, :]) & consumed[:, None, :]).any(axis=2)
+        return np.where(usable & ~seen, keyed, blocked)
+
     def _step(
-        self, current: np.ndarray, target: np.ndarray, all_alive: bool
-    ) -> tuple[np.ndarray, np.ndarray, int]:
+        self,
+        current: np.ndarray,
+        target: np.ndarray,
+        all_alive: bool,
+        tried: _PrefixTable | None = None,
+        queries: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, int, int]:
         """Advance every active query one hop towards its goal.
 
-        Returns ``(chosen, stuck, repaired)``: the next-hop vertex index per
-        query (undefined where stuck), the boolean stuck mask, and how many
-        rows had an unusable first pick and were re-keyed.
+        Keys each query's label row and takes the row's first minimum — the
+        scalar router's stable sort-by-distance with earliest-neighbour
+        tie-break — then reads liveness at the pick alone.  Backtracking
+        passes its ``tried`` table and each row's query: a row at a node the
+        query has tried candidates from is first re-keyed against that tried
+        set (:meth:`_untried_keys`), and the pick, alive or not, becomes the
+        node's last consumed slot; with nothing left, a lenient node is
+        exhausted and a strict one keeps its tried set.
+
+        Returns ``(chosen, stuck, repaired, revisited)``: the next-hop vertex
+        per query (undefined where stuck), the stuck mask, and how many rows
+        were re-keyed for an unusable pick and against a tried set.
         """
         snapshot = self.snapshot
         skip_dead = not self.strict_best_neighbor and not all_alive
-        keyed, blocked, has_candidate, slot, chosen = self._first_pick(current, target)
+        compact_labels = snapshot.labels_compact()
+        class_matrix = snapshot.class_matrix()
+        policy = self.policy
+        keyed = policy.candidate_keys(
+            compact_labels[current],
+            snapshot.label_matrix()[current],
+            compact_labels[target],
+            self.mode,
+            edge_class=class_matrix[current] if class_matrix is not None else None,
+        )
+        # ``>= blocked`` (the sentinel in the key dtype) marks inadmissible
+        # slots, padding included.
+        blocked = keyed.dtype.type(policy.blocked)
+        revisited = 0
+        if tried is not None:
+            last, entry = tried.lookup(queries, current)
+            revisit = np.flatnonzero(last >= 0)
+            revisited = int(revisit.size)
+            if revisited:
+                keyed[revisit] = self._untried_keys(
+                    current[revisit], keyed[revisit], blocked, last[revisit]
+                )
+        pick = np.argmin(keyed, axis=1)
+        row = np.arange(current.shape[0], dtype=np.int64)
+        has_candidate = keyed[row, pick] < blocked
+        slot = np.where(has_candidate, snapshot.neighbor_indptr[current] + pick, 0)
+        indices = snapshot.neighbor_indices
+        # An edgeless overlay has no entry 0 to read; nobody has a candidate.
+        chosen = indices[slot] if indices.size else slot
 
         repaired = 0
         if skip_dead or snapshot.edge_alive is not None:
@@ -897,18 +832,22 @@ class BatchGreedyRouter:
             repaired = int(repair.size)
             if repaired:
                 slots = self._row_slots(current[repair])
-                indices = snapshot.neighbor_indices
                 rekeyed = np.where(
                     self._entry_live(slots, indices[slots], skip_dead), keyed[repair], blocked
                 )
-                pick = np.argmin(rekeyed, axis=1)
+                repick = np.argmin(rekeyed, axis=1)
                 row = np.arange(repaired, dtype=np.int64)
-                has_candidate[repair] = rekeyed[row, pick] < blocked
-                chosen[repair] = indices[slots[row, pick]]
+                has_candidate[repair] = rekeyed[row, repick] < blocked
+                chosen[repair] = indices[slots[row, repick]]
+                if tried is not None:
+                    pick[repair] = repick
 
         stuck = ~has_candidate
         if self.strict_best_neighbor and not all_alive:
             # The node commits to its best candidate before learning whether
             # it is alive; a dead best candidate means the query is stuck.
             stuck |= ~snapshot.alive[chosen]
-        return chosen, stuck, repaired
+        if tried is not None:
+            exhausted = last if self.strict_best_neighbor else keyed.shape[1]
+            tried.store(queries, current, np.where(has_candidate, pick, exhausted), entry)
+        return chosen, stuck, repaired, revisited

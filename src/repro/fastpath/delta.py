@@ -74,6 +74,7 @@ __all__ = [
     "SnapshotDelta",
     "DeltaRecorder",
     "DeltaSnapshot",
+    "HalfAppliedDeltaError",
     "assert_snapshots_identical",
 ]
 
@@ -151,6 +152,10 @@ _OP_NAMES = {
     OP_LINK_REVIVE: "link_revive",
     OP_REBUILD: "rebuild",
 }
+
+
+class HalfAppliedDeltaError(RuntimeError):
+    """A structural-tier mirror refused an op after applying part of its delta."""
 
 
 @dataclass
@@ -557,6 +562,8 @@ class DeltaSnapshot:
         # Which materialization strategy the last snapshot() call took
         # (reported to telemetry as refresh.strategy.<name>).
         self._last_strategy = "full_rebuild"
+        # The op a structural-tier apply refused after changing the mirror.
+        self._refused: tuple | None = None
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -668,7 +675,13 @@ class DeltaSnapshot:
         the splicing materialization.  Pointer invalidation for departed
         vertices is deferred and flushed as one vectorized pass at the end
         of the batch.
+
+        A refused batch leaves a liveness-tier mirror as it was.  A
+        structural-tier mirror that refuses an op after changing anything
+        raises :class:`HalfAppliedDeltaError` from every later ``apply`` and
+        ``snapshot`` call.
         """
+        self._check_not_refused()
         tel = telemetry_current()
         if tel is not None and delta.ops:
             for kind, count in delta.counts().items():
@@ -694,85 +707,103 @@ class DeltaSnapshot:
         long_append, long_remove = long_slab.append, long_slab.remove_first
         in_append, in_remove = in_slab.append, in_slab.remove_first
         structural = False
-        for op in delta.ops:
-            code = op[0]
-            if code == OP_FAIL or code == OP_REVIVE:
-                label = op[1]
-                # As on the liveness tier; -1 would wrap onto the top label.
-                if not 0 <= label < occupied.shape[0] or not occupied[label]:
-                    raise KeyError(f"labels {[int(label)]} are not vertices of this snapshot")
-                alive[label] = code == OP_REVIVE
-            elif code == OP_SET_RING:
-                left[op[1]] = op[2]
-                right[op[1]] = op[3]
-                dirty_add(op[1])
-                structural = True
-            elif code == OP_ADD_LINK:
-                long_append(op[1], op[2])
-                in_append(op[2], op[1])
-                dirty_add(op[1])
-                dirty_add(op[2])
-                structural = True
-            elif code == OP_REMOVE_LINK:
-                # Drop the entry in whatever liveness state it is in, and the
-                # paired incoming entry in the *same* state, so parallel
-                # links of mixed liveness stay correctly paired.
-                flag = long_remove(op[1], op[2], None)
-                in_remove(op[2], op[1], flag)
-                dirty_add(op[1])
-                dirty_add(op[2])
-                structural = True
-            elif code == OP_REDIRECT_LINK:
-                long_slab.replace_first(op[1], op[2], op[3])
-                in_remove(op[2], op[1], True)
-                in_append(op[3], op[1])
-                dirty_add(op[1])
-                dirty_add(op[2])
-                dirty_add(op[3])
-                structural = True
-            elif code == OP_LINK_FAIL:
-                long_slab.set_flag_first(op[1], op[2], True, False)
-                in_slab.set_flag_first(op[2], op[1], True, False)
-                dirty_add(op[1])
-                dirty_add(op[2])
-                structural = True
-            elif code == OP_LINK_REVIVE:
-                long_slab.set_flag_first(op[1], op[2], False, True)
-                in_slab.set_flag_first(op[2], op[1], False, True)
-                dirty_add(op[1])
-                dirty_add(op[2])
-                structural = True
-            elif code == OP_ADD_NODE:
-                label = op[1]
-                if label in self._pending_clears:
-                    # The label departed earlier in this very batch; clear
-                    # the stale pointers at it before it is reborn so the
-                    # deferred bulk flush cannot wipe its new ring wiring.
-                    self._flush_pointer_clears({label})
-                    self._pending_clears.discard(label)
-                occupied[label] = True
-                alive[label] = True
-                left[label] = -1
-                right[label] = -1
-                long_slab.clear_row(label)
-                in_slab.clear_row(label)
-                dirty.add(label)
-                structural = True
-            elif code == OP_REMOVE_NODE:
-                self._remove_node(op[1])
-                structural = True
-            elif code == OP_REBUILD:
-                raise NotImplementedError(
-                    "structural-tier DeltaSnapshot has no table rebuild; "
-                    "OP_REBUILD applies to Overlay-backed liveness mirrors"
-                )
-            else:  # pragma: no cover - recorder and apply share the op set
-                raise ValueError(f"unknown delta op code {code!r}")
+        try:
+            for index, op in enumerate(delta.ops):
+                code = op[0]
+                if code == OP_FAIL or code == OP_REVIVE:
+                    label = op[1]
+                    # As on the liveness tier; -1 would wrap onto the top label.
+                    if not 0 <= label < occupied.shape[0] or not occupied[label]:
+                        raise KeyError(f"labels {[int(label)]} are not vertices of this snapshot")
+                    alive[label] = code == OP_REVIVE
+                elif code == OP_SET_RING:
+                    left[op[1]] = op[2]
+                    right[op[1]] = op[3]
+                    dirty_add(op[1])
+                    structural = True
+                elif code == OP_ADD_LINK:
+                    long_append(op[1], op[2])
+                    in_append(op[2], op[1])
+                    dirty_add(op[1])
+                    dirty_add(op[2])
+                    structural = True
+                elif code == OP_REMOVE_LINK:
+                    # Drop the entry in whatever liveness state it is in, and the
+                    # paired incoming entry in the *same* state, so parallel
+                    # links of mixed liveness stay correctly paired.
+                    flag = long_remove(op[1], op[2], None)
+                    in_remove(op[2], op[1], flag)
+                    dirty_add(op[1])
+                    dirty_add(op[2])
+                    structural = True
+                elif code == OP_REDIRECT_LINK:
+                    long_slab.replace_first(op[1], op[2], op[3])
+                    in_remove(op[2], op[1], True)
+                    in_append(op[3], op[1])
+                    dirty_add(op[1])
+                    dirty_add(op[2])
+                    dirty_add(op[3])
+                    structural = True
+                elif code == OP_LINK_FAIL:
+                    long_slab.set_flag_first(op[1], op[2], True, False)
+                    in_slab.set_flag_first(op[2], op[1], True, False)
+                    dirty_add(op[1])
+                    dirty_add(op[2])
+                    structural = True
+                elif code == OP_LINK_REVIVE:
+                    long_slab.set_flag_first(op[1], op[2], False, True)
+                    in_slab.set_flag_first(op[2], op[1], False, True)
+                    dirty_add(op[1])
+                    dirty_add(op[2])
+                    structural = True
+                elif code == OP_ADD_NODE:
+                    label = op[1]
+                    if label in self._pending_clears:
+                        # The label departed earlier in this very batch; clear
+                        # the stale pointers at it before it is reborn so the
+                        # deferred bulk flush cannot wipe its new ring wiring.
+                        self._flush_pointer_clears({label})
+                        self._pending_clears.discard(label)
+                    occupied[label] = True
+                    alive[label] = True
+                    left[label] = -1
+                    right[label] = -1
+                    long_slab.clear_row(label)
+                    in_slab.clear_row(label)
+                    dirty.add(label)
+                    structural = True
+                elif code == OP_REMOVE_NODE:
+                    self._remove_node(op[1])
+                    structural = True
+                elif code == OP_REBUILD:
+                    raise NotImplementedError(
+                        "structural-tier DeltaSnapshot has no table rebuild; "
+                        "OP_REBUILD applies to Overlay-backed liveness mirrors"
+                    )
+                else:  # pragma: no cover - recorder and apply share the op set
+                    raise ValueError(f"unknown delta op code {code!r}")
+        except Exception:
+            # Only a liveness op refused first leaves the mirror untouched
+            # (its vertex check precedes its write); anything later serves
+            # a half-applied state, so the mirror refuses to go on.
+            if index or op[0] not in _LIVENESS_OPS:
+                self._refused = op
+            raise
         if self._pending_clears:
             self._flush_pointer_clears(self._pending_clears)
             self._pending_clears = set()
         if structural:
             self._structure_dirty = True
+
+    def _check_not_refused(self) -> None:
+        if self._refused is not None:
+            op = self._refused
+            raise HalfAppliedDeltaError(
+                f"this mirror refused {_OP_NAMES.get(op[0], op[0])!r} "
+                f"{[int(value) for value in op[1:]]} "
+                "part-way through a delta and holds a half-applied state; "
+                "mirror the overlay afresh with DeltaSnapshot.from_graph"
+            )
 
     def _apply_mask(self, delta: SnapshotDelta) -> None:
         """Liveness-tier application: node flips, edge flips, and rebuilds.
@@ -783,44 +814,61 @@ class DeltaSnapshot:
         matching the table-based overlays' per-pair edge state);
         ``OP_REBUILD`` recompiles the source overlay (``from_overlay``
         mirrors only).  Other structural ops still require a recompile.
+
+        All or nothing: every op is resolved and checked first, the last
+        write per vertex and per edge is kept, and the mirror changes only
+        once the whole batch is accepted.  A rebuild resets both masks, so
+        the writes recorded before it are dropped.
         """
+        base = self._base
+        nodes: dict[int, bool] = {}
+        edges: dict[int, bool] = {}
+
+        def vertices_of_nodes() -> np.ndarray:
+            # Raises KeyError on a label ``base`` does not hold.
+            return base.indices_of(np.fromiter(nodes, dtype=np.int64, count=len(nodes)))
+
         for op in delta.ops:
             code = op[0]
-            if code == OP_FAIL:
-                self._mask_alive[self._base.indices_of([op[1]])[0]] = False
-            elif code == OP_REVIVE:
-                self._mask_alive[self._base.indices_of([op[1]])[0]] = True
+            if code == OP_FAIL or code == OP_REVIVE:
+                nodes[op[1]] = code == OP_REVIVE
             elif code == OP_LINK_FAIL or code == OP_LINK_REVIVE:
-                holder, target = self._base.indices_of([op[1], op[2]])
-                indptr = self._base.neighbor_indptr
+                holder, target = base.indices_of([op[1], op[2]])
+                indptr = base.neighbor_indptr
                 start, stop = int(indptr[holder]), int(indptr[holder + 1])
-                hits = np.flatnonzero(
-                    self._base.neighbor_indices[start:stop] == target
-                )
+                hits = np.flatnonzero(base.neighbor_indices[start:stop] == target)
                 if not hits.size:
                     raise ValueError(
                         f"snapshot row {op[1]} has no edge to {op[2]}; "
                         "delta mirror diverged"
                     )
-                self._edge_mask()[start + hits] = code == OP_LINK_REVIVE
+                for entry in (start + hits).tolist():
+                    edges[entry] = code == OP_LINK_REVIVE
             elif code == OP_REBUILD:
                 if self._source is None:
                     raise NotImplementedError(
                         "OP_REBUILD needs an overlay-backed mirror; construct "
                         "with DeltaSnapshot.from_overlay(overlay)"
                     )
-                self._base = self._source.compile_snapshot()
-                self._mask_alive = self._base.alive.copy()
-                self._mask_edge_alive = (
-                    None
-                    if self._base.edge_alive is None
-                    else self._base.edge_alive.copy()
-                )
+                vertices_of_nodes()  # the writes the rebuild drops are still checked
+                base = self._source.compile_snapshot()
+                nodes.clear()
+                edges.clear()
             else:
                 raise NotImplementedError(
                     f"liveness-tier DeltaSnapshot cannot apply {_OP_NAMES[op[0]]!r}; "
                     "recompile the overlay for structural changes"
                 )
+        vertices = vertices_of_nodes()
+        if base is not self._base:
+            self._base = base
+            self._mask_alive = base.alive.copy()
+            self._mask_edge_alive = None if base.edge_alive is None else base.edge_alive.copy()
+        self._mask_alive[vertices] = np.fromiter(nodes.values(), dtype=bool, count=len(nodes))
+        if edges:
+            self._edge_mask()[np.fromiter(edges, dtype=np.int64, count=len(edges))] = np.fromiter(
+                edges.values(), dtype=bool, count=len(edges)
+            )
 
     def _edge_mask(self) -> np.ndarray:
         """The per-edge alive mask, created on first use (liveness tier)."""
@@ -912,6 +960,7 @@ class DeltaSnapshot:
         ``row_splice`` / ``full_rebuild``), and a ``refresh.ms`` histogram
         sample.
         """
+        self._check_not_refused()
         tel = telemetry_current()
         if tel is None:
             return self._snapshot_impl()

@@ -71,6 +71,8 @@ METRIC_NAMES: tuple[MetricName, ...] = (
                "label rows gathered (one per active query per round)"),
     MetricName("route.rows_repaired", "counter", "BatchGreedyRouter",
                "rows whose first pick was unusable (dead node or link) and were re-keyed"),
+    MetricName("route.rows_revisited", "counter", "BatchGreedyRouter",
+               "backtracking rows re-keyed against their node's tried set before the pick"),
     MetricName("route.recovery.reroute", "counter", "BatchGreedyRouter",
                "queries granted a random-reroute detour"),
     MetricName("route.recovery.backtrack", "counter", "BatchGreedyRouter",

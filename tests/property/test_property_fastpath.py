@@ -202,6 +202,148 @@ class TestPickThenRepair:
         assert tel.counters["route.rows_repaired"].value >= 1
 
 
+def _ring(links, dead=(), size=64) -> OverlayGraph:
+    """A wired ring with extra long links (parallel ones allowed) and dead nodes."""
+    graph = OverlayGraph(RingMetric(size))
+    for label in range(size):
+        graph.add_node(label)
+    graph.wire_ring()
+    for source, target in links:
+        graph.add_long_link(source, target)
+    for label in dead:
+        graph.fail_node(label)
+    return graph
+
+
+def _revisit_parity(graph, pairs, mode, strict, snapshot=None):
+    """Backtracking parity on ``pairs``; returns the scalar paths for the case's own check."""
+    with telemetry.session() as tel:
+        _assert_parity(
+            graph, pairs, mode, strict, recovery=RecoveryStrategy.BACKTRACK, snapshot=snapshot
+        )
+    assert tel.counters["route.rows_revisited"].value >= 1
+    scalar = GreedyRouter(
+        graph, mode=mode, recovery=RecoveryStrategy.BACKTRACK, strict_best_neighbor=strict
+    )
+    return [result.path for result in scalar.route_many(pairs)]
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("mode", list(RoutingMode))
+class TestBacktrackRevisits:
+    """A revisited row is re-keyed against its node's tried set: every usable
+    slot at or before the last consumed one in (key, slot) order, and every
+    twin of their labels, is blocked before the pick."""
+
+    def test_a_consumed_twin_is_not_offered(self, mode, strict):
+        # 0 lists 16 twice; 16 is a dead end (17 dead), so 0 is revisited and
+        # must move on to 1, not to the second 16.
+        paths = _revisit_parity(_ring([(0, 16), (0, 16)], dead=[17]), [(0, 20)], mode, strict)
+        assert paths[0][:4] == [0, 16, 0, 1]
+
+    def test_the_other_side_of_a_two_sided_tie_is_still_offered(self, mode, strict):
+        # 16 and 24 both sit 4 from the target; consuming the first-listed one
+        # leaves the other untried (one-sided routing never admits 24).
+        paths = _revisit_parity(
+            _ring([(0, 16), (0, 24)], dead=[17, 23]), [(0, 20)], mode, strict
+        )
+        expected = [0, 16, 0, 24, 0, 1] if mode is RoutingMode.TWO_SIDED else [0, 16, 0, 1]
+        assert paths[0][: len(expected)] == expected
+
+    def test_an_exhausted_node_is_revisited(self, mode, strict):
+        # Every candidate of 16 (17, and 18 through a link) is dead: the
+        # lenient node is exhausted on its first visit and stuck on the next.
+        paths = _revisit_parity(
+            _ring([(0, 16), (16, 18)], dead=[17, 18]), [(0, 20)], mode, strict
+        )
+        assert paths[0].count(16) == 2
+
+    def test_a_node_that_ran_out_stays_out(self, mode, strict):
+        # 16 tries 18 and 17 (both dead ends once 19 is dead) and runs out;
+        # reached again through 8 it has nothing left in either regime.
+        graph = _ring([(0, 16), (0, 8), (8, 16), (16, 18)], dead=[19])
+        paths = _revisit_parity(graph, [(0, 20)], mode, strict)
+        assert paths[0][:12] == [0, 16, 18, 16, 17, 18, 17, 16, 0, 8, 16, 8]
+
+    def test_a_consumed_dead_best_yields_the_next_best(self, mode, strict):
+        # 16's best (18) is dead: the strict node consumes it and is stuck,
+        # then offers 17 when the walk comes back; the lenient one takes 17 at
+        # once.  The second pair gives the lenient regime its revisits.
+        graph = _ring([(0, 16), (16, 18), (17, 19), (32, 44)], dead=[18, 45])
+        paths = _revisit_parity(graph, [(0, 20), (32, 48)], mode, strict)
+        assert paths[0][-4:] == [16, 17, 19, 20]
+        assert paths[0].count(16) == (2 if strict else 1)
+
+    def test_nodes_fall_out_of_the_window_before_the_revisits(self, mode, strict):
+        # Ten hops in, 18 is stuck (19 dead) and the walk backs up through the
+        # five-deep window; 0, 10, 11 and 12 have left it.  Forward hops
+        # strictly close in on the target, so a forgotten node is never
+        # reached again — the revisits after the overflow are the case.
+        paths = _revisit_parity(_ring([(0, 10)], dead=[19]), [(0, 20)], mode, strict)
+        assert paths[0] == [0, 10, 11, 12, 13, 14, 15, 16, 17, 18, 17, 16, 15, 14, 13]
+
+    def test_a_dead_first_twin_under_an_edge_mask(self, mode, strict):
+        # Row 0 holds 12 twice with 28 between them, both 8 from the target;
+        # the first 12's link is dead (a mask on a snapshot compiled before
+        # the faults), so the tie goes to 28.  Every long neighbour is a dead
+        # end: a dead link is never a candidate, so consuming 28 must not
+        # consume the 12 listed before it.
+        graph = _ring([(0, 16), (0, 12), (0, 28), (0, 12)])
+        snapshot = compile_snapshot(graph)
+        twins = np.flatnonzero(snapshot.neighbors_of_index(0) == 12)
+        edge_alive = np.ones(snapshot.neighbor_indices.shape[0], dtype=bool)
+        edge_alive[snapshot.neighbor_indptr[0] + twins[0]] = False
+        alive = snapshot.alive.copy()
+        for label in (13, 17, 27):
+            alive[label] = False
+            graph.fail_node(label)
+        assert graph.fail_long_link(0, 12)
+        paths = _revisit_parity(
+            graph, [(0, 20)], mode, strict,
+            snapshot=snapshot.with_alive(alive).with_edge_alive(edge_alive),
+        )
+        if mode is RoutingMode.TWO_SIDED:
+            expected = [0, 16, 0, 28, 0, 12, 0, 1]
+        else:
+            expected = [0, 16, 0, 12, 0, 1]
+        assert paths[0][: len(expected)] == expected
+
+
+class TestBacktrackOnDuplicateDenseGraphs:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n=st.integers(min_value=32, max_value=64),
+        links=st.integers(min_value=6, max_value=9),
+        level=st.floats(min_value=0.4, max_value=0.6),
+        mode=st.sampled_from(list(RoutingMode)),
+        strict=st.booleans(),
+    )
+    def test_parity(self, seed, n, links, level, mode, strict):
+        """Parallel links everywhere, nodes and links failed before compile."""
+        rng = np.random.default_rng(seed)
+        graph = OverlayGraph(RingMetric(n))
+        for label in range(n):
+            graph.add_node(label)
+        graph.wire_ring()
+        for source in range(n):
+            # Targets near the source collide often; every other link is doubled.
+            offsets = rng.integers(1, n // 4, size=links)
+            for offset in offsets.tolist():
+                for _ in range(1 + int(rng.integers(0, 2))):
+                    graph.add_long_link(source, (source + offset) % n)
+        for label in rng.choice(n, size=int(level * n), replace=False).tolist():
+            graph.fail_node(label)
+        for source in rng.choice(n, size=n // 4, replace=False).tolist():
+            target = graph.node(source).long_links[0].target
+            graph.fail_long_link(source, target)
+        live = graph.labels(only_alive=True)
+        if len(live) < 2:
+            return
+        pairs = LookupWorkload(seed=seed).pairs(live, 30)
+        _assert_parity(graph, pairs, mode, strict, recovery=RecoveryStrategy.BACKTRACK)
+
+
 def _ring_or_line(kind: str, seed: int) -> OverlayGraph:
     """A sparse graph-compiled overlay: uneven degrees, non-contiguous labels."""
     rng = np.random.default_rng(seed)

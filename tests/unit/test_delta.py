@@ -25,9 +25,18 @@ from repro.fastpath.delta import (
     OP_FAIL,
     OP_LINK_FAIL,
     OP_REVIVE,
+    HalfAppliedDeltaError,
     _Slab,
     assert_snapshots_identical,
 )
+
+
+def _ring16() -> OverlayGraph:
+    graph = OverlayGraph(RingMetric(16))
+    for label in range(16):
+        graph.add_node(label)
+    graph.wire_ring()
+    return graph
 
 
 @pytest.fixture
@@ -221,6 +230,30 @@ class TestDeltaSnapshot:
             with pytest.raises(KeyError, match="are not vertices of this snapshot"):
                 mirror.apply(SnapshotDelta(ops=[(op, label)]))
         assert_snapshots_identical(mirror.snapshot(), compile_snapshot(graph))
+
+    def test_a_refused_liveness_delta_changes_nothing(self):
+        """The liveness tier checks every op before it writes any."""
+        graph = _ring16()
+        mirror = DeltaSnapshot.from_snapshot(compile_snapshot(graph))
+        before = mirror.snapshot()
+        with pytest.raises(ValueError, match="diverged"):
+            mirror.apply(SnapshotDelta(ops=[(OP_FAIL, 5), (OP_LINK_FAIL, 7, 7)]))
+        with pytest.raises(KeyError, match="are not vertices of this snapshot"):
+            mirror.apply(SnapshotDelta(ops=[(OP_LINK_FAIL, 0, 1), (OP_FAIL, -1)]))
+        assert_snapshots_identical(mirror.snapshot(), before)
+        # The mirror stays usable, and the last write per vertex wins.
+        mirror.apply(SnapshotDelta(ops=[(OP_FAIL, 5), (OP_REVIVE, 5), (OP_FAIL, 6)]))
+        graph.fail_node(6)
+        assert_snapshots_identical(mirror.snapshot(), compile_snapshot(graph))
+
+    def test_a_structural_mirror_that_refused_part_way_refuses_to_go_on(self):
+        graph = _ring16()
+        mirror = DeltaSnapshot.from_graph(graph)
+        with pytest.raises(ValueError, match="diverged"):
+            mirror.apply(SnapshotDelta(ops=[(OP_FAIL, 5), (OP_LINK_FAIL, 7, 7)]))
+        for call in (mirror.snapshot, lambda: mirror.apply(SnapshotDelta(ops=[(OP_REVIVE, 5)]))):
+            with pytest.raises(HalfAppliedDeltaError, match=r"'link_fail' \[7, 7\]"):
+                call()
 
     def test_unsupported_space_raises(self):
         from repro.baselines import CanNetwork

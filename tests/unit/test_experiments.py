@@ -487,3 +487,19 @@ def test_the_batch_router_derives_only_the_label_matrix():
         if isinstance(node, ast.Attribute) and node.attr == "routing_matrices"
     ]
     assert callers == []
+
+
+def test_backtracking_selects_through_the_forward_step():
+    """No sort anywhere in the batch router: a revisited row is re-keyed, not ranked."""
+    source_root = Path(repro.__file__).parent
+    router = ast.parse((source_root / "fastpath" / "batch_router.py").read_text())
+    called = {
+        node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")
+        for node in ast.walk(router)
+        if isinstance(node, ast.Call)
+    }
+    assert not called & {"argsort", "take_along_axis", "put_along_axis"}
+    defined = {
+        node.name for node in ast.walk(router) if isinstance(node, ast.FunctionDef)
+    }
+    assert "_backtrack_select_full" not in defined and "_step" in defined
