@@ -29,12 +29,7 @@ from repro.core.construction import (
 )
 from repro.core.maintenance import MaintenanceDaemon
 from repro.core.metric import RingMetric
-from repro.core.routing import (
-    GreedyRouter,
-    RecoveryStrategy,
-    RouteResult,
-    RoutingMode,
-)
+from repro.core.routing import GreedyRouter, RecoveryStrategy, RouteResult
 from repro.util.validation import ensure_positive
 
 __all__ = ["NetworkStatistics", "P2PNetwork"]
@@ -94,8 +89,6 @@ class P2PNetwork:
         links_per_node: int | None = None,
         recovery: RecoveryStrategy = RecoveryStrategy.BACKTRACK,
         replacement_policy: LinkReplacementPolicy | None = None,
-        routing_mode: RoutingMode = RoutingMode.TWO_SIDED,
-        strict_best_neighbor: bool = False,
         seed: int = 0,
     ) -> None:
         ensure_positive(space_size, "space_size")
@@ -104,8 +97,6 @@ class P2PNetwork:
             links_per_node = max(1, int(np.ceil(np.log2(max(2, space_size)))))
         self.links_per_node = links_per_node
         self.recovery = recovery
-        self.routing_mode = routing_mode
-        self.strict_best_neighbor = strict_best_neighbor
         self.seed = seed
 
         self.construction = HeuristicConstruction(
@@ -138,9 +129,8 @@ class P2PNetwork:
     def labels(self, only_alive: bool = True) -> list[int]:
         """Member labels in ascending order (the protocol's promise).
 
-        The underlying graph's own ``labels()`` keeps insertion order —
-        which :meth:`compile_fastpath` still relies on for re-route draw
-        parity — so the facade sorts a copy here.
+        The underlying graph's own ``labels()`` keeps insertion order (the
+        scalar re-route pool's draw order), so the facade sorts a copy here.
         """
         return sorted(self.graph.labels(only_alive=only_alive))
 
@@ -171,13 +161,7 @@ class P2PNetwork:
         Each call spins up a fresh router, so every route starts the random
         re-route detour stream from this network's seed.
         """
-        router = GreedyRouter(
-            graph=self.graph,
-            mode=self.routing_mode,
-            recovery=self.recovery,
-            strict_best_neighbor=self.strict_best_neighbor,
-            seed=self.seed,
-        )
+        router = GreedyRouter(graph=self.graph, recovery=self.recovery, seed=self.seed)
         result = router.route(source, target)
         self.statistics.routing_messages += result.hops
         return result
@@ -185,10 +169,10 @@ class P2PNetwork:
     def compile_snapshot(self):
         """Compile the current overlay into an immutable array snapshot.
 
-        The snapshot pairs with :class:`~repro.fastpath.BatchGreedyRouter`
-        (or :meth:`compile_fastpath`, which also wires this network's routing
-        configuration in); batched routes over it are hop-for-hop identical
-        to the scalar :meth:`route`.
+        To route batches the way :meth:`route` does, open
+        ``EngineSession(network, "fastpath", network.recovery, network.seed)``
+        (:mod:`repro.scenarios.rounds`) instead: it follows later mutations
+        through deltas rather than recompiling.
         """
         from repro.fastpath import compile_snapshot
 
@@ -244,48 +228,3 @@ class P2PNetwork:
             self.statistics.maintenance_messages += report.messages
         report = self.maintenance.repair_all()
         self.statistics.maintenance_messages += report.messages
-
-    # ------------------------------------------------------------------ #
-    # Fastpath compilation
-    # ------------------------------------------------------------------ #
-
-    def compile_fastpath(self, recovery: RecoveryStrategy | None = None):
-        """Compile the current overlay into a batched fastpath router.
-
-        Returns a :class:`~repro.fastpath.BatchGreedyRouter` over an immutable
-        array snapshot of the overlay as it stands *right now* — membership
-        changes after compilation are not reflected; compile again after a
-        batch of joins/leaves/crashes (compilation is cheap relative to the
-        traffic it serves).  The router inherits this network's routing mode
-        and ``strict_best_neighbor`` setting.
-
-        Parameters
-        ----------
-        recovery:
-            Recovery strategy for the batched router; defaults to this
-            network's configured strategy.  All three Section-6 strategies
-            (terminate, random re-route, backtracking) run batched.  A batch
-            is hop-for-hop identical to routing the same pairs sequentially
-            through one scalar :class:`~repro.core.routing.GreedyRouter`
-            seeded with this network's seed; note that is a different
-            random-re-route draw sequence than per-call :meth:`route`,
-            which spins up a fresh router (fresh detour stream) per query.
-        """
-        # Imported here: repro.fastpath depends on repro.core, so a module-level
-        # import would create a cycle through the package __init__.
-        from repro.fastpath import BatchGreedyRouter, compile_snapshot
-
-        resolved = self.recovery if recovery is None else recovery
-        reroute_pool = None
-        if resolved is RecoveryStrategy.RANDOM_REROUTE:
-            # Detour draws index the scalar router's live-node list, which is
-            # join order here — not necessarily sorted label order.
-            reroute_pool = self.graph.labels(only_alive=True)
-        return BatchGreedyRouter(
-            snapshot=compile_snapshot(self.graph),
-            mode=self.routing_mode,
-            recovery=resolved,
-            strict_best_neighbor=self.strict_best_neighbor,
-            seed=self.seed,
-            reroute_pool=reroute_pool,
-        )

@@ -19,6 +19,12 @@ registered default spec.
 * :mod:`repro.experiments.baseline_comparison` — hop counts and failure
   resilience of Chord / Kleinberg / CAN / Plaxton vs this paper's overlay.
 
+Every experiment that routes does so through one
+:class:`~repro.scenarios.rounds.EngineSession`, so it runs on either engine
+with identical tables; none builds a greedy router or a snapshot itself, or
+fails nodes outside the session.  The one exception is ``byzantine``, whose
+adversarial routers are object-only (its docstring says why).
+
 Run one with ``run(get_scenario("figure6").make_spec(overrides=...))`` from
 :mod:`repro.scenarios` (or ``repro run figure6 --set ...``); ``.raw`` on the
 result is the experiment's native result object (``Figure6Result`` etc.).

@@ -12,6 +12,9 @@
 * **Byzantine routing** (Section 7 future work): failed-search fraction vs
   fraction of Byzantine nodes, for plain greedy routing and for the redundant
   multi-path router.
+
+The depth and exponent ablations route through an ``EngineSession`` on either
+engine; ``byzantine`` stays on its object-only routers (its docstring says why).
 """
 
 from __future__ import annotations
@@ -20,11 +23,12 @@ import numpy as np
 
 from repro.core.builder import build_ideal_network
 from repro.core.byzantine import ByzantineAwareRouter, RedundantRouter
-from repro.core.failures import ByzantineBehavior, ByzantineModel, NodeFailureModel
-from repro.core.routing import GreedyRouter, RecoveryStrategy
+from repro.core.failures import ByzantineBehavior, ByzantineModel
+from repro.core.routing import RecoveryStrategy
 from repro.experiments.figure5 import REPLACEMENT_POLICIES, _measure_figure5
-from repro.experiments.runner import ExperimentTable
+from repro.experiments.runner import ExperimentTable, measure_mean_hops
 from repro.scenarios.registry import register_scenario
+from repro.scenarios.rounds import EngineSession, IdealNetwork
 from repro.scenarios.run import ScenarioOutcome
 from repro.scenarios.spec import (
     FailureSpec,
@@ -75,7 +79,7 @@ def _ablation_replacement(spec: ScenarioSpec) -> ScenarioOutcome:
 
 @register_scenario(
     "ablation-backtrack",
-    description="backtrack-depth ablation: failed-search fraction vs history depth at a fixed failure level",
+    description="backtrack-depth ablation: failed-search fraction vs history depth at a fixed failure level (both engines)",
     defaults=ScenarioSpec(
         scenario="ablation-backtrack",
         topology=TopologySpec(kind="ideal", nodes=1 << 12),
@@ -88,57 +92,49 @@ def _ablation_replacement(spec: ScenarioSpec) -> ScenarioOutcome:
 def _ablation_backtrack(spec: ScenarioSpec) -> ScenarioOutcome:
     """Sweep the backtracking history depth (the paper fixes it at 5).
 
-    Object-engine scenario: the depth-limited backtracking router is scalar.
+    One session fails the nodes once and is re-armed per depth, so every
+    depth routes the same pairs on the same survivors, on either engine.
     """
     if len(spec.failures.levels) != 1:
         raise SpecError(
             "failures.levels must hold exactly one level for 'ablation-backtrack' "
             f"(the sweep axis is extras.depths), got {spec.failures.levels!r}"
         )
+    backtrack = RecoveryStrategy.BACKTRACK
+    if spec.routing.recovery_strategy() is not backtrack:
+        raise SpecError(
+            "routing.recovery must stay 'backtrack' for 'ablation-backtrack' "
+            f"(it sweeps the backtracking history), got {spec.routing.recovery!r}"
+        )
     failure_level = spec.failures.levels[0]
     nodes = spec.topology.nodes
-    searches = spec.workload.searches
     seed = spec.seed
-    build = build_ideal_network(nodes, seed=seed)
-    graph = build.graph
-    model = NodeFailureModel(failure_level, seed=seed + 1)
-    model.apply(graph)
-    live = graph.labels(only_alive=True)
-    pairs = LookupWorkload(seed=seed + 2).pairs(live, searches)
-
     table = ExperimentTable(
         title=f"Ablation: backtrack depth at {failure_level:.0%} failed nodes (n={nodes})",
         columns=["backtrack_depth", "failed_fraction", "mean_hops_successful"],
     )
-    for depth in spec.extra("depths"):
-        router = GreedyRouter(
-            graph=graph,
-            recovery=RecoveryStrategy.BACKTRACK,
-            backtrack_depth=depth,
-            seed=seed + 3,
+    with EngineSession(
+        IdealNetwork(nodes, None, seed), spec.engine, backtrack, seed + 3
+    ) as session:
+        session.fail_nodes(failure_level, seed + 1)
+        pairs = LookupWorkload(seed=seed + 2).pairs(
+            session.live_labels(), spec.workload.searches
         )
-        failures = 0
-        hops: list[int] = []
-        for source, target in pairs:
-            route = router.route(source, target)
-            if route.success:
-                hops.append(route.hops)
-            else:
-                failures += 1
-        table.add_row(
-            depth, failures / len(pairs), float(np.mean(hops)) if hops else 0.0
-        )
-    model.repair(graph)
-    return ScenarioOutcome(tables=[table], raw=table, engine_used="object")
+        for depth in spec.extra("depths"):
+            session.rearm(backtrack, seed + 3, backtrack_depth=depth)
+            mean_hops, failed_fraction = measure_mean_hops(session, pairs)
+            table.add_row(depth, failed_fraction, mean_hops)
+    return ScenarioOutcome(tables=[table], raw=table, engine_used=session.engine_used)
 
 
 @register_scenario(
     "ablation-exponent",
-    description="link-distribution exponent ablation: routing performance vs power-law exponent",
+    description="link-distribution exponent ablation: routing performance vs power-law exponent (both engines)",
     defaults=ScenarioSpec(
         scenario="ablation-exponent",
         topology=TopologySpec(kind="ideal", nodes=1 << 12),
         failures=FailureSpec(kind="none"),
+        routing=RoutingSpec(recovery=RecoveryStrategy.TERMINATE.value),
         workload=WorkloadSpec(searches=300),
         extras={"exponents": (0.0, 0.5, 1.0, 1.5, 2.0)},
     ),
@@ -146,38 +142,34 @@ def _ablation_backtrack(spec: ScenarioSpec) -> ScenarioOutcome:
 def _ablation_exponent(spec: ScenarioSpec) -> ScenarioOutcome:
     """Sweep the power-law exponent; exponent 1 should minimise hops on the line.
 
-    Object-engine scenario.
+    One session per exponent, opened on the network built with it.
     """
     nodes = spec.topology.nodes
-    searches = spec.workload.searches
     seed = spec.seed
     table = ExperimentTable(
         title=f"Ablation: link-distribution exponent (n={nodes}, l=lg n)",
         columns=["exponent", "mean_hops", "failed_fraction"],
         notes="Exponent 1 (harmonic) is the paper's choice and Kleinberg's 1-D optimum.",
     )
+    engine_used = spec.engine  # what an empty sweep reports
     for index, exponent in enumerate(spec.extra("exponents")):
-        build = build_ideal_network(nodes, seed=seed + index, exponent=exponent)
-        live = build.graph.labels(only_alive=True)
-        pairs = LookupWorkload(seed=seed + 100 + index).pairs(live, searches)
-        router = GreedyRouter(graph=build.graph, seed=seed + 200 + index)
-        failures = 0
-        hops: list[int] = []
-        for source, target in pairs:
-            route = router.route(source, target)
-            if route.success:
-                hops.append(route.hops)
-            else:
-                failures += 1
-        table.add_row(
-            exponent, float(np.mean(hops)) if hops else 0.0, failures / len(pairs)
-        )
-    return ScenarioOutcome(tables=[table], raw=table, engine_used="object")
+        with EngineSession(
+            build_ideal_network(nodes, seed=seed + index, exponent=exponent),
+            spec.engine,
+            spec.routing.recovery_strategy(),
+            seed + 200 + index,
+        ) as session:
+            pairs = LookupWorkload(seed=seed + 100 + index).pairs(
+                session.live_labels(), spec.workload.searches
+            )
+            table.add_row(exponent, *measure_mean_hops(session, pairs))
+        engine_used = session.engine_used
+    return ScenarioOutcome(tables=[table], raw=table, engine_used=engine_used)
 
 
 @register_scenario(
     "byzantine",
-    description="Byzantine-node extension: plain vs redundant multi-path routing vs compromised fraction",
+    description="Byzantine-node extension: plain vs redundant multi-path routing vs compromised fraction (object engine only)",
     defaults=ScenarioSpec(
         scenario="byzantine",
         topology=TopologySpec(kind="ideal", nodes=1 << 11),
@@ -186,6 +178,7 @@ def _ablation_exponent(spec: ScenarioSpec) -> ScenarioOutcome:
             levels=(0.0, 0.05, 0.1, 0.2, 0.3),
             behavior=ByzantineBehavior.DROP,
         ),
+        routing=RoutingSpec(recovery=RecoveryStrategy.TERMINATE.value),
         workload=WorkloadSpec(searches=200),
         extras={"redundancy": 3},
     ),
@@ -193,19 +186,29 @@ def _ablation_exponent(spec: ScenarioSpec) -> ScenarioOutcome:
 def _byzantine(spec: ScenarioSpec) -> ScenarioOutcome:
     """Failed searches vs fraction of Byzantine nodes, plain vs redundant routing.
 
-    This is the Section-7 future-work extension: plain greedy routing fails
-    whenever a compromised node sits on the greedy path, while redundant
-    multi-path routing tolerates a substantially larger compromised fraction.
-    Byzantine behaviour is object-router only, so this is an object-engine
-    scenario.
+    This is the Section-7 future-work extension: plain greedy (TERMINATE)
+    routing fails whenever a compromised node sits on the greedy path, while
+    redundant multi-path routing tolerates a substantially larger fraction.
+
+    The one routing scenario off the ``EngineSession`` seam (object engine
+    only), because no liveness mask over a snapshot reproduces its table:
+    under DROP the hop *into* a compromised node is counted before the loss,
+    where the strict batch regime fails at the pick uncounted; failed
+    redundant legs add their hops to ``redundant_mean_hops``; and a detour is
+    drawn from all live labels, so a compromised one is a valid leg *target*
+    (arrival is checked before the drop) and an honest leg *source*, where a
+    mask would make it a dead target.
     """
+    if spec.routing.recovery_strategy() is not RecoveryStrategy.TERMINATE:
+        raise SpecError(
+            "routing.recovery must stay 'terminate' for 'byzantine' (honest hops "
+            f"never recover), got {spec.routing.recovery!r}"
+        )
     nodes = spec.topology.nodes
     behavior = spec.failures.behavior
     redundancy = int(spec.extra("redundancy"))
-    searches = spec.workload.searches
     seed = spec.seed
-    build = build_ideal_network(nodes, seed=seed)
-    graph = build.graph
+    graph = build_ideal_network(nodes, seed=seed).graph
     table = ExperimentTable(
         title=f"Extension: Byzantine nodes ({behavior}) — plain vs redundant routing (n={nodes})",
         columns=[
@@ -216,6 +219,13 @@ def _byzantine(spec: ScenarioSpec) -> ScenarioOutcome:
             "redundant_mean_hops",
         ],
     )
+
+    def measure(router, pairs) -> tuple[float, float]:
+        """(failed fraction, mean hops of delivered searches) of ``router`` on ``pairs``."""
+        routes = [router.route(source, target) for source, target in pairs]
+        hops = [route.hops for route in routes if route.success]
+        return (len(pairs) - len(hops)) / len(pairs), float(np.mean(hops)) if hops else 0.0
+
     for index, fraction in enumerate(spec.failures.levels):
         adversary = ByzantineModel(fraction, behavior=behavior, seed=seed + 10 + index)
         adversary.apply(graph)
@@ -223,31 +233,17 @@ def _byzantine(spec: ScenarioSpec) -> ScenarioOutcome:
             label for label in graph.labels(only_alive=True)
             if not adversary.is_compromised(label)
         ]
-        pairs = LookupWorkload(seed=seed + 20 + index).pairs(live, searches)
-
-        plain = ByzantineAwareRouter(graph=graph, adversary=adversary, seed=seed + 30 + index)
-        redundant = RedundantRouter(
-            graph=graph, adversary=adversary, redundancy=redundancy, seed=seed + 40 + index
+        pairs = LookupWorkload(seed=seed + 20 + index).pairs(live, spec.workload.searches)
+        plain_failed, plain_hops = measure(
+            ByzantineAwareRouter(graph=graph, adversary=adversary, seed=seed + 30 + index),
+            pairs,
         )
-        plain_failures, plain_hops = 0, []
-        redundant_failures, redundant_hops = 0, []
-        for source, target in pairs:
-            plain_result = plain.route(source, target)
-            if plain_result.success:
-                plain_hops.append(plain_result.hops)
-            else:
-                plain_failures += 1
-            redundant_result = redundant.route(source, target)
-            if redundant_result.success:
-                redundant_hops.append(redundant_result.hops)
-            else:
-                redundant_failures += 1
-        table.add_row(
-            fraction,
-            plain_failures / len(pairs),
-            redundant_failures / len(pairs),
-            float(np.mean(plain_hops)) if plain_hops else 0.0,
-            float(np.mean(redundant_hops)) if redundant_hops else 0.0,
+        redundant_failed, redundant_hops = measure(
+            RedundantRouter(
+                graph=graph, adversary=adversary, redundancy=redundancy, seed=seed + 40 + index
+            ),
+            pairs,
         )
+        table.add_row(fraction, plain_failed, redundant_failed, plain_hops, redundant_hops)
         adversary.repair(graph)
     return ScenarioOutcome(tables=[table], raw=table, engine_used="object")

@@ -19,8 +19,9 @@ build, their per-batch hook and their tabulation:
   drains it.  Both engines are hop-for-hop identical at
   the same route seed, which is what keeps every scenario table
   byte-identical across engines.  The static paper experiments (``figure6``,
-  ``figure7``, ``table1``, ``baselines``) open the same session, fail nodes
-  through it and re-arm its router per measurement.
+  ``figure7``, ``table1``, ``baselines`` and the depth and exponent
+  ablations) open the same session, fail nodes through it and re-arm its
+  router per measurement.
 * :func:`run_rounds` — *the order of churn, repair and lookup inside a
   round*: the deterministic :func:`build_service_schedule` interleave of
   churn bursts, batched repair passes and lookup batches.  ``churn`` and
@@ -197,12 +198,17 @@ class EngineSession:
         if self._recorder is not None:
             self._recorder.detach()
 
-    def rearm(self, recovery: RecoveryStrategy, route_seed: int) -> None:
+    def rearm(
+        self, recovery: RecoveryStrategy, route_seed: int, backtrack_depth: int = 5
+    ) -> None:
         """Route from here on under ``recovery``, restarting the ``route_seed`` stream.
 
         A router construction over the topology as it stands — never a
-        recompile — so one open session serves several strategies or
-        per-measurement seeds, each exactly like a fresh scalar router.
+        recompile — so one open session serves several strategies, backtracking
+        depths or per-measurement seeds, each exactly like a fresh scalar
+        router.  ``backtrack_depth`` is the history the BACKTRACK strategy
+        keeps (the paper's 5); table-backed overlays route with their own
+        policy and ignore all three.
         """
         self.recovery = recovery
         self.route_seed = route_seed
@@ -210,7 +216,9 @@ class EngineSession:
             self._route_one = (
                 self.system.route
                 if self.graph is None
-                else GreedyRouter(self.graph, recovery=recovery, seed=route_seed).route
+                else GreedyRouter(
+                    self.graph, recovery=recovery, backtrack_depth=backtrack_depth, seed=route_seed
+                ).route
             )
         elif self._members is self.system:  # table-backed: its own policy and budget
             self._batch_router = BatchGreedyRouter(
@@ -218,7 +226,10 @@ class EngineSession:
             )
         else:
             self._batch_router = BatchGreedyRouter(
-                self.mirror.snapshot(), recovery=recovery, seed=route_seed
+                self.mirror.snapshot(),
+                recovery=recovery,
+                backtrack_depth=backtrack_depth,
+                seed=route_seed,
             )
 
     @property

@@ -129,7 +129,8 @@ class FailureSpec:
 class RoutingSpec:
     """Greedy-routing and failure-recovery configuration.
 
-    Only ``recovery`` is read by the registered scenarios.  The other three
+    Only ``recovery`` is read by the registered scenarios (``ablation-backtrack``
+    and ``byzantine`` refuse any value but their own).  The other three
     fields are echoed in the spec JSON at their defaults (result digests
     hash the echo) and rejected at any other value rather than silently
     ignored.
@@ -147,10 +148,15 @@ class RoutingSpec:
             if field.name == "recovery":
                 continue
             value = getattr(self, field.name)
+            hint = (
+                "sweep the backtracking history with `ablation-backtrack` (`extras.depths`)"
+                if field.name == "backtrack_depth"
+                else "construct `GreedyRouter` / `BatchGreedyRouter` directly"
+            )
             _require(
                 value == field.default and type(value) is type(field.default),
                 f"routing.{field.name} must stay {field.default!r}, got {value!r}: no registered "
-                "scenario reads it; construct `GreedyRouter` / `BatchGreedyRouter` directly",
+                f"scenario reads it; {hint}",
             )
 
     def recovery_strategy(self) -> RecoveryStrategy:

@@ -43,7 +43,8 @@ def routed_scenario(draw):
 
 
 def _assert_parity(
-    graph, pairs, mode, strict, recovery=RecoveryStrategy.TERMINATE, seed=0, snapshot=None
+    graph, pairs, mode, strict, recovery=RecoveryStrategy.TERMINATE, seed=0, snapshot=None,
+    backtrack_depth=5,
 ):
     """Assert hop-for-hop equality between the two engines on ``pairs``.
 
@@ -56,6 +57,7 @@ def _assert_parity(
         graph,
         mode=mode,
         recovery=recovery,
+        backtrack_depth=backtrack_depth,
         strict_best_neighbor=strict,
         seed=seed,
     )
@@ -63,6 +65,7 @@ def _assert_parity(
         compile_snapshot(graph) if snapshot is None else snapshot,
         mode=mode,
         recovery=recovery,
+        backtrack_depth=backtrack_depth,
         strict_best_neighbor=strict,
         seed=seed,
         reroute_pool=graph.labels(only_alive=True)
@@ -118,15 +121,19 @@ class TestHopForHopParity:
         routed_scenario(),
         st.sampled_from(list(RoutingMode)),
         st.sampled_from([RecoveryStrategy.RANDOM_REROUTE, RecoveryStrategy.BACKTRACK]),
+        st.sampled_from([1, 2, 5, 20]),
     )
-    def test_recovery_strategies_under_node_failures(self, scenario, mode, recovery):
-        """Re-route and backtracking are hop-for-hop identical across engines."""
+    def test_recovery_strategies_under_node_failures(self, scenario, mode, recovery, depth):
+        """Re-route and backtracking (at any history depth) are hop-for-hop identical."""
         n, seed, links, level, queries = scenario
         graph = build_ideal_network(n, links_per_node=links, seed=seed).graph
         model = NodeFailureModel(level, seed=seed + 19)
         model.apply(graph)
         pairs = LookupWorkload(seed=seed + 4).pairs(graph.labels(only_alive=True), queries)
-        _assert_parity(graph, pairs, mode, strict=False, recovery=recovery, seed=seed + 23)
+        _assert_parity(
+            graph, pairs, mode, strict=False, recovery=recovery, seed=seed + 23,
+            backtrack_depth=depth,
+        )
         model.repair(graph)
 
     @settings(max_examples=15, deadline=None)

@@ -403,26 +403,54 @@ class TestBaselineComparison:
         assert all(degraded[this_paper] <= degraded[other] + 0.02 for other in systems)
 
 
+def _imported_names(module: Path) -> set[str]:
+    """The last dotted component of every name ``module`` imports, anywhere in it."""
+    return {
+        alias.name.rpartition(".")[2]
+        for node in ast.walk(ast.parse(module.read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+
+
 def test_experiments_route_only_through_the_engine_session():
-    """One engine seam: no experiment module picks a router or builds a snapshot."""
+    """One engine seam: no experiment module picks a router, fails nodes or builds a snapshot.
+
+    ``byzantine`` is the single exception: its adversarial routers have no
+    batch twin, so ``ablations.py`` alone may import them.
+    """
     engine_internals = {
+        "GreedyRouter",
         "BatchGreedyRouter",
+        "NodeFailureModel",
         "DeltaRecorder",
         "DeltaSnapshot",
         "compile_snapshot",
         "cached_build_snapshot",
         "sample_node_failures",
     }
+    byzantine_routers = {"ByzantineAwareRouter", "RedundantRouter"}
     modules = sorted(Path(repro.experiments.__file__).parent.glob("*.py"))
     assert len(modules) >= 8
+    byzantine_importers = set()
     for module in modules:
-        imported = {
-            alias.name.rpartition(".")[2]
-            for node in ast.walk(ast.parse(module.read_text()))
-            if isinstance(node, (ast.Import, ast.ImportFrom))
-            for alias in node.names
-        }
+        imported = _imported_names(module)
         assert not imported & engine_internals, module.name
+        if imported & byzantine_routers:
+            byzantine_importers.add(module.name)
+    assert byzantine_importers == {"ablations.py"}
+
+
+def test_only_the_session_builds_a_batch_router():
+    """Outside the fastpath package, the engine session is the one batch-router factory."""
+    source_root = Path(repro.__file__).parent
+    importers = {
+        module.relative_to(source_root).as_posix()
+        for module in sorted(source_root.rglob("*.py"))
+        if module.relative_to(source_root).parts[0] != "fastpath"
+        and "BatchGreedyRouter" in _imported_names(module)
+    }
+    assert importers == {"scenarios/rounds.py"}
 
 
 def test_one_way_a_mutation_reaches_the_mirror():

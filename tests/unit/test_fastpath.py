@@ -10,12 +10,7 @@ from repro.core.failures import NodeFailureModel
 from repro.core.graph import OverlayGraph
 from repro.core.metric import LineMetric, RingMetric, TorusMetric
 from repro.core.network import P2PNetwork
-from repro.core.routing import (
-    FailureReason,
-    GreedyRouter,
-    RecoveryStrategy,
-    RoutingMode,
-)
+from repro.core.routing import FailureReason, GreedyRouter, RecoveryStrategy
 from repro.fastpath import (
     BatchGreedyRouter,
     apply_node_failures,
@@ -25,6 +20,7 @@ from repro.fastpath import (
     select_engine,
 )
 from repro.fastpath.delta import assert_snapshots_identical
+from repro.scenarios.rounds import EngineSession
 from repro.simulation.workload import LookupWorkload
 
 
@@ -314,38 +310,17 @@ class TestEngineSelection:
 
 
 class TestNetworkHook:
-    def test_compile_fastpath_inherits_configuration(self):
-        network = P2PNetwork(
-            space_size=512,
-            recovery=RecoveryStrategy.TERMINATE,
-            routing_mode=RoutingMode.ONE_SIDED,
-            strict_best_neighbor=True,
-            seed=2,
-        )
-        network.join_many(list(range(0, 512, 4)))
-        router = network.compile_fastpath()
-        assert router.mode is RoutingMode.ONE_SIDED
-        assert router.strict_best_neighbor
-        result = router.route_batch([0, 4], [256, 300])
-        assert len(result) == 2
-
-    def test_compile_fastpath_supports_backtracking_default(self):
-        network = P2PNetwork(space_size=256, seed=3)  # default: backtracking
-        network.join_many(list(range(0, 256, 4)))
-        router = network.compile_fastpath()
-        assert router.recovery is RecoveryStrategy.BACKTRACK
-        assert router.seed == network.seed
-        override = network.compile_fastpath(recovery=RecoveryStrategy.TERMINATE)
-        assert override.recovery is RecoveryStrategy.TERMINATE
-
     def test_compiled_router_matches_scalar_routing(self):
-        network = P2PNetwork(space_size=1024, seed=4)
+        """Batched routing of a P2PNetwork is a fastpath session opened on it."""
+        network = P2PNetwork(space_size=1024, seed=4)  # default: backtracking
         network.join_many(list(range(0, 1024, 2)))
-        router = network.compile_fastpath(recovery=RecoveryStrategy.TERMINATE)
-        scalar = GreedyRouter(network.graph, recovery=RecoveryStrategy.TERMINATE)
-        pairs = LookupWorkload(seed=5).pairs(network.members(), 30)
-        batch = router.route_pairs(pairs)
+        with EngineSession(network, "fastpath", network.recovery, network.seed) as session:
+            for address in (10, 12, 14, 500):
+                network.crash(address)  # reaches the mirror through the session
+            pairs = LookupWorkload(seed=5).pairs(network.members(), 30)
+            success, hops = session.route(pairs)
+        assert session.engine_used == "fastpath"
         for index, (source, target) in enumerate(pairs):
-            reference = scalar.route(source, target)
-            assert bool(batch.success[index]) == reference.success
-            assert int(batch.hops[index]) == reference.hops
+            reference = network.route(source, target)
+            assert bool(success[index]) == reference.success
+            assert int(hops[index]) == reference.hops

@@ -18,7 +18,7 @@ from repro.core.routing import GreedyRouter, RecoveryStrategy
 from repro.experiments import ablations, baseline_comparison
 from repro.fastpath.delta import assert_snapshots_identical
 from repro.faults import FaultDriver, degradation_schedule
-from repro.scenarios import SpecError, churn, get_scenario, run, service
+from repro.scenarios import SpecError, churn, get_scenario, rounds, run, service
 from repro.scenarios.rounds import (
     EngineSession,
     FastpathFallbackWarning,
@@ -290,6 +290,11 @@ REJECTED_SPECS = [
     ("baselines", "topology.nodes", 1000),
     ("baselines", "failures.levels", (0.2, 0.6)),
     ("ablation-backtrack", "failures.levels", (0.2, 0.6)),
+    # A scenario pinned to one recovery strategy refuses the others.
+    ("ablation-backtrack", "routing.recovery", "terminate"),
+    ("ablation-backtrack", "routing.recovery", "random-reroute"),
+    ("byzantine", "routing.recovery", "backtrack"),
+    ("byzantine", "routing.recovery", "random-reroute"),
     # Knobs no scenario reads are refused, not echoed and ignored.
     ("churn", "routing.mode", "one-sided"),
     ("churn", "routing.strict_best_neighbor", True),
@@ -313,7 +318,7 @@ def test_out_of_range_extras_rejected_before_any_build(scenario, field, value, m
 
     for module in (churn, service):
         monkeypatch.setattr(module, "build_heuristic_network", no_build)
-    for module in (ablations, baseline_comparison):
+    for module in (ablations, baseline_comparison, rounds):
         monkeypatch.setattr(module, "build_ideal_network", no_build)
     spec = get_scenario(scenario).make_spec(overrides={"topology.nodes": 128})
     with pytest.raises(SpecError, match=re.escape(field)):

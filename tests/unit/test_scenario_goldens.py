@@ -127,8 +127,11 @@ PAPER_GOLDEN = {
     "baselines-chord": "770eeb9bccaa976eddacece3a9f73beadd31cba60d9c5806fea9aa68490cf970",
 }
 
-# The rest measure construction or route on object-only routers.
-BOTH_ENGINES = {"figure6", "figure7", "table1", "baselines", "baselines-chord"}
+# The rest measure construction, or route on byzantine's object-only routers.
+BOTH_ENGINES = {
+    "figure6", "figure7", "table1", "ablation-backtrack", "ablation-exponent",
+    "baselines", "baselines-chord",
+}
 
 
 @pytest.mark.parametrize(
