@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
+import runpy
+from pathlib import Path
+
 import pytest
 
 from repro.core.metric import RingMetric
@@ -167,3 +173,22 @@ class TestDistributedHashTable:
     def test_leave_unknown_raises(self, dht):
         with pytest.raises(ValueError):
             dht.leave(3)
+
+
+# sha256 of examples/quickstart.py's stdout without its ``traffic counters:``
+# line: the holders, hops and found/not-found of every put and get, healthy
+# and under 30 % crashes.
+QUICKSTART_DIGEST = "8301de70e5be92601070e2831eaaa7cff396b9ac1107b1d376eb6b5e7fdd77fd"
+
+
+def test_quickstart_output_is_pinned():
+    example = Path(__file__).parents[2] / "examples" / "quickstart.py"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        runpy.run_path(str(example), run_name="__main__")
+    lines = [
+        line for line in stdout.getvalue().splitlines()
+        if not line.startswith("traffic counters:")
+    ]
+    digest = hashlib.sha256("\n".join(lines).rstrip().encode()).hexdigest()
+    assert digest == QUICKSTART_DIGEST
