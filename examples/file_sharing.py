@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dht import DhtConfig, DistributedHashTable, SuccessorReplication
+from repro.dht import DistributedHashTable
 from repro.util.rng import spawn_rng
 
 
@@ -59,13 +59,7 @@ class ZipfKeyPopularity:
 
 def main() -> None:
     space_size = 1 << 12
-    dht = DistributedHashTable(
-        DhtConfig(
-            space_size=space_size,
-            replication=SuccessorReplication(degree=2),
-            seed=99,
-        )
-    )
+    dht = DistributedHashTable(space_size, seed=99, replicas=2)
 
     rng = spawn_rng(99, "file-sharing")
     peers = sorted(rng.choice(space_size, size=400, replace=False).tolist())

@@ -22,26 +22,20 @@ import statistics
 
 from repro import RecoveryStrategy
 from repro.core.failures import NodeFailureModel
-from repro.dht import DhtConfig, DistributedHashTable, SuccessorReplication
+from repro.dht import DistributedHashTable
 
 
 def main() -> None:
     space_size = 1 << 12
     dht = DistributedHashTable(
-        DhtConfig(
-            space_size=space_size,
-            replication=SuccessorReplication(degree=0),
-            recovery=RecoveryStrategy.BACKTRACK,
-            seed=2024,
-        )
+        space_size, recovery=RecoveryStrategy.BACKTRACK, seed=2024, replicas=0
     )
-    network = dht.network  # membership, maintenance and routing
 
     # --- 1. Nodes join one at a time (Section-5 construction heuristic). ---
     members = list(range(0, space_size, 8))          # 512 nodes
     dht.join_many(members)
-    print(f"network: {len(network.members())} nodes, "
-          f"{network.links_per_node} long links per node")
+    print(f"network: {len(dht.members())} nodes, "
+          f"{dht.links_per_node} long links per node")
 
     # --- 2. Publish some resources. ----------------------------------------
     documents = {
@@ -64,11 +58,11 @@ def main() -> None:
         print(f"  {key!r:22} found={outcome.ok}  hops={outcome.route.hops}")
     print(f"mean lookup cost: {statistics.mean(hops):.1f} hops "
           f"(theory: O(log^2 n / l) = "
-          f"{(space_size.bit_length() ** 2) / network.links_per_node:.1f} shape)")
+          f"{(space_size.bit_length() ** 2) / dht.links_per_node:.1f} shape)")
 
     # --- 4. Crash 30% of the nodes and look everything up again. -----------
     failure = NodeFailureModel(0.3, seed=7, protect=frozenset({members[0], members[-1]}))
-    failure.apply(network.graph)
+    failure.apply(dht.graph)
     print(f"\ncrashed {len(failure.failed_labels)} nodes (30%)")
     found = 0
     routed = 0
@@ -83,11 +77,10 @@ def main() -> None:
     print(" examples/file_sharing.py turns replication on to close that gap)")
 
     # --- 5. The crashed nodes come back online and the overlay self-repairs. -
-    failure.repair(network.graph)
+    failure.repair(dht.graph)
     dht.repair()
     outcome = dht.get("dune.txt", origin=members[-1])
     print(f"\nafter recovery: dune.txt found={outcome.ok} in {outcome.route.hops} hops")
-    print("\ntraffic counters:", network.statistics.as_dict())
 
 
 if __name__ == "__main__":

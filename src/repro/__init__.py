@@ -8,8 +8,8 @@ Systems* (Aspnes, Diamadi, Shah; PODC 2002).  The library provides:
   construction heuristic, and theoretical bounds.
 * ``repro.simulation`` — workload generators (lookups, churn) and the
   link-latency model consumed by the round-based scenarios.
-* ``repro.dht`` — the resource-location layer: a distributed hash table
-  (put/get, replication) over the ``P2PNetwork`` membership/routing facade.
+* ``repro.dht`` — resource location: ``DistributedHashTable`` (put/get,
+  replication) is a ``P2PNetwork`` with storage.
 * ``repro.baselines`` — Chord, Kleinberg-grid, CAN, and Plaxton-style prefix
   routing baselines for comparison.
 * ``repro.scenarios`` — the unified experiment API: declarative
@@ -20,8 +20,8 @@ Systems* (Aspnes, Diamadi, Shah; PODC 2002).  The library provides:
 
 Quickstart
 ----------
->>> from repro.dht import DhtConfig, DistributedHashTable
->>> dht = DistributedHashTable(DhtConfig(space_size=1 << 10, seed=7))
+>>> from repro.dht import DistributedHashTable
+>>> dht = DistributedHashTable(space_size=1 << 10, seed=7)
 >>> dht.join_many(range(0, 1 << 10, 8))
 >>> dht.put("readme", "hello world", origin=0).ok
 True

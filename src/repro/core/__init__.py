@@ -4,7 +4,8 @@ This package contains the metric-space embedding, link distributions, overlay
 graph, greedy routing with failure recovery, failure models, the Section-5
 dynamic construction heuristic, self-maintenance, the theoretical bounds of
 Table 1, and the :class:`~repro.core.network.P2PNetwork` facade tying them
-together.
+together.  Hashing keys to points and storing them is resource location,
+:class:`repro.dht.DistributedHashTable`, a ``P2PNetwork`` with storage.
 """
 
 from repro.core.bounds import Table1Bounds
@@ -38,14 +39,9 @@ from repro.core.failures import (
     failure_sweep_levels,
 )
 from repro.core.graph import LongLink, OverlayGraph, OverlayNode
-from repro.core.identifiers import (
-    FibonacciHasher,
-    KeyHasher,
-    Sha256Hasher,
-)
 from repro.core.maintenance import MaintenanceDaemon, MaintenanceReport, prune_dead_links
 from repro.core.metric import LineMetric, MetricSpace, RingMetric, TorusMetric
-from repro.core.network import NetworkStatistics, P2PNetwork
+from repro.core.network import P2PNetwork
 from repro.core.routing import (
     FailureReason,
     GreedyRouter,
@@ -55,14 +51,11 @@ from repro.core.routing import (
 )
 
 __all__ = [
-    # metric spaces and identifiers
+    # metric spaces
     "MetricSpace",
     "LineMetric",
     "RingMetric",
     "TorusMetric",
-    "KeyHasher",
-    "Sha256Hasher",
-    "FibonacciHasher",
     # distributions
     "InversePowerLawDistribution",
     "UniformLinkDistribution",
@@ -105,5 +98,4 @@ __all__ = [
     "Table1Bounds",
     # facade
     "P2PNetwork",
-    "NetworkStatistics",
 ]

@@ -9,16 +9,14 @@ overlay the paper describes end to end:
 * greedy routing with a configurable failure-recovery strategy, and
 * a maintenance daemon that repairs the overlay after crashes.
 
-The facade exposes ``join``, ``leave``, ``crash``, ``repair`` and ``route``
-and keeps simple traffic counters so that applications can observe the
-message complexity the paper analyses.  Resource location — hashing keys to
+The facade exposes ``join``, ``leave``, ``crash``, ``repair`` and ``route``;
+each :class:`~repro.core.routing.RouteResult` carries the hop count, the
+message cost the paper analyses.  Resource location — hashing keys to
 points, storing them at the responsible node, replication — is
-:class:`repro.dht.DistributedHashTable`, which composes this class.
+:class:`repro.dht.DistributedHashTable`, a ``P2PNetwork`` with storage.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,28 +30,7 @@ from repro.core.metric import RingMetric
 from repro.core.routing import GreedyRouter, RecoveryStrategy, RouteResult
 from repro.util.validation import ensure_positive
 
-__all__ = ["NetworkStatistics", "P2PNetwork"]
-
-
-@dataclass
-class NetworkStatistics:
-    """Running traffic counters for a :class:`P2PNetwork`."""
-
-    joins: int = 0
-    leaves: int = 0
-    crashes: int = 0
-    routing_messages: int = 0
-    maintenance_messages: int = 0
-
-    def as_dict(self) -> dict:
-        """Return the counters as a plain dictionary (for reports)."""
-        return {
-            "joins": self.joins,
-            "leaves": self.leaves,
-            "crashes": self.crashes,
-            "routing_messages": self.routing_messages,
-            "maintenance_messages": self.maintenance_messages,
-        }
+__all__ = ["P2PNetwork"]
 
 
 class P2PNetwork:
@@ -106,7 +83,6 @@ class P2PNetwork:
             seed=seed,
         )
         self.maintenance = MaintenanceDaemon(self.construction)
-        self.statistics = NetworkStatistics()
 
     # ------------------------------------------------------------------ #
     # Membership
@@ -162,9 +138,7 @@ class P2PNetwork:
         re-route detour stream from this network's seed.
         """
         router = GreedyRouter(graph=self.graph, recovery=self.recovery, seed=self.seed)
-        result = router.route(source, target)
-        self.statistics.routing_messages += result.hops
-        return result
+        return router.route(source, target)
 
     def compile_snapshot(self):
         """Compile the current overlay into an immutable array snapshot.
@@ -192,7 +166,6 @@ class P2PNetwork:
                 f"[0, {self.space.size()})"
             )
         self.construction.add_point(address)
-        self.statistics.joins += 1
 
     def join_many(self, addresses: list[int]) -> None:
         """Add several nodes in the given order."""
@@ -203,16 +176,13 @@ class P2PNetwork:
         """Gracefully remove a node; its former neighbours regenerate links."""
         if not self.graph.has_node(address):
             raise ValueError(f"no node at address {address}")
-        report = self.maintenance.handle_departure(address)
-        self.statistics.leaves += 1
-        self.statistics.maintenance_messages += report.messages
+        self.maintenance.handle_departure(address)
 
     def crash(self, address: int) -> None:
         """Abruptly fail a node; it stays in the graph, dead, until :meth:`repair`."""
         if not self.graph.has_node(address):
             raise ValueError(f"no node at address {address}")
         self.graph.fail_node(address)
-        self.statistics.crashes += 1
 
     def repair(self) -> None:
         """Run a maintenance pass over the whole network.
@@ -224,7 +194,5 @@ class P2PNetwork:
             node.label for node in self.graph.nodes() if not node.alive
         ]
         for label in crashed:
-            report = self.maintenance.handle_departure(label)
-            self.statistics.maintenance_messages += report.messages
-        report = self.maintenance.repair_all()
-        self.statistics.maintenance_messages += report.messages
+            self.maintenance.handle_departure(label)
+        self.maintenance.repair_all()

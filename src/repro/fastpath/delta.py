@@ -818,7 +818,8 @@ class DeltaSnapshot:
         All or nothing: every op is resolved and checked first, the last
         write per vertex and per edge is kept, and the mirror changes only
         once the whole batch is accepted.  A rebuild resets both masks, so
-        the writes recorded before it are dropped.
+        the writes recorded before it are dropped (and go unchecked once an
+        earlier rebuild has replaced the base they were recorded against).
         """
         base = self._base
         nodes: dict[int, bool] = {}
@@ -828,8 +829,11 @@ class DeltaSnapshot:
             # Raises KeyError on a label ``base`` does not hold.
             return base.indices_of(np.fromiter(nodes, dtype=np.int64, count=len(nodes)))
 
-        for op in delta.ops:
+        last = max((i for i, op in enumerate(delta.ops) if op[0] == OP_REBUILD), default=-1)
+        for index, op in enumerate(delta.ops):
             code = op[0]
+            if index < last and base is not self._base:
+                continue  # between two rebuilds: dropped, and ``base`` is the overlay now
             if code == OP_FAIL or code == OP_REVIVE:
                 nodes[op[1]] = code == OP_REVIVE
             elif code == OP_LINK_FAIL or code == OP_LINK_REVIVE:

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.core.construction import HeuristicConstruction
 from repro.core.maintenance import MaintenanceDaemon
 from repro.core.metric import RingMetric
 from repro.core.routing import GreedyRouter
-from repro.dht import DhtConfig, DistributedHashTable
+from repro.dht import DistributedHashTable
 from repro.simulation.workload import ChurnWorkload, LookupWorkload
 
 
@@ -66,29 +68,34 @@ class TestChurnOnConstruction:
 
 class TestChurnOnFacade:
     def test_network_facade_under_churn(self):
-        dht = DistributedHashTable(DhtConfig(space_size=512, seed=4))
+        dht = DistributedHashTable(512, seed=4)
         dht.join_many(range(0, 512, 8))
-        network = dht.network
         dht.put("sticky-key", "data", origin=0)
 
         churn = ChurnWorkload(space_size=512, join_rate=1.5, leave_rate=1.0,
                               crash_fraction=0.4, seed=5)
-        events = churn.schedule(duration=40.0, initial_members=network.members())
+        events = churn.schedule(duration=40.0, initial_members=dht.members())
         survivors_needed = {0}
+        applied = Counter()
         for event in events:
             if event.address in survivors_needed:
                 continue
-            if event.action == "join" and not network.graph.has_node(event.address):
+            if event.action == "join" and not dht.graph.has_node(event.address):
                 dht.join(event.address)
-            elif event.action == "leave" and event.address in network.members():
+            elif event.action == "leave" and event.address in dht.members():
                 dht.leave(event.address)
-            elif event.action == "crash" and event.address in network.members():
+            elif event.action == "crash" and event.address in dht.members():
                 dht.crash(event.address)
+            else:
+                continue
+            applied[event.action] += 1
         dht.repair()
         # The overlay must still accept and serve new publications.
         assert dht.put("fresh-key", 1, origin=0).ok
         assert dht.get("fresh-key").ok
-        # Statistics reflect the churn that was applied.
-        stats = network.statistics
-        assert stats.joins >= 64
-        assert stats.leaves + stats.crashes > 0
+        # Membership reflects exactly the churn that was applied.
+        assert applied["join"] > 0
+        assert applied["leave"] + applied["crash"] > 0
+        assert len(dht.members()) == (
+            64 + applied["join"] - applied["leave"] - applied["crash"]
+        )

@@ -15,8 +15,7 @@ from repro.core.bounds import upper_bound_multiple_links
 from repro.core.construction import build_heuristic_network
 from repro.core.failures import LinkFailureModel, NodeFailureModel
 from repro.core.routing import GreedyRouter, RecoveryStrategy
-from repro.dht.dht import DhtConfig, DistributedHashTable
-from repro.dht.replication import SuccessorReplication
+from repro.dht import DistributedHashTable
 from repro.simulation.workload import LookupWorkload
 
 
@@ -131,9 +130,7 @@ class TestHeuristicallyConstructedNetwork:
 
 class TestApplicationStack:
     def test_p2p_network_full_lifecycle(self):
-        dht = DistributedHashTable(
-            DhtConfig(space_size=1 << 10, seed=22, replication=SuccessorReplication(degree=0))
-        )
+        dht = DistributedHashTable(1 << 10, seed=22, replicas=0)
         dht.join_many(range(0, 1 << 10, 8))
         # Publish a batch of resources from different owners.
         for index in range(30):
@@ -150,7 +147,7 @@ class TestApplicationStack:
         assert dht.get("post-repair").ok
 
     def test_dht_with_replication_survives_crashes(self):
-        dht = DistributedHashTable(DhtConfig(space_size=512, seed=23))
+        dht = DistributedHashTable(512, seed=23)
         dht.join_many(range(0, 512, 4))
         holders = {}
         for index in range(40):

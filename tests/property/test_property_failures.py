@@ -10,7 +10,7 @@ from repro.core.failures import LinkFailureModel, NodeFailureModel
 from repro.core.maintenance import MaintenanceDaemon, prune_dead_links
 from repro.core.construction import HeuristicConstruction
 from repro.core.metric import RingMetric
-from repro.dht.dht import DhtConfig, DistributedHashTable
+from repro.dht import DistributedHashTable
 
 
 class TestFailureModelProperties:
@@ -110,7 +110,7 @@ class TestDhtProperties:
         ),
     )
     def test_put_then_get_returns_latest_value(self, seed, keys):
-        dht = DistributedHashTable(DhtConfig(space_size=128, seed=seed))
+        dht = DistributedHashTable(128, seed=seed)
         dht.join_many(range(0, 128, 4))
         expected = {}
         for index, key in enumerate(keys):
@@ -131,7 +131,7 @@ class TestDhtProperties:
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=20))
     def test_keys_survive_any_single_crash(self, seed):
-        dht = DistributedHashTable(DhtConfig(space_size=128, seed=seed))
+        dht = DistributedHashTable(128, seed=seed)
         dht.join_many(range(0, 128, 8))
         result = dht.put("important", "payload", origin=0)
         assert result.ok
