@@ -14,8 +14,9 @@ Layout:
 * :mod:`repro.devtools.suppressions` — ``# repro: allow[RULE-ID]`` inline
   suppression parsing and unused-suppression detection;
 * :mod:`repro.devtools.engine` — the file walker / rule driver;
-* :mod:`repro.devtools.rules` — the rule catalog: six AST rules
-  (RPR001..RPR006) and the dtype dataflow rule (RPA101..RPA104), which
+* :mod:`repro.devtools.rules` — the rule catalog: four AST rules
+  (RPR001, RPR002, RPR003, RPR005; RPR004 and RPR006 are retired) and the
+  dtype dataflow rule (RPA101..RPA104), which
   enforces the snapshot dtype contract from :mod:`repro.fastpath.dtypes`
   through the abstract interpreter in :mod:`repro.devtools.analyze`;
 * :mod:`repro.devtools.reporters` — ``file:line`` text and JSON output;

@@ -2,18 +2,25 @@
 
 Each rule is a subclass of :class:`Rule` with a stable id (``RPR001`` ...),
 a per-module visitor (:meth:`Rule.check_module`), and — for cross-file
-invariants like registry drift — a :meth:`Rule.finalize` pass over the whole
-project.  ``ALL_RULES`` is the ordered catalog the engine and the CLI share;
-the dtype dataflow rule is one pass reporting under four ids (the ``RPA1nn``
-family), so the catalog has more rows than rules.
+invariants like RPR002's stale-registry check — a :meth:`Rule.finalize` pass
+over the whole project.  ``ALL_RULES`` is the ordered catalog the engine and
+the CLI share; the dtype dataflow rule is one pass reporting under four ids
+(the ``RPA1nn`` family), so the catalog has more rows than rules.
+
+A rule earns its place by catching what no test can: a source-level fact
+that leaves results unchanged (a clock read, a second ``current()`` fetch,
+an ``np.append``, a platform-default dtype).  An invariant the program holds
+as runtime data — the scenario registry, the ``Overlay`` protocol — is
+checked by a test over that data instead.
 
 Adding a rule: subclass :class:`Rule` in a new module here, give it the next
-``RPRnnn`` id (syntactic invariants) or emit the next ``RPAnnn`` id from the
-dataflow interpreter and add its row to the catalog in ``dtype_flow.py``
-(dtype facts), append new rule classes to ``ALL_RULES``, add the row to the README
-catalog, and add violating/clean/suppressed fixtures to
-``tests/unit/test_devtools_rules.py`` / ``test_devtools_analyze.py`` — the
-self-check test will hold the repo to it immediately.
+unused ``RPRnnn`` id (syntactic invariants) or emit the next ``RPAnnn`` id
+from the dataflow interpreter and add its row to the catalog in
+``dtype_flow.py`` (dtype facts), append new rule classes to ``ALL_RULES``,
+add the row to the README catalog, and add violating/clean/suppressed
+fixtures to ``tests/unit/test_devtools_rules.py`` /
+``test_devtools_analyze.py`` — the self-check test will hold the repo to it
+immediately.
 """
 
 from __future__ import annotations
@@ -105,7 +112,7 @@ class LintProject:
     modules: list[LintModule]
 
     def read_text(self, relative: str) -> str | None:
-        """Read a repo-relative non-Python file (e.g. README.md), if present."""
+        """Read a repo-relative file's text, if present."""
         path = self.root / relative
         try:
             return path.read_text(encoding="utf-8")
@@ -207,19 +214,16 @@ class ImportMap:
 from repro.devtools.rules.determinism import DeterminismRule  # noqa: E402
 from repro.devtools.rules.telemetry_names import TelemetryNamesRule  # noqa: E402
 from repro.devtools.rules.telemetry_guard import TelemetryGuardRule  # noqa: E402
-from repro.devtools.rules.registry_drift import RegistryDriftRule  # noqa: E402
 from repro.devtools.rules.array_hygiene import ArrayHygieneRule  # noqa: E402
-from repro.devtools.rules.overlay_conformance import OverlayConformanceRule  # noqa: E402
 from repro.devtools.rules.dtype_flow import DtypeFlowRule  # noqa: E402
 
-#: The ordered rules; ids are stable and a retired id is never reused.
+#: The ordered rules; ids are stable and a retired id (RPR004, RPR006) is
+#: never reused.
 ALL_RULES: tuple[Rule, ...] = (
     DeterminismRule(),
     TelemetryNamesRule(),
     TelemetryGuardRule(),
-    RegistryDriftRule(),
     ArrayHygieneRule(),
-    OverlayConformanceRule(),
     DtypeFlowRule(),
 )
 

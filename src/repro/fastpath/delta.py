@@ -890,19 +890,28 @@ class DeltaSnapshot:
         """Convenience bulk crash (both tiers): flip the labels' alive bits off.
 
         Mirrors ``overlay.fail_node`` calls made *without* a recorder; do not
-        combine with recorded deltas for the same events.
+        combine with recorded deltas for the same events.  A label that is no
+        vertex is refused with a ``KeyError``, and nothing is written.
         """
-        if self.structural:
-            self._alive[np.asarray(labels, dtype=np.int64)] = False
-        else:
-            self._mask_alive[self._base.indices_of(np.asarray(labels))] = False
+        self._set_alive(labels, False)
 
     def revive(self, labels: Iterable[int] | np.ndarray) -> None:
         """Convenience bulk revive (both tiers): flip the labels' alive bits on."""
-        if self.structural:
-            self._alive[np.asarray(labels, dtype=np.int64)] = True
-        else:
-            self._mask_alive[self._base.indices_of(np.asarray(labels))] = True
+        self._set_alive(labels, True)
+
+    def _set_alive(self, labels: Iterable[int] | np.ndarray, alive: bool) -> None:
+        if not self.structural:
+            self._mask_alive[self._base.indices_of(np.asarray(labels))] = alive
+            return
+        labels = np.asarray(labels, dtype=np.int64)
+        # As in apply; a bare index would wrap -1 onto the top label.
+        inside = (labels >= 0) & (labels < self._occupied.shape[0])
+        vertex = inside.copy()
+        vertex[inside] = self._occupied[labels[inside]]
+        if not vertex.all():
+            refused = labels[~vertex].ravel()
+            raise KeyError(f"labels {refused[:5].tolist()} are not vertices of this snapshot")
+        self._alive[labels] = alive
 
     def _remove_node(self, label: int) -> None:
         """Replay :meth:`OverlayGraph.remove_node` against the mirror."""

@@ -257,14 +257,6 @@ SNAPSHOT_CONTRACT: tuple[FieldContract, ...] = (
 )
 
 
-def contract_for(owner: str, field_name: str) -> FieldContract | None:
-    """Look up one field's contract (None when the field is not governed)."""
-    for entry in SNAPSHOT_CONTRACT:
-        if entry.owner == owner and entry.field == field_name:
-            return entry
-    return None
-
-
 # --------------------------------------------------------------------------- #
 # README table generation (mirrors repro.telemetry.names' glossary block)
 # --------------------------------------------------------------------------- #

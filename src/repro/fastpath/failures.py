@@ -12,11 +12,13 @@ inserted in sorted label order (every builder in :mod:`repro.core.builder`
 does this) the candidate order is identical, so the two failure paths are
 interchangeable in experiments.
 
-Only **node** failures are handled here.  Link failures change the compiled
-adjacency itself, so the fastpath route for those is: apply a
-:class:`~repro.core.failures.LinkFailureModel` to the graph, then re-compile
-with :func:`~repro.fastpath.snapshot.compile_snapshot` (dead links are
-omitted at compile time).
+Only **node** failures are sampled here.  Link failures need no recompile:
+a :class:`~repro.core.failures.LinkFailureModel` fails links through the
+graph's ``fail_long_link`` (a fault schedule through the same call, or a
+table overlay's ``fail_link``), and both record ``OP_LINK_FAIL`` deltas that a
+:class:`~repro.fastpath.delta.DeltaSnapshot` mirror applies — the
+structural tier flips the link's flag in its slabs, the liveness tier
+scatters it onto the snapshot's ``edge_alive`` mask.
 """
 
 from __future__ import annotations

@@ -212,10 +212,15 @@ class TestDeltaSnapshot:
         mirror.revive(victims)
         assert np.array_equal(mirror.snapshot().alive, base.alive)
 
+    @pytest.mark.parametrize("via", ["delta", "bulk"])
     @pytest.mark.parametrize("tier", ["structural", "liveness"])
     @pytest.mark.parametrize("op", [OP_FAIL, OP_REVIVE])
-    def test_liveness_ops_on_non_vertices_are_refused(self, tier, op):
-        """Both tiers refuse a label that is no vertex; -1 must not wrap to the top."""
+    def test_liveness_ops_on_non_vertices_are_refused(self, tier, op, via):
+        """Both tiers refuse a label that is no vertex; -1 must not wrap to the top.
+
+        A recorded op and a bulk ``crash`` / ``revive`` call are refused alike;
+        a bulk call writes nothing when any of its labels is refused.
+        """
         graph = OverlayGraph(RingMetric(16))
         for label in range(16):
             if label != 5:
@@ -226,9 +231,17 @@ class TestDeltaSnapshot:
             mirror = DeltaSnapshot.from_graph(graph)
         else:
             mirror = DeltaSnapshot.from_snapshot(compile_snapshot(graph))
+        bulk = mirror.revive if op == OP_REVIVE else mirror.crash
+
+        def refused(label):
+            if via == "delta":
+                mirror.apply(SnapshotDelta(ops=[(op, label)]))
+            else:
+                bulk([3, 4, label])
+
         for label in (-1, 5, 16):
             with pytest.raises(KeyError, match="are not vertices of this snapshot"):
-                mirror.apply(SnapshotDelta(ops=[(op, label)]))
+                refused(label)
         assert_snapshots_identical(mirror.snapshot(), compile_snapshot(graph))
 
     def test_a_refused_liveness_delta_changes_nothing(self):

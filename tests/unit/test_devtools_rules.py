@@ -269,71 +269,6 @@ class TestTelemetryGuardRule:
         assert lint(project, "RPR003").findings == []
 
 
-class TestRegistryDriftRule:
-    SCENARIO = """
-    from repro.scenarios import register_scenario
-
-    @register_scenario("alpha")
-    def run_alpha(spec):
-        return None
-    """
-
-    @staticmethod
-    def catalog(*names: str) -> str:
-        rows = "\n".join(f"| `{name}` | fixture row |" for name in names)
-        return (
-            "# fixture\n\n"
-            "<!-- scenario-catalog:begin (checked by repro check RPR004) -->\n"
-            "| scenario | what it reproduces |\n"
-            "|----------|--------------------|\n"
-            f"{rows}\n"
-            "<!-- scenario-catalog:end -->\n"
-        )
-
-    def test_matching_catalog_is_clean(self, tmp_path):
-        project = make_project(tmp_path, {"src/scen.py": self.SCENARIO})
-        (project / "README.md").write_text(self.catalog("alpha"), encoding="utf-8")
-        assert lint(project, "RPR004").findings == []
-
-    def test_drift_both_ways_is_flagged(self, tmp_path):
-        project = make_project(tmp_path, {"src/scen.py": self.SCENARIO})
-        (project / "README.md").write_text(self.catalog("beta"), encoding="utf-8")
-        result = lint(project, "RPR004")
-        messages = [finding.message for finding in result.findings]
-        assert len(result.findings) == 2
-        assert any("`alpha`" in message and "missing" in message for message in messages)
-        assert any("`beta`" in message and "stale" in message for message in messages)
-
-    def test_missing_catalog_block_is_flagged(self, tmp_path):
-        project = make_project(tmp_path, {"src/scen.py": self.SCENARIO})
-        (project / "README.md").write_text("# no markers here\n", encoding="utf-8")
-        result = lint(project, "RPR004")
-        assert len(result.findings) == 1
-        assert "no scenario-catalog block" in result.findings[0].message
-
-    def test_duplicate_registration_is_flagged(self, tmp_path):
-        project = make_project(
-            tmp_path,
-            {
-                "src/scen.py": """
-                from repro.scenarios import register_scenario
-
-                @register_scenario("alpha")
-                def run_alpha(spec):
-                    return None
-
-                @register_scenario("alpha")
-                def run_alpha_again(spec):
-                    return None
-                """
-            },
-        )
-        (project / "README.md").write_text(self.catalog("alpha"), encoding="utf-8")
-        result = lint(project, "RPR004")
-        assert len(result.findings) == 1
-        assert "registered twice" in result.findings[0].message
-
-
 class TestArrayHygieneRule:
     def test_np_append_and_concat_accumulation_are_flagged(self, tmp_path):
         project = make_project(
@@ -430,72 +365,3 @@ class TestArrayHygieneRule:
             },
         )
         assert lint(project, "RPR005").findings == []
-
-
-class TestOverlayConformanceRule:
-    FULL_SURFACE = """
-    class GoodOverlay:
-        space = None
-
-        def labels(self, only_alive=True): ...
-        def is_alive(self, label): ...
-        def neighbors_of(self, label): ...
-        def fail_node(self, label): ...
-        def fail_fraction(self, fraction, seed=0, protect=None): ...
-        def repair(self): ...
-        def route(self, source, target): ...
-        def compile_snapshot(self): ...
-    """
-
-    def test_partial_surface_is_flagged(self, tmp_path):
-        project = make_project(
-            tmp_path,
-            {
-                "src/myproto/overlay_impl.py": """
-                class BrokenOverlay:
-                    def compile_snapshot(self):
-                        return None
-                """
-            },
-        )
-        result = lint(project, "RPR006")
-        assert len(result.findings) == 1
-        assert "BrokenOverlay" in result.findings[0].message
-        assert "fail_fraction" in result.findings[0].message
-
-    def test_full_surface_is_clean(self, tmp_path):
-        project = make_project(
-            tmp_path, {"src/myproto/overlay_impl.py": self.FULL_SURFACE}
-        )
-        assert lint(project, "RPR006").findings == []
-
-    def test_members_resolve_through_repo_bases(self, tmp_path):
-        project = make_project(
-            tmp_path,
-            {
-                "src/myproto/base.py": self.FULL_SURFACE.replace(
-                    "GoodOverlay", "PartialBase"
-                ).replace("def compile_snapshot(self): ...\n", ""),
-                "src/myproto/impl.py": """
-                from myproto.base import PartialBase
-
-                class DerivedOverlay(PartialBase):
-                    def compile_snapshot(self):
-                        return None
-                """,
-            },
-        )
-        assert lint(project, "RPR006").findings == []
-
-    def test_classes_without_compile_snapshot_are_ignored(self, tmp_path):
-        project = make_project(
-            tmp_path,
-            {
-                "src/myproto/other.py": """
-                class NotAnOverlay:
-                    def route(self, source, target):
-                        return None
-                """
-            },
-        )
-        assert lint(project, "RPR006").findings == []

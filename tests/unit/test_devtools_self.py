@@ -1,20 +1,18 @@
 """The repository holds itself to its own checker and generated docs.
 
-These are the drift gates: the full tree checks clean on all ten rule ids, the README counter
-glossary is byte-identical to what ``repro/telemetry/names.py`` renders,
-the scenario catalog matches the runtime registry, and the conformance
-rule's fallback surface matches the parsed ``Overlay`` protocol.
+These are the drift gates: the full tree checks clean on all eight rule ids,
+the README counter glossary is byte-identical to what
+``repro/telemetry/names.py`` renders, and the README scenario catalog names
+exactly the scenarios the runtime registry holds.
 """
 
 from __future__ import annotations
 
-import ast
+import re
 from pathlib import Path
 
 from repro.devtools import LintEngine, rule_ids
 from repro.devtools.reporters import render_text
-from repro.devtools.rules.overlay_conformance import FALLBACK_MEMBERS
-from repro.devtools.rules.registry_drift import _CATALOG_ROW, CATALOG_BEGIN, CATALOG_END
 from repro.telemetry.names import (
     GLOSSARY_BEGIN,
     GLOSSARY_END,
@@ -32,7 +30,9 @@ class TestRepoLintsClean:
         assert result.findings == [], "\n" + render_text(result)
         tree = [*(REPO_ROOT / "src").rglob("*.py"), *(REPO_ROOT / "tests").rglob("*.py")]
         assert result.files_checked == len(tree)  # each file parsed once
-        assert result.rules_run == rule_ids() and len(rule_ids()) == 10
+        assert result.rules_run == rule_ids() == (
+            "RPR001", "RPR002", "RPR003", "RPR005", "RPA101", "RPA102", "RPA103", "RPA104"
+        )
 
 
 class TestReadmeGlossary:
@@ -54,40 +54,22 @@ class TestReadmeGlossary:
 
 
 class TestReadmeScenarioCatalog:
+    BEGIN = "<!-- scenario-catalog:begin (checked by tests/unit/test_devtools_self.py) -->"
+    END = "<!-- scenario-catalog:end -->"
+    #: A catalog table row: the first cell holds the backticked scenario name.
+    ROW = re.compile(r"^\|\s*`([a-z0-9-]+)`")
+
     def test_catalog_matches_runtime_registry(self):
         from repro.scenarios import available_scenarios
 
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
-        begin = readme.find(CATALOG_BEGIN)
-        end = readme.find(CATALOG_END)
+        begin = readme.find(self.BEGIN)
+        end = readme.find(self.END)
         assert 0 <= begin < end
         documented = {
             match.group(1)
             for line in readme[begin:end].splitlines()
-            if (match := _CATALOG_ROW.match(line.strip()))
+            if (match := self.ROW.match(line.strip()))
         }
         registered = {definition.name for definition in available_scenarios()}
         assert documented == registered
-
-
-class TestOverlayFallbackSurface:
-    def test_fallback_matches_parsed_protocol(self):
-        source = (REPO_ROOT / "src/repro/overlay/protocol.py").read_text(
-            encoding="utf-8"
-        )
-        tree = ast.parse(source)
-        overlay = next(
-            node
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ClassDef) and node.name == "Overlay"
-        )
-        members = set()
-        for statement in overlay.body:
-            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                members.add(statement.name)
-            elif isinstance(statement, ast.AnnAssign) and isinstance(
-                statement.target, ast.Name
-            ):
-                members.add(statement.target.id)
-        members = {member for member in members if not member.startswith("_")}
-        assert members == set(FALLBACK_MEMBERS)

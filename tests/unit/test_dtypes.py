@@ -25,6 +25,7 @@ from repro.core.builder import build_ideal_network
 from repro.core.graph import OverlayGraph
 from repro.core.metric import RingMetric
 from repro.core.network import P2PNetwork
+from repro.core.routing import RoutingMode
 from repro.fastpath import BatchGreedyRouter, compile_snapshot
 from repro.fastpath.dtypes import (
     CONTRACT_BEGIN,
@@ -40,6 +41,7 @@ from repro.fastpath.dtypes import (
     snapshot_nbytes,
     update_contract_block,
 )
+from repro.overlay import ChordGreedyPolicy, MetricGreedyPolicy, PrefixGreedyPolicy
 from repro.simulation.workload import LookupWorkload
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -163,6 +165,105 @@ class TestNarrowedWideParity:
         np.testing.assert_array_equal(narrow_result.hops, wide_result.hops)
         np.testing.assert_array_equal(narrow_result.final, wide_result.final)
         assert narrow_result.paths == wide_result.paths
+
+
+def _probe(size: int):
+    """Labels 0, 1, size // 2, size - 1 in the space's label dtype.
+
+    Returns every (current, target) pair as two arrays, a neighbour row per
+    pair holding all four labels, and the same three as Python ints.
+    """
+    labels = [0, 1, size // 2, size - 1]
+    pairs = [(current, target) for current in labels for target in labels]
+    dtype = label_dtype(size)
+    arrays = (
+        np.array([current for current, _ in pairs], dtype=dtype),
+        np.array([labels] * len(pairs), dtype=dtype),
+        np.array([target for _, target in pairs], dtype=dtype),
+    )
+    return arrays, labels, pairs
+
+
+class TestPolicyCutoffs:
+    """Policy arithmetic on compact labels equals Python-int arithmetic at the cutoffs."""
+
+    @pytest.mark.parametrize("size", [INT32_SPACE_CUTOFF, INT32_SPACE_CUTOFF + 1])
+    @pytest.mark.parametrize("mode", list(RoutingMode))
+    def test_metric_ring(self, size, mode):
+        def distance(a, b):
+            return min(abs(a - b), size - abs(a - b))
+
+        def displacement(source, target):
+            forward = (target - source) % size
+            return forward if forward <= size - forward else forward - size
+
+        (current, neighbors, targets), labels, pairs = _probe(size)
+        policy = MetricGreedyPolicy("ring", size)
+        keys = policy.candidate_keys(current, neighbors, targets, mode)
+        expected = []
+        for source, target in pairs:
+            row = []
+            for neighbor in labels:
+                before, after = displacement(source, target), displacement(neighbor, target)
+                admissible = distance(neighbor, target) < distance(source, target) and not (
+                    mode is RoutingMode.ONE_SIDED and (before > 0) != (after > 0) and after != 0
+                )
+                row.append(distance(neighbor, target) if admissible else size + 1)
+            expected.append(row)
+        assert keys.tolist() == expected
+        assert policy.distance(current, targets).tolist() == [distance(a, b) for a, b in pairs]
+
+    @pytest.mark.parametrize("size", [1 << 29, (1 << 29) + 1, 1 << 30])
+    def test_chord(self, size):
+        def clockwise(a, b):
+            return (b - a) % size
+
+        (current, neighbors, targets), labels, pairs = _probe(size)
+        # Slots alternate finger (class 0) and successor (class 1).
+        edge_class = np.tile(np.array([0, 1, 0, 1], dtype=np.int8), (len(pairs), 1))
+        keys = ChordGreedyPolicy(size).candidate_keys(
+            current, neighbors, targets, RoutingMode.ONE_SIDED, edge_class
+        )
+        expected = []
+        for source, target in pairs:
+            remaining = clockwise(source, target)
+            row = []
+            for slot, neighbor in enumerate(labels):
+                advance = clockwise(source, neighbor)
+                if not 1 <= advance <= remaining:
+                    row.append(2 * size + 3)
+                elif slot % 2:
+                    row.append(advance + size + 1)
+                else:
+                    row.append(remaining - advance)
+            expected.append(row)
+        assert keys.tolist() == expected
+        assert ChordGreedyPolicy(size).distance(current, targets).tolist() == [
+            clockwise(a, b) for a, b in pairs
+        ]
+
+    def test_prefix_past_int32(self):
+        base, digits = 2, 33
+        size = base**digits
+        assert size > 1 << 31
+
+        def distance(a, b):
+            return sum(a // base**level != b // base**level for level in range(digits))
+
+        (current, neighbors, targets), labels, pairs = _probe(size)
+        policy = PrefixGreedyPolicy(base=base, digits=digits)
+        keys = policy.candidate_keys(current, neighbors, targets, RoutingMode.TWO_SIDED)
+        expected = [
+            [
+                distance(source, target) - 1
+                if distance(neighbor, target) < distance(source, target)
+                else digits + 1
+                for neighbor in labels
+            ]
+            for source, target in pairs
+        ]
+        assert keys.tolist() == expected
+        assert policy.distance(current, targets).tolist() == [distance(a, b) for a, b in pairs]
 
 
 class TestContractTable:

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 
+import repro
 from repro.baselines import (
     CanNetwork,
     ChordNetwork,
@@ -14,6 +19,7 @@ from repro.baselines import (
 from repro.core.metric import PrefixMetric, TorusMetric
 from repro.core.network import P2PNetwork
 from repro.core.routing import RoutingMode
+from repro.dht import DistributedHashTable
 from repro.overlay import (
     ChordGreedyPolicy,
     Overlay,
@@ -27,8 +33,11 @@ from repro.overlay.mixin import OverlayMixin
 def _all_systems():
     network = P2PNetwork(space_size=128, seed=1)
     network.join_many(list(range(0, 128, 4)))
+    dht = DistributedHashTable(space_size=128, seed=1)
+    dht.join_many(list(range(0, 128, 4)))
     return [
         network,
+        dht,
         ChordNetwork(bits=6),
         CanNetwork(side=6),
         PlaxtonNetwork(digits=3, base=3),
@@ -36,10 +45,35 @@ def _all_systems():
     ]
 
 
+def _overlay_classes() -> set[type]:
+    """Every class in ``repro`` that defines or inherits ``compile_snapshot``.
+
+    The ``Overlay`` protocol itself and the partial ``OverlayMixin`` base are
+    left out: neither is an overlay anything builds.
+    """
+    names = ["repro"] + [
+        name for _, name, _ in pkgutil.walk_packages(repro.__path__, "repro.")
+    ]
+    return {
+        cls
+        for name in names
+        for _, cls in inspect.getmembers(importlib.import_module(name), inspect.isclass)
+        if cls.__module__ == name
+        and hasattr(cls, "compile_snapshot")
+        and not getattr(cls, "_is_protocol", False)
+        and cls is not OverlayMixin
+    }
+
+
 class TestOverlayProtocol:
     def test_all_five_topologies_conform(self):
-        for system in _all_systems():
+        systems = _all_systems()
+        for system in systems:
             assert isinstance(system, Overlay), type(system).__name__
+        # A class claims the protocol by exposing compile_snapshot; each one
+        # must be built (and so checked) above.
+        unbuilt = _overlay_classes() - {type(system) for system in systems}
+        assert not unbuilt, f"add to _all_systems(): {sorted(c.__qualname__ for c in unbuilt)}"
 
     def test_compile_snapshot_returns_overlay_snapshot(self):
         for system in _all_systems():
