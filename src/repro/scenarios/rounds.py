@@ -30,6 +30,7 @@ build, their per-batch hook and their tabulation:
 
 from __future__ import annotations
 
+import math
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -373,8 +374,16 @@ def decode_round_spec(
             f"extras.crash_fraction must be in [0, 1], got {crash_fraction!r}"
         )
     latency_sigma = float(spec.extra("latency_sigma", 0.4))
-    if latency_sigma < 0.0:
-        raise SpecError(f"extras.latency_sigma must be >= 0, got {latency_sigma!r}")
+    if not (math.isfinite(latency_sigma) and latency_sigma >= 0.0):
+        raise SpecError(
+            f"extras.latency_sigma must be finite and >= 0, got {latency_sigma!r}"
+        )
+    # A median <= 0 turns latency modelling off (see query_latencies).
+    latency_median = float(spec.extra("latency_median", 1.0))
+    if not math.isfinite(latency_median):
+        raise SpecError(
+            f"extras.latency_median must be finite, got {latency_median!r}"
+        )
     return RoundParameters(
         nodes=spec.topology.nodes,
         occupied=max(4, int(spec.topology.nodes * occupancy)),
@@ -386,7 +395,7 @@ def decode_round_spec(
         searches=spec.workload.searches,
         recovery=spec.routing.recovery_strategy(),
         engine=spec.engine,
-        latency_median=float(spec.extra("latency_median", 1.0)),
+        latency_median=latency_median,
         latency_sigma=latency_sigma,
     )
 
@@ -556,7 +565,19 @@ def query_latencies(
     model = LogNormalLatency(
         median=parameters.latency_median, sigma=parameters.latency_sigma, seed=seed
     )
-    return [
-        sum(model.sample(0, 0) for _ in range(hop_count))
-        for hop_count in successful_hops.tolist()
-    ]
+    hop_counts = np.asarray(successful_hops, dtype=np.int64)
+    draws = model.sample(int(hop_counts.sum()))
+    # Each query's hops are summed left to right in plain double arithmetic,
+    # bit for bit what a per-hop scalar ``total += hop`` loop gives (and what
+    # the builtin sum gives up to Python 3.11; 3.12 compensates).  Per-segment
+    # numpy sums (np.add.reduceat, np.sum) add pairwise and can differ in the
+    # last ulp, so the draws go into a zero-padded queries x max-hops grid —
+    # row-major order is query order, hop order — and the grid is added one
+    # column at a time; adding the 0.0 padding leaves a sum unchanged.
+    width = int(hop_counts.max())
+    grid = np.zeros((hop_counts.size, width))
+    grid[np.arange(width) < hop_counts[:, None]] = draws
+    totals = np.zeros(hop_counts.size)
+    for column in grid.T:
+        totals += column
+    return totals.tolist()

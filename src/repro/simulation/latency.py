@@ -36,6 +36,10 @@ class LogNormalLatency:
         self._rng = spawn_rng(self.seed, "lognormal-latency")
         self._mu = float(np.log(self.median))
 
-    def sample(self, source: int, target: int) -> float:
-        """Return the latency of one message from ``source`` to ``target``."""
-        return float(self._rng.lognormal(self._mu, self.sigma))
+    def sample(self, count: int) -> np.ndarray:
+        """Return ``count`` per-message latencies, in stream order.
+
+        One batch of ``count`` equals ``count`` scalar draws: ``lognormal``
+        keeps no state between draws beyond the generator's.
+        """
+        return self._rng.lognormal(self._mu, self.sigma, size=count)

@@ -23,35 +23,45 @@ __all__ = ["LookupWorkload", "ChurnEvent", "ChurnWorkload"]
 class LookupWorkload:
     """Generates (origin, target) pairs of live nodes, uniformly at random.
 
+    Origin and target are always distinct, as in the paper's experiments.
+
     Parameters
     ----------
     seed:
         Seed for pair selection.
-    allow_equal:
-        Whether origin may equal target (the paper's experiments route between
-        distinct nodes, so the default is ``False``).
     """
 
     seed: int = 0
-    allow_equal: bool = False
 
     def __post_init__(self) -> None:
         self._rng = spawn_rng(self.seed, "lookup-workload")
 
     def pairs(self, live_labels: list[int], count: int) -> list[tuple[int, int]]:
-        """Return ``count`` (origin, target) pairs drawn from ``live_labels``."""
+        """Return ``count`` (origin, target) pairs drawn from ``live_labels``.
+
+        The pairs and the generator state afterwards are exactly those of
+        ``count`` successive ``rng.choice(labels, size=2, replace=False)``
+        calls, drawn in one batch.
+        """
         ensure_positive(count, "count")
         if len(live_labels) < 2:
             raise ValueError("need at least two live nodes to generate lookups")
         labels = np.asarray(live_labels)
-        result: list[tuple[int, int]] = []
-        for _ in range(count):
-            if self.allow_equal:
-                origin, target = self._rng.choice(labels, size=2, replace=True)
-            else:
-                origin, target = self._rng.choice(labels, size=2, replace=False)
-            result.append((int(origin), int(target)))
-        return result
+        n = labels.size
+        # choice(size=2, replace=False) runs Floyd's algorithm — a draw in
+        # [0, n-2], then one in [0, n-1] that becomes n-1 if it repeats the
+        # first — and shuffles the two-element result with one draw in
+        # [0, 1], where 0 swaps them.  Each is one bounded draw, the same one
+        # integers() makes per element for array bounds, so tiling those
+        # bounds consumes the stream draw for draw.
+        bounds = np.tile(np.array([n - 2, n - 1, 1], dtype=np.int64), count)
+        draws = self._rng.integers(0, bounds, endpoint=True).reshape(count, 3)
+        first = draws[:, 0]
+        second = np.where(draws[:, 1] == first, n - 1, draws[:, 1])
+        swap = draws[:, 2] == 0
+        origins = labels[np.where(swap, second, first)].tolist()
+        targets = labels[np.where(swap, first, second)].tolist()
+        return list(zip(origins, targets))
 
 
 @dataclass

@@ -283,6 +283,8 @@ REJECTED_SPECS = [
         for scenario in ("churn", "maintenance-cost", "service")
         for key, value in (
             ("crash_fraction", -0.1), ("crash_fraction", 1.5), ("latency_sigma", -1.0),
+            ("latency_sigma", float("nan")), ("latency_sigma", float("inf")),
+            ("latency_median", float("nan")), ("latency_median", float("inf")),
         )
     ),
     # The echoed spec must be what ran: no rounding to the next power of two,

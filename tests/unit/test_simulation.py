@@ -5,17 +5,74 @@ from __future__ import annotations
 import runpy
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.core.routing import RecoveryStrategy
+from repro.scenarios.rounds import RoundParameters, query_latencies
 from repro.simulation.latency import LogNormalLatency
 from repro.simulation.workload import ChurnWorkload, LookupWorkload
+from repro.util.rng import spawn_rng
 
 
 class TestLatencyModels:
     def test_lognormal_positive(self):
         model = LogNormalLatency(median=1.0, sigma=0.5, seed=1)
-        samples = [model.sample(0, 1) for _ in range(200)]
-        assert all(s > 0 for s in samples)
+        samples = model.sample(200)
+        assert samples.shape == (200,)
+        assert (samples > 0).all()
+
+
+class TestStreamExactBatches:
+    """The batched draws against the scalar loops they replace.
+
+    ``LookupWorkload.pairs`` relies on how ``Generator.choice(size=2,
+    replace=False)`` consumes its stream; if a future NumPy changes that,
+    the pair oracle fails and the scenario golden digests stay the
+    authority on what the tables must be.
+    """
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 512, 70_000])
+    @pytest.mark.parametrize("seed", [0, 1, 29, 1234])
+    def test_pairs_match_per_pair_choice(self, n, seed):
+        labels = list(range(5, 5 + 3 * n, 3))
+        array = np.asarray(labels)
+        workload = LookupWorkload(seed=seed)
+        reference = spawn_rng(seed, "lookup-workload")
+        for count in (1, 9, 64):
+            expected = []
+            for _ in range(count):
+                origin, target = reference.choice(array, size=2, replace=False)
+                expected.append((int(origin), int(target)))
+            assert workload.pairs(labels, count) == expected
+        assert workload._rng.bit_generator.state == reference.bit_generator.state
+
+    @staticmethod
+    def _scalar_latencies(hops, parameters, seed):
+        rng = spawn_rng(seed, "lognormal-latency")
+        mu = float(np.log(parameters.latency_median))
+        latencies = []
+        for hop_count in hops:
+            total = 0.0
+            for _ in range(hop_count):
+                total += float(rng.lognormal(mu, parameters.latency_sigma))
+            latencies.append(total)
+        return latencies
+
+    @pytest.mark.parametrize("seed", [0, 7, 99])
+    def test_query_latencies_match_per_hop_loop(self, seed):
+        parameters = RoundParameters(
+            nodes=64, occupied=32, links_per_node=None, rounds=1,
+            bursts_per_round=1, repair_every=1, crash_fraction=0.5, searches=1,
+            recovery=RecoveryStrategy.BACKTRACK, engine="object",
+            latency_median=1.3, latency_sigma=0.9,
+        )
+        hop_rng = np.random.default_rng(seed)
+        # Long queries (> 8 hops) are where pairwise summation would diverge.
+        hops = np.concatenate([hop_rng.integers(1, 40, size=300), [1, 9, 64, 17]])
+        got = query_latencies(hops, parameters, seed)
+        assert got == self._scalar_latencies(hops.tolist(), parameters, seed)
+        assert query_latencies(np.array([], dtype=np.int64), parameters, seed) == []
 
 
 class TestWorkloads:
