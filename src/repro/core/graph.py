@@ -163,9 +163,14 @@ class OverlayGraph:
     # ------------------------------------------------------------------ #
 
     def add_node(self, label: int) -> OverlayNode:
-        """Add a vertex at ``label`` (idempotent) and return its node record."""
+        """Add a vertex at ``label`` (idempotent) and return its node record.
+
+        The node table keys on ``int(label)``, so NumPy integers store as
+        Python ints.
+        """
         if not self.space.contains(label):
             raise ValueError(f"label {label!r} is not a point of the metric space")
+        label = int(label)
         if label not in self._nodes:
             self._nodes[label] = OverlayNode(label=label)
             if self._observer is not None:

@@ -19,6 +19,7 @@ and uniform sampling of points.
 from __future__ import annotations
 
 import abc
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -33,6 +34,11 @@ __all__ = [
 ]
 
 Point = int | tuple[int, ...]
+
+
+def _is_integer(value: object) -> bool:
+    """Any integer type (NumPy's included), but not ``bool``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class MetricSpace(abc.ABC):
@@ -138,7 +144,7 @@ class LineMetric(MetricSpace):
         return self.n
 
     def contains(self, point: int) -> bool:
-        return isinstance(point, (int,)) and 0 <= point < self.n
+        return _is_integer(point) and 0 <= point < self.n
 
     def all_points(self) -> Iterable[int]:
         return range(self.n)
@@ -192,7 +198,7 @@ class RingMetric(MetricSpace):
         return self.n
 
     def contains(self, point: int) -> bool:
-        return isinstance(point, (int,)) and 0 <= point < self.n
+        return _is_integer(point) and 0 <= point < self.n
 
     def all_points(self) -> Iterable[int]:
         return range(self.n)
@@ -240,7 +246,7 @@ class TorusMetric(MetricSpace):
     def contains(self, point: tuple[int, ...]) -> bool:
         if not isinstance(point, tuple) or len(point) != self.dimensions:
             return False
-        return all(isinstance(c, int) and 0 <= c < self.side for c in point)
+        return all(_is_integer(c) and 0 <= c < self.side for c in point)
 
     def all_points(self) -> Iterable[tuple[int, ...]]:
         def generate(prefix: tuple[int, ...], remaining: int):
@@ -307,7 +313,7 @@ class PrefixMetric(MetricSpace):
         return self.base**self.digits
 
     def contains(self, point: int) -> bool:
-        return isinstance(point, int) and 0 <= point < self.size()
+        return _is_integer(point) and 0 <= point < self.size()
 
     def all_points(self) -> Iterable[int]:
         return range(self.size())

@@ -153,7 +153,7 @@ class P2PNetwork:
         return compile_snapshot(self.graph)
 
     def join(self, address: int) -> None:
-        """Add a node at ``address`` to the network.
+        """Add a node at ``address`` (stored as ``int(address)``) to the network.
 
         Raises
         ------
@@ -165,7 +165,7 @@ class P2PNetwork:
                 f"address {address} is outside the identifier space "
                 f"[0, {self.space.size()})"
             )
-        self.construction.add_point(address)
+        self.construction.add_point(int(address))
 
     def join_many(self, addresses: list[int]) -> None:
         """Add several nodes in the given order."""

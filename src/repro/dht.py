@@ -186,8 +186,8 @@ class DistributedHashTable(P2PNetwork):
 
     def join(self, address: int) -> None:
         """Add a node and transfer to it the keys it is now responsible for."""
-        address = int(address)
         super().join(address)
+        address = int(address)
         self.storage.setdefault(address, NodeStorage(owner=address))
         self._transfer_keys_to(address)
 

@@ -6,11 +6,15 @@ hop per vectorized step**.  Each step gathers one row per active query from
 the snapshot's single derived matrix
 (:meth:`~repro.fastpath.snapshot.FastpathSnapshot.label_matrix`: neighbour
 labels, short rows padded with the node's own label, which no policy ever
-admits), asks the policy for every slot's key towards the query's target in
-one NumPy expression, and takes the row's first minimum.  Slot ``j`` of row
-``v`` is CSR entry ``neighbor_indptr[v] + j``, so the chosen vertex — and
-everything known about it — is read straight from the CSR arrays; the router
-derives nothing else and caches nothing that depends on liveness.
+admits), asks the policy for every slot's key towards the query's target and
+the row's bound in one NumPy expression, and takes the row's first minimum —
+a hop when it keys below the bound, else the query is stuck.  The paper's
+two-sided ring keys raw distances against the current node's own, so
+"strictly closer" costs one comparison per row, not a mask over the matrix.
+Slot ``j`` of row ``v`` is CSR entry ``neighbor_indptr[v] + j``, so the
+chosen vertex — and everything known about it — is read straight from the
+CSR arrays; the router derives nothing else and caches nothing that depends
+on liveness.
 
 **Pick, then repair.**  A failed node or link is something the step
 discovers when it looks (Sections 4.3.4 and 6), not something folded into the
@@ -717,8 +721,8 @@ class BatchGreedyRouter:
     def _row_slots(self, vertices: np.ndarray) -> np.ndarray:
         """CSR entry numbers aligned slot-for-slot with ``label_matrix()[vertices]``.
 
-        Padding slots are clamped onto the last entry: they key at
-        ``blocked``, so what is read through them is never used.
+        Padding slots are clamped onto the last entry: they key at or above
+        the row's bound, so what is read through them is never used.
         """
         snapshot = self.snapshot
         width = snapshot.label_matrix().shape[1]
@@ -739,7 +743,12 @@ class BatchGreedyRouter:
         return usable
 
     def _untried_keys(
-        self, vertices: np.ndarray, keyed: np.ndarray, blocked: np.generic, last: np.ndarray
+        self,
+        vertices: np.ndarray,
+        keyed: np.ndarray,
+        bound: np.ndarray,
+        blocked: np.generic,
+        last: np.ndarray,
     ) -> np.ndarray:
         """Re-key revisited rows against their node's tried set.
 
@@ -747,16 +756,17 @@ class BatchGreedyRouter:
         last)`` in (key, slot) order — all of them where ``last`` is the row
         width.  The scalar router holds it as *labels*, so every slot sharing
         a consumed label is blocked too (parallel links, Chord's class-keyed
-        duplicates); so is every dead-edge slot, which was never a candidate.
+        duplicates); so is every dead-edge slot, which was never a candidate,
+        and every slot at or above the row's ``bound``.
         """
         snapshot = self.snapshot
         width = keyed.shape[1]
-        usable = keyed < blocked
+        usable = keyed < bound[:, None]
         if snapshot.edge_alive is not None:
             usable &= snapshot.edge_alive[self._row_slots(vertices)]
         row = np.arange(vertices.shape[0], dtype=np.int64)
-        # An exhausted row's threshold key is ``blocked``: every usable slot
-        # lies before it.
+        # An exhausted row's threshold key is ``blocked`` (at or above the
+        # bound): every usable slot lies before it.
         threshold = np.where(last < width, keyed[row, np.minimum(last, width - 1)], blocked)
         column = np.arange(width, dtype=np.int64)
         consumed = usable & (
@@ -779,12 +789,15 @@ class BatchGreedyRouter:
 
         Keys each query's label row and takes the row's first minimum — the
         scalar router's stable sort-by-distance with earliest-neighbour
-        tie-break — then reads liveness at the pick alone.  Backtracking
-        passes its ``tried`` table and each row's query: a row at a node the
-        query has tried candidates from is first re-keyed against that tried
-        set (:meth:`_untried_keys`), and the pick, alive or not, becomes the
-        node's last consumed slot; with nothing left, a lenient node is
-        exhausted and a strict one keeps its tried set.
+        tie-break — as the hop when it keys below the row's bound (the
+        policy's ``(keys, bound)`` contract), then reads liveness at the pick
+        alone.  ``blocked`` is only the sentinel the step writes into the
+        slots it rules out (dead, tried); it is at or above every bound.
+        Backtracking passes its ``tried`` table and each row's query: a row at
+        a node the query has tried candidates from is first re-keyed against
+        that tried set (:meth:`_untried_keys`), and the pick, alive or not,
+        becomes the node's last consumed slot; with nothing left, a lenient
+        node is exhausted and a strict one keeps its tried set.
 
         Returns ``(chosen, stuck, repaired, revisited)``: the next-hop vertex
         per query (undefined where stuck), the stuck mask, and how many rows
@@ -795,15 +808,15 @@ class BatchGreedyRouter:
         compact_labels = snapshot.labels_compact()
         class_matrix = snapshot.class_matrix()
         policy = self.policy
-        keyed = policy.candidate_keys(
+        keyed, bound = policy.candidate_keys(
             compact_labels[current],
             snapshot.label_matrix()[current],
             compact_labels[target],
             self.mode,
             edge_class=class_matrix[current] if class_matrix is not None else None,
         )
-        # ``>= blocked`` (the sentinel in the key dtype) marks inadmissible
-        # slots, padding included.
+        # Slot s of row r is admissible iff keyed[r, s] < bound[r]; the
+        # sentinel for ruled-out slots, in the key dtype, is >= every bound.
         blocked = keyed.dtype.type(policy.blocked)
         revisited = 0
         if tried is not None:
@@ -812,11 +825,16 @@ class BatchGreedyRouter:
             revisited = int(revisit.size)
             if revisited:
                 keyed[revisit] = self._untried_keys(
-                    current[revisit], keyed[revisit], blocked, last[revisit]
+                    current[revisit], keyed[revisit], bound[revisit], blocked, last[revisit]
                 )
+        # The row's first raw minimum stands in for the first minimum over
+        # the admissible slots.  When it is below the bound, every slot with
+        # that key is admissible and no admissible slot keys lower, so it is
+        # the slot the masked argmin would pick, tie-break included; when it
+        # is not, nothing in the row is admissible.
         pick = np.argmin(keyed, axis=1)
         row = np.arange(current.shape[0], dtype=np.int64)
-        has_candidate = keyed[row, pick] < blocked
+        has_candidate = keyed[row, pick] < bound
         slot = np.where(has_candidate, snapshot.neighbor_indptr[current] + pick, 0)
         indices = snapshot.neighbor_indices
         # An edgeless overlay has no entry 0 to read; nobody has a candidate.
@@ -837,7 +855,7 @@ class BatchGreedyRouter:
                 )
                 repick = np.argmin(rekeyed, axis=1)
                 row = np.arange(repaired, dtype=np.int64)
-                has_candidate[repair] = rekeyed[row, repick] < blocked
+                has_candidate[repair] = rekeyed[row, repick] < bound[repair]
                 chosen[repair] = indices[slots[row, repick]]
                 if tried is not None:
                     pick[repair] = repick

@@ -9,20 +9,26 @@ evaluate every topology:
 
 * per hop the router gathers the neighbour-label rows of all active queries
   (:meth:`~repro.fastpath.snapshot.FastpathSnapshot.label_matrix`) and asks
-  the policy for a **key matrix** — one integer per (query, slot) pair;
-* entries ``>= policy.blocked`` mark inadmissible candidates (farther than
-  the current node, overshooting);
-* the router forwards each query to its row's first minimal key, which must
-  reproduce the scalar protocol's next-hop choice *including tie-breaks*
-  (every scalar rule here breaks ties in favour of the earliest neighbour,
-  and ``argmin`` returns the first minimum).
+  the policy for a **key matrix** — one integer per (query, slot) pair — and
+  a **bound** per query;
+* slot ``s`` of row ``r`` is admissible iff ``keys[r, s] < bound[r]``: for
+  the metric and torus rules the keys are raw distances to the target and the
+  bound is the current node's own distance, so "strictly closer" costs no
+  mask; a one-sided walk keys overshooting slots at ``blocked``, and the
+  prefix and Chord rules key every inadmissible slot at ``blocked`` and bound
+  every row at ``blocked``;
+* the router forwards each query to its row's first minimal key when that key
+  is below the row's bound, which must reproduce the scalar protocol's
+  next-hop choice *including tie-breaks* (every scalar rule here breaks ties
+  in favour of the earliest neighbour, and ``argmin`` returns the first
+  minimum).
 
-**A node's own label is never an admissible candidate.**  Every greedy rule
-makes strict progress — strictly closer, a clockwise advance of at least
-one, a strictly longer shared prefix — so a slot holding the current node's
-label keys at ``>= blocked`` for every target.  That is part of the
-contract, not an accident: the label matrix pads short rows with the row's
-own label, so padding needs no mask and ``candidate_keys`` takes none
+**A node's own label keys at or above the bound.**  Every greedy rule makes
+strict progress — strictly closer, a clockwise advance of at least one, a
+strictly longer shared prefix — so a slot holding the current node's label is
+never admissible, for any target.  That is part of the contract, not an
+accident: the label matrix pads short rows with the row's own label, so
+padding needs no mask and ``candidate_keys`` takes none
 (``tests/property/test_property_overlay.py`` pins it for every policy).
 
 Policies are pure value objects over plain integers/arrays — no graph or
@@ -52,13 +58,14 @@ __all__ = [
 class GreedyPolicy:
     """Abstract vectorized next-hop rule.
 
-    Subclasses define :attr:`blocked` (an integer strictly larger than any
-    admissible key) and :meth:`candidate_keys`.  :meth:`distance` exposes the
-    policy's underlying metric for diagnostics and tests.
+    Subclasses define :attr:`blocked` (an integer at or above every bound
+    :meth:`candidate_keys` returns) and :meth:`candidate_keys`.
+    :meth:`distance` exposes the policy's underlying metric for diagnostics
+    and tests.
     """
 
-    #: Sentinel key marking an inadmissible candidate; every admissible key
-    #: is strictly smaller.
+    #: Sentinel key the router writes into slots it rules out (dead, tried);
+    #: at or above every bound, so such a slot is never admissible.
     blocked: int
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -72,8 +79,10 @@ class GreedyPolicy:
         target_labels: np.ndarray,
         mode: RoutingMode,
         edge_class: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Return the ``(queries, max_degree)`` key matrix for one hop.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Return the ``(queries, max_degree)`` keys and ``(queries,)`` bounds of one hop.
+
+        Slot ``s`` of row ``r`` is admissible iff ``keys[r, s] < bound[r]``.
 
         Parameters
         ----------
@@ -82,7 +91,7 @@ class GreedyPolicy:
         neighbor_labels:
             ``(queries, max_degree)`` labels of each current node's neighbour
             row; padding slots repeat the current node's own label and must
-            key at ``>= blocked`` (see the module docstring).
+            key at or above the bound (see the module docstring).
         mode:
             The router's greedy mode.  Policies whose protocol fixes the rule
             (Chord's one-sided clockwise walk, prefix resolution) ignore it.
@@ -134,19 +143,20 @@ class MetricGreedyPolicy(GreedyPolicy):
         target_labels: np.ndarray,
         mode: RoutingMode,
         edge_class: np.ndarray | None = None,
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # Raw distances against the current node's own: "strictly closer" is
+        # the router's ``keys < bound``, so the two-sided keys need no mask.
         current_distance = self.distance(current_labels, target_labels)
         neighbor_distance = self.distance(neighbor_labels, target_labels[:, None])
-        candidates = neighbor_distance < current_distance[:, None]
         if mode is RoutingMode.ONE_SIDED:
             # Never traverse a link that jumps past the target: the signed
             # displacement towards the target must not change sign.
             before = self.displacement(current_labels, target_labels)
             after = self.displacement(neighbor_labels, target_labels[:, None])
             overshoot = ((before[:, None] > 0) != (after > 0)) & (after != 0)
-            candidates &= ~overshoot
-        blocked = neighbor_distance.dtype.type(self.blocked)
-        return np.where(candidates, neighbor_distance, blocked)
+            blocked = neighbor_distance.dtype.type(self.blocked)
+            neighbor_distance = np.where(overshoot, blocked, neighbor_distance)
+        return neighbor_distance, current_distance
 
 
 @dataclass(frozen=True)
@@ -181,11 +191,11 @@ class TorusGreedyPolicy(GreedyPolicy):
         target_labels: np.ndarray,
         mode: RoutingMode,
         edge_class: np.ndarray | None = None,
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # Raw L1 distances; the current node's own is the bound.
         current_distance = self.distance(current_labels, target_labels)
         neighbor_distance = self.distance(neighbor_labels, target_labels[:, None])
-        candidates = neighbor_distance < current_distance[:, None]
-        return np.where(candidates, neighbor_distance, np.int64(self.blocked))
+        return neighbor_distance, current_distance
 
 
 @dataclass(frozen=True)
@@ -221,7 +231,7 @@ class PrefixGreedyPolicy(GreedyPolicy):
         target_labels: np.ndarray,
         mode: RoutingMode,
         edge_class: np.ndarray | None = None,
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, np.ndarray]:
         # Prefix disagreement is downward-closed (equal quotients at level j
         # imply equality at every higher level), so a neighbour is strictly
         # closer than the current node — at distance L from the target — iff
@@ -245,7 +255,11 @@ class PrefixGreedyPolicy(GreedyPolicy):
         )[:, None]
         candidates = agrees & (current_distance[:, None] >= 1)
         keys = current_distance.astype(dtype) - dtype.type(1)
-        return np.where(candidates, keys[:, None], dtype.type(self.blocked))
+        blocked = dtype.type(self.blocked)
+        return (
+            np.where(candidates, keys[:, None], blocked),
+            np.full(targets.shape[0], blocked, dtype=dtype),
+        )
 
 
 @dataclass(frozen=True)
@@ -284,7 +298,7 @@ class ChordGreedyPolicy(GreedyPolicy):
         target_labels: np.ndarray,
         mode: RoutingMode,
         edge_class: np.ndarray | None = None,
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, np.ndarray]:
         # Keys reach 2 * size + 2, so the compact label dtype is only safe
         # for rings up to 2^29 points; larger rings fall back to int64.
         neighbors = np.asarray(neighbor_labels)
@@ -301,4 +315,8 @@ class ChordGreedyPolicy(GreedyPolicy):
         keys = remaining[:, None] - advance
         if edge_class is not None:
             keys = np.where(edge_class > 0, advance + (size + dtype.type(1)), keys)
-        return np.where(candidates, keys, dtype.type(self.blocked))
+        blocked = dtype.type(self.blocked)
+        return (
+            np.where(candidates, keys, blocked),
+            np.full(targets.shape[0], blocked, dtype=dtype),
+        )

@@ -51,7 +51,8 @@ def _assert_parity(
     The scalar router routes the batch sequentially through one instance (one
     shared re-route stream), which is exactly the draw order the batch engine
     reproduces.  ``snapshot`` (default: a fresh compile of ``graph``) lets a
-    case route a liveness-masked snapshot against the mutated graph.
+    case route a liveness-masked snapshot against the mutated graph.  Returns
+    the scalar paths for the case's own check.
     """
     scalar = GreedyRouter(
         graph,
@@ -83,6 +84,7 @@ def _assert_parity(
         assert result.failure_reason(index) == reference.failure_reason
         assert int(result.reroutes[index]) == reference.reroutes
         assert int(result.backtracks[index]) == reference.backtracks
+    return [reference.path for reference in references]
 
 
 class TestHopForHopParity:
@@ -314,6 +316,65 @@ class TestBacktrackRevisits:
         else:
             expected = [0, 16, 0, 12, 0, 1]
         assert paths[0][: len(expected)] == expected
+
+
+def _sparse_line(links, dead=(), size=64) -> OverlayGraph:
+    """Members at multiples of ten on a line, joined only by ``links``: no ring
+    pointers, so a node can have every neighbour farther from a target."""
+    graph = OverlayGraph(LineMetric(size))
+    for label in range(0, size, 10):
+        graph.add_node(label)
+    for source, target in links:
+        graph.add_long_link(source, target)
+    for label in dead:
+        graph.fail_node(label)
+    return graph
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("recovery", list(RecoveryStrategy))
+class TestRawMinimumNotAdmissible:
+    """Rows whose first raw minimum keys at or above the bound have no hop."""
+
+    def test_every_neighbour_is_farther(self, recovery, strict):
+        # 0 -> 30 reaches 20, whose neighbours sit 10 (a tie with 20's own
+        # distance) and 30 away: a local minimum.  10's one neighbour ties too.
+        graph = _sparse_line([(0, 20), (0, 50), (20, 40), (20, 0), (50, 30), (10, 50)])
+        pairs = [(0, 30), (10, 30)]
+        paths = _assert_parity(graph, pairs, RoutingMode.TWO_SIDED, strict, recovery, seed=3)
+        assert paths[0][:2] == [0, 20] and paths[1][0] == 10
+        if recovery is RecoveryStrategy.TERMINATE:
+            assert paths == [[0, 20], [10]]
+        if recovery is RecoveryStrategy.BACKTRACK:
+            assert paths[0] == [0, 20, 0, 50, 30]
+
+    def test_dead_best_and_farther_live_neighbours(self, recovery, strict):
+        # At 10 the best candidate (20) is dead and the only live neighbour
+        # (0) is farther: the lenient repair re-keys the row and finds no hop.
+        graph = _sparse_line([(0, 10), (10, 20), (10, 0), (20, 30)], dead=[20])
+        with telemetry.session() as tel:
+            paths = _assert_parity(
+                graph, [(0, 30)], RoutingMode.TWO_SIDED, strict, recovery, seed=3
+            )
+        assert paths[0][:2] == [0, 10] and 20 not in paths[0]
+        if recovery is RecoveryStrategy.BACKTRACK:
+            assert paths[0] == [0, 10, 0]
+        if not strict:
+            assert tel.counters["route.rows_repaired"].value >= 1
+
+    def test_a_revisited_row_has_only_farther_slots_left(self, recovery, strict):
+        # 20 is a dead end (its one neighbour is farther); back at 10 the only
+        # untried slot (0) is farther as well.
+        graph = _sparse_line([(0, 10), (10, 20), (10, 0), (20, 10)])
+        with telemetry.session() as tel:
+            paths = _assert_parity(
+                graph, [(0, 30)], RoutingMode.TWO_SIDED, strict, recovery, seed=3
+            )
+        if recovery is RecoveryStrategy.BACKTRACK:
+            assert paths[0] == [0, 10, 20, 10, 0]
+            assert tel.counters["route.rows_revisited"].value >= 1
+        else:
+            assert paths[0][:3] == [0, 10, 20]
 
 
 class TestBacktrackOnDuplicateDenseGraphs:

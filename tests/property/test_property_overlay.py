@@ -23,6 +23,7 @@ from repro.baselines import (
     KleinbergGridNetwork,
     PlaxtonNetwork,
 )
+from repro.core.metric import LineMetric, RingMetric
 from repro.core.routing import RoutingMode
 from repro.fastpath import BatchGreedyRouter
 from repro.fastpath.dtypes import label_dtype
@@ -177,12 +178,20 @@ def _policy(family: str, scale: int):
     raise AssertionError(family)
 
 
+def _tiers(family: str, shape):
+    """Edge-class matrices to key under: Chord reads none, fingers, successors."""
+    tiers = [None]
+    if family == "chord":
+        tiers += [np.full(shape, tier, dtype=np.int8) for tier in (0, 1)]
+    return tiers
+
+
 class TestSelfIsNeverAdmissible:
     """The contract ``FastpathSnapshot.label_matrix`` pads rows on."""
 
     @pytest.mark.parametrize("family", ["ring", "line", "torus", "prefix", "chord"])
     @pytest.mark.parametrize("scale", range(4))
-    def test_own_label_keys_blocked_for_every_target(self, family, scale):
+    def test_own_label_keys_at_or_above_the_bound(self, family, scale):
         """A slot holding the current node's own label is never a candidate."""
         policy, size = _policy(family, scale)
         labels = np.arange(size, dtype=label_dtype(size))
@@ -190,12 +199,58 @@ class TestSelfIsNeverAdmissible:
         distinct = current != target
         current, target = current[distinct], target[distinct]
         own = np.stack([current, current], axis=1)
-        # Chord is the one policy that reads edge classes: none, fingers, successors.
-        tiers = [None]
-        if family == "chord":
-            tiers += [np.full(own.shape, tier, dtype=np.int8) for tier in (0, 1)]
         for mode in RoutingMode:
-            for edge_class in tiers:
-                keyed = policy.candidate_keys(current, own, target, mode, edge_class)
-                assert keyed.shape == own.shape
-                assert (keyed >= policy.blocked).all(), (mode, edge_class is None)
+            for edge_class in _tiers(family, own.shape):
+                keyed, bound = policy.candidate_keys(current, own, target, mode, edge_class)
+                assert keyed.shape == own.shape and bound.shape == current.shape
+                assert (keyed >= bound[:, None]).all(), (mode, edge_class is None)
+                assert (bound <= policy.blocked).all()
+
+
+def _admissible(family, policy, size, mode, current, neighbor, target):
+    """The scalar rule: strictly closer (and, one-sided, no overshoot); Chord
+    advances clockwise by at least one without passing the target."""
+    def distance(a, b):
+        return int(policy.distance(np.array([a]), np.array([b]))[0])
+
+    if family == "chord":
+        return 1 <= distance(current, neighbor) <= distance(current, target)
+    closer = distance(neighbor, target) < distance(current, target)
+    if family in ("ring", "line") and mode is RoutingMode.ONE_SIDED:
+        space = RingMetric(size) if family == "ring" else LineMetric(size)
+        before = space.displacement(current, target)
+        after = space.displacement(neighbor, target)
+        if (before > 0) != (after > 0) and after != 0:
+            return False
+    return closer
+
+
+class TestKeysBelowTheBound:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(["ring", "line", "torus", "prefix", "chord"]),
+        scale=st.integers(min_value=0, max_value=3),
+        mode=st.sampled_from(list(RoutingMode)),
+        data=st.data(),
+    )
+    def test_admissibility_matches_the_scalar_rule(self, family, scale, mode, data):
+        """``keys < bound[:, None]`` is exactly the scalar rule's candidate set."""
+        policy, size = _policy(family, scale)
+        point = st.integers(min_value=0, max_value=size - 1)
+        queries = data.draw(st.integers(min_value=1, max_value=6))
+        width = data.draw(st.integers(min_value=1, max_value=6))
+        current = data.draw(st.lists(point, min_size=queries, max_size=queries))
+        target = data.draw(st.lists(point, min_size=queries, max_size=queries))
+        rows = data.draw(
+            st.lists(st.lists(point, min_size=width, max_size=width),
+                     min_size=queries, max_size=queries)
+        )
+        dtype = label_dtype(size)
+        arrays = [np.array(values, dtype=dtype) for values in (current, rows, target)]
+        for edge_class in _tiers(family, (queries, width)):
+            keyed, bound = policy.candidate_keys(*arrays, mode, edge_class)
+            expected = [
+                [_admissible(family, policy, size, mode, c, n, t) for n in row]
+                for c, row, t in zip(current, rows, target)
+            ]
+            assert (keyed < bound[:, None]).tolist() == expected

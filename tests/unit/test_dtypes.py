@@ -199,18 +199,21 @@ class TestPolicyCutoffs:
 
         (current, neighbors, targets), labels, pairs = _probe(size)
         policy = MetricGreedyPolicy("ring", size)
-        keys = policy.candidate_keys(current, neighbors, targets, mode)
-        expected = []
+        keys, bound = policy.candidate_keys(current, neighbors, targets, mode)
+        expected, admissible = [], []
         for source, target in pairs:
             row = []
             for neighbor in labels:
                 before, after = displacement(source, target), displacement(neighbor, target)
-                admissible = distance(neighbor, target) < distance(source, target) and not (
+                overshoot = (
                     mode is RoutingMode.ONE_SIDED and (before > 0) != (after > 0) and after != 0
                 )
-                row.append(distance(neighbor, target) if admissible else size + 1)
+                row.append(size + 1 if overshoot else distance(neighbor, target))
             expected.append(row)
+            admissible.append([key < distance(source, target) for key in row])
         assert keys.tolist() == expected
+        assert bound.tolist() == [distance(a, b) for a, b in pairs]
+        assert (keys < bound[:, None]).tolist() == admissible
         assert policy.distance(current, targets).tolist() == [distance(a, b) for a, b in pairs]
 
     @pytest.mark.parametrize("size", [1 << 29, (1 << 29) + 1, 1 << 30])
@@ -221,7 +224,7 @@ class TestPolicyCutoffs:
         (current, neighbors, targets), labels, pairs = _probe(size)
         # Slots alternate finger (class 0) and successor (class 1).
         edge_class = np.tile(np.array([0, 1, 0, 1], dtype=np.int8), (len(pairs), 1))
-        keys = ChordGreedyPolicy(size).candidate_keys(
+        keys, bound = ChordGreedyPolicy(size).candidate_keys(
             current, neighbors, targets, RoutingMode.ONE_SIDED, edge_class
         )
         expected = []
@@ -238,6 +241,7 @@ class TestPolicyCutoffs:
                     row.append(remaining - advance)
             expected.append(row)
         assert keys.tolist() == expected
+        assert bound.tolist() == [2 * size + 3] * len(pairs)
         assert ChordGreedyPolicy(size).distance(current, targets).tolist() == [
             clockwise(a, b) for a, b in pairs
         ]
@@ -252,7 +256,7 @@ class TestPolicyCutoffs:
 
         (current, neighbors, targets), labels, pairs = _probe(size)
         policy = PrefixGreedyPolicy(base=base, digits=digits)
-        keys = policy.candidate_keys(current, neighbors, targets, RoutingMode.TWO_SIDED)
+        keys, bound = policy.candidate_keys(current, neighbors, targets, RoutingMode.TWO_SIDED)
         expected = [
             [
                 distance(source, target) - 1
@@ -263,6 +267,7 @@ class TestPolicyCutoffs:
             for source, target in pairs
         ]
         assert keys.tolist() == expected
+        assert bound.tolist() == [digits + 1] * len(pairs)
         assert policy.distance(current, targets).tolist() == [distance(a, b) for a, b in pairs]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.graph import OverlayGraph
@@ -26,6 +27,16 @@ class TestNodeManagement:
     def test_add_node_outside_space_rejected(self, graph):
         with pytest.raises(ValueError):
             graph.add_node(100)
+
+    def test_add_node_takes_numpy_integers_as_ints(self, graph):
+        node = graph.add_node(np.int64(3))
+        assert type(node.label) is int
+        assert graph.add_node(np.int32(3)) is node
+        assert 3 in graph.labels() and all(type(label) is int for label in graph.labels())
+
+    def test_add_node_rejects_bool(self, graph):
+        with pytest.raises(ValueError):
+            graph.add_node(True)
 
     def test_has_node_and_contains(self, graph):
         assert graph.has_node(0)

@@ -2,9 +2,25 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.core.metric import LineMetric, RingMetric, TorusMetric
+from repro.core.metric import LineMetric, PrefixMetric, RingMetric, TorusMetric
+
+
+@pytest.mark.parametrize(
+    "space", [LineMetric(64), RingMetric(64), PrefixMetric(base=2, digits=6)]
+)
+class TestIntegerPoints:
+    """Any integer type is a point (NumPy's included); ``bool`` is not."""
+
+    @pytest.mark.parametrize("point", [33, np.int64(33), np.int32(33), np.uint8(0)])
+    def test_integers_in_range_are_points(self, space, point):
+        assert space.contains(point)
+
+    @pytest.mark.parametrize("point", [True, False, np.int64(64), -1, 33.0, "33"])
+    def test_bools_and_out_of_range_are_not(self, space, point):
+        assert not space.contains(point)
 
 
 class TestLineMetric:
@@ -116,6 +132,8 @@ class TestTorusMetric:
         assert not torus.contains((0, 4))
         assert not torus.contains((1,))
         assert not torus.contains(3)
+        assert torus.contains((np.int64(0), np.int32(3)))
+        assert not torus.contains((True, 3))
 
     def test_all_points_count(self):
         torus = TorusMetric(3, dimensions=2)

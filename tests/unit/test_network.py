@@ -6,6 +6,7 @@ storage — is tested in ``test_dht.py``.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.network import P2PNetwork
@@ -29,6 +30,18 @@ class TestMembership:
     def test_join_out_of_space_rejected(self, network):
         with pytest.raises(ValueError):
             network.join(1000)
+
+    def test_numpy_integer_joins_store_python_ints(self):
+        net = P2PNetwork(space_size=64)
+        net.join(np.int64(33))
+        net.join_many([np.int32(5), np.int64(60)])
+        assert net.members() == [33, 5, 60]
+        assert all(type(label) is int for label in net.members())
+
+    @pytest.mark.parametrize("address", [True, np.int64(64), 3.0])
+    def test_non_points_rejected(self, address):
+        with pytest.raises(ValueError, match="outside the identifier space"):
+            P2PNetwork(space_size=64).join(address)
 
     def test_leave_removes_member(self, network):
         network.leave(8)

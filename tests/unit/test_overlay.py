@@ -5,6 +5,8 @@ from __future__ import annotations
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,9 @@ from repro.overlay import (
     TorusGreedyPolicy,
 )
 from repro.overlay.mixin import OverlayMixin
+from repro.simulation.workload import LookupWorkload
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def _all_systems():
@@ -168,28 +173,28 @@ class TestGreedyPolicies:
         # target.  Chord's scalar rule takes the finger; so must the keys.
         neighbors = np.array([[2, 3]])
         classes = np.array([[0, 1]], dtype=np.int8)
-        keyed = policy.candidate_keys(
+        keyed, bound = policy.candidate_keys(
             current, neighbors, targets, RoutingMode.TWO_SIDED, classes
         )
-        assert keyed[0, 0] < keyed[0, 1] < policy.blocked
+        assert keyed[0, 0] < keyed[0, 1] < bound[0]
         assert int(np.argmin(keyed[0])) == 0
 
     def test_chord_policy_blocks_overshoot(self):
         policy = ChordGreedyPolicy(size=64)
-        keyed = policy.candidate_keys(
+        keyed, bound = policy.candidate_keys(
             np.array([0]),
             np.array([[10]]),
             np.array([5]),
             RoutingMode.TWO_SIDED,
             np.zeros((1, 1), dtype=np.int8),
         )
-        assert keyed[0, 0] >= policy.blocked
+        assert keyed[0, 0] >= bound[0]
 
     def test_chord_successor_fallback_picks_nearest(self):
         policy = ChordGreedyPolicy(size=64)
         # Two successors, both admissible: the nearer one must win, matching
         # the scalar first-in-list fallback.
-        keyed = policy.candidate_keys(
+        keyed, _ = policy.candidate_keys(
             np.array([0]),
             np.array([[1, 2]]),
             np.array([10]),
@@ -239,3 +244,57 @@ class TestP2PNetworkConformance:
         network.join_many(list(range(0, 256, 2)))
         result = network.route(0, 200)
         assert result.success
+
+
+def _readme_custom_overlay_blocks() -> list[str]:
+    """The python blocks of the README section "Implementing your own Overlay"."""
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Implementing your own Overlay", 1)[1]
+    section = section.split("**Direct-to-CSR builds.**", 1)[0]
+    return re.findall(r"```python\n(.*?)```", section, flags=re.S)
+
+
+def _clockwise_walk(ring, source: int, target: int) -> list[int]:
+    """Scalar one-sided walk: the live neighbour advancing farthest without
+    passing the target, the first-listed one on ties."""
+    path = [source]
+    while path[-1] != target and len(path) <= ring.hop_limit:
+        current = path[-1]
+        remaining = (target - current) % ring.n
+        best_advance, best = 0, None
+        for neighbor in ring.neighbors_of(current):
+            advance = (neighbor - current) % ring.n
+            if ring.is_alive(neighbor) and best_advance < advance <= remaining:
+                best_advance, best = advance, neighbor
+        if best is None:
+            break
+        path.append(best)
+    return path
+
+
+class TestReadmeCustomOverlay:
+    def test_snippets_run_and_route_like_the_scalar_rules(self, capsys):
+        blocks = _readme_custom_overlay_blocks()
+        assert len(blocks) == 3
+        namespace: dict = {"__name__": "readme_custom_overlay"}
+        for block in blocks:
+            exec(compile(block, "README.md", "exec", dont_inherit=True), namespace)
+        ring = namespace["ring"]
+        expected = np.array([ring.route(0, 255).success, ring.route(3, 400).success])
+        assert capsys.readouterr().out.strip() == str(expected)
+
+        class ClockwiseRing(namespace["EveryOtherRing"]):
+            def greedy_policy(self):
+                return namespace["ClockwisePolicy"](self.n)
+
+        clockwise = ClockwiseRing(64)
+        clockwise.fail_fraction(0.2, seed=7)
+        pairs = LookupWorkload(seed=3).pairs(clockwise.labels(only_alive=True), 200)
+        router = namespace["BatchGreedyRouter"](
+            clockwise.compile_snapshot(), hop_limit=clockwise.hop_limit
+        )
+        result = router.route_pairs(pairs, record_paths=True)
+        paths = [_clockwise_walk(clockwise, source, target) for source, target in pairs]
+        assert result.paths == paths
+        assert result.success.tolist() == [path[-1] == target for path, (_, target) in zip(paths, pairs)]
+        assert 0 < result.success_rate() < 1
