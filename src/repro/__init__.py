@@ -50,7 +50,6 @@ from repro.core import (
     RedundantRouter,
     RingMetric,
     RouteResult,
-    RoutingMode,
     Table1Bounds,
     TorusMetric,
     build_heuristic_network,
@@ -65,7 +64,6 @@ __all__ = [
     "P2PNetwork",
     "OverlayGraph",
     "GreedyRouter",
-    "RoutingMode",
     "RecoveryStrategy",
     "RouteResult",
     "RingMetric",

@@ -47,7 +47,6 @@ from repro.core.routing import (
     GreedyRouter,
     RecoveryStrategy,
     RouteResult,
-    RoutingMode,
 )
 
 __all__ = [
@@ -72,7 +71,6 @@ __all__ = [
     "build_ideal_network",
     # routing
     "GreedyRouter",
-    "RoutingMode",
     "RecoveryStrategy",
     "FailureReason",
     "RouteResult",

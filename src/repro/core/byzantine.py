@@ -30,7 +30,6 @@ from repro.core.routing import (
     GreedyRouter,
     RecoveryStrategy,
     RouteResult,
-    RoutingMode,
 )
 from repro.util.rng import spawn_rng
 
@@ -53,8 +52,6 @@ class ByzantineAwareRouter:
         Overlay graph to route over.
     adversary:
         The Byzantine model marking compromised nodes.
-    mode:
-        Greedy routing mode for honest hops.
     hop_limit:
         Safety bound on the number of hops.
     seed:
@@ -63,16 +60,13 @@ class ByzantineAwareRouter:
 
     graph: OverlayGraph
     adversary: ByzantineModel
-    mode: RoutingMode = RoutingMode.TWO_SIDED
     hop_limit: int | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
         self._honest_router = GreedyRouter(
             graph=self.graph,
-            mode=self.mode,
             recovery=RecoveryStrategy.TERMINATE,
-            strict_best_neighbor=False,
             hop_limit=self.hop_limit,
             seed=self.seed,
         )

@@ -12,8 +12,7 @@ that the Kleinberg-style baselines and the extension experiments have a home.
 Every metric space in this module is a space of *integer grid points* (the
 paper embeds nodes at grid points), identified by either a single integer
 (line, ring) or a tuple of integers (torus).  The classes are deliberately
-small: they expose distance, the directed offset used by one-sided routing,
-and uniform sampling of points.
+small: they expose distance and uniform sampling of points.
 """
 
 from __future__ import annotations
@@ -96,20 +95,6 @@ class MetricSpace(abc.ABC):
         """Return ``True`` when ``a`` is strictly closer to ``target`` than ``b``."""
         return self.distance(a, target) < self.distance(b, target)
 
-    # One-dimensional spaces additionally expose a *signed* displacement used
-    # by one-sided routing ("never jump past the target").  Spaces for which
-    # the notion does not apply raise ``NotImplementedError``.
-
-    def displacement(self, source: Point, target: Point) -> int:
-        """Return a signed displacement from ``source`` towards ``target``.
-
-        Only meaningful for one-dimensional spaces; the sign indicates the
-        direction of travel and the magnitude equals :meth:`distance`.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not define a signed displacement"
-        )
-
 
 @dataclass(frozen=True)
 class LineMetric(MetricSpace):
@@ -135,10 +120,6 @@ class LineMetric(MetricSpace):
     def distance(self, a: int, b: int) -> int:
         """Absolute difference ``|a - b|``."""
         return abs(int(a) - int(b))
-
-    def displacement(self, source: int, target: int) -> int:
-        """Signed difference ``target - source``."""
-        return int(target) - int(source)
 
     def size(self) -> int:
         return self.n
@@ -175,16 +156,6 @@ class RingMetric(MetricSpace):
         """Shorter arc distance between ``a`` and ``b`` on the ring."""
         diff = abs(int(a) - int(b)) % self.n
         return min(diff, self.n - diff)
-
-    def displacement(self, source: int, target: int) -> int:
-        """Signed shorter-arc displacement from ``source`` to ``target``.
-
-        Positive values mean clockwise travel (increasing labels).  When the
-        two arcs are equal in length the positive direction is returned.
-        """
-        forward = (int(target) - int(source)) % self.n
-        backward = forward - self.n
-        return forward if forward <= -backward else backward
 
     def clockwise_distance(self, a: int, b: int) -> int:
         """Distance from ``a`` to ``b`` travelling only clockwise.

@@ -2,13 +2,8 @@
 
 Routing (Sections 2, 4 and 6 of the paper) is purely local: the node holding
 the message forwards it to the neighbour whose metric-space point is closest
-to the target.  Two flavours are analysed:
-
-* **two-sided** greedy routing — move to the neighbour minimising the distance
-  to the target, regardless of which side of the target it lands on;
-* **one-sided** greedy routing — never traverse a link that would overshoot
-  the target (the model matching Chord-style unidirectional links and the
-  stronger lower bound of Theorem 10).
+to the target, whichever side of the target it lands on (the paper's
+*two-sided* greedy rule, the one its Section-6 experiments route with).
 
 When failures leave a node without a usable next hop, Section 6 evaluates
 three recovery strategies, all implemented here:
@@ -21,26 +16,18 @@ three recovery strategies, all implemented here:
    best untried neighbour.
 
 A node is *stuck* when it "cannot find a live neighbour that is closer to the
-target node than itself" (Section 6): by default a node skips dead neighbours
-and forwards to its closest **live** closer neighbour
-(``strict_best_neighbor=False``), which reproduces the paper's observation
-that the terminate strategy loses slightly fewer than ``p`` of its searches
-when a fraction ``p`` of the nodes has failed.  Setting
-``strict_best_neighbor=True`` models a harsher knowledge regime in which a
-node commits to its closest neighbour before discovering whether it is alive
-and gives up on that hop if it is dead ("once a node chooses its best
-neighbour, it does not send the message to any other link"); the ablation
-experiments quantify the difference.
+target node than itself" (Section 6): a node skips dead neighbours and
+forwards to its closest **live** closer neighbour, which reproduces the
+paper's observation that the terminate strategy loses slightly fewer than
+``p`` of its searches when a fraction ``p`` of the nodes has failed.
 
 Relationship to the fastpath engine (equivalence contract)
 ----------------------------------------------------------
-This module is the **reference implementation** covering every model the
-paper analyses: both routing modes (Sections 2 and 4), all three Section-6
-recovery strategies, both neighbour-knowledge regimes, and arbitrary
-node/link failures.  :mod:`repro.fastpath` provides a batched array engine
-for the statistically heavy experiments; within its envelope — two-sided or
-one-sided routing, node failures, and **all three** recovery strategies — it
-is hop-for-hop identical to :class:`GreedyRouter` (same candidate order,
+This module is the **reference implementation**: all three Section-6
+recovery strategies over arbitrary node/link failures.  :mod:`repro.fastpath`
+provides a batched array engine for the statistically heavy experiments;
+within its envelope — node failures and **all three** recovery strategies —
+it is hop-for-hop identical to :class:`GreedyRouter` (same candidate order,
 same tie-breaks, same hop limit, same re-route draws and backtrack victim
 selection), which ``tests/property/test_property_fastpath.py`` asserts
 path-for-path.  Re-route parity additionally assumes the scalar default
@@ -62,19 +49,11 @@ from repro.core.graph import OverlayGraph
 from repro.util.rng import spawn_rng
 
 __all__ = [
-    "RoutingMode",
     "RecoveryStrategy",
     "FailureReason",
     "RouteResult",
     "GreedyRouter",
 ]
-
-
-class RoutingMode(enum.Enum):
-    """Which greedy rule the router uses to pick the next hop."""
-
-    TWO_SIDED = "two-sided"
-    ONE_SIDED = "one-sided"
 
 
 class RecoveryStrategy(enum.Enum):
@@ -144,8 +123,6 @@ class GreedyRouter:
     graph:
         The overlay graph to route over.  Liveness flags on nodes and links
         are respected.
-    mode:
-        Two-sided (default) or one-sided greedy forwarding.
     recovery:
         Recovery strategy when the greedy step has no usable next hop.
     backtrack_depth:
@@ -153,17 +130,11 @@ class GreedyRouter:
         (the paper uses 5).
     max_reroutes:
         Maximum number of random re-route detours per search.
-    strict_best_neighbor:
-        When ``False`` (default, the paper's experimental behaviour) a node
-        skips dead neighbours and forwards to its closest *live* closer
-        neighbour; when ``True`` it commits to its closest neighbour even if
-        that neighbour turns out to be dead.
     symmetric_neighbors:
         When ``True`` (default) a node may forward along links that point *at*
         it as well as its own outgoing links — link creation is a handshake,
         so both endpoints know each other.  Set to ``False`` to route over the
-        strictly directed graph (the model used by the one-sided lower-bound
-        analysis).
+        strictly directed graph.
     hop_limit:
         Safety limit on the total number of hops; ``None`` derives a generous
         default from the graph size.
@@ -172,11 +143,9 @@ class GreedyRouter:
     """
 
     graph: OverlayGraph
-    mode: RoutingMode = RoutingMode.TWO_SIDED
     recovery: RecoveryStrategy = RecoveryStrategy.TERMINATE
     backtrack_depth: int = 5
     max_reroutes: int = 1
-    strict_best_neighbor: bool = False
     symmetric_neighbors: bool = True
     hop_limit: int | None = None
     seed: int = 0
@@ -234,9 +203,7 @@ class GreedyRouter:
         """Return the neighbours of ``current`` that make strict progress.
 
         Dead *links* are never candidates (a node knows its own link state);
-        dead *nodes* are included or excluded depending on
-        ``strict_best_neighbor`` — under the strict model the node does not
-        know a neighbour is dead until it has committed to it.
+        dead *nodes* are, and the callers skip them.
         """
         space = self.graph.space
         current_distance = space.distance(current, target)
@@ -248,47 +215,18 @@ class GreedyRouter:
         )
         candidates: list[int] = []
         for neighbor in neighbors:
-            if self.mode is RoutingMode.ONE_SIDED and self._overshoots(
-                current, neighbor, target
-            ):
-                continue
             if space.distance(neighbor, target) < current_distance:
                 candidates.append(neighbor)
         candidates.sort(key=lambda label: space.distance(label, target))
         return candidates
 
-    def _overshoots(self, current: int, neighbor: int, target: int) -> bool:
-        """Return ``True`` when moving to ``neighbor`` would jump past ``target``.
-
-        One-sided routing never traverses such a link.  The test uses the
-        signed displacement of the underlying one-dimensional space; for
-        spaces without a displacement notion the check degrades to ``False``
-        (one-sided routing is then equivalent to two-sided).
-        """
-        try:
-            before = self.graph.space.displacement(current, target)
-            after = self.graph.space.displacement(neighbor, target)
-        except NotImplementedError:
-            return False
-        if before == 0:
-            return after != 0
-        # Overshooting means the displacement changes sign.
-        return (before > 0) != (after > 0) and after != 0
-
     def _next_hop(self, current: int, target: int) -> int | None:
         """Pick the greedy next hop from ``current`` towards ``target``.
 
-        Returns ``None`` when the node is stuck: either it has no neighbour
-        closer to the target, or (in the strict model) its closest neighbour
-        is dead.
+        Returns ``None`` when the node is stuck: it has no live neighbour
+        closer to the target.
         """
-        candidates = self._candidate_neighbors(current, target)
-        if not candidates:
-            return None
-        if self.strict_best_neighbor:
-            best = candidates[0]
-            return best if self.graph.is_alive(best) else None
-        for candidate in candidates:
+        for candidate in self._candidate_neighbors(current, target):
             if self.graph.is_alive(candidate):
                 return candidate
         return None
@@ -365,17 +303,16 @@ class GreedyRouter:
         """Greedy routing that backtracks through recently visited nodes.
 
         The router keeps a bounded history of the last ``backtrack_depth``
-        visited nodes together with the next-hop candidates each has not yet
-        tried.  When the search gets stuck it pops back to the most recent
-        entry with an untried candidate and continues from there.  Every
-        backtrack move costs one hop (the message physically travels back).
+        nodes it forwarded from, and per node the candidates it has already
+        tried there.  When the search gets stuck it returns to the most
+        recent history entry and continues from there.  Every backtrack move
+        costs one hop (the message physically travels back).
         """
         path = [source]
         hops = 0
         backtracks = 0
 
-        # Each history entry is (label, remaining untried candidates).
-        history: list[tuple[int, list[int]]] = []
+        history: list[int] = []
         tried_from: dict[int, set[int]] = {}
 
         current = source
@@ -393,24 +330,23 @@ class GreedyRouter:
 
             if next_hop is None:
                 # Stuck at ``current``: backtrack if history allows.
-                previous = self._pop_backtrack_entry(history, tried_from)
-                if previous is None:
+                if not history:
                     return RouteResult(
                         success=False, hops=hops, path=path,
                         failure_reason=FailureReason.STUCK, backtracks=backtracks,
                     )
-                current = previous
+                current = history.pop()
                 path.append(current)
                 hops += 1
                 backtracks += 1
                 continue
 
-            history.append((current, [c for c in untried if c != next_hop]))
+            history.append(current)
             if len(history) > self.backtrack_depth:
-                dropped_label, _ = history.pop(0)
+                dropped_label = history.pop(0)
                 # Forget the tried-set of nodes that fall out of the window so
                 # the memory footprint stays bounded, as in the paper's model.
-                if dropped_label not in (entry[0] for entry in history):
+                if dropped_label not in history:
                     tried_from.pop(dropped_label, None)
 
             current = next_hop
@@ -427,35 +363,11 @@ class GreedyRouter:
     ) -> int | None:
         """Choose the next hop among untried candidates, marking it as tried.
 
-        Under the strict model the node commits to the single best untried
-        candidate: if it is dead, the candidate is consumed and the node is
-        considered stuck for this visit.  Under the lenient model dead
-        candidates are skipped until a live one is found.
+        Dead candidates are marked as tried and skipped until a live one is
+        found.
         """
-        if not untried:
-            return None
-        if self.strict_best_neighbor:
-            best = untried[0]
-            already_tried.add(best)
-            return best if self.graph.is_alive(best) else None
         for candidate in untried:
             already_tried.add(candidate)
             if self.graph.is_alive(candidate):
                 return candidate
-        return None
-
-    @staticmethod
-    def _pop_backtrack_entry(
-        history: list[tuple[int, list[int]]],
-        tried_from: dict[int, set[int]],
-    ) -> int | None:
-        """Pop history entries until one with an untried candidate is found.
-
-        Returns the label to backtrack to, or ``None`` when the history is
-        exhausted.  Entries are re-usable: the returned label stays available
-        for future visits through the normal flow.
-        """
-        while history:
-            label, _remaining = history.pop()
-            return label
         return None

@@ -193,7 +193,7 @@ def _byzantine(spec: ScenarioSpec) -> ScenarioOutcome:
     The one routing scenario off the ``EngineSession`` seam (object engine
     only), because no liveness mask over a snapshot reproduces its table:
     under DROP the hop *into* a compromised node is counted before the loss,
-    where the strict batch regime fails at the pick uncounted; failed
+    where a batch router masking it dead would never take that hop; failed
     redundant legs add their hops to ``redundant_mean_hops``; and a detour is
     drawn from all live labels, so a compromised one is a valid leg *target*
     (arrival is checked before the drop) and an honest leg *source*, where a

@@ -20,9 +20,8 @@ those populations cheap.  It has two halves:
 Coverage and the equivalence contract
 -------------------------------------
 The fastpath engine covers greedy routing as analysed in Sections 2 and 4 and
-evaluated under node failures in Section 6 of the paper, for both the
-two-sided and one-sided routing modes and **all three** Section-6 recovery
-strategies (terminate, random re-route, backtracking).  Within that envelope
+evaluated under node failures in Section 6 of the paper, with **all three**
+Section-6 recovery strategies (terminate, random re-route, backtracking).  Within that envelope
 it is hop-for-hop identical to the scalar
 :class:`~repro.core.routing.GreedyRouter` (same paths, same hop counts, same
 failure verdicts, same detour draws and backtrack moves) — asserted by
@@ -68,7 +67,6 @@ from repro.fastpath.failures import apply_node_failures, sample_node_failures
 from repro.fastpath.shm import ArenaSpec, SnapshotArena
 from repro.fastpath.snapcache import (
     cached_attach,
-    cached_build_snapshot,
     snapshot_cache_clear,
     snapshot_cache_stats,
 )
@@ -81,7 +79,6 @@ __all__ = [
     "ArenaSpec",
     "SnapshotArena",
     "cached_attach",
-    "cached_build_snapshot",
     "snapshot_cache_clear",
     "snapshot_cache_stats",
     "SNAPSHOT_CONTRACT",

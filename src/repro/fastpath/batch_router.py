@@ -19,14 +19,12 @@ on liveness.
 **Pick, then repair.**  A failed node or link is something the step
 discovers when it looks (Sections 4.3.4 and 6), not something folded into the
 matrix beforehand.  Liveness is checked on the pick alone — ``edge_alive`` at
-its slot in both knowledge regimes (a node knows its own table's health),
-``alive`` of the vertex in the lenient regime — and only the rows whose pick
-is ruled out are re-keyed once against the liveness of their own CSR slice
-and re-``argmin``-ed.  This equals masking every row first: when the first
-minimum over *all* admissible slots is usable it is also the first minimum
-over the usable ones (same key, and no earlier slot can tie it), and a
-repaired row is exactly the masked row.  The strict regime is unchanged —
-commit to the best candidate, then learn whether it is alive.
+its slot (a node knows its own table's health) and ``alive`` of the vertex —
+and only the rows whose pick is ruled out are re-keyed once against the
+liveness of their own CSR slice and re-``argmin``-ed.  This equals masking
+every row first: when the first minimum over *all* admissible slots is usable
+it is also the first minimum over the usable ones (same key, and no earlier
+slot can tie it), and a repaired row is exactly the masked row.
 
 All three Section-6 recovery strategies are implemented:
 
@@ -62,11 +60,10 @@ guarantee rests on three details:
   per query, which is the only budget the batch router has: larger ones
   interleave draws across queries and stay scalar-only).
 
-Supported: both routing modes (``TWO_SIDED`` and ``ONE_SIDED``, Sections 2
-and 4 of the paper), both neighbour-knowledge regimes
-(``strict_best_neighbor`` True/False), node failures (Sections 4.3.4.2 and
-6), and all three recovery strategies of Section 6.  Parity is asserted
-path-for-path by ``tests/property/test_property_fastpath.py``.
+Supported: the paper's greedy rule (a node skips dead neighbours), node and
+link failures (Sections 4.3.4.2 and 6), and all three recovery strategies of
+Section 6.  Parity is asserted path-for-path by
+``tests/property/test_property_fastpath.py``.
 """
 
 from __future__ import annotations
@@ -77,12 +74,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.core.routing import (
-    FailureReason,
-    RecoveryStrategy,
-    RouteResult,
-    RoutingMode,
-)
+from repro.core.routing import FailureReason, RecoveryStrategy, RouteResult
 from repro.fastpath.snapshot import FastpathSnapshot
 from repro.telemetry.core import (
     HOP_BUCKETS,
@@ -219,7 +211,7 @@ class _PrefixTable:
     consumed in distance-sorted order — (key, slot) order over the node's
     label row — that set is always a prefix of it, so the row slot of the
     prefix's *last* candidate carries the full state; the row width (one past
-    the last slot) marks a lenient node with nothing usable left.  Entries
+    the last slot) marks a node with nothing usable left.  Entries
     live in a small, growable table per query (``-1`` marks a free entry);
     the scalar router's bounded-memory rule — forget a node's tried-set when
     it falls out of the backtrack window — maps to :meth:`delete`.
@@ -289,16 +281,12 @@ class BatchGreedyRouter:
         The compiled overlay.  Its ``alive`` mask is the node-liveness the
         router respects; link liveness was baked in at compile time, or
         rides along as the ``edge_alive`` mask of a liveness-tier delta.
-    mode:
-        Two-sided (default) or one-sided greedy forwarding.
     recovery:
         Any of the three Section-6 strategies (terminate, random re-route,
         backtracking).
     backtrack_depth:
         Number of recently visited nodes remembered for backtracking
         (the paper uses 5).
-    strict_best_neighbor:
-        Same knowledge-regime switch as the scalar router.
     hop_limit:
         Per-query hop budget; ``None`` derives the scalar router's default
         from the space size.
@@ -314,10 +302,8 @@ class BatchGreedyRouter:
     """
 
     snapshot: FastpathSnapshot
-    mode: RoutingMode = RoutingMode.TWO_SIDED
     recovery: RecoveryStrategy = RecoveryStrategy.TERMINATE
     backtrack_depth: int = 5
-    strict_best_neighbor: bool = False
     hop_limit: int | None = None
     seed: int = 0
     reroute_pool: object = None
@@ -733,8 +719,8 @@ class BatchGreedyRouter:
         """Whether a node would propose CSR entry ``slot`` (leading to ``vertex``).
 
         A node knows its own table's health, so a dead *link* is never
-        proposed in either knowledge regime; a dead *neighbour* is skipped
-        only in the lenient one (``skip_dead``).
+        proposed; a dead *neighbour* is skipped too (``skip_dead`` is false
+        only when every node is alive, which spares the liveness gather).
         """
         snapshot = self.snapshot
         usable = np.take(snapshot.alive, vertex) if skip_dead else np.ones(slot.shape, dtype=bool)
@@ -795,16 +781,16 @@ class BatchGreedyRouter:
         slots it rules out (dead, tried); it is at or above every bound.
         Backtracking passes its ``tried`` table and each row's query: a row at
         a node the query has tried candidates from is first re-keyed against
-        that tried set (:meth:`_untried_keys`), and the pick, alive or not,
-        becomes the node's last consumed slot; with nothing left, a lenient
-        node is exhausted and a strict one keeps its tried set.
+        that tried set (:meth:`_untried_keys`), and the pick becomes the
+        node's last consumed slot; with nothing usable left, the node is
+        exhausted.
 
         Returns ``(chosen, stuck, repaired, revisited)``: the next-hop vertex
         per query (undefined where stuck), the stuck mask, and how many rows
         were re-keyed for an unusable pick and against a tried set.
         """
         snapshot = self.snapshot
-        skip_dead = not self.strict_best_neighbor and not all_alive
+        skip_dead = not all_alive
         compact_labels = snapshot.labels_compact()
         class_matrix = snapshot.class_matrix()
         policy = self.policy
@@ -812,7 +798,6 @@ class BatchGreedyRouter:
             compact_labels[current],
             snapshot.label_matrix()[current],
             compact_labels[target],
-            self.mode,
             edge_class=class_matrix[current] if class_matrix is not None else None,
         )
         # Slot s of row r is admissible iff keyed[r, s] < bound[r]; the
@@ -860,12 +845,6 @@ class BatchGreedyRouter:
                 if tried is not None:
                     pick[repair] = repick
 
-        stuck = ~has_candidate
-        if self.strict_best_neighbor and not all_alive:
-            # The node commits to its best candidate before learning whether
-            # it is alive; a dead best candidate means the query is stuck.
-            stuck |= ~snapshot.alive[chosen]
         if tried is not None:
-            exhausted = last if self.strict_best_neighbor else keyed.shape[1]
-            tried.store(queries, current, np.where(has_candidate, pick, exhausted), entry)
-        return chosen, stuck, repaired, revisited
+            tried.store(queries, current, np.where(has_candidate, pick, keyed.shape[1]), entry)
+        return chosen, ~has_candidate, repaired, revisited

@@ -20,12 +20,13 @@ what dtype every snapshot / delta-mirror array field carries:
 Why ``2**30`` is the label cutoff
 ---------------------------------
 Labels are grid points in ``[0, space_size)``.  The ring arithmetic the
-policies and the batch router execute keeps every intermediate bounded by
-``2 * space_size - 1`` (shorter-arc displacement adds ``space_size`` once),
-and ``MetricGreedyPolicy``'s blocked sentinel is ``space_size + 1`` — so
-``space_size <= 2**30`` guarantees every intermediate fits ``int32``.  This
-is the same cutoff ``FastpathSnapshot.labels_compact`` has always used, so
-the routing arithmetic on narrowed labels is already parity-proven.
+policies and the batch router execute stays within ``[-space_size,
+space_size + 1]`` — label differences, shorter-arc distances
+(``space_size - |a - b|``) and ``MetricGreedyPolicy``'s blocked sentinel
+``space_size + 1`` — so ``space_size <= 2**30`` leaves every intermediate
+well inside ``int32``.  This is the same cutoff
+``FastpathSnapshot.labels_compact`` has always used, so the routing
+arithmetic on narrowed labels is already parity-proven.
 ``ChordGreedyPolicy`` keys reach ``2 * size + 3`` and therefore widens its
 own arithmetic back to ``int64`` above ``2**29`` internally; that is a key
 computation detail, not a storage contract.

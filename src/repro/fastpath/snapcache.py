@@ -1,61 +1,39 @@
-"""Per-process snapshot cache for sweep workers and service drivers.
+"""Per-process arena cache for multi-worker service drivers.
 
-``Sweep`` fans cells out over a long-lived ``ProcessPoolExecutor``; each
-worker executes many cells back to back, and every immutable-topology cell
-pays a fresh :func:`~repro.fastpath.builder.build_snapshot` even when the
-worker just built the exact same arrays.  The same shape recurs in the
-multi-worker service driver, where every routing task re-attaches the same
-:class:`~repro.fastpath.shm.SnapshotArena` segment.
+In the multi-worker service driver every routing task re-attaches the same
+:class:`~repro.fastpath.shm.SnapshotArena` segment.  :func:`cached_attach`
+is the per-worker memo: :meth:`~repro.fastpath.shm.SnapshotArena.attach`
+keyed on the segment name, so a worker maps each arena once per process
+however many tasks it executes against it.
 
-This module is that per-worker memo, with two entry points:
-
-* :func:`cached_build_snapshot` — :func:`build_snapshot` keyed on its **full**
-  argument tuple (including the seed).  Keying on the whole tuple rather than
-  just the topology shape is what keeps the cache unconditionally correct:
-  two cells whose derived seeds differ *must* rebuild, and the deterministic
-  per-cell seeding (`derive_seed(master, "sweep", scenario, cell_key)`) makes
-  seed equality exactly topology identity.
-* :func:`cached_attach` — :meth:`~repro.fastpath.shm.SnapshotArena.attach`
-  keyed on the segment name, so a worker maps each arena once per process
-  however many tasks it executes against it.
-
-Both report ``sweep.snapshot_cache.hits`` / ``sweep.snapshot_cache.misses``
-into the active telemetry session.  Sharing cached snapshots is safe because
-:class:`~repro.fastpath.snapshot.FastpathSnapshot` is immutable — failure
-experiments derive mask copies (``with_alive``), never mutate — and the lazy
-dense-matrix cache is a pure function of the CSR arrays.
+It reports ``sweep.snapshot_cache.hits`` / ``sweep.snapshot_cache.misses``
+into the active telemetry session.  Sharing a mapping is safe because an
+attached arena's views are read-only.
 
 The cache is a small FIFO (:data:`CACHE_CAPACITY` entries): million-node
-snapshots are ~170 MB, so unbounded growth across a heterogeneous sweep
-would trade the rebuild cost for memory exhaustion.  Evicted arenas are
-closed (the mapping, never the segment — the owner unlinks).
+snapshots are ~170 MB, so unbounded growth would trade the attach cost for
+memory exhaustion.  Evicted arenas are closed (the mapping, never the
+segment — the owner unlinks).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Union
 
-from repro.fastpath.builder import build_snapshot
 from repro.fastpath.shm import ArenaSpec, SnapshotArena
-from repro.fastpath.snapshot import FastpathSnapshot
 from repro.telemetry.core import current as telemetry_current
 
 __all__ = [
     "CACHE_CAPACITY",
-    "cached_build_snapshot",
     "cached_attach",
     "snapshot_cache_clear",
     "snapshot_cache_stats",
 ]
 
-#: Maximum cached entries (snapshots + arenas combined) per process.
+#: Maximum cached arenas per process.
 CACHE_CAPACITY = 4
 
-_CacheKey = tuple[str, tuple[object, ...]]
-_CacheValue = Union[FastpathSnapshot, SnapshotArena]
-
-_CACHE: "OrderedDict[_CacheKey, _CacheValue]" = OrderedDict()
+_CACHE: "OrderedDict[str, SnapshotArena]" = OrderedDict()
 _STATS = {"hits": 0, "misses": 0}
 
 
@@ -73,55 +51,6 @@ def _record_miss() -> None:
         tel.count("sweep.snapshot_cache.misses")
 
 
-def _evict_to_capacity() -> None:
-    while len(_CACHE) > CACHE_CAPACITY:
-        _key, value = _CACHE.popitem(last=False)
-        if isinstance(value, SnapshotArena):
-            value.close()
-
-
-def _lookup(key: _CacheKey) -> _CacheValue | None:
-    value = _CACHE.get(key)
-    if value is not None:
-        _CACHE.move_to_end(key)
-        _record_hit()
-    return value
-
-
-def _store(key: _CacheKey, value: _CacheValue) -> None:
-    _record_miss()
-    _CACHE[key] = value
-    _evict_to_capacity()
-
-
-def cached_build_snapshot(
-    n: int,
-    links_per_node: int | None = None,
-    seed: int = 0,
-    exponent: float = 1.0,
-    symmetric_neighbors: bool = True,
-) -> FastpathSnapshot:
-    """:func:`~repro.fastpath.builder.build_snapshot`, memoized per process.
-
-    Bit-identical to an uncached build (it returns the same pure function's
-    result); only the redundant recomputation is skipped.
-    """
-    key: _CacheKey = ("build", (n, links_per_node, seed, exponent, symmetric_neighbors))
-    cached = _lookup(key)
-    if cached is not None:
-        assert isinstance(cached, FastpathSnapshot)
-        return cached
-    snapshot = build_snapshot(
-        n,
-        links_per_node=links_per_node,
-        seed=seed,
-        exponent=exponent,
-        symmetric_neighbors=symmetric_neighbors,
-    )
-    _store(key, snapshot)
-    return snapshot
-
-
 def cached_attach(spec: ArenaSpec) -> SnapshotArena:
     """:meth:`SnapshotArena.attach`, memoized on the segment name.
 
@@ -129,24 +58,27 @@ def cached_attach(spec: ArenaSpec) -> SnapshotArena:
     segment reuse the existing mapping.  A cached arena that was closed
     (evicted elsewhere, or by :func:`snapshot_cache_clear`) is re-attached.
     """
-    key: _CacheKey = ("arena", (spec.name,))
-    cached = _lookup(key)
+    cached = _CACHE.get(spec.name)
     if cached is not None:
-        assert isinstance(cached, SnapshotArena)
+        _CACHE.move_to_end(spec.name)
+        _record_hit()
         if not cached.closed:
             return cached
-        del _CACHE[key]
+        del _CACHE[spec.name]
     arena = SnapshotArena.attach(spec)
-    _store(key, arena)
+    _record_miss()
+    _CACHE[spec.name] = arena
+    while len(_CACHE) > CACHE_CAPACITY:
+        _name, evicted = _CACHE.popitem(last=False)
+        evicted.close()
     return arena
 
 
 def snapshot_cache_clear() -> None:
     """Drop every cached entry, closing cached arena mappings."""
     while _CACHE:
-        _key, value = _CACHE.popitem(last=False)
-        if isinstance(value, SnapshotArena):
-            value.close()
+        _name, arena = _CACHE.popitem(last=False)
+        arena.close()
     _STATS["hits"] = 0
     _STATS["misses"] = 0
 

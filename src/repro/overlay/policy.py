@@ -14,9 +14,8 @@ evaluate every topology:
 * slot ``s`` of row ``r`` is admissible iff ``keys[r, s] < bound[r]``: for
   the metric and torus rules the keys are raw distances to the target and the
   bound is the current node's own distance, so "strictly closer" costs no
-  mask; a one-sided walk keys overshooting slots at ``blocked``, and the
-  prefix and Chord rules key every inadmissible slot at ``blocked`` and bound
-  every row at ``blocked``;
+  mask; the prefix and Chord rules key every inadmissible slot at
+  ``blocked`` and bound every row at ``blocked``;
 * the router forwards each query to its row's first minimal key when that key
   is below the row's bound, which must reproduce the scalar protocol's
   next-hop choice *including tie-breaks* (every scalar rule here breaks ties
@@ -33,9 +32,8 @@ padding needs no mask and ``candidate_keys`` takes none
 
 Policies are pure value objects over plain integers/arrays — no graph or
 snapshot references — so they serialise with the spec layer and are shared
-freely across liveness variants of a snapshot.  Liveness and the
-neighbour-knowledge regime are *router* concerns and deliberately stay out
-of the key computation.
+freely across liveness variants of a snapshot.  Liveness is a *router*
+concern and deliberately stays out of the key computation.
 """
 
 from __future__ import annotations
@@ -43,8 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.core.routing import RoutingMode
 
 __all__ = [
     "GreedyPolicy",
@@ -77,7 +73,6 @@ class GreedyPolicy:
         current_labels: np.ndarray,
         neighbor_labels: np.ndarray,
         target_labels: np.ndarray,
-        mode: RoutingMode,
         edge_class: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Return the ``(queries, max_degree)`` keys and ``(queries,)`` bounds of one hop.
@@ -92,9 +87,6 @@ class GreedyPolicy:
             ``(queries, max_degree)`` labels of each current node's neighbour
             row; padding slots repeat the current node's own label and must
             key at or above the bound (see the module docstring).
-        mode:
-            The router's greedy mode.  Policies whose protocol fixes the rule
-            (Chord's one-sided clockwise walk, prefix resolution) ignore it.
         edge_class:
             ``(queries, max_degree)`` per-edge class codes when the snapshot
             carries them (Chord's finger-vs-successor tiers), else ``None``.
@@ -127,35 +119,17 @@ class MetricGreedyPolicy(GreedyPolicy):
             return np.minimum(diff, self.space_size - diff)
         return diff
 
-    def displacement(self, source: np.ndarray, target: np.ndarray) -> np.ndarray:
-        """Signed displacement matching the scalar metric spaces."""
-        delta = target - source
-        if self.kind == "ring":
-            forward = np.where(delta < 0, delta + self.space_size, delta)
-            backward = forward - self.space_size
-            return np.where(forward <= -backward, forward, backward)
-        return delta
-
     def candidate_keys(
         self,
         current_labels: np.ndarray,
         neighbor_labels: np.ndarray,
         target_labels: np.ndarray,
-        mode: RoutingMode,
         edge_class: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         # Raw distances against the current node's own: "strictly closer" is
-        # the router's ``keys < bound``, so the two-sided keys need no mask.
+        # the router's ``keys < bound``, so the keys need no mask.
         current_distance = self.distance(current_labels, target_labels)
         neighbor_distance = self.distance(neighbor_labels, target_labels[:, None])
-        if mode is RoutingMode.ONE_SIDED:
-            # Never traverse a link that jumps past the target: the signed
-            # displacement towards the target must not change sign.
-            before = self.displacement(current_labels, target_labels)
-            after = self.displacement(neighbor_labels, target_labels[:, None])
-            overshoot = ((before[:, None] > 0) != (after > 0)) & (after != 0)
-            blocked = neighbor_distance.dtype.type(self.blocked)
-            neighbor_distance = np.where(overshoot, blocked, neighbor_distance)
         return neighbor_distance, current_distance
 
 
@@ -189,7 +163,6 @@ class TorusGreedyPolicy(GreedyPolicy):
         current_labels: np.ndarray,
         neighbor_labels: np.ndarray,
         target_labels: np.ndarray,
-        mode: RoutingMode,
         edge_class: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         # Raw L1 distances; the current node's own is the bound.
@@ -229,7 +202,6 @@ class PrefixGreedyPolicy(GreedyPolicy):
         current_labels: np.ndarray,
         neighbor_labels: np.ndarray,
         target_labels: np.ndarray,
-        mode: RoutingMode,
         edge_class: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         # Prefix disagreement is downward-closed (equal quotients at level j
@@ -296,7 +268,6 @@ class ChordGreedyPolicy(GreedyPolicy):
         current_labels: np.ndarray,
         neighbor_labels: np.ndarray,
         target_labels: np.ndarray,
-        mode: RoutingMode,
         edge_class: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         # Keys reach 2 * size + 2, so the compact label dtype is only safe

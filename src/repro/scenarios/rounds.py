@@ -46,7 +46,7 @@ from repro.fastpath import (
     BatchGreedyRouter,
     DeltaRecorder,
     DeltaSnapshot,
-    cached_build_snapshot,
+    build_snapshot,
     sample_node_failures,
     select_engine,
 )
@@ -175,7 +175,7 @@ class EngineSession:
         """The array mirror of :attr:`system`, or ``None`` after a warned downgrade."""
         if self._members is None:
             return DeltaSnapshot.from_snapshot(
-                cached_build_snapshot(
+                build_snapshot(
                     self.system.nodes,
                     links_per_node=self.system.links_per_node,
                     seed=self.system.seed,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.core.failures import ByzantineBehavior
-from repro.core.routing import RecoveryStrategy, RoutingMode
+from repro.core.routing import RecoveryStrategy
 from repro.fastpath import ENGINES
 from repro.overlay import PROTOCOLS
 
@@ -136,7 +136,7 @@ class RoutingSpec:
     ignored.
     """
 
-    mode: str = RoutingMode.TWO_SIDED.value
+    mode: str = "two-sided"
     recovery: str = RecoveryStrategy.BACKTRACK.value
     strict_best_neighbor: bool = False
     backtrack_depth: int = 5
@@ -151,7 +151,7 @@ class RoutingSpec:
             hint = (
                 "sweep the backtracking history with `ablation-backtrack` (`extras.depths`)"
                 if field.name == "backtrack_depth"
-                else "construct `GreedyRouter` / `BatchGreedyRouter` directly"
+                else "no router implements any other value"
             )
             _require(
                 value == field.default and type(value) is type(field.default),

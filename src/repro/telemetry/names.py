@@ -140,9 +140,9 @@ METRIC_NAMES: tuple[MetricName, ...] = (
     MetricName("sweep.worker.<pid>.cells", "counter", "Sweep.run",
                "cells completed per worker process"),
     MetricName("sweep.snapshot_cache.hits", "counter", "fastpath.snapcache",
-               "per-worker snapshot/arena cache lookups served from memory"),
+               "per-worker arena cache lookups served from memory"),
     MetricName("sweep.snapshot_cache.misses", "counter", "fastpath.snapcache",
-               "per-worker snapshot/arena cache lookups that built or attached"),
+               "per-worker arena cache lookups that attached"),
     MetricName("sweep.cell_seconds", "histogram", "Sweep.run",
                "wall-clock seconds per executed cell"),
     MetricName("sweep.queue_wait_s", "histogram", "Sweep.run",

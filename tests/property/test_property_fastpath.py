@@ -3,12 +3,11 @@
 The fastpath contract (see :mod:`repro.fastpath`) is *hop-for-hop* equality
 with the object engine for every configuration the batch router supports:
 same paths, same hop counts, same success verdicts, same failure reasons,
-same detour draws, same backtrack moves — for both routing modes, all three
-Section-6 recovery strategies, with and without node failures, under both
-neighbour-knowledge regimes.  These tests generate random topologies, seeds,
-and failure levels and assert exactly that, plus the direct-build contract:
-:func:`repro.fastpath.build_snapshot` emits bit-identical snapshots to the
-object build path at every seed.
+same detour draws, same backtrack moves — for all three Section-6 recovery
+strategies, with and without node failures.  These tests generate random
+topologies, seeds, and failure levels and assert exactly that, plus the
+direct-build contract: :func:`repro.fastpath.build_snapshot` emits
+bit-identical snapshots to the object build path at every seed.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from repro.core.builder import build_ideal_network
 from repro.core.failures import NodeFailureModel
 from repro.core.graph import OverlayGraph
 from repro.core.metric import LineMetric, RingMetric
-from repro.core.routing import GreedyRouter, RecoveryStrategy, RoutingMode
+from repro.core.routing import GreedyRouter, RecoveryStrategy
 from repro.fastpath import BatchGreedyRouter, build_snapshot, compile_snapshot
 from repro.fastpath.dtypes import label_dtype
 from repro.simulation.workload import LookupWorkload
@@ -43,31 +42,32 @@ def routed_scenario(draw):
 
 
 def _assert_parity(
-    graph, pairs, mode, strict, recovery=RecoveryStrategy.TERMINATE, seed=0, snapshot=None,
-    backtrack_depth=5,
+    graph, pairs, recovery=RecoveryStrategy.TERMINATE, seed=0, snapshot=None, backtrack_depth=5,
+    symmetric=True,
 ):
     """Assert hop-for-hop equality between the two engines on ``pairs``.
 
     The scalar router routes the batch sequentially through one instance (one
     shared re-route stream), which is exactly the draw order the batch engine
     reproduces.  ``snapshot`` (default: a fresh compile of ``graph``) lets a
-    case route a liveness-masked snapshot against the mutated graph.  Returns
-    the scalar paths for the case's own check.
+    case route a liveness-masked snapshot against the mutated graph; it must
+    be compiled with the same ``symmetric`` neighbour knowledge.  Returns the
+    scalar paths for the case's own check.
     """
     scalar = GreedyRouter(
         graph,
-        mode=mode,
         recovery=recovery,
         backtrack_depth=backtrack_depth,
-        strict_best_neighbor=strict,
+        symmetric_neighbors=symmetric,
         seed=seed,
     )
+    if snapshot is None:
+        snapshot = compile_snapshot(graph, symmetric_neighbors=symmetric)
+    assert snapshot.symmetric_neighbors == symmetric
     batch = BatchGreedyRouter(
-        compile_snapshot(graph) if snapshot is None else snapshot,
-        mode=mode,
+        snapshot,
         recovery=recovery,
         backtrack_depth=backtrack_depth,
-        strict_best_neighbor=strict,
         seed=seed,
         reroute_pool=graph.labels(only_alive=True)
         if recovery is RecoveryStrategy.RANDOM_REROUTE
@@ -89,43 +89,32 @@ def _assert_parity(
 
 class TestHopForHopParity:
     @settings(max_examples=25, deadline=None)
-    @given(routed_scenario(), st.sampled_from(list(RoutingMode)))
-    def test_failure_free(self, scenario, mode):
+    @given(routed_scenario())
+    def test_failure_free(self, scenario):
         n, seed, links, _level, queries = scenario
         graph = build_ideal_network(n, links_per_node=links, seed=seed).graph
         pairs = LookupWorkload(seed=seed + 1).pairs(graph.labels(only_alive=True), queries)
-        _assert_parity(graph, pairs, mode, strict=False)
+        _assert_parity(graph, pairs)
 
     @settings(max_examples=25, deadline=None)
-    @given(routed_scenario(), st.sampled_from(list(RoutingMode)))
-    def test_under_node_failures(self, scenario, mode):
+    @given(routed_scenario(), st.booleans())
+    def test_under_node_failures(self, scenario, symmetric):
         n, seed, links, level, queries = scenario
         graph = build_ideal_network(n, links_per_node=links, seed=seed).graph
         model = NodeFailureModel(level, seed=seed + 7)
         model.apply(graph)
         pairs = LookupWorkload(seed=seed + 1).pairs(graph.labels(only_alive=True), queries)
-        _assert_parity(graph, pairs, mode, strict=False)
-        model.repair(graph)
-
-    @settings(max_examples=15, deadline=None)
-    @given(routed_scenario(), st.sampled_from(list(RoutingMode)))
-    def test_strict_best_neighbor_regime(self, scenario, mode):
-        n, seed, links, level, queries = scenario
-        graph = build_ideal_network(n, links_per_node=links, seed=seed).graph
-        model = NodeFailureModel(level, seed=seed + 13)
-        model.apply(graph)
-        pairs = LookupWorkload(seed=seed + 2).pairs(graph.labels(only_alive=True), queries)
-        _assert_parity(graph, pairs, mode, strict=True)
+        _assert_parity(graph, pairs, symmetric=symmetric)
         model.repair(graph)
 
     @settings(max_examples=25, deadline=None)
     @given(
         routed_scenario(),
-        st.sampled_from(list(RoutingMode)),
         st.sampled_from([RecoveryStrategy.RANDOM_REROUTE, RecoveryStrategy.BACKTRACK]),
         st.sampled_from([1, 2, 5, 20]),
+        st.booleans(),
     )
-    def test_recovery_strategies_under_node_failures(self, scenario, mode, recovery, depth):
+    def test_recovery_strategies_under_node_failures(self, scenario, recovery, depth, symmetric):
         """Re-route and backtracking (at any history depth) are hop-for-hop identical."""
         n, seed, links, level, queries = scenario
         graph = build_ideal_network(n, links_per_node=links, seed=seed).graph
@@ -133,26 +122,8 @@ class TestHopForHopParity:
         model.apply(graph)
         pairs = LookupWorkload(seed=seed + 4).pairs(graph.labels(only_alive=True), queries)
         _assert_parity(
-            graph, pairs, mode, strict=False, recovery=recovery, seed=seed + 23,
-            backtrack_depth=depth,
-        )
-        model.repair(graph)
-
-    @settings(max_examples=15, deadline=None)
-    @given(
-        routed_scenario(),
-        st.sampled_from([RecoveryStrategy.RANDOM_REROUTE, RecoveryStrategy.BACKTRACK]),
-    )
-    def test_recovery_strategies_strict_regime(self, scenario, recovery):
-        """The strict knowledge regime keeps recovery parity as well."""
-        n, seed, links, level, queries = scenario
-        graph = build_ideal_network(n, links_per_node=links, seed=seed).graph
-        model = NodeFailureModel(level, seed=seed + 29)
-        model.apply(graph)
-        pairs = LookupWorkload(seed=seed + 6).pairs(graph.labels(only_alive=True), queries)
-        _assert_parity(
-            graph, pairs, RoutingMode.TWO_SIDED, strict=True,
-            recovery=recovery, seed=seed + 31,
+            graph, pairs, recovery=recovery, seed=seed + 23, backtrack_depth=depth,
+            symmetric=symmetric,
         )
         model.repair(graph)
 
@@ -171,16 +142,16 @@ class TestHopForHopParity:
         if dead and live:
             pairs = [(dead[0], live[0]), (live[0], dead[0]), (dead[0], dead[-1])]
         if pairs:
-            _assert_parity(graph, pairs, RoutingMode.TWO_SIDED, strict=False)
+            _assert_parity(graph, pairs)
         model.repair(graph)
 
 
 class TestPickThenRepair:
     """The step reads liveness at its pick and re-keys only the rows it rules out."""
 
-    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("symmetric", [True, False])
     @pytest.mark.parametrize("recovery", list(RecoveryStrategy))
-    def test_dead_best_then_dead_edge_then_parallel_link(self, recovery, strict):
+    def test_dead_best_then_dead_edge_then_parallel_link(self, recovery, symmetric):
         """Best candidate dead, second behind a dead edge, its parallel twin usable."""
         graph = OverlayGraph(RingMetric(64))
         for label in range(64):
@@ -190,7 +161,7 @@ class TestPickThenRepair:
             graph.add_long_link(0, target)
         # Compiled before the faults, so row 0 holds both parallel entries to
         # 12; the faults then reach the batch side as masks only.
-        snapshot = compile_snapshot(graph)
+        snapshot = compile_snapshot(graph, symmetric_neighbors=symmetric)
         twins = np.flatnonzero(snapshot.neighbors_of_index(0) == 12)
         assert twins.size == 2
         edge_alive = np.ones(snapshot.neighbor_indices.shape[0], dtype=bool)
@@ -204,17 +175,18 @@ class TestPickThenRepair:
         # 30 -> 23: walks into the dead node and needs the recovery strategy.
         with telemetry.session() as tel:
             _assert_parity(
-                graph, [(0, 20), (0, 12), (30, 23)], RoutingMode.TWO_SIDED, strict,
-                recovery=recovery, seed=5,
+                graph, [(0, 20), (0, 12), (30, 23)], recovery=recovery, seed=5,
                 snapshot=snapshot.with_alive(alive).with_edge_alive(edge_alive),
+                symmetric=symmetric,
             )
         assert tel.counters["route.rows_repaired"].value >= 1
 
 
-def _ring(links, dead=(), size=64) -> OverlayGraph:
-    """A wired ring with extra long links (parallel ones allowed) and dead nodes."""
-    graph = OverlayGraph(RingMetric(size))
-    for label in range(size):
+def _wired(space, links=(), dead=()) -> OverlayGraph:
+    """Every point of ``space`` wired in label order (a ring wraps, a line
+    does not), plus extra long links (parallel ones allowed) and dead nodes."""
+    graph = OverlayGraph(space)
+    for label in range(space.size()):
         graph.add_node(label)
     graph.wire_ring()
     for source, target in links:
@@ -224,81 +196,131 @@ def _ring(links, dead=(), size=64) -> OverlayGraph:
     return graph
 
 
-def _revisit_parity(graph, pairs, mode, strict, snapshot=None):
+def _ring(links, dead=(), size=64) -> OverlayGraph:
+    """A wired ring with extra long links (parallel ones allowed) and dead nodes."""
+    return _wired(RingMetric(size), links, dead)
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("space", [LineMetric(64), RingMetric(64)], ids=["line", "ring"])
+class TestOneGreedyRule:
+    """The one greedy rule on both engines: a hop may land on either side of
+    the target, a dead neighbour is skipped, and a tie goes to the first slot."""
+
+    def test_a_hop_may_overshoot_the_target(self, space, symmetric):
+        # 31 sits past the target 30 but one away from it; 21 is nine away.
+        paths = _assert_parity(_wired(space, [(20, 31)]), [(20, 30)], symmetric=symmetric)
+        assert paths == [[20, 31, 30]]
+
+    @pytest.mark.parametrize("recovery", list(RecoveryStrategy))
+    def test_a_dead_best_neighbour_is_skipped_without_recovery(self, space, symmetric, recovery):
+        # 26 is the best candidate but dead; the node takes the live 24
+        # itself, so no strategy is called on.
+        graph = _wired(space, [(20, 26), (20, 24)], dead=[26])
+        paths = _assert_parity(graph, [(20, 25)], recovery, seed=7, symmetric=symmetric)
+        assert paths == [[20, 24, 25]]
+
+    @pytest.mark.parametrize("recovery", list(RecoveryStrategy))
+    def test_only_dead_closer_neighbours_call_on_recovery(self, space, symmetric, recovery):
+        # 20's closer neighbours (21 and 26) are both dead: the walk is stuck
+        # there, and only the strategy decides what follows.
+        graph = _wired(space, [(10, 20), (20, 26)], dead=[21, 26])
+        paths = _assert_parity(graph, [(10, 25)], recovery, seed=7, symmetric=symmetric)
+        assert paths[0][:2] == [10, 20]
+        if recovery is RecoveryStrategy.TERMINATE:
+            assert paths == [[10, 20]]
+        if recovery is RecoveryStrategy.BACKTRACK:
+            assert paths[0][:4] == [10, 20, 10, 11]
+        if recovery is RecoveryStrategy.RANDOM_REROUTE:
+            router = GreedyRouter(graph, recovery=recovery, symmetric_neighbors=symmetric, seed=7)
+            assert router.route(10, 25).reroutes == 1
+
+    @pytest.mark.parametrize("first", [28, 32])
+    def test_a_tie_across_the_target_goes_to_the_first_listed_link(self, space, symmetric, first):
+        # 28 and 32 both sit two from the target 30.
+        links = [(20, first), (20, 60 - first)]
+        paths = _assert_parity(_wired(space, links), [(20, 30)], symmetric=symmetric)
+        step = 1 if first < 30 else -1
+        assert paths == [[20, first, first + step, 30]]
+
+
+def _revisit_parity(graph, pairs, symmetric, snapshot=None):
     """Backtracking parity on ``pairs``; returns the scalar paths for the case's own check."""
     with telemetry.session() as tel:
-        _assert_parity(
-            graph, pairs, mode, strict, recovery=RecoveryStrategy.BACKTRACK, snapshot=snapshot
+        paths = _assert_parity(
+            graph, pairs, recovery=RecoveryStrategy.BACKTRACK, snapshot=snapshot,
+            symmetric=symmetric,
         )
     assert tel.counters["route.rows_revisited"].value >= 1
-    scalar = GreedyRouter(
-        graph, mode=mode, recovery=RecoveryStrategy.BACKTRACK, strict_best_neighbor=strict
-    )
-    return [result.path for result in scalar.route_many(pairs)]
+    return paths
 
 
-@pytest.mark.parametrize("strict", [False, True])
-@pytest.mark.parametrize("mode", list(RoutingMode))
+@pytest.mark.parametrize("symmetric", [True, False])
 class TestBacktrackRevisits:
     """A revisited row is re-keyed against its node's tried set: every usable
     slot at or before the last consumed one in (key, slot) order, and every
     twin of their labels, is blocked before the pick."""
 
-    def test_a_consumed_twin_is_not_offered(self, mode, strict):
+    def test_a_consumed_twin_is_not_offered(self, symmetric):
         # 0 lists 16 twice; 16 is a dead end (17 dead), so 0 is revisited and
         # must move on to 1, not to the second 16.
-        paths = _revisit_parity(_ring([(0, 16), (0, 16)], dead=[17]), [(0, 20)], mode, strict)
+        paths = _revisit_parity(_ring([(0, 16), (0, 16)], dead=[17]), [(0, 20)], symmetric)
         assert paths[0][:4] == [0, 16, 0, 1]
 
-    def test_the_other_side_of_a_two_sided_tie_is_still_offered(self, mode, strict):
+    def test_the_other_side_of_a_two_sided_tie_is_still_offered(self, symmetric):
         # 16 and 24 both sit 4 from the target; consuming the first-listed one
-        # leaves the other untried (one-sided routing never admits 24).
-        paths = _revisit_parity(
-            _ring([(0, 16), (0, 24)], dead=[17, 23]), [(0, 20)], mode, strict
-        )
-        expected = [0, 16, 0, 24, 0, 1] if mode is RoutingMode.TWO_SIDED else [0, 16, 0, 1]
-        assert paths[0][: len(expected)] == expected
+        # leaves the other untried.
+        paths = _revisit_parity(_ring([(0, 16), (0, 24)], dead=[17, 23]), [(0, 20)], symmetric)
+        assert paths[0][:6] == [0, 16, 0, 24, 0, 1]
 
-    def test_an_exhausted_node_is_revisited(self, mode, strict):
-        # Every candidate of 16 (17, and 18 through a link) is dead: the
-        # lenient node is exhausted on its first visit and stuck on the next.
-        paths = _revisit_parity(
-            _ring([(0, 16), (16, 18)], dead=[17, 18]), [(0, 20)], mode, strict
-        )
+    def test_an_exhausted_node_is_revisited(self, symmetric):
+        # Every candidate of 16 (17, and 18 through a link) is dead: the node
+        # is exhausted on its first visit and stuck on the next.
+        paths = _revisit_parity(_ring([(0, 16), (16, 18)], dead=[17, 18]), [(0, 20)], symmetric)
         assert paths[0].count(16) == 2
 
-    def test_a_node_that_ran_out_stays_out(self, mode, strict):
+    def test_a_node_that_ran_out_stays_out(self, symmetric):
         # 16 tries 18 and 17 (both dead ends once 19 is dead) and runs out;
-        # reached again through 8 it has nothing left in either regime.
+        # reached again through 8 it has nothing left.
         graph = _ring([(0, 16), (0, 8), (8, 16), (16, 18)], dead=[19])
-        paths = _revisit_parity(graph, [(0, 20)], mode, strict)
+        paths = _revisit_parity(graph, [(0, 20)], symmetric)
         assert paths[0][:12] == [0, 16, 18, 16, 17, 18, 17, 16, 0, 8, 16, 8]
 
-    def test_a_consumed_dead_best_yields_the_next_best(self, mode, strict):
-        # 16's best (18) is dead: the strict node consumes it and is stuck,
-        # then offers 17 when the walk comes back; the lenient one takes 17 at
-        # once.  The second pair gives the lenient regime its revisits.
+    def test_a_consumed_dead_best_yields_the_next_best(self, symmetric):
+        # 16's best (18) is dead: the node consumes it and takes 17 at once.
+        # The second pair gives the case its revisits.
         graph = _ring([(0, 16), (16, 18), (17, 19), (32, 44)], dead=[18, 45])
-        paths = _revisit_parity(graph, [(0, 20), (32, 48)], mode, strict)
+        paths = _revisit_parity(graph, [(0, 20), (32, 48)], symmetric)
         assert paths[0][-4:] == [16, 17, 19, 20]
-        assert paths[0].count(16) == (2 if strict else 1)
+        assert paths[0].count(16) == 1
 
-    def test_nodes_fall_out_of_the_window_before_the_revisits(self, mode, strict):
+    def test_nodes_fall_out_of_the_window_before_the_revisits(self, symmetric):
         # Ten hops in, 18 is stuck (19 dead) and the walk backs up through the
         # five-deep window; 0, 10, 11 and 12 have left it.  Forward hops
         # strictly close in on the target, so a forgotten node is never
         # reached again — the revisits after the overflow are the case.
-        paths = _revisit_parity(_ring([(0, 10)], dead=[19]), [(0, 20)], mode, strict)
+        paths = _revisit_parity(_ring([(0, 10)], dead=[19]), [(0, 20)], symmetric)
         assert paths[0] == [0, 10, 11, 12, 13, 14, 15, 16, 17, 18, 17, 16, 15, 14, 13]
 
-    def test_a_dead_first_twin_under_an_edge_mask(self, mode, strict):
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_the_window_holds_backtrack_depth_nodes(self, symmetric, depth):
+        # The case above at shallower windows: every node behind the stuck 18
+        # has only farther candidates left, so the walk backs up once per
+        # remembered node and fails when the window is empty.
+        paths = _assert_parity(
+            _ring([(0, 10)], dead=[19]), [(0, 20)], RecoveryStrategy.BACKTRACK,
+            backtrack_depth=depth, symmetric=symmetric,
+        )
+        assert paths[0] == [0, *range(10, 19), *range(17, 17 - depth, -1)]
+
+    def test_a_dead_first_twin_under_an_edge_mask(self, symmetric):
         # Row 0 holds 12 twice with 28 between them, both 8 from the target;
         # the first 12's link is dead (a mask on a snapshot compiled before
         # the faults), so the tie goes to 28.  Every long neighbour is a dead
         # end: a dead link is never a candidate, so consuming 28 must not
         # consume the 12 listed before it.
         graph = _ring([(0, 16), (0, 12), (0, 28), (0, 12)])
-        snapshot = compile_snapshot(graph)
+        snapshot = compile_snapshot(graph, symmetric_neighbors=symmetric)
         twins = np.flatnonzero(snapshot.neighbors_of_index(0) == 12)
         edge_alive = np.ones(snapshot.neighbor_indices.shape[0], dtype=bool)
         edge_alive[snapshot.neighbor_indptr[0] + twins[0]] = False
@@ -308,14 +330,10 @@ class TestBacktrackRevisits:
             graph.fail_node(label)
         assert graph.fail_long_link(0, 12)
         paths = _revisit_parity(
-            graph, [(0, 20)], mode, strict,
+            graph, [(0, 20)], symmetric,
             snapshot=snapshot.with_alive(alive).with_edge_alive(edge_alive),
         )
-        if mode is RoutingMode.TWO_SIDED:
-            expected = [0, 16, 0, 28, 0, 12, 0, 1]
-        else:
-            expected = [0, 16, 0, 12, 0, 1]
-        assert paths[0][: len(expected)] == expected
+        assert paths[0][:8] == [0, 16, 0, 28, 0, 12, 0, 1]
 
 
 def _sparse_line(links, dead=(), size=64) -> OverlayGraph:
@@ -331,45 +349,40 @@ def _sparse_line(links, dead=(), size=64) -> OverlayGraph:
     return graph
 
 
-@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("symmetric", [True, False])
 @pytest.mark.parametrize("recovery", list(RecoveryStrategy))
 class TestRawMinimumNotAdmissible:
     """Rows whose first raw minimum keys at or above the bound have no hop."""
 
-    def test_every_neighbour_is_farther(self, recovery, strict):
+    def test_every_neighbour_is_farther(self, recovery, symmetric):
         # 0 -> 30 reaches 20, whose neighbours sit 10 (a tie with 20's own
         # distance) and 30 away: a local minimum.  10's one neighbour ties too.
         graph = _sparse_line([(0, 20), (0, 50), (20, 40), (20, 0), (50, 30), (10, 50)])
         pairs = [(0, 30), (10, 30)]
-        paths = _assert_parity(graph, pairs, RoutingMode.TWO_SIDED, strict, recovery, seed=3)
+        paths = _assert_parity(graph, pairs, recovery, seed=3, symmetric=symmetric)
         assert paths[0][:2] == [0, 20] and paths[1][0] == 10
         if recovery is RecoveryStrategy.TERMINATE:
             assert paths == [[0, 20], [10]]
         if recovery is RecoveryStrategy.BACKTRACK:
             assert paths[0] == [0, 20, 0, 50, 30]
 
-    def test_dead_best_and_farther_live_neighbours(self, recovery, strict):
+    def test_dead_best_and_farther_live_neighbours(self, recovery, symmetric):
         # At 10 the best candidate (20) is dead and the only live neighbour
-        # (0) is farther: the lenient repair re-keys the row and finds no hop.
+        # (0) is farther: the repair re-keys the row and finds no hop.
         graph = _sparse_line([(0, 10), (10, 20), (10, 0), (20, 30)], dead=[20])
         with telemetry.session() as tel:
-            paths = _assert_parity(
-                graph, [(0, 30)], RoutingMode.TWO_SIDED, strict, recovery, seed=3
-            )
+            paths = _assert_parity(graph, [(0, 30)], recovery, seed=3, symmetric=symmetric)
         assert paths[0][:2] == [0, 10] and 20 not in paths[0]
         if recovery is RecoveryStrategy.BACKTRACK:
             assert paths[0] == [0, 10, 0]
-        if not strict:
-            assert tel.counters["route.rows_repaired"].value >= 1
+        assert tel.counters["route.rows_repaired"].value >= 1
 
-    def test_a_revisited_row_has_only_farther_slots_left(self, recovery, strict):
+    def test_a_revisited_row_has_only_farther_slots_left(self, recovery, symmetric):
         # 20 is a dead end (its one neighbour is farther); back at 10 the only
         # untried slot (0) is farther as well.
         graph = _sparse_line([(0, 10), (10, 20), (10, 0), (20, 10)])
         with telemetry.session() as tel:
-            paths = _assert_parity(
-                graph, [(0, 30)], RoutingMode.TWO_SIDED, strict, recovery, seed=3
-            )
+            paths = _assert_parity(graph, [(0, 30)], recovery, seed=3, symmetric=symmetric)
         if recovery is RecoveryStrategy.BACKTRACK:
             assert paths[0] == [0, 10, 20, 10, 0]
             assert tel.counters["route.rows_revisited"].value >= 1
@@ -384,10 +397,8 @@ class TestBacktrackOnDuplicateDenseGraphs:
         n=st.integers(min_value=32, max_value=64),
         links=st.integers(min_value=6, max_value=9),
         level=st.floats(min_value=0.4, max_value=0.6),
-        mode=st.sampled_from(list(RoutingMode)),
-        strict=st.booleans(),
     )
-    def test_parity(self, seed, n, links, level, mode, strict):
+    def test_parity(self, seed, n, links, level):
         """Parallel links everywhere, nodes and links failed before compile."""
         rng = np.random.default_rng(seed)
         graph = OverlayGraph(RingMetric(n))
@@ -409,7 +420,7 @@ class TestBacktrackOnDuplicateDenseGraphs:
         if len(live) < 2:
             return
         pairs = LookupWorkload(seed=seed).pairs(live, 30)
-        _assert_parity(graph, pairs, mode, strict, recovery=RecoveryStrategy.BACKTRACK)
+        _assert_parity(graph, pairs, recovery=RecoveryStrategy.BACKTRACK)
 
 
 def _ring_or_line(kind: str, seed: int) -> OverlayGraph:

@@ -60,17 +60,19 @@ class TestRingAxioms:
         assert space.distance(a, b) <= space.n // 2
 
     @given(ring_and_points())
-    def test_displacement_magnitude_matches_distance(self, data):
-        space, (a, b, _) = data
-        assert abs(space.displacement(a, b)) == space.distance(a, b)
-
-    @given(ring_and_points())
     def test_clockwise_distances_sum_to_ring(self, data):
         space, (a, b, _) = data
         if a != b:
             assert (
                 space.clockwise_distance(a, b) + space.clockwise_distance(b, a) == space.n
             )
+
+    @given(ring_and_points())
+    def test_distance_is_the_shorter_arc(self, data):
+        space, (a, b, _) = data
+        assert space.distance(a, b) == min(
+            space.clockwise_distance(a, b), space.clockwise_distance(b, a)
+        )
 
 
 class TestLineAxioms:
@@ -86,10 +88,10 @@ class TestLineAxioms:
         assert space.distance(a, c) <= space.distance(a, b) + space.distance(b, c)
 
     @given(line_and_points())
-    def test_displacement_consistency(self, data):
-        space, (a, b, _) = data
-        assert space.displacement(a, b) == -space.displacement(b, a)
-        assert abs(space.displacement(a, b)) == space.distance(a, b)
+    def test_distance_adds_up_along_the_line(self, data):
+        space, points = data
+        a, b, c = sorted(points)
+        assert space.distance(a, c) == space.distance(a, b) + space.distance(b, c)
 
 
 class TestTorusAxioms:

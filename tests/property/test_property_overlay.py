@@ -23,8 +23,6 @@ from repro.baselines import (
     KleinbergGridNetwork,
     PlaxtonNetwork,
 )
-from repro.core.metric import LineMetric, RingMetric
-from repro.core.routing import RoutingMode
 from repro.fastpath import BatchGreedyRouter
 from repro.fastpath.dtypes import label_dtype
 from repro.overlay import (
@@ -199,30 +197,22 @@ class TestSelfIsNeverAdmissible:
         distinct = current != target
         current, target = current[distinct], target[distinct]
         own = np.stack([current, current], axis=1)
-        for mode in RoutingMode:
-            for edge_class in _tiers(family, own.shape):
-                keyed, bound = policy.candidate_keys(current, own, target, mode, edge_class)
-                assert keyed.shape == own.shape and bound.shape == current.shape
-                assert (keyed >= bound[:, None]).all(), (mode, edge_class is None)
-                assert (bound <= policy.blocked).all()
+        for edge_class in _tiers(family, own.shape):
+            keyed, bound = policy.candidate_keys(current, own, target, edge_class)
+            assert keyed.shape == own.shape and bound.shape == current.shape
+            assert (keyed >= bound[:, None]).all(), edge_class is None
+            assert (bound <= policy.blocked).all()
 
 
-def _admissible(family, policy, size, mode, current, neighbor, target):
-    """The scalar rule: strictly closer (and, one-sided, no overshoot); Chord
-    advances clockwise by at least one without passing the target."""
+def _admissible(family, policy, current, neighbor, target):
+    """The scalar rule: strictly closer; Chord advances clockwise by at least
+    one without passing the target."""
     def distance(a, b):
         return int(policy.distance(np.array([a]), np.array([b]))[0])
 
     if family == "chord":
         return 1 <= distance(current, neighbor) <= distance(current, target)
-    closer = distance(neighbor, target) < distance(current, target)
-    if family in ("ring", "line") and mode is RoutingMode.ONE_SIDED:
-        space = RingMetric(size) if family == "ring" else LineMetric(size)
-        before = space.displacement(current, target)
-        after = space.displacement(neighbor, target)
-        if (before > 0) != (after > 0) and after != 0:
-            return False
-    return closer
+    return distance(neighbor, target) < distance(current, target)
 
 
 class TestKeysBelowTheBound:
@@ -230,10 +220,9 @@ class TestKeysBelowTheBound:
     @given(
         family=st.sampled_from(["ring", "line", "torus", "prefix", "chord"]),
         scale=st.integers(min_value=0, max_value=3),
-        mode=st.sampled_from(list(RoutingMode)),
         data=st.data(),
     )
-    def test_admissibility_matches_the_scalar_rule(self, family, scale, mode, data):
+    def test_admissibility_matches_the_scalar_rule(self, family, scale, data):
         """``keys < bound[:, None]`` is exactly the scalar rule's candidate set."""
         policy, size = _policy(family, scale)
         point = st.integers(min_value=0, max_value=size - 1)
@@ -248,9 +237,9 @@ class TestKeysBelowTheBound:
         dtype = label_dtype(size)
         arrays = [np.array(values, dtype=dtype) for values in (current, rows, target)]
         for edge_class in _tiers(family, (queries, width)):
-            keyed, bound = policy.candidate_keys(*arrays, mode, edge_class)
+            keyed, bound = policy.candidate_keys(*arrays, edge_class)
             expected = [
-                [_admissible(family, policy, size, mode, c, n, t) for n in row]
+                [_admissible(family, policy, c, n, t) for n in row]
                 for c, row, t in zip(current, rows, target)
             ]
             assert (keyed < bound[:, None]).tolist() == expected

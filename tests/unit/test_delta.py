@@ -12,7 +12,7 @@ from repro.core.construction import build_heuristic_network
 from repro.core.graph import OverlayGraph
 from repro.core.maintenance import MaintenanceDaemon
 from repro.core.metric import RingMetric
-from repro.core.routing import GreedyRouter, RecoveryStrategy, RoutingMode
+from repro.core.routing import GreedyRouter, RecoveryStrategy
 from repro.fastpath import (
     BatchGreedyRouter,
     DeltaRecorder,
@@ -386,7 +386,7 @@ class TestRouterRebase:
         """The first batch after a rebase allocates like a warm one (no fold)."""
         snapshot = build_snapshot(4096, seed=3, symmetric_neighbors=False)
         mirror = DeltaSnapshot.from_snapshot(snapshot)
-        router = BatchGreedyRouter(mirror.snapshot(), mode=RoutingMode.ONE_SIDED)
+        router = BatchGreedyRouter(mirror.snapshot())
         sources = np.arange(0, 4096, 64, dtype=np.int64)
         targets = (sources + 2001) % 4096
         assert router.route_batch(sources, targets).success.all()

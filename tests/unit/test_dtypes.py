@@ -25,7 +25,6 @@ from repro.core.builder import build_ideal_network
 from repro.core.graph import OverlayGraph
 from repro.core.metric import RingMetric
 from repro.core.network import P2PNetwork
-from repro.core.routing import RoutingMode
 from repro.fastpath import BatchGreedyRouter, compile_snapshot
 from repro.fastpath.dtypes import (
     CONTRACT_BEGIN,
@@ -188,33 +187,36 @@ class TestPolicyCutoffs:
     """Policy arithmetic on compact labels equals Python-int arithmetic at the cutoffs."""
 
     @pytest.mark.parametrize("size", [INT32_SPACE_CUTOFF, INT32_SPACE_CUTOFF + 1])
-    @pytest.mark.parametrize("mode", list(RoutingMode))
-    def test_metric_ring(self, size, mode):
+    def test_metric_ring(self, size):
         def distance(a, b):
             return min(abs(a - b), size - abs(a - b))
 
-        def displacement(source, target):
-            forward = (target - source) % size
-            return forward if forward <= size - forward else forward - size
-
         (current, neighbors, targets), labels, pairs = _probe(size)
         policy = MetricGreedyPolicy("ring", size)
-        keys, bound = policy.candidate_keys(current, neighbors, targets, mode)
+        keys, bound = policy.candidate_keys(current, neighbors, targets)
         expected, admissible = [], []
         for source, target in pairs:
-            row = []
-            for neighbor in labels:
-                before, after = displacement(source, target), displacement(neighbor, target)
-                overshoot = (
-                    mode is RoutingMode.ONE_SIDED and (before > 0) != (after > 0) and after != 0
-                )
-                row.append(size + 1 if overshoot else distance(neighbor, target))
+            row = [distance(neighbor, target) for neighbor in labels]
             expected.append(row)
             admissible.append([key < distance(source, target) for key in row])
         assert keys.tolist() == expected
         assert bound.tolist() == [distance(a, b) for a, b in pairs]
         assert (keys < bound[:, None]).tolist() == admissible
         assert policy.distance(current, targets).tolist() == [distance(a, b) for a, b in pairs]
+
+    @pytest.mark.parametrize("size", [INT32_SPACE_CUTOFF, INT32_SPACE_CUTOFF + 1])
+    def test_metric_line(self, size):
+        (current, neighbors, targets), labels, pairs = _probe(size)
+        policy = MetricGreedyPolicy("line", size)
+        keys, bound = policy.candidate_keys(current, neighbors, targets)
+        expected = [[abs(neighbor - target) for neighbor in labels] for _, target in pairs]
+        assert keys.tolist() == expected
+        assert bound.tolist() == [abs(a - b) for a, b in pairs]
+        assert (keys < bound[:, None]).tolist() == [
+            [key < abs(source - target) for key in row]
+            for (source, target), row in zip(pairs, expected)
+        ]
+        assert policy.distance(current, targets).tolist() == [abs(a - b) for a, b in pairs]
 
     @pytest.mark.parametrize("size", [1 << 29, (1 << 29) + 1, 1 << 30])
     def test_chord(self, size):
@@ -225,7 +227,7 @@ class TestPolicyCutoffs:
         # Slots alternate finger (class 0) and successor (class 1).
         edge_class = np.tile(np.array([0, 1, 0, 1], dtype=np.int8), (len(pairs), 1))
         keys, bound = ChordGreedyPolicy(size).candidate_keys(
-            current, neighbors, targets, RoutingMode.ONE_SIDED, edge_class
+            current, neighbors, targets, edge_class
         )
         expected = []
         for source, target in pairs:
@@ -256,7 +258,7 @@ class TestPolicyCutoffs:
 
         (current, neighbors, targets), labels, pairs = _probe(size)
         policy = PrefixGreedyPolicy(base=base, digits=digits)
-        keys, bound = policy.candidate_keys(current, neighbors, targets, RoutingMode.TWO_SIDED)
+        keys, bound = policy.candidate_keys(current, neighbors, targets)
         expected = [
             [
                 distance(source, target) - 1

@@ -426,7 +426,7 @@ def test_experiments_route_only_through_the_engine_session():
         "DeltaRecorder",
         "DeltaSnapshot",
         "compile_snapshot",
-        "cached_build_snapshot",
+        "build_snapshot",
         "sample_node_failures",
     }
     byzantine_routers = {"ByzantineAwareRouter", "RedundantRouter"}

@@ -105,7 +105,7 @@ class TestCompileSnapshot:
         with pytest.raises(KeyError):
             snapshot.indices_of([0, 10_000])
 
-    def test_distance_and_displacement_match_scalar_space(self):
+    def test_distance_matches_scalar_space(self):
         space = RingMetric(97)
         graph = OverlayGraph(space)
         for label in range(97):
@@ -115,9 +115,7 @@ class TestCompileSnapshot:
         a = np.arange(97)
         for b in (0, 13, 48, 49, 96):
             expected_d = [space.distance(int(x), b) for x in a]
-            expected_s = [space.displacement(int(x), b) for x in a]
             assert policy.distance(a, np.int64(b)).tolist() == expected_d
-            assert policy.displacement(a, np.int64(b)).tolist() == expected_s
 
     def test_with_alive_shares_topology_and_checks_shape(self, snapshot_256):
         _graph, snapshot = snapshot_256

@@ -30,11 +30,6 @@ class TestLineMetric:
         assert line.distance(30, 10) == 20
         assert line.distance(5, 5) == 0
 
-    def test_displacement_is_signed(self):
-        line = LineMetric(100)
-        assert line.displacement(10, 30) == 20
-        assert line.displacement(30, 10) == -20
-
     def test_size_and_contains(self):
         line = LineMetric(10)
         assert line.size() == 10
@@ -84,12 +79,6 @@ class TestRingMetric:
         for a, b in [(0, 36), (10, 20), (5, 5)]:
             assert ring.distance(a, b) == ring.distance(b, a)
         assert ring.distance(17, 17) == 0
-
-    def test_displacement_shorter_arc(self):
-        ring = RingMetric(100)
-        assert ring.displacement(95, 5) == 10
-        assert ring.displacement(5, 95) == -10
-        assert abs(ring.displacement(0, 50)) == 50
 
     def test_clockwise_distance(self):
         ring = RingMetric(100)

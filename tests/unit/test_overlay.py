@@ -20,7 +20,6 @@ from repro.baselines import (
 )
 from repro.core.metric import PrefixMetric, TorusMetric
 from repro.core.network import P2PNetwork
-from repro.core.routing import RoutingMode
 from repro.dht import DistributedHashTable
 from repro.overlay import (
     ChordGreedyPolicy,
@@ -174,7 +173,7 @@ class TestGreedyPolicies:
         neighbors = np.array([[2, 3]])
         classes = np.array([[0, 1]], dtype=np.int8)
         keyed, bound = policy.candidate_keys(
-            current, neighbors, targets, RoutingMode.TWO_SIDED, classes
+            current, neighbors, targets, classes
         )
         assert keyed[0, 0] < keyed[0, 1] < bound[0]
         assert int(np.argmin(keyed[0])) == 0
@@ -185,7 +184,6 @@ class TestGreedyPolicies:
             np.array([0]),
             np.array([[10]]),
             np.array([5]),
-            RoutingMode.TWO_SIDED,
             np.zeros((1, 1), dtype=np.int8),
         )
         assert keyed[0, 0] >= bound[0]
@@ -198,7 +196,6 @@ class TestGreedyPolicies:
             np.array([0]),
             np.array([[1, 2]]),
             np.array([10]),
-            RoutingMode.TWO_SIDED,
             np.ones((1, 2), dtype=np.int8),
         )
         assert int(np.argmin(keyed[0])) == 0

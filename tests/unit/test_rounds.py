@@ -325,3 +325,18 @@ def test_out_of_range_extras_rejected_before_any_build(scenario, field, value, m
     spec = get_scenario(scenario).make_spec(overrides={"topology.nodes": 128})
     with pytest.raises(SpecError, match=re.escape(field)):
         run(spec.with_overrides({field: value}))
+
+
+@pytest.mark.parametrize(
+    "field,value", [("routing.mode", "one-sided"), ("routing.strict_best_neighbor", True)]
+)
+def test_routing_values_no_router_implements_are_refused_as_such(field, value):
+    spec = get_scenario("churn").make_spec(overrides={"topology.nodes": 128})
+    with pytest.raises(SpecError, match="no router implements any other value"):
+        run(spec.with_overrides({field: value}))
+
+
+def test_a_backtrack_depth_is_refused_with_the_ablation_that_sweeps_it():
+    spec = get_scenario("churn").make_spec(overrides={"topology.nodes": 128})
+    with pytest.raises(SpecError, match=re.escape("`ablation-backtrack` (`extras.depths`)")):
+        run(spec.with_overrides({"routing.backtrack_depth": 1}))

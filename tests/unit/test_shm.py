@@ -11,7 +11,6 @@ from repro.fastpath import (
     SnapshotArena,
     build_snapshot,
     cached_attach,
-    cached_build_snapshot,
     snapshot_cache_clear,
     snapshot_cache_stats,
     snapshot_nbytes,
@@ -130,30 +129,23 @@ class TestArenaLifecycle:
 
 
 class TestSnapshotCache:
-    def test_build_hit_returns_same_object(self):
-        first = cached_build_snapshot(128, links_per_node=3, seed=9)
-        second = cached_build_snapshot(128, links_per_node=3, seed=9)
-        assert second is first
-        assert snapshot_cache_stats() == {"hits": 1, "misses": 1}
-
-    def test_distinct_args_are_distinct_entries(self):
-        a = cached_build_snapshot(128, links_per_node=3, seed=9)
-        b = cached_build_snapshot(128, links_per_node=3, seed=10)
-        assert b is not a
-        assert snapshot_cache_stats() == {"hits": 0, "misses": 2}
-
-    def test_cached_build_matches_uncached(self):
-        cached = cached_build_snapshot(128, links_per_node=3, seed=9)
-        assert_snapshots_identical(
-            cached, build_snapshot(128, links_per_node=3, seed=9), "cache identity"
-        )
-
     def test_attach_cached_per_segment(self):
         with SnapshotArena.create(_snapshot()) as arena:
             first = cached_attach(arena.spec)
             second = cached_attach(arena.spec)
             assert second is first
             assert snapshot_cache_stats() == {"hits": 1, "misses": 1}
+
+    def test_distinct_segments_are_distinct_entries(self):
+        heap = _snapshot()
+        with SnapshotArena.create(heap) as a, SnapshotArena.create(heap) as b:
+            assert cached_attach(b.spec) is not cached_attach(a.spec)
+            assert snapshot_cache_stats() == {"hits": 0, "misses": 2}
+
+    def test_cached_attach_matches_the_heap_snapshot(self):
+        heap = _snapshot()
+        with SnapshotArena.create(heap) as arena:
+            assert_snapshots_identical(cached_attach(arena.spec).snapshot(), heap, "cache identity")
 
     def test_attach_reattaches_after_clear(self):
         with SnapshotArena.create(_snapshot()) as arena:
@@ -165,9 +157,10 @@ class TestSnapshotCache:
             assert not second.closed
 
     def test_counters_emitted_into_telemetry(self):
-        with telemetry_session() as tel:
-            cached_build_snapshot(128, links_per_node=3, seed=9)
-            cached_build_snapshot(128, links_per_node=3, seed=9)
+        with SnapshotArena.create(_snapshot()) as arena:
+            with telemetry_session() as tel:
+                cached_attach(arena.spec)
+                cached_attach(arena.spec)
         counters = tel.to_dict()["counters"]
         assert counters["sweep.snapshot_cache.misses"] == 1
         assert counters["sweep.snapshot_cache.hits"] == 1
@@ -184,10 +177,18 @@ class TestSnapshotCache:
     def test_eviction_respects_capacity(self):
         from repro.fastpath import snapcache
 
-        for seed in range(snapcache.CACHE_CAPACITY + 2):
-            cached_build_snapshot(64, links_per_node=2, seed=seed)
-        assert len(snapcache._CACHE) == snapcache.CACHE_CAPACITY
-        # The oldest entries were evicted; re-requesting them is a miss.
-        before = snapshot_cache_stats()["misses"]
-        cached_build_snapshot(64, links_per_node=2, seed=0)
-        assert snapshot_cache_stats()["misses"] == before + 1
+        heap = _snapshot(64)
+        arenas = [SnapshotArena.create(heap) for _ in range(snapcache.CACHE_CAPACITY + 2)]
+        try:
+            mapped = [cached_attach(arena.spec) for arena in arenas]
+            assert len(snapcache._CACHE) == snapcache.CACHE_CAPACITY
+            # The oldest entries were evicted and their mappings closed;
+            # re-requesting one is a miss.
+            assert mapped[0].closed and not mapped[-1].closed
+            before = snapshot_cache_stats()["misses"]
+            cached_attach(arenas[0].spec)
+            assert snapshot_cache_stats()["misses"] == before + 1
+        finally:
+            for arena in arenas:
+                arena.close()
+                arena.unlink()
