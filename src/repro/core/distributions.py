@@ -78,6 +78,8 @@ class InversePowerLawDistribution:
         ensure_positive(self.n, "n")
         if self.n < 2:
             raise ValueError("n must be at least 2 to have any long-distance links")
+        if not math.isfinite(self.exponent):
+            raise ValueError(f"exponent must be finite, got {self.exponent!r}")
         self._metric = RingMetric(self.n)
 
     # -- internal ----------------------------------------------------------
@@ -188,8 +190,11 @@ class InversePowerLawDistribution:
             return np.empty((sources.shape[0], 0), dtype=np.int64)
         uniforms = rng.random((sources.shape[0], count))
         offsets = np.searchsorted(self._offset_cdf(), uniforms, side="right")
-        offsets = np.clip(offsets, 1, self.n - 1)
-        return (sources[:, None] + offsets) % self.n
+        del uniforms
+        np.clip(offsets, 1, self.n - 1, out=offsets)
+        offsets += sources[:, None]
+        offsets %= self.n
+        return offsets
 
     def link_probability(self, distance: int) -> float:
         """Ideal probability that a single long link has ring distance ``distance``."""

@@ -19,6 +19,8 @@ engine; ``byzantine`` stays on its object-only routers (its docstring says why).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.builder import build_ideal_network
@@ -144,6 +146,12 @@ def _ablation_exponent(spec: ScenarioSpec) -> ScenarioOutcome:
 
     One session per exponent, opened on the network built with it.
     """
+    exponents = spec.extra("exponents")
+    if not all(math.isfinite(exponent) for exponent in exponents):
+        raise SpecError(
+            "extras.exponents must hold finite power-law exponents for "
+            f"'ablation-exponent', got {exponents!r}"
+        )
     nodes = spec.topology.nodes
     seed = spec.seed
     table = ExperimentTable(
@@ -151,7 +159,7 @@ def _ablation_exponent(spec: ScenarioSpec) -> ScenarioOutcome:
         columns=["exponent", "mean_hops", "failed_fraction"],
         notes="Exponent 1 (harmonic) is the paper's choice and Kleinberg's 1-D optimum.",
     )
-    for index, exponent in enumerate(spec.extra("exponents")):
+    for index, exponent in enumerate(exponents):
         with EngineSession(
             build_ideal_network(nodes, seed=seed + index, exponent=exponent),
             spec.engine,

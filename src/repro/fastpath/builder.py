@@ -7,11 +7,29 @@ by :func:`repro.fastpath.snapshot.compile_snapshot`) materialises an
 arrays.  At paper scale (2^17 nodes, 17 links each) that detour through ~2.4
 million Python objects dominates experiment start-up.
 
-:func:`build_snapshot` skips it entirely: all long links for all nodes are
-drawn in **one batched inverse-CDF sample**
-(:meth:`~repro.core.distributions.InversePowerLawDistribution.sample_neighbors_batch`)
-and the CSR adjacency is assembled with bulk NumPy scatter/gather, emitting a
-:class:`~repro.fastpath.snapshot.FastpathSnapshot` directly.
+:func:`build_snapshot` skips it entirely and emits a
+:class:`~repro.fastpath.snapshot.FastpathSnapshot` directly:
+
+* **Chunked draw and dedup.**  The long links are drawn with the batched
+  inverse-CDF sampler
+  (:meth:`~repro.core.distributions.InversePowerLawDistribution.sample_neighbors_batch`)
+  over fixed row chunks (``_CHUNK_ROWS``).  ``Generator.random`` fills
+  sequentially, so the chunks consume the stream exactly as one call over
+  every row would.  Each chunk is deduplicated (first occurrence per row)
+  into the only two full-size per-slot arrays: an ``INDEX_DTYPE`` slot matrix
+  ``[left, right, long targets]`` and its bool keep mask.  The outgoing part
+  of the CSR is that matrix read through the mask in row-major order.
+* **One key sort.**  With symmetric neighbour knowledge, every kept edge is
+  packed as the ``int64`` key ``target * n + source`` and the keys are sorted
+  once: ascending keys are the by-target, source-ascending order the incoming
+  links take.  A key whose source already sits in the target's row (a short
+  neighbour or a reciprocal long link) is found by searching the row's sorted
+  slots, packed the same way.
+* **Memory bound.**  Each temporary is freed after its last use, so the
+  traced peak is the largest phase rather than the sum of them: about three
+  snapshots' worth (``snapshot_nbytes``) at 2^17, and at most six at 2^15,
+  where one chunk's temporaries weigh most (``tests/unit/test_fastpath.py``
+  pins that bound).
 
 Equivalence contract
 --------------------
@@ -39,13 +57,18 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.distributions import InversePowerLawDistribution
-from repro.fastpath.dtypes import narrow_indptr, narrow_labels
+from repro.fastpath.dtypes import INDEX_DTYPE, narrow_indptr, narrow_labels
 from repro.fastpath.snapshot import FastpathSnapshot
 from repro.telemetry.core import spanned as telemetry_spanned
 from repro.util.rng import spawn_rng
 from repro.util.validation import ensure_positive
 
 __all__ = ["build_snapshot"]
+
+#: Rows drawn, deduplicated and key-tested per pass.  ``Generator.random``
+#: fills sequentially, so a chunked draw consumes the stream exactly as one
+#: call over every row would; the chunk only bounds the per-pass temporaries.
+_CHUNK_ROWS = 1 << 14
 
 
 @telemetry_spanned("build")
@@ -82,105 +105,76 @@ def build_snapshot(
     ensure_positive(n, "n")
     if links_per_node is None:
         links_per_node = max(1, int(np.ceil(np.log2(n))))
+    links = links_per_node if n >= 2 and links_per_node > 0 else 0
 
     labels = np.arange(n, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
-    # Long links: one batched draw for every (node, link slot), then a
-    # stable first-occurrence dedup per row (the builder collapses repeated
-    # samples of the same target; the paper samples with replacement).
+    # The slot matrix: row ``r`` is ``[left, right, long targets in draw
+    # order]`` (one short slot when n == 2, where both ring directions reach
+    # the same node; none when n == 1), and ``keep`` masks the repeated
+    # samples of a target out of the long slots.
     # ------------------------------------------------------------------ #
-    if n >= 2 and links_per_node > 0:
-        distribution = InversePowerLawDistribution(n, exponent=exponent)
-        link_rng = spawn_rng(seed, "links")
-        targets = distribution.sample_neighbors_batch(labels, links_per_node, link_rng)
-        order = np.argsort(targets, axis=1, kind="stable")
-        sorted_targets = np.take_along_axis(targets, order, axis=1)
-        duplicate = np.zeros_like(sorted_targets, dtype=bool)
-        duplicate[:, 1:] = sorted_targets[:, 1:] == sorted_targets[:, :-1]
-        keep = np.ones_like(duplicate)
-        np.put_along_axis(keep, order, ~duplicate, axis=1)
-    else:
-        targets = np.empty((n, 0), dtype=np.int64)
-        keep = np.empty((n, 0), dtype=bool)
-
-    out_count = keep.sum(axis=1).astype(np.int64)
-    flat_keep = keep.ravel()
-    edge_source = np.repeat(labels, targets.shape[1])[flat_keep]
-    edge_target = targets.ravel()[flat_keep]
-
-    # ------------------------------------------------------------------ #
-    # Short links: the sorted ring of immediate neighbours.
-    # ------------------------------------------------------------------ #
-    if n == 1:
-        short_count = 0
-        left = right = np.empty(0, dtype=np.int64)
-    elif n == 2:
-        # Both ring directions reach the single other node; the compiled row
-        # stores it once (``right`` equals ``left``).
-        short_count = 1
-        left = right = (labels + 1) % 2
-    else:
-        short_count = 2
-        left = (labels - 1) % n
-        right = (labels + 1) % n
-
-    # ------------------------------------------------------------------ #
-    # Incoming long links (symmetric neighbour knowledge): group the kept
-    # edges by target, preserving source-creation order, and drop sources
-    # already present in the row (a short neighbour, or a reciprocal long
-    # link) — the same dedup ``compile_snapshot`` applies.
-    # ------------------------------------------------------------------ #
-    if symmetric_neighbors and edge_source.size:
-        by_target = np.argsort(edge_target, kind="stable")
-        in_source = edge_source[by_target]
-        in_target = edge_target[by_target]
-        already = (in_source == left[in_target]) | (in_source == right[in_target])
-        # Reciprocal long link: the row of ``in_target`` already contains
-        # ``in_source`` iff the kept edge (in_target -> in_source) exists.
-        edge_keys = np.sort(edge_source * n + edge_target)
-        reverse_keys = in_target * n + in_source
-        position = np.searchsorted(edge_keys, reverse_keys)
-        position_clipped = np.minimum(position, edge_keys.size - 1)
-        already |= (position < edge_keys.size) & (
-            edge_keys[position_clipped] == reverse_keys
-        )
-        in_source = in_source[~already]
-        in_target = in_target[~already]
-        in_count = np.bincount(in_target, minlength=n).astype(np.int64)
-    else:
-        in_source = in_target = np.empty(0, dtype=np.int64)
-        in_count = np.zeros(n, dtype=np.int64)
-
-    # ------------------------------------------------------------------ #
-    # CSR assembly: shorts, then kept long links, then incoming links.
-    # Labels equal vertex indices on the fully populated ring, so targets
-    # scatter straight into the index array.
-    # ------------------------------------------------------------------ #
-    degrees = short_count + out_count + in_count
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    indices = np.empty(int(indptr[-1]), dtype=np.int32)
-    base = indptr[:-1]
+    short_count = min(n - 1, 2)
+    slots = np.empty((n, short_count + links), dtype=INDEX_DTYPE)
+    keep = np.ones((n, short_count + links), dtype=bool)
     if short_count >= 1:
-        indices[base] = left
+        slots[:, 0] = np.roll(labels, 1)
     if short_count == 2:
-        indices[base + 1] = right
-    if edge_source.size:
-        rank = keep.cumsum(axis=1, dtype=np.int64) - 1
-        long_positions = (base[:, None] + short_count + rank).ravel()[flat_keep]
-        indices[long_positions] = edge_target
-    if in_source.size:
-        group_start = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(in_count, out=group_start[1:])
-        rank_in = np.arange(in_source.size, dtype=np.int64) - group_start[in_target]
-        indices[base[in_target] + short_count + out_count[in_target] + rank_in] = (
-            in_source
+        slots[:, 1] = np.roll(labels, -1)
+
+    # ------------------------------------------------------------------ #
+    # Long links, one row chunk at a time; with symmetric neighbour
+    # knowledge each kept edge is also packed as its incoming key.
+    # ------------------------------------------------------------------ #
+    in_keys = np.empty(0, dtype=np.int64)
+    if links:
+        in_keys = _draw_long_links(
+            slots[:, short_count:],
+            keep[:, short_count:],
+            InversePowerLawDistribution(n, exponent=exponent),
+            spawn_rng(seed, "links"),
+            symmetric_neighbors,
         )
 
-    # Assembly arithmetic above must stay int64 (the reciprocal-link keys
-    # pack source * n + target, up to n**2); storage narrows to the contract
-    # dtypes only here, at the snapshot boundary.
+    # ------------------------------------------------------------------ #
+    # Incoming long links (symmetric neighbour knowledge).  Edges are unique
+    # (source, target) pairs emitted in ascending source order, so the
+    # ascending key order is exactly the stable by-target order
+    # ``compile_snapshot`` appends them in.  A source already present in the
+    # target's row (a short neighbour, or a reciprocal long link) is dropped.
+    # ------------------------------------------------------------------ #
+    if in_keys.size:
+        in_keys.sort()
+        in_keys = in_keys[_fresh_keys(in_keys, slots, labels)]
+
+    # ------------------------------------------------------------------ #
+    # CSR assembly: each row's kept slots (shorts, then long links in draw
+    # order) are one masked gather in row-major order; incoming sources
+    # follow them, interleaved row by row through a boolean position mask.
+    # ------------------------------------------------------------------ #
+    out_count = keep.sum(axis=1, dtype=np.int64)
+    indices = slots[keep]
+    del slots, keep
+    in_count = np.diff(np.searchsorted(in_keys, labels * n), append=in_keys.size)
+    in_keys %= n
+    incoming = in_keys.astype(INDEX_DTYPE)
+    del in_keys
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(out_count + in_count, out=indptr[1:])
+    if incoming.size:
+        outgoing = indices
+        indices = np.empty(int(indptr[-1]), dtype=INDEX_DTYPE)
+        is_outgoing = np.repeat(
+            np.tile(np.array([True, False], dtype=bool), n),
+            np.column_stack((out_count, in_count)).ravel(),
+        )
+        indices[is_outgoing] = outgoing
+        del outgoing
+        indices[~is_outgoing] = incoming
+
+    # Labels and row pointers narrow to the contract dtypes here, at the
+    # snapshot boundary.
     return FastpathSnapshot(
         kind="ring",
         space_size=n,
@@ -190,3 +184,79 @@ def build_snapshot(
         neighbor_indices=indices,
         symmetric_neighbors=symmetric_neighbors,
     )
+
+
+def _draw_long_links(
+    long_slots: np.ndarray,
+    long_keep: np.ndarray,
+    distribution: InversePowerLawDistribution,
+    link_rng: np.random.Generator,
+    pack_keys: bool,
+) -> np.ndarray:
+    """Fill the long-link columns of the slot matrix and their keep mask.
+
+    Row chunk by row chunk: draw, then keep each row's first occurrence of
+    every target (the builder collapses repeated samples; the paper samples
+    with replacement).  Returns the kept edges as incoming keys ``target * n
+    + source`` in row-major order, or an empty array unless ``pack_keys``.
+    """
+    n, links = long_slots.shape
+    in_keys = np.empty(n * links if pack_keys else 0, dtype=np.int64)
+    size = 0
+    for start in range(0, n, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, n)
+        sources = np.arange(start, stop, dtype=np.int64)
+        chunk = long_slots[start:stop]
+        chunk[...] = distribution.sample_neighbors_batch(sources, links, link_rng)
+        first = _first_occurrences(chunk)
+        long_keep[start:stop] = first
+        if pack_keys:
+            kept = chunk[first].astype(np.int64)
+            kept *= n
+            kept += np.repeat(sources, first.sum(axis=1))
+            in_keys[size : size + kept.size] = kept
+            size += kept.size
+    return in_keys[:size]
+
+
+def _first_occurrences(block: np.ndarray) -> np.ndarray:
+    """Mask of each row's first occurrence of every value, in slot order.
+
+    One sort of the row keys ``value << shift | slot`` orders a row by value
+    and, among equal values, by slot, so a slot is a repeat exactly when its
+    value equals its predecessor's in that order.
+    """
+    width = block.shape[1]
+    shift = max(width - 1, 1).bit_length()
+    keys = block.astype(np.int64)
+    keys <<= shift
+    keys |= np.arange(width, dtype=np.int64)
+    keys.sort(axis=1)
+    slot = keys & ((1 << shift) - 1)
+    keys >>= shift
+    row, rank = np.nonzero(keys[:, 1:] == keys[:, :-1])
+    first = np.ones(block.shape, dtype=bool)
+    first[row, slot[row, rank + 1]] = False
+    return first
+
+
+def _fresh_keys(in_keys: np.ndarray, slots: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Mask of the sorted incoming keys whose source is not yet in the row.
+
+    Row chunk by row chunk, the sorted slots of each row are packed like the
+    keys (``row * n + slot``), which makes them one ascending run per chunk
+    to search the chunk's incoming keys in.
+    """
+    n = labels.size
+    fresh = np.empty(in_keys.size, dtype=bool)
+    for start in range(0, n, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, n)
+        low, high = np.searchsorted(in_keys, [start * n, stop * n])
+        row_keys = np.sort(slots[start:stop], axis=1).astype(np.int64)
+        row_keys += labels[start:stop, None] * n
+        row_keys = row_keys.ravel()
+        keys = in_keys[low:high]
+        position = np.searchsorted(row_keys, keys)
+        np.minimum(position, row_keys.size - 1, out=position)
+        fresh[low:high] = row_keys[position] != keys
+    return fresh

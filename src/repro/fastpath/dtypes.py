@@ -31,10 +31,13 @@ arithmetic on narrowed labels is already parity-proven.
 own arithmetic back to ``int64`` above ``2**29`` internally; that is a key
 computation detail, not a storage contract.
 
-Internal *build* arithmetic intentionally stays ``int64``: the direct
-builder packs reciprocal-link keys as ``source * n + target`` (up to
-``n**2``, i.e. ``2**34`` at paper scale), so narrowing happens only at the
-:class:`~repro.fastpath.snapshot.FastpathSnapshot` construction boundary.
+Internal *build* keys intentionally stay ``int64``: the direct builder packs
+each incoming link as ``target * n + source`` (up to ``n**2``, i.e. ``2**34``
+at paper scale).  Its per-slot storage does not: the slot matrix it draws
+into is :data:`INDEX_DTYPE` from the start, so the only ``int64`` arrays
+that grow with the edge count are those keys.  Labels and row pointers
+narrow at the :class:`~repro.fastpath.snapshot.FastpathSnapshot`
+construction boundary.
 """
 
 from __future__ import annotations

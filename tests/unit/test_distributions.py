@@ -79,6 +79,11 @@ class TestInversePowerLaw:
         with pytest.raises(ValueError):
             InversePowerLawDistribution(1)
 
+    @pytest.mark.parametrize("exponent", [float("nan"), float("inf"), float("-inf")])
+    def test_requires_a_finite_exponent(self, exponent):
+        with pytest.raises(ValueError, match=f"exponent must be finite, got {exponent}"):
+            InversePowerLawDistribution(64, exponent=exponent)
+
     def test_exponent_zero_is_uniform_over_distances(self):
         distribution = InversePowerLawDistribution(100, exponent=0.0)
         assert distribution.link_probability(1) == pytest.approx(

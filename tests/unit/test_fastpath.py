@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,9 @@ from repro.fastpath import (
     build_snapshot,
     compile_snapshot,
     sample_node_failures,
+    snapshot_nbytes,
 )
+from repro.fastpath import builder
 from repro.fastpath.delta import assert_snapshots_identical
 from repro.scenarios.rounds import EngineSession, IdealNetwork
 from repro.simulation.workload import LookupWorkload
@@ -129,7 +133,7 @@ class TestCompileSnapshot:
 
 class TestBuildSnapshot:
     def test_bit_identical_to_object_build(self):
-        for n, links, seed in [(64, 3, 0), (128, 7, 5), (2, 1, 1), (100, 1, 3)]:
+        for n, links, seed in [(64, 3, 0), (128, 7, 5), (2, 1, 1), (100, 1, 3), (3, 2, 1)]:
             compiled = compile_snapshot(
                 build_ideal_network(n, links_per_node=links, seed=seed).graph
             )
@@ -142,6 +146,41 @@ class TestBuildSnapshot:
             assert direct.kind == "ring"
             # ... dtypes included (labels and indptr narrow on both paths).
             assert_snapshots_identical(direct, compiled)
+
+    @pytest.mark.parametrize("exponent", [1.0, 1.5])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_chunked_draw_matches_object_build(self, monkeypatch, symmetric, exponent):
+        # Five-row chunks: every size but n = 3 draws, dedups and key-tests
+        # across several chunks, the last one short.
+        monkeypatch.setattr(builder, "_CHUNK_ROWS", 5)
+        for n in (3, 64, 100):
+            for links in (1, 7, 17):
+                graph = build_ideal_network(
+                    n, links_per_node=links, seed=n + links, exponent=exponent
+                ).graph
+                direct = build_snapshot(
+                    n,
+                    links_per_node=links,
+                    seed=n + links,
+                    exponent=exponent,
+                    symmetric_neighbors=symmetric,
+                )
+                assert_snapshots_identical(
+                    direct, compile_snapshot(graph, symmetric_neighbors=symmetric)
+                )
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_build_peak_is_a_few_snapshots(self, symmetric):
+        build_snapshot(64, symmetric_neighbors=symmetric)  # imports outside the trace
+        tracemalloc.start()
+        try:
+            snapshot = build_snapshot(1 << 15, seed=1, symmetric_neighbors=symmetric)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Each phase's temporaries are freed after their last use, so the
+        # peak is the largest phase (3.4–3.6 snapshots here), not their sum.
+        assert peak <= 6 * snapshot_nbytes(snapshot)
 
     def test_asymmetric_build_drops_incoming(self):
         compiled = compile_snapshot(

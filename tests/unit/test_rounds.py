@@ -288,6 +288,11 @@ REJECTED_SPECS = [
     ("baselines", "topology.nodes", 1000),
     ("baselines", "failures.levels", (0.2, 0.6)),
     ("ablation-backtrack", "failures.levels", (0.2, 0.6)),
+    # A non-finite exponent has no distribution to draw links from.
+    *(
+        ("ablation-exponent", "extras.exponents", (1.0, bad))
+        for bad in (float("nan"), float("inf"), float("-inf"))
+    ),
     # A scenario pinned to one recovery strategy refuses the others.
     ("ablation-backtrack", "routing.recovery", "terminate"),
     ("ablation-backtrack", "routing.recovery", "random-reroute"),
