@@ -20,7 +20,7 @@ from __future__ import annotations
 import abc
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.util.validation import ensure_positive
 
@@ -43,9 +43,10 @@ def _is_integer(value: object) -> bool:
 class MetricSpace(abc.ABC):
     """Abstract base class for the metric spaces used by the overlay.
 
-    Subclasses must define :meth:`distance`, :meth:`size`, :meth:`contains`,
-    and :meth:`all_points`.  The default :meth:`closest` is expressed in
-    terms of :meth:`distance` and applies to any subclass.
+    Subclasses must define :meth:`distance` and :meth:`size`.  The default
+    :meth:`contains` accepts the integer labels ``0 .. size() - 1`` (spaces
+    whose points are not integers override it), and :meth:`closest` is
+    expressed in terms of :meth:`distance`; both apply to any subclass.
     """
 
     @abc.abstractmethod
@@ -56,13 +57,9 @@ class MetricSpace(abc.ABC):
     def size(self) -> int:
         """Return the total number of grid points in the space."""
 
-    @abc.abstractmethod
     def contains(self, point: Point) -> bool:
         """Return ``True`` when ``point`` is a valid grid point of the space."""
-
-    @abc.abstractmethod
-    def all_points(self) -> Iterable[Point]:
-        """Iterate over every grid point of the space (for small spaces only)."""
+        return _is_integer(point) and 0 <= point < self.size()
 
     # ------------------------------------------------------------------ #
     # Generic helpers expressed in terms of ``distance``.
@@ -117,12 +114,6 @@ class LineMetric(MetricSpace):
     def size(self) -> int:
         return self.n
 
-    def contains(self, point: int) -> bool:
-        return _is_integer(point) and 0 <= point < self.n
-
-    def all_points(self) -> Iterable[int]:
-        return range(self.n)
-
 
 @dataclass(frozen=True)
 class RingMetric(MetricSpace):
@@ -160,12 +151,6 @@ class RingMetric(MetricSpace):
 
     def size(self) -> int:
         return self.n
-
-    def contains(self, point: int) -> bool:
-        return _is_integer(point) and 0 <= point < self.n
-
-    def all_points(self) -> Iterable[int]:
-        return range(self.n)
 
 
 @dataclass(frozen=True)
@@ -212,16 +197,6 @@ class TorusMetric(MetricSpace):
             return False
         return all(_is_integer(c) and 0 <= c < self.side for c in point)
 
-    def all_points(self) -> Iterable[tuple[int, ...]]:
-        def generate(prefix: tuple[int, ...], remaining: int):
-            if remaining == 0:
-                yield prefix
-                return
-            for coordinate in range(self.side):
-                yield from generate(prefix + (coordinate,), remaining - 1)
-
-        return generate((), self.dimensions)
-
 
 @dataclass(frozen=True)
 class PrefixMetric(MetricSpace):
@@ -267,9 +242,3 @@ class PrefixMetric(MetricSpace):
 
     def size(self) -> int:
         return self.base**self.digits
-
-    def contains(self, point: int) -> bool:
-        return _is_integer(point) and 0 <= point < self.size()
-
-    def all_points(self) -> Iterable[int]:
-        return range(self.size())

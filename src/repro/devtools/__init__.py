@@ -1,11 +1,13 @@
 """Project-specific static analysis: ``repro check``.
 
 The repository's guarantees — engine parity, serial==parallel sweep
-byte-identity, telemetry on/off result identity, the snapshot dtype
-contract — are *determinism contracts*.  Property tests enforce them
-dynamically; this package enforces their source-level preconditions
-statically, so a violation is caught at check time instead of waiting for a
-seed (or a million-node space) to hit it.
+byte-identity, telemetry on/off result identity — are *determinism
+contracts*.  Property tests enforce them dynamically; this package enforces
+their source-level preconditions statically, so a violation is caught at
+check time instead of waiting for a seed to hit it.  The snapshot dtype
+contract is data (:mod:`repro.fastpath.dtypes`), so a property test reads it
+and checks the arrays themselves
+(``tests/property/test_property_dtypes.py``).
 
 Layout:
 
@@ -15,10 +17,8 @@ Layout:
   suppression parsing and unused-suppression detection;
 * :mod:`repro.devtools.engine` — the file walker / rule driver;
 * :mod:`repro.devtools.rules` — the rule catalog: four AST rules
-  (RPR001, RPR002, RPR003, RPR005; RPR004 and RPR006 are retired) and the
-  dtype dataflow rule (RPA101..RPA104), which
-  enforces the snapshot dtype contract from :mod:`repro.fastpath.dtypes`
-  through the abstract interpreter in :mod:`repro.devtools.analyze`;
+  (RPR001, RPR002, RPR003, RPR005; RPR004, RPR006 and RPA101..RPA104 are
+  retired);
 * :mod:`repro.devtools.reporters` — ``file:line`` text and JSON output;
 * :mod:`repro.devtools.cli` — the ``repro check`` subcommand.
 

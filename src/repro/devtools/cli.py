@@ -4,7 +4,7 @@ Usage::
 
     repro check                             # src/ and tests/ from the repo root
     repro check --format json               # machine-readable report (repro.check/v1)
-    repro check --select RPR001 --select RPA103
+    repro check --select RPR001 --select RPR005
     repro check --ignore RPR000 src/repro/fastpath
     repro check --list-rules                # the catalog, one line per rule id
 

@@ -4,9 +4,7 @@ The engine is deliberately rule-agnostic: it parses each file once, hands
 the module to every selected rule, runs cross-file ``finalize`` passes, then
 applies ``# repro: allow[...]`` suppressions and reports the stale ones.
 Rule instances are created fresh per run (cross-file rules accumulate state
-in ``check_module``).  A rule may report under several ids (the dtype
-dataflow rule owns RPA101..RPA104): it runs when any of them is selected
-and only findings under a selected id are kept.
+in ``check_module``).
 """
 
 from __future__ import annotations
@@ -126,7 +124,7 @@ class LintEngine:
     def run(self, paths: Sequence[str | Path] = ()) -> LintResult:
         selected = self.selected_ids()
         rules_run = tuple(rule_id for rule_id in selected if rule_id != UNUSED_SUPPRESSION_ID)
-        rules = [type(rule)() for rule in ALL_RULES if set(rules_run).intersection(rule.ids())]
+        rules = [type(rule)() for rule in ALL_RULES if rule.id in rules_run]
         modules: list[LintModule] = []
         raw_findings: list[Finding] = []
         suppressions: dict[str, list[Suppression]] = {}

@@ -4,23 +4,21 @@ Each rule is a subclass of :class:`Rule` with a stable id (``RPR001`` ...),
 a per-module visitor (:meth:`Rule.check_module`), and — for cross-file
 invariants like RPR002's stale-registry check — a :meth:`Rule.finalize` pass
 over the whole project.  ``ALL_RULES`` is the ordered catalog the engine and
-the CLI share; the dtype dataflow rule is one pass reporting under four ids
-(the ``RPA1nn`` family), so the catalog has more rows than rules.
+the CLI share, one row per rule.
 
 A rule earns its place by catching what no test can: a source-level fact
 that leaves results unchanged (a clock read, a second ``current()`` fetch,
-an ``np.append``, a platform-default dtype).  An invariant the program holds
-as runtime data — the scenario registry, the ``Overlay`` protocol — is
-checked by a test over that data instead.
+an ``np.append``).  An invariant the program holds as runtime data — the
+scenario registry, the ``Overlay`` protocol, the snapshot dtype contract
+(``tests/property/test_property_dtypes.py`` reads
+:data:`repro.fastpath.dtypes.SNAPSHOT_CONTRACT`) — is checked by a test over
+that data instead.
 
 Adding a rule: subclass :class:`Rule` in a new module here, give it the next
-unused ``RPRnnn`` id (syntactic invariants) or emit the next ``RPAnnn`` id
-from the dataflow interpreter and add its row to the catalog in
-``dtype_flow.py`` (dtype facts), append new rule classes to ``ALL_RULES``,
-add the row to the README catalog, and add violating/clean/suppressed
-fixtures to ``tests/unit/test_devtools_rules.py`` /
-``test_devtools_analyze.py`` — the self-check test will hold the repo to it
-immediately.
+unused ``RPRnnn`` id, append it to ``ALL_RULES``, add the row to the README
+catalog, and add violating/clean/suppressed fixtures to
+``tests/unit/test_devtools_rules.py`` — the self-check test will hold the
+repo to it immediately.
 """
 
 from __future__ import annotations
@@ -127,13 +125,6 @@ class Rule:
     name: str = ""
     description: str = ""
 
-    def catalog(self) -> tuple[tuple[str, str, str], ...]:
-        """The ``(id, name, description)`` rows this rule reports under."""
-        return ((self.id, self.name, self.description),)
-
-    def ids(self) -> tuple[str, ...]:
-        return tuple(row[0] for row in self.catalog())
-
     def applies_to(self, module: LintModule) -> bool:
         """Path scope; rules narrow this to the layers their invariant covers."""
         return True
@@ -215,23 +206,21 @@ from repro.devtools.rules.determinism import DeterminismRule  # noqa: E402
 from repro.devtools.rules.telemetry_names import TelemetryNamesRule  # noqa: E402
 from repro.devtools.rules.telemetry_guard import TelemetryGuardRule  # noqa: E402
 from repro.devtools.rules.array_hygiene import ArrayHygieneRule  # noqa: E402
-from repro.devtools.rules.dtype_flow import DtypeFlowRule  # noqa: E402
 
-#: The ordered rules; ids are stable and a retired id (RPR004, RPR006) is
-#: never reused.
+#: The ordered rules; ids are stable and a retired id (RPR004, RPR006,
+#: RPA101..RPA104) is never reused.
 ALL_RULES: tuple[Rule, ...] = (
     DeterminismRule(),
     TelemetryNamesRule(),
     TelemetryGuardRule(),
     ArrayHygieneRule(),
-    DtypeFlowRule(),
 )
 
 
 def catalog() -> tuple[tuple[str, str, str], ...]:
     """Every ``(id, name, description)`` row, in catalog order."""
-    return tuple(row for rule in ALL_RULES for row in rule.catalog())
+    return tuple((rule.id, rule.name, rule.description) for rule in ALL_RULES)
 
 
 def rule_ids() -> tuple[str, ...]:
-    return tuple(row[0] for row in catalog())
+    return tuple(rule.id for rule in ALL_RULES)

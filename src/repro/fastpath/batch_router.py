@@ -152,16 +152,15 @@ class BatchRouteResult:
             return 0.0
         return float(self.success.mean())
 
-    def mean_hops(self, successful_only: bool = True) -> float:
-        """Mean hop count, by default over successful queries only.
+    def mean_hops(self) -> float:
+        """Mean hop count over successful queries only.
 
         Matches the experiments' convention of averaging the delivery time of
-        *successful* searches; returns 0.0 when no query qualifies.
+        *successful* searches; returns 0.0 when no query succeeded.
         """
-        mask = self.success if successful_only else np.ones(len(self), dtype=bool)
-        if not np.any(mask):
+        if not np.any(self.success):
             return 0.0
-        return float(self.hops[mask].mean())
+        return float(self.hops[self.success].mean())
 
     def failure_reason(self, index: int) -> FailureReason:
         """Decode the failure reason of the query at ``index``."""
@@ -346,7 +345,7 @@ class BatchGreedyRouter:
                 success=np.empty(0, dtype=bool),
                 hops=empty.copy(),
                 failure_codes=np.empty(0, dtype=np.int8),
-                final=empty.copy(),
+                final=np.empty(0, dtype=self.snapshot.labels.dtype),
                 paths=[] if record_paths else None,
             )
         return self.route_batch(array[:, 0], array[:, 1], record_paths=record_paths)

@@ -1163,7 +1163,8 @@ class DeltaSnapshot:
         # duplicate.  When (row, value) packs into 31 bits — every small and
         # medium overlay — one packed radix sort replaces the two passes.
         if n * self.space_size < (1 << 31):
-            # repro: allow[RPA101] rows stays int64 for fancy indexing; the widened product is guarded to fit and narrowed here
+            # rows stays int64 for fancy indexing; the widened product is
+            # guarded to fit and narrowed here.
             packed = (rows * self.space_size + values).astype(np.int32)
             order = np.argsort(packed, kind="stable")
         else:

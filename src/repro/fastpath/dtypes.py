@@ -10,8 +10,10 @@ what dtype every snapshot / delta-mirror array field carries:
   delta materializer, ``OverlayMixin.compile_snapshot``) call
   :func:`narrow_labels` / :func:`narrow_indptr` so labels and row pointers
   land in ``int32`` whenever the space and the total degree fit;
-* the static checker (``repro check``, :mod:`repro.devtools.analyze`)
-  checks inferred dtypes against :data:`SNAPSHOT_CONTRACT` (id RPA102);
+* the tier-1 property ``tests/property/test_property_dtypes.py`` reads
+  :data:`SNAPSHOT_CONTRACT` and :func:`expected_snapshot_dtypes` and checks
+  the dtype of every governed array the constructors, both delta tiers and
+  the batch router actually produce;
 * the README's dtype-contract table is generated from
   :data:`SNAPSHOT_CONTRACT` via :func:`render_contract`, mirroring the
   telemetry counter glossary (``python -m repro.fastpath.dtypes --write
@@ -158,8 +160,8 @@ class FieldContract:
     description: str  #: What the field holds and why the policy is safe.
 
 
-#: Every governed array field, keyed for the analyzer (RPA102), the golden
-#: dtype-map tests, and the generated README table.
+#: Every governed array field, keyed for the runtime dtype property, the
+#: golden dtype-map tests, and the generated README table.
 SNAPSHOT_CONTRACT: tuple[FieldContract, ...] = (
     FieldContract(
         "FastpathSnapshot",
@@ -242,6 +244,22 @@ SNAPSHOT_CONTRACT: tuple[FieldContract, ...] = (
         "label_dtype(space_size)",
         ("int32", "int64"),
         "Ring successor pointers (-1 encodes None).",
+    ),
+    FieldContract(
+        "DeltaSnapshot",
+        "_mask_alive",
+        "bool",
+        ("bool",),
+        "Node liveness of the liveness-tier mirror, aligned with the base "
+        "snapshot's labels.",
+    ),
+    FieldContract(
+        "DeltaSnapshot",
+        "_mask_edge_alive",
+        "bool | None",
+        ("bool",),
+        "Per-edge liveness of the liveness-tier mirror, aligned with the "
+        "base CSR; None until the first link flip.",
     ),
     FieldContract(
         "_Slab",

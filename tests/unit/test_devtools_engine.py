@@ -39,13 +39,13 @@ def draw():
     return random.random()
 """
 
-#: One finding per id family: RPA103 on line 5, RPR005 on line 6.
-BOTH_FAMILIES = """
+#: One finding per hot-path rule: RPR003 on line 5, RPR005 on line 6.
+BOTH_RULES = """
 import numpy as np
-
+from repro import telemetry
 def grow(values):
-    fresh = np.zeros(4)
-    return np.append(values, fresh)
+    telemetry.current().count("route.rounds")
+    return np.append(values, values)
 """
 
 
@@ -91,17 +91,17 @@ class TestEngine:
         result = LintEngine(root=project, select=["RPR005", "RPR000"]).run()
         assert result.findings == []
 
-    def test_stale_dtype_suppression_is_reported_as_rpr000(self, tmp_path):
-        stale = "x = 1  # repro: allow[RPA101] nothing widens here\n"
+    def test_stale_hot_path_suppression_is_reported_as_rpr000(self, tmp_path):
+        stale = "x = 1  # repro: allow[RPR003] nothing records here\n"
         project = make_project(tmp_path, {"src/repro/fastpath/app.py": stale})
         (finding,) = LintEngine(root=project).run().findings
         assert (finding.rule, finding.line) == (UNUSED_SUPPRESSION_ID, 1)
-        assert "allow[RPA101]" in finding.message
-        assert LintEngine(root=project, ignore=["RPA101"]).run().findings == []
+        assert "allow[RPR003]" in finding.message
+        assert LintEngine(root=project, ignore=["RPR003"]).run().findings == []
 
     def test_unknown_rule_id_raises(self, tmp_path):
         project = make_project(tmp_path, {"src/app.py": "x = 1\n"})
-        for unknown in ("RPR999", "RPA999"):
+        for unknown in ("RPR999", "RPA101"):
             with pytest.raises(KeyError, match="unknown rule id"):
                 LintEngine(root=project, select=[unknown]).run()
             with pytest.raises(KeyError, match="unknown rule id"):
@@ -152,30 +152,33 @@ class TestEngine:
         locations = [(finding.path, finding.line) for finding in result.findings]
         assert locations == sorted(locations)
 
-    def test_one_run_reports_both_id_families(self, tmp_path):
-        project = make_project(tmp_path, {"src/repro/fastpath/app.py": BOTH_FAMILIES})
+    def test_one_run_reports_both_rules(self, tmp_path):
+        project = make_project(tmp_path, {"src/repro/fastpath/app.py": BOTH_RULES})
         result = LintEngine(root=project).run()
-        assert [(f.rule, f.line) for f in result.findings] == [("RPA103", 5), ("RPR005", 6)]
+        assert [(f.rule, f.line) for f in result.findings] == [("RPR003", 5), ("RPR005", 6)]
         assert result.files_checked == 1
         assert result.rules_run == rule_ids()
 
-    @pytest.mark.parametrize("suppressed, left", [("RPA103", "RPR005"), ("RPR005", "RPA103")])
-    def test_each_family_is_suppressed_by_its_own_allow(self, tmp_path, suppressed, left):
-        line = {"RPA103": "fresh = np.zeros(4)", "RPR005": "return np.append(values, fresh)"}
-        source = BOTH_FAMILIES.replace(
+    @pytest.mark.parametrize("suppressed, left", [("RPR003", "RPR005"), ("RPR005", "RPR003")])
+    def test_each_rule_is_suppressed_by_its_own_allow(self, tmp_path, suppressed, left):
+        line = {
+            "RPR003": 'telemetry.current().count("route.rounds")',
+            "RPR005": "return np.append(values, values)",
+        }
+        source = BOTH_RULES.replace(
             line[suppressed], f"{line[suppressed]}  # repro: allow[{suppressed}] fixture"
         )
         project = make_project(tmp_path, {"src/repro/fastpath/app.py": source})
         assert [f.rule for f in LintEngine(root=project).run().findings] == [left]
 
-    def test_select_one_dtype_id_runs_and_lists_only_it(self, tmp_path):
-        project = make_project(tmp_path, {"src/repro/fastpath/app.py": BOTH_FAMILIES})
-        result = LintEngine(root=project, select=["RPA103"]).run()
-        assert [f.rule for f in result.findings] == ["RPA103"]
-        assert result.rules_run == ("RPA103",)
+    def test_select_one_id_runs_and_lists_only_it(self, tmp_path):
+        project = make_project(tmp_path, {"src/repro/fastpath/app.py": BOTH_RULES})
+        result = LintEngine(root=project, select=["RPR003"]).run()
+        assert [f.rule for f in result.findings] == ["RPR003"]
+        assert result.rules_run == ("RPR003",)
 
     def test_scope_is_the_rules_not_the_commands(self, tmp_path):
-        project = make_project(tmp_path, {"src/repro/scenarios/app.py": BOTH_FAMILIES})
+        project = make_project(tmp_path, {"src/repro/scenarios/app.py": BOTH_RULES})
         assert LintEngine(root=project).run().findings == []
         assert LintEngine(root=project).run(["src/repro/scenarios/app.py"]).findings == []
 
@@ -185,12 +188,10 @@ class TestEngine:
 
 
 class TestRuleRegistry:
-    def test_at_least_six_rules_with_unique_ids(self):
+    def test_four_rules_with_unique_ids(self):
         ids = rule_ids()
-        # RPR004 and RPR006 are retired; their ids are never reused.
-        assert ids == tuple(
-            [f"RPR00{n}" for n in (1, 2, 3, 5)] + [f"RPA10{n}" for n in range(1, 5)]
-        )
+        # RPR004, RPR006 and RPA101..RPA104 are retired; their ids are never reused.
+        assert ids == ("RPR001", "RPR002", "RPR003", "RPR005")
         for rule_id, name, description in catalog():
             assert rule_id in ids
             assert name

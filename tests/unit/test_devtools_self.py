@@ -1,6 +1,6 @@
 """The repository holds itself to its own checker and generated docs.
 
-These are the drift gates: the full tree checks clean on all eight rule ids,
+These are the drift gates: the full tree checks clean on all four rule ids,
 the README counter glossary is byte-identical to what
 ``repro/telemetry/names.py`` renders, and the README scenario catalog names
 exactly the scenarios the runtime registry holds.
@@ -30,9 +30,7 @@ class TestRepoLintsClean:
         assert result.findings == [], "\n" + render_text(result)
         tree = [*(REPO_ROOT / "src").rglob("*.py"), *(REPO_ROOT / "tests").rglob("*.py")]
         assert result.files_checked == len(tree)  # each file parsed once
-        assert result.rules_run == rule_ids() == (
-            "RPR001", "RPR002", "RPR003", "RPR005", "RPA101", "RPA102", "RPA103", "RPA104"
-        )
+        assert result.rules_run == rule_ids() == ("RPR001", "RPR002", "RPR003", "RPR005")
 
 
 class TestReadmeGlossary:

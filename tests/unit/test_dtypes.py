@@ -22,6 +22,7 @@ from repro.baselines import (
     PlaxtonNetwork,
 )
 from repro.core.builder import build_ideal_network
+from repro.core.distributions import InversePowerLawDistribution
 from repro.core.graph import OverlayGraph
 from repro.core.metric import RingMetric
 from repro.core.network import P2PNetwork
@@ -31,6 +32,7 @@ from repro.fastpath.dtypes import (
     CONTRACT_END,
     INT32_COUNT_CUTOFF,
     INT32_SPACE_CUTOFF,
+    INDEX_DTYPE,
     SNAPSHOT_CONTRACT,
     expected_snapshot_dtypes,
     indptr_dtype,
@@ -40,8 +42,15 @@ from repro.fastpath.dtypes import (
     snapshot_nbytes,
     update_contract_block,
 )
-from repro.overlay import ChordGreedyPolicy, MetricGreedyPolicy, PrefixGreedyPolicy
+from repro.fastpath.builder import _draw_long_links, _first_occurrences
+from repro.overlay import (
+    ChordGreedyPolicy,
+    MetricGreedyPolicy,
+    PrefixGreedyPolicy,
+    TorusGreedyPolicy,
+)
 from repro.simulation.workload import LookupWorkload
+from repro.util.rng import spawn_rng
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -218,7 +227,7 @@ class TestPolicyCutoffs:
         ]
         assert policy.distance(current, targets).tolist() == [abs(a - b) for a, b in pairs]
 
-    @pytest.mark.parametrize("size", [1 << 29, (1 << 29) + 1, 1 << 30])
+    @pytest.mark.parametrize("size", [1 << 29, (1 << 29) + 1, 1 << 30, 1 << 33])
     def test_chord(self, size):
         def clockwise(a, b):
             return (b - a) % size
@@ -271,6 +280,53 @@ class TestPolicyCutoffs:
         assert keys.tolist() == expected
         assert bound.tolist() == [digits + 1] * len(pairs)
         assert policy.distance(current, targets).tolist() == [distance(a, b) for a, b in pairs]
+
+    def test_torus_past_int32(self):
+        # A side that is not a power of two: an int32 wrap of a label past
+        # 2**31 then lands on other coordinates, not the same ones.
+        side, dimensions = 50_000, 2
+        size = side**dimensions
+        assert size > 1 << 31
+
+        def distance(a, b):
+            total = 0
+            for axis in range(dimensions):
+                diff = abs(a // side**axis % side - b // side**axis % side)
+                total += min(diff, side - diff)
+            return total
+
+        (current, neighbors, targets), labels, pairs = _probe(size)
+        policy = TorusGreedyPolicy(side=side, dimensions=dimensions)
+        keys, bound = policy.candidate_keys(current, neighbors, targets)
+        assert keys.tolist() == [[distance(n, t) for n in labels] for _, t in pairs]
+        assert bound.tolist() == [distance(a, b) for a, b in pairs]
+
+
+class TestBuildKeyCutoffs:
+    """The direct builder's int64 packed keys, past the int32 range, on tiny inputs."""
+
+    def test_first_occurrences_of_wide_values(self):
+        # Row keys are ``value << shift | slot`` with shift 2 here: in int32,
+        # 2**30 + 5 would wrap onto 5 and the row would lose a distinct value.
+        big = (1 << 30) + 5
+        block = np.array([[5, big, 5, big], [big, 7, big - 1, big]], dtype=INDEX_DTYPE)
+        assert _first_occurrences(block).tolist() == [
+            [True, True, False, False],
+            [True, True, True, False],
+        ]
+
+    def test_incoming_keys_past_int32(self):
+        # Keys ``target * n + source`` reach n**2 = 2**32 with one link per row.
+        n = 1 << 16
+        slots = np.empty((n, 1), dtype=INDEX_DTYPE)
+        keep = np.ones((n, 1), dtype=bool)
+        keys = _draw_long_links(
+            slots, keep, InversePowerLawDistribution(n), spawn_rng(3, "links"), True
+        )
+        assert keys.dtype == np.dtype(np.int64)
+        expected = slots[:, 0].astype(np.int64) * n + np.arange(n)
+        np.testing.assert_array_equal(keys, expected)
+        assert int(keys.max()) > INT32_COUNT_CUTOFF
 
 
 class TestContractTable:

@@ -38,10 +38,6 @@ class TestLineMetric:
         assert not line.contains(10)
         assert not line.contains(-1)
 
-    def test_all_points(self):
-        line = LineMetric(5)
-        assert list(line.all_points()) == [0, 1, 2, 3, 4]
-
     def test_closest_breaks_ties_by_order(self):
         line = LineMetric(100)
         # 40 and 60 are both 10 away from 50; the first candidate wins.
@@ -118,10 +114,6 @@ class TestTorusMetric:
         assert not torus.contains(3)
         assert torus.contains((np.int64(0), np.int32(3)))
         assert not torus.contains((True, 3))
-
-    def test_all_points_count(self):
-        torus = TorusMetric(3, dimensions=2)
-        assert len(list(torus.all_points())) == 9
 
     def test_closest_on_torus(self):
         torus = TorusMetric(8, dimensions=2)

@@ -18,9 +18,15 @@ from repro.core.distributions import DeterministicBaseBOffsets
 from repro.core.failures import ByzantineModel, NodeFailureModel
 from repro.core.graph import OverlayGraph
 from repro.core.maintenance import MaintenanceDaemon
-from repro.core.metric import RingMetric
+from repro.core.metric import MetricSpace, RingMetric, TorusMetric
 from repro.core.routing import RecoveryStrategy
-from repro.fastpath import apply_node_failures, build_snapshot, sample_node_failures
+from repro.experiments.cli import main
+from repro.fastpath import (
+    BatchGreedyRouter,
+    apply_node_failures,
+    build_snapshot,
+    sample_node_failures,
+)
 from repro.scenarios.rounds import EngineSession, IdealNetwork
 
 PUBLIC_PACKAGES = ("repro", "repro.core", "repro.analysis", "repro.util", "repro.fastpath")
@@ -58,6 +64,8 @@ DELETED_ATTRIBUTES = [
     (MaintenanceDaemon, "last_report"),
     (DeterministicBaseBOffsets, "sample_neighbors"),
     (DeterministicBaseBOffsets, "link_probability"),
+    (MetricSpace, "all_points"),
+    (TorusMetric, "all_points"),
 ]
 
 
@@ -90,6 +98,7 @@ DELETED_KEYWORDS = [
     (MaintenanceDaemon, (None,), "regenerate"),
     (sample_node_failures, (_SNAPSHOT, 0.1), "protect"),
     (apply_node_failures, (_SNAPSHOT, 0.1), "mode"),
+    (BatchGreedyRouter(_SNAPSHOT).route_pairs([]).mean_hops, (), "successful_only"),
 ]
 
 
@@ -101,3 +110,17 @@ DELETED_KEYWORDS = [
 def test_deleted_keyword_is_refused(factory, args, keyword):
     with pytest.raises(TypeError, match=keyword):
         factory(*args, **{keyword: None})
+
+
+@pytest.mark.parametrize("module", ["repro.devtools.analyze", "repro.devtools.rules.dtype_flow"])
+def test_dtype_interpreter_is_gone(module):
+    # The snapshot dtype contract is checked at runtime by
+    # tests/property/test_property_dtypes.py, not inferred from source.
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)
+
+
+@pytest.mark.parametrize("rule_id", ["RPA101", "RPA102", "RPA103", "RPA104"])
+def test_retired_dtype_ids_are_refused(rule_id, capsys):
+    assert main(["check", "--select", rule_id]) == 2
+    assert "unknown rule id" in capsys.readouterr().err
