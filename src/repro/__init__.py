@@ -38,7 +38,6 @@ from repro.core import (
     HeuristicConstruction,
     InverseDistanceReplacement,
     InversePowerLawDistribution,
-    LineMetric,
     LinkFailureModel,
     MaintenanceDaemon,
     NodeFailureModel,
@@ -67,7 +66,6 @@ __all__ = [
     "RecoveryStrategy",
     "RouteResult",
     "RingMetric",
-    "LineMetric",
     "TorusMetric",
     "InversePowerLawDistribution",
     "RandomGraphBuilder",

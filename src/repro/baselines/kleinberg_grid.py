@@ -2,14 +2,14 @@
 
 Nodes sit at every point of a ``side x side`` torus; each node links to its
 four grid neighbours and to ``links_per_node`` long-range contacts drawn with
-probability proportional to ``d^-exponent`` (the harmonic case ``exponent =
-2`` is Kleinberg's optimum in two dimensions).  Greedy routing forwards to the
-neighbour closest to the target in L1 torus distance.
+probability proportional to ``d^-2`` (the harmonic case, Kleinberg's optimum
+in two dimensions).  Greedy routing forwards to the neighbour closest to the
+target in L1 torus distance.
 
 The paper (Section 2) describes its own construction as a generalisation of
-Kleinberg's; this baseline lets the experiments show the effect of dimension
-and of the exponent choice, including Kleinberg's result that exponents far
-from the dimension degrade greedy routing.
+Kleinberg's; this baseline lets the experiments show the effect of dimension.
+The effect of the exponent is studied on the paper's own ring
+(``ablation-exponent``).
 
 As an :class:`~repro.overlay.Overlay`, the grid compiles into a snapshot
 executed by :class:`~repro.overlay.policy.TorusGreedyPolicy`, hop-for-hop
@@ -40,16 +40,14 @@ class KleinbergGridNetwork(OverlayMixin):
     side:
         Side length of the grid (``side * side`` nodes).
     links_per_node:
-        Number of long-range contacts per node (Kleinberg's q).
-    exponent:
-        Clustering exponent ``r``; 2.0 is optimal for a two-dimensional grid.
+        Number of long-range contacts per node (Kleinberg's q), drawn with
+        clustering exponent 2, the optimum for a two-dimensional grid.
     seed:
         Seed for contact selection.
     """
 
     side: int
     links_per_node: int = 1
-    exponent: float = 2.0
     seed: int = 0
 
     failure_stream = "kleinberg-failures"
@@ -90,7 +88,7 @@ class KleinbergGridNetwork(OverlayMixin):
                 + np.minimum(column_diff, self.side - column_diff)
             ).astype(float)
             with np.errstate(divide="ignore"):
-                weights = np.where(distance > 0, distance**-self.exponent, 0.0)
+                weights = np.where(distance > 0, distance**-2.0, 0.0)
             probabilities = weights / weights.sum()
             chosen = rng.choice(self.size, size=self.links_per_node, p=probabilities)
             self._contacts[label] = sorted(set(int(c) for c in chosen) - {label})

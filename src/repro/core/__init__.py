@@ -37,7 +37,7 @@ from repro.core.failures import (
 )
 from repro.core.graph import LongLink, OverlayGraph, OverlayNode
 from repro.core.maintenance import MaintenanceDaemon, MaintenanceReport
-from repro.core.metric import LineMetric, MetricSpace, RingMetric, TorusMetric
+from repro.core.metric import MetricSpace, RingMetric, TorusMetric
 from repro.core.network import P2PNetwork
 from repro.core.routing import (
     FailureReason,
@@ -49,7 +49,6 @@ from repro.core.routing import (
 __all__ = [
     # metric spaces
     "MetricSpace",
-    "LineMetric",
     "RingMetric",
     "TorusMetric",
     # distributions

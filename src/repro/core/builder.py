@@ -14,10 +14,13 @@ Three builders are provided:
   (Theorems 12/13).
 * :class:`DeterministicGraphBuilder` — the base-``b`` digit scheme
   (Theorems 14/16).
-* Both accept an optional *presence probability* so that only a random subset
-  of grid points is occupied, reproducing the "binomially distributed nodes"
-  model of Section 4.3.4.1 in which absent points are skipped and links are
-  drawn conditioned on existence.
+* The random builder accepts an optional *presence probability* so that only
+  a random subset of grid points is occupied, reproducing the "binomially
+  distributed nodes" model of Section 4.3.4.1 in which absent points are
+  skipped and links are drawn conditioned on existence.
+
+Both build on a :class:`~repro.core.metric.RingMetric`, the space of every
+experiment.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from repro.core.distributions import DeterministicBaseBOffsets, InversePowerLawDistribution
 from repro.core.graph import OverlayGraph
-from repro.core.metric import LineMetric, MetricSpace, RingMetric
+from repro.core.metric import RingMetric
 from repro.util.rng import spawn_rng
 from repro.util.validation import ensure_positive, ensure_probability
 
@@ -87,7 +90,7 @@ class RandomGraphBuilder:
     """Builds the paper's randomized overlay in one shot.
 
     Every occupied point is wired to its immediate live neighbours on the ring
-    (or line) and to ``links_per_node`` long-distance neighbours sampled from
+    and to ``links_per_node`` long-distance neighbours sampled from
     the inverse power law with ``exponent``.  When a sampled sink is an
     unoccupied point the link is attached to the closest occupied point
     instead, mirroring the paper's basin-of-attraction rule.
@@ -95,7 +98,7 @@ class RandomGraphBuilder:
     Parameters
     ----------
     space:
-        Metric space (ring or line) of size ``n``.
+        Ring of size ``n``.
     exponent:
         Power-law exponent of the long-link distribution (the paper's 1).
     links_per_node:
@@ -106,7 +109,7 @@ class RandomGraphBuilder:
         Base seed for all sampling.
     """
 
-    space: MetricSpace
+    space: RingMetric
     exponent: float = 1.0
     links_per_node: int = 1
     presence_probability: float = 1.0
@@ -115,10 +118,9 @@ class RandomGraphBuilder:
     def __post_init__(self) -> None:
         ensure_positive(self.links_per_node, "links_per_node")
         ensure_probability(self.presence_probability, "presence_probability")
-        if not isinstance(self.space, (RingMetric, LineMetric)):
+        if not isinstance(self.space, RingMetric):
             raise TypeError(
-                "RandomGraphBuilder requires a one-dimensional space "
-                f"(RingMetric or LineMetric), got {type(self.space).__name__}"
+                f"RandomGraphBuilder requires a RingMetric, got {type(self.space).__name__}"
             )
         self._distribution = InversePowerLawDistribution(
             self.space.size(), exponent=self.exponent
@@ -211,29 +213,22 @@ class DeterministicGraphBuilder:
     Parameters
     ----------
     space:
-        Metric space (ring or line) of size ``n``.
+        Ring of size ``n``; every grid point hosts a node.
     base:
         The base ``b >= 2``; smaller bases mean more links and faster routing.
     variant:
         ``"full"`` for the Theorem-14 digit scheme, ``"powers"`` for the
         Theorem-16 power-of-``b`` scheme.
-    presence_probability:
-        Probability that each grid point hosts a node.
-    seed:
-        Seed used only for the presence sampling.
     """
 
-    space: MetricSpace
+    space: RingMetric
     base: int = 2
     variant: str = "full"
-    presence_probability: float = 1.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.space, (RingMetric, LineMetric)):
+        if not isinstance(self.space, RingMetric):
             raise TypeError(
-                "DeterministicGraphBuilder requires a one-dimensional space "
-                f"(RingMetric or LineMetric), got {type(self.space).__name__}"
+                f"DeterministicGraphBuilder requires a RingMetric, got {type(self.space).__name__}"
             )
         self.offsets_scheme = DeterministicBaseBOffsets(
             n=self.space.size(), base=self.base, variant=self.variant
@@ -241,27 +236,19 @@ class DeterministicGraphBuilder:
 
     def build(self) -> BuildResult:
         """Construct and return the overlay graph."""
-        n = self.space.size()
-        presence_rng = spawn_rng(self.seed, "presence")
-        present = sample_present_points(n, self.presence_probability, presence_rng)
-        present_labels = [int(label) for label in np.flatnonzero(present)]
+        present_labels = list(range(self.space.size()))
 
         graph = OverlayGraph(self.space)
         for label in present_labels:
             graph.add_node(label)
         graph.wire_ring(present_labels)
 
-        present_array = present if self.presence_probability < 1.0 else None
         for label in present_labels:
-            targets = self.offsets_scheme.neighbors(label, present=present_array)
             seen: set[int] = set()
-            for target in targets:
-                if target == label or target in seen:
-                    continue
-                if not graph.has_node(target):
-                    continue
-                seen.add(target)
-                graph.add_long_link(label, target)
+            for target in self.offsets_scheme.neighbors(label):
+                if target not in seen:
+                    seen.add(target)
+                    graph.add_long_link(label, target)
 
         return BuildResult(
             graph=graph,
@@ -274,7 +261,6 @@ def build_ideal_network(
     n: int,
     links_per_node: int | None = None,
     seed: int = 0,
-    presence_probability: float = 1.0,
     exponent: float = 1.0,
 ) -> BuildResult:
     """Convenience function: the paper's standard experimental network.
@@ -293,7 +279,6 @@ def build_ideal_network(
         space=space,
         exponent=exponent,
         links_per_node=links_per_node,
-        presence_probability=presence_probability,
         seed=seed,
     )
     return builder.build()

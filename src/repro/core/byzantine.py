@@ -52,22 +52,22 @@ class ByzantineAwareRouter:
         Overlay graph to route over.
     adversary:
         The Byzantine model marking compromised nodes.
-    hop_limit:
-        Safety bound on the number of hops.
     seed:
         Seed for the adversary's random forwarding decisions.
+
+    The safety bound on the number of hops, :attr:`hop_limit`, is the honest
+    :class:`~repro.core.routing.GreedyRouter`'s default.
     """
 
     graph: OverlayGraph
     adversary: ByzantineModel
-    hop_limit: int | None = None
     seed: int = 0
+    hop_limit: int = field(init=False)
 
     def __post_init__(self) -> None:
         self._honest_router = GreedyRouter(
             graph=self.graph,
             recovery=RecoveryStrategy.TERMINATE,
-            hop_limit=self.hop_limit,
             seed=self.seed,
         )
         self.hop_limit = self._honest_router.hop_limit

@@ -28,12 +28,13 @@ The same machinery is reused for link regeneration when a node departs (see
 from __future__ import annotations
 
 import abc
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.graph import OverlayGraph
-from repro.core.metric import MetricSpace, RingMetric
+from repro.core.metric import RingMetric
 from repro.util.rng import RandomSource
 from repro.util.validation import ensure_positive
 
@@ -176,23 +177,21 @@ class HeuristicConstruction:
     Parameters
     ----------
     space:
-        The metric space; the heuristic assumes a one-dimensional ring or line.
+        The ring the nodes occupy (any other space is refused).
     links_per_node:
-        The target number ``l`` of long links per node.
+        The target number ``l`` of long links per node; link lengths follow
+        the paper's inverse power law with exponent 1.
     replacement_policy:
         How existing nodes choose which link to redirect to a newcomer.
-    exponent:
-        Power-law exponent for the link-length distribution (1.0 in the paper).
     seed:
         Base seed for all sampling.
     """
 
-    space: MetricSpace
+    space: RingMetric
     links_per_node: int
     replacement_policy: LinkReplacementPolicy = field(
         default_factory=InverseDistanceReplacement
     )
-    exponent: float = 1.0
     seed: int = 0
 
     graph: OverlayGraph = field(init=False)
@@ -201,6 +200,10 @@ class HeuristicConstruction:
 
     def __post_init__(self) -> None:
         ensure_positive(self.links_per_node, "links_per_node")
+        if not isinstance(self.space, RingMetric):
+            raise TypeError(
+                f"HeuristicConstruction requires a RingMetric, got {type(self.space).__name__}"
+            )
         self.graph = OverlayGraph(self.space)
         self._random = RandomSource(seed=self.seed)
 
@@ -298,45 +301,31 @@ class HeuristicConstruction:
         Only the new node and its two ring neighbours are rewired, keeping the
         arrival cost logarithmic in the number of occupied points.
         """
-        import bisect
-
-        bisect.insort(self._sorted_labels, label)
-        count = len(self._sorted_labels)
+        labels = self._sorted_labels
+        index = bisect.bisect_left(labels, label)
+        labels.insert(index, label)
+        count = len(labels)
         if count == 1:
             self.graph.set_immediate_neighbors(label, None, None)
             return
-        index = self._sorted_labels.index(label) if count < 64 else bisect.bisect_left(
-            self._sorted_labels, label
-        )
-        wrap = isinstance(self.space, RingMetric)
-        left_index = index - 1
-        right_index = index + 1
-        if wrap:
-            left = self._sorted_labels[left_index % count]
-            right = self._sorted_labels[right_index % count]
-        else:
-            left = self._sorted_labels[left_index] if left_index >= 0 else None
-            right = self._sorted_labels[right_index] if right_index < count else None
+        left = labels[index - 1]
+        right = labels[(index + 1) % count]
         self.graph.set_immediate_neighbors(label, left, right)
-        if left is not None:
-            left_node = self.graph.node(left)
-            self.graph.set_immediate_neighbors(left, left_node.left, label)
-        if right is not None:
-            right_node = self.graph.node(right)
-            self.graph.set_immediate_neighbors(right, label, right_node.right)
+        left_node = self.graph.node(left)
+        self.graph.set_immediate_neighbors(left, left_node.left, label)
+        right_node = self.graph.node(right)
+        self.graph.set_immediate_neighbors(right, label, right_node.right)
+
+    def _ring_distances(self, labels: np.ndarray, source: int) -> np.ndarray:
+        """Ring distance from ``source`` to each of ``labels``, as floats."""
+        diff = np.abs(labels - source)
+        return np.minimum(diff, self.space.n - diff).astype(float)
 
     def _ideal_sink_weights(self, source: int) -> np.ndarray:
-        """Unnormalised inverse power-law weight of every point of the space."""
-        n = self.space.size()
-        labels = np.arange(n)
-        diff = np.abs(labels - source)
-        if isinstance(self.space, RingMetric):
-            distance = np.minimum(diff, n - diff).astype(float)
-        else:
-            distance = diff.astype(float)
+        """Unnormalised inverse power-law weight of every point of the ring."""
+        distance = self._ring_distances(np.arange(self.space.n), source)
         with np.errstate(divide="ignore"):
-            weights = np.where(distance > 0, distance**-self.exponent, 0.0)
-        return weights
+            return np.where(distance > 0, distance**-1.0, 0.0)
 
     def _generate_outgoing_links(self, label: int) -> None:
         """Step 1: sample ideal sinks and attach links to their basin owners."""
@@ -368,14 +357,7 @@ class HeuristicConstruction:
 
         others = np.array(self._sorted_labels, dtype=np.int64)
         others = others[others != label]
-        diff = np.abs(others - label)
-        if isinstance(self.space, RingMetric):
-            n = self.space.size()
-            distances = np.minimum(diff, n - diff).astype(float)
-        else:
-            distances = diff.astype(float)
-        distances = np.maximum(distances, 1.0)
-        weights = distances**-self.exponent
+        weights = np.maximum(self._ring_distances(others, label), 1.0) ** -1.0
         probabilities = weights / weights.sum()
         draw_count = min(incoming_estimate, len(others))
         chosen = rng.choice(len(others), size=draw_count, replace=False, p=probabilities)
@@ -396,10 +378,8 @@ class HeuristicConstruction:
         """Return the occupied point closest to ``point`` (basin-of-attraction rule).
 
         Uses binary search over the sorted occupied labels so each lookup is
-        logarithmic; on a ring the wrap-around candidates are also considered.
+        logarithmic; the wrap-around candidates are also considered.
         """
-        import bisect
-
         labels = self._sorted_labels
         if not labels or (len(labels) == 1 and labels[0] == exclude):
             return None
@@ -409,8 +389,9 @@ class HeuristicConstruction:
             index % len(labels),
             (index + 1) % len(labels),
         }
-        if isinstance(self.space, RingMetric):
-            candidate_indices.update({0, len(labels) - 1})
+        # Added after the three neighbours: first-best ties follow the set's
+        # iteration order.
+        candidate_indices.update({0, len(labels) - 1})
         best: int | None = None
         best_distance: int | None = None
         for candidate_index in candidate_indices:
@@ -444,13 +425,7 @@ class HeuristicConstruction:
         # Vectorized metric distance (the repair path samples thousands of
         # replacement links per churn round; a per-candidate space.distance
         # call here dominated whole repair passes).
-        diff = np.abs(others - source)
-        if isinstance(self.space, RingMetric):
-            distances = np.minimum(diff, self.space.size() - diff).astype(float)
-        else:
-            distances = diff.astype(float)
-        distances = np.maximum(distances, 1.0)
-        weights = distances**-self.exponent
+        weights = np.maximum(self._ring_distances(others, source), 1.0) ** -1.0
         probabilities = weights / weights.sum()
         index = int(rng.choice(others.size, p=probabilities))
         return int(others[index])

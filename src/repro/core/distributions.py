@@ -227,14 +227,13 @@ class DeterministicBaseBOffsets:
         The base ``b >= 2``.
     variant:
         Either ``"full"`` or ``"powers"``.
-    bidirectional:
-        When ``True`` links are created at both ``+delta`` and ``-delta``.
+
+    Links are created at both ``+delta`` and ``-delta``.
     """
 
     n: int
     base: int = 2
     variant: str = "full"
-    bidirectional: bool = True
 
     def __post_init__(self) -> None:
         ensure_positive(self.n, "n")
@@ -263,24 +262,13 @@ class DeterministicBaseBOffsets:
 
     def expected_link_count(self) -> int:
         """Number of long links per node under this scheme."""
-        count = len(self.offsets())
-        return 2 * count if self.bidirectional else count
+        return 2 * len(self.offsets())
 
-    def neighbors(self, source: int, present: np.ndarray | None = None) -> list[int]:
-        """Return the deterministic neighbour set of ``source``.
-
-        When ``present`` is given, absent targets are simply skipped, mirroring
-        the paper's "provided nodes are present at those distances".
-        """
+    def neighbors(self, source: int) -> list[int]:
+        """Return the deterministic neighbour set of ``source`` on the ring."""
         neighbors: list[int] = []
         for offset in self.offsets():
-            targets = [(source + offset) % self.n]
-            if self.bidirectional:
-                targets.append((source - offset) % self.n)
-            for target in targets:
-                if target == source:
-                    continue
-                if present is not None and not present[target]:
-                    continue
-                neighbors.append(int(target))
+            for target in ((source + offset) % self.n, (source - offset) % self.n):
+                if target != source:
+                    neighbors.append(int(target))
         return neighbors

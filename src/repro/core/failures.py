@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.graph import OverlayGraph
-from repro.util.rng import spawn_rng
+from repro.util.rng import draw_fraction, spawn_rng
 from repro.util.validation import ensure_probability
 
 __all__ = [
@@ -123,12 +123,8 @@ class NodeFailureModel:
         candidates = [
             label for label in graph.labels(only_alive=True) if label not in self.protect
         ]
-        count = min(int(round(self.failure_level * len(candidates))), len(candidates))
-        victims = []
-        if count > 0:
-            chosen = rng.choice(len(candidates), size=count, replace=False)
-            victims = [candidates[int(i)] for i in chosen]
-        for label in victims:
+        for i in draw_fraction(rng, len(candidates), self.failure_level):
+            label = candidates[int(i)]
             graph.fail_node(label)
             self._failed.append(label)
         return {
@@ -202,11 +198,8 @@ class ByzantineModel:
         rng = spawn_rng(self.seed, "byzantine")
         self.compromised.clear()
         candidates = graph.labels(only_alive=True)
-        count = int(round(self.fraction * len(candidates)))
-        count = min(count, len(candidates))
-        if count > 0:
-            chosen = rng.choice(len(candidates), size=count, replace=False)
-            self.compromised.update(candidates[int(i)] for i in chosen)
+        chosen = draw_fraction(rng, len(candidates), self.fraction)
+        self.compromised.update(candidates[int(i)] for i in chosen)
         return {
             "model": "byzantine",
             "behavior": self.behavior,

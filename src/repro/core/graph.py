@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from repro.core.metric import LineMetric, MetricSpace
+from repro.core.metric import MetricSpace
 
 __all__ = ["LongLink", "OverlayNode", "OverlayGraph"]
 
@@ -428,25 +428,18 @@ class OverlayGraph:
     # Statistics
     # ------------------------------------------------------------------ #
 
-    def total_long_links(self, only_alive: bool = False) -> int:
-        """Total number of long links across all vertices."""
-        total = 0
-        for node in self._nodes.values():
-            if only_alive:
-                total += sum(1 for link in node.long_links if link.alive)
-            else:
-                total += len(node.long_links)
-        return total
+    def total_long_links(self) -> int:
+        """Total number of long links (alive or failed) across all vertices."""
+        return sum(len(node.long_links) for node in self._nodes.values())
 
-    def long_link_lengths(self, only_alive: bool = True) -> list[int]:
-        """Return the metric length of every long link (for Figure 5)."""
-        lengths: list[int] = []
-        for node in self._nodes.values():
-            for link in node.long_links:
-                if only_alive and not link.alive:
-                    continue
-                lengths.append(self.space.distance(node.label, link.target))
-        return lengths
+    def long_link_lengths(self) -> list[int]:
+        """Return the metric length of every live long link (for Figure 5)."""
+        return [
+            self.space.distance(node.label, link.target)
+            for node in self._nodes.values()
+            for link in node.long_links
+            if link.alive
+        ]
 
     # ------------------------------------------------------------------ #
     # Ring helpers
@@ -455,32 +448,22 @@ class OverlayGraph:
     def wire_ring(self, labels: Iterable[int] | None = None) -> None:
         """Wire short links so that the given labels form a sorted ring.
 
-        When ``labels`` is omitted, all current vertices are used.  On a
-        :class:`~repro.core.metric.LineMetric` the first and last labels are
-        *not* joined (the line has endpoints); on every other space the ring
-        wraps around.
+        When ``labels`` is omitted, all current vertices are used.  The ring
+        wraps around: the last label's right neighbour is the first label.
         """
         ordered = sorted(labels if labels is not None else self._nodes)
         if not ordered:
             return
-        # The line is the only space without wrap-around.
-        wrap = not isinstance(self.space, LineMetric)
         count = len(ordered)
         for index, label in enumerate(ordered):
             if count == 1:
                 self.set_immediate_neighbors(label, None, None)
                 continue
-            left_index = index - 1
-            right_index = index + 1
-            if wrap:
-                left = ordered[left_index % count]
-                right = ordered[right_index % count]
-            else:
-                left = ordered[left_index] if left_index >= 0 else None
-                right = ordered[right_index] if right_index < count else None
             # Routed through the mutator so an attached observer (delta
             # recorder) sees the rewiring.
-            self.set_immediate_neighbors(label, left, right)
+            self.set_immediate_neighbors(
+                label, ordered[index - 1], ordered[(index + 1) % count]
+            )
 
     def closest_live_vertex(self, point: int) -> int | None:
         """Return the live vertex closest to an arbitrary metric-space point.

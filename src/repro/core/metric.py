@@ -3,15 +3,16 @@
 The paper (Section 2) models a peer-to-peer system as a random graph embedded
 in a metric space ``(V, d)``: resources are hashed to points of ``V`` and
 greedy routing forwards a message to the neighbour whose point is closest to
-the target under ``d``.  Almost all of the paper's analysis takes place on a
-one-dimensional space — the integer **line** (Section 4) or, equivalently for
-the experiments, a **ring** of ``n`` grid points.  Section 7 raises
-higher-dimensional spaces as future work; we provide a d-dimensional torus so
-that the Kleinberg-style baselines and the extension experiments have a home.
+the target under ``d``.  The paper's analysis takes place on the integer line
+(Section 4); its experiments (Section 6), and every experiment here, run on a
+**ring** of ``n`` grid points, which removes the line's boundary effects.
+Section 7 raises higher-dimensional spaces as future work; we provide a
+d-dimensional torus so that the Kleinberg-style baselines and the extension
+experiments have a home.
 
 Every metric space in this module is a space of *integer grid points* (the
 paper embeds nodes at grid points), identified by either a single integer
-(line, ring) or a tuple of integers (torus).  The classes are deliberately
+(ring, prefix) or a tuple of integers (torus).  The classes are deliberately
 small: they expose distance and uniform sampling of points.
 """
 
@@ -26,7 +27,6 @@ from repro.util.validation import ensure_positive
 
 __all__ = [
     "MetricSpace",
-    "LineMetric",
     "RingMetric",
     "TorusMetric",
     "PrefixMetric",
@@ -89,41 +89,14 @@ class MetricSpace(abc.ABC):
 
 
 @dataclass(frozen=True)
-class LineMetric(MetricSpace):
-    """The one-dimensional line of grid points ``{0, 1, ..., n - 1}``.
-
-    This is the space used throughout Section 4 of the paper: nodes sit at
-    integer grid points and the distance between two points is the absolute
-    difference of their labels.  Unlike the ring, the line has endpoints.
-
-    Parameters
-    ----------
-    n:
-        Number of grid points.  Points are labelled ``0 .. n - 1``.
-    """
-
-    n: int
-
-    def __post_init__(self) -> None:
-        ensure_positive(self.n, "n")
-
-    def distance(self, a: int, b: int) -> int:
-        """Absolute difference ``|a - b|``."""
-        return abs(int(a) - int(b))
-
-    def size(self) -> int:
-        return self.n
-
-
-@dataclass(frozen=True)
 class RingMetric(MetricSpace):
     """A ring (circle) of ``n`` grid points with wrap-around distance.
 
     The paper's experiments (Section 6) and systems such as Chord place
     identifiers on a modulo-``n`` circle; distance is measured along the
     circumference in whichever direction is shorter.  The ring removes the
-    boundary effects of the line and is the default space for the library's
-    experiments.
+    boundary effects of the paper's line (Section 4) and is the one-dimensional
+    space of every experiment in the library.
 
     Parameters
     ----------

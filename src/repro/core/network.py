@@ -123,13 +123,11 @@ class P2PNetwork:
         if self.graph.has_node(label) and self.graph.is_alive(label):
             self.crash(label)
 
-    def fail_fraction(
-        self, fraction: float, seed: int = 0, protect: set[int] | None = None
-    ) -> list[int]:
+    def fail_fraction(self, fraction: float, seed: int = 0) -> list[int]:
         """Crash a uniformly random fraction of the live members."""
         from repro.overlay.mixin import apply_fail_fraction
 
-        return apply_fail_fraction(self, fraction, seed, protect, "network-failures")
+        return apply_fail_fraction(self, fraction, seed, "network-failures")
 
     def route(self, source: int, target: int) -> RouteResult:
         """Route between two member nodes using the configured strategy.

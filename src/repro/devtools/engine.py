@@ -181,24 +181,28 @@ class LintEngine:
 def _unused_suppression_findings(
     suppressions: dict[str, list[Suppression]], ran: set[str]
 ) -> list[Finding]:
+    known = set(rule_ids())
     unused: list[Finding] = []
     for path, in_file in suppressions.items():
         for suppression in in_file:
-            # Only call a suppression stale when every id it names actually
-            # ran — otherwise we cannot know it is unused.
-            if suppression.used or not suppression.rules <= ran:
+            named = "`# repro: allow[" + ",".join(sorted(suppression.rules)) + "]`"
+            unknown = sorted(suppression.rules - known)
+            if unknown:
+                # An id no rule has can never match a finding, whatever ran.
+                message = f"unknown rule id {', '.join(unknown)} in {named} — fix or remove it"
+            elif suppression.used or not suppression.rules <= ran:
+                # Only call a suppression stale when every id it names
+                # actually ran — otherwise we cannot know it is unused.
                 continue
+            else:
+                message = f"unused suppression: {named} matched no finding — remove it"
             unused.append(
                 Finding(
                     path=path,
                     line=suppression.line,
                     col=1,
                     rule=UNUSED_SUPPRESSION_ID,
-                    message=(
-                        "unused suppression: `# repro: allow["
-                        + ",".join(sorted(suppression.rules))
-                        + "]` matched no finding — remove it"
-                    ),
+                    message=message,
                 )
             )
     return unused

@@ -11,8 +11,9 @@ A suppression applies to the physical line it sits on; a *standalone*
 suppression comment (nothing but the comment on its line) also covers the
 next line, so multi-clause statements can carry their justification above
 rather than as an end-of-line tail.  Suppressions that match no finding are
-themselves reported (``RPR000``) — a stale ``allow`` silently rotting in the
-tree is exactly the drift this linter exists to catch.
+themselves reported (``RPR000``), as are ones naming an id no rule has — a
+stale ``allow`` silently rotting in the tree is exactly the drift this linter
+exists to catch.
 """
 
 from __future__ import annotations

@@ -155,10 +155,9 @@ def _table1(spec: ScenarioSpec) -> ScenarioOutcome:
         columns=["base", "links_per_node", "measured_hops", "bound_shape_log_b_n"],
     )
     for index, base in enumerate(bases):
-        builder = DeterministicGraphBuilder(
-            space=RingMetric(polylog_n), base=base, variant="full", seed=seed + 40 + index
-        )
-        build = builder.build()
+        build = DeterministicGraphBuilder(
+            space=RingMetric(polylog_n), base=base, variant="full"
+        ).build()
         hops, _ = measure_once(build, seed + 50 + index)
         deterministic.add_row(
             base, build.links_per_node, hops, bounds.upper_bound_deterministic(polylog_n, base)
@@ -191,10 +190,9 @@ def _table1(spec: ScenarioSpec) -> ScenarioOutcome:
         ),
         columns=["p_link_alive", "measured_hops", "failed_fraction", "bound_shape"],
     )
-    det_builder = DeterministicGraphBuilder(
-        space=RingMetric(failure_n), base=deterministic_base, variant="powers", seed=seed + 90
-    )
-    det_build = det_builder.build()
+    det_build = DeterministicGraphBuilder(
+        space=RingMetric(failure_n), base=deterministic_base, variant="powers"
+    ).build()
     link_failure_sweep(
         det_build, model_seed=seed + 100, measure_seed=seed + 110,
         add_row=lambda p, hops, failed: link_failures_det.add_row(

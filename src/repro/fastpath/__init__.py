@@ -27,8 +27,8 @@ it is hop-for-hop identical to the scalar
 failure verdicts, same detour draws and backtrack moves) — asserted by
 ``tests/property/test_property_fastpath.py``.  Byzantine behaviour and the
 maintenance/DHT layers remain object-engine only; a graph embedded in a space
-the snapshot compiler does not support (anything but a line or a ring) is
-refused with ``NotImplementedError``.
+the snapshot compiler does not support (anything but a ring) is refused with
+``NotImplementedError``.
 
 The standard experimental network can additionally be built straight into a
 snapshot — :func:`build_snapshot` samples every node's long links in one

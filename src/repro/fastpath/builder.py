@@ -76,15 +76,15 @@ def build_snapshot(
     n: int,
     links_per_node: int | None = None,
     seed: int = 0,
-    exponent: float = 1.0,
     symmetric_neighbors: bool = True,
 ) -> FastpathSnapshot:
     """Build the paper's standard ring network straight into a snapshot.
 
-    Mirrors :func:`repro.core.builder.build_ideal_network` (fully populated
-    ring, inverse power-law long links, ``ceil(lg n)`` links per node by
-    default) but never touches the object layer; see the module docstring for
-    the equivalence contract with the object build path.
+    Mirrors :func:`repro.core.builder.build_ideal_network` at its default
+    exponent 1 (fully populated ring, inverse power-law long links,
+    ``ceil(lg n)`` links per node by default) but never touches the object
+    layer; see the module docstring for the equivalence contract with the
+    object build path.
 
     Parameters
     ----------
@@ -96,8 +96,6 @@ def build_snapshot(
     seed:
         Base seed; the long-link stream is ``spawn_rng(seed, "links")``,
         exactly as in :class:`~repro.core.builder.RandomGraphBuilder`.
-    exponent:
-        Power-law exponent of the link distribution (default 1).
     symmetric_neighbors:
         Fold incoming long links into each vertex's neighbour row (the
         handshake model the scalar router defaults to).
@@ -132,7 +130,7 @@ def build_snapshot(
         in_keys = _draw_long_links(
             slots[:, short_count:],
             keep[:, short_count:],
-            InversePowerLawDistribution(n, exponent=exponent),
+            InversePowerLawDistribution(n),
             spawn_rng(seed, "links"),
             symmetric_neighbors,
         )

@@ -35,8 +35,8 @@ via the liveness tier — for every baseline Overlay protocol.
 Two tiers
 ---------
 * **Structural tier** (:meth:`DeltaSnapshot.from_graph`) — for
-  :class:`~repro.core.graph.OverlayGraph`-backed overlays in one-dimensional
-  spaces (the paper's networks): supports the full event vocabulary.
+  :class:`~repro.core.graph.OverlayGraph`-backed overlays on a ring (the
+  paper's networks): supports the full event vocabulary.
 * **Liveness tier** (:meth:`DeltaSnapshot.from_snapshot` /
   :meth:`DeltaSnapshot.from_overlay`) — for *any* compiled snapshot,
   including the baseline protocol overlays (Chord, CAN, Kleinberg,
@@ -62,7 +62,7 @@ from typing import TYPE_CHECKING, Any, Iterable
 import numpy as np
 
 from repro.core.graph import OverlayGraph
-from repro.core.metric import LineMetric, RingMetric
+from repro.core.metric import RingMetric
 from repro.fastpath.dtypes import label_dtype, narrow_indptr, narrow_labels
 from repro.fastpath.snapshot import FastpathSnapshot
 from repro.telemetry.core import current as telemetry_current
@@ -569,17 +569,12 @@ class DeltaSnapshot:
         :func:`~repro.fastpath.snapshot.compile_snapshot` excludes them.
         """
         space = graph.space
-        if isinstance(space, RingMetric):
-            kind = "ring"
-        elif isinstance(space, LineMetric):
-            kind = "line"
-        else:
+        if not isinstance(space, RingMetric):
             raise NotImplementedError(
-                "structural snapshot deltas require a one-dimensional space "
-                f"(RingMetric or LineMetric), got {type(space).__name__}"
+                f"structural snapshot deltas require a RingMetric, got {type(space).__name__}"
             )
         mirror = cls()
-        mirror.kind = kind
+        mirror.kind = "ring"
         mirror.space_size = space.size()
         mirror.symmetric_neighbors = symmetric_neighbors
         n = mirror.space_size

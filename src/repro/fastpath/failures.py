@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fastpath.snapshot import FastpathSnapshot
-from repro.util.rng import spawn_rng
+from repro.util.rng import draw_fraction, spawn_rng
 from repro.util.validation import ensure_probability
 
 __all__ = ["sample_node_failures", "apply_node_failures"]
@@ -57,10 +57,7 @@ def sample_node_failures(
     rng = spawn_rng(seed, "node-failures")
     candidate_indices = np.flatnonzero(snapshot.alive)
     failed = np.zeros(snapshot.num_nodes, dtype=bool)
-    count = min(int(round(failure_level * candidate_indices.size)), candidate_indices.size)
-    if count > 0:
-        chosen = rng.choice(candidate_indices.size, size=count, replace=False)
-        failed[candidate_indices[chosen]] = True
+    failed[candidate_indices[draw_fraction(rng, candidate_indices.size, failure_level)]] = True
     return failed
 
 

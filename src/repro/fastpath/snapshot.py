@@ -34,9 +34,9 @@ Everything else a hop needs — the chosen vertex, its liveness, the link's —
 is read from the CSR at the picked slot.  The three padded matrices the
 router used to gather survive as one measurement-only accessor for ``bench/``.
 
-Only one-dimensional spaces are supported (:class:`~repro.core.metric.RingMetric`
-and :class:`~repro.core.metric.LineMetric`) — the spaces the paper's analysis
-and experiments use.
+Graphs compile only on a :class:`~repro.core.metric.RingMetric`, the space of
+the paper's experiments; the baseline overlays (torus, prefix, Chord) compile
+through :class:`~repro.overlay.mixin.OverlayMixin` with their own policy.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.graph import OverlayGraph
-from repro.core.metric import LineMetric, RingMetric
+from repro.core.metric import RingMetric
 from repro.fastpath.dtypes import label_dtype, narrow_indptr, narrow_labels
 from repro.overlay.policy import GreedyPolicy, MetricGreedyPolicy
 from repro.telemetry.core import spanned as telemetry_spanned
@@ -61,7 +61,9 @@ class FastpathSnapshot:
     Attributes
     ----------
     kind:
-        ``"ring"`` or ``"line"`` — which metric the label arithmetic uses.
+        Which overlay the snapshot was compiled from: ``"ring"`` for graph
+        compiles and direct builds, the protocol's ``snapshot_kind``
+        (``"chord"``, ``"torus"``, ``"prefix"``) for baseline overlays.
     space_size:
         Number of grid points of the underlying metric space.
     labels:
@@ -82,7 +84,7 @@ class FastpathSnapshot:
         scalar router's ``symmetric_neighbors`` flag at compile time).
     policy:
         Optional :class:`~repro.overlay.policy.GreedyPolicy` giving this
-        snapshot its next-hop rule.  ``None`` (graph-compiled ring/line
+        snapshot its next-hop rule.  ``None`` (graph-compiled ring
         snapshots) means the default strictly-decreasing metric rule; the
         baseline overlays attach their protocol's policy, which is how one
         batch router serves every topology.
@@ -228,14 +230,14 @@ class FastpathSnapshot:
         """The next-hop rule this snapshot routes under.
 
         Protocol snapshots carry their policy explicitly; graph-compiled
-        ring/line snapshots fall back to the default metric rule (cached —
+        ring snapshots fall back to the default metric rule (cached —
         it is what the batch router historically inlined).
         """
         if self.policy is not None:
             return self.policy
         cached = self._dense_cache.get("default_policy")
         if cached is None:
-            cached = MetricGreedyPolicy(kind=self.kind, space_size=self.space_size)
+            cached = MetricGreedyPolicy(space_size=self.space_size)
             self._dense_cache["default_policy"] = cached
         return cached
 
@@ -359,17 +361,12 @@ def compile_snapshot(
     Raises
     ------
     NotImplementedError
-        If the graph's metric space is not one-dimensional.
+        If the graph's metric space is not a ring.
     """
     space = graph.space
-    if isinstance(space, RingMetric):
-        kind = "ring"
-    elif isinstance(space, LineMetric):
-        kind = "line"
-    else:
+    if not isinstance(space, RingMetric):
         raise NotImplementedError(
-            "fastpath snapshots require a one-dimensional space "
-            f"(RingMetric or LineMetric), got {type(space).__name__}"
+            f"fastpath snapshots require a RingMetric, got {type(space).__name__}"
         )
 
     label_list = sorted(graph.labels())
@@ -422,7 +419,7 @@ def compile_snapshot(
     # Label translation above runs in int64 (searchsorted intermediates);
     # storage narrows to the contract dtypes only at the snapshot boundary.
     return FastpathSnapshot(
-        kind=kind,
+        kind="ring",
         space_size=space.size(),
         labels=narrow_labels(labels, space.size()),
         alive=np.array(alive_flags, dtype=bool),

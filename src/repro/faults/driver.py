@@ -32,6 +32,7 @@ import numpy as np
 from repro.core.graph import OverlayGraph
 from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.telemetry.core import current as telemetry_current
+from repro.util.rng import draw_fraction
 
 __all__ = ["FaultDriver"]
 
@@ -210,8 +211,4 @@ def _dead(nodes: Any) -> list[int]:
 
 def _draw(candidates: list[int], level: float, rng: np.random.Generator) -> list[int]:
     """Draw a ``level`` fraction of ``candidates`` without replacement."""
-    count = min(len(candidates), int(round(level * len(candidates))))
-    if count <= 0:
-        return []
-    chosen = rng.choice(len(candidates), size=count, replace=False)
-    return [candidates[int(i)] for i in chosen]
+    return [candidates[int(i)] for i in draw_fraction(rng, len(candidates), level)]

@@ -37,7 +37,7 @@ import numpy as np
 from repro.core.metric import MetricSpace
 from repro.core.routing import FailureReason, RouteResult
 from repro.overlay.policy import GreedyPolicy
-from repro.util.rng import spawn_rng
+from repro.util.rng import draw_fraction, spawn_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fastpath imports us)
     from repro.fastpath.snapshot import FastpathSnapshot
@@ -63,25 +63,19 @@ def apply_fail_fraction(
     overlay: Any,
     fraction: float,
     seed: int,
-    protect: set[int] | None,
     stream: str,
 ) -> list[int]:
     """Fail a uniformly random fraction of an overlay's live members.
 
-    The one shared implementation of the victim draw: candidates are the
-    live labels minus ``protect``, the count rounds ``fraction`` of them,
-    and victims are drawn without replacement from ``spawn_rng(seed,
-    stream)``.  Used by :class:`OverlayMixin` and by overlays with their own
-    liveness state (:class:`~repro.core.network.P2PNetwork`).
+    The overlays' shared victim draw: candidates are the live labels, and
+    :func:`~repro.util.rng.draw_fraction` picks ``fraction`` of them from
+    ``spawn_rng(seed, stream)``.  Used by :class:`OverlayMixin` and by
+    overlays with their own liveness state
+    (:class:`~repro.core.network.P2PNetwork`).
     """
-    protect = protect or set()
+    candidates = list(overlay.labels())
     rng = spawn_rng(seed, stream)
-    candidates = [label for label in overlay.labels() if label not in protect]
-    count = min(len(candidates), int(round(fraction * len(candidates))))
-    victims: list[int] = []
-    if count > 0:
-        chosen = rng.choice(len(candidates), size=count, replace=False)
-        victims = [candidates[int(i)] for i in chosen]
+    victims = [candidates[int(i)] for i in draw_fraction(rng, len(candidates), fraction)]
     for victim in victims:
         overlay.fail_node(victim)
     return victims
@@ -189,11 +183,9 @@ class OverlayMixin:
             if self._observer is not None:
                 self._observer.on_revive_node(int(label))
 
-    def fail_fraction(
-        self, fraction: float, seed: int = 0, protect: set[int] | None = None
-    ) -> list[int]:
+    def fail_fraction(self, fraction: float, seed: int = 0) -> list[int]:
         """Fail a uniformly random fraction of the live members."""
-        return apply_fail_fraction(self, fraction, seed, protect, self.failure_stream)
+        return apply_fail_fraction(self, fraction, seed, self.failure_stream)
 
     def fail_link(self, source: int, target: int) -> None:
         """Mark the table entry ``source -> target`` as unusable.

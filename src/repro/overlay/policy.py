@@ -96,7 +96,7 @@ class GreedyPolicy:
 
 @dataclass(frozen=True)
 class MetricGreedyPolicy(GreedyPolicy):
-    """The paper's rule: move strictly closer under a 1-D ring/line metric.
+    """The paper's rule: move strictly closer under the ring metric.
 
     This is the policy the default overlay snapshots execute; its arithmetic
     is bit-identical to what :class:`~repro.fastpath.BatchGreedyRouter`
@@ -104,20 +104,15 @@ class MetricGreedyPolicy(GreedyPolicy):
     the scalar :class:`~repro.core.routing.GreedyRouter`.
     """
 
-    kind: str
     space_size: int
 
     def __post_init__(self) -> None:
-        if self.kind not in ("ring", "line"):
-            raise ValueError(f"kind must be 'ring' or 'line', got {self.kind!r}")
         object.__setattr__(self, "blocked", int(self.space_size) + 1)
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Shorter-arc (ring) or absolute (line) distance."""
+        """Shorter-arc ring distance."""
         diff = np.abs(a - b)
-        if self.kind == "ring":
-            return np.minimum(diff, self.space_size - diff)
-        return diff
+        return np.minimum(diff, self.space_size - diff)
 
     def candidate_keys(
         self,

@@ -70,9 +70,7 @@ class Overlay(Protocol):
         """Mark the member at ``label`` as failed (no-op for non-members)."""
         ...
 
-    def fail_fraction(
-        self, fraction: float, seed: int = 0, protect: set[int] | None = None
-    ) -> list[int]:
+    def fail_fraction(self, fraction: float, seed: int = 0) -> list[int]:
         """Fail a uniformly random fraction of live members; return victims."""
         ...
 

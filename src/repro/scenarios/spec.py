@@ -49,11 +49,6 @@ class SpecError(ValueError):
 
 TOPOLOGY_KINDS = ("ideal", "heuristic", "deterministic")
 FAILURE_KINDS = ("none", "nodes", "links", "byzantine", "churn")
-BYZANTINE_BEHAVIORS = (
-    ByzantineBehavior.DROP,
-    ByzantineBehavior.MISROUTE,
-    ByzantineBehavior.RANDOM,
-)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -120,8 +115,8 @@ class FailureSpec:
         for level in self.levels:
             _require(0.0 <= float(level) <= 1.0, f"failures.levels entries must be in [0, 1], got {level!r}")
         _require(
-            self.behavior in BYZANTINE_BEHAVIORS,
-            f"failures.behavior must be one of {BYZANTINE_BEHAVIORS}, got {self.behavior!r}",
+            self.behavior in ByzantineBehavior.ALL,
+            f"failures.behavior must be one of {ByzantineBehavior.ALL}, got {self.behavior!r}",
         )
 
 

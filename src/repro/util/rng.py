@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["derive_seed", "spawn_rng", "RandomSource"]
+__all__ = ["derive_seed", "spawn_rng", "draw_fraction", "RandomSource"]
 
 # A fixed, arbitrary namespace string mixed into derived seeds so that the
 # library's seed derivation cannot collide with a user's own use of the same
@@ -64,6 +64,20 @@ def spawn_rng(base_seed: int, *labels: str | int) -> np.random.Generator:
     Equivalent to ``np.random.default_rng(derive_seed(base_seed, *labels))``.
     """
     return np.random.default_rng(derive_seed(base_seed, *labels))
+
+
+def draw_fraction(rng: np.random.Generator, count: int, fraction: float) -> np.ndarray:
+    """Draw a ``fraction`` of ``count`` candidates; return their indices.
+
+    The one victim draw of the failure and Byzantine models: exactly
+    ``min(count, round(fraction * count))`` distinct indices into the
+    caller's candidate list, in ``rng.choice(count, size, replace=False)``
+    order.  When that size is 0 the generator is not touched.
+    """
+    size = min(count, int(round(fraction * count)))
+    if size <= 0:
+        return np.empty(0, dtype=np.int64)
+    return rng.choice(count, size=size, replace=False)
 
 
 @dataclass

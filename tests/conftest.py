@@ -6,19 +6,13 @@ import pytest
 
 from repro.core.builder import build_ideal_network
 from repro.core.graph import OverlayGraph
-from repro.core.metric import LineMetric, RingMetric
+from repro.core.metric import RingMetric
 
 
 @pytest.fixture
 def ring_64() -> RingMetric:
     """A small ring metric space."""
     return RingMetric(64)
-
-
-@pytest.fixture
-def line_64() -> LineMetric:
-    """A small line metric space."""
-    return LineMetric(64)
 
 
 @pytest.fixture

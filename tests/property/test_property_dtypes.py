@@ -38,7 +38,7 @@ from repro.baselines import (
 )
 from repro.core.builder import build_ideal_network
 from repro.core.graph import OverlayGraph
-from repro.core.metric import LineMetric, RingMetric
+from repro.core.metric import RingMetric
 from repro.core.network import P2PNetwork
 from repro.core.routing import RecoveryStrategy
 from repro.fastpath import (
@@ -181,15 +181,8 @@ class TestSnapshotConstructors:
         assert_policy_contract(snapshot, pairs)
 
     @pytest.mark.parametrize("symmetric", [True, False])
-    @pytest.mark.parametrize("metric", [RingMetric, LineMetric])
-    def test_compile_snapshot(self, metric, symmetric):
+    def test_compile_snapshot(self, symmetric):
         graph = build_ideal_network(96, seed=4).graph
-        if metric is LineMetric:
-            graph = OverlayGraph(LineMetric(64))
-            for label in range(0, 64, 3):
-                graph.add_node(label)
-            graph.wire_ring()
-            graph.add_long_link(0, 33)
         snapshot = compile_snapshot(graph, symmetric_neighbors=symmetric)
         assert_snapshot_contract(snapshot)
         live = sorted(graph.labels())
@@ -197,8 +190,8 @@ class TestSnapshotConstructors:
         _route_every_recovery(snapshot, pairs, 0.3, 5)
         assert_policy_contract(snapshot, pairs)
 
-    @pytest.mark.parametrize("space", [RingMetric(16), LineMetric(16)])
-    def test_empty_graph(self, space):
+    def test_empty_graph(self):
+        space = RingMetric(16)
         assert_snapshot_contract(build_snapshot(1))
         snapshot = compile_snapshot(OverlayGraph(space))
         assert snapshot.num_nodes == 0

@@ -35,12 +35,12 @@ class TestFailureModelProperties:
     )
     def test_link_failure_apply_repair_roundtrip(self, p, seed):
         graph = build_ideal_network(128, links_per_node=4, seed=seed).graph
-        total_before = graph.total_long_links(only_alive=True)
+        total_before = len(graph.long_link_lengths())
         model = LinkFailureModel(p, seed=seed)
         summary = model.apply(graph)
-        assert summary["failed_links"] == total_before - graph.total_long_links(only_alive=True)
+        assert summary["failed_links"] == total_before - len(graph.long_link_lengths())
         model.repair(graph)
-        assert graph.total_long_links(only_alive=True) == total_before
+        assert len(graph.long_link_lengths()) == total_before
 
     @settings(max_examples=15, deadline=None)
     @given(

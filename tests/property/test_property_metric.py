@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.metric import LineMetric, RingMetric, TorusMetric
+from repro.core.metric import RingMetric, TorusMetric
 
 sizes = st.integers(min_value=2, max_value=500)
 
@@ -15,13 +15,6 @@ def ring_and_points(draw, count: int = 3):
     n = draw(sizes)
     points = [draw(st.integers(min_value=0, max_value=n - 1)) for _ in range(count)]
     return RingMetric(n), points
-
-
-@st.composite
-def line_and_points(draw, count: int = 3):
-    n = draw(sizes)
-    points = [draw(st.integers(min_value=0, max_value=n - 1)) for _ in range(count)]
-    return LineMetric(n), points
 
 
 @st.composite
@@ -73,25 +66,6 @@ class TestRingAxioms:
         assert space.distance(a, b) == min(
             space.clockwise_distance(a, b), space.clockwise_distance(b, a)
         )
-
-
-class TestLineAxioms:
-    @given(line_and_points())
-    def test_symmetry_and_identity(self, data):
-        space, (a, b, _) = data
-        assert space.distance(a, b) == space.distance(b, a)
-        assert space.distance(a, a) == 0
-
-    @given(line_and_points())
-    def test_triangle_inequality(self, data):
-        space, (a, b, c) = data
-        assert space.distance(a, c) <= space.distance(a, b) + space.distance(b, c)
-
-    @given(line_and_points())
-    def test_distance_adds_up_along_the_line(self, data):
-        space, points = data
-        a, b, c = sorted(points)
-        assert space.distance(a, c) == space.distance(a, b) + space.distance(b, c)
 
 
 class TestTorusAxioms:

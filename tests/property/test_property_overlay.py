@@ -161,9 +161,9 @@ class TestSnapshotDeterminism:
 
 def _policy(family: str, scale: int):
     """A small instance of each policy family and the size of its label space."""
-    if family in ("ring", "line"):
+    if family == "ring":
         size = 5 + 13 * scale
-        return MetricGreedyPolicy(kind=family, space_size=size), size
+        return MetricGreedyPolicy(space_size=size), size
     if family == "torus":
         side, dimensions = 3 + scale, 2 + scale % 2
         return TorusGreedyPolicy(side=side, dimensions=dimensions), side**dimensions
@@ -187,7 +187,7 @@ def _tiers(family: str, shape):
 class TestSelfIsNeverAdmissible:
     """The contract ``FastpathSnapshot.label_matrix`` pads rows on."""
 
-    @pytest.mark.parametrize("family", ["ring", "line", "torus", "prefix", "chord"])
+    @pytest.mark.parametrize("family", ["ring", "torus", "prefix", "chord"])
     @pytest.mark.parametrize("scale", range(4))
     def test_own_label_keys_at_or_above_the_bound(self, family, scale):
         """A slot holding the current node's own label is never a candidate."""
@@ -218,7 +218,7 @@ def _admissible(family, policy, current, neighbor, target):
 class TestKeysBelowTheBound:
     @settings(max_examples=60, deadline=None)
     @given(
-        family=st.sampled_from(["ring", "line", "torus", "prefix", "chord"]),
+        family=st.sampled_from(["ring", "torus", "prefix", "chord"]),
         scale=st.integers(min_value=0, max_value=3),
         data=st.data(),
     )

@@ -42,7 +42,9 @@ class TestChord:
 
     def test_failures_then_stabilize(self):
         chord = ChordNetwork(bits=8)
-        chord.fail_fraction(0.3, seed=1, protect={0, 200})
+        chord.fail_fraction(0.3, seed=1)
+        for endpoint in (0, 200):
+            chord.revive_node(endpoint)
         result_before = chord.route(0, 200)
         chord.stabilize()
         result_after = chord.route(0, 200)
@@ -95,13 +97,15 @@ class TestKleinbergGrid:
         assert result.hops <= 2 * grid.side
 
     def test_long_links_beat_lattice_only(self):
-        lattice_like = KleinbergGridNetwork(side=20, links_per_node=1, exponent=2.0, seed=1)
+        lattice_like = KleinbergGridNetwork(side=20, links_per_node=1, seed=1)
         hops = [lattice_like.route(0, t).hops for t in [210, 399, 250, 305]]
         # Greedy with long links should be well under the lattice diameter (20).
         assert sum(hops) / len(hops) < 25
 
     def test_failures_cause_some_failures(self, grid):
-        grid.fail_fraction(0.4, seed=3, protect={0, 200})
+        grid.fail_fraction(0.4, seed=3)
+        for endpoint in (0, 200):
+            grid.revive_node(endpoint)
         results = [grid.route(0, t) for t in grid.labels()[:50] if t != 0]
         grid.repair()
         assert any(not r.success for r in results) or all(r.success for r in results)

@@ -12,7 +12,7 @@ from repro.core.construction import (
     OldestLinkReplacement,
     build_heuristic_network,
 )
-from repro.core.metric import RingMetric
+from repro.core.metric import PrefixMetric, RingMetric, TorusMetric
 from repro.core.routing import GreedyRouter
 
 
@@ -38,6 +38,15 @@ class TestArrival:
         assert construction.graph.node(20).left == 10
         assert construction.graph.node(20).right == 30
         assert construction.graph.node(50).right == 10  # wraps around
+
+    @pytest.mark.parametrize(
+        "space", [PrefixMetric(2, 4), TorusMetric(4)], ids=["PrefixMetric", "TorusMetric"]
+    )
+    def test_non_ring_space_refused(self, space):
+        # The heuristic's distances are ring arithmetic; any other space is
+        # refused up front rather than built with the wrong distances.
+        with pytest.raises(TypeError, match=f"requires a RingMetric, got {type(space).__name__}"):
+            HeuristicConstruction(space=space, links_per_node=2, seed=0)
 
     def test_duplicate_arrival_rejected(self):
         construction = HeuristicConstruction(space=RingMetric(64), links_per_node=2, seed=0)

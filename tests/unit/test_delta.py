@@ -272,8 +272,8 @@ class TestDeltaSnapshot:
         from repro.baselines import CanNetwork
 
         can = CanNetwork(side=4, dimensions=2)
-        with pytest.raises(NotImplementedError, match="one-dimensional"):
-            DeltaSnapshot.from_graph(can)  # not an OverlayGraph in a 1-d space
+        with pytest.raises(NotImplementedError, match="require a RingMetric"):
+            DeltaSnapshot.from_graph(can)  # not an OverlayGraph on a ring
 
 
 def _refresh_strategy(mirror) -> tuple[str, object]:

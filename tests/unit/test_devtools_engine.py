@@ -91,6 +91,23 @@ class TestEngine:
         result = LintEngine(root=project, select=["RPR005", "RPR000"]).run()
         assert result.findings == []
 
+    def test_suppression_naming_an_unknown_id_is_reported_whatever_ran(self, tmp_path):
+        source = (
+            "a = 1  # repro: allow[RPA101] a retired id\n"
+            "b = 2  # repro: allow[RPR999] a misspelt id\n"
+            "c = 3  # repro: allow[RPR001] nothing to allow here\n"
+        )
+        project = make_project(tmp_path, {"src/app.py": source})
+        findings = LintEngine(root=project).run().findings
+        assert {f.rule for f in findings} == {UNUSED_SUPPRESSION_ID}
+        assert [f.line for f in findings] == [1, 2, 3]
+        assert "unknown rule id RPA101" in findings[0].message
+        assert "unknown rule id RPR999" in findings[1].message
+        assert "unused suppression" in findings[2].message
+        # A known id that did not run stays unjudged; an unknown one does not.
+        narrow = LintEngine(root=project, select=["RPR005", "RPR000"]).run().findings
+        assert [f.line for f in narrow] == [1, 2]
+
     def test_stale_hot_path_suppression_is_reported_as_rpr000(self, tmp_path):
         stale = "x = 1  # repro: allow[RPR003] nothing records here\n"
         project = make_project(tmp_path, {"src/repro/fastpath/app.py": stale})

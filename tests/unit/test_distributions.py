@@ -115,13 +115,6 @@ class TestDeterministicBaseB:
         assert (10 - 1) % 64 in neighbors
         assert (10 + 32) % 64 in neighbors
 
-    def test_presence_mask_skips_absent(self):
-        scheme = DeterministicBaseBOffsets(n=32, base=2, variant="powers")
-        present = np.ones(32, dtype=bool)
-        present[11] = False
-        neighbors = scheme.neighbors(10, present=present)
-        assert 11 not in neighbors
-
     @pytest.mark.parametrize(
         "n,base,variant",
         [(16, 2, "full"), (64, 4, "full"), (100, 3, "powers"), (81, 3, "powers")],
@@ -135,19 +128,6 @@ class TestDeterministicBaseB:
             assert set(neighbors) == expected - {source}
             # One entry per offset and direction (an antipode appears twice).
             assert len(neighbors) == 2 * len(offsets)
-
-    def test_one_directional_scheme_links_forward_only(self):
-        scheme = DeterministicBaseBOffsets(n=64, base=2, variant="powers", bidirectional=False)
-        assert scheme.neighbors(60) == [(60 + o) % 64 for o in scheme.offsets()]
-        assert scheme.expected_link_count() == len(scheme.offsets())
-
-    @pytest.mark.parametrize("variant", ["full", "powers"])
-    def test_presence_mask_removes_exactly_the_absent_targets(self, variant):
-        scheme = DeterministicBaseBOffsets(n=128, base=2, variant=variant)
-        present = np.random.default_rng(7).random(128) < 0.5
-        for source in range(0, 128, 9):
-            expected = [t for t in scheme.neighbors(source) if present[t]]
-            assert scheme.neighbors(source, present=present) == expected
 
     def test_invalid_base_and_variant(self):
         with pytest.raises(ValueError):

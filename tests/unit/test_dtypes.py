@@ -201,7 +201,7 @@ class TestPolicyCutoffs:
             return min(abs(a - b), size - abs(a - b))
 
         (current, neighbors, targets), labels, pairs = _probe(size)
-        policy = MetricGreedyPolicy("ring", size)
+        policy = MetricGreedyPolicy(size)
         keys, bound = policy.candidate_keys(current, neighbors, targets)
         expected, admissible = [], []
         for source, target in pairs:
@@ -212,20 +212,6 @@ class TestPolicyCutoffs:
         assert bound.tolist() == [distance(a, b) for a, b in pairs]
         assert (keys < bound[:, None]).tolist() == admissible
         assert policy.distance(current, targets).tolist() == [distance(a, b) for a, b in pairs]
-
-    @pytest.mark.parametrize("size", [INT32_SPACE_CUTOFF, INT32_SPACE_CUTOFF + 1])
-    def test_metric_line(self, size):
-        (current, neighbors, targets), labels, pairs = _probe(size)
-        policy = MetricGreedyPolicy("line", size)
-        keys, bound = policy.candidate_keys(current, neighbors, targets)
-        expected = [[abs(neighbor - target) for neighbor in labels] for _, target in pairs]
-        assert keys.tolist() == expected
-        assert bound.tolist() == [abs(a - b) for a, b in pairs]
-        assert (keys < bound[:, None]).tolist() == [
-            [key < abs(source - target) for key in row]
-            for (source, target), row in zip(pairs, expected)
-        ]
-        assert policy.distance(current, targets).tolist() == [abs(a - b) for a, b in pairs]
 
     @pytest.mark.parametrize("size", [1 << 29, (1 << 29) + 1, 1 << 30, 1 << 33])
     def test_chord(self, size):

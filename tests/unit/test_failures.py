@@ -45,12 +45,12 @@ class TestLinkFailureModel:
 
     def test_repair_restores_links(self, ideal_network_256):
         graph = ideal_network_256.graph
-        before = graph.total_long_links(only_alive=True)
+        before = len(graph.long_link_lengths())
         model = LinkFailureModel(0.5, seed=3)
         model.apply(graph)
-        assert graph.total_long_links(only_alive=True) < before
+        assert len(graph.long_link_lengths()) < before
         model.repair(graph)
-        assert graph.total_long_links(only_alive=True) == before
+        assert len(graph.long_link_lengths()) == before
 
     def test_repair_survives_concurrent_mutation(self, ideal_network_256):
         """Repair restores by (holder, target) lookup, so a link removed (or a

@@ -10,7 +10,7 @@ import pytest
 from repro.core.builder import build_ideal_network
 from repro.core.failures import NodeFailureModel
 from repro.core.graph import OverlayGraph
-from repro.core.metric import LineMetric, RingMetric, TorusMetric
+from repro.core.metric import RingMetric, TorusMetric
 from repro.core.network import P2PNetwork
 from repro.core.routing import FailureReason, GreedyRouter, RecoveryStrategy
 from repro.fastpath import (
@@ -90,18 +90,8 @@ class TestCompileSnapshot:
 
     def test_rejects_torus_space(self):
         graph = OverlayGraph(TorusMetric(side=4, dimensions=2))
-        with pytest.raises(NotImplementedError):
+        with pytest.raises(NotImplementedError, match="require a RingMetric, got TorusMetric"):
             compile_snapshot(graph)
-
-    def test_line_metric_supported(self):
-        graph = OverlayGraph(LineMetric(16))
-        for label in range(16):
-            graph.add_node(label)
-        graph.wire_ring()
-        snapshot = compile_snapshot(graph)
-        assert snapshot.kind == "line"
-        # Line endpoints have a single short neighbour.
-        assert snapshot.degrees()[0] == 1
 
     def test_indices_of_rejects_unknown_labels(self, snapshot_256):
         _graph, snapshot = snapshot_256
@@ -147,23 +137,16 @@ class TestBuildSnapshot:
             # ... dtypes included (labels and indptr narrow on both paths).
             assert_snapshots_identical(direct, compiled)
 
-    @pytest.mark.parametrize("exponent", [1.0, 1.5])
     @pytest.mark.parametrize("symmetric", [True, False])
-    def test_chunked_draw_matches_object_build(self, monkeypatch, symmetric, exponent):
+    def test_chunked_draw_matches_object_build(self, monkeypatch, symmetric):
         # Five-row chunks: every size but n = 3 draws, dedups and key-tests
         # across several chunks, the last one short.
         monkeypatch.setattr(builder, "_CHUNK_ROWS", 5)
         for n in (3, 64, 100):
             for links in (1, 7, 17):
-                graph = build_ideal_network(
-                    n, links_per_node=links, seed=n + links, exponent=exponent
-                ).graph
+                graph = build_ideal_network(n, links_per_node=links, seed=n + links).graph
                 direct = build_snapshot(
-                    n,
-                    links_per_node=links,
-                    seed=n + links,
-                    exponent=exponent,
-                    symmetric_neighbors=symmetric,
+                    n, links_per_node=links, seed=n + links, symmetric_neighbors=symmetric
                 )
                 assert_snapshots_identical(
                     direct, compile_snapshot(graph, symmetric_neighbors=symmetric)

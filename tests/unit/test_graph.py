@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.graph import OverlayGraph
-from repro.core.metric import LineMetric, RingMetric
+from repro.core.metric import RingMetric
 
 
 @pytest.fixture
@@ -159,16 +159,6 @@ class TestRingWiring:
         assert graph.node(0).left == 28
         assert graph.node(28).right == 0
 
-    def test_line_does_not_wrap(self):
-        g = OverlayGraph(LineMetric(16))
-        for label in [0, 5, 10, 15]:
-            g.add_node(label)
-        g.wire_ring()
-        assert g.node(0).left is None
-        assert g.node(15).right is None
-        assert g.node(5).left == 0
-        assert g.node(5).right == 10
-
     def test_single_node_ring(self):
         g = OverlayGraph(RingMetric(8))
         g.add_node(3)
@@ -191,7 +181,7 @@ class TestStatistics:
         link = graph.add_long_link(0, 16)
         link.alive = False
         assert graph.total_long_links() == 2
-        assert graph.total_long_links(only_alive=True) == 1
+        assert graph.long_link_lengths() == [8]
 
     def test_long_link_lengths(self, graph):
         graph.add_long_link(0, 16)

@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.metric import LineMetric, PrefixMetric, RingMetric, TorusMetric
+from repro.core.metric import PrefixMetric, RingMetric, TorusMetric
 
 
 @pytest.mark.parametrize(
-    "space", [LineMetric(64), RingMetric(64), PrefixMetric(base=2, digits=6)]
+    "space", [RingMetric(64), PrefixMetric(base=2, digits=6)], ids=["ring", "prefix"]
 )
 class TestIntegerPoints:
     """Any integer type is a point (NumPy's included); ``bool`` is not."""
@@ -21,37 +21,6 @@ class TestIntegerPoints:
     @pytest.mark.parametrize("point", [True, False, np.int64(64), -1, 33.0, "33"])
     def test_bools_and_out_of_range_are_not(self, space, point):
         assert not space.contains(point)
-
-
-class TestLineMetric:
-    def test_distance_is_absolute_difference(self):
-        line = LineMetric(100)
-        assert line.distance(10, 30) == 20
-        assert line.distance(30, 10) == 20
-        assert line.distance(5, 5) == 0
-
-    def test_size_and_contains(self):
-        line = LineMetric(10)
-        assert line.size() == 10
-        assert line.contains(0)
-        assert line.contains(9)
-        assert not line.contains(10)
-        assert not line.contains(-1)
-
-    def test_closest_breaks_ties_by_order(self):
-        line = LineMetric(100)
-        # 40 and 60 are both 10 away from 50; the first candidate wins.
-        assert line.closest(50, [40, 60]) == 40
-        assert line.closest(50, [60, 40]) == 60
-
-    def test_closest_requires_candidates(self):
-        line = LineMetric(10)
-        with pytest.raises(ValueError):
-            line.closest(5, [])
-
-    def test_rejects_non_positive_size(self):
-        with pytest.raises(ValueError):
-            LineMetric(0)
 
 
 class TestRingMetric:
@@ -81,6 +50,21 @@ class TestRingMetric:
         ring = RingMetric(8)
         assert ring.contains(0) and ring.contains(7)
         assert not ring.contains(8)
+
+    def test_closest_breaks_ties_by_order(self):
+        ring = RingMetric(100)
+        # 40 and 60 are both 10 away from 50; the first candidate wins.
+        assert ring.closest(50, [40, 60]) == 40
+        assert ring.closest(50, [60, 40]) == 60
+
+    def test_closest_requires_candidates(self):
+        ring = RingMetric(10)
+        with pytest.raises(ValueError):
+            ring.closest(5, [])
+
+    def test_rejects_non_positive_size(self):
+        with pytest.raises(ValueError):
+            RingMetric(0)
 
     def test_triangle_inequality_samples(self):
         ring = RingMetric(50)

@@ -10,15 +10,20 @@ engine asked for.
 from __future__ import annotations
 
 import importlib
+import inspect
 
 import pytest
 
-from repro.core.builder import RandomGraphBuilder
+from repro.baselines import CanNetwork, KleinbergGridNetwork
+from repro.core.builder import DeterministicGraphBuilder, RandomGraphBuilder, build_ideal_network
+from repro.core.byzantine import ByzantineAwareRouter
+from repro.core.construction import HeuristicConstruction
 from repro.core.distributions import DeterministicBaseBOffsets
 from repro.core.failures import ByzantineModel, NodeFailureModel
 from repro.core.graph import OverlayGraph
 from repro.core.maintenance import MaintenanceDaemon
 from repro.core.metric import MetricSpace, RingMetric, TorusMetric
+from repro.core.network import P2PNetwork
 from repro.core.routing import RecoveryStrategy
 from repro.experiments.cli import main
 from repro.fastpath import (
@@ -27,6 +32,8 @@ from repro.fastpath import (
     build_snapshot,
     sample_node_failures,
 )
+from repro.overlay import MetricGreedyPolicy, Overlay, OverlayMixin
+from repro.overlay.mixin import apply_fail_fraction
 from repro.scenarios.rounds import EngineSession, IdealNetwork
 
 PUBLIC_PACKAGES = ("repro", "repro.core", "repro.analysis", "repro.util", "repro.fastpath")
@@ -45,6 +52,9 @@ DELETED_NAMES = [
     ("repro.core.failures", "TargetedNodeFailureModel"),
     ("repro.core.maintenance", "prune_dead_links"),
     ("repro.simulation.workload", "iterate_in_time_order"),
+    # Every experiment runs on the ring; the line had no builder of its own.
+    ("repro.core.metric", "LineMetric"),
+    ("repro.scenarios.spec", "BYZANTINE_BEHAVIORS"),
 ]
 
 
@@ -99,6 +109,20 @@ DELETED_KEYWORDS = [
     (sample_node_failures, (_SNAPSHOT, 0.1), "protect"),
     (apply_node_failures, (_SNAPSHOT, 0.1), "mode"),
     (BatchGreedyRouter(_SNAPSHOT).route_pairs([]).mean_hops, (), "successful_only"),
+    # Knobs that only tests set, or that no caller set to a second value.
+    (HeuristicConstruction, (RingMetric(16), 2), "exponent"),
+    (build_ideal_network, (16,), "presence_probability"),
+    (DeterministicGraphBuilder, (RingMetric(16),), "presence_probability"),
+    (DeterministicGraphBuilder, (RingMetric(16),), "seed"),
+    (DeterministicBaseBOffsets, (16,), "bidirectional"),
+    (DeterministicBaseBOffsets(16).neighbors, (0,), "present"),
+    (apply_fail_fraction, (CanNetwork(side=4), 0.1, 0, "stream"), "protect"),
+    (KleinbergGridNetwork, (4,), "exponent"),
+    (ByzantineAwareRouter, (OverlayGraph(RingMetric(16)), ByzantineModel(0.1)), "hop_limit"),
+    (build_snapshot, (16,), "exponent"),
+    (MetricGreedyPolicy, (16,), "kind"),
+    (OverlayGraph(RingMetric(16)).total_long_links, (), "only_alive"),
+    (OverlayGraph(RingMetric(16)).long_link_lengths, (), "only_alive"),
 ]
 
 
@@ -110,6 +134,11 @@ DELETED_KEYWORDS = [
 def test_deleted_keyword_is_refused(factory, args, keyword):
     with pytest.raises(TypeError, match=keyword):
         factory(*args, **{keyword: None})
+
+
+@pytest.mark.parametrize("owner", [Overlay, OverlayMixin, P2PNetwork], ids=lambda owner: owner.__name__)
+def test_fail_fraction_takes_no_protect_set(owner):
+    assert list(inspect.signature(owner.fail_fraction).parameters) == ["self", "fraction", "seed"]
 
 
 @pytest.mark.parametrize("module", ["repro.devtools.analyze", "repro.devtools.rules.dtype_flow"])

@@ -10,7 +10,7 @@ from repro.core.builder import build_ideal_network
 from repro.core.byzantine import ByzantineAwareRouter
 from repro.core.failures import NodeFailureModel
 from repro.core.graph import OverlayGraph
-from repro.core.metric import LineMetric, RingMetric
+from repro.core.metric import RingMetric
 from repro.core.routing import (
     MAX_REROUTES,
     FailureReason,
@@ -101,7 +101,7 @@ class TestBasicRouting:
 
     def test_two_sided_may_overshoot(self):
         n = 64
-        graph = OverlayGraph(LineMetric(n))
+        graph = OverlayGraph(RingMetric(n))
         for label in range(n):
             graph.add_node(label)
         graph.wire_ring()
@@ -125,7 +125,7 @@ class TestBasicRouting:
                 BatchGreedyRouter,
                 ("snapshot", "recovery", "backtrack_depth", "hop_limit", "seed", "reroute_pool"),
             ),
-            (ByzantineAwareRouter, ("graph", "adversary", "hop_limit", "seed")),
+            (ByzantineAwareRouter, ("graph", "adversary", "seed", "hop_limit")),
         ],
         ids=lambda arg: arg.__name__ if isinstance(arg, type) else None,
     )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.util.rng import RandomSource, derive_seed, spawn_rng
+from repro.util.rng import RandomSource, derive_seed, draw_fraction, spawn_rng
 from repro.util.validation import ensure_non_negative, ensure_positive, ensure_probability
 
 
@@ -33,6 +33,38 @@ class TestSpawnRng:
 
     def test_reproducible(self):
         assert np.allclose(spawn_rng(7, "x").random(10), spawn_rng(7, "x").random(10))
+
+
+def _victim_loop(rng, count, fraction):
+    """The victim draw as each failure model used to spell it inline."""
+    size = min(int(round(fraction * count)), count)
+    if size > 0:
+        return [int(i) for i in rng.choice(count, size=size, replace=False)]
+    return []
+
+
+class TestDrawFraction:
+    @pytest.mark.parametrize("count", [0, 1, 2, 7, 64, 1000])
+    @pytest.mark.parametrize("fraction", [0.0, 0.01, 0.25, 0.5, 0.999, 1.0])
+    def test_matches_the_inline_loop_draw_and_stream(self, count, fraction):
+        ours, theirs = spawn_rng(5, "victims"), spawn_rng(5, "victims")
+        drawn = draw_fraction(ours, count, fraction)
+        assert drawn.tolist() == _victim_loop(theirs, count, fraction)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        # The next draw from the stream is unchanged as well.
+        assert ours.random() == theirs.random()
+
+    def test_indices_are_distinct_and_in_range(self):
+        drawn = draw_fraction(spawn_rng(1, "x"), 50, 0.4)
+        assert drawn.dtype == np.int64
+        assert len(drawn) == 20 == len(set(drawn.tolist()))
+        assert all(0 <= i < 50 for i in drawn.tolist())
+
+    def test_nothing_to_draw_leaves_the_stream_untouched(self):
+        rng = spawn_rng(2, "x")
+        state = rng.bit_generator.state
+        assert draw_fraction(rng, 10, 0.04).size == 0
+        assert rng.bit_generator.state == state
 
 
 class TestRandomSource:
