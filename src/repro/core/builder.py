@@ -140,8 +140,7 @@ class RandomGraphBuilder:
             graph.add_node(label)
         graph.wire_ring(present_labels)
 
-        present_array = present if self.presence_probability < 1.0 else None
-        if present_array is None:
+        if self.presence_probability >= 1.0:
             # Fully populated space: draw every node's targets in one batched
             # call.  The draw order (row-major over nodes, then link slots)
             # matches the per-node loop below, and the same call backs the
@@ -158,7 +157,7 @@ class RandomGraphBuilder:
                 self._attach_targets(graph, label, (int(t) for t in targets_matrix[row]))
         else:
             for label in present_labels:
-                self._attach_long_links(graph, label, link_rng, present_array)
+                self._attach_long_links(graph, label, link_rng, present)
 
         return BuildResult(
             graph=graph,
@@ -171,7 +170,7 @@ class RandomGraphBuilder:
         graph: OverlayGraph,
         label: int,
         rng: np.random.Generator,
-        present: np.ndarray | None,
+        present: np.ndarray,
     ) -> None:
         """Sample and attach the long links of a single node."""
         targets = self._distribution.sample_neighbors(

@@ -100,16 +100,15 @@ class InversePowerLawDistribution:
             self._weights_cache[key] = weights * multiplicity
         return self._weights_cache[key]
 
-    def _point_weights(self, source: int, present: np.ndarray | None) -> np.ndarray:
-        """Unnormalised weight of every point label as a neighbour of ``source``."""
+    def _point_weights(self, source: int, present: np.ndarray) -> np.ndarray:
+        """Unnormalised weight of every present point as a neighbour of ``source``."""
         labels = np.arange(self.n)
         diff = np.abs(labels - source)
         ring_distance = np.minimum(diff, self.n - diff).astype(float)
         with np.errstate(divide="ignore"):
             weights = np.where(ring_distance > 0, ring_distance**-self.exponent, 0.0)
-        if present is not None:
-            weights = np.where(present, weights, 0.0)
-            weights[source] = 0.0
+        weights = np.where(present, weights, 0.0)
+        weights[source] = 0.0
         return weights
 
     def _offset_cdf(self) -> np.ndarray:
@@ -139,23 +138,17 @@ class InversePowerLawDistribution:
         source: int,
         count: int,
         rng: np.random.Generator,
-        present: np.ndarray | None = None,
+        present: np.ndarray,
     ) -> list[int]:
         """Return ``count`` long-link targets for ``source``, drawn through ``rng``.
 
-        When ``present`` (a boolean array of length ``n``) is given, only
-        points marked ``True`` may be chosen — the paper's "link only to
-        existing nodes" model of Section 4.3.4.1 — and ``source`` itself never
-        is.
+        Only points marked ``True`` in ``present`` (a boolean array of length
+        ``n``) may be chosen — the paper's "link only to existing nodes" model
+        of Section 4.3.4.1 — and ``source`` itself never is.  A fully
+        populated space draws through :meth:`sample_neighbors_batch`.
         """
         if count <= 0:
             return []
-        if present is None:
-            # Fully populated space: one row of the batched sampler, so that
-            # per-node and all-nodes builds draw from the same stream the same
-            # way (bit-identical graphs at a fixed seed).
-            row = self.sample_neighbors_batch(np.array([source]), count, rng)
-            return [int(c) for c in row[0]]
         weights = self._point_weights(source, present)
         total = weights.sum()
         if total <= 0:

@@ -428,10 +428,6 @@ class OverlayGraph:
     # Statistics
     # ------------------------------------------------------------------ #
 
-    def total_long_links(self) -> int:
-        """Total number of long links (alive or failed) across all vertices."""
-        return sum(len(node.long_links) for node in self._nodes.values())
-
     def long_link_lengths(self) -> list[int]:
         """Return the metric length of every live long link (for Figure 5)."""
         return [

@@ -26,6 +26,14 @@ every row first: when the first minimum over *all* admissible slots is usable
 it is also the first minimum over the usable ones (same key, and no earlier
 slot can tie it), and a repaired row is exactly the masked row.
 
+**A compact frontier.**  The forward loop (terminate and random re-route)
+carries its in-flight queries as four arrays aligned row for row — query,
+current vertex, goal and hop count — filtered by one mask per round.  The
+full-size result arrays are written only when a query leaves the frontier:
+it arrives, gets stuck, runs out of hops, or freezes to wait for a detour.
+No round gathers per-query state out of, or scatters it back into, the
+batch-wide arrays.
+
 All three Section-6 recovery strategies are implemented:
 
 * **terminate** — a stuck query simply fails; pure lock-step.
@@ -461,6 +469,11 @@ class BatchGreedyRouter:
     ) -> None:
         """Lock-step greedy forwarding with optional random re-route detours.
 
+        The frontier is compact (see the module docstring): ``query``, ``at``,
+        ``goal`` (the target, or a detour node) and ``hop`` hold the in-flight
+        rows, and the full-size ``current`` / ``hops`` / ``success`` /
+        ``codes`` are written only for the rows that leave it.
+
         Stuck queries with detour budget are *frozen* rather than resolved in
         place; once every query has either finished or frozen, detours are
         drawn in ascending query order (the order a scalar router sharing one
@@ -474,66 +487,96 @@ class BatchGreedyRouter:
         # snapshot — the common case for the no-failure experiment rows.
         all_alive = bool(snapshot.alive.all())
         rerouting = self.recovery is RecoveryStrategy.RANDOM_REROUTE
-        # Per-query detour target (vertex index), -1 when routing to the
-        # real target.
-        detour = np.full(current.shape[0], -1, dtype=np.int64)
+        hop_limit = self.hop_limit
+        query = active
+        at = current[query]
+        goal = target_index[query]
+        hop = hops[query]
+        # Which frontier rows are headed for a detour node rather than their
+        # target; ``None`` while none is (always, unless re-routing).
+        detouring: np.ndarray | None = None
         pending: list[int] = []
         tel = telemetry_current()
 
-        while active.size or pending:
-            if not active.size:
-                active = self._draw_detours(pending, current, detour, codes, reroutes)
-                if tel is not None and active.size:
-                    tel.count("route.recovery.reroute", int(active.size))
+        while query.size or pending:
+            if not query.size:
+                query, goal = self._draw_detours(pending, current, codes, reroutes)
+                at = current[query]
+                hop = hops[query]
+                detouring = np.ones(query.size, dtype=bool) if query.size else None
+                if tel is not None and query.size:
+                    tel.count("route.recovery.reroute", int(query.size))
                 pending = []
                 continue
 
             # Per-query hop budget, checked before anything else — exactly
             # the scalar loop condition.
-            over = hops[active] >= self.hop_limit
+            over = hop >= hop_limit
             if over.any():
-                codes[active[over]] = FAILURE_CODES[FailureReason.HOP_LIMIT]
-                active = active[~over]
-                if not active.size:
+                leaving = query[over]
+                current[leaving] = at[over]
+                hops[leaving] = hop[over]
+                codes[leaving] = FAILURE_CODES[FailureReason.HOP_LIMIT]
+                keep = ~over
+                query, at, goal, hop = query[keep], at[keep], goal[keep], hop[keep]
+                if detouring is not None:
+                    detouring = detouring[keep]
+                if not query.size:
                     continue
 
-            # Arriving at the detour node costs no hop: resume routing to
-            # the real target from there.
-            active_detour = detour[active]
-            at_detour = (active_detour >= 0) & (current[active] == active_detour)
-            if at_detour.any():
-                detour[active[at_detour]] = -1
-            goal = np.where(detour[active] >= 0, detour[active], target_index[active])
+            if detouring is not None:
+                # Arriving at the detour node costs no hop: resume routing to
+                # the real target from there.  Only a detouring row can sit
+                # on its goal here — a row at its target has left.
+                arrived_at_detour = at == goal
+                if arrived_at_detour.any():
+                    goal[arrived_at_detour] = target_index[query[arrived_at_detour]]
+                    detouring &= ~arrived_at_detour
+                if not detouring.any():
+                    detouring = None
 
-            chosen, stuck, repaired, _ = self._step(current[active], goal, all_alive)
+            chosen, stuck, repaired, _ = self._step(at, goal, all_alive)
             if tel is not None:
                 tel.count("route.rounds")
-                tel.count("route.rows_scanned", int(active.size))
+                tel.count("route.rows_scanned", int(query.size))
                 tel.count("route.rows_repaired", repaired)
-                tel.observe("route.frontier", float(active.size), buckets=POW2_BUCKETS)
+                tel.observe("route.frontier", float(query.size), buckets=POW2_BUCKETS)
 
-            if stuck.any():
-                stuck_queries = active[stuck]
+            any_stuck = bool(stuck.any())
+            if any_stuck:
+                at = np.where(stuck, at, chosen)
+                hop += ~stuck
+            else:
+                at = chosen
+                hop += 1
+            if paths is not None:
+                for row in np.flatnonzero(~stuck).tolist():
+                    paths[int(query[row])].append(int(labels[at[row]]))
+
+            arrived = at == goal
+            if detouring is not None:
+                # A detouring row arrives at its target, not its detour node.
+                arrived[detouring] = at[detouring] == target_index[query[detouring]]
+            # A stuck row stays off its goal: it was not on it before the step.
+            leave = stuck | arrived if any_stuck else arrived
+            if not leave.any():
+                continue
+            leaving = query[leave]
+            current[leaving] = at[leave]
+            hops[leaving] = hop[leave]
+            success[query[arrived]] = True
+            if any_stuck:
+                stuck_queries = query[stuck]
                 if rerouting:
                     can_detour = reroutes[stuck_queries] < MAX_REROUTES
                     pending.extend(int(q) for q in stuck_queries[can_detour])
-                    codes[stuck_queries[~can_detour]] = FAILURE_CODES[
-                        FailureReason.STUCK
-                    ]
+                    codes[stuck_queries[~can_detour]] = FAILURE_CODES[FailureReason.STUCK]
                 else:
                     codes[stuck_queries] = FAILURE_CODES[FailureReason.STUCK]
-
-            movers = ~stuck
-            moving_queries = active[movers]
-            current[moving_queries] = chosen[movers]
-            hops[moving_queries] += 1
-            if paths is not None:
-                for query in moving_queries:
-                    paths[query].append(int(labels[current[query]]))
-
-            arrived = current[moving_queries] == target_index[moving_queries]
-            success[moving_queries[arrived]] = True
-            active = moving_queries[~arrived]
+            keep = ~leave
+            query, at, goal, hop = query[keep], at[keep], goal[keep], hop[keep]
+            if detouring is not None:
+                detouring = detouring[keep]
 
     def _reroute_pool_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The detour pool as (vertex indices, vertex -> pool position)."""
@@ -550,23 +593,23 @@ class BatchGreedyRouter:
 
     def _draw_detours(
         self,
-        pending: np.ndarray,
+        pending: list[int],
         current: np.ndarray,
-        detour: np.ndarray,
         codes: np.ndarray,
         reroutes: np.ndarray,
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Draw a detour target for every frozen query, in query order.
 
         Reproduces ``GreedyRouter._pick_random_live_node`` per query: a
         uniform index into the live pool minus the query's current node, one
         ``integers`` call per draw from the shared stream.  Queries with no
         other live node fail as stuck without consuming a draw.  Returns the
-        reactivated query indices.
+        reactivated query indices, ascending, and each one's detour vertex.
         """
         pool, position = self._reroute_pool_arrays()
         rng = self._reroute_rng
         reactivated: list[int] = []
+        detours: list[int] = []
         for query in sorted(pending):
             at = int(position[current[query]])
             available = pool.size - 1 if at >= 0 else pool.size
@@ -576,10 +619,10 @@ class BatchGreedyRouter:
             index = int(rng.integers(0, available))
             if at >= 0 and index >= at:
                 index += 1
-            detour[query] = pool[index]
+            detours.append(int(pool[index]))
             reroutes[query] += 1
             reactivated.append(query)
-        return np.asarray(reactivated, dtype=np.int64)
+        return np.asarray(reactivated, dtype=np.int64), np.asarray(detours, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     # Backtracking routing

@@ -30,6 +30,18 @@ accident: the label matrix pads short rows with the row's own label, so
 padding needs no mask and ``candidate_keys`` takes none
 (``tests/property/test_property_overlay.py`` pins it for every policy).
 
+**Keys are in the label dtype.**  Every policy returns keys in the neighbour
+row's dtype — the snapshot's :func:`~repro.fastpath.dtypes.label_dtype`,
+``int32`` up to ``2**30`` points — wherever they fit, so a hop reads and
+writes half the bytes of ``int64`` arithmetic.  The torus decodes each label
+with one division per axis (``q = x // side``, coordinate ``x - q * side``,
+then ``x = q``; the last axis is what remains) and sums the wrap distances
+``min(|d|, side - |d|)``; its largest key, ``dimensions * side``, fits
+wherever the labels do.  There is no per-label coordinate table: it costs
+``side**dimensions`` entries per axis and measured slower than the
+arithmetic.  Only Chord, whose keys reach ``2 * size + 2``, widens to
+``int64`` above ``2**29`` points.
+
 Policies are pure value objects over plain integers/arrays — no graph or
 snapshot references — so they serialise with the spec layer and are shared
 freely across liveness variants of a snapshot.  Liveness is a *router*
@@ -39,6 +51,7 @@ concern and deliberately stays out of the key computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -134,6 +147,15 @@ class TorusGreedyPolicy(GreedyPolicy):
 
     Labels are row-major flattened coordinates of a ``side^dimensions``
     torus; the key is the candidate's L1 wrap-around distance to the target.
+
+    Keys and bound are in the neighbour row's dtype — the snapshot's label
+    dtype.  The largest key, ``dimensions * side``, is at most ``2**30`` for
+    any torus whose labels fit ``int32``, so nothing is widened.  A label is
+    decoded with one division per axis: ``q = x // side``, the coordinate is
+    ``x - q * side``, ``x = q`` moves to the next axis, and the last axis is
+    what remains of ``x``.  There is no per-label coordinate table: it holds
+    ``side**dimensions`` entries per axis (about 10 GB at a ``50,000**2``
+    torus) and its gathers measured slower than the arithmetic on CAN.
     """
 
     side: int
@@ -142,16 +164,44 @@ class TorusGreedyPolicy(GreedyPolicy):
     def __post_init__(self) -> None:
         object.__setattr__(self, "blocked", self.dimensions * self.side + 1)
 
+    def _coordinates(self, labels: np.ndarray) -> Iterator[np.ndarray]:
+        """Yield the coordinates of ``labels`` axis by axis, in their own dtype."""
+        side = labels.dtype.type(self.side)
+        for _ in range(self.dimensions - 1):
+            quotient = labels // side
+            yield labels - quotient * side
+            labels = quotient
+        yield labels
+
+    def _wrap_l1(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Sum over axes of ``min(|a_i - b_i|, side - |a_i - b_i|)``.
+
+        ``a`` and ``b`` share one dtype and broadcast to an array of at least
+        one dimension; every pass after the decode runs in place.
+        """
+        side = a.dtype.type(self.side)
+        total: np.ndarray | None = None
+        for a_axis, b_axis in zip(self._coordinates(a), self._coordinates(b)):
+            diff = np.subtract(a_axis, b_axis)
+            np.abs(diff, out=diff)
+            np.minimum(diff, side - diff, out=diff)
+            if total is None:
+                total = diff
+            else:
+                total += diff
+        assert total is not None  # dimensions >= 1
+        return total
+
     def distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Sum over axes of the per-coordinate wrap-around distance."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        total = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        for axis in range(self.dimensions):
-            scale = self.side**axis
-            diff = np.abs((a // scale) % self.side - (b // scale) % self.side)
-            total += np.minimum(diff, self.side - diff)
-        return total
+        a, b = np.asarray(a), np.asarray(b)
+        dtype = np.result_type(a, b)
+        shape = np.broadcast_shapes(a.shape, b.shape)
+        total = self._wrap_l1(
+            np.atleast_1d(a).astype(dtype, copy=False),
+            np.atleast_1d(b).astype(dtype, copy=False),
+        )
+        return total.reshape(shape)
 
     def candidate_keys(
         self,
@@ -160,10 +210,13 @@ class TorusGreedyPolicy(GreedyPolicy):
         target_labels: np.ndarray,
         edge_class: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        # Raw L1 distances; the current node's own is the bound.
-        current_distance = self.distance(current_labels, target_labels)
-        neighbor_distance = self.distance(neighbor_labels, target_labels[:, None])
-        return neighbor_distance, current_distance
+        # Raw L1 distances in the neighbour row's dtype; the current node's
+        # own is the bound.
+        neighbors = np.asarray(neighbor_labels)
+        dtype = neighbors.dtype
+        current = np.asarray(current_labels).astype(dtype, copy=False)
+        targets = np.asarray(target_labels).astype(dtype, copy=False)
+        return self._wrap_l1(neighbors, targets[:, None]), self._wrap_l1(current, targets)
 
 
 @dataclass(frozen=True)

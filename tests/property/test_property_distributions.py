@@ -50,7 +50,7 @@ class TestInversePowerLawProperties:
         source = source % n
         distribution = InversePowerLawDistribution(n)
         rng = np.random.default_rng(seed)
-        samples = distribution.sample_neighbors(source, count, rng)
+        samples = distribution.sample_neighbors_batch(np.array([source]), count, rng)[0].tolist()
         assert len(samples) == count
         assert all(0 <= s < n and s != source for s in samples)
 

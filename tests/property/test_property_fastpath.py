@@ -23,7 +23,7 @@ from repro.core.builder import build_ideal_network
 from repro.core.failures import NodeFailureModel
 from repro.core.graph import OverlayGraph
 from repro.core.metric import RingMetric
-from repro.core.routing import GreedyRouter, RecoveryStrategy
+from repro.core.routing import FailureReason, GreedyRouter, RecoveryStrategy
 from repro.fastpath import BatchGreedyRouter, build_snapshot, compile_snapshot
 from repro.fastpath.dtypes import label_dtype
 from repro.simulation.workload import LookupWorkload
@@ -43,7 +43,7 @@ def routed_scenario(draw):
 
 def _assert_parity(
     graph, pairs, recovery=RecoveryStrategy.TERMINATE, seed=0, snapshot=None, backtrack_depth=5,
-    symmetric=True,
+    symmetric=True, hop_limit=None,
 ):
     """Assert hop-for-hop equality between the two engines on ``pairs``.
 
@@ -51,13 +51,15 @@ def _assert_parity(
     shared re-route stream), which is exactly the draw order the batch engine
     reproduces.  ``snapshot`` (default: a fresh compile of ``graph``) lets a
     case route a liveness-masked snapshot against the mutated graph; it must
-    be compiled with the same ``symmetric`` neighbour knowledge.  Returns the
-    scalar paths for the case's own check.
+    be compiled with the same ``symmetric`` neighbour knowledge; ``hop_limit``
+    (default: the space's) goes to both routers.  Returns the scalar paths for
+    the case's own check.
     """
     scalar = GreedyRouter(
         graph,
         recovery=recovery,
         backtrack_depth=backtrack_depth,
+        hop_limit=hop_limit,
         symmetric_neighbors=symmetric,
         seed=seed,
     )
@@ -68,6 +70,7 @@ def _assert_parity(
         snapshot,
         recovery=recovery,
         backtrack_depth=backtrack_depth,
+        hop_limit=hop_limit,
         seed=seed,
         reroute_pool=graph.labels(only_alive=True)
         if recovery is RecoveryStrategy.RANDOM_REROUTE
@@ -144,6 +147,45 @@ class TestHopForHopParity:
         if pairs:
             _assert_parity(graph, pairs)
         model.repair(graph)
+
+
+class TestEveryWayOffTheForwardFrontier:
+    """Small hop limits under failures: a query leaves the batch router's
+    frontier by arriving, getting stuck, running out of hops, or freezing for
+    a detour it then follows to the target or into the hop limit."""
+
+    @pytest.mark.parametrize("hop_limit", [1, 2, 3, 8])
+    @pytest.mark.parametrize("recovery", list(RecoveryStrategy), ids=lambda r: r.value)
+    @settings(max_examples=8, deadline=None)
+    @given(routed_scenario(), st.booleans())
+    def test_parity_at_small_hop_limits(self, recovery, hop_limit, scenario, symmetric):
+        n, seed, links, level, queries = scenario
+        graph = build_ideal_network(n, links_per_node=links, seed=seed).graph
+        model = NodeFailureModel(level, seed=seed + 29)
+        model.apply(graph)
+        pairs = LookupWorkload(seed=seed + 5).pairs(graph.labels(only_alive=True), queries)
+        _assert_parity(
+            graph, pairs, recovery=recovery, seed=seed + 31, symmetric=symmetric,
+            hop_limit=hop_limit,
+        )
+        model.repair(graph)
+
+    def test_one_batch_takes_every_exit(self):
+        graph = build_ideal_network(128, links_per_node=2, seed=2).graph
+        NodeFailureModel(0.3, seed=9).apply(graph)
+        pairs = LookupWorkload(seed=3).pairs(graph.labels(only_alive=True), 60)
+        _assert_parity(graph, pairs, RecoveryStrategy.RANDOM_REROUTE, seed=2, hop_limit=8)
+        router = GreedyRouter(
+            graph, recovery=RecoveryStrategy.RANDOM_REROUTE, hop_limit=8, seed=2
+        )
+        exits = {(route.reroutes, route.failure_reason) for route in router.route_many(pairs)}
+        assert exits >= {
+            (0, FailureReason.NONE),
+            (0, FailureReason.HOP_LIMIT),
+            (1, FailureReason.NONE),
+            (1, FailureReason.HOP_LIMIT),
+            (1, FailureReason.STUCK),
+        }
 
 
 class TestPickThenRepair:

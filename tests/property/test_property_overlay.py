@@ -243,3 +243,41 @@ class TestKeysBelowTheBound:
                 for c, row, t in zip(current, rows, target)
             ]
             assert (keyed < bound[:, None]).tolist() == expected
+
+
+class TestTorusKeyArithmetic:
+    """One division per axis, in the label dtype, equals Python-int arithmetic."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(dimensions=st.integers(min_value=1, max_value=3), data=st.data())
+    def test_keys_and_bound_match_python_ints(self, dimensions, data):
+        # Sides up to the largest whose space still fits the int32 labels.
+        largest = {1: 1 << 30, 2: 1 << 15, 3: 1 << 10}[dimensions]
+        side = data.draw(st.integers(min_value=2, max_value=largest))
+        size = side**dimensions
+        point = st.integers(min_value=0, max_value=size - 1)
+        queries = data.draw(st.integers(min_value=1, max_value=5))
+        width = data.draw(st.integers(min_value=1, max_value=5))
+        current = data.draw(st.lists(point, min_size=queries, max_size=queries))
+        target = data.draw(st.lists(point, min_size=queries, max_size=queries))
+        rows = data.draw(
+            st.lists(st.lists(point, min_size=width, max_size=width),
+                     min_size=queries, max_size=queries)
+        )
+
+        def distance(a, b):
+            total = 0
+            for _ in range(dimensions):
+                (a, a_axis), (b, b_axis) = divmod(a, side), divmod(b, side)
+                total += min(abs(a_axis - b_axis), side - abs(a_axis - b_axis))
+            return total
+
+        dtype = label_dtype(size)
+        policy = TorusGreedyPolicy(side=side, dimensions=dimensions)
+        keys, bound = policy.candidate_keys(
+            *(np.array(values, dtype=dtype) for values in (current, rows, target))
+        )
+        assert keys.dtype == bound.dtype == dtype
+        assert keys.tolist() == [[distance(n, t) for n in row] for row, t in zip(rows, target)]
+        assert bound.tolist() == [distance(c, t) for c, t in zip(current, target)]
+        assert (bound < policy.blocked).all()

@@ -103,7 +103,7 @@ class TestRandomGraphBuilder:
             seed=0,
         )
         result = builder.build()
-        assert result.graph.total_long_links() > 0
+        assert len(result.graph.long_link_lengths()) > 0
 
     def test_larger_exponent_shortens_long_links(self):
         def mean_length(exponent):
@@ -127,7 +127,7 @@ class TestRandomGraphBuilder:
             seed=8,
         ).build()
         present = set(result.present_labels)
-        assert result.graph.total_long_links() > 0
+        assert len(result.graph.long_link_lengths()) > 0
         for node in result.graph.nodes():
             targets = node.long_link_targets()
             assert node.label not in targets

@@ -57,7 +57,7 @@ class TestArrival:
     def test_long_links_created_for_later_arrivals(self):
         construction = HeuristicConstruction(space=RingMetric(256), links_per_node=4, seed=1)
         construction.add_points(list(range(0, 256, 4)))
-        total_long = construction.graph.total_long_links()
+        total_long = len(construction.graph.long_link_lengths())
         assert total_long > 0
         # Later arrivals should have close to links_per_node outgoing links.
         late_node = construction.graph.node(252)

@@ -47,7 +47,7 @@ class TestInversePowerLaw:
     def test_sampling_excludes_self(self):
         distribution = InversePowerLawDistribution(64)
         rng = np.random.default_rng(0)
-        samples = distribution.sample_neighbors(10, 500, rng)
+        samples = distribution.sample_neighbors_batch(np.array([10]), 500, rng)[0].tolist()
         assert len(samples) == 500
         assert 10 not in samples
         assert all(0 <= s < 64 for s in samples)
@@ -64,7 +64,7 @@ class TestInversePowerLaw:
         n = 512
         distribution = InversePowerLawDistribution(n)
         rng = np.random.default_rng(2)
-        samples = distribution.sample_neighbors(0, 5000, rng)
+        samples = distribution.sample_neighbors_batch(np.array([0]), 5000, rng)[0].tolist()
         distances = [min(s, n - s) for s in samples]
         short = sum(1 for d in distances if d <= 8)
         long = sum(1 for d in distances if d > 64)
@@ -73,7 +73,7 @@ class TestInversePowerLaw:
     def test_zero_count_returns_empty(self):
         distribution = InversePowerLawDistribution(64)
         rng = np.random.default_rng(0)
-        assert distribution.sample_neighbors(0, 0, rng) == []
+        assert distribution.sample_neighbors_batch(np.array([0]), 0, rng).shape == (1, 0)
 
     def test_requires_at_least_two_points(self):
         with pytest.raises(ValueError):

@@ -267,25 +267,39 @@ class TestPolicyCutoffs:
         assert bound.tolist() == [digits + 1] * len(pairs)
         assert policy.distance(current, targets).tolist() == [distance(a, b) for a, b in pairs]
 
+    @pytest.mark.parametrize("side,dimensions", [(1 << 30, 1), (1 << 15, 2)])
+    def test_torus_at_the_cutoff(self, side, dimensions):
+        # Exactly INT32_SPACE_CUTOFF points: keys and bound stay int32.
+        assert side**dimensions == INT32_SPACE_CUTOFF
+        _assert_torus_keys(side, dimensions)
+
     def test_torus_past_int32(self):
         # A side that is not a power of two: an int32 wrap of a label past
         # 2**31 then lands on other coordinates, not the same ones.
         side, dimensions = 50_000, 2
-        size = side**dimensions
-        assert size > 1 << 31
+        assert side**dimensions > 1 << 31
+        _assert_torus_keys(side, dimensions)
 
-        def distance(a, b):
-            total = 0
-            for axis in range(dimensions):
-                diff = abs(a // side**axis % side - b // side**axis % side)
-                total += min(diff, side - diff)
-            return total
 
-        (current, neighbors, targets), labels, pairs = _probe(size)
-        policy = TorusGreedyPolicy(side=side, dimensions=dimensions)
-        keys, bound = policy.candidate_keys(current, neighbors, targets)
-        assert keys.tolist() == [[distance(n, t) for n in labels] for _, t in pairs]
-        assert bound.tolist() == [distance(a, b) for a, b in pairs]
+def _assert_torus_keys(side: int, dimensions: int) -> None:
+    """Torus keys, bound and distance at the probe labels equal Python-int arithmetic."""
+    size = side**dimensions
+
+    def distance(a, b):
+        total = 0
+        for _ in range(dimensions):
+            (a, a_axis), (b, b_axis) = divmod(a, side), divmod(b, side)
+            diff = abs(a_axis - b_axis)
+            total += min(diff, side - diff)
+        return total
+
+    (current, neighbors, targets), labels, pairs = _probe(size)
+    policy = TorusGreedyPolicy(side=side, dimensions=dimensions)
+    keys, bound = policy.candidate_keys(current, neighbors, targets)
+    assert keys.dtype == bound.dtype == label_dtype(size)
+    assert keys.tolist() == [[distance(n, t) for n in labels] for _, t in pairs]
+    assert bound.tolist() == [distance(a, b) for a, b in pairs]
+    assert policy.distance(current, targets).tolist() == [distance(a, b) for a, b in pairs]
 
 
 class TestBuildKeyCutoffs:

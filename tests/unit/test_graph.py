@@ -176,11 +176,11 @@ class TestRingWiring:
 
 
 class TestStatistics:
-    def test_total_long_links(self, graph):
+    def test_long_link_lengths_skip_failed_links(self, graph):
         graph.add_long_link(0, 8)
         link = graph.add_long_link(0, 16)
         link.alive = False
-        assert graph.total_long_links() == 2
+        assert len(graph.node(0).long_links) == 2
         assert graph.long_link_lengths() == [8]
 
     def test_long_link_lengths(self, graph):

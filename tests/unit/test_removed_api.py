@@ -76,6 +76,7 @@ DELETED_ATTRIBUTES = [
     (DeterministicBaseBOffsets, "link_probability"),
     (MetricSpace, "all_points"),
     (TorusMetric, "all_points"),
+    (OverlayGraph, "total_long_links"),
 ]
 
 
@@ -121,7 +122,6 @@ DELETED_KEYWORDS = [
     (ByzantineAwareRouter, (OverlayGraph(RingMetric(16)), ByzantineModel(0.1)), "hop_limit"),
     (build_snapshot, (16,), "exponent"),
     (MetricGreedyPolicy, (16,), "kind"),
-    (OverlayGraph(RingMetric(16)).total_long_links, (), "only_alive"),
     (OverlayGraph(RingMetric(16)).long_link_lengths, (), "only_alive"),
 ]
 
