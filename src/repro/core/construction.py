@@ -23,17 +23,41 @@ as nodes arrive one at a time:
 
 The same machinery is reused for link regeneration when a node departs (see
 :mod:`repro.core.maintenance`).
+
+**Array state.**  The occupied labels are one sorted ``int64`` array, kept by
+:meth:`HeuristicConstruction.add_point` and
+:meth:`~HeuristicConstruction.remove_point`; ring neighbours, the
+basin-of-attraction lookup and the in-link solicitation read it directly.
+Link regeneration samples only *live* labels.  That view follows the graph:
+:attr:`~repro.core.graph.OverlayGraph.liveness_version` moves on every
+``add_node`` / ``remove_node`` / ``fail_node`` / ``revive_node``, called from
+anywhere, and the view is re-derived only when it has moved.  Distances and
+inverse power-law weights come from tables built once per ring size and
+indexed by label difference; an arrival's sink weights are the label-0 row
+rolled to its label.
+
+**Stream contract.**  Every generator (``outgoing``, ``incoming`` and
+``regenerate`` of the construction's :class:`~repro.util.rng.RandomSource`,
+and the generator handed to a replacement policy) consumes exactly the draws
+of the scalar heuristic this module implements, in the same order: a
+weighted ``Generator.choice`` is computed here as NumPy computes it (the
+inverse-CDF ``searchsorted`` of one ``random`` draw per sample, and the
+redraw loop with first-occurrence dedupe without replacement), and each
+holder asked for a redirect draws one ``random()``, plus one more when it
+accepts, in holder order.  The graphs, the observer's op sequence and so the
+scenario tables are those of the scalar loops, draw for draw.
 """
 
 from __future__ import annotations
 
 import abc
-import bisect
+import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.graph import OverlayGraph
+from repro.core.graph import LongLink, OverlayGraph
 from repro.core.metric import RingMetric
 from repro.util.rng import RandomSource
 from repro.util.validation import ensure_positive
@@ -48,35 +72,133 @@ __all__ = [
 ]
 
 
+class _RingTables(NamedTuple):
+    """Per-ring tables indexed by label difference.
+
+    Entry ``k`` belongs to ring distance ``min(k, n - k)``, so indexing with
+    ``a - b`` (negative differences wrap) gives the value between labels
+    ``a`` and ``b``.  Each float is the one the scalar expression gives.
+    """
+
+    #: The ring distance itself.
+    distance: np.ndarray
+    #: An outgoing link's sink weight, ``d ** -1.0`` (0 at ``d = 0``).
+    sink: np.ndarray
+    #: ``max(d, 1) ** -1.0``, which is ``1.0 / max(d, 1)`` (the same correctly
+    #: rounded reciprocal): the weight of a holder to solicit, of a target to
+    #: regenerate and of a link a holder may redirect.
+    inverse: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _ring_tables(n: int) -> _RingTables:
+    difference = np.arange(n)
+    distance = np.minimum(difference, n - difference)
+    as_float = distance.astype(float)
+    with np.errstate(divide="ignore"):
+        sink = np.where(as_float > 0, as_float**-1.0, 0.0)
+    inverse = np.maximum(as_float, 1.0) ** -1.0
+    for table in (distance, sink, inverse):
+        table.flags.writeable = False
+    return _RingTables(distance, sink, inverse)
+
+
+def _choice(rng: np.random.Generator, p: np.ndarray, size: int | None = None):
+    """``rng.choice(p.size, size, p=p)``: the same indices, the same draws.
+
+    NumPy's weighted draw with replacement is the inverse CDF of one
+    ``random`` double per sample; a ``size`` of ``None`` gives one index.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
+def _choice_distinct(rng: np.random.Generator, p: np.ndarray, size: int) -> list[int]:
+    """``rng.choice(p.size, size, replace=False, p=p)``: the same indices, the same draws.
+
+    NumPy draws the missing count, zeroes the weights already taken, keeps the
+    first occurrence of each new index in draw order, and repeats until it has
+    ``size`` distinct indices.
+    """
+    found: list[int] = []
+    while len(found) < size:
+        draws = rng.random(size - len(found))
+        if found:
+            p = p.copy()
+            p[found] = 0
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        new = cdf.searchsorted(draws, side="right").tolist()
+        found.extend(index for index in dict.fromkeys(new) if index not in found)
+    return found
+
+
+def _redirect_odds(
+    graph: OverlayGraph, holders: list[int], newcomer: int
+) -> tuple[list[list[LongLink]], list[np.ndarray], list[float], list[float]]:
+    """The odds of each holder asked to redirect one of its links to ``newcomer``.
+
+    Returns, per holder: its live long links; their weights
+    ``1 / max(1, d)`` (slices of one gather over every holder's links);
+    NumPy's sum of that slice, which is the scalar rule's ``weights.sum()``;
+    and the probability ``w_new / (sum + w_new)`` that it redirects.
+    """
+    inverse = _ring_tables(graph.space.n).inverse
+    links = [
+        [link for link in graph.node(holder).long_links if link.alive]
+        for holder in holders
+    ]
+    weights = inverse[
+        np.fromiter(
+            (link.target - holder for holder, row in zip(holders, links) for link in row),
+            dtype=np.int64,
+            count=sum(map(len, links)),
+        )
+    ]
+    rows = []
+    start = 0
+    for row in links:
+        rows.append(weights[start:start + len(row)])
+        start += len(row)
+    totals = [float(np.add.reduce(row)) for row in rows]
+    accept = []
+    for holder, total in zip(holders, totals):
+        newcomer_weight = float(inverse[holder - newcomer])
+        accept.append(newcomer_weight / (total + newcomer_weight))
+    return links, rows, totals, accept
+
+
 class LinkReplacementPolicy(abc.ABC):
-    """Policy an existing node uses when a newcomer requests an incoming link."""
+    """Policy existing nodes use when a newcomer requests incoming links."""
 
     @abc.abstractmethod
-    def choose_replacement(
+    def choose_replacements(
         self,
         graph: OverlayGraph,
-        holder: int,
+        holders: list[int],
         newcomer: int,
         rng: np.random.Generator,
-    ) -> int | None:
-        """Return the target of the link to redirect to ``newcomer``.
+    ) -> list[int | None]:
+        """Return, per holder, the target of the link it redirects to ``newcomer``.
 
         Parameters
         ----------
         graph:
             The overlay graph.
-        holder:
-            The existing node asked to redirect one of its links.
+        holders:
+            The distinct existing nodes asked to redirect one of their links,
+            in the order they decide (and draw from ``rng``).
         newcomer:
-            The newly arrived node requesting an incoming link.
+            The newly arrived node requesting incoming links.
         rng:
             Random generator for the accept/victim decisions.
 
         Returns
         -------
-        int or None
-            The label of the existing link target to replace, or ``None``
-            when the holder declines to redirect any link.
+        list of int or None
+            Aligned with ``holders``: the label of the existing link target to
+            replace, or ``None`` when that holder declines to redirect.
         """
 
 
@@ -90,33 +212,22 @@ class InverseDistanceReplacement(LinkReplacementPolicy):
     ``p_i = 1 / d_i``.  Short (immediate-neighbour) links are never touched.
     """
 
-    def choose_replacement(
+    def choose_replacements(
         self,
         graph: OverlayGraph,
-        holder: int,
+        holders: list[int],
         newcomer: int,
         rng: np.random.Generator,
-    ) -> int | None:
-        node = graph.node(holder)
-        live_links = [link for link in node.long_links if link.alive]
-        if not live_links:
-            return None
-        space = graph.space
-        distances = np.array(
-            [max(1, space.distance(holder, link.target)) for link in live_links],
-            dtype=float,
-        )
-        newcomer_distance = max(1, space.distance(holder, newcomer))
-        weights = 1.0 / distances
-        newcomer_weight = 1.0 / newcomer_distance
-
-        accept_probability = newcomer_weight / (weights.sum() + newcomer_weight)
-        if rng.random() >= accept_probability:
-            return None
-
-        victim_probabilities = weights / weights.sum()
-        victim_index = int(rng.choice(len(live_links), p=victim_probabilities))
-        return live_links[victim_index].target
+    ) -> list[int | None]:
+        links, weights, totals, accept = _redirect_odds(graph, holders, newcomer)
+        victims: list[int | None] = []
+        for row, holder_links in enumerate(links):
+            if not holder_links or rng.random() >= accept[row]:
+                victims.append(None)
+                continue
+            victim = _choice(rng, weights[row] / totals[row])
+            victims.append(holder_links[int(victim)].target)
+        return victims
 
 
 @dataclass
@@ -128,46 +239,35 @@ class OldestLinkReplacement(LinkReplacementPolicy):
     that only the victim-selection differs.
     """
 
-    def choose_replacement(
+    def choose_replacements(
         self,
         graph: OverlayGraph,
-        holder: int,
+        holders: list[int],
         newcomer: int,
         rng: np.random.Generator,
-    ) -> int | None:
-        node = graph.node(holder)
-        live_links = [link for link in node.long_links if link.alive]
-        if not live_links:
-            return None
-        space = graph.space
-        distances = np.array(
-            [max(1, space.distance(holder, link.target)) for link in live_links],
-            dtype=float,
-        )
-        newcomer_distance = max(1, space.distance(holder, newcomer))
-        weights = 1.0 / distances
-        newcomer_weight = 1.0 / newcomer_distance
-
-        accept_probability = newcomer_weight / (weights.sum() + newcomer_weight)
-        if rng.random() >= accept_probability:
-            return None
-
-        oldest = min(live_links, key=lambda link: link.created_at)
-        return oldest.target
+    ) -> list[int | None]:
+        links, _weights, _totals, accept = _redirect_odds(graph, holders, newcomer)
+        victims: list[int | None] = []
+        for row, holder_links in enumerate(links):
+            if not holder_links or rng.random() >= accept[row]:
+                victims.append(None)
+                continue
+            victims.append(min(holder_links, key=lambda link: link.created_at).target)
+        return victims
 
 
 @dataclass
 class NeverReplace(LinkReplacementPolicy):
     """Degenerate policy that always declines; used to isolate the effect of step 3."""
 
-    def choose_replacement(
+    def choose_replacements(
         self,
         graph: OverlayGraph,
-        holder: int,
+        holders: list[int],
         newcomer: int,
         rng: np.random.Generator,
-    ) -> int | None:
-        return None
+    ) -> list[int | None]:
+        return [None] * len(holders)
 
 
 @dataclass
@@ -196,7 +296,17 @@ class HeuristicConstruction:
 
     graph: OverlayGraph = field(init=False)
     _random: RandomSource = field(init=False, repr=False)
-    _sorted_labels: list[int] = field(init=False, default_factory=list, repr=False)
+    #: The occupied labels, sorted.
+    _labels: np.ndarray = field(
+        init=False, default_factory=lambda: np.empty(0, dtype=np.int64), repr=False
+    )
+    #: The live ones among them, valid while the graph's liveness version is
+    #: ``_live_version``.  ``_labels`` changes only right after the
+    #: ``add_node`` / ``remove_node`` that moves that version.
+    _live: np.ndarray = field(
+        init=False, default_factory=lambda: np.empty(0, dtype=np.int64), repr=False
+    )
+    _live_version: int = field(init=False, default=-1, repr=False)
 
     def __post_init__(self) -> None:
         ensure_positive(self.links_per_node, "links_per_node")
@@ -256,12 +366,14 @@ class HeuristicConstruction:
         departing = self.graph.node(label)
         left, right = departing.left, departing.right
         self.graph.remove_node(label)
-        self._sorted_labels.remove(label)
-        if not self._sorted_labels:
+        index = int(self._labels.searchsorted(label))
+        if index == self._labels.size or self._labels[index] != label:
+            raise ValueError(f"point {label} was not added by this construction")
+        self._labels = np.concatenate((self._labels[:index], self._labels[index + 1:]))
+        if self._labels.size == 0:
             return affected
-        if len(self._sorted_labels) == 1:
-            only = self._sorted_labels[0]
-            self.graph.set_immediate_neighbors(only, None, None)
+        if self._labels.size == 1:
+            self.graph.set_immediate_neighbors(self._labels.item(0), None, None)
             return affected
         # Stitch the departed node's ring neighbours together.
         if left is not None and self.graph.has_node(left):
@@ -298,110 +410,128 @@ class HeuristicConstruction:
     def _insert_into_ring(self, label: int) -> None:
         """Insert ``label`` into the sorted ring of occupied points.
 
-        Only the new node and its two ring neighbours are rewired, keeping the
-        arrival cost logarithmic in the number of occupied points.
+        Only the new node and its two ring neighbours are rewired.
         """
-        labels = self._sorted_labels
-        index = bisect.bisect_left(labels, label)
-        labels.insert(index, label)
-        count = len(labels)
+        index = int(self._labels.searchsorted(label))
+        labels = self._labels = np.concatenate(
+            (self._labels[:index], [label], self._labels[index:])
+        )
+        count = labels.size
         if count == 1:
             self.graph.set_immediate_neighbors(label, None, None)
             return
-        left = labels[index - 1]
-        right = labels[(index + 1) % count]
+        left = labels.item(index - 1)
+        right = labels.item((index + 1) % count)
         self.graph.set_immediate_neighbors(label, left, right)
         left_node = self.graph.node(left)
         self.graph.set_immediate_neighbors(left, left_node.left, label)
         right_node = self.graph.node(right)
         self.graph.set_immediate_neighbors(right, label, right_node.right)
 
-    def _ring_distances(self, labels: np.ndarray, source: int) -> np.ndarray:
-        """Ring distance from ``source`` to each of ``labels``, as floats."""
-        diff = np.abs(labels - source)
-        return np.minimum(diff, self.space.n - diff).astype(float)
-
-    def _ideal_sink_weights(self, source: int) -> np.ndarray:
-        """Unnormalised inverse power-law weight of every point of the ring."""
-        distance = self._ring_distances(np.arange(self.space.n), source)
-        with np.errstate(divide="ignore"):
-            return np.where(distance > 0, distance**-1.0, 0.0)
+    def _live_labels(self) -> np.ndarray:
+        """The sorted occupied labels whose vertex exists and is alive."""
+        version = self.graph.liveness_version
+        if version != self._live_version:
+            alive = np.fromiter(
+                map(self.graph.is_alive, self._labels.tolist()),
+                dtype=bool,
+                count=self._labels.size,
+            )
+            self._live = self._labels[alive]
+            self._live_version = version
+        return self._live
 
     def _generate_outgoing_links(self, label: int) -> None:
         """Step 1: sample ideal sinks and attach links to their basin owners."""
-        if len(self._sorted_labels) < 2:
+        if self._labels.size < 2:
             return
         rng = self._random.stream("outgoing")
-        weights = self._ideal_sink_weights(label)
-        total = weights.sum()
-        if total <= 0:
-            return
-        probabilities = weights / total
-        ideal_sinks = rng.choice(self.space.size(), size=self.links_per_node, p=probabilities)
+        # The sink weights centred at ``label``: np.roll of the table, in one copy.
+        table = _ring_tables(self.space.n).sink
+        split = self.space.n - label
+        weights = np.concatenate((table[split:], table[:split]))
+        sinks = _choice(rng, weights / weights.sum(), self.links_per_node)
         attached: set[int] = set()
-        for ideal_sink in ideal_sinks:
-            actual = self._closest_occupied(int(ideal_sink), exclude=label)
-            if actual is None or actual == label or actual in attached:
+        for actual in self._closest_occupied(sinks, exclude=label):
+            if actual in attached:
                 continue
             attached.add(actual)
             self.graph.add_long_link(label, actual)
 
     def _solicit_incoming_links(self, label: int) -> None:
         """Steps 2–3: estimate in-degree and ask existing nodes to redirect links."""
-        if len(self._sorted_labels) < 2:
+        if self._labels.size < 2:
             return
         rng = self._random.stream("incoming")
         incoming_estimate = int(rng.poisson(self.links_per_node))
         if incoming_estimate <= 0:
             return
 
-        others = np.array(self._sorted_labels, dtype=np.int64)
-        others = others[others != label]
-        weights = np.maximum(self._ring_distances(others, label), 1.0) ** -1.0
-        probabilities = weights / weights.sum()
-        draw_count = min(incoming_estimate, len(others))
-        chosen = rng.choice(len(others), size=draw_count, replace=False, p=probabilities)
-
-        for index in chosen:
-            holder = int(others[int(index)])
-            victim = self.replacement_policy.choose_replacement(
-                self.graph, holder, label, rng
-            )
+        others = self._labels[self._labels != label]
+        weights = _ring_tables(self.space.n).inverse[others - label]
+        chosen = _choice_distinct(
+            rng, weights / weights.sum(), min(incoming_estimate, others.size)
+        )
+        holders = others[chosen].tolist()
+        # Holders are distinct and a redirect rewrites only its own holder's
+        # links, so every decision can be taken before the first redirect.
+        victims = self.replacement_policy.choose_replacements(
+            self.graph, holders, label, rng
+        )
+        for holder, victim in zip(holders, victims):
             if victim is None:
                 continue
-            existing_targets = set(self.graph.node(holder).long_link_targets())
-            if label in existing_targets:
+            if label in self.graph.node(holder).long_link_targets():
                 continue
             self.graph.redirect_long_link(holder, victim, label)
 
-    def _closest_occupied(self, point: int, exclude: int | None = None) -> int | None:
-        """Return the occupied point closest to ``point`` (basin-of-attraction rule).
+    def _closest_occupied(self, points: np.ndarray, exclude: int) -> list[int]:
+        """Return the occupied point closest to each of ``points`` (basin-of-attraction rule).
 
-        Uses binary search over the sorted occupied labels so each lookup is
-        logarithmic; the wrap-around candidates are also considered.
+        Needs at least two occupied labels.  One ``searchsorted`` places every
+        point; the labels either side of it are the only candidates that can
+        be nearest, so a point whose two neighbours are at different distances
+        (or which is itself occupied) is settled by ring arithmetic.  A tie,
+        or an excluded neighbour, goes to :meth:`_walk_candidates`.
         """
-        labels = self._sorted_labels
-        if not labels or (len(labels) == 1 and labels[0] == exclude):
-            return None
-        index = bisect.bisect_left(labels, point)
-        candidate_indices = {
-            (index - 1) % len(labels),
-            index % len(labels),
-            (index + 1) % len(labels),
-        }
-        # Added after the three neighbours: first-best ties follow the set's
-        # iteration order.
-        candidate_indices.update({0, len(labels) - 1})
-        best: int | None = None
-        best_distance: int | None = None
-        for candidate_index in candidate_indices:
-            candidate = labels[candidate_index]
+        labels = self._labels
+        count = labels.size
+        distance = _ring_tables(self.space.n).distance
+        owners = []
+        for point, at in zip(points.tolist(), labels.searchsorted(points).tolist()):
+            left, right = labels.item(at - 1), labels.item(at % count)
+            if exclude != left and exclude != right:
+                to_left, to_right = distance.item(left - point), distance.item(right - point)
+                if to_left != to_right:
+                    owners.append(left if to_left < to_right else right)
+                    continue
+            elif right == point != exclude:
+                owners.append(right)
+                continue
+            owners.append(self._walk_candidates(point, at, exclude))
+        return owners
+
+    def _walk_candidates(self, point: int, at: int, exclude: int) -> int:
+        """The basin owner of ``point`` among the candidate slots around sorted position ``at``.
+
+        The candidate-index set is ``{at - 1, at, at + 1} | {0, count - 1}``
+        (mod ``count``), walked in the set's own iteration order; the first of
+        the nearest candidates wins a tie.
+        """
+        labels = self._labels
+        count = labels.size
+        distance = _ring_tables(self.space.n).distance
+        slots = {(at - 1) % count, at % count, (at + 1) % count}
+        slots.update({0, count - 1})
+        # Every ring distance is below n, so the first candidate always wins.
+        best, best_distance = -1, self.space.n
+        for slot in slots:
+            candidate = labels.item(slot)
             if candidate == exclude:
                 continue
-            distance = self.space.distance(candidate, point)
-            if best_distance is None or distance < best_distance:
-                best = candidate
-                best_distance = distance
+            candidate_distance = distance.item(candidate - point)
+            if candidate_distance < best_distance:
+                best, best_distance = candidate, candidate_distance
         return best
 
     def _sample_existing_target(self, source: int) -> int | None:
@@ -410,25 +540,13 @@ class HeuristicConstruction:
         Used by link regeneration after failures, so dead (but not yet excised)
         points must not be chosen as replacement targets.
         """
-        is_alive = self.graph.is_alive
-        others = np.fromiter(
-            (
-                label
-                for label in self._sorted_labels
-                if label != source and is_alive(label)
-            ),
-            dtype=np.int64,
-        )
+        live = self._live_labels()
+        others = live[live != source]
         if others.size == 0:
             return None
         rng = self._random.stream("regenerate")
-        # Vectorized metric distance (the repair path samples thousands of
-        # replacement links per churn round; a per-candidate space.distance
-        # call here dominated whole repair passes).
-        weights = np.maximum(self._ring_distances(others, source), 1.0) ** -1.0
-        probabilities = weights / weights.sum()
-        index = int(rng.choice(others.size, p=probabilities))
-        return int(others[index])
+        weights = _ring_tables(self.space.n).inverse[others - source]
+        return int(others[_choice(rng, weights / weights.sum())])
 
 
 def build_heuristic_network(

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.graph import OverlayGraph
 from repro.util.rng import draw_fraction, spawn_rng
 from repro.util.validation import ensure_probability
@@ -67,19 +69,20 @@ class LinkFailureModel:
     def apply(self, graph: OverlayGraph) -> dict:
         rng = spawn_rng(self.seed, "link-failures")
         self._failed.clear()
-        total_links = 0
-        # One rng.random() per long link in graph iteration order — the draw
+        links = [(node.label, link.target) for node in graph.nodes() for link in node.long_links]
+        # One random double per long link in graph iteration order — the draw
         # sequence seeded experiments depend on; keep it if refactoring.
-        for node in graph.nodes():
-            for link in node.long_links:
-                total_links += 1
-                if rng.random() >= self.presence_probability:
-                    if graph.fail_long_link(node.label, link.target):
-                        self._failed.append((node.label, link.target))
+        # random(k) yields the doubles of k successive random() calls, and
+        # failing a link flips its flag without reordering any list.
+        draws = rng.random(len(links))
+        for index in np.flatnonzero(draws >= self.presence_probability).tolist():
+            label, target = links[index]
+            if graph.fail_long_link(label, target):
+                self._failed.append((label, target))
         return {
             "model": "link-failure",
             "presence_probability": self.presence_probability,
-            "total_long_links": total_links,
+            "total_long_links": len(links),
             "failed_links": len(self._failed),
         }
 

@@ -135,6 +135,10 @@ class OverlayGraph:
         # every mutator notifies it, so incremental snapshot mirrors can
         # replay churn without recompiling.  None costs one attribute check.
         self._observer = None
+        # Bumped by every change to which vertices exist or are alive, so a
+        # caller can cache a view of the live vertices and re-derive it only
+        # when this counter has moved.
+        self._liveness_version = 0
 
     # ------------------------------------------------------------------ #
     # Mutation observation
@@ -158,6 +162,11 @@ class OverlayGraph:
             raise ValueError("graph already has a mutation observer attached")
         self._observer = observer
 
+    @property
+    def liveness_version(self) -> int:
+        """A counter that moves whenever a vertex is added, removed, failed or revived."""
+        return self._liveness_version
+
     # ------------------------------------------------------------------ #
     # Node management
     # ------------------------------------------------------------------ #
@@ -173,6 +182,7 @@ class OverlayGraph:
         label = int(label)
         if label not in self._nodes:
             self._nodes[label] = OverlayNode(label=label)
+            self._liveness_version += 1
             if self._observer is not None:
                 self._observer.on_add_node(label)
         return self._nodes[label]
@@ -187,6 +197,7 @@ class OverlayGraph:
             # still includes the departing vertex.
             self._observer.on_remove_node(label)
         departing = self._nodes.pop(label)
+        self._liveness_version += 1
         # Drop the departing node's own outgoing links from the reverse index.
         for link in departing.long_links:
             entries = self._incoming.get(link.target)
@@ -251,12 +262,14 @@ class OverlayGraph:
     def fail_node(self, label: int) -> None:
         """Mark the vertex at ``label`` as failed (links to it remain in place)."""
         self._nodes[label].alive = False
+        self._liveness_version += 1
         if self._observer is not None:
             self._observer.on_fail_node(label)
 
     def revive_node(self, label: int) -> None:
         """Mark the vertex at ``label`` as alive again."""
         self._nodes[label].alive = True
+        self._liveness_version += 1
         if self._observer is not None:
             self._observer.on_revive_node(label)
 

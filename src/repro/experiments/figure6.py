@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core.failures import failure_sweep_levels
 from repro.core.routing import RecoveryStrategy
-from repro.experiments.runner import ExperimentTable, measure_mean_hops
+from repro.experiments.runner import ExperimentTable, lookup_pairs, measure_mean_hops
 from repro.scenarios.registry import register_scenario
 from repro.scenarios.rounds import EngineSession, IdealNetwork
 from repro.scenarios.run import ScenarioOutcome
@@ -44,7 +44,6 @@ from repro.scenarios.spec import (
     TopologySpec,
     WorkloadSpec,
 )
-from repro.simulation.workload import LookupWorkload
 from repro.util.rng import derive_seed
 
 __all__ = ["Figure6Result", "DEFAULT_STRATEGIES"]
@@ -155,9 +154,7 @@ def _figure6(spec: ScenarioSpec) -> ScenarioOutcome:
             route_seed,
         ) as session:
             session.fail_nodes(level, failure_seed)
-            pairs = LookupWorkload(seed=workload_seed).pairs(
-                session.live_labels(), searches_per_point
-            )
+            pairs = lookup_pairs(session, workload_seed, searches_per_point)
             for strategy in strategies:
                 session.rearm(strategy, route_seed)
                 mean_hops, failed_fraction = measure_mean_hops(session, pairs)

@@ -21,7 +21,7 @@ import numpy as np
 from repro.core.construction import build_heuristic_network
 from repro.core.failures import failure_sweep_levels
 from repro.core.routing import RecoveryStrategy
-from repro.experiments.runner import ExperimentTable, measure_mean_hops
+from repro.experiments.runner import ExperimentTable, lookup_pairs, measure_mean_hops
 from repro.scenarios.registry import register_scenario
 from repro.scenarios.rounds import EngineSession, IdealNetwork
 from repro.scenarios.run import ScenarioOutcome
@@ -32,7 +32,6 @@ from repro.scenarios.spec import (
     TopologySpec,
     WorkloadSpec,
 )
-from repro.simulation.workload import LookupWorkload
 from repro.util.rng import derive_seed
 
 __all__ = ["Figure7Result"]
@@ -141,10 +140,11 @@ def _figure7(spec: ScenarioSpec) -> ScenarioOutcome:
                     session.rearm(
                         recovery, derive_seed(seed, "figure7", "route", level_index)
                     )
-                    workload = LookupWorkload(
-                        seed=derive_seed(seed, "figure7", "workload", level_index)
+                    pairs = lookup_pairs(
+                        session,
+                        derive_seed(seed, "figure7", "workload", level_index),
+                        searches_per_point,
                     )
-                    pairs = workload.pairs(session.live_labels(), searches_per_point)
                     fractions[level_index].append(measure_mean_hops(session, pairs)[1])
                     session.restore()
 

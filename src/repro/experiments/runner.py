@@ -19,10 +19,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+from repro.simulation.workload import LookupWorkload
+
 __all__ = [
     "ExperimentTable",
     "format_table",
     "jsonify_value",
+    "lookup_pairs",
     "measure_mean_hops",
     "tables_to_csv",
 ]
@@ -163,12 +166,30 @@ def format_table(
     return "\n".join(lines)
 
 
+def lookup_pairs(session, seed: int, count: int) -> list[tuple[int, int]] | None:
+    """Draw ``count`` lookup pairs among the session's live nodes.
+
+    The pairs are ``LookupWorkload(seed).pairs(session.live_labels(), count)``.
+    A legal failure level can leave fewer than two nodes alive; then there is
+    no pair to draw, the result is ``None``, and :func:`measure_mean_hops`
+    counts every lookup of that level as failed.
+    """
+    live = session.live_labels()
+    if len(live) < 2:
+        return None
+    return LookupWorkload(seed=seed).pairs(live, count)
+
+
 def measure_mean_hops(session, pairs) -> tuple[float, float]:
     """Route ``pairs`` through an open :class:`~repro.scenarios.rounds.EngineSession`.
 
     Returns (mean hops of successful searches, failed fraction) — identical
-    on both engines at the same route seed.
+    on both engines at the same route seed.  ``pairs`` of ``None`` (see
+    :func:`lookup_pairs`) routes nothing and reports ``(0.0, 1.0)``, the row of
+    a level at which no lookup succeeds.
     """
+    if pairs is None:
+        return 0.0, 1.0
     success, hops = session.route(pairs)
     delivered = hops[success]
     mean_hops = float(delivered.mean()) if delivered.size else 0.0

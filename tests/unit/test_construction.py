@@ -126,7 +126,7 @@ class TestReplacementPolicies:
         construction = self._graph_with_links()
         policy = NeverReplace()
         rng = np.random.default_rng(0)
-        assert policy.choose_replacement(construction.graph, 0, 128, rng) is None
+        assert policy.choose_replacements(construction.graph, [0, 4], 128, rng) == [None, None]
 
     @staticmethod
     def _holder_with_links(construction):
@@ -143,7 +143,7 @@ class TestReplacementPolicies:
         policy = InverseDistanceReplacement()
         rng = np.random.default_rng(0)
         decisions = [
-            policy.choose_replacement(construction.graph, holder, newcomer, rng)
+            policy.choose_replacements(construction.graph, [holder], newcomer, rng)[0]
             for _ in range(200)
         ]
         assert any(decision is not None for decision in decisions)
@@ -156,7 +156,7 @@ class TestReplacementPolicies:
         rng = np.random.default_rng(1)
         targets = set(construction.graph.node(holder).long_link_targets())
         for _ in range(100):
-            victim = policy.choose_replacement(construction.graph, holder, newcomer, rng)
+            [victim] = policy.choose_replacements(construction.graph, [holder], newcomer, rng)
             if victim is not None:
                 assert victim in targets
                 break
@@ -170,7 +170,7 @@ class TestReplacementPolicies:
         links = [link for link in construction.graph.node(holder).long_links if link.alive]
         oldest_target = min(links, key=lambda link: link.created_at).target
         for _ in range(300):
-            victim = policy.choose_replacement(construction.graph, holder, newcomer, rng)
+            [victim] = policy.choose_replacements(construction.graph, [holder], newcomer, rng)
             if victim is not None:
                 assert victim == oldest_target
                 break
@@ -182,9 +182,9 @@ class TestReplacementPolicies:
         construction.add_points([0, 32])
         construction.graph.node(0).long_links.clear()
         rng = np.random.default_rng(0)
-        assert InverseDistanceReplacement().choose_replacement(
-            construction.graph, 0, 32, rng
-        ) is None
+        assert InverseDistanceReplacement().choose_replacements(
+            construction.graph, [0], 32, rng
+        ) == [None]
 
 
 class TestBuildHeuristicNetwork:

@@ -183,7 +183,45 @@ class TestFigure6:
         assert result.mean_hops["backtrack"][6] >= result.mean_hops["terminate"][6] - 1.0
 
 
+    def test_a_level_that_leaves_no_pair_counts_every_lookup_failed(self):
+        """``failures.levels=1.0`` is a legal level: its row is all failed."""
+        results = [
+            run(get_scenario("figure6").make_spec(overrides={
+                "topology.nodes": 64,
+                "workload.searches": 20,
+                "failures.levels": (0.5, 1.0),
+                "seed": 3,
+                "engine": engine,
+            }))
+            for engine in ("object", "fastpath")
+        ]
+        raw = results[0].raw
+        for strategy in ("terminate", "random-reroute", "backtrack"):
+            assert raw.failed_fraction[strategy][1] == 1.0
+            assert raw.mean_hops[strategy][1] == 0.0
+            assert raw.failed_fraction[strategy][0] < 1.0
+        tables = [[table.to_csv() for table in result.tables] for result in results]
+        assert tables[0] == tables[1]
+
+
 class TestFigure7:
+    def test_a_ring_too_small_for_its_levels_runs(self):
+        """At 8 nodes the top levels leave fewer than two live nodes."""
+        results = [
+            run(get_scenario("figure7").make_spec(overrides={
+                "topology.nodes": 8,
+                "workload.searches": 10,
+                "seed": 0,
+                "engine": engine,
+            }))
+            for engine in ("object", "fastpath")
+        ]
+        raw = results[0].raw
+        assert raw.ideal_failed_fraction[-1] == raw.constructed_failed_fraction[-1] == 1.0
+        assert raw.ideal_failed_fraction[0] == raw.constructed_failed_fraction[0] == 0.0
+        tables = [[table.to_csv() for table in result.tables] for result in results]
+        assert tables[0] == tables[1]
+
     def test_run_small(self):
         result = run_raw("figure7", {
             "topology.nodes": 128,

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import failures
+from repro.core.builder import build_ideal_network
 from repro.core.failures import (
     ByzantineBehavior,
     ByzantineModel,
@@ -82,6 +84,59 @@ class TestLinkFailureModel:
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
             LinkFailureModel(1.5)
+
+
+class TestLinkFailureStream:
+    """``LinkFailureModel.apply`` draws once, as the per-link loop it replaced."""
+
+    @staticmethod
+    def _scalar_apply(graph, presence_probability, rng):
+        failed = []
+        for node in graph.nodes():
+            for link in node.long_links:
+                if rng.random() >= presence_probability:
+                    if graph.fail_long_link(node.label, link.target):
+                        failed.append((node.label, link.target))
+        return failed
+
+    @staticmethod
+    def _graph(nodes, seed):
+        graph = build_ideal_network(nodes, seed=seed).graph
+        labels = sorted(graph.labels())
+        if len(labels) > 4:
+            # A parallel link and an already failed one.
+            first = graph.node(labels[0]).long_links[0].target
+            graph.add_long_link(labels[0], first)
+            graph.fail_long_link(labels[1], graph.node(labels[1]).long_links[0].target)
+        return graph
+
+    @pytest.mark.parametrize("nodes", [2, 3, 64, 300])
+    @pytest.mark.parametrize("presence", [0.0, 0.3, 0.9, 1.0])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_matches_the_per_link_loop(self, nodes, presence, seed, monkeypatch):
+        spawn_rng = failures.spawn_rng
+        generators = []
+
+        def recording_spawn_rng(*args):
+            generators.append(spawn_rng(*args))
+            return generators[-1]
+
+        monkeypatch.setattr(failures, "spawn_rng", recording_spawn_rng)
+        graph, reference = self._graph(nodes, seed), self._graph(nodes, seed)
+        model = LinkFailureModel(presence, seed=seed)
+        summary = model.apply(graph)
+        reference_rng = spawn_rng(seed, "link-failures")
+        expected = self._scalar_apply(reference, presence, reference_rng)
+        assert model._failed == expected
+        assert summary["failed_links"] == len(expected)
+        assert summary["total_long_links"] == sum(
+            len(node.long_links) for node in reference.nodes()
+        )
+        assert generators[0].bit_generator.state == reference_rng.bit_generator.state
+        for node, twin in zip(graph.nodes(), reference.nodes()):
+            assert [link.alive for link in node.long_links] == [
+                link.alive for link in twin.long_links
+            ]
 
 
 class TestNodeFailureModel:

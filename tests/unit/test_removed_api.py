@@ -17,7 +17,13 @@ import pytest
 from repro.baselines import CanNetwork, KleinbergGridNetwork
 from repro.core.builder import DeterministicGraphBuilder, RandomGraphBuilder, build_ideal_network
 from repro.core.byzantine import ByzantineAwareRouter
-from repro.core.construction import HeuristicConstruction
+from repro.core.construction import (
+    HeuristicConstruction,
+    InverseDistanceReplacement,
+    LinkReplacementPolicy,
+    NeverReplace,
+    OldestLinkReplacement,
+)
 from repro.core.distributions import DeterministicBaseBOffsets
 from repro.core.failures import ByzantineModel, NodeFailureModel
 from repro.core.graph import OverlayGraph
@@ -77,6 +83,12 @@ DELETED_ATTRIBUTES = [
     (MetricSpace, "all_points"),
     (TorusMetric, "all_points"),
     (OverlayGraph, "total_long_links"),
+    # One decision pass per newcomer (choose_replacements) replaced the
+    # per-holder call; no policy keeps both.
+    (LinkReplacementPolicy, "choose_replacement"),
+    (InverseDistanceReplacement, "choose_replacement"),
+    (OldestLinkReplacement, "choose_replacement"),
+    (NeverReplace, "choose_replacement"),
 ]
 
 
