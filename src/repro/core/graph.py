@@ -192,9 +192,9 @@ class OverlayGraph:
         if label not in self._nodes:
             return
         if self._observer is not None:
-            # Recorded before the mutation: the observer's replay uses its
-            # own mirrored state, which at this point in the op sequence
-            # still includes the departing vertex.
+            # One op for the whole removal: a mirror re-reads every row that
+            # named the label, so the dropped links and cleared ring
+            # pointers below are not recorded one by one.
             self._observer.on_remove_node(label)
         departing = self._nodes.pop(label)
         self._liveness_version += 1
@@ -205,22 +205,20 @@ class OverlayGraph:
                 self._incoming[link.target] = [
                     entry for entry in entries if entry[1] is not link
                 ]
-        # Drop every link that pointed at the departed node.
-        sources_pointing_here = {
-            source for source, _link in self._incoming.get(label, [])
-        }
-        self._incoming.pop(label, None)
+        # Drop every link that pointed at the departed node.  Its holders,
+        # dead links included, are exactly the reverse index's entries: only
+        # this class writes the index or a link's target.
+        holders = {source for source, _link in self._incoming.pop(label, [])}
+        for holder in holders:
+            node = self._nodes[holder]
+            node.long_links = [link for link in node.long_links if link.target != label]
+        # Ring pointers have no reverse index, and a dead node's stale
+        # pointer may still name the departed label.
         for node in self._nodes.values():
             if node.left == label:
                 node.left = None
             if node.right == label:
                 node.right = None
-            if node.label in sources_pointing_here or any(
-                link.target == label for link in node.long_links
-            ):
-                node.long_links = [
-                    link for link in node.long_links if link.target != label
-                ]
 
     def has_node(self, label: int) -> bool:
         """Return ``True`` when a vertex exists at ``label`` (alive or not)."""

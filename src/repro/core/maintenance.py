@@ -106,7 +106,13 @@ class MaintenanceDaemon:
         return report
 
     def repair_all(self) -> MaintenanceReport:
-        """Repair every live node and re-stitch the ring; return the summed report."""
+        """Repair every live node and re-stitch the ring; return the summed report.
+
+        The per-node reference for :meth:`repair_all_batched`, which every
+        scenario and :meth:`P2PNetwork.repair <repro.core.network.P2PNetwork.repair>`
+        run; ``test_repair_all_batched_matches_repair_all`` pins the two to
+        the same graph and report.
+        """
         report = MaintenanceReport()
         for label in list(self.graph.labels(only_alive=True)):
             report = report.merge(self.repair_node(label))

@@ -193,4 +193,4 @@ class P2PNetwork:
         ]
         for label in crashed:
             self.maintenance.handle_departure(label)
-        self.maintenance.repair_all()
+        self.maintenance.repair_all_batched()

@@ -1,10 +1,12 @@
 """Incremental snapshot deltas: churn without full recompiles.
 
-The batch engine (PRs 1/3/4) routes over frozen :class:`FastpathSnapshot`
-arrays, so every maintenance or churn experiment used to pay a full O(n)
-Python recompile per event batch — exactly the cost the paper argues random
-overlays avoid ("most random structures require less work to maintain their
-much weaker invariants").  This module makes the *repair path* array-native:
+The batch engine routes over frozen :class:`FastpathSnapshot` arrays.  A
+churn or maintenance experiment changes the overlay between batches, and
+recompiling the whole snapshot after every event batch would cost O(n)
+Python work each time — the cost the paper argues random overlays avoid
+("most random structures require less work to maintain their much weaker
+invariants").  This module keeps the router current at the cost of what
+changed:
 
 * :class:`SnapshotDelta` — an ordered batch of overlay mutations
   (join/leave/crash/repair expressed as node, liveness, ring-pointer, and
@@ -14,29 +16,29 @@ much weaker invariants").  This module makes the *repair path* array-native:
   heuristic, failure models, and maintenance daemon perform) or to a table
   overlay (:class:`~repro.overlay.mixin.OverlayMixin`'s liveness flips and
   bulk rebuilds);
-* :class:`DeltaSnapshot` — a mutable, array-backed mirror of the overlay
-  that applies deltas with slack-capacity CSR slabs (edge insertions land in
-  per-node spare slots; periodic compaction reclaims orphaned rows), flips
-  liveness as mask updates, rewrites ring pointers as vectorized scatters,
-  and :meth:`~DeltaSnapshot.snapshot`\\ s back into a frozen
+* :class:`DeltaSnapshot` — a mirror that applies deltas and
+  :meth:`~DeltaSnapshot.snapshot`\\ s into a frozen
   :class:`FastpathSnapshot` on demand.
 
 Parity contract
 ---------------
 After applying any recorded event sequence, ``delta.snapshot()`` is
 **field-identical** to a fresh ``compile_snapshot(graph)`` of the mutated
-object graph: same labels, same alive mask, same CSR arrays entry for entry
-(the per-row section order — short links, long links in creation order, then
-deduplicated incoming links — is maintained incrementally).  The contract is
-property-tested across randomized join/leave/crash/repair sequences in
-``tests/property/test_property_delta.py``, for the paper's own overlay and —
-via the liveness tier — for every baseline Overlay protocol.
+object graph: same labels, same alive mask, same CSR arrays entry for entry.
+The contract is property-tested across randomized join/leave/crash/repair
+sequences in ``tests/property/test_property_delta.py``, for the paper's own
+overlay and — via the liveness tier — for every baseline Overlay protocol.
 
 Two tiers
 ---------
 * **Structural tier** (:meth:`DeltaSnapshot.from_graph`) — for
   :class:`~repro.core.graph.OverlayGraph`-backed overlays on a ring (the
-  paper's networks): supports the full event vocabulary.
+  paper's networks): supports the full event vocabulary.  The graph is the
+  one copy of the adjacency.  The mirror keeps label-indexed membership and
+  liveness masks, and notes which labels each op touched; ``snapshot()``
+  re-reads only those rows from the graph (plus every row that named a
+  departed label) and splices every other row out of the previous
+  materialization.
 * **Liveness tier** (:meth:`DeltaSnapshot.from_snapshot` /
   :meth:`DeltaSnapshot.from_overlay`) — for *any* compiled snapshot,
   including the baseline protocol overlays (Chord, CAN, Kleinberg,
@@ -46,16 +48,16 @@ Two tiers
   table rebuilds (``OP_REBUILD``, e.g. Chord's ``stabilize``) expressed as
   one recompile delta op instead of an out-of-band recompile.
 
-Per-*link* failure flips (``LinkFailureModel``, fault schedules) are part of
-the vocabulary since PR 8: the structural tier tracks every link's alive
-flag in its slabs, and the liveness tier scatters them onto an
-``edge_alive`` mask, so link-failure experiments batch exactly like node
-churn.
+Per-*link* failure flips (``LinkFailureModel``, fault schedules) batch like
+node churn: the structural tier re-reads the two rows a flip touches (a
+compiled row omits dead links), and the liveness tier scatters the flip onto
+an ``edge_alive`` mask.
 """
 
 from __future__ import annotations
 
 import time
+from itertools import chain
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable
 
@@ -74,7 +76,7 @@ __all__ = [
     "SnapshotDelta",
     "DeltaRecorder",
     "DeltaSnapshot",
-    "HalfAppliedDeltaError",
+    "TornSnapshotError",
     "assert_snapshots_identical",
 ]
 
@@ -137,7 +139,20 @@ OP_LINK_FAIL = 8  # (op, holder, target)
 OP_LINK_REVIVE = 9  # (op, holder, target)
 OP_REBUILD = 10  # (op,)   — bulk table rebuild (e.g. Chord stabilize)
 
-_LIVENESS_OPS = frozenset({OP_FAIL, OP_REVIVE})
+# How many fields after the op code are labels that must be vertices when the
+# op lands (a structural-tier check).  OP_SET_RING's pointers are not checked
+# (-1 encodes None), and OP_ADD_NODE's label need only be a point of the ring.
+_VERTEX_FIELDS = {
+    OP_REMOVE_NODE: 1,
+    OP_FAIL: 1,
+    OP_REVIVE: 1,
+    OP_SET_RING: 1,
+    OP_ADD_LINK: 2,
+    OP_REMOVE_LINK: 2,
+    OP_REDIRECT_LINK: 3,
+    OP_LINK_FAIL: 2,
+    OP_LINK_REVIVE: 2,
+}
 
 _OP_NAMES = {
     OP_ADD_NODE: "add_node",
@@ -154,8 +169,14 @@ _OP_NAMES = {
 }
 
 
-class HalfAppliedDeltaError(RuntimeError):
-    """A structural-tier mirror refused an op after applying part of its delta."""
+class TornSnapshotError(RuntimeError):
+    """A structural-tier ``snapshot()`` would mix applied and unapplied mutations.
+
+    The structural mirror reads its touched rows from the graph when it
+    snapshots.  While the graph's recorder still holds mutations the mirror
+    has not applied, those rows would already show them and every other row
+    would not.
+    """
 
 
 @dataclass
@@ -267,226 +288,8 @@ class DeltaRecorder:
         self._ops.append((OP_REBUILD,))
 
 
-class _Slab:
-    """Per-node variable-length integer rows with slack capacity.
-
-    A CSR-with-spare-slots store: row ``i`` owns ``caps[i]`` contiguous slots
-    of ``data`` starting at ``offsets[i]``, of which the first ``counts[i]``
-    are live.  Appends land in the spare slots; a full row is relocated to
-    the tail with doubled capacity (the old slots become garbage), and when
-    garbage exceeds half the live payload the slab compacts itself — the
-    "periodic compaction" half of the insertion strategy.
-
-    Every entry carries a parallel boolean *flag* — the link's alive bit.
-    Rows keep dead entries in place (so link revival restores the original
-    slot order); :meth:`gather` filters to flag-``True`` entries, which is
-    what makes the materialized rows match a fresh compile's
-    live-links-only adjacency.
-
-    The bookkeeping vectors are plain Python lists: the slab's mutation path
-    is executed once per recorded op, and list indexing is several times
-    cheaper than NumPy scalar access; only the payload lives in flat NumPy
-    arrays, which is what the vectorized materialization gathers from.
-    """
-
-    __slots__ = ("offsets", "counts", "caps", "data", "flags", "_tail", "_orphaned")
-
-    #: Spare slots granted to every row at build/compaction time.
-    SLACK = 4
-
-    def __init__(
-        self,
-        rows: list[list[int]],
-        row_flags: list[list[bool]] | None = None,
-        dtype: np.dtype | type = np.int64,
-    ) -> None:
-        n = len(rows)
-        counts = [len(row) for row in rows]
-        caps = [count + self.SLACK for count in counts]
-        offsets = [0] * n
-        running = 0
-        for i in range(n):
-            offsets[i] = running
-            running += caps[i]
-        # The payload dtype is the caller's contract (label_dtype for mirror
-        # slabs); relocation and compaction inherit it instead of silently
-        # re-widening to int64.
-        data = np.zeros(running + max(64, running // 4), dtype=dtype)
-        flags = np.ones(data.size, dtype=bool)
-        for i, row in enumerate(rows):
-            if row:
-                data[offsets[i] : offsets[i] + len(row)] = row
-                if row_flags is not None:
-                    flags[offsets[i] : offsets[i] + len(row)] = row_flags[i]
-        self.offsets = offsets
-        self.counts = counts
-        self.caps = caps
-        self.data = data
-        self.flags = flags
-        self._tail = running
-        self._orphaned = 0
-
-    # -- queries -------------------------------------------------------------
-
-    def row(self, i: int) -> np.ndarray:
-        """All entries of row ``i``, dead included (a view; do not mutate)."""
-        off = self.offsets[i]
-        return self.data[off : off + self.counts[i]]
-
-    def row_flags(self, i: int) -> np.ndarray:
-        """The alive flags of row ``i``, parallel to :meth:`row`."""
-        off = self.offsets[i]
-        return self.flags[off : off + self.counts[i]]
-
-    def gather(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flatten the *live* rows of ``labels`` into (values, flat row ids, counts).
-
-        Dead-flagged entries are skipped, so the gathered rows equal what
-        ``compile_snapshot`` emits for the mirrored overlay.
-        """
-        counts = np.fromiter(
-            (self.counts[label] for label in labels), dtype=np.int64, count=labels.size
-        )
-        offsets = np.fromiter(
-            (self.offsets[label] for label in labels), dtype=np.int64, count=labels.size
-        )
-        rows = np.repeat(np.arange(labels.size, dtype=np.int64), counts)
-        positions = np.repeat(offsets, counts) + _within(counts)
-        live = self.flags[positions]
-        rows = rows[live]
-        counts = np.bincount(rows, minlength=labels.size).astype(np.int64)
-        return self.data[positions[live]], rows, counts
-
-    # -- mutations -----------------------------------------------------------
-
-    def append(self, i: int, value: int, alive: bool = True) -> None:
-        """Append ``value`` to row ``i``, relocating the row when full."""
-        count = self.counts[i]
-        if count == self.caps[i]:
-            self._relocate(i, count)
-        slot = self.offsets[i] + count
-        self.data[slot] = value
-        self.flags[slot] = alive
-        self.counts[i] = count + 1
-
-    def remove_first(self, i: int, value: int, want: bool | None = None) -> bool:
-        """Remove the first occurrence of ``value`` from row ``i``; return its flag.
-
-        ``want`` restricts the match to entries whose flag equals it
-        (``None`` matches any flag) — link removal must drop the entry in the
-        same liveness state on both slab sides to keep them paired.
-
-        Raises
-        ------
-        ValueError
-            If no matching entry is present — the mirror has diverged from
-            the graph, which is always a bug worth failing loudly on.
-        """
-        off = self.offsets[i]
-        count = self.counts[i]
-        seg = self.data[off : off + count]
-        fseg = self.flags[off : off + count]
-        pos = self._find(seg, fseg, value, want, i)
-        flag = bool(fseg[pos])
-        seg[pos : count - 1] = seg[pos + 1 : count]
-        fseg[pos : count - 1] = fseg[pos + 1 : count]
-        self.counts[i] = count - 1
-        return flag
-
-    def remove_all(self, i: int, value: int) -> int:
-        """Remove every occurrence of ``value`` from row ``i``; return the count."""
-        off = self.offsets[i]
-        count = self.counts[i]
-        seg = self.data[off : off + count]
-        keep = seg != value
-        kept = seg[keep]
-        removed = count - kept.size
-        if removed:
-            self.data[off : off + kept.size] = kept
-            self.flags[off : off + kept.size] = self.flags[off : off + count][keep]
-            self.counts[i] = int(kept.size)
-        return removed
-
-    def replace_first(self, i: int, old: int, new: int) -> None:
-        """Replace the first *live* occurrence of ``old`` in row ``i`` with ``new``."""
-        off = self.offsets[i]
-        count = self.counts[i]
-        seg = self.data[off : off + count]
-        fseg = self.flags[off : off + count]
-        pos = self._find(seg, fseg, old, True, i)
-        seg[pos] = new
-
-    def set_flag_first(self, i: int, value: int, want: bool, new: bool) -> None:
-        """Flip the flag of the first occurrence of ``value`` with flag ``want``."""
-        off = self.offsets[i]
-        count = self.counts[i]
-        seg = self.data[off : off + count]
-        fseg = self.flags[off : off + count]
-        pos = self._find(seg, fseg, value, want, i)
-        fseg[pos] = new
-
-    def clear_row(self, i: int) -> None:
-        """Empty row ``i`` (its capacity stays reserved for reuse)."""
-        self.counts[i] = 0
-
-    # -- internals -----------------------------------------------------------
-
-    @staticmethod
-    def _find(
-        seg: np.ndarray, fseg: np.ndarray, value: int, want: bool | None, i: int
-    ) -> int:
-        """First position of ``value`` (with flag ``want`` unless ``None``)."""
-        if want is None:
-            hits = np.flatnonzero(seg == value)
-        else:
-            hits = np.flatnonzero((seg == value) & (fseg == want))
-        if not hits.size:
-            raise ValueError(
-                f"slab row {i} has no entry {value}"
-                f"{'' if want is None else f' with alive={want}'}; "
-                "delta mirror diverged"
-            )
-        return int(hits[0])
-
-    def _relocate(self, i: int, count: int) -> None:
-        """Move a full row to the tail with doubled capacity."""
-        new_cap = max(2 * count, count + self.SLACK)
-        if self._tail + new_cap > self.data.size:
-            size = max(2 * self.data.size, self._tail + new_cap + 64)
-            grown = np.zeros(size, dtype=self.data.dtype)
-            grown[: self._tail] = self.data[: self._tail]
-            grown_flags = np.ones(size, dtype=bool)
-            grown_flags[: self._tail] = self.flags[: self._tail]
-            self.data = grown
-            self.flags = grown_flags
-        old_off = self.offsets[i]
-        self.data[self._tail : self._tail + count] = self.data[old_off : old_off + count]
-        self.flags[self._tail : self._tail + count] = self.flags[old_off : old_off + count]
-        self.offsets[i] = self._tail
-        self._orphaned += self.caps[i]
-        self.caps[i] = new_cap
-        self._tail += new_cap
-        if self._orphaned * 2 > self._tail - self._orphaned:
-            self._compact()
-
-    def _compact(self) -> None:
-        """Rebuild the slab contiguously with fresh slack everywhere."""
-        # repro: allow[RPR005] — rare compaction; _Slab wants list-of-lists
-        rows = [self.row(i).tolist() for i in range(len(self.counts))]
-        # repro: allow[RPR005] — rare compaction; _Slab wants list-of-lists
-        row_flags = [self.row_flags(i).tolist() for i in range(len(self.counts))]
-        rebuilt = _Slab(rows, row_flags, dtype=self.data.dtype)
-        self.offsets = rebuilt.offsets
-        self.counts = rebuilt.counts
-        self.caps = rebuilt.caps
-        self.data = rebuilt.data
-        self.flags = rebuilt.flags
-        self._tail = rebuilt._tail
-        self._orphaned = 0
-
-
 class DeltaSnapshot:
-    """A mutable, array-backed overlay mirror that snapshots on demand.
+    """An overlay mirror that applies deltas and snapshots on demand.
 
     Create with :meth:`from_graph` (structural tier: full churn vocabulary)
     or :meth:`from_snapshot` (liveness tier: crash/revive on any compiled
@@ -495,10 +298,18 @@ class DeltaSnapshot:
     :class:`FastpathSnapshot` field-identical to a fresh compile of the
     mutated overlay.
 
+    The structural tier holds no copy of the adjacency.  It keeps the
+    :class:`~repro.core.graph.OverlayGraph` it mirrors, label-indexed
+    membership and liveness masks, and the set of labels whose rows the
+    applied ops touched; :meth:`snapshot` re-reads those rows from the graph.
+    So apply every recorded mutation before snapshotting: a ``snapshot()``
+    with rows to re-read while the graph's recorder holds unapplied
+    mutations raises :class:`TornSnapshotError`.
+
     Lifecycle (the intended churn loop)::
 
-        recorder = DeltaRecorder.attach(network.graph)
         mirror = DeltaSnapshot.from_graph(network.graph)
+        recorder = DeltaRecorder.attach(network.graph)
         router = BatchGreedyRouter(mirror.snapshot())
         for round in rounds:
             ...joins / leaves / crashes / daemon.repair_all_batched()...
@@ -522,35 +333,28 @@ class DeltaSnapshot:
         # The overlay behind a liveness-tier mirror (set by from_overlay);
         # OP_REBUILD recompiles it in place of an out-of-band recompile.
         self._source = None
-        # Structural tier state (label-indexed arrays of size space_size).
+        # Structural tier state: the mirrored graph and label-indexed masks
+        # of size space_size, as of the last applied op.
         self.kind = ""
         self.space_size = 0
         self.symmetric_neighbors = True
+        self._graph: OverlayGraph | None = None
         self._occupied: np.ndarray | None = None
         self._alive: np.ndarray | None = None
-        self._left: np.ndarray | None = None
-        self._right: np.ndarray | None = None
-        self._long: _Slab | None = None
-        self._incoming: _Slab | None = None
         # Materialization cache: re-used verbatim (modulo the alive mask)
-        # until a structural op lands.  ``_dirty`` tracks the labels whose
-        # compiled row may have changed since the last materialization, so
-        # the next one can splice unchanged rows straight out of the
-        # previous arrays instead of re-deduplicating every row.
+        # until a structural op lands.  ``_dirty`` holds the labels whose
+        # rows the applied ops touched and ``_departed`` the labels removed
+        # since the last materialization; the next one re-reads those rows
+        # (and the rows that named a departed label) and splices every other
+        # row straight out of the previous one, whose neighbour labels
+        # ``_prev_flat`` keeps.
         self._cached: FastpathSnapshot | None = None
-        self._structure_dirty = True
         self._dirty: set[int] = set()
-        self._pending_clears: set[int] = set()
-        # Previous materialization, label-addressed (for row splicing).
+        self._departed: set[int] = set()
         self._prev_flat: np.ndarray | None = None
-        self._prev_start: np.ndarray | None = None
-        self._prev_count: np.ndarray | None = None
-        self._prev_present: np.ndarray | None = None
         # Which materialization strategy the last snapshot() call took
         # (reported to telemetry as refresh.strategy.<name>).
         self._last_strategy = "full_rebuild"
-        # The op a structural-tier apply refused after changing the mirror.
-        self._refused: tuple | None = None
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -562,11 +366,11 @@ class DeltaSnapshot:
     ) -> "DeltaSnapshot":
         """Mirror an :class:`OverlayGraph` for full structural churn.
 
-        The one-time cost equals a snapshot compile (one pass over the object
-        graph); every subsequent event batch is an incremental
-        :meth:`apply`.  Dead-flagged long links are mirrored with their
-        liveness flags and excluded from materialized rows, exactly as
-        :func:`~repro.fastpath.snapshot.compile_snapshot` excludes them.
+        Records the graph's membership and liveness; the first
+        :meth:`snapshot` reads every row, and every later one only the rows
+        the applied deltas touched.  Rows are read as
+        :func:`~repro.fastpath.snapshot.compile_snapshot` reads them (dead
+        links left out).
         """
         space = graph.space
         if not isinstance(space, RingMetric):
@@ -577,33 +381,11 @@ class DeltaSnapshot:
         mirror.kind = "ring"
         mirror.space_size = space.size()
         mirror.symmetric_neighbors = symmetric_neighbors
-        n = mirror.space_size
-        pointer_dtype = label_dtype(n)
-        mirror._occupied = np.zeros(n, dtype=bool)
-        mirror._alive = np.zeros(n, dtype=bool)
-        mirror._left = np.full(n, -1, dtype=pointer_dtype)
-        mirror._right = np.full(n, -1, dtype=pointer_dtype)
-        long_rows: list[list[int]] = [[] for _ in range(n)]
-        long_flags: list[list[bool]] = [[] for _ in range(n)]
-        incoming_rows: list[list[int]] = [[] for _ in range(n)]
-        incoming_flags: list[list[bool]] = [[] for _ in range(n)]
-        for node in graph.nodes():
-            label = node.label
-            mirror._occupied[label] = True
-            mirror._alive[label] = node.alive
-            if node.left is not None:
-                mirror._left[label] = node.left
-            if node.right is not None:
-                mirror._right[label] = node.right
-            long_rows[label] = [link.target for link in node.long_links]
-            long_flags[label] = [link.alive for link in node.long_links]
-            # The incoming slab replicates the graph's reverse-index *order*
-            # (link creation order), which is the compiled row order.
-            entries = graph.incoming_entries(label)
-            incoming_rows[label] = [source for source, _alive in entries]
-            incoming_flags[label] = [alive for _source, alive in entries]
-        mirror._long = _Slab(long_rows, long_flags, dtype=pointer_dtype)
-        mirror._incoming = _Slab(incoming_rows, incoming_flags, dtype=pointer_dtype)
+        mirror._graph = graph
+        mirror._occupied = np.zeros(mirror.space_size, dtype=bool)
+        mirror._alive = np.zeros(mirror.space_size, dtype=bool)
+        mirror._occupied[np.asarray(graph.labels(), dtype=np.int64)] = True
+        mirror._alive[np.asarray(graph.labels(only_alive=True), dtype=np.int64)] = True
         return mirror
 
     @classmethod
@@ -621,7 +403,6 @@ class DeltaSnapshot:
         mirror.kind = snapshot.kind
         mirror.space_size = snapshot.space_size
         mirror.symmetric_neighbors = snapshot.symmetric_neighbors
-        mirror._structure_dirty = False
         if snapshot.edge_alive is not None:
             mirror._mask_edge_alive = snapshot.edge_alive.copy()
         return mirror
@@ -651,19 +432,16 @@ class DeltaSnapshot:
     def apply(self, delta: SnapshotDelta) -> None:
         """Apply one recorded mutation batch, in recorded order.
 
-        Cost scales with the batch, not the overlay: liveness flips are mask
-        writes, link edits touch only their slab rows (into spare slots),
-        ring rewrites are pointer stores, and the per-label dirty set feeds
-        the splicing materialization.  Pointer invalidation for departed
-        vertices is deferred and flushed as one vectorized pass at the end
-        of the batch.
+        Cost scales with the batch, not the overlay.  The liveness tier
+        writes masks; the structural tier writes its membership and liveness
+        masks and notes the labels each op touched, whose rows the next
+        :meth:`snapshot` re-reads from the graph.
 
-        A refused batch leaves a liveness-tier mirror as it was.  A
-        structural-tier mirror that refuses an op after changing anything
-        raises :class:`HalfAppliedDeltaError` from every later ``apply`` and
-        ``snapshot`` call.
+        Both tiers check every op before they write anything, so a refused
+        batch leaves the mirror as it was.  On the structural tier every
+        label an op names must be a vertex at that point of the batch
+        (``KeyError`` otherwise); ``OP_REBUILD`` is refused.
         """
-        self._check_not_refused()
         tel = telemetry_current()
         if tel is not None and delta.ops:
             for kind, count in delta.counts().items():
@@ -675,117 +453,66 @@ class DeltaSnapshot:
                     tel.count("refresh.ops.link_revive", count)
                 else:
                     tel.count(f"refresh.ops.{kind}", count)
-        if not self.structural:
+        if self.structural:
+            self._apply_rows(delta)
+        else:
             self._apply_mask(delta)
-            return
-        occupied = self._occupied
-        alive = self._alive
-        left = self._left
-        right = self._right
-        long_slab = self._long
-        in_slab = self._incoming
-        dirty = self._dirty
-        dirty_add = dirty.add
-        long_append, long_remove = long_slab.append, long_slab.remove_first
-        in_append, in_remove = in_slab.append, in_slab.remove_first
-        structural = False
-        try:
-            for index, op in enumerate(delta.ops):
-                code = op[0]
-                if code == OP_FAIL or code == OP_REVIVE:
-                    label = op[1]
-                    # As on the liveness tier; -1 would wrap onto the top label.
-                    if not 0 <= label < occupied.shape[0] or not occupied[label]:
-                        raise KeyError(f"labels {[int(label)]} are not vertices of this snapshot")
-                    alive[label] = code == OP_REVIVE
-                elif code == OP_SET_RING:
-                    left[op[1]] = op[2]
-                    right[op[1]] = op[3]
-                    dirty_add(op[1])
-                    structural = True
-                elif code == OP_ADD_LINK:
-                    long_append(op[1], op[2])
-                    in_append(op[2], op[1])
-                    dirty_add(op[1])
-                    dirty_add(op[2])
-                    structural = True
-                elif code == OP_REMOVE_LINK:
-                    # Drop the entry in whatever liveness state it is in, and the
-                    # paired incoming entry in the *same* state, so parallel
-                    # links of mixed liveness stay correctly paired.
-                    flag = long_remove(op[1], op[2], None)
-                    in_remove(op[2], op[1], flag)
-                    dirty_add(op[1])
-                    dirty_add(op[2])
-                    structural = True
-                elif code == OP_REDIRECT_LINK:
-                    long_slab.replace_first(op[1], op[2], op[3])
-                    in_remove(op[2], op[1], True)
-                    in_append(op[3], op[1])
-                    dirty_add(op[1])
-                    dirty_add(op[2])
-                    dirty_add(op[3])
-                    structural = True
-                elif code == OP_LINK_FAIL:
-                    long_slab.set_flag_first(op[1], op[2], True, False)
-                    in_slab.set_flag_first(op[2], op[1], True, False)
-                    dirty_add(op[1])
-                    dirty_add(op[2])
-                    structural = True
-                elif code == OP_LINK_REVIVE:
-                    long_slab.set_flag_first(op[1], op[2], False, True)
-                    in_slab.set_flag_first(op[2], op[1], False, True)
-                    dirty_add(op[1])
-                    dirty_add(op[2])
-                    structural = True
-                elif code == OP_ADD_NODE:
-                    label = op[1]
-                    if label in self._pending_clears:
-                        # The label departed earlier in this very batch; clear
-                        # the stale pointers at it before it is reborn so the
-                        # deferred bulk flush cannot wipe its new ring wiring.
-                        self._flush_pointer_clears({label})
-                        self._pending_clears.discard(label)
-                    occupied[label] = True
-                    alive[label] = True
-                    left[label] = -1
-                    right[label] = -1
-                    long_slab.clear_row(label)
-                    in_slab.clear_row(label)
-                    dirty.add(label)
-                    structural = True
-                elif code == OP_REMOVE_NODE:
-                    self._remove_node(op[1])
-                    structural = True
-                elif code == OP_REBUILD:
+
+    def _apply_rows(self, delta: SnapshotDelta) -> None:
+        """Structural-tier application: check every op, then note what it touched."""
+        # Membership and liveness as the batch leaves them, for the labels it
+        # adds or removes (later ops check against these) and flips.
+        present: dict[int, bool] = {}
+        alive: dict[int, bool] = {}
+        unchecked: list[int] = []  # checked at the end against the masks as they are
+        refused: list[int] = []
+        touched: list[int] = []
+        departed: list[int] = []
+        for op in delta.ops:
+            code = op[0]
+            if code == OP_ADD_NODE:
+                label = op[1]
+                if not 0 <= label < self.space_size:
+                    refused.append(label)
+                present[label] = alive[label] = True
+                touched.append(label)
+                continue
+            fields = _VERTEX_FIELDS.get(code)
+            if fields is None:
+                if code == OP_REBUILD:
                     raise NotImplementedError(
                         "structural-tier DeltaSnapshot has no table rebuild; "
                         "OP_REBUILD applies to Overlay-backed liveness mirrors"
                     )
-                else:  # pragma: no cover - recorder and apply share the op set
-                    raise ValueError(f"unknown delta op code {code!r}")
-        except Exception:
-            # Only a liveness op refused first leaves the mirror untouched
-            # (its vertex check precedes its write); anything later serves
-            # a half-applied state, so the mirror refuses to go on.
-            if index or op[0] not in _LIVENESS_OPS:
-                self._refused = op
-            raise
-        if self._pending_clears:
-            self._flush_pointer_clears(self._pending_clears)
-            self._pending_clears = set()
-        if structural:
-            self._structure_dirty = True
-
-    def _check_not_refused(self) -> None:
-        if self._refused is not None:
-            op = self._refused
-            raise HalfAppliedDeltaError(
-                f"this mirror refused {_OP_NAMES.get(op[0], op[0])!r} "
-                f"{[int(value) for value in op[1:]]} "
-                "part-way through a delta and holds a half-applied state; "
-                "mirror the overlay afresh with DeltaSnapshot.from_graph"
+                raise ValueError(f"unknown delta op code {code!r}")
+            named = op[1 : 1 + fields]
+            for label in named:
+                state = present.get(label)
+                if state is None:
+                    unchecked.append(label)
+                elif not state:
+                    refused.append(label)
+            if code == OP_FAIL or code == OP_REVIVE:
+                alive[op[1]] = code == OP_REVIVE
+            elif code == OP_REMOVE_NODE:
+                present[op[1]] = alive[op[1]] = False
+                departed.append(op[1])
+                touched.append(op[1])
+            else:
+                touched.extend(named)
+        missing = self._non_vertices(unchecked)
+        if refused or missing.size:
+            raise KeyError(
+                f"labels {[int(label) for label in refused + missing.tolist()][:5]} "
+                "are not vertices of this snapshot"
             )
+        for mask, writes in ((self._occupied, present), (self._alive, alive)):
+            if writes:
+                mask[np.fromiter(writes, dtype=np.int64, count=len(writes))] = np.fromiter(
+                    writes.values(), dtype=bool, count=len(writes)
+                )
+        self._dirty.update(touched)
+        self._departed.update(departed)
 
     def _apply_mask(self, delta: SnapshotDelta) -> None:
         """Liveness-tier application: node flips, edge flips, and rebuilds.
@@ -885,55 +612,21 @@ class DeltaSnapshot:
         if not self.structural:
             self._mask_alive[self._base.indices_of(np.asarray(labels))] = alive
             return
-        labels = np.asarray(labels, dtype=np.int64)
-        # As in apply; a bare index would wrap -1 onto the top label.
-        inside = (labels >= 0) & (labels < self._occupied.shape[0])
+        refused = self._non_vertices(labels)
+        if refused.size:
+            raise KeyError(f"labels {refused[:5].tolist()} are not vertices of this snapshot")
+        self._alive[np.asarray(labels, dtype=np.int64)] = alive
+
+    def _non_vertices(self, labels: Iterable[int] | np.ndarray) -> np.ndarray:
+        """The labels that are no vertex of the structural mirror, flattened.
+
+        Checked by value: a bare index would wrap -1 onto the top label.
+        """
+        labels = np.asarray(labels, dtype=np.int64).ravel()
+        inside = (labels >= 0) & (labels < self.space_size)
         vertex = inside.copy()
         vertex[inside] = self._occupied[labels[inside]]
-        if not vertex.all():
-            refused = labels[~vertex].ravel()
-            raise KeyError(f"labels {refused[:5].tolist()} are not vertices of this snapshot")
-        self._alive[labels] = alive
-
-    def _remove_node(self, label: int) -> None:
-        """Replay :meth:`OverlayGraph.remove_node` against the mirror."""
-        long_slab = self._long
-        in_slab = self._incoming
-        dirty = self._dirty
-        # Drop the departing node's outgoing links from the reverse index,
-        # each paired with its own liveness state.
-        # repro: allow[RPR005] — paired value/flag walk over one slab row
-        pairs = zip(long_slab.row(label).tolist(), long_slab.row_flags(label).tolist())
-        for target, flag in pairs:
-            in_slab.remove_first(target, label, flag)
-            dirty.add(target)
-        # Drop every link that pointed at the departed node.
-        for source in set(in_slab.row(label).tolist()):
-            long_slab.remove_all(source, label)
-            dirty.add(source)
-        long_slab.clear_row(label)
-        in_slab.clear_row(label)
-        self._occupied[label] = False
-        self._alive[label] = False
-        dirty.add(label)
-        # Stale ring pointers at the departed vertex are cleared exactly as
-        # the object graph clears them, but in one vectorized pass at the
-        # end of the batch (see apply) rather than per departure.
-        self._pending_clears.add(label)
-
-    def _flush_pointer_clears(self, departed: set[int]) -> None:
-        """Clear every ring pointer at a departed label (vectorized scan)."""
-        targets = np.fromiter(departed, dtype=np.int64, count=len(departed))
-        stale_left = np.isin(self._left, targets)
-        stale_right = np.isin(self._right, targets)
-        self._left[stale_left] = -1
-        self._right[stale_right] = -1
-        # repro: allow[RPR005] — the dirty set stores Python ints by contract
-        self._dirty.update(np.flatnonzero(stale_left | stale_right).tolist())
-
-    # ------------------------------------------------------------------ #
-    # Materialization
-    # ------------------------------------------------------------------ #
+        return labels[~vertex]
 
     def snapshot(self) -> FastpathSnapshot:
         """Freeze the current state into a :class:`FastpathSnapshot`.
@@ -944,18 +637,16 @@ class DeltaSnapshot:
         * no structural change since the last call — the cached snapshot is
           re-used via :meth:`FastpathSnapshot.with_alive` (the batch
           router's dense matrices stay warm);
-        * a small dirty set — only the touched rows are re-deduplicated;
-          every other row is spliced verbatim out of the previous
-          materialization's arrays;
-        * a large dirty set (or the first call) — one fully vectorized
-          rebuild of all rows.
+        * few stale rows (touched by an op, or naming a departed label) —
+          only those are re-read from the graph; every other row is spliced
+          verbatim out of the previous materialization's arrays;
+        * many stale rows (or the first call) — every row is re-read.
 
         With telemetry enabled, each call records a ``refresh`` span, the
         strategy taken (``refresh.strategy.liveness_reuse`` /
         ``row_splice`` / ``full_rebuild``), and a ``refresh.ms`` histogram
         sample.
         """
-        self._check_not_refused()
         tel = telemetry_current()
         if tel is None:
             return self._snapshot_impl()
@@ -975,54 +666,42 @@ class DeltaSnapshot:
             if self._mask_edge_alive is not None:
                 snapshot = snapshot.with_edge_alive(self._mask_edge_alive)
             return snapshot
-        if self._cached is not None and not self._structure_dirty:
+        if self._cached is not None and not self._dirty:
             self._last_strategy = "liveness_reuse"
             return self._cached.with_alive(self._alive[self._cached.labels])
+        recorder = self._graph.observer
+        if isinstance(recorder, DeltaRecorder) and len(recorder):
+            raise TornSnapshotError(
+                f"the graph's recorder holds {len(recorder)} mutations this mirror "
+                "has not applied; apply(recorder.drain()) before snapshot()"
+            )
         snapshot = self._materialize()
         self._cached = snapshot
-        self._structure_dirty = False
         self._dirty = set()
+        self._departed = set()
         return snapshot
 
     def _materialize(self) -> FastpathSnapshot:
-        labels = np.flatnonzero(self._occupied).astype(np.int64)
+        occupied = self._occupied
+        labels = np.flatnonzero(occupied).astype(np.int64)
         n = labels.size
+        stale = self._stale_rows()
 
-        # Splice whenever rebuilding only the dirty rows is cheaper than
-        # re-deduplicating everything; the unchanged-row block copy is cheap,
-        # so splicing wins until roughly two thirds of the rows are dirty.
-        splice = (
-            self._prev_present is not None
-            and len(self._dirty) * 3 < 2 * n
-        )
+        # Splice whenever re-reading only the stale rows is cheaper than
+        # reading everything; the unchanged-row block copy is cheap, so
+        # splicing wins until roughly two thirds of the rows are stale.
+        splice = stale is not None and int(np.count_nonzero(stale)) * 3 < 2 * n
         self._last_strategy = "row_splice" if splice else "full_rebuild"
         if splice:
-            values, counts = self._spliced_rows(labels)
+            values, counts = self._spliced_rows(labels, stale)
         else:
-            values, counts = self._rows_for(labels)
-            if values.size and not self._occupied[values].all():
-                bad = values[~self._occupied[values]]
-                raise ValueError(
-                    f"delta mirror links point at non-vertex labels "
-                    f"{bad[:5].tolist()}; the mirror diverged from the overlay"
-                )
+            values, counts = self._read_rows(labels)
 
-        # Label-addressed copy of this materialization, for the next splice.
-        starts = np.zeros(n, dtype=np.int64)
-        if n:
-            np.cumsum(counts[:-1], out=starts[1:])
-        prev_start = np.zeros(self.space_size, dtype=np.int64)
-        prev_count = np.zeros(self.space_size, dtype=np.int64)
-        prev_start[labels] = starts
-        prev_count[labels] = counts
         self._prev_flat = values
-        self._prev_start = prev_start
-        self._prev_count = prev_count
-        self._prev_present = self._occupied.copy()
 
         # Translate neighbour labels to vertex indices by direct addressing
-        # (every value is an occupied label, checked above / by splicing).
-        position = np.cumsum(self._occupied, dtype=np.int32)
+        # (every value is an occupied label, checked by _read_rows).
+        position = np.cumsum(occupied, dtype=np.int32)
         position -= 1
         indices = position[values]
         indptr = np.zeros(n + 1, dtype=np.int64)
@@ -1041,47 +720,56 @@ class DeltaSnapshot:
             symmetric_neighbors=self.symmetric_neighbors,
         )
 
-    def _spliced_rows(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Merge rebuilt dirty rows with unchanged rows of the previous pass."""
-        occupied = self._occupied
-        dirty_mask = np.zeros(self.space_size, dtype=bool)
-        if self._dirty:
-            dirty_mask[np.fromiter(self._dirty, dtype=np.int64, count=len(self._dirty))] = True
-        # Labels that appeared since the previous materialization are always
-        # rebuilt, whatever the dirty set says.
-        dirty_mask |= occupied & ~self._prev_present
-        dirty_mask &= occupied
+    def _stale_rows(self) -> np.ndarray | None:
+        """Label mask of the rows to re-read, or ``None`` with nothing to splice from.
 
-        dirty_labels = np.flatnonzero(dirty_mask).astype(np.int64)
-        dirty_values, dirty_counts = self._rows_for(dirty_labels)
-        if dirty_values.size and not occupied[dirty_values].all():
-            bad = dirty_values[~occupied[dirty_values]]
-            raise ValueError(
-                f"delta mirror links point at non-vertex labels "
-                f"{bad[:5].tolist()}; the mirror diverged from the overlay"
-            )
+        A row is stale when an applied op touched its label, or when the
+        previous materialization's row names a label removed since: the
+        graph drops links and ring pointers at a departing vertex without
+        recording an op per holder.
+        """
+        previous = self._cached
+        if previous is None:
+            return None
+        stale = np.zeros(self.space_size, dtype=bool)
+        stale[np.fromiter(self._dirty, dtype=np.int64, count=len(self._dirty))] = True
+        if self._departed:
+            departed = np.fromiter(self._departed, dtype=np.int64, count=len(self._departed))
+            entries = np.flatnonzero(np.isin(self._prev_flat, departed))
+            rows = np.searchsorted(previous.neighbor_indptr, entries, side="right") - 1
+            stale[previous.labels[rows]] = True
+        stale &= self._occupied
+        return stale
 
-        is_dirty = dirty_mask[labels]
+    def _spliced_rows(
+        self, labels: np.ndarray, stale: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Merge re-read stale rows with unchanged rows of the previous pass."""
+        stale_values, stale_counts = self._read_rows(np.flatnonzero(stale))
+
+        # Clean rows are rows of the previous materialization, located by label.
+        previous = self._cached
+        is_stale = stale[labels]
+        clean_rows_before = np.searchsorted(previous.labels, labels[~is_stale])
+        prev_starts = previous.neighbor_indptr[clean_rows_before].astype(np.int64)
+        clean_counts = previous.neighbor_indptr[clean_rows_before + 1] - prev_starts
         counts = np.empty(labels.size, dtype=np.int64)
-        counts[is_dirty] = dirty_counts
-        clean_labels = labels[~is_dirty]
-        clean_counts = self._prev_count[clean_labels]
-        counts[~is_dirty] = clean_counts
+        counts[is_stale] = stale_counts
+        counts[~is_stale] = clean_counts
 
         starts = np.zeros(labels.size, dtype=np.int64)
         if labels.size:
             np.cumsum(counts[:-1], out=starts[1:])
-        values = np.empty(int(counts.sum()), dtype=np.int32)
+        values = np.empty(int(counts.sum()), dtype=stale_values.dtype)
 
-        # Dirty rows: scatter the rebuilt entries to their final positions.
-        dirty_rows = np.flatnonzero(is_dirty)
-        positions = np.repeat(starts[dirty_rows], dirty_counts) + _within(dirty_counts)
-        values[positions] = dirty_values
+        # Stale rows: scatter the re-read entries to their final positions.
+        stale_rows = np.flatnonzero(is_stale)
+        positions = np.repeat(starts[stale_rows], stale_counts) + _within(stale_counts)
+        values[positions] = stale_values
         # Clean rows: block-copy straight out of the previous flat array.
         # Source and destination positions share one running index; only the
         # per-row shifts differ, so each needs a single expansion.
-        clean_rows = np.flatnonzero(~is_dirty)
-        prev_starts = self._prev_start[clean_labels]
+        clean_rows = np.flatnonzero(~is_stale)
         clean_total = int(clean_counts.sum())
         clean_row_starts = np.cumsum(clean_counts) - clean_counts
         running = np.arange(clean_total, dtype=np.int32)
@@ -1094,89 +782,32 @@ class DeltaSnapshot:
         values[positions] = self._prev_flat[sources]
         return values, counts
 
-    def _rows_for(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Compile the rows of ``labels``: per-row S + L + deduplicated I.
+    def _read_rows(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Read the rows of ``labels`` from the graph: flat neighbour labels, per-row counts.
 
-        Returns the flattened neighbour *labels* and the per-row counts.
-        Fully vectorized; the incoming dedup uses two stable integer
-        argsorts (radix sorts in NumPy) instead of a general lexsort.
+        Each row is :meth:`OverlayGraph.neighbors_of` with the arguments
+        ``compile_snapshot`` inlines — short links, live long links, then
+        (symmetric mirrors) the deduplicated sources of live incoming links.
         """
-        n = labels.size
-        row_ids = np.arange(n, dtype=np.int64)
-
-        # Section S: the short links, left first then right (right skipped
-        # when it duplicates left), built as a masked (n, 2) matrix so the
-        # row-major flatten preserves per-row order.
-        lefts = self._left[labels]
-        rights = self._right[labels]
-        short_matrix = np.stack([lefts, rights], axis=1)
-        short_mask = np.stack([lefts >= 0, (rights >= 0) & (rights != lefts)], axis=1)
-        s_counts = short_mask.sum(axis=1)
-        s_values = short_matrix[short_mask]
-        s_rows = np.repeat(row_ids, s_counts)
-
-        # Sections L and I: gathered straight out of the slack slabs.
-        l_values, l_rows, l_counts = self._long.gather(labels)
-        if self.symmetric_neighbors:
-            i_values, i_rows, i_counts = self._incoming.gather(labels)
-        else:
-            i_values = np.empty(0, dtype=np.int64)
-            i_rows = np.empty(0, dtype=np.int64)
-            i_counts = np.zeros(n, dtype=np.int64)
-
-        # Stitch the sections into per-row S + L + I order by scattering each
-        # entry to its final position (no sort needed: sections are built in
-        # row order already).
-        total_counts = s_counts + l_counts + i_counts
-        row_starts = np.zeros(n, dtype=np.int64)
-        if n:
-            np.cumsum(total_counts[:-1], out=row_starts[1:])
-        total = int(total_counts.sum())
-        # Flat values are labels, which fit int32 for every practical space;
-        # the narrower dtype halves the memory traffic of the dedup gathers
-        # and of the splice block copies that re-use these arrays.
-        values = np.empty(total, dtype=np.int32)
-        rows = np.empty(total, dtype=np.int64)
-        section = np.empty(total, dtype=np.int8)
-
-        def scatter(sec_rows, sec_values, sec_offset_within, sec_code):
-            positions = row_starts[sec_rows] + sec_offset_within
-            values[positions] = sec_values
-            rows[positions] = sec_rows
-            section[positions] = sec_code
-
-        scatter(s_rows, s_values, _within(s_counts), 0)
-        scatter(l_rows, l_values, s_counts[l_rows] + _within(l_counts), 1)
-        scatter(i_rows, i_values, (s_counts + l_counts)[i_rows] + _within(i_counts), 2)
-
-        # Incoming dedup: an incoming entry survives only when its value has
-        # not already appeared earlier in the row (any section) and is not
-        # the row's own label — compile_snapshot's ``seen`` set, vectorized.
-        # Stable integer argsorts (radix sorts in NumPy) order entries by
-        # (row, value, flat position); each (row, value) group's first
-        # occurrence comes first, so every later group member is a
-        # duplicate.  When (row, value) packs into 31 bits — every small and
-        # medium overlay — one packed radix sort replaces the two passes.
-        if n * self.space_size < (1 << 31):
-            # rows stays int64 for fancy indexing; the widened product is
-            # guarded to fit and narrowed here.
-            packed = (rows * self.space_size + values).astype(np.int32)
-            order = np.argsort(packed, kind="stable")
-        else:
-            value_order = np.argsort(values, kind="stable")
-            order = value_order[np.argsort(rows[value_order], kind="stable")]
-        dup_sorted = np.zeros(total, dtype=bool)
-        if total > 1:
-            dup_sorted[1:] = (rows[order][1:] == rows[order][:-1]) & (
-                values[order][1:] == values[order][:-1]
+        neighbors_of = self._graph.neighbors_of
+        symmetric = self.symmetric_neighbors
+        rows = [
+            neighbors_of(
+                label, only_alive_nodes=False, only_alive_links=True, include_incoming=symmetric
             )
-        duplicate = np.zeros(total, dtype=bool)
-        duplicate[order] = dup_sorted
-        keep = (section != 2) | (~duplicate & (values != labels[rows]))
-
-        kept_rows = rows[keep]
-        counts = np.bincount(kept_rows, minlength=n).astype(np.int64)
-        return values[keep], counts
+            for label in labels.tolist()
+        ]
+        counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        values = np.fromiter(
+            chain.from_iterable(rows), dtype=label_dtype(self.space_size), count=int(counts.sum())
+        )
+        missing = self._non_vertices(values)
+        if missing.size:
+            raise ValueError(
+                f"delta mirror rows point at non-vertex labels "
+                f"{missing[:5].tolist()}; the mirror diverged from the overlay"
+            )
+        return values, counts
 
 
 def _within(counts: np.ndarray) -> np.ndarray:

@@ -153,7 +153,7 @@ def snapshot_nbytes(snapshot: Any) -> int:
 class FieldContract:
     """One array field's dtype policy (a row of the README contract table)."""
 
-    owner: str  #: Owning structure ("FastpathSnapshot", "DeltaSnapshot", "_Slab").
+    owner: str  #: Owning structure ("FastpathSnapshot", "DeltaSnapshot").
     field: str  #: Attribute name.
     policy: str  #: Human-readable policy expression.
     dtypes: tuple[str, ...]  #: Admissible dtype names, in preference order.
@@ -232,21 +232,6 @@ SNAPSHOT_CONTRACT: tuple[FieldContract, ...] = (
     ),
     FieldContract(
         "DeltaSnapshot",
-        "_left",
-        "label_dtype(space_size)",
-        ("int32", "int64"),
-        "Ring predecessor pointers (-1 encodes None); labels fit by the "
-        "same cutoff as snapshot labels.",
-    ),
-    FieldContract(
-        "DeltaSnapshot",
-        "_right",
-        "label_dtype(space_size)",
-        ("int32", "int64"),
-        "Ring successor pointers (-1 encodes None).",
-    ),
-    FieldContract(
-        "DeltaSnapshot",
         "_mask_alive",
         "bool",
         ("bool",),
@@ -260,21 +245,6 @@ SNAPSHOT_CONTRACT: tuple[FieldContract, ...] = (
         ("bool",),
         "Per-edge liveness of the liveness-tier mirror, aligned with the "
         "base CSR; None until the first link flip.",
-    ),
-    FieldContract(
-        "_Slab",
-        "data",
-        "label_dtype(space_size)",
-        ("int32", "int64"),
-        "Flat payload of the slack-capacity CSR rows (link target labels); "
-        "relocation and compaction inherit this dtype.",
-    ),
-    FieldContract(
-        "_Slab",
-        "flags",
-        "bool",
-        ("bool",),
-        "Per-entry link-alive flags, parallel to data.",
     ),
 )
 

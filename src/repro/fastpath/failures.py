@@ -17,8 +17,8 @@ a :class:`~repro.core.failures.LinkFailureModel` fails links through the
 graph's ``fail_long_link`` (a fault schedule through the same call, or a
 table overlay's ``fail_link``), and both record ``OP_LINK_FAIL`` deltas that a
 :class:`~repro.fastpath.delta.DeltaSnapshot` mirror applies — the
-structural tier flips the link's flag in its slabs, the liveness tier
-scatters it onto the snapshot's ``edge_alive`` mask.
+structural tier re-reads the holder's and the target's rows from the graph,
+the liveness tier scatters it onto the snapshot's ``edge_alive`` mask.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ reproduces the scalar router walk on the mutated overlay.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -99,9 +100,10 @@ def _apply_event(network: P2PNetwork, kind: str, pick: int, rng) -> None:
 
 
 class TestStructuralDeltaParity:
+    @pytest.mark.parametrize("symmetric", [True, False])
     @settings(max_examples=30, deadline=None)
     @given(churn_script())
-    def test_delta_snapshot_equals_fresh_compile(self, script):
+    def test_delta_snapshot_equals_fresh_compile(self, symmetric, script):
         """Randomized join/leave/crash/repair: delta == compile, at every step."""
         seed, events = script
         network = P2PNetwork(space_size=64, links_per_node=3, seed=seed)
@@ -112,14 +114,14 @@ class TestStructuralDeltaParity:
         network.join_many(members)
 
         recorder = DeltaRecorder.attach(network.graph)
-        mirror = DeltaSnapshot.from_graph(network.graph)
+        mirror = DeltaSnapshot.from_graph(network.graph, symmetric_neighbors=symmetric)
         try:
             for kind, pick in events:
                 _apply_event(network, kind, pick, rng)
                 mirror.apply(recorder.drain())
                 assert_snapshots_identical(
                     mirror.snapshot(),
-                    compile_snapshot(network.graph),
+                    compile_snapshot(network.graph, symmetric_neighbors=symmetric),
                     context=f"after {kind}",
                 )
         finally:

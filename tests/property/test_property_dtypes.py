@@ -11,9 +11,8 @@ it with the dtype of every governed array a run produces:
   ``compile_snapshot`` and both delta tiers — plus its derived views
   (``label_matrix()``, ``labels_compact()``, ``class_matrix()``,
   ``routing_matrices()``);
-* the structural mirror's label-indexed arrays and both ``_Slab`` payloads
-  after every op of a churn script, and a ``_Slab`` driven through
-  relocation, growth and compaction;
+* the structural mirror's label-indexed masks after every op of a churn
+  script;
 * the liveness mirror's masks after crash and link flips;
 * :class:`BatchRouteResult` under all three recoveries, empty batches
   included, against the dtypes its docstring promises;
@@ -48,7 +47,6 @@ from repro.fastpath import (
     build_snapshot,
     compile_snapshot,
 )
-from repro.fastpath.delta import _Slab
 from repro.fastpath.dtypes import (
     EDGE_CLASS_DTYPE,
     MASK_DTYPE,
@@ -102,11 +100,10 @@ def assert_snapshot_contract(snapshot) -> None:
 
 
 def assert_mirror_contract(mirror: DeltaSnapshot) -> None:
-    """Every mirror and slab field the contract governs (when set) matches it."""
-    owners = {"DeltaSnapshot": [mirror], "_Slab": [mirror._long, mirror._incoming]}
+    """Every mirror field the contract governs (when set) matches it."""
     for entry in SNAPSHOT_CONTRACT:
-        for owner in owners.get(entry.owner, ()):
-            array = None if owner is None else getattr(owner, entry.field)
+        if entry.owner == "DeltaSnapshot":
+            array = getattr(mirror, entry.field)
             if array is not None:
                 dtype = _policy_dtype(entry.policy, mirror.space_size)
                 assert array.dtype == dtype, (
@@ -298,36 +295,3 @@ class TestDeltaMirrors:
             recorder.detach()
         assert mirror._mask_edge_alive is not None
 
-
-class TestSlab:
-    def test_relocation_growth_and_compaction_keep_the_payload_dtype(self):
-        """A label-dtype slab stays in its dtype through every slab mutation."""
-        dtype = label_dtype(1 << 10)
-        reference = [[1, 2], [3], [], [4, 5, 6]]
-        slab = _Slab([list(row) for row in reference], dtype=dtype)
-
-        def check():
-            assert (slab.data.dtype, slab.flags.dtype) == (dtype, MASK_DTYPE)
-            assert [slab.row(i).tolist() for i in range(len(reference))] == reference
-
-        check()
-        compactions = 0
-        for value in range(300):
-            row = value % len(reference)
-            tail = slab._tail
-            slab.append(row, value)
-            reference[row].append(value)
-            compactions += slab._tail < tail
-            check()
-        assert compactions, "the script never reached _compact"
-        slab.set_flag_first(0, 1, True, False)
-        slab.replace_first(3, 4, 7)
-        reference[3][0] = 7
-        assert slab.remove_first(1, 3)
-        reference[1].remove(3)
-        slab.remove_all(2, 2)
-        reference[2] = [v for v in reference[2] if v != 2]
-        check()
-        values, rows, counts = slab.gather(np.arange(len(reference)))
-        assert values.dtype == dtype
-        assert (rows.dtype, counts.dtype) == (INT64, INT64)

@@ -24,9 +24,11 @@ from repro.fastpath import (
 from repro.fastpath.delta import (
     OP_FAIL,
     OP_LINK_FAIL,
+    OP_REBUILD,
+    OP_REMOVE_NODE,
     OP_REVIVE,
-    HalfAppliedDeltaError,
-    _Slab,
+    OP_SET_RING,
+    TornSnapshotError,
     assert_snapshots_identical,
 )
 
@@ -53,41 +55,6 @@ def mirrored(construction):
     daemon = MaintenanceDaemon(construction)
     yield construction, daemon, recorder, mirror
     recorder.detach()
-
-
-class TestSlab:
-    def test_append_uses_slack_then_relocates(self):
-        slab = _Slab([[1, 2], [3]])
-        for value in range(10, 20):
-            slab.append(0, value)
-        assert list(slab.row(0)) == [1, 2] + list(range(10, 20))
-        assert list(slab.row(1)) == [3]
-
-    def test_remove_first_removes_one_occurrence(self):
-        slab = _Slab([[5, 7, 5, 9]])
-        slab.remove_first(0, 5)
-        assert list(slab.row(0)) == [7, 5, 9]
-
-    def test_remove_missing_value_raises(self):
-        slab = _Slab([[1]])
-        with pytest.raises(ValueError, match="diverged"):
-            slab.remove_first(0, 99)
-
-    def test_remove_all_and_replace_first(self):
-        slab = _Slab([[4, 8, 4, 8, 4]])
-        assert slab.remove_all(0, 4) == 3
-        slab.replace_first(0, 8, 6)
-        assert list(slab.row(0)) == [6, 8]
-
-    def test_compaction_preserves_rows(self):
-        slab = _Slab([[i] for i in range(20)])
-        # Force many relocations so the orphaned fraction crosses the
-        # compaction threshold at least once.
-        for row in range(20):
-            for value in range(40):
-                slab.append(row, value)
-        for row in range(20):
-            assert list(slab.row(row)) == [row] + list(range(40))
 
 
 class TestDeltaRecorder:
@@ -121,8 +88,8 @@ class TestDeltaRecorder:
         assert_snapshots_identical(mirror.snapshot(), compile_snapshot(graph))
         assert graph.revive_long_link(holder, target)
         assert graph.fail_long_link(holder, target)
-        # Removing a dead-flagged link is recorded too (the mirror tracks
-        # dead entries in its slabs, so the removal must reach it).
+        # Removing a dead-flagged link is recorded too (it touches the
+        # holder's and the target's rows).
         graph.remove_long_link(holder, target)
         delta = recorder.drain()
         assert delta.counts() == {"link_revive": 1, "link_fail": 1, "remove_link": 1}
@@ -259,14 +226,129 @@ class TestDeltaSnapshot:
         graph.fail_node(6)
         assert_snapshots_identical(mirror.snapshot(), compile_snapshot(graph))
 
-    def test_a_structural_mirror_that_refused_part_way_refuses_to_go_on(self):
+    def test_a_refused_structural_batch_leaves_the_snapshot_unchanged(self):
+        """The structural tier checks every op before it writes any."""
         graph = _ring16()
         mirror = DeltaSnapshot.from_graph(graph)
-        with pytest.raises(ValueError, match="diverged"):
-            mirror.apply(SnapshotDelta(ops=[(OP_FAIL, 5), (OP_LINK_FAIL, 7, 7)]))
-        for call in (mirror.snapshot, lambda: mirror.apply(SnapshotDelta(ops=[(OP_REVIVE, 5)]))):
-            with pytest.raises(HalfAppliedDeltaError, match=r"'link_fail' \[7, 7\]"):
-                call()
+        before = mirror.snapshot()
+        refusals = [
+            (KeyError, [(OP_SET_RING, 4, 3, 5), (OP_REMOVE_NODE, 6), (OP_LINK_FAIL, 7, 99)]),
+            (KeyError, [(OP_FAIL, 5), (OP_REMOVE_NODE, 3), (OP_REVIVE, 3)]),
+            (NotImplementedError, [(OP_FAIL, 5), (OP_SET_RING, 4, 3, 5), (OP_REBUILD,)]),
+        ]
+        for error, ops in refusals:
+            with pytest.raises(error):
+                mirror.apply(SnapshotDelta(ops=ops))
+            assert_snapshots_identical(mirror.snapshot(), before)
+            assert _refresh_strategy(mirror)[0] == "liveness_reuse"
+        # The mirror stays usable.
+        mirror.apply(SnapshotDelta(ops=[(OP_FAIL, 5), (OP_REVIVE, 5), (OP_FAIL, 6)]))
+        graph.fail_node(6)
+        assert_snapshots_identical(mirror.snapshot(), compile_snapshot(graph))
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_a_label_removed_and_re_added_in_one_batch(self, symmetric):
+        graph = _ring16()
+        graph.add_long_link(0, 8)
+        graph.add_long_link(8, 12)
+        graph.add_long_link(3, 8)
+        graph.fail_long_link(3, 8)
+        mirror = DeltaSnapshot.from_graph(graph, symmetric_neighbors=symmetric)
+        recorder = DeltaRecorder.attach(graph)
+        try:
+            mirror.snapshot()
+            graph.remove_node(8)
+            graph.add_node(8)
+            graph.set_immediate_neighbors(8, 7, 9)
+            graph.add_long_link(8, 2)
+            delta = recorder.drain()
+            assert delta.counts() == {
+                "remove_node": 1, "add_node": 1, "set_ring": 1, "add_link": 1
+            }
+            mirror.apply(delta)
+            strategy, snapshot = _refresh_strategy(mirror)
+        finally:
+            recorder.detach()
+        assert strategy == "row_splice"
+        assert_snapshots_identical(
+            snapshot, compile_snapshot(graph, symmetric_neighbors=symmetric)
+        )
+
+    def test_a_departed_label_named_only_by_a_dead_nodes_ring_pointer(self):
+        """The one row to re-read is found in the previous materialization."""
+        graph = _ring16()
+        graph.fail_node(4)
+        graph.set_immediate_neighbors(6, 4, 7)  # 6 skips 5; only dead 4 still names it
+        mirror = DeltaSnapshot.from_graph(graph)
+        before = mirror.snapshot()
+        assert 5 in before.labels[before.neighbors_of_index(4)]
+        recorder = DeltaRecorder.attach(graph)
+        try:
+            graph.remove_node(5)
+            delta = recorder.drain()
+        finally:
+            recorder.detach()
+        assert delta.ops == [(OP_REMOVE_NODE, 5)]
+        mirror.apply(delta)
+        strategy, snapshot = _refresh_strategy(mirror)
+        assert strategy == "row_splice"
+        assert 5 not in snapshot.labels[snapshot.neighbors_of_index(3)]
+        assert_snapshots_identical(snapshot, compile_snapshot(graph))
+
+    @pytest.mark.parametrize(
+        "mutate, rows",
+        [
+            (lambda g: g.add_long_link(2, 10), (2, 10)),
+            (lambda g: g.remove_long_link(0, 8), (0, 8)),
+            (lambda g: g.redirect_long_link(0, 8, 12), (0, 8, 12)),
+            (lambda g: g.fail_long_link(0, 8), (0, 8)),
+            (lambda g: g.revive_long_link(5, 13), (5, 13)),
+        ],
+        ids=["add", "remove", "redirect", "fail", "revive"],
+    )
+    def test_a_link_op_re_reads_every_row_it_changes(self, mutate, rows):
+        """With incoming links in a row, a link op changes its targets' rows too."""
+        graph = _ring16()
+        graph.add_long_link(0, 8)
+        graph.add_long_link(5, 13)
+        graph.fail_long_link(5, 13)
+        mirror = DeltaSnapshot.from_graph(graph, symmetric_neighbors=True)
+        before = mirror.snapshot()
+        recorder = DeltaRecorder.attach(graph)
+        try:
+            assert mutate(graph) is not False
+            mirror.apply(recorder.drain())
+        finally:
+            recorder.detach()
+        strategy, snapshot = _refresh_strategy(mirror)
+        assert strategy == "row_splice"
+        expected = compile_snapshot(graph, symmetric_neighbors=True)
+        for label in rows:
+            (before_row,) = before.indices_of([label])
+            (after_row,) = expected.indices_of([label])
+            assert not np.array_equal(
+                before.labels[before.neighbors_of_index(before_row)],
+                expected.labels[expected.neighbors_of_index(after_row)],
+            ), f"row {label} is unchanged, so it tests nothing"
+        assert_snapshots_identical(snapshot, expected)
+
+    def test_a_snapshot_torn_by_unapplied_mutations_is_refused(self, mirrored):
+        construction, _daemon, recorder, mirror = mirrored
+        graph = construction.graph
+        served = mirror.snapshot()
+        holder = next(node.label for node in graph.nodes() if node.long_links)
+        graph.fail_long_link(holder, graph.node(holder).long_links[0].target)
+        mirror.apply(recorder.drain())
+        graph.wire_ring()  # recorded, not yet applied
+        with pytest.raises(TornSnapshotError, match="not applied"):
+            mirror.snapshot()
+        mirror.apply(recorder.drain())
+        assert_snapshots_identical(mirror.snapshot(), compile_snapshot(graph))
+        # With no row to re-read, the applied state is served, not refused.
+        graph.fail_node(holder)
+        applied = mirror.snapshot()
+        assert applied.alive[applied.indices_of([holder])].all()
+        assert served.alive.all()
 
     def test_unsupported_space_raises(self):
         from repro.baselines import CanNetwork
@@ -411,42 +493,6 @@ class TestRouterRebase:
     def test_snapshot_delta_repr_roundtrip(self):
         delta = SnapshotDelta()
         assert not delta and len(delta) == 0 and delta.counts() == {}
-
-
-class TestSlabFlags:
-    def test_flags_filter_gather_and_survive_removal(self):
-        slab = _Slab([[7, 7, 9]])
-        slab.set_flag_first(0, 7, True, False)  # first 7 goes dead
-        assert list(slab.row_flags(0)) == [False, True, True]
-        values, rows, counts = slab.gather(np.array([0]))
-        assert list(values) == [7, 9]  # dead entry filtered
-        assert counts.tolist() == [2]
-        # want=True removes the live duplicate, not the dead one.
-        assert slab.remove_first(0, 7, want=True) is True
-        assert list(slab.row(0)) == [7, 9]
-        assert list(slab.row_flags(0)) == [False, True]
-
-    def test_dead_append_and_revive(self):
-        slab = _Slab([[4]])
-        slab.append(0, 8, alive=False)
-        values, _rows, counts = slab.gather(np.array([0]))
-        assert list(values) == [4] and counts.tolist() == [1]
-        slab.set_flag_first(0, 8, False, True)
-        values, _rows, counts = slab.gather(np.array([0]))
-        assert list(values) == [4, 8] and counts.tolist() == [2]
-
-    def test_find_with_flag_mismatch_raises(self):
-        slab = _Slab([[3]])
-        with pytest.raises(ValueError, match="diverged"):
-            slab.set_flag_first(0, 3, False, True)  # the only 3 is alive
-
-    def test_relocation_carries_flags(self):
-        slab = _Slab([[1, 2], [3]])
-        slab.set_flag_first(0, 2, True, False)
-        for value in range(10, 30):
-            slab.append(0, value)
-        assert list(slab.row(0))[:2] == [1, 2]
-        assert list(slab.row_flags(0))[:2] == [True, False]
 
 
 class TestEdgeLiveness:

@@ -153,6 +153,16 @@ class TestLinks:
         graph.remove_node(0)
         assert 0 not in graph.incoming_sources(16)
 
+    def test_remove_node_drops_dead_and_live_parallel_links_to_it(self, graph):
+        graph.add_long_link(0, 16)
+        graph.add_long_link(0, 8)
+        graph.add_long_link(0, 16)
+        assert graph.fail_long_link(0, 16)
+        graph.remove_node(16)
+        assert [link.target for link in graph.node(0).long_links] == [8]
+        assert 16 not in graph._incoming
+        assert graph.incoming_entries(8) == [(0, True)]
+
 
 class TestRingWiring:
     def test_ring_wraps_on_ring_metric(self, graph):

@@ -61,6 +61,10 @@ DELETED_NAMES = [
     # Every experiment runs on the ring; the line had no builder of its own.
     ("repro.core.metric", "LineMetric"),
     ("repro.scenarios.spec", "BYZANTINE_BEHAVIORS"),
+    # The structural delta mirror reads rows from the graph it mirrors; it
+    # keeps no slab copy of the adjacency and never holds a half-applied batch.
+    ("repro.fastpath.delta", "_Slab"),
+    ("repro.fastpath.delta", "HalfAppliedDeltaError"),
 ]
 
 
