@@ -10,16 +10,20 @@ need.
 
 As an :class:`~repro.overlay.Overlay`, CAN compiles into a snapshot executed
 by :class:`~repro.overlay.policy.TorusGreedyPolicy` (strictly decreasing L1
-torus distance), hop-for-hop identical to the scalar ``route()``.
+torus distance), hop-for-hop identical to the scalar ``route()``.  The zone
+neighbours of every label come from one array function
+(:meth:`CanNetwork.neighbor_matrix`), which both the compiled table and the
+scalar ``neighbors_of`` read.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.metric import TorusMetric
-from repro.overlay.mixin import OverlayMixin
+from repro.overlay.mixin import OverlayMixin, RoutingTable, dense_table
 from repro.overlay.policy import TorusGreedyPolicy
 from repro.util.validation import ensure_positive
 
@@ -72,15 +76,29 @@ class CanNetwork(OverlayMixin):
             label = label * self.side + (int(coordinate) % self.side)
         return label
 
+    def neighbor_matrix(self, labels: np.ndarray) -> np.ndarray:
+        """The ``2d`` zone neighbours of each label, one row per label.
+
+        Columns run ``(axis 0, -1), (axis 0, +1), (axis 1, -1), ...``, axis 0
+        being the most significant coordinate; a label outside the space is
+        read modulo its size, as :meth:`label_to_point` reads it.
+        """
+        labels = np.asarray(labels, dtype=np.int64) % self.size
+        columns = []
+        for axis in range(self.dimensions):
+            stride = self.side ** (self.dimensions - 1 - axis)
+            coordinate = labels // stride % self.side
+            for delta in (-1, 1):
+                columns.append(labels + ((coordinate + delta) % self.side - coordinate) * stride)
+        return np.stack(columns, axis=1)
+
     def neighbors_of(self, label: int) -> list[int]:
         """The ``2d`` zone neighbours of ``label`` on the torus."""
-        point = self.label_to_point(label)
-        result = []
-        for axis, delta in itertools.product(range(self.dimensions), (-1, 1)):
-            neighbor = list(point)
-            neighbor[axis] = (neighbor[axis] + delta) % self.side
-            result.append(self.point_to_label(tuple(neighbor)))
-        return result
+        return self.neighbor_matrix(np.array([label]))[0].tolist()
+
+    def routing_table(self) -> RoutingTable:
+        """Every zone's ``2d`` neighbours, in :meth:`neighbor_matrix` order."""
+        return dense_table(self.neighbor_matrix(self._member_labels))
 
     # ------------------------------------------------------------------ #
     # Routing — the mixin's default metric-greedy next_hop (live neighbour

@@ -11,18 +11,20 @@ failure resilience against the inverse power-law overlay on the same ring.
 As an :class:`~repro.overlay.Overlay`, Chord compiles into a two-tier
 snapshot (fingers at edge class 0, successors at class 1) executed by
 :class:`~repro.overlay.policy.ChordGreedyPolicy`: the batched routes are
-hop-for-hop identical to the scalar ``route()``.
+hop-for-hop identical to the scalar ``route()``.  The tables are two
+matrices with one row per member (``bits`` fingers; successor lists padded
+with ``-1``), built in bulk and read by both the compiled table and the
+scalar rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from repro.core.metric import RingMetric
-from repro.overlay.mixin import OverlayMixin
+from repro.overlay.mixin import OverlayMixin, RoutingTable
 from repro.overlay.policy import ChordGreedyPolicy
 from repro.util.validation import ensure_positive
 
@@ -63,8 +65,6 @@ class ChordNetwork(OverlayMixin):
         if len(self.members) < 2:
             raise ValueError("a Chord ring needs at least two members")
         self._init_members(self.members)
-        self._fingers: dict[int, list[int]] = {}
-        self._successors: dict[int, list[int]] = {}
         self.build_routing_tables_batched()
 
     # ------------------------------------------------------------------ #
@@ -78,35 +78,15 @@ class ChordNetwork(OverlayMixin):
             index = 0
         return int(self._member_labels[index])
 
-    def build_routing_tables(self) -> None:
-        """(Re)build every member's finger table and successor list.
-
-        The scalar reference implementation, kept for the identity test:
-        :meth:`build_routing_tables_batched` produces identical tables with
-        vectorized searchsorted sweeps and is what the overlay itself calls.
-        """
-        for label in self.members:
-            fingers = []
-            for i in range(self.bits):
-                start = (label + (1 << i)) % self.size
-                fingers.append(self.successor_of(start))
-            self._fingers[label] = fingers
-            successors = []
-            cursor = label
-            for _ in range(self.successor_list_length):
-                cursor = self.successor_of((cursor + 1) % self.size)
-                successors.append(cursor)
-                if cursor == label:
-                    break
-            self._successors[label] = successors
-
     def build_routing_tables_batched(self) -> None:
-        """Rebuild all tables as bulk array sweeps (identical to the scalar build).
+        """Rebuild all tables as bulk array sweeps.
 
-        Fingers: one ``searchsorted`` over the ``(n, bits)`` start matrix.
-        Successor lists: ``successor_list_length`` vectorized crawl steps,
-        each advancing every member's cursor at once; a member that wraps
-        back to itself deactivates (the scalar loop's ``break``).
+        Fingers: one ``searchsorted`` over the ``(n, bits)`` start matrix —
+        finger ``i`` of a member is the first member at or after
+        ``label + 2**i``.  Successor lists: ``successor_list_length``
+        vectorized crawl steps, each advancing every member's cursor at once;
+        a member whose crawl wraps back to itself keeps that entry and stops,
+        and the rest of its row is ``-1``.
         """
         labels = self._member_labels
         n = int(labels.size)
@@ -114,25 +94,18 @@ class ChordNetwork(OverlayMixin):
         starts = (labels[:, None] + (1 << np.arange(self.bits, dtype=np.int64))[None, :]) % size
         idx = np.searchsorted(labels, starts)
         idx[idx == n] = 0
-        finger_matrix = labels[idx]
-        finger_lists = finger_matrix.tolist()
-        self._fingers = dict(zip(labels.tolist(), finger_lists))
+        self._finger_matrix = labels[idx]
 
         cursor = labels.copy()
         active = np.ones(n, dtype=bool)
-        columns: list[np.ndarray] = []
-        for _ in range(self.successor_list_length):
+        successors = np.full((n, self.successor_list_length), -1, dtype=np.int64)
+        for column in range(self.successor_list_length):
             idx = np.searchsorted(labels, (cursor + 1) % size)
             idx[idx == n] = 0
-            step = labels[idx]
-            cursor = np.where(active, step, cursor)
-            columns.append(np.where(active, cursor, -1))
+            cursor = np.where(active, labels[idx], cursor)
+            successors[active, column] = cursor[active]
             active &= cursor != labels
-        successor_matrix = np.stack(columns, axis=1) if columns else np.empty((n, 0), np.int64)
-        self._successors = {
-            int(label): [entry for entry in row if entry >= 0]
-            for label, row in zip(labels.tolist(), successor_matrix.tolist())
-        }
+        self._successor_matrix = successors
 
     # ------------------------------------------------------------------ #
     # Membership and failures (liveness ops come from OverlayMixin)
@@ -162,12 +135,21 @@ class ChordNetwork(OverlayMixin):
     # Routing (the scalar loop comes from OverlayMixin.route)
     # ------------------------------------------------------------------ #
 
+    def _table_row(self, label: int) -> tuple[list[int], list[int]]:
+        """``label``'s fingers and successor list (``KeyError`` for non-members)."""
+        row = self._label_position(label)
+        if row is None:
+            raise KeyError(label)
+        successors = self._successor_matrix[row]
+        return self._finger_matrix[row].tolist(), successors[successors >= 0].tolist()
+
     def next_hop(self, current: int, target: int) -> int | None:
         """Farthest live finger that does not overshoot the target, else a successor."""
+        fingers, successors = self._table_row(current)
         remaining = self.space.clockwise_distance(current, target)
         best: int | None = None
         best_advance = 0
-        for finger in self._fingers[current]:
+        for finger in fingers:
             if finger == current or not self.is_alive(finger):
                 continue
             if not self.link_is_alive(current, finger):
@@ -178,7 +160,7 @@ class ChordNetwork(OverlayMixin):
                 best_advance = advance
         if best is not None:
             return best
-        for successor in self._successors[current]:
+        for successor in successors:
             if successor == current or not self.is_alive(successor):
                 continue
             if not self.link_is_alive(current, successor):
@@ -194,10 +176,10 @@ class ChordNetwork(OverlayMixin):
 
     def neighbors_of(self, label: int) -> list[int]:
         """Distinct routing-table entries (fingers then successors, no self)."""
-        entries = dict.fromkeys(neighbor for neighbor, _ in self.neighbor_entries(label))
-        return list(entries)
+        fingers, successors = self._table_row(label)
+        return [entry for entry in dict.fromkeys(fingers + successors) if entry != label]
 
-    def neighbor_entries(self, label: int) -> Iterator[tuple[int, int]]:
+    def routing_table(self) -> RoutingTable:
         """Fingers at edge class 0, successors at class 1, self-entries dropped.
 
         Entry order matches :meth:`next_hop`'s iteration order; the class
@@ -205,12 +187,12 @@ class ChordNetwork(OverlayMixin):
         two tiers so fingers always win and the successor fallback picks the
         nearest admissible successor, exactly as the scalar rule does.
         """
-        for finger in self._fingers[label]:
-            if finger != label:
-                yield finger, 0
-        for successor in self._successors[label]:
-            if successor != label:
-                yield successor, 1
+        table = np.concatenate([self._finger_matrix, self._successor_matrix], axis=1)
+        keep = (table != self._member_labels[:, None]) & (table >= 0)
+        tiers = np.repeat(np.array([0, 1], dtype=np.int8), [self.bits, self.successor_list_length])
+        indptr = np.zeros(table.shape[0] + 1, dtype=np.int64)
+        np.cumsum(keep.sum(axis=1), out=indptr[1:])
+        return indptr, table[keep], np.broadcast_to(tiers, table.shape)[keep]
 
     def greedy_policy(self) -> ChordGreedyPolicy:
         """The one-sided clockwise rule over this ring."""
@@ -222,9 +204,8 @@ class ChordNetwork(OverlayMixin):
 
     def average_table_size(self) -> float:
         """Average number of distinct routing entries per node."""
-        total = 0
-        for label in self.members:
-            entries = set(self._fingers[label]) | set(self._successors[label])
-            entries.discard(label)
-            total += len(entries)
+        table = np.concatenate([self._finger_matrix, self._successor_matrix], axis=1)
+        table = np.sort(np.where(table == self._member_labels[:, None], -1, table), axis=1)
+        distinct = (table[:, 1:] != table[:, :-1]) & (table[:, 1:] >= 0)
+        total = int(distinct.sum()) + int(np.count_nonzero(table[:, 0] >= 0))
         return total / len(self.members)

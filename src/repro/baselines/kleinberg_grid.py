@@ -14,6 +14,17 @@ The effect of the exponent is studied on the paper's own ring
 As an :class:`~repro.overlay.Overlay`, the grid compiles into a snapshot
 executed by :class:`~repro.overlay.policy.TorusGreedyPolicy`, hop-for-hop
 identical to the scalar ``route()``.
+
+The contacts are stored as CSR arrays and drawn stream-exactly: every node's
+draw is the one a per-node ``Generator.choice(n, size=links_per_node, p=...)``
+on the ``"kleinberg-contacts"`` stream would make, in label order.  All the
+uniforms come from one ``random((n, links_per_node))`` call (``choice`` draws
+its uniforms the same way), and the per-node inverse CDF is computed in row
+chunks of a few MB with ``choice``'s exact float steps: ``p = w / w.sum()``,
+``cdf = p.cumsum()``, ``cdf /= cdf[-1]``, then a right-sided search.  A node's
+weights are the ``d^-2`` table of torus offsets rolled to its position, so
+only the offset table is ever raised to a power.  The draw is still
+``O(n^2)`` arithmetic: each node's distribution spans every other node.
 """
 
 from __future__ import annotations
@@ -21,14 +32,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.metric import TorusMetric
-from repro.overlay.mixin import OverlayMixin
+from repro.overlay.mixin import OverlayMixin, RoutingTable
 from repro.overlay.policy import TorusGreedyPolicy
 from repro.util.rng import spawn_rng
 from repro.util.validation import ensure_positive
 
 __all__ = ["KleinbergGridNetwork"]
+
+#: Entries per row chunk of the contact draw's ``(rows, n)`` float temporaries
+#: (1 MB each), so the chunk height follows from ``n``.
+_CHUNK_ENTRIES = 1 << 17
 
 
 @dataclass
@@ -38,7 +54,8 @@ class KleinbergGridNetwork(OverlayMixin):
     Parameters
     ----------
     side:
-        Side length of the grid (``side * side`` nodes).
+        Side length of the grid (``side * side`` nodes), at least 2: a
+        one-node grid has no other node to draw a contact from.
     links_per_node:
         Number of long-range contacts per node (Kleinberg's q), drawn with
         clustering exponent 2, the optimum for a two-dimensional grid.
@@ -54,14 +71,14 @@ class KleinbergGridNetwork(OverlayMixin):
     snapshot_kind = "torus"
 
     def __post_init__(self) -> None:
-        ensure_positive(self.side, "side")
+        if not self.side >= 2:
+            raise ValueError(f"side must be at least 2, got {self.side!r}")
         ensure_positive(self.links_per_node, "links_per_node")
         self.space = TorusMetric(self.side, dimensions=2)
         self.size = self.side * self.side
         self.hop_limit = 8 * self.side + 64
         self._init_members(range(self.size))
-        self._contacts: dict[int, list[int]] = {}
-        self._build_contacts()
+        self._contact_indptr, self._contact_labels = self._draw_contacts()
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -75,37 +92,75 @@ class KleinbergGridNetwork(OverlayMixin):
         """(row, column) -> flattened label."""
         return (point[0] % self.side) * self.side + (point[1] % self.side)
 
-    def _build_contacts(self) -> None:
+    def _draw_contacts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every node's long-range contacts as CSR arrays over the labels.
+
+        Row ``label`` holds the distinct contacts drawn for it, ascending,
+        itself excluded (the module docstring gives the exact draw).
+        """
+        side, n = self.side, self.size
         rng = spawn_rng(self.seed, "kleinberg-contacts")
-        labels = np.arange(self.size)
-        rows, columns = labels // self.side, labels % self.side
-        for label in range(self.size):
-            row, column = self.label_to_point(label)
-            row_diff = np.abs(rows - row)
-            column_diff = np.abs(columns - column)
-            distance = (
-                np.minimum(row_diff, self.side - row_diff)
-                + np.minimum(column_diff, self.side - column_diff)
-            ).astype(float)
-            with np.errstate(divide="ignore"):
-                weights = np.where(distance > 0, distance**-2.0, 0.0)
-            probabilities = weights / weights.sum()
-            chosen = rng.choice(self.size, size=self.links_per_node, p=probabilities)
-            self._contacts[label] = sorted(set(int(c) for c in chosen) - {label})
+        uniforms = rng.random((n, self.links_per_node))
+        ring = np.minimum(np.arange(side), side - np.arange(side))
+        distance = (ring[:, None] + ring[None, :]).astype(float)
+        with np.errstate(divide="ignore"):
+            offset_weights = np.where(distance > 0, distance**-2.0, 0.0)
+        # windows[side - r, side - c] is the offset table rolled by (r, c):
+        # entry (r2, c2) weighs the offset from (r, c) to (r2, c2).
+        windows = sliding_window_view(np.tile(offset_weights, (2, 2)), (side, side))
+        labels = np.arange(n)
+        chosen = np.empty_like(uniforms, dtype=np.int64)
+        chunk = max(1, _CHUNK_ENTRIES // n)
+        for start in range(0, n, chunk):
+            rows = labels[start : start + chunk]
+            weights = windows[side - rows // side, side - rows % side].reshape(rows.size, n)
+            cdf = np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1)
+            cdf /= cdf[:, -1:]
+            chosen[rows] = _searchsorted_rows(cdf, uniforms[rows])
+        chosen.sort(axis=1)
+        keep = chosen != labels[:, None]
+        keep[:, 1:] &= chosen[:, 1:] != chosen[:, :-1]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(keep.sum(axis=1), out=indptr[1:])
+        return indptr, chosen[keep]
+
+    def grid_matrix(self, labels: np.ndarray) -> np.ndarray:
+        """The four lattice neighbours of each label: down, up, right, left."""
+        labels = np.asarray(labels, dtype=np.int64)
+        row, column = labels // self.side % self.side, labels % self.side
+        return np.stack(
+            [
+                (row + 1) % self.side * self.side + column,
+                (row - 1) % self.side * self.side + column,
+                row * self.side + (column + 1) % self.side,
+                row * self.side + (column - 1) % self.side,
+            ],
+            axis=1,
+        )
 
     def grid_neighbors(self, label: int) -> list[int]:
         """The four lattice neighbours of ``label`` on the torus."""
-        row, column = self.label_to_point(label)
-        return [
-            self.point_to_label(((row + 1) % self.side, column)),
-            self.point_to_label(((row - 1) % self.side, column)),
-            self.point_to_label((row, (column + 1) % self.side)),
-            self.point_to_label((row, (column - 1) % self.side)),
-        ]
+        return self.grid_matrix(np.array([label]))[0].tolist()
+
+    def contacts_of(self, label: int) -> list[int]:
+        """``label``'s long-range contacts, ascending (``KeyError`` for non-members)."""
+        row = self._label_position(label)
+        if row is None:
+            raise KeyError(label)
+        return self._contact_labels[self._contact_indptr[row] : self._contact_indptr[row + 1]].tolist()
 
     def neighbors_of(self, label: int) -> list[int]:
         """Grid neighbours plus long-range contacts."""
-        return self.grid_neighbors(label) + self._contacts[label]
+        return self.grid_neighbors(label) + self.contacts_of(label)
+
+    def routing_table(self) -> RoutingTable:
+        """Each node's grid neighbours, then its contacts (``neighbors_of`` order)."""
+        labels = self._member_labels
+        holders = np.concatenate([np.repeat(labels, 4), np.repeat(labels, np.diff(self._contact_indptr))])
+        entries = np.concatenate([self.grid_matrix(labels).reshape(-1), self._contact_labels])
+        # A stable sort by holder keeps each row's grid entries before its contacts.
+        order = np.argsort(holders, kind="stable")
+        return self._contact_indptr + 4 * np.arange(labels.size + 1), entries[order], None
 
     # ------------------------------------------------------------------ #
     # Routing — the mixin's default metric-greedy next_hop (live neighbour
@@ -118,3 +173,21 @@ class KleinbergGridNetwork(OverlayMixin):
     def greedy_policy(self) -> TorusGreedyPolicy:
         """Strictly decreasing L1 torus distance."""
         return TorusGreedyPolicy(side=self.side, dimensions=2)
+
+
+def _searchsorted_rows(sorted_rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(sorted_rows[i], values[i], side="right")`` for every row ``i``.
+
+    One vectorised bisection over all rows: ``lo`` converges on the first
+    entry greater than the value.  Once ``lo == hi`` a row stays put.
+    """
+    width = sorted_rows.shape[1]
+    rows = np.arange(sorted_rows.shape[0])[:, None]
+    lo = np.zeros(values.shape, dtype=np.int64)
+    hi = np.full(values.shape, width, dtype=np.int64)
+    for _ in range(width.bit_length()):
+        mid = (lo + hi) // 2
+        right = sorted_rows[rows, np.minimum(mid, width - 1)] <= values
+        lo = np.where(right & (lo < hi), mid + 1, lo)
+        hi = np.where(right, hi, mid)
+    return lo

@@ -16,15 +16,19 @@ As an :class:`~repro.overlay.Overlay`, the scheme is greedy routing under
 the :class:`~repro.core.metric.PrefixMetric` ultrametric: the snapshot's
 :class:`~repro.overlay.policy.PrefixGreedyPolicy` admits exactly the one
 neighbour that extends the shared target prefix, so batched routes are
-hop-for-hop identical to the scalar digit-fixing walk.
+hop-for-hop identical to the scalar digit-fixing walk.  Every label's table
+comes from one array function (:meth:`PlaxtonNetwork.neighbor_matrix`), which
+both the compiled table and the scalar ``neighbors_of`` read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.metric import PrefixMetric
-from repro.overlay.mixin import OverlayMixin
+from repro.overlay.mixin import OverlayMixin, RoutingTable, dense_table
 from repro.overlay.policy import PrefixGreedyPolicy
 from repro.util.validation import ensure_positive
 
@@ -107,23 +111,36 @@ class PlaxtonNetwork(OverlayMixin):
             return None
         return following
 
+    def neighbor_matrix(self, labels: np.ndarray) -> np.ndarray:
+        """Every single-digit mutation of each label, one row per label.
+
+        Ordered by (digit position, digit value), most significant position
+        first: ``base - 1`` mutations per position, the label's own digit
+        skipped.  A label outside the space is read modulo its size, as
+        :meth:`digits_of` reads it.
+        """
+        labels = np.asarray(labels, dtype=np.int64) % self.size
+        others = np.arange(self.base - 1, dtype=np.int64)
+        blocks = []
+        for position in range(self.digits):
+            stride = self.base ** (self.digits - 1 - position)
+            own = (labels // stride % self.base)[:, None]
+            digit = others + (others >= own)
+            blocks.append(labels[:, None] + (digit - own) * stride)
+        return np.concatenate(blocks, axis=1)
+
     def neighbors_of(self, label: int) -> list[int]:
         """Every single-digit mutation of ``label`` — the full routing table.
 
-        Ordered by (digit position, digit value), ``(base - 1) * digits``
-        entries; the policy admits at most one of them per target, so the
-        order never affects routing.
+        ``(base - 1) * digits`` entries in :meth:`neighbor_matrix` order; the
+        policy admits at most one of them per target, so the order never
+        affects routing.
         """
-        own = self.digits_of(label)
-        result = []
-        for position in range(self.digits):
-            for digit in range(self.base):
-                if digit == own[position]:
-                    continue
-                mutated = list(own)
-                mutated[position] = digit
-                result.append(self.label_from_digits(mutated))
-        return result
+        return self.neighbor_matrix(np.array([label]))[0].tolist()
+
+    def routing_table(self) -> RoutingTable:
+        """Every node's digit mutations, in :meth:`neighbor_matrix` order."""
+        return dense_table(self.neighbor_matrix(self._member_labels))
 
     def greedy_policy(self) -> PrefixGreedyPolicy:
         """Strictly extend the shared target prefix (the ultrametric rule)."""

@@ -97,8 +97,9 @@ def _baselines(spec: ScenarioSpec) -> ScenarioOutcome:
     Each system is measured twice: on the intact network and after failing
     ``failures.levels[0]`` of its nodes uniformly at random (without running
     any repair protocol, as in the paper's experiments).  ``topology.nodes``
-    must be a power of two — Chord and Plaxton are sized in bits — so
-    ``--set topology.nodes=...`` sweeps all systems at matched size.
+    must be a power of two — Chord and Plaxton are sized in bits — and at
+    least 4, so ``--set topology.nodes=...`` sweeps all systems at matched
+    size.
     ``topology.protocol`` restricts the run to one overlay family (one of
     :data:`repro.overlay.PROTOCOLS`; ``""`` measures all five), which is the
     sweep axis for protocol grids: ``repro sweep baselines --grid
@@ -107,6 +108,11 @@ def _baselines(spec: ScenarioSpec) -> ScenarioOutcome:
     """
     n = spec.topology.nodes
     bits = n.bit_length() - 1
+    if n < 4:
+        raise SpecError(
+            f"topology.nodes must be at least 4 for 'baselines', got {n} (the Kleinberg "
+            "grid needs a side of 2, and each system must keep two live nodes to route between)"
+        )
     if n != 1 << bits:
         raise SpecError(
             f"topology.nodes must be a power of two for 'baselines', got {n} "

@@ -17,20 +17,24 @@ copy of the scalar greedy loop.  :class:`OverlayMixin` hoists all of that:
 * the **scalar greedy loop** (``route``), parameterised by one method —
   ``next_hop`` — and ordered (arrival check, hop budget, step) to match the
   batched router's per-query semantics move for move;
-* the **snapshot compiler** (``compile_snapshot``), which lays
-  ``neighbor_entries`` out as CSR arrays and attaches the protocol's
+* the **snapshot compiler** (``compile_snapshot``), which takes the
+  overlay's routing table as CSR arrays (``routing_table``), maps its labels
+  to member rows with one ``searchsorted``, marks dead table entries with one
+  vectorised membership test, and attaches the protocol's
   :class:`~repro.overlay.policy.GreedyPolicy`, making every subclass a
   fastpath citizen.
 
 A concrete overlay supplies: ``space``, ``hop_limit``, ``snapshot_kind``,
 ``failure_stream``, ``next_hop(current, target)``, ``neighbors_of(label)``,
-and ``greedy_policy()``; ``neighbor_entries`` only when the protocol needs
-per-edge classes (Chord's finger/successor tiers).
+and ``greedy_policy()``.  The built-in protocols also override
+``routing_table`` to build every row at once from their own arrays (and to
+tag Chord's finger/successor tiers); the default asks ``neighbors_of`` one
+label at a time, which is all a small user-defined overlay needs.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -42,7 +46,12 @@ from repro.util.rng import draw_fraction, spawn_rng
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fastpath imports us)
     from repro.fastpath.snapshot import FastpathSnapshot
 
-__all__ = ["MutationObserver", "OverlayMixin", "apply_fail_fraction"]
+__all__ = ["MutationObserver", "OverlayMixin", "RoutingTable", "apply_fail_fraction", "dense_table"]
+
+#: ``(indptr, neighbor_labels, edge_class)``: one CSR row per member label,
+#: in ascending label order, entries in the scalar rule's candidate order;
+#: ``edge_class`` is ``None`` for untiered tables.
+RoutingTable = tuple[np.ndarray, np.ndarray, "np.ndarray | None"]
 
 
 class MutationObserver(Protocol):
@@ -308,18 +317,26 @@ class OverlayMixin:
         """The vectorized :class:`~repro.overlay.policy.GreedyPolicy`."""
         raise NotImplementedError
 
-    def neighbor_entries(self, label: int) -> Iterator[tuple[int, int]]:
-        """Yield ``(neighbor_label, edge_class)`` pairs in candidate order.
+    def routing_table(self) -> RoutingTable:
+        """Every member's routing table as one CSR table (see :data:`RoutingTable`).
 
-        The default emits ``neighbors_of`` at class 0; protocols with tiered
-        tables (Chord) override this to tag each entry.
+        The default lays ``neighbors_of`` out one member at a time, all at
+        edge class 0; the built-in protocols override it with bulk array
+        builds.
         """
-        for neighbor in self.neighbors_of(label):
-            yield neighbor, 0
+        rows = [list(self.neighbors_of(label)) for label in self._member_labels.tolist()]
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in rows], out=indptr[1:])
+        flat = np.fromiter((entry for row in rows for entry in row), dtype=np.int64, count=int(indptr[-1]))
+        return indptr, flat, None
 
     def compile_snapshot(self) -> "FastpathSnapshot":
         """Compile the topology + current liveness into an array snapshot.
 
+        The CSR arrays are :meth:`routing_table`'s, with each neighbour label
+        mapped to its member row by one ``searchsorted``; a dead
+        ``(holder, target)`` pair marks every entry it names unusable through
+        one ``np.isin`` over ``holder_row * n + target_row`` keys.
         Per-vertex entry order equals the scalar rule's iteration order, so
         ``argmin`` over the policy's keys breaks ties exactly like
         ``next_hop`` — the hop-for-hop parity contract.  The snapshot is a
@@ -335,18 +352,7 @@ class OverlayMixin:
 
         member_labels = self._member_labels
         num_nodes = int(member_labels.size)
-        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        flat_labels: list[int] = []
-        flat_classes: list[int] = []
-        flat_holders: list[int] = []
-        for index, label in enumerate(member_labels.tolist()):
-            for neighbor, edge_class in self.neighbor_entries(label):
-                flat_labels.append(int(neighbor))
-                flat_classes.append(int(edge_class))
-                flat_holders.append(label)
-            indptr[index + 1] = len(flat_labels)
-
-        flat = np.asarray(flat_labels, dtype=np.int64)
+        indptr, flat, classes = self.routing_table()
         indices = np.searchsorted(member_labels, flat)
         indices = np.clip(indices, 0, max(num_nodes - 1, 0))
         if flat.size and np.any(member_labels[indices] != flat):
@@ -354,15 +360,12 @@ class OverlayMixin:
             raise ValueError(
                 f"routing tables point at non-member labels {bad[:5].tolist()}"
             )
-        classes = np.asarray(flat_classes, dtype=np.int8)
         edge_alive: np.ndarray | None = None
-        if self._dead_edges:
-            dead = self._dead_edges
-            flat_alive = [
-                (holder, neighbor) not in dead
-                for holder, neighbor in zip(flat_holders, flat_labels)
-            ]
-            edge_alive = np.asarray(flat_alive, dtype=bool)
+        if self._dead_edges and flat.size:
+            edge_alive = ~np.isin(
+                np.repeat(np.arange(num_nodes, dtype=np.int64), np.diff(indptr)) * num_nodes + indices,
+                self._dead_edge_keys(),
+            )
             if bool(edge_alive.all()):
                 edge_alive = None
         # astype always copies here, so the frozen snapshot never aliases the
@@ -376,6 +379,26 @@ class OverlayMixin:
             neighbor_indices=indices.astype(np.int32),
             symmetric_neighbors=False,
             policy=self.greedy_policy(),
-            edge_class=classes if np.any(classes) else None,
+            edge_class=classes if classes is not None and np.any(classes) else None,
             edge_alive=edge_alive,
         )
+
+    def _dead_edge_keys(self) -> np.ndarray:
+        """``holder_row * n + target_row`` of every dead pair between members.
+
+        Keyed on member rows rather than labels, so the key stays below
+        ``n**2`` whatever the size of the label space; a pair naming a
+        non-member can match no table entry and is dropped.  Called only
+        when the overlay has members.
+        """
+        members = self._member_labels
+        pairs = np.array(list(self._dead_edges), dtype=np.int64).reshape(-1, 2)
+        rows = np.minimum(np.searchsorted(members, pairs), members.size - 1)
+        known = np.all(members[rows] == pairs, axis=1)
+        return rows[known, 0] * members.size + rows[known, 1]
+
+
+def dense_table(matrix: np.ndarray) -> RoutingTable:
+    """A :data:`RoutingTable` whose rows all have the width of ``matrix``'s."""
+    rows, width = matrix.shape
+    return np.arange(rows + 1, dtype=np.int64) * width, matrix.reshape(-1), None

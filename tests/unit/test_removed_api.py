@@ -14,7 +14,7 @@ import inspect
 
 import pytest
 
-from repro.baselines import CanNetwork, KleinbergGridNetwork
+from repro.baselines import CanNetwork, ChordNetwork, KleinbergGridNetwork
 from repro.core.builder import DeterministicGraphBuilder, RandomGraphBuilder, build_ideal_network
 from repro.core.byzantine import ByzantineAwareRouter
 from repro.core.construction import (
@@ -93,6 +93,11 @@ DELETED_ATTRIBUTES = [
     (InverseDistanceReplacement, "choose_replacement"),
     (OldestLinkReplacement, "choose_replacement"),
     (NeverReplace, "choose_replacement"),
+    # The table overlays hand the compiler whole CSR tables (routing_table);
+    # the scalar Chord build survives only as the tests' frozen reference.
+    (ChordNetwork, "build_routing_tables"),
+    (ChordNetwork, "neighbor_entries"),
+    (OverlayMixin, "neighbor_entries"),
 ]
 
 

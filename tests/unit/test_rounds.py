@@ -286,6 +286,9 @@ REJECTED_SPECS = [
     # The echoed spec must be what ran: no rounding to the next power of two,
     # no silently dropped failure levels.
     ("baselines", "topology.nodes", 1000),
+    # Two nodes make a one-node Kleinberg grid and leave Chord one live node
+    # after its failure pass.
+    ("baselines", "topology.nodes", 2),
     ("baselines", "failures.levels", (0.2, 0.6)),
     ("ablation-backtrack", "failures.levels", (0.2, 0.6)),
     # A non-finite exponent has no distribution to draw links from.
@@ -335,6 +338,32 @@ def test_four_nodes_is_the_smallest_round_network(scenario):
     )
     result = run(spec)
     assert result.tables and all(table.rows for table in result.tables)
+
+
+@pytest.mark.parametrize("protocol", ["kleinberg", "chord"])
+def test_two_baseline_nodes_are_refused_before_any_build(protocol, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("an overlay was built before the spec was validated")
+
+    for name in ("ChordNetwork", "KleinbergGridNetwork", "CanNetwork", "PlaxtonNetwork"):
+        monkeypatch.setattr(baseline_comparison, name, no_build)
+    spec = get_scenario("baselines").make_spec(
+        overrides={"topology.nodes": 2, "topology.protocol": protocol}
+    )
+    with pytest.raises(SpecError, match=re.escape("topology.nodes")):
+        run(spec)
+
+
+@pytest.mark.parametrize("engine", ["object", "fastpath"])
+@pytest.mark.parametrize("nodes", [4, 8])
+def test_four_nodes_is_the_smallest_baselines_network(nodes, engine):
+    spec = get_scenario("baselines").make_spec(
+        overrides={"topology.nodes": nodes, "workload.searches": 5, "engine": engine}
+    )
+    assert [row[0] for row in run(spec).tables[0].rows] == [
+        "this-paper (power-law + backtrack)", "chord", "kleinberg-grid (r=2)",
+        "can (d=2)", "plaxton (base 4)",
+    ]
 
 
 @pytest.mark.parametrize(
