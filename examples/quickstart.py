@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
-"""Quickstart: build a peer-to-peer network, publish resources, and look them up.
+"""Quickstart: build a peer-to-peer overlay, crash part of it, route, repair.
 
-This example walks through the public API end to end:
+This example walks through the public API end to end on the
+:class:`repro.P2PNetwork` facade:
 
-1. create a :class:`repro.dht.DistributedHashTable` (single copy per key, so
-   the routing layer's behaviour is what shows) over a 2^12-point ring,
-2. let 512 nodes join through the paper's dynamic construction heuristic,
-3. publish a handful of resources and locate them by greedy routing,
-4. crash 30% of the nodes and show that lookups still succeed thanks to the
-   backtracking recovery strategy, and
-5. run a repair pass and compare the routing cost before and after.
+1. let 512 nodes join a 2^12-point ring through the paper's dynamic
+   construction heuristic (Section 5),
+2. route a sample of lookups by greedy routing,
+3. crash 30% of the nodes and route the same kind of sample between the
+   survivors, recovering from dead ends by backtracking, and
+4. run a repair pass that excises the crashed nodes and regenerates their
+   links, then route once more.
 
 Run with::
 
@@ -20,67 +21,47 @@ from __future__ import annotations
 
 import statistics
 
-from repro import RecoveryStrategy
-from repro.core.failures import NodeFailureModel
-from repro.dht import DistributedHashTable
+from repro import P2PNetwork, RecoveryStrategy
+from repro.simulation.workload import LookupWorkload
+
+
+def lookup_sample(network: P2PNetwork, seed: int, count: int = 200) -> None:
+    """Route ``count`` random lookups between live members and summarise them."""
+    pairs = LookupWorkload(seed=seed).pairs(network.members(), count)
+    routes = [network.route(source, target) for source, target in pairs]
+    delivered = [route for route in routes if route.success]
+    hops = [route.hops for route in delivered]
+    print(f"  {len(delivered)}/{count} delivered, "
+          f"mean {statistics.mean(hops):.2f} hops, max {max(hops)}, "
+          f"{sum(route.backtracks for route in routes)} backtracks")
+    source, target = pairs[0]
+    print(f"  e.g. {source} -> {target}: path {routes[0].path}")
 
 
 def main() -> None:
     space_size = 1 << 12
-    dht = DistributedHashTable(
-        space_size, recovery=RecoveryStrategy.BACKTRACK, seed=2024, replicas=0
-    )
+    network = P2PNetwork(space_size, recovery=RecoveryStrategy.BACKTRACK, seed=2024)
 
     # --- 1. Nodes join one at a time (Section-5 construction heuristic). ---
-    members = list(range(0, space_size, 8))          # 512 nodes
-    dht.join_many(members)
-    print(f"network: {len(dht.members())} nodes, "
-          f"{dht.links_per_node} long links per node")
+    network.join_many(range(0, space_size, 8))          # 512 nodes
+    print(f"network: {len(network.members())} nodes, "
+          f"{network.links_per_node} long links per node")
 
-    # --- 2. Publish some resources. ----------------------------------------
-    documents = {
-        "alice.txt": "Lewis Carroll",
-        "moby-dick.txt": "Herman Melville",
-        "war-and-peace.txt": "Leo Tolstoy",
-        "odyssey.txt": "Homer",
-        "dune.txt": "Frank Herbert",
-    }
-    for key, value in documents.items():
-        holder = dht.put(key, value, origin=members[0]).holder
-        print(f"  published {key!r:22} -> stored at node {holder}")
+    # --- 2. Greedy routing on the healthy overlay. -------------------------
+    print("\nhealthy overlay")
+    lookup_sample(network, seed=1)
+    print(f"  (theory: O(log^2 n / l) = "
+          f"{space_size.bit_length() ** 2 / network.links_per_node:.1f} shape)")
 
-    # --- 3. Look the resources up from a different corner of the network. --
-    print("\nlookups from node", members[-1])
-    hops = []
-    for key in documents:
-        outcome = dht.get(key, origin=members[-1])
-        hops.append(outcome.route.hops)
-        print(f"  {key!r:22} found={outcome.ok}  hops={outcome.route.hops}")
-    print(f"mean lookup cost: {statistics.mean(hops):.1f} hops "
-          f"(theory: O(log^2 n / l) = "
-          f"{(space_size.bit_length() ** 2) / dht.links_per_node:.1f} shape)")
+    # --- 3. Crash 30% of the nodes; backtracking routes around them. -------
+    crashed = network.fail_fraction(0.3, seed=7)
+    print(f"\ncrashed {len(crashed)} nodes (30%), no repair yet")
+    lookup_sample(network, seed=2)
 
-    # --- 4. Crash 30% of the nodes and look everything up again. -----------
-    failure = NodeFailureModel(0.3, seed=7, protect=frozenset({members[0], members[-1]}))
-    failure.apply(dht.graph)
-    print(f"\ncrashed {len(failure.failed_labels)} nodes (30%)")
-    found = 0
-    routed = 0
-    for key in documents:
-        outcome = dht.get(key, origin=members[-1])
-        found += outcome.ok
-        routed += outcome.route.success
-        print(f"  {key!r:22} found={outcome.ok}  hops={outcome.route.hops}")
-    print(f"{routed}/{len(documents)} lookups still routed successfully; "
-          f"{found}/{len(documents)} values were available.")
-    print("(keys whose single storing node crashed stay unavailable until it returns —")
-    print(" examples/file_sharing.py turns replication on to close that gap)")
-
-    # --- 5. The crashed nodes come back online and the overlay self-repairs. -
-    failure.repair(dht.graph)
-    dht.repair()
-    outcome = dht.get("dune.txt", origin=members[-1])
-    print(f"\nafter recovery: dune.txt found={outcome.ok} in {outcome.route.hops} hops")
+    # --- 4. A repair pass excises the crashed nodes and regenerates links. -
+    network.repair()
+    print(f"\nafter repair: {len(network.members())} nodes")
+    lookup_sample(network, seed=3)
 
 
 if __name__ == "__main__":

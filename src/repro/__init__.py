@@ -8,8 +8,6 @@ Systems* (Aspnes, Diamadi, Shah; PODC 2002).  The library provides:
   construction heuristic, and theoretical bounds.
 * ``repro.simulation`` — workload generators (lookups, churn) and the
   link-latency model consumed by the round-based scenarios.
-* ``repro.dht`` — resource location: ``DistributedHashTable`` (put/get,
-  replication) is a ``P2PNetwork`` with storage.
 * ``repro.baselines`` — Chord, Kleinberg-grid, CAN, and Plaxton-style prefix
   routing baselines for comparison.
 * ``repro.scenarios`` — the unified experiment API: declarative
@@ -20,13 +18,28 @@ Systems* (Aspnes, Diamadi, Shah; PODC 2002).  The library provides:
 
 Quickstart
 ----------
->>> from repro.dht import DistributedHashTable
->>> dht = DistributedHashTable(space_size=1 << 10, seed=7)
->>> dht.join_many(range(0, 1 << 10, 8))
->>> dht.put("readme", "hello world", origin=0).ok
+Nodes join through the Section-5 heuristic, 30 % of them crash, greedy
+routing with backtracking still delivers between survivors, and a repair
+pass excises the crashed nodes:
+
+>>> from repro import P2PNetwork, RecoveryStrategy
+>>> network = P2PNetwork(1 << 10, recovery=RecoveryStrategy.BACKTRACK, seed=7)
+>>> network.join_many(range(0, 1 << 10, 8))
+>>> len(network.members())
+128
+>>> network.route(0, 512).success
 True
->>> dht.get("readme").value
-'hello world'
+>>> crashed = network.fail_fraction(0.3, seed=1)
+>>> len(crashed)
+38
+>>> survivors = network.members()
+>>> network.route(survivors[0], survivors[-1]).success
+True
+>>> network.repair()
+>>> len(network.members())
+90
+>>> network.route(survivors[0], survivors[-1]).success
+True
 """
 
 from repro.core import (

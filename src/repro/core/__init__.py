@@ -4,8 +4,7 @@ This package contains the metric-space embedding, link distributions, overlay
 graph, greedy routing with failure recovery, failure models, the Section-5
 dynamic construction heuristic, self-maintenance, the theoretical bounds of
 Table 1, and the :class:`~repro.core.network.P2PNetwork` facade tying them
-together.  Hashing keys to points and storing them is resource location,
-:class:`repro.dht.DistributedHashTable`, a ``P2PNetwork`` with storage.
+together.
 """
 
 from repro.core.bounds import Table1Bounds

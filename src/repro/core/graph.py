@@ -389,20 +389,6 @@ class OverlayGraph:
             if (link.alive or not only_alive_links) and source in self._nodes
         ]
 
-    def incoming_entries(self, label: int) -> list[tuple[int, bool]]:
-        """Return ``(source, link_alive)`` pairs for long links pointing at ``label``.
-
-        Like :meth:`incoming_sources` but keeps dead links (with their flag),
-        preserving the reverse-index order — the order delta mirrors must
-        reproduce to stay entry-for-entry identical to a fresh compile.
-        """
-        entries = self._incoming.get(label, [])
-        return [
-            (source, link.alive)
-            for source, link in entries
-            if source in self._nodes
-        ]
-
     def neighbors_of(
         self,
         label: int,

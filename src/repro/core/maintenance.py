@@ -105,30 +105,17 @@ class MaintenanceDaemon:
                 report.messages += 1
         return report
 
-    def repair_all(self) -> MaintenanceReport:
+    def repair_all_batched(self) -> MaintenanceReport:
         """Repair every live node and re-stitch the ring; return the summed report.
 
-        The per-node reference for :meth:`repair_all_batched`, which every
-        scenario and :meth:`P2PNetwork.repair <repro.core.network.P2PNetwork.repair>`
-        run; ``test_repair_all_batched_matches_repair_all`` pins the two to
-        the same graph and report.
-        """
-        report = MaintenanceReport()
-        for label in list(self.graph.labels(only_alive=True)):
-            report = report.merge(self.repair_node(label))
-        report.ring_repairs += self._restitch_ring()
-        return report
-
-    def repair_all_batched(self) -> MaintenanceReport:
-        """Batched :meth:`repair_all`: identical end state, cheaper detection.
-
-        ``repair_all`` walks every live node's link list even when nothing
-        is broken; this variant finds every dead-target link up front
-        through the graph's reverse index (one scan for dead node records,
-        then only *their* incoming lists) and repairs only the affected
-        holders — in the exact
-        order ``repair_all`` would have reached them, so the regeneration
-        RNG draws, the resulting graph, and the report are all identical.
+        Rather than walk every live node's link list even when nothing is
+        broken, the pass finds every dead-target link up front through the
+        graph's reverse index (one scan for dead node records, then only
+        *their* incoming lists) and repairs only the affected holders, in
+        node-table order.  The regeneration RNG draws, the resulting graph
+        and the report are those of a per-node :meth:`repair_node` walk
+        followed by one ring re-stitch (``tests/unit/test_maintenance.py``
+        keeps that walk as a frozen reference and pins the two together).
         This is the repair entry point the churn scenarios and the
         delta-emitting fastpath loop use: each drop/regenerate/restitch goes
         through a graph mutator, so an attached

@@ -11,9 +11,7 @@ overlay the paper describes end to end:
 
 The facade exposes ``join``, ``leave``, ``crash``, ``repair`` and ``route``;
 each :class:`~repro.core.routing.RouteResult` carries the hop count, the
-message cost the paper analyses.  Resource location — hashing keys to
-points, storing them at the responsible node, replication — is
-:class:`repro.dht.DistributedHashTable`, a ``P2PNetwork`` with storage.
+message cost the paper analyses.
 """
 
 from __future__ import annotations

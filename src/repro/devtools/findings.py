@@ -37,13 +37,3 @@ class Finding:
             "col": self.col,
             "message": self.message,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Finding":
-        return cls(
-            path=str(data["path"]),
-            line=int(data["line"]),
-            col=int(data["col"]),
-            rule=str(data["rule"]),
-            message=str(data["message"]),
-        )

@@ -28,7 +28,7 @@ from repro.core.byzantine import ByzantineAwareRouter, RedundantRouter
 from repro.core.failures import ByzantineBehavior, ByzantineModel
 from repro.core.routing import RecoveryStrategy
 from repro.experiments.figure5 import REPLACEMENT_POLICIES, _measure_figure5
-from repro.experiments.runner import ExperimentTable, measure_mean_hops
+from repro.experiments.runner import ExperimentTable, lookup_pairs, measure_mean_hops
 from repro.scenarios.registry import register_scenario
 from repro.scenarios.rounds import EngineSession, IdealNetwork
 from repro.scenarios.run import ScenarioOutcome
@@ -119,9 +119,7 @@ def _ablation_backtrack(spec: ScenarioSpec) -> ScenarioOutcome:
         IdealNetwork(nodes, None, seed), spec.engine, backtrack, seed + 3
     ) as session:
         session.fail_nodes(failure_level, seed + 1)
-        pairs = LookupWorkload(seed=seed + 2).pairs(
-            session.live_labels(), spec.workload.searches
-        )
+        pairs = lookup_pairs(session, seed + 2, spec.workload.searches)
         for depth in spec.extra("depths"):
             session.rearm(backtrack, seed + 3, backtrack_depth=depth)
             mean_hops, failed_fraction = measure_mean_hops(session, pairs)
@@ -166,9 +164,7 @@ def _ablation_exponent(spec: ScenarioSpec) -> ScenarioOutcome:
             spec.routing.recovery_strategy(),
             seed + 200 + index,
         ) as session:
-            pairs = LookupWorkload(seed=seed + 100 + index).pairs(
-                session.live_labels(), spec.workload.searches
-            )
+            pairs = lookup_pairs(session, seed + 100 + index, spec.workload.searches)
             table.add_row(exponent, *measure_mean_hops(session, pairs))
     return ScenarioOutcome(tables=[table], raw=table)
 

@@ -26,7 +26,7 @@ from repro.baselines.kleinberg_grid import KleinbergGridNetwork
 from repro.baselines.plaxton import PlaxtonNetwork
 from repro.core.builder import build_ideal_network
 from repro.core.routing import RecoveryStrategy
-from repro.experiments.runner import ExperimentTable, measure_mean_hops
+from repro.experiments.runner import ExperimentTable, lookup_pairs, measure_mean_hops
 from repro.overlay import PROTOCOLS
 from repro.scenarios.registry import register_scenario
 from repro.scenarios.rounds import EngineSession
@@ -38,7 +38,6 @@ from repro.scenarios.spec import (
     TopologySpec,
     WorkloadSpec,
 )
-from repro.simulation.workload import LookupWorkload
 
 #: Nothing to import: the scenario registers itself on import.
 __all__: list[str] = []
@@ -60,10 +59,7 @@ def _row(system, name, state, searches, failure_level, seed_block, engine):
     ) as session:
 
         def measure(workload_seed):
-            pairs = LookupWorkload(seed=workload_seed).pairs(
-                session.live_labels(), searches
-            )
-            return measure_mean_hops(session, pairs)
+            return measure_mean_hops(session, lookup_pairs(session, workload_seed, searches))
 
         nodes = len(session.live_labels())
         healthy = measure(seed_block + 1)

@@ -29,12 +29,11 @@ from repro.core.builder import (
 from repro.core.failures import LinkFailureModel
 from repro.core.metric import RingMetric
 from repro.core.routing import RecoveryStrategy
-from repro.experiments.runner import ExperimentTable, measure_mean_hops
+from repro.experiments.runner import ExperimentTable, lookup_pairs, measure_mean_hops
 from repro.scenarios.registry import register_scenario
 from repro.scenarios.rounds import EngineSession, IdealNetwork
 from repro.scenarios.run import ScenarioOutcome
 from repro.scenarios.spec import RoutingSpec, ScenarioSpec, WorkloadSpec
-from repro.simulation.workload import LookupWorkload
 
 __all__ = ["Table1Result"]
 
@@ -112,8 +111,7 @@ def _table1(spec: ScenarioSpec) -> ScenarioOutcome:
     def measure(session: EngineSession, measure_seed: int) -> tuple[float, float]:
         """(mean hops, failed fraction) of ``measure_seed``'s lookups, freshly armed."""
         session.rearm(recovery, measure_seed)
-        pairs = LookupWorkload(seed=measure_seed).pairs(session.live_labels(), searches)
-        return measure_mean_hops(session, pairs)
+        return measure_mean_hops(session, lookup_pairs(session, measure_seed, searches))
 
     def measure_once(system, measure_seed: int) -> tuple[float, float]:
         with EngineSession(system, engine, recovery, measure_seed) as session:

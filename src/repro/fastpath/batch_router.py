@@ -81,7 +81,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.core.routing import MAX_REROUTES, FailureReason, RecoveryStrategy, RouteResult
+from repro.core.routing import MAX_REROUTES, FailureReason, RecoveryStrategy
 from repro.fastpath.snapshot import FastpathSnapshot
 from repro.telemetry.core import (
     HOP_BUCKETS,
@@ -173,32 +173,6 @@ class BatchRouteResult:
     def failure_reason(self, index: int) -> FailureReason:
         """Decode the failure reason of the query at ``index``."""
         return _CODE_TO_REASON[int(self.failure_codes[index])]
-
-    def to_route_results(self) -> list[RouteResult]:
-        """Convert to scalar :class:`~repro.core.routing.RouteResult` objects.
-
-        When paths were not recorded, each result's ``path`` contains only the
-        endpoints actually known (source, and the final node when distinct).
-        """
-        results: list[RouteResult] = []
-        for index in range(len(self)):
-            if self.paths is not None:
-                path = list(self.paths[index])
-            else:
-                path = [int(self.sources[index])]
-                if int(self.final[index]) != path[-1]:
-                    path.append(int(self.final[index]))
-            results.append(
-                RouteResult(
-                    success=bool(self.success[index]),
-                    hops=int(self.hops[index]),
-                    path=path,
-                    failure_reason=self.failure_reason(index),
-                    reroutes=int(self.reroutes[index]),
-                    backtracks=int(self.backtracks[index]),
-                )
-            )
-        return results
 
 
 class _PrefixTable:

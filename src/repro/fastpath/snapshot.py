@@ -170,11 +170,6 @@ class FastpathSnapshot:
             self._dense_cache["contiguous"] = cached
         return cached
 
-    def neighbors_of_index(self, index: int) -> np.ndarray:
-        """Return the neighbour indices of the vertex at ``index`` (CSR slice)."""
-        start, stop = self.neighbor_indptr[index], self.neighbor_indptr[index + 1]
-        return self.neighbor_indices[start:stop]
-
     # ------------------------------------------------------------------ #
     # Derived views
     # ------------------------------------------------------------------ #

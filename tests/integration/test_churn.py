@@ -10,7 +10,7 @@ from repro.core.construction import HeuristicConstruction
 from repro.core.maintenance import MaintenanceDaemon
 from repro.core.metric import RingMetric
 from repro.core.routing import GreedyRouter
-from repro.dht import DistributedHashTable
+from repro.core.network import P2PNetwork
 from repro.simulation.workload import ChurnWorkload, LookupWorkload
 
 
@@ -35,7 +35,7 @@ class TestChurnOnConstruction:
             else:  # crash
                 construction.graph.fail_node(event.address)
         # After the churn burst, run a repair pass and verify routing works.
-        daemon.repair_all()
+        daemon.repair_all_batched()
         # Excise crashed nodes entirely.
         for node in list(construction.graph.nodes()):
             if not node.alive:
@@ -68,34 +68,33 @@ class TestChurnOnConstruction:
 
 class TestChurnOnFacade:
     def test_network_facade_under_churn(self):
-        dht = DistributedHashTable(512, seed=4)
-        dht.join_many(range(0, 512, 8))
-        dht.put("sticky-key", "data", origin=0)
+        network = P2PNetwork(512, seed=4)
+        network.join_many(range(0, 512, 8))
 
         churn = ChurnWorkload(space_size=512, join_rate=1.5, leave_rate=1.0,
                               crash_fraction=0.4, seed=5)
-        events = churn.schedule(duration=40.0, initial_members=dht.members())
-        survivors_needed = {0}
+        events = churn.schedule(duration=40.0, initial_members=network.members())
         applied = Counter()
         for event in events:
-            if event.address in survivors_needed:
-                continue
-            if event.action == "join" and not dht.graph.has_node(event.address):
-                dht.join(event.address)
-            elif event.action == "leave" and event.address in dht.members():
-                dht.leave(event.address)
-            elif event.action == "crash" and event.address in dht.members():
-                dht.crash(event.address)
+            if event.action == "join" and not network.graph.has_node(event.address):
+                network.join(event.address)
+            elif event.action == "leave" and event.address in network.members():
+                network.leave(event.address)
+            elif event.action == "crash" and event.address in network.members():
+                network.crash(event.address)
             else:
                 continue
             applied[event.action] += 1
-        dht.repair()
-        # The overlay must still accept and serve new publications.
-        assert dht.put("fresh-key", 1, origin=0).ok
-        assert dht.get("fresh-key").ok
-        # Membership reflects exactly the churn that was applied.
+        network.repair()
+        # Membership reflects exactly the churn that was applied, and the
+        # repair pass excised every crashed node.
         assert applied["join"] > 0
-        assert applied["leave"] + applied["crash"] > 0
-        assert len(dht.members()) == (
-            64 + applied["join"] - applied["leave"] - applied["crash"]
-        )
+        assert applied["leave"] > 0 and applied["crash"] > 0
+        members = network.members()
+        assert len(members) == 64 + applied["join"] - applied["leave"] - applied["crash"]
+        assert sorted(members) == network.labels(only_alive=False)
+        # The repaired overlay routes between any live members.
+        for source, target in LookupWorkload(seed=6).pairs(members, 100):
+            route = network.route(source, target)
+            assert route.success
+            assert route.path[0] == source and route.path[-1] == target

@@ -1,7 +1,7 @@
 """Integration tests: the whole stack working together.
 
 These tests exercise the paths a downstream user would take: build or grow a
-network, publish and look up resources, inject failures, repair, and verify
+network, route lookups between its members, inject failures, repair, and verify
 the statistical behaviour the paper predicts (at reduced scale).
 """
 
@@ -14,8 +14,8 @@ from repro.core.builder import build_ideal_network
 from repro.core.bounds import upper_bound_multiple_links
 from repro.core.construction import build_heuristic_network
 from repro.core.failures import LinkFailureModel, NodeFailureModel
+from repro.core.network import P2PNetwork
 from repro.core.routing import GreedyRouter, RecoveryStrategy
-from repro.dht import DistributedHashTable
 from repro.simulation.workload import LookupWorkload
 
 
@@ -130,35 +130,24 @@ class TestHeuristicallyConstructedNetwork:
 
 class TestApplicationStack:
     def test_p2p_network_full_lifecycle(self):
-        dht = DistributedHashTable(1 << 10, seed=22, replicas=0)
-        dht.join_many(range(0, 1 << 10, 8))
-        # Publish a batch of resources from different owners.
-        for index in range(30):
-            assert dht.put(f"file-{index}", index, origin=(index * 8) % 1024).ok
-        # Everyone can find everything.
-        for index in range(30):
-            assert dht.get(f"file-{index}").ok
-        # Crash a tenth of the members, repair, and verify the overlay still works.
-        members = dht.members()
-        for victim in members[:: max(1, len(members) // 12)]:
-            dht.crash(victim)
-        dht.repair()
-        assert dht.put("post-repair", 1).ok
-        assert dht.get("post-repair").ok
-
-    def test_dht_with_replication_survives_crashes(self):
-        dht = DistributedHashTable(512, seed=23)
-        dht.join_many(range(0, 512, 4))
-        holders = {}
-        for index in range(40):
-            result = dht.put(f"key-{index}", f"value-{index}", origin=0)
-            assert result.ok
-            holders[f"key-{index}"] = result.holder
-        # Crash a quarter of the primaries.
-        crashed = set()
-        for key, holder in list(holders.items())[::4]:
-            if holder not in crashed and len(crashed) < len(dht.members()) - 4:
-                dht.crash(holder)
-                crashed.add(holder)
-        recovered = sum(1 for index in range(40) if dht.get(f"key-{index}", origin=100).ok)
-        assert recovered >= 36  # replication should cover nearly everything
+        network = P2PNetwork(1 << 10, seed=22)
+        network.join_many(range(0, 1 << 10, 8))
+        # Every member reaches every sampled target on the healthy overlay.
+        members = network.members()
+        for source, target in LookupWorkload(seed=23).pairs(members, 60):
+            assert network.route(source, target).success
+        # Crash a twelfth of the members: backtracking still delivers most
+        # lookups between survivors before any repair runs.
+        crashed = members[:: max(1, len(members) // 12)]
+        for victim in crashed:
+            network.crash(victim)
+        survivors = network.members()
+        pairs = LookupWorkload(seed=24).pairs(survivors, 60)
+        delivered = sum(network.route(source, target).success for source, target in pairs)
+        assert delivered >= 55
+        # Repair excises the crashed nodes and restores full delivery.
+        network.repair()
+        assert sorted(network.members()) == sorted(survivors)
+        assert not any(network.graph.has_node(victim) for victim in crashed)
+        for source, target in pairs:
+            assert network.route(source, target).success

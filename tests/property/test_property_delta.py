@@ -49,7 +49,7 @@ from repro.util.rng import spawn_rng
 # Structural tier: the power-law overlay under full churn
 # ---------------------------------------------------------------------------
 
-EVENT_KINDS = ("join", "leave", "crash", "revive", "repair", "repair-batched")
+EVENT_KINDS = ("join", "leave", "crash", "revive", "repair")
 
 
 @st.composite
@@ -92,8 +92,6 @@ def _apply_event(network: P2PNetwork, kind: str, pick: int, rng) -> None:
         if dead:
             graph.revive_node(dead[pick % len(dead)])
     elif kind == "repair":
-        network.maintenance.repair_all()
-    elif kind == "repair-batched":
         network.maintenance.repair_all_batched()
     else:  # pragma: no cover
         raise AssertionError(kind)

@@ -1,4 +1,4 @@
-"""Property-based tests for failure models, maintenance, and the DHT layer."""
+"""Property-based tests for failure models and maintenance."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from repro.core.failures import LinkFailureModel, NodeFailureModel
 from repro.core.maintenance import MaintenanceDaemon
 from repro.core.construction import HeuristicConstruction
 from repro.core.metric import RingMetric
-from repro.dht import DistributedHashTable
 
 
 class TestFailureModelProperties:
@@ -69,54 +68,10 @@ class TestMaintenanceProperties:
         for victim in victims:
             graph.fail_node(victim)
         daemon = MaintenanceDaemon(construction)
-        daemon.repair_all()
+        daemon.repair_all_batched()
         for node in graph.nodes():
             if not node.alive:
                 continue
             for target in node.long_link_targets():
                 assert graph.is_alive(target)
 
-
-class TestDhtProperties:
-    @settings(max_examples=10, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=30),
-        keys=st.lists(
-            st.text(alphabet="abcdefghij0123456789-", min_size=1, max_size=12),
-            min_size=1,
-            max_size=15,
-            unique=True,
-        ),
-    )
-    def test_put_then_get_returns_latest_value(self, seed, keys):
-        dht = DistributedHashTable(128, seed=seed)
-        dht.join_many(range(0, 128, 4))
-        expected = {}
-        for index, key in enumerate(keys):
-            value = f"value-{index}"
-            result = dht.put(key, value, origin=0)
-            assert result.ok
-            expected[key] = value
-        # Overwrite a few of them.
-        for index, key in enumerate(keys[::2]):
-            value = f"updated-{index}"
-            assert dht.put(key, value, origin=4).ok
-            expected[key] = value
-        for key, value in expected.items():
-            outcome = dht.get(key, origin=64)
-            assert outcome.ok
-            assert outcome.value == value
-
-    @settings(max_examples=8, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=20))
-    def test_keys_survive_any_single_crash(self, seed):
-        dht = DistributedHashTable(128, seed=seed)
-        dht.join_many(range(0, 128, 8))
-        result = dht.put("important", "payload", origin=0)
-        assert result.ok
-        primary = result.holder
-        if primary != 0:
-            dht.crash(primary)
-        outcome = dht.get("important", origin=0)
-        assert outcome.ok
-        assert outcome.value == "payload"

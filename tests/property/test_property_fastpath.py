@@ -29,6 +29,12 @@ from repro.fastpath.dtypes import label_dtype
 from repro.simulation.workload import LookupWorkload
 
 
+def _csr_row(snapshot, index: int) -> np.ndarray:
+    """Neighbour indices of the vertex at ``index``: its slice of the CSR."""
+    indptr = snapshot.neighbor_indptr
+    return snapshot.neighbor_indices[indptr[index]:indptr[index + 1]]
+
+
 @st.composite
 def routed_scenario(draw):
     """A random topology plus a routed workload over its live nodes."""
@@ -204,7 +210,7 @@ class TestPickThenRepair:
         # Compiled before the faults, so row 0 holds both parallel entries to
         # 12; the faults then reach the batch side as masks only.
         snapshot = compile_snapshot(graph, symmetric_neighbors=symmetric)
-        twins = np.flatnonzero(snapshot.neighbors_of_index(0) == 12)
+        twins = np.flatnonzero(_csr_row(snapshot, 0) == 12)
         assert twins.size == 2
         edge_alive = np.ones(snapshot.neighbor_indices.shape[0], dtype=bool)
         edge_alive[snapshot.neighbor_indptr[0] + twins[0]] = False
@@ -363,7 +369,7 @@ class TestBacktrackRevisits:
         # consume the 12 listed before it.
         graph = _ring([(0, 16), (0, 12), (0, 28), (0, 12)])
         snapshot = compile_snapshot(graph, symmetric_neighbors=symmetric)
-        twins = np.flatnonzero(snapshot.neighbors_of_index(0) == 12)
+        twins = np.flatnonzero(_csr_row(snapshot, 0) == 12)
         edge_alive = np.ones(snapshot.neighbor_indices.shape[0], dtype=bool)
         edge_alive[snapshot.neighbor_indptr[0] + twins[0]] = False
         alive = snapshot.alive.copy()
@@ -506,7 +512,7 @@ class TestLabelMatrix:
             assert matrix.dtype == label_dtype(snapshot.space_size)
             for vertex in range(snapshot.num_nodes):
                 degree = int(degrees[vertex])
-                neighbors = snapshot.neighbors_of_index(vertex)
+                neighbors = _csr_row(snapshot, vertex)
                 assert np.array_equal(matrix[vertex, :degree], snapshot.labels[neighbors])
                 assert (matrix[vertex, degree:] == snapshot.labels[vertex]).all()
             # Liveness variants share the one matrix object.

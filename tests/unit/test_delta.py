@@ -33,6 +33,12 @@ from repro.fastpath.delta import (
 )
 
 
+def _csr_row(snapshot, index: int) -> np.ndarray:
+    """Neighbour indices of the vertex at ``index``: its slice of the CSR."""
+    indptr = snapshot.neighbor_indptr
+    return snapshot.neighbor_indices[indptr[index]:indptr[index + 1]]
+
+
 def _ring16() -> OverlayGraph:
     graph = OverlayGraph(RingMetric(16))
     for label in range(16):
@@ -281,7 +287,7 @@ class TestDeltaSnapshot:
         graph.set_immediate_neighbors(6, 4, 7)  # 6 skips 5; only dead 4 still names it
         mirror = DeltaSnapshot.from_graph(graph)
         before = mirror.snapshot()
-        assert 5 in before.labels[before.neighbors_of_index(4)]
+        assert 5 in before.labels[_csr_row(before, 4)]
         recorder = DeltaRecorder.attach(graph)
         try:
             graph.remove_node(5)
@@ -292,7 +298,7 @@ class TestDeltaSnapshot:
         mirror.apply(delta)
         strategy, snapshot = _refresh_strategy(mirror)
         assert strategy == "row_splice"
-        assert 5 not in snapshot.labels[snapshot.neighbors_of_index(3)]
+        assert 5 not in snapshot.labels[_csr_row(snapshot, 3)]
         assert_snapshots_identical(snapshot, compile_snapshot(graph))
 
     @pytest.mark.parametrize(
@@ -327,8 +333,8 @@ class TestDeltaSnapshot:
             (before_row,) = before.indices_of([label])
             (after_row,) = expected.indices_of([label])
             assert not np.array_equal(
-                before.labels[before.neighbors_of_index(before_row)],
-                expected.labels[expected.neighbors_of_index(after_row)],
+                before.labels[_csr_row(before, before_row)],
+                expected.labels[_csr_row(expected, after_row)],
             ), f"row {label} is unchanged, so it tests nothing"
         assert_snapshots_identical(snapshot, expected)
 
@@ -474,7 +480,7 @@ class TestRouterRebase:
         assert router.route_batch(sources, targets).success.all()
         matrix = router.snapshot.label_matrix()
         holder = 7
-        target = int(snapshot.labels[snapshot.neighbors_of_index(holder)[-1]])
+        target = int(snapshot.labels[_csr_row(snapshot, holder)[-1]])
         mirror.apply(SnapshotDelta(ops=[(OP_FAIL, 1000)]))
         mirror.apply(SnapshotDelta(ops=[(OP_LINK_FAIL, holder, target)]))
         router.rebase(mirror.snapshot())

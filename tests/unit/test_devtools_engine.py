@@ -229,13 +229,13 @@ class TestReporters:
         result = LintEngine(root=project).run()
         payload = json.loads(render_json(result))
         assert payload["schema"] == CHECK_SCHEMA
-        assert [Finding.from_dict(entry) for entry in payload["findings"]] == result.findings
+        assert payload["findings"] == [finding.to_dict() for finding in result.findings]
         assert payload["files_checked"] == result.files_checked
         assert tuple(payload["rules_run"]) == result.rules_run
 
     def test_finding_dict_round_trip(self):
         finding = Finding(path="src/x.py", line=3, col=7, rule="RPR001", message="m")
-        assert Finding.from_dict(finding.to_dict()) == finding
+        assert Finding(**finding.to_dict()) == finding
         assert finding.location() == "src/x.py:3:7"
 
 

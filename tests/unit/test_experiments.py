@@ -345,6 +345,22 @@ class TestTable1:
             ), name
 
 
+    def test_a_size_too_small_for_its_failure_levels_runs(self):
+        """At two nodes, failing half or more leaves no pair to look up."""
+        results = [
+            run(get_scenario("table1").make_spec(overrides={
+                "extras.sizes": (2,), "engine": engine,
+            }))
+            for engine in ("object", "fastpath")
+        ]
+        rows = results[0].raw.node_failures.to_json_dict()["rows"]
+        assert [row[0] for row in rows] == [0.0, 0.1, 0.25, 0.5, 0.75]
+        for p_failed, hops, failed, _bound in rows:
+            assert (hops, failed) == ((0.0, 1.0) if p_failed >= 0.5 else (1.0, 0.0))
+        tables = [[table.to_csv() for table in result.tables] for result in results]
+        assert tables[0] == tables[1]
+
+
 class TestAblations:
     def test_replacement_ablation(self):
         table = run_raw("ablation-replacement", {
@@ -367,6 +383,21 @@ class TestAblations:
         assert len(fractions) == 2
         # Depth 5 (the paper's choice) never hurts against depth 1.
         assert fractions[1] <= fractions[0] + 0.02
+
+    def test_a_ring_with_one_survivor_runs(self):
+        """Three nodes at the default 50 % level leave one live node."""
+        results = [
+            run(get_scenario("ablation-backtrack").make_spec(overrides={
+                "topology.nodes": 3, "engine": engine,
+            }))
+            for engine in ("object", "fastpath")
+        ]
+        table = results[0].raw
+        assert table.column("backtrack_depth") == [1, 2, 5, 10, 20]
+        assert set(table.column("failed_fraction")) == {1.0}
+        assert set(table.column("mean_hops_successful")) == {0.0}
+        tables = [[table.to_csv() for table in result.tables] for result in results]
+        assert tables[0] == tables[1]
 
     def test_exponent_ablation(self):
         table = run_raw("ablation-exponent", {

@@ -161,7 +161,8 @@ class TestLinks:
         graph.remove_node(16)
         assert [link.target for link in graph.node(0).long_links] == [8]
         assert 16 not in graph._incoming
-        assert graph.incoming_entries(8) == [(0, True)]
+        assert graph.incoming_sources(8, only_alive_links=False) == [0]
+        assert graph.incoming_sources(8) == [0]
 
 
 class TestRingWiring:

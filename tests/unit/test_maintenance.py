@@ -10,6 +10,23 @@ from repro.core.metric import RingMetric
 from repro.core.routing import GreedyRouter
 
 
+def repair_all(daemon: MaintenanceDaemon) -> MaintenanceReport:
+    """Frozen per-node reference for ``MaintenanceDaemon.repair_all_batched``.
+
+    Repairs every live node in node-table order, then re-stitches the ring
+    once.  The batched pass must reach the same graph and the same report
+    (``test_repair_all_batched_matches_repair_all``).
+    """
+    report = MaintenanceReport()
+    for label in list(daemon.graph.labels(only_alive=True)):
+        report = report.merge(daemon.repair_node(label))
+    report.ring_repairs += daemon._restitch_ring()
+    return report
+
+
+REPAIRS = {"repair_all": repair_all, "repair_all_batched": MaintenanceDaemon.repair_all_batched}
+
+
 @pytest.fixture
 def construction() -> HeuristicConstruction:
     c = HeuristicConstruction(space=RingMetric(256), links_per_node=4, seed=0)
@@ -69,7 +86,7 @@ class TestMaintenanceDaemon:
         daemon = MaintenanceDaemon(construction)
         graph = construction.graph
         graph.fail_node(8)
-        report = daemon.repair_all()
+        report = daemon.repair_all_batched()
         assert report.ring_repairs >= 1
         assert graph.node(4).right == 12
         assert graph.node(12).left == 4
@@ -88,7 +105,7 @@ class TestMaintenanceDaemon:
         graph = construction.graph
         for victim in [16, 64, 128, 192]:
             graph.fail_node(victim)
-        daemon.repair_all()
+        daemon.repair_all_batched()
         live = graph.labels(only_alive=True)
         router = GreedyRouter(graph)
         result = router.route(live[0], live[len(live) // 2])
@@ -107,7 +124,7 @@ class TestMaintenanceDaemon:
             if not graph.is_alive(target)
         )
         assert dead_links > 0
-        report = daemon.repair_all()
+        report = daemon.repair_all_batched()
         assert report.dead_links_dropped == dead_links
         # Each drop draws one replacement; a draw repeating a target is not added.
         assert 0 < report.links_regenerated <= dead_links
@@ -117,13 +134,13 @@ class TestMaintenanceDaemon:
                     graph.is_alive(t) for t in node.long_link_targets(only_alive=False)
                 )
 
-    @pytest.mark.parametrize("method", ["repair_all", "repair_all_batched"])
+    @pytest.mark.parametrize("method", sorted(REPAIRS))
     def test_healthy_graph_is_left_untouched(self, construction, method):
         from repro.fastpath import compile_snapshot
         from repro.fastpath.delta import assert_snapshots_identical
 
         before = compile_snapshot(construction.graph)
-        report = getattr(MaintenanceDaemon(construction), method)()
+        report = REPAIRS[method](MaintenanceDaemon(construction))
         assert report == MaintenanceReport()
         assert_snapshots_identical(compile_snapshot(construction.graph), before)
 
@@ -168,7 +185,7 @@ class TestMaintenanceDaemon:
         # No live node regenerates links (every candidate target is dead).
         assert report.links_regenerated == 0
         # A repair pass over the all-dead remainder leaves a clean state.
-        daemon.repair_all()
+        daemon.repair_all_batched()
 
     def test_restitch_with_single_live_node(self, construction):
         daemon = MaintenanceDaemon(construction)
@@ -177,7 +194,7 @@ class TestMaintenanceDaemon:
         for label in graph.labels():
             if label != survivor:
                 graph.fail_node(label)
-        daemon.repair_all()
+        daemon.repair_all_batched()
         node = graph.node(survivor)
         assert node.left is None and node.right is None
 
@@ -186,7 +203,7 @@ class TestMaintenanceDaemon:
         graph = construction.graph
         for label in graph.labels():
             graph.fail_node(label)
-        report = daemon.repair_all()
+        report = daemon.repair_all_batched()
         assert report.ring_repairs == 0
 
 
@@ -203,7 +220,7 @@ class TestBatchedRepair:
             daemon = MaintenanceDaemon(c)
             for victim in c.graph.labels()[::5]:
                 c.graph.fail_node(victim)
-            report = daemon.repair_all_batched() if batched else daemon.repair_all()
+            report = daemon.repair_all_batched() if batched else repair_all(daemon)
             return compile_snapshot(c.graph), report
 
         plain_snapshot, plain_report = run(batched=False)

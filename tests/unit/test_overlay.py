@@ -20,7 +20,6 @@ from repro.baselines import (
 )
 from repro.core.metric import PrefixMetric, TorusMetric
 from repro.core.network import P2PNetwork
-from repro.dht import DistributedHashTable
 from repro.fastpath.snapshot import FastpathSnapshot
 from repro.overlay import (
     ChordGreedyPolicy,
@@ -37,11 +36,8 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 def _all_systems():
     network = P2PNetwork(space_size=128, seed=1)
     network.join_many(list(range(0, 128, 4)))
-    dht = DistributedHashTable(space_size=128, seed=1)
-    dht.join_many(list(range(0, 128, 4)))
     return [
         network,
-        dht,
         ChordNetwork(bits=6),
         CanNetwork(side=6),
         PlaxtonNetwork(digits=3, base=3),

@@ -31,9 +31,12 @@ from repro.core.maintenance import MaintenanceDaemon
 from repro.core.metric import MetricSpace, RingMetric, TorusMetric
 from repro.core.network import P2PNetwork
 from repro.core.routing import RecoveryStrategy
+from repro.devtools.findings import Finding
 from repro.experiments.cli import main
 from repro.fastpath import (
     BatchGreedyRouter,
+    BatchRouteResult,
+    FastpathSnapshot,
     apply_node_failures,
     build_snapshot,
     sample_node_failures,
@@ -98,6 +101,15 @@ DELETED_ATTRIBUTES = [
     (ChordNetwork, "build_routing_tables"),
     (ChordNetwork, "neighbor_entries"),
     (OverlayMixin, "neighbor_entries"),
+    # Accessors only tests called; their tests read the public surface (the
+    # CSR arrays, incoming_sources, to_dict payloads, the batch arrays).
+    (BatchRouteResult, "to_route_results"),
+    (OverlayGraph, "incoming_entries"),
+    (Finding, "from_dict"),
+    (FastpathSnapshot, "neighbors_of_index"),
+    # The per-node repair walk survives only as the frozen reference in
+    # tests/unit/test_maintenance.py; every caller runs repair_all_batched.
+    (MaintenanceDaemon, "repair_all"),
 ]
 
 
@@ -174,3 +186,12 @@ def test_dtype_interpreter_is_gone(module):
 def test_retired_dtype_ids_are_refused(rule_id, capsys):
     assert main(["check", "--select", rule_id]) == 2
     assert "unknown rule id" in capsys.readouterr().err
+
+
+def test_dht_layer_is_gone():
+    # No scenario, benchmark workload or paper experiment ran the key-value
+    # store; the library stops at the routing layer the paper evaluates.
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.dht")
+    for package in PUBLIC_PACKAGES:
+        assert not hasattr(importlib.import_module(package), "DistributedHashTable"), package

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import runpy
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -88,18 +85,6 @@ class TestWorkloads:
     def test_lookup_pairs_require_two_nodes(self):
         with pytest.raises(ValueError):
             LookupWorkload().pairs([1], 5)
-
-    def test_zipf_keys(self):
-        # The class lives in the one example that uses it.
-        example = Path(__file__).parents[2] / "examples" / "file_sharing.py"
-        popularity = runpy.run_path(str(example))["ZipfKeyPopularity"](
-            universe=50, alpha=1.0, seed=2
-        )
-        keys = popularity.sample_keys(500)
-        assert len(keys) == 500
-        # The most popular key should appear more often than a mid-rank key.
-        assert keys.count("key-0") > keys.count("key-30")
-        assert len(popularity.all_keys()) == 50
 
     def test_churn_schedule_consistency(self):
         churn = ChurnWorkload(space_size=256, join_rate=2.0, leave_rate=1.0, seed=3)
