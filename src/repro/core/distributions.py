@@ -15,7 +15,12 @@ build with:
   power-of-``b`` scheme of Theorem 16 used for the link-failure analysis.
 
 The random distribution samples through a ``numpy.random.Generator``
-supplied by the caller so that experiments stay reproducible.
+supplied by the caller so that experiments stay reproducible.  A fully
+populated ring inverts one shared offset CDF for every link, through a guide
+table (Chen & Asau's indexed search): each uniform's bucket names the first
+offset that can answer it, a few vectorised probe steps finish almost every
+draw, and the rest are binary-searched, so each draw is exactly the one
+``np.searchsorted`` over the CDF would give.
 """
 
 from __future__ import annotations
@@ -33,6 +38,19 @@ __all__ = [
     "DeterministicBaseBOffsets",
     "harmonic_number",
 ]
+
+#: Guide-table buckets per point, as a multiple of ``2^ceil(lg n)``: with at
+#: least four buckets per CDF entry a draw's first candidate is on average a
+#: fraction of an entry short of its answer.
+_GUIDE_BUCKETS_PER_POINT = 4
+
+#: Probe rounds before the draws still unresolved fall back to a binary search
+#: (at exponent 1 a few draws in a million are left).
+_GUIDE_PROBES = 3
+
+#: Draws searched per pass, so the search's temporaries stay a fixed few
+#: hundred kilobytes whatever the batch.
+_GUIDE_BLOCK = 1 << 15
 
 
 def harmonic_number(n: int) -> float:
@@ -131,6 +149,57 @@ class InversePowerLawDistribution:
             self._weights_cache[key] = cdf
         return self._weights_cache[key]
 
+    def _offset_guide(self) -> np.ndarray:
+        """Guide table of :meth:`_offset_cdf`: ``K`` bucket starts.
+
+        ``guide[b]`` is the first offset whose CDF exceeds ``b / K`` — the
+        smallest answer any uniform in ``[b / K, (b + 1) / K)`` can have —
+        with ``K = 4 * 2^ceil(lg n)`` buckets.  Scaling by the power of two
+        ``K`` is exact, so ``ceil(cdf * K) <= b`` says exactly ``cdf <= b / K``
+        and the table is one ``bincount`` and ``cumsum``, ``O(n + K)``.
+        """
+        key = 2
+        if key not in self._weights_cache:
+            cdf = self._offset_cdf()
+            buckets = _GUIDE_BUCKETS_PER_POINT << (self.n - 1).bit_length()
+            cells = np.ceil(cdf * buckets)
+            # fmin sends a NaN entry (weights overflowed at a very negative
+            # exponent) past every bucket, where searchsorted sorts NaN too.
+            np.fmin(cells, buckets, out=cells)
+            counts = np.bincount(cells.astype(np.intp), minlength=buckets + 1)
+            dtype = np.int32 if buckets <= np.iinfo(np.int32).max else np.int64
+            self._weights_cache[key] = np.cumsum(counts[:buckets], dtype=dtype)
+        return self._weights_cache[key]
+
+    def _search_offsets(self, uniforms: np.ndarray) -> np.ndarray:
+        """``np.searchsorted(self._offset_cdf(), uniforms, side="right")``, guided.
+
+        Each uniform ``u`` in ``[0, 1)`` starts at the guide entry of its
+        bucket ``floor(u * K)`` (exact, as ``K`` is a power of two); each probe
+        round steps the draws whose candidate's CDF is still at or below their
+        uniform one offset on, over a shrinking index set, and the draws left
+        after :data:`_GUIDE_PROBES` rounds are binary-searched.  Returns the
+        offsets in the guide's integer dtype, shaped like ``uniforms``.
+        """
+        cdf = self._offset_cdf()
+        guide = self._offset_guide()
+        flat = uniforms.reshape(-1)
+        offsets = np.empty(flat.size, dtype=guide.dtype)
+        for start in range(0, flat.size, _GUIDE_BLOCK):
+            block = flat[start : start + _GUIDE_BLOCK]
+            found = offsets[start : start + _GUIDE_BLOCK]
+            np.multiply(block, guide.size, out=found, casting="unsafe")
+            found[...] = guide[found]
+            pending = np.flatnonzero(cdf[found] <= block)
+            for _ in range(_GUIDE_PROBES):
+                if not pending.size:
+                    break
+                found[pending] += 1
+                pending = pending[cdf[found[pending]] <= block[pending]]
+            if pending.size:
+                found[pending] = np.searchsorted(cdf, block[pending], side="right")
+        return offsets.reshape(uniforms.shape)
+
     # -- sampling ------------------------------------------------------------
 
     def sample_neighbors(
@@ -167,9 +236,11 @@ class InversePowerLawDistribution:
 
         Returns an ``int64[len(sources), count]`` matrix of target labels,
         sampled with replacement per source (Theorem 13's model), using a
-        single uniform draw of shape ``(len(sources), count)`` plus one
-        ``searchsorted`` against the shared offset CDF.  Only supports the
-        fully populated space (no ``present`` mask): binomially placed nodes
+        single uniform draw of shape ``(len(sources), count)`` inverted through
+        the shared offset CDF's guide table (see :meth:`_search_offsets`; each
+        offset is the one ``np.searchsorted`` over that CDF gives).  Only
+        supports the fully populated space (no ``present`` mask): binomially
+        placed nodes
         condition each source's distribution on the presence mask, which
         breaks the shift invariance the shared CDF relies on.
 
@@ -181,9 +252,7 @@ class InversePowerLawDistribution:
         sources = np.asarray(sources, dtype=np.int64)
         if count <= 0:
             return np.empty((sources.shape[0], 0), dtype=np.int64)
-        uniforms = rng.random((sources.shape[0], count))
-        offsets = np.searchsorted(self._offset_cdf(), uniforms, side="right")
-        del uniforms
+        offsets = self._search_offsets(rng.random((sources.shape[0], count))).astype(np.int64)
         np.clip(offsets, 1, self.n - 1, out=offsets)
         offsets += sources[:, None]
         offsets %= self.n

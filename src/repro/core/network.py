@@ -113,8 +113,15 @@ class P2PNetwork:
         return self.graph.has_node(label) and self.graph.is_alive(label)
 
     def neighbors_of(self, label: int) -> list[int]:
-        """The neighbour labels the greedy router considers at ``label``."""
-        return self.graph.neighbors_of(label)
+        """The router's candidate row at ``label`` (node liveness ignored).
+
+        Short neighbours and live long links, then the sources of incoming
+        live long links — the row :meth:`compile_snapshot` compiles for
+        ``label``.  Crashed neighbours stay listed; the router skips them.
+        """
+        return self.graph.neighbors_of(
+            label, only_alive_nodes=False, only_alive_links=True, include_incoming=True
+        )
 
     def fail_node(self, label: int) -> None:
         """Crash the member at ``label`` (no-op for non-members and the dead)."""

@@ -101,7 +101,6 @@ FAILURE_CODES: dict[FailureReason, int] = {
     FailureReason.DEAD_SOURCE: 3,
     FailureReason.DEAD_TARGET: 4,
 }
-_CODE_TO_REASON = {code: reason for reason, code in FAILURE_CODES.items()}
 
 
 @dataclass
@@ -169,10 +168,6 @@ class BatchRouteResult:
         if not np.any(self.success):
             return 0.0
         return float(self.hops[self.success].mean())
-
-    def failure_reason(self, index: int) -> FailureReason:
-        """Decode the failure reason of the query at ``index``."""
-        return _CODE_TO_REASON[int(self.failure_codes[index])]
 
 
 class _PrefixTable:

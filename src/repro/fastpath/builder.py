@@ -13,12 +13,15 @@ million Python objects dominates experiment start-up.
 * **Chunked draw and dedup.**  The long links are drawn with the batched
   inverse-CDF sampler
   (:meth:`~repro.core.distributions.InversePowerLawDistribution.sample_neighbors_batch`)
-  over fixed row chunks (``_CHUNK_ROWS``).  ``Generator.random`` fills
-  sequentially, so the chunks consume the stream exactly as one call over
-  every row would.  Each chunk is deduplicated (first occurrence per row)
-  into the only two full-size per-slot arrays: an ``INDEX_DTYPE`` slot matrix
-  ``[left, right, long targets]`` and its bool keep mask.  The outgoing part
-  of the CSR is that matrix read through the mask in row-major order.
+  over fixed row chunks (``_CHUNK_ROWS``): one uniform per link, inverted
+  through a guide table over the shared offset CDF (built once per build, a
+  few probe steps per draw, exactly the binary search's answer).
+  ``Generator.random`` fills sequentially, so the chunks consume the stream
+  exactly as one call over every row would.  Each chunk is deduplicated
+  (first occurrence per row) into the only two full-size per-slot arrays: an
+  ``INDEX_DTYPE`` slot matrix ``[left, right, long targets]`` and its bool
+  keep mask.  The outgoing part of the CSR is that matrix read through the
+  mask in row-major order.
 * **One key sort.**  With symmetric neighbour knowledge, every kept edge is
   packed as the ``int64`` key ``target * n + source`` and the keys are sorted
   once: ascending keys are the by-target, source-ascending order the incoming

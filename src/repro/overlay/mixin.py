@@ -19,7 +19,8 @@ copy of the scalar greedy loop.  :class:`OverlayMixin` hoists all of that:
   batched router's per-query semantics move for move;
 * the **snapshot compiler** (``compile_snapshot``), which takes the
   overlay's routing table as CSR arrays (``routing_table``), maps its labels
-  to member rows with one ``searchsorted``, marks dead table entries with one
+  to member rows with one ``searchsorted`` (none when the members are
+  ``0 .. n-1``, where a label is its row), marks dead table entries with one
   vectorised membership test, and attaches the protocol's
   :class:`~repro.overlay.policy.GreedyPolicy`, making every subclass a
   fastpath citizen.
@@ -334,7 +335,8 @@ class OverlayMixin:
         """Compile the topology + current liveness into an array snapshot.
 
         The CSR arrays are :meth:`routing_table`'s, with each neighbour label
-        mapped to its member row by one ``searchsorted``; a dead
+        mapped to its member row by one ``searchsorted`` (or taken as its own
+        row when the members are exactly ``0 .. n-1``); a dead
         ``(holder, target)`` pair marks every entry it names unusable through
         one ``np.isin`` over ``holder_row * n + target_row`` keys.
         Per-vertex entry order equals the scalar rule's iteration order, so
@@ -353,10 +355,16 @@ class OverlayMixin:
         member_labels = self._member_labels
         num_nodes = int(member_labels.size)
         indptr, flat, classes = self.routing_table()
-        indices = np.searchsorted(member_labels, flat)
-        indices = np.clip(indices, 0, max(num_nodes - 1, 0))
-        if flat.size and np.any(member_labels[indices] != flat):
+        if self._contiguous:
+            # Members 0..n-1: a label is its own row, and only the bounds
+            # need checking.
+            indices = flat
+            bad = flat[(flat < 0) | (flat >= num_nodes)]
+        else:
+            indices = np.searchsorted(member_labels, flat)
+            indices = np.clip(indices, 0, max(num_nodes - 1, 0))
             bad = flat[member_labels[indices] != flat]
+        if bad.size:
             raise ValueError(
                 f"routing tables point at non-member labels {bad[:5].tolist()}"
             )

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.distributions import (
@@ -53,6 +54,101 @@ class TestInversePowerLawProperties:
         samples = distribution.sample_neighbors_batch(np.array([source]), count, rng)[0].tolist()
         assert len(samples) == count
         assert all(0 <= s < n and s != source for s in samples)
+
+
+GUIDE_SIZES = [2, 3, 4, 5, 7, 1024, 1025, 1 << 17]
+GUIDE_EXPONENTS = [-1.0, 0.0, 0.5, 1.0, 2.0, 3.0]
+
+
+def _adversarial_uniforms(distribution: InversePowerLawDistribution) -> np.ndarray:
+    """Every CDF entry and bucket edge, the doubles either side, 0 and 1⁻."""
+    cdf = distribution._offset_cdf()
+    buckets = distribution._offset_guide().size
+    points = np.concatenate(
+        [cdf, np.arange(buckets) / buckets, [0.0, np.nextafter(1.0, 0.0)]]
+    )
+    points = np.concatenate(
+        [points, np.nextafter(points, -np.inf), np.nextafter(points, np.inf)]
+    )
+    return points[(points >= 0.0) & (points < 1.0)]
+
+
+def _assert_guided_equals_searchsorted(distribution, uniforms):
+    expected = np.searchsorted(distribution._offset_cdf(), uniforms, side="right")
+    guided = distribution._search_offsets(uniforms)
+    assert guided.shape == expected.shape
+    np.testing.assert_array_equal(guided, expected)
+
+
+@st.composite
+def _uniforms_near_the_table(draw, distribution):
+    """Doubles in [0, 1): arbitrary ones, and CDF entries or bucket edges ± 1 ulp."""
+    cdf = distribution._offset_cdf()
+    buckets = distribution._offset_guide().size
+    values = []
+    for _ in range(draw(st.integers(min_value=1, max_value=64))):
+        kind = draw(st.sampled_from(["any", "cdf", "edge"]))
+        if kind == "any":
+            values.append(draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True)))
+            continue
+        if kind == "cdf":
+            value = float(cdf[draw(st.integers(min_value=0, max_value=cdf.size - 1))])
+        else:
+            value = draw(st.integers(min_value=0, max_value=buckets - 1)) / buckets
+        value = np.nextafter(value, draw(st.sampled_from([-np.inf, value, np.inf])))
+        if 0.0 <= value < 1.0:
+            values.append(float(value))
+    return np.array(values or [0.0])
+
+
+class TestGuidedOffsetSearch:
+    """The guide-table draw is ``np.searchsorted(cdf, u, side="right")``."""
+
+    @pytest.mark.parametrize("exponent", GUIDE_EXPONENTS)
+    @pytest.mark.parametrize("n", GUIDE_SIZES)
+    def test_every_table_boundary(self, n, exponent):
+        distribution = InversePowerLawDistribution(n, exponent=exponent)
+        _assert_guided_equals_searchsorted(distribution, _adversarial_uniforms(distribution))
+
+    @pytest.mark.parametrize("exponent", GUIDE_EXPONENTS)
+    @pytest.mark.parametrize("n", GUIDE_SIZES)
+    def test_guide_entry_is_its_bucket_floor_answer(self, n, exponent):
+        # A guide entry early is still exact (only slower); this pins the table.
+        distribution = InversePowerLawDistribution(n, exponent=exponent)
+        guide = distribution._offset_guide()
+        assert guide.size == 4 << (n - 1).bit_length()
+        edges = np.arange(guide.size) / guide.size
+        expected = np.searchsorted(distribution._offset_cdf(), edges, side="right")
+        np.testing.assert_array_equal(guide, expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.one_of(st.sampled_from(GUIDE_SIZES), st.integers(min_value=2, max_value=5000)),
+        exponent=st.one_of(
+            st.sampled_from(GUIDE_EXPONENTS), st.floats(min_value=-4.0, max_value=8.0)
+        ),
+        data=st.data(),
+    )
+    @example(n=2, exponent=1.0, data=None)
+    @example(n=1025, exponent=-1.0, data=None)
+    @example(n=1 << 17, exponent=3.0, data=None)
+    # Weights overflow to inf (a NaN-tailed CDF) and underflow to 0.
+    @example(n=64, exponent=-1100.0, data=None)
+    @example(n=64, exponent=800.0, data=None)
+    def test_random_and_near_boundary_doubles(self, n, exponent, data):
+        with np.errstate(over="ignore", invalid="ignore"):
+            distribution = InversePowerLawDistribution(n, exponent=exponent)
+            distribution._offset_cdf()
+        if data is None:
+            uniforms = _adversarial_uniforms(distribution)
+        else:
+            uniforms = data.draw(_uniforms_near_the_table(distribution))
+        _assert_guided_equals_searchsorted(distribution, uniforms)
+
+    def test_batch_shape_is_kept(self):
+        distribution = InversePowerLawDistribution(1024)
+        uniforms = np.random.default_rng(0).random((37, 11))
+        _assert_guided_equals_searchsorted(distribution, uniforms)
 
 
 class TestDeterministicProperties:

@@ -24,7 +24,7 @@ from repro.core.failures import NodeFailureModel
 from repro.core.graph import OverlayGraph
 from repro.core.metric import RingMetric
 from repro.core.routing import FailureReason, GreedyRouter, RecoveryStrategy
-from repro.fastpath import BatchGreedyRouter, build_snapshot, compile_snapshot
+from repro.fastpath import FAILURE_CODES, BatchGreedyRouter, build_snapshot, compile_snapshot
 from repro.fastpath.dtypes import label_dtype
 from repro.simulation.workload import LookupWorkload
 
@@ -90,7 +90,7 @@ def _assert_parity(
         assert int(result.hops[index]) == reference.hops
         assert result.paths[index] == reference.path
         assert int(result.final[index]) == reference.path[-1]
-        assert result.failure_reason(index) == reference.failure_reason
+        assert result.failure_codes[index] == FAILURE_CODES[reference.failure_reason]
         assert int(result.reroutes[index]) == reference.reroutes
         assert int(result.backtracks[index]) == reference.backtracks
     return [reference.path for reference in references]

@@ -23,7 +23,7 @@ from repro.baselines import (
     KleinbergGridNetwork,
     PlaxtonNetwork,
 )
-from repro.fastpath import BatchGreedyRouter
+from repro.fastpath import FAILURE_CODES, BatchGreedyRouter
 from repro.fastpath.dtypes import label_dtype
 from repro.overlay import (
     ChordGreedyPolicy,
@@ -89,7 +89,7 @@ class TestOverlayParity:
             assert bool(result.success[index]) == reference.success
             assert int(result.hops[index]) == reference.hops
             assert result.paths[index] == reference.path
-            assert result.failure_reason(index) == reference.failure_reason
+            assert result.failure_codes[index] == FAILURE_CODES[reference.failure_reason]
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -114,7 +114,7 @@ class TestOverlayParity:
         for index, (source, target) in enumerate(pairs):
             reference = overlay.route(source, target)
             assert bool(result.success[index]) == reference.success
-            assert result.failure_reason(index) == reference.failure_reason
+            assert result.failure_codes[index] == FAILURE_CODES[reference.failure_reason]
             assert int(result.hops[index]) == reference.hops
 
 

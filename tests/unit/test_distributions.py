@@ -70,6 +70,29 @@ class TestInversePowerLaw:
         long = sum(1 for d in distances if d > 64)
         assert short > long
 
+    @pytest.mark.parametrize("n,count", [(2, 3), (1025, 7), (1 << 15, 15)])
+    def test_batch_draw_matches_the_binary_search_draw(self, n, count):
+        # Frozen copy of the draw before the guide table: one uniform per
+        # link, inverted by a binary search over the offset CDF.
+        distribution = InversePowerLawDistribution(n)
+        sources = np.arange(n, dtype=np.int64)
+        reference_rng = np.random.default_rng(9)
+        uniforms = reference_rng.random((n, count))
+        offsets = np.searchsorted(distribution._offset_cdf(), uniforms, side="right")
+        expected = (np.clip(offsets, 1, n - 1) + sources[:, None]) % n
+        rng = np.random.default_rng(9)
+        drawn = distribution.sample_neighbors_batch(sources, count, rng)
+        assert drawn.dtype == np.int64
+        np.testing.assert_array_equal(drawn, expected)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_guide_table_is_built_once_per_instance(self):
+        distribution = InversePowerLawDistribution(1 << 18)
+        guide = distribution._offset_guide()
+        assert guide is distribution._offset_guide()
+        assert guide.dtype == np.int32 and guide.nbytes <= 4 * 2**20
+        assert guide is not InversePowerLawDistribution(1 << 18)._offset_guide()
+
     def test_zero_count_returns_empty(self):
         distribution = InversePowerLawDistribution(64)
         rng = np.random.default_rng(0)

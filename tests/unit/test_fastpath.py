@@ -14,6 +14,7 @@ from repro.core.metric import RingMetric, TorusMetric
 from repro.core.network import P2PNetwork
 from repro.core.routing import FailureReason, GreedyRouter, RecoveryStrategy
 from repro.fastpath import (
+    FAILURE_CODES,
     BatchGreedyRouter,
     apply_node_failures,
     build_snapshot,
@@ -230,10 +231,10 @@ class TestBatchGreedyRouter:
         router = BatchGreedyRouter(compile_snapshot(graph))
         result = router.route_batch([7, 20, 7], [20, 7, 7])
         assert not result.success.any()
-        assert result.failure_reason(0) is FailureReason.DEAD_SOURCE
-        assert result.failure_reason(1) is FailureReason.DEAD_TARGET
+        assert result.failure_codes[0] == FAILURE_CODES[FailureReason.DEAD_SOURCE]
+        assert result.failure_codes[1] == FAILURE_CODES[FailureReason.DEAD_TARGET]
         # Dead source is checked before dead target, as in the scalar router.
-        assert result.failure_reason(2) is FailureReason.DEAD_SOURCE
+        assert result.failure_codes[2] == FAILURE_CODES[FailureReason.DEAD_SOURCE]
 
     def test_empty_batch(self, snapshot_256):
         _graph, snapshot = snapshot_256
@@ -265,7 +266,7 @@ class TestBatchGreedyRouter:
         router = BatchGreedyRouter(compile_snapshot(graph), hop_limit=1)
         result = router.route_batch([0], [32])
         assert not bool(result.success[0])
-        assert result.failure_reason(0) is FailureReason.HOP_LIMIT
+        assert result.failure_codes[0] == FAILURE_CODES[FailureReason.HOP_LIMIT]
         assert int(result.hops[0]) == 1
 
 

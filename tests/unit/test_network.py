@@ -61,6 +61,24 @@ class TestConstruction:
         assert all(twin.neighbors_of(label) == network.neighbors_of(label)
                    for label in network.members())
 
+    def test_neighbors_of_is_the_compiled_row(self):
+        net = P2PNetwork(space_size=256, seed=1)
+        net.join_many(list(range(0, 256, 4)))
+
+        def assert_rows_match():
+            snapshot = net.compile_snapshot()
+            indptr = snapshot.neighbor_indptr
+            for row, label in enumerate(snapshot.labels.tolist()):
+                compiled = snapshot.labels[snapshot.neighbor_indices[indptr[row] : indptr[row + 1]]]
+                assert net.neighbors_of(label) == compiled.tolist(), label
+
+        assert_rows_match()
+        net.crash(100)
+        assert_rows_match()
+        holder = net.members()[3]
+        net.graph.fail_long_link(holder, net.graph.node(holder).long_links[0].target)
+        assert_rows_match()
+
     def test_seed_changes_the_overlay(self, network):
         other = P2PNetwork(space_size=512, seed=2)
         other.join_many(list(range(0, 512, 8)))

@@ -133,6 +133,25 @@ class TestOverlayMixin:
         chord.fail_node(10)
         assert not chord.is_alive(10)
 
+    @pytest.mark.parametrize(
+        "build,stray",
+        [
+            (lambda: CanNetwork(side=4), 16),
+            (lambda: CanNetwork(side=4), -1),
+            (lambda: ChordNetwork(bits=6, members=list(range(0, 64, 2))), 3),
+            (lambda: ChordNetwork(bits=6, members=list(range(0, 64, 2))), 64),
+        ],
+        ids=["contiguous-past-end", "contiguous-negative", "sparse-gap", "sparse-past-end"],
+    )
+    def test_compile_refuses_a_table_naming_a_non_member(self, build, stray):
+        overlay = build()
+        indptr, flat, classes = overlay.routing_table()
+        flat = flat.copy()
+        flat[3] = stray
+        overlay.routing_table = lambda: (indptr, flat, classes)
+        with pytest.raises(ValueError, match=rf"non-member labels \[{stray}\]"):
+            overlay.compile_snapshot()
+
     def test_duplicate_members_rejected(self):
         class Broken(OverlayMixin):
             pass

@@ -68,6 +68,7 @@ DELETED_NAMES = [
     # keeps no slab copy of the adjacency and never holds a half-applied batch.
     ("repro.fastpath.delta", "_Slab"),
     ("repro.fastpath.delta", "HalfAppliedDeltaError"),
+    ("repro.fastpath.batch_router", "_CODE_TO_REASON"),
 ]
 
 
@@ -110,6 +111,9 @@ DELETED_ATTRIBUTES = [
     # The per-node repair walk survives only as the frozen reference in
     # tests/unit/test_maintenance.py; every caller runs repair_all_batched.
     (MaintenanceDaemon, "repair_all"),
+    # Callers compare failure_codes with FAILURE_CODES; nothing decoded one
+    # code at a time.
+    (BatchRouteResult, "failure_reason"),
 ]
 
 
