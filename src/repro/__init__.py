@@ -62,7 +62,6 @@ from repro.core import (
     RedundantRouter,
     RingMetric,
     RouteResult,
-    Table1Bounds,
     TorusMetric,
     build_heuristic_network,
     build_ideal_network,
@@ -95,6 +94,5 @@ __all__ = [
     "ByzantineBehavior",
     "ByzantineAwareRouter",
     "RedundantRouter",
-    "Table1Bounds",
     "failure_sweep_levels",
 ]

@@ -7,7 +7,6 @@ Table 1, and the :class:`~repro.core.network.P2PNetwork` facade tying them
 together.
 """
 
-from repro.core.bounds import Table1Bounds
 from repro.core.builder import (
     BuildResult,
     DeterministicGraphBuilder,
@@ -83,8 +82,6 @@ __all__ = [
     "build_heuristic_network",
     "MaintenanceDaemon",
     "MaintenanceReport",
-    # bounds
-    "Table1Bounds",
     # facade
     "P2PNetwork",
 ]

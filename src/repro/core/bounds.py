@@ -1,35 +1,32 @@
 """Theoretical bounds from Section 4 and Table 1 of the paper.
 
 This module turns the paper's analytical results into executable code so that
-the experiment harness can plot *measured* hop counts next to the *predicted*
-asymptotic shapes, and so that the probabilistic-recurrence machinery
-(Lemma 1 and Theorem 2) is available as reusable numerical tools.
+the experiment harness can report *measured* hop counts next to the
+*predicted* asymptotic shapes, and so that the probabilistic-recurrence
+machinery (Lemma 1 and Theorem 2) is available as reusable numerical tools.
 
 Contents
 --------
-* :func:`harmonic` — harmonic numbers ``H_n`` (the paper's delivery-time
-  bounds are naturally expressed in terms of ``H_n ~ ln n``).
 * :func:`karp_upfal_wigderson_bound` — the Lemma-1 upper bound
   ``T(X0) <= ∫ 1/μ_z dz`` for a non-increasing Markov chain with
   non-decreasing drift ``μ_z``.
 * :func:`theorem2_lower_bound` — the Theorem-2 lower bound
   ``E[τ] >= T(X0) / (ε T(X0) + 1 − ε)``.
-* :class:`Table1Bounds` — closed-form evaluations of every row of Table 1,
-  with both the upper-bound and (where stated) the lower-bound expression.
-* Per-theorem helpers (:func:`upper_bound_single_link`,
-  :func:`upper_bound_multiple_links`, ...) mapping directly onto
-  Theorems 12–18.
+* Per-theorem helpers mapping directly onto the rows of Table 1: the upper
+  bounds of Theorems 12–18 (:func:`upper_bound_single_link`,
+  :func:`upper_bound_multiple_links`, ...) and the lower bounds of
+  Theorems 3 and 10 (:func:`lower_bound_one_sided`, ...).
 
 Asymptotic bounds hide constants; each helper therefore returns the *shape*
-(the expression inside the O/Ω) so that experiments can fit a single scaling
-constant and compare growth rates rather than absolute values.
+(the expression inside the O/Ω), and experiments compare growth rates rather
+than absolute values.  The delivery-time bounds are expressed in harmonic
+numbers ``H_n ~ ln n`` (:func:`~repro.core.distributions.harmonic_number`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -37,7 +34,6 @@ from repro.core.distributions import harmonic_number
 from repro.util.validation import ensure_positive, ensure_probability
 
 __all__ = [
-    "harmonic",
     "karp_upfal_wigderson_bound",
     "theorem2_lower_bound",
     "upper_bound_single_link",
@@ -49,14 +45,7 @@ __all__ = [
     "lower_bound_one_sided",
     "lower_bound_two_sided",
     "lower_bound_large_degree",
-    "Table1Bounds",
-    "fit_scale_factor",
 ]
-
-
-def harmonic(n: int) -> float:
-    """The n-th harmonic number ``H_n`` (alias for the distributions helper)."""
-    return harmonic_number(n)
 
 
 def karp_upfal_wigderson_bound(
@@ -137,7 +126,7 @@ def theorem2_lower_bound(
 def upper_bound_single_link(n: int) -> float:
     """Theorem 12: ``O(H_n^2)`` delivery time with a single long link per node."""
     ensure_positive(n, "n")
-    return harmonic(n) ** 2
+    return harmonic_number(n) ** 2
 
 
 def upper_bound_multiple_links(n: int, links: float) -> float:
@@ -173,7 +162,7 @@ def upper_bound_link_failures_deterministic(n: int, base: int, p: float) -> floa
     ensure_probability(p, "p")
     if p == 0:
         return math.inf
-    return base * harmonic(n) / p
+    return base * harmonic_number(n) / p
 
 
 def upper_bound_node_failures(n: int, links: float, p: float) -> float:
@@ -213,102 +202,3 @@ def lower_bound_large_degree(n: int, links: float) -> float:
     if links <= 1:
         raise ValueError(f"links must exceed 1 for Theorem 3, got {links}")
     return math.log2(max(2, n)) / math.log2(links)
-
-
-# --------------------------------------------------------------------------- #
-# Table 1
-# --------------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class Table1Bounds:
-    """Closed-form evaluation of every row of the paper's Table 1.
-
-    Each method returns a ``(upper, lower)`` pair of bound *shapes* for the
-    given parameters; ``lower`` is ``None`` for the rows where the paper
-    states no lower bound (the failure models).
-
-    Parameters
-    ----------
-    n:
-        Number of nodes.
-    """
-
-    n: int
-
-    def no_failures_single_link(self) -> tuple[float, float]:
-        """Row 1: ``l = 1``, no failures."""
-        upper = upper_bound_single_link(self.n)
-        log_n = math.log2(max(4, self.n))
-        lower = log_n**2 / max(1.0, math.log2(log_n))
-        return upper, lower
-
-    def no_failures_polylog_links(self, links: float) -> tuple[float, float]:
-        """Row 2: ``l`` in ``[1, lg n]``, no failures."""
-        return (
-            upper_bound_multiple_links(self.n, links),
-            lower_bound_one_sided(self.n, links),
-        )
-
-    def no_failures_large_links(self, base: int, links: float) -> tuple[float, float]:
-        """Row 3: ``l`` in ``(lg n, n^c]``, deterministic base-``b`` links."""
-        return (
-            upper_bound_deterministic(self.n, base),
-            lower_bound_large_degree(self.n, links),
-        )
-
-    def link_failures_polylog_links(self, links: float, p: float) -> tuple[float, None]:
-        """Row 4: link failures, random strategy."""
-        return upper_bound_link_failures_random(self.n, links, p), None
-
-    def link_failures_deterministic(self, base: int, p: float) -> tuple[float, None]:
-        """Row 5: link failures, deterministic strategy."""
-        return upper_bound_link_failures_deterministic(self.n, base, p), None
-
-    def node_failures_polylog_links(self, links: float, p: float) -> tuple[float, None]:
-        """Row 6: node failures (each node alive w.p. ``1 − p``)."""
-        return upper_bound_node_failures(self.n, links, p), None
-
-    def rows(self, links: float | None = None, base: int = 2, p: float = 0.5) -> list[dict]:
-        """Return all Table-1 rows evaluated at representative parameters.
-
-        Useful for printing a summary table next to measured values.
-        """
-        if links is None:
-            links = max(1.0, math.log2(max(2, self.n)))
-        row_definitions = [
-            ("no failures, l=1", self.no_failures_single_link()),
-            (f"no failures, l={links:g}", self.no_failures_polylog_links(links)),
-            (f"no failures, base-{base} deterministic",
-             self.no_failures_large_links(base, links=max(2.0, links))),
-            (f"link failures p={p:g}, l={links:g}",
-             self.link_failures_polylog_links(links, p)),
-            (f"link failures p={p:g}, base-{base}",
-             self.link_failures_deterministic(base, p)),
-            (f"node failures p={p:g}, l={links:g}",
-             self.node_failures_polylog_links(links, p)),
-        ]
-        return [
-            {"model": name, "upper_bound": upper, "lower_bound": lower}
-            for name, (upper, lower) in row_definitions
-        ]
-
-
-def fit_scale_factor(measured: Sequence[float], predicted: Sequence[float]) -> float:
-    """Fit the single multiplicative constant ``c`` minimising ``|measured − c·predicted|²``.
-
-    Asymptotic bounds are only defined up to a constant; the experiments use
-    this least-squares fit to overlay the predicted shape on the measured
-    curve and then compare *shapes* (ratios, crossing points) rather than
-    absolute values.
-
-    Returns 0.0 when ``predicted`` is identically zero.
-    """
-    measured_array = np.asarray(measured, dtype=float)
-    predicted_array = np.asarray(predicted, dtype=float)
-    if measured_array.shape != predicted_array.shape:
-        raise ValueError("measured and predicted must have the same length")
-    denominator = float(np.dot(predicted_array, predicted_array))
-    if denominator == 0.0:
-        return 0.0
-    return float(np.dot(measured_array, predicted_array) / denominator)

@@ -91,9 +91,9 @@ class RandomGraphBuilder:
 
     Every occupied point is wired to its immediate live neighbours on the ring
     and to ``links_per_node`` long-distance neighbours sampled from
-    the inverse power law with ``exponent``.  When a sampled sink is an
-    unoccupied point the link is attached to the closest occupied point
-    instead, mirroring the paper's basin-of-attraction rule.
+    the inverse power law with ``exponent``.  With some points unoccupied the
+    draw is the paper's Section 4.3.4.1 model, "links to existing nodes
+    only": sinks are drawn among the occupied points, never the source.
 
     Parameters
     ----------
@@ -152,12 +152,14 @@ class RandomGraphBuilder:
                 link_rng,
             )
             for row, label in enumerate(present_labels):
-                # Batched offsets are never zero, so targets need no
-                # self-link or absent-sink resolution.
+                # Batched offsets are never zero: no target is its source.
                 self._attach_targets(graph, label, (int(t) for t in targets_matrix[row]))
         else:
             for label in present_labels:
-                self._attach_long_links(graph, label, link_rng, present)
+                targets = self._distribution.sample_neighbors(
+                    label, self.links_per_node, link_rng, present=present
+                )
+                self._attach_targets(graph, label, targets)
 
         return BuildResult(
             graph=graph,
@@ -165,32 +167,8 @@ class RandomGraphBuilder:
             links_per_node=self.links_per_node,
         )
 
-    def _attach_long_links(
-        self,
-        graph: OverlayGraph,
-        label: int,
-        rng: np.random.Generator,
-        present: np.ndarray,
-    ) -> None:
-        """Sample and attach the long links of a single node."""
-        targets = self._distribution.sample_neighbors(
-            label, self.links_per_node, rng, present=present
-        )
-        resolved: list[int] = []
-        for target in targets:
-            if not graph.has_node(target):
-                # Absent sink: connect to the closest occupied point instead.
-                fallback = graph.closest_live_vertex(target)
-                if fallback is None or fallback == label:
-                    continue
-                target = fallback
-            if target == label:
-                continue
-            resolved.append(target)
-        self._attach_targets(graph, label, resolved)
-
     def _attach_targets(self, graph: OverlayGraph, label: int, targets) -> None:
-        """Attach resolved targets in order, collapsing repeated samples.
+        """Attach sampled targets in order, collapsing repeated samples.
 
         The paper samples with replacement, so a repeated target would only
         waste a link slot; one link per target matches storing a neighbour

@@ -119,15 +119,16 @@ class InversePowerLawDistribution:
         return self._weights_cache[key]
 
     def _point_weights(self, source: int, present: np.ndarray) -> np.ndarray:
-        """Unnormalised weight of every present point as a neighbour of ``source``."""
+        """Unnormalised weight of every present point as a neighbour of ``source``.
+
+        ``source`` itself, at distance 0, and every absent point weigh 0.
+        """
         labels = np.arange(self.n)
         diff = np.abs(labels - source)
         ring_distance = np.minimum(diff, self.n - diff).astype(float)
         with np.errstate(divide="ignore"):
             weights = np.where(ring_distance > 0, ring_distance**-self.exponent, 0.0)
-        weights = np.where(present, weights, 0.0)
-        weights[source] = 0.0
-        return weights
+        return np.where(present, weights, 0.0)
 
     def _offset_cdf(self) -> np.ndarray:
         """Normalised CDF over the offsets ``0 .. n-1`` seen from any source.

@@ -104,28 +104,21 @@ class NodeFailureModel:
     ----------
     failure_level:
         The fraction of failures, in [0, 1].
-    protect:
-        Labels that must never be failed (e.g. the source/destination pairs of
-        a routing experiment, which the paper draws from the live nodes).
     seed:
         Seed controlling which nodes fail.
     """
 
     failure_level: float
-    protect: frozenset[int] = frozenset()
     seed: int = 0
     _failed: list[int] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
         ensure_probability(self.failure_level, "failure_level")
-        self.protect = frozenset(self.protect)
 
     def apply(self, graph: OverlayGraph) -> dict:
         rng = spawn_rng(self.seed, "node-failures")
         self._failed.clear()
-        candidates = [
-            label for label in graph.labels(only_alive=True) if label not in self.protect
-        ]
+        candidates = graph.labels(only_alive=True)
         for i in draw_fraction(rng, len(candidates), self.failure_level):
             label = candidates[int(i)]
             graph.fail_node(label)

@@ -62,8 +62,8 @@ class OverlayNode:
         The metric-space point this node occupies.
     left, right:
         Labels of the immediate neighbours (predecessor and successor on the
-        ring / line).  ``None`` when the node has no such neighbour (line
-        endpoints, or a freshly created node not yet wired in).
+        ring).  ``None`` when the node has no such neighbour (a lone node, or
+        a freshly created node not yet wired in).
     long_links:
         Outgoing long-distance links, in creation order.
     alive:
@@ -457,15 +457,3 @@ class OverlayGraph:
             self.set_immediate_neighbors(
                 label, ordered[index - 1], ordered[(index + 1) % count]
             )
-
-    def closest_live_vertex(self, point: int) -> int | None:
-        """Return the live vertex closest to an arbitrary metric-space point.
-
-        Used when a desired link sink corresponds to an absent resource: the
-        paper's rule is to connect to the closest present neighbour instead.
-        Returns ``None`` when the graph has no live vertices.
-        """
-        live = self.labels(only_alive=True)
-        if not live:
-            return None
-        return self.space.closest(point, live)

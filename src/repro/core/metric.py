@@ -21,7 +21,6 @@ from __future__ import annotations
 import abc
 import numbers
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.util.validation import ensure_positive
 
@@ -45,8 +44,7 @@ class MetricSpace(abc.ABC):
 
     Subclasses must define :meth:`distance` and :meth:`size`.  The default
     :meth:`contains` accepts the integer labels ``0 .. size() - 1`` (spaces
-    whose points are not integers override it), and :meth:`closest` is
-    expressed in terms of :meth:`distance`; both apply to any subclass.
+    whose points are not integers override it).
     """
 
     @abc.abstractmethod
@@ -60,32 +58,6 @@ class MetricSpace(abc.ABC):
     def contains(self, point: Point) -> bool:
         """Return ``True`` when ``point`` is a valid grid point of the space."""
         return _is_integer(point) and 0 <= point < self.size()
-
-    # ------------------------------------------------------------------ #
-    # Generic helpers expressed in terms of ``distance``.
-    # ------------------------------------------------------------------ #
-
-    def closest(self, target: Point, candidates: Sequence[Point]) -> Point:
-        """Return the candidate point closest to ``target``.
-
-        Ties are broken in favour of the earliest candidate, which makes the
-        greedy router deterministic given its neighbour ordering.
-
-        Raises
-        ------
-        ValueError
-            If ``candidates`` is empty.
-        """
-        if not candidates:
-            raise ValueError("closest() requires at least one candidate point")
-        best = candidates[0]
-        best_distance = self.distance(best, target)
-        for candidate in candidates[1:]:
-            candidate_distance = self.distance(candidate, target)
-            if candidate_distance < best_distance:
-                best = candidate
-                best_distance = candidate_distance
-        return best
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,9 @@ Layout:
   (RPR001, RPR002, RPR003, RPR005; RPR004, RPR006 and RPA101..RPA104 are
   retired);
 * :mod:`repro.devtools.reporters` — ``file:line`` text and JSON output;
-* :mod:`repro.devtools.cli` — the ``repro check`` subcommand.
+* :mod:`repro.devtools.cli` — the ``repro check`` subcommand;
+* :mod:`repro.devtools.readme` — ``python -m repro.devtools.readme --write
+  README.md`` regenerates the README's counter glossary and dtype table.
 
 Run it as ``repro check [--format text|json] [--select/--ignore ID]
 [PATHS]``; exit code 0 means clean, 1 means findings, 2 means usage error.

@@ -136,9 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = subparsers.add_parser(
         "check",
-        help="run the static checker (AST invariant rules and the NumPy dtype "
-        "dataflow rule) over src/ and tests/ (exit 0: clean; exit 1: "
-        "findings; exit 2: usage error)",
+        help="run the static checker (the AST invariant rules) over src/ and "
+        "tests/ (exit 0: clean; exit 1: findings; exit 2: usage error)",
     )
     from repro.devtools.cli import add_check_arguments
 

@@ -4,14 +4,14 @@ Table 1 of the paper summarises the upper and lower bounds on greedy routing
 for six models (no failures with 1 / polylog / large numbers of links, link
 failures with the randomized and deterministic strategies, and node failures).
 This experiment measures mean delivery time for each model over a parameter
-sweep and reports it next to the corresponding bound shape, fitting the single
-scaling constant the asymptotic notation hides.
+sweep and reports it next to the corresponding bound shape
+(:mod:`repro.core.bounds`).  It fits nothing: the asymptotic notation hides a
+constant, so the columns are compared by growth rate, not by value.
 
 The reproduction claim is about *shape*: e.g. measured hops for the
-single-link model should grow like ``log^2 n`` (good R² against the fitted
-``a·log²n + b`` model), hops with ``l`` links should fall roughly like
-``1/l``, hops under link failures like ``1/p``, and the deterministic
-base-``b`` scheme should deliver in about ``log_b n`` hops.
+single-link model should grow like ``log^2 n``, hops with ``l`` links should
+fall roughly like ``1/l``, hops under link failures like ``1/p``, and the
+deterministic base-``b`` scheme should deliver in about ``log_b n`` hops.
 """
 
 from __future__ import annotations

@@ -15,9 +15,9 @@ what dtype every snapshot / delta-mirror array field carries:
   the dtype of every governed array the constructors, both delta tiers and
   the batch router actually produce;
 * the README's dtype-contract table is generated from
-  :data:`SNAPSHOT_CONTRACT` via :func:`render_contract`, mirroring the
-  telemetry counter glossary (``python -m repro.fastpath.dtypes --write
-  README.md`` refreshes it in place).
+  :data:`SNAPSHOT_CONTRACT` via :func:`render_contract`, beside the
+  telemetry counter glossary (``python -m repro.devtools.readme --write
+  README.md`` refreshes both in place).
 
 Why ``2**30`` is the label cutoff
 ---------------------------------
@@ -44,9 +44,7 @@ construction boundary.
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -66,7 +64,6 @@ __all__ = [
     "FieldContract",
     "SNAPSHOT_CONTRACT",
     "render_contract",
-    "update_contract_block",
 ]
 
 #: Largest ``space_size`` whose labels (and every ring-arithmetic
@@ -249,18 +246,9 @@ SNAPSHOT_CONTRACT: tuple[FieldContract, ...] = (
 )
 
 
-# --------------------------------------------------------------------------- #
-# README table generation (mirrors repro.telemetry.names' glossary block)
-# --------------------------------------------------------------------------- #
-
-CONTRACT_BEGIN = "<!-- dtype-contract:begin (generated from repro/fastpath/dtypes.py) -->"
-CONTRACT_END = "<!-- dtype-contract:end -->"
-
-
 def render_contract() -> str:
-    """The dtype-contract table as a markdown fragment (marker to marker)."""
+    """The README dtype-contract table, generated from :data:`SNAPSHOT_CONTRACT`."""
     lines = [
-        CONTRACT_BEGIN,
         "| structure | field | dtype policy | meaning |",
         "|---|---|---|---|",
     ]
@@ -269,45 +257,4 @@ def render_contract() -> str:
             f"| `{entry.owner}` | `{entry.field}` | `{entry.policy}` "
             f"| {entry.description} |"
         )
-    lines.append(CONTRACT_END)
     return "\n".join(lines)
-
-
-def update_contract_block(text: str) -> str:
-    """Replace the marker-delimited contract block inside ``text``.
-
-    Raises
-    ------
-    ValueError
-        If either marker is missing — the README must carry the block.
-    """
-    begin = text.find(CONTRACT_BEGIN)
-    end = text.find(CONTRACT_END)
-    if begin < 0 or end < 0:
-        raise ValueError(
-            "dtype-contract markers not found; add the begin/end comments "
-            "before regenerating"
-        )
-    return text[:begin] + render_contract() + text[end + len(CONTRACT_END) :]
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI: print the table, or rewrite a file's contract block in place."""
-    parser = argparse.ArgumentParser(description=main.__doc__)
-    parser.add_argument(
-        "--write",
-        metavar="PATH",
-        default=None,
-        help="rewrite the contract block of PATH in place (default: print)",
-    )
-    options = parser.parse_args(argv)
-    if options.write is None:
-        print(render_contract())
-        return 0
-    path = Path(options.write)
-    path.write_text(update_contract_block(path.read_text()))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -103,7 +103,7 @@ class EngineSession:
     the ``with`` body.
 
     The engine routes as asked: a graph whose metric space has no array
-    mirror (anything but a line or a ring) makes a fastpath session raise
+    mirror (anything but a ring) makes a fastpath session raise
     ``NotImplementedError`` on entry, before it observes anything.
 
     Attributes

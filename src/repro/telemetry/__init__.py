@@ -15,7 +15,6 @@ from repro.telemetry.names import (
     find_metric,
     metric_is_registered,
     render_glossary,
-    update_glossary_block,
 )
 from repro.telemetry.core import (
     HOP_BUCKETS,
@@ -28,7 +27,6 @@ from repro.telemetry.core import (
     SpanNode,
     Telemetry,
     current,
-    disable,
     enable,
     session,
     spanned,
@@ -48,13 +46,11 @@ __all__ = [
     "SpanNode",
     "Telemetry",
     "current",
-    "disable",
     "enable",
     "find_metric",
     "metric_is_registered",
     "render_glossary",
     "render_telemetry",
-    "update_glossary_block",
     "session",
     "spanned",
 ]

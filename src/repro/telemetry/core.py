@@ -51,7 +51,6 @@ __all__ = [
     "Telemetry",
     "current",
     "enable",
-    "disable",
     "session",
     "spanned",
     "MS_BUCKETS",
@@ -345,12 +344,6 @@ def enable(telemetry: Telemetry | None = None) -> Telemetry:
     global _ACTIVE
     _ACTIVE = telemetry if telemetry is not None else Telemetry()
     return _ACTIVE
-
-
-def disable() -> None:
-    """Remove the active telemetry context (instrumentation goes silent)."""
-    global _ACTIVE
-    _ACTIVE = None
 
 
 @contextmanager

@@ -8,7 +8,7 @@ declared here, once.  Two consumers keep the registry honest:
   ``src/`` appears here, and that no registered name is
   orphaned (declared but never emitted);
 * the README counter glossary is *generated* from this module
-  (``python -m repro.telemetry.names --write README.md`` refreshes the block
+  (``python -m repro.devtools.readme --write README.md`` refreshes the block
   between the ``<!-- counter-glossary:begin/end -->`` markers), and a unit
   test asserts the committed README matches :func:`render_glossary`.
 
@@ -21,26 +21,17 @@ registry.
 
 from __future__ import annotations
 
-import argparse
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 __all__ = [
     "MetricName",
     "METRIC_NAMES",
-    "GLOSSARY_BEGIN",
-    "GLOSSARY_END",
     "find_metric",
     "metric_is_registered",
     "render_glossary",
-    "update_glossary_block",
 ]
-
-#: README markers delimiting the generated glossary table.
-GLOSSARY_BEGIN = "<!-- counter-glossary:begin (generated from repro/telemetry/names.py) -->"
-GLOSSARY_END = "<!-- counter-glossary:end -->"
 
 _PLACEHOLDER = re.compile(r"^<[a-z_]+>$")
 
@@ -199,48 +190,3 @@ def render_glossary(entries: Iterable[MetricName] = METRIC_NAMES) -> str:
             f"| `{entry.name}` | {entry.kind} | `{entry.emitted_by}` | {entry.description} |"
         )
     return "\n".join(lines)
-
-
-def update_glossary_block(text: str) -> str:
-    """Replace the marked glossary block in ``text`` with the generated table.
-
-    Raises
-    ------
-    ValueError
-        If the begin/end markers are missing or out of order.
-    """
-    begin = text.find(GLOSSARY_BEGIN)
-    end = text.find(GLOSSARY_END)
-    if begin < 0 or end < 0 or end < begin:
-        raise ValueError(
-            f"glossary markers not found: expected {GLOSSARY_BEGIN!r} ... {GLOSSARY_END!r}"
-        )
-    head = text[: begin + len(GLOSSARY_BEGIN)]
-    tail = text[end:]
-    return f"{head}\n{render_glossary()}\n{tail}"
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """Print the generated glossary, or rewrite a file's marked block in place."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.telemetry.names",
-        description="Render the telemetry counter glossary from the central registry.",
-    )
-    parser.add_argument(
-        "--write",
-        default=None,
-        metavar="PATH",
-        help="rewrite PATH's marked glossary block in place instead of printing",
-    )
-    args = parser.parse_args(argv)
-    if args.write is None:
-        print(render_glossary())
-        return 0
-    path = Path(args.write)
-    path.write_text(update_glossary_block(path.read_text(encoding="utf-8")), encoding="utf-8")
-    print(f"updated glossary block in {path}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via the unit tests
-    raise SystemExit(main())

@@ -55,6 +55,29 @@ class TestInversePowerLawProperties:
         assert len(samples) == count
         assert all(0 <= s < n and s != source for s in samples)
 
+    @settings(max_examples=60)
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=2, max_value=64),
+        exponent=st.sampled_from([0.0, 1.0, 2.0]),
+        count=st.integers(min_value=1, max_value=8),
+        seed=st.integers(min_value=0, max_value=1000),
+    )
+    def test_masked_samples_are_present_and_never_the_source(self, data, n, exponent, count, seed):
+        # Section 4.3.4.1's "links to existing nodes only": RandomGraphBuilder
+        # attaches these draws as they come, with no absent-sink fallback.
+        present = np.array(
+            data.draw(
+                st.lists(st.booleans(), min_size=n, max_size=n).filter(lambda mask: sum(mask) >= 2)
+            )
+        )
+        source = data.draw(st.integers(min_value=0, max_value=n - 1))
+        distribution = InversePowerLawDistribution(n, exponent=exponent)
+        rng = np.random.default_rng(seed)
+        samples = distribution.sample_neighbors(source, count, rng, present)
+        assert len(samples) == count
+        assert all(present[s] and s != source for s in samples)
+
 
 GUIDE_SIZES = [2, 3, 4, 5, 7, 1024, 1025, 1 << 17]
 GUIDE_EXPONENTS = [-1.0, 0.0, 0.5, 1.0, 2.0, 3.0]

@@ -41,19 +41,6 @@ class TestFailureModelProperties:
         model.repair(graph)
         assert len(graph.long_link_lengths()) == total_before
 
-    @settings(max_examples=15, deadline=None)
-    @given(
-        level=st.floats(min_value=0.0, max_value=0.9),
-        seed=st.integers(min_value=0, max_value=50),
-    )
-    def test_protected_nodes_never_fail(self, level, seed):
-        graph = build_ideal_network(128, links_per_node=3, seed=seed).graph
-        protected = frozenset({0, 17, 64, 100})
-        model = NodeFailureModel(level, seed=seed, protect=protected)
-        model.apply(graph)
-        assert all(graph.is_alive(label) for label in protected)
-        model.repair(graph)
-
 
 class TestMaintenanceProperties:
     @settings(max_examples=15, deadline=None)

@@ -83,15 +83,3 @@ class TestTorusAxioms:
         space, (a, b, _) = data
         assert space.distance(a, b) <= space.dimensions * (space.side // 2)
 
-
-class TestClosest:
-    @given(ring_and_points(count=5))
-    def test_closest_is_minimal(self, data):
-        space, points = data
-        target = points[0]
-        candidates = points[1:]
-        best = space.closest(target, candidates)
-        assert all(
-            space.distance(best, target) <= space.distance(candidate, target)
-            for candidate in candidates
-        )

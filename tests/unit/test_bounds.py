@@ -7,11 +7,7 @@ import math
 import pytest
 
 from repro.core import bounds
-
-
-class TestHarmonic:
-    def test_matches_distributions_helper(self):
-        assert bounds.harmonic(10) == pytest.approx(2.9289682539682538)
+from repro.core.distributions import harmonic_number
 
 
 class TestKarpUpfalWigderson:
@@ -75,7 +71,7 @@ class TestUpperBounds:
 
     def test_link_failures_deterministic(self):
         value = bounds.upper_bound_link_failures_deterministic(1024, 2, 0.5)
-        assert value == pytest.approx(2 * bounds.harmonic(1024) / 0.5)
+        assert value == pytest.approx(2 * harmonic_number(1024) / 0.5)
 
     def test_node_failures_scale(self):
         n, l = 1 << 14, 14
@@ -97,34 +93,3 @@ class TestLowerBounds:
         with pytest.raises(ValueError):
             bounds.lower_bound_large_degree(1024, 1)
 
-
-class TestTable1Bounds:
-    def test_rows_structure(self):
-        table = bounds.Table1Bounds(n=1 << 14)
-        rows = table.rows(links=14, base=2, p=0.5)
-        assert len(rows) == 6
-        assert all("upper_bound" in row and "model" in row for row in rows)
-        # The failure rows have no lower bound, matching the paper's table.
-        assert rows[3]["lower_bound"] is None
-        assert rows[4]["lower_bound"] is None
-        assert rows[5]["lower_bound"] is None
-
-    def test_upper_bounds_consistent_with_functions(self):
-        table = bounds.Table1Bounds(n=1 << 12)
-        upper, lower = table.no_failures_polylog_links(12)
-        assert upper == pytest.approx(bounds.upper_bound_multiple_links(1 << 12, 12))
-        assert lower == pytest.approx(bounds.lower_bound_one_sided(1 << 12, 12))
-
-
-class TestFitScaleFactor:
-    def test_exact_multiple(self):
-        predicted = [1.0, 2.0, 3.0]
-        measured = [2.0, 4.0, 6.0]
-        assert bounds.fit_scale_factor(measured, predicted) == pytest.approx(2.0)
-
-    def test_zero_predicted(self):
-        assert bounds.fit_scale_factor([1.0, 2.0], [0.0, 0.0]) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            bounds.fit_scale_factor([1.0], [1.0, 2.0])

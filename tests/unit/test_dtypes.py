@@ -27,9 +27,8 @@ from repro.core.graph import OverlayGraph
 from repro.core.metric import RingMetric
 from repro.core.network import P2PNetwork
 from repro.fastpath import BatchGreedyRouter, compile_snapshot
+from repro.devtools.readme import CONTRACT, replace_block
 from repro.fastpath.dtypes import (
-    CONTRACT_BEGIN,
-    CONTRACT_END,
     INT32_COUNT_CUTOFF,
     INT32_SPACE_CUTOFF,
     INDEX_DTYPE,
@@ -40,7 +39,6 @@ from repro.fastpath.dtypes import (
     narrow_indptr,
     narrow_labels,
     snapshot_nbytes,
-    update_contract_block,
 )
 from repro.fastpath.builder import _draw_long_links, _first_occurrences
 from repro.overlay import (
@@ -332,10 +330,10 @@ class TestBuildKeyCutoffs:
 class TestContractTable:
     def test_readme_contract_block_is_in_sync(self):
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
-        assert CONTRACT_BEGIN in readme and CONTRACT_END in readme
-        assert update_contract_block(readme) == readme, (
+        assert CONTRACT.begin in readme and CONTRACT.end in readme
+        assert replace_block(readme, CONTRACT) == readme, (
             "README dtype-contract table is stale — run "
-            "`python -m repro.fastpath.dtypes --write README.md`"
+            "`python -m repro.devtools.readme --write README.md`"
         )
 
     def test_contract_covers_every_snapshot_array_field(self):

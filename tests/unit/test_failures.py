@@ -147,15 +147,6 @@ class TestNodeFailureModel:
         assert summary["failed_nodes"] == round(0.25 * 256)
         model.repair(graph)
 
-    def test_protect_set_respected(self, ideal_network_256):
-        graph = ideal_network_256.graph
-        protected = frozenset({0, 1, 2, 3})
-        model = NodeFailureModel(0.9, seed=2, protect=protected)
-        model.apply(graph)
-        for label in protected:
-            assert graph.is_alive(label)
-        model.repair(graph)
-
     def test_repair_revives(self, ideal_network_256):
         graph = ideal_network_256.graph
         model = NodeFailureModel(0.5, seed=3)

@@ -176,14 +176,6 @@ class TestRingWiring:
         g.wire_ring()
         assert g.node(3).left is None and g.node(3).right is None
 
-    def test_closest_live_vertex(self, graph):
-        assert graph.closest_live_vertex(5) == 4
-        graph.fail_node(4)
-        assert graph.closest_live_vertex(5) in (8, 0)
-
-    def test_closest_live_vertex_empty(self):
-        g = OverlayGraph(RingMetric(8))
-        assert g.closest_live_vertex(3) is None
 
 
 class TestStatistics:

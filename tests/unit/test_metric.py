@@ -51,17 +51,6 @@ class TestRingMetric:
         assert ring.contains(0) and ring.contains(7)
         assert not ring.contains(8)
 
-    def test_closest_breaks_ties_by_order(self):
-        ring = RingMetric(100)
-        # 40 and 60 are both 10 away from 50; the first candidate wins.
-        assert ring.closest(50, [40, 60]) == 40
-        assert ring.closest(50, [60, 40]) == 60
-
-    def test_closest_requires_candidates(self):
-        ring = RingMetric(10)
-        with pytest.raises(ValueError):
-            ring.closest(5, [])
-
     def test_rejects_non_positive_size(self):
         with pytest.raises(ValueError):
             RingMetric(0)
@@ -98,7 +87,3 @@ class TestTorusMetric:
         assert not torus.contains(3)
         assert torus.contains((np.int64(0), np.int32(3)))
         assert not torus.contains((True, 3))
-
-    def test_closest_on_torus(self):
-        torus = TorusMetric(8, dimensions=2)
-        assert torus.closest((0, 0), [(4, 4), (7, 7), (2, 0)]) == (7, 7)

@@ -45,7 +45,9 @@ from repro.overlay import MetricGreedyPolicy, Overlay, OverlayMixin
 from repro.overlay.mixin import apply_fail_fraction
 from repro.scenarios.rounds import EngineSession, IdealNetwork
 
-PUBLIC_PACKAGES = ("repro", "repro.core", "repro.analysis", "repro.util", "repro.fastpath")
+PUBLIC_PACKAGES = (
+    "repro", "repro.core", "repro.analysis", "repro.util", "repro.fastpath", "repro.telemetry"
+)
 
 DELETED_NAMES = [
     ("repro.fastpath", "select_engine"),
@@ -69,6 +71,18 @@ DELETED_NAMES = [
     ("repro.fastpath.delta", "_Slab"),
     ("repro.fastpath.delta", "HalfAppliedDeltaError"),
     ("repro.fastpath.batch_router", "_CODE_TO_REASON"),
+    # table1 calls the per-theorem helpers directly; the fits direction 7
+    # needs live in repro.analysis.fitting; H_n is harmonic_number.
+    ("repro.core.bounds", "Table1Bounds"),
+    ("repro.core.bounds", "fit_scale_factor"),
+    ("repro.core.bounds", "harmonic"),
+    # session() restores the previous context; nothing else turns telemetry off.
+    ("repro.telemetry.core", "disable"),
+    # One regenerator, repro.devtools.readme, rewrites both README blocks.
+    ("repro.telemetry.names", "update_glossary_block"),
+    ("repro.telemetry.names", "main"),
+    ("repro.fastpath.dtypes", "update_contract_block"),
+    ("repro.fastpath.dtypes", "main"),
 ]
 
 
@@ -114,6 +128,10 @@ DELETED_ATTRIBUTES = [
     # Callers compare failure_codes with FAILURE_CODES; nothing decoded one
     # code at a time.
     (BatchRouteResult, "failure_reason"),
+    # The masked sampler never draws an absent sink, so the builder's
+    # closest-occupied-point fallback and the lookups behind it never ran.
+    (OverlayGraph, "closest_live_vertex"),
+    (MetricSpace, "closest"),
 ]
 
 
@@ -142,6 +160,7 @@ DELETED_KEYWORDS = [
     (RandomGraphBuilder, (RingMetric(16),), "distribution"),
     (RandomGraphBuilder, (RingMetric(16),), "allow_duplicate_links"),
     (NodeFailureModel, (0.1,), "mode"),
+    (NodeFailureModel, (0.1,), "protect"),
     (ByzantineModel, (0.1,), "protect"),
     (MaintenanceDaemon, (None,), "regenerate"),
     (sample_node_failures, (_SNAPSHOT, 0.1), "protect"),

@@ -139,7 +139,7 @@ class TestFailureRecovery:
     @pytest.fixture
     def failed_network(self, ideal_network_1024):
         graph = ideal_network_1024.graph
-        model = NodeFailureModel(0.4, seed=5, protect=frozenset({1, 900}))
+        model = NodeFailureModel(0.4, seed=5)
         model.apply(graph)
         yield graph
         model.repair(graph)

@@ -123,12 +123,10 @@ class TestSessionLifecycle:
         assert "inner" not in outer.counters
         assert outer.counters["outer"].value == 1
 
-    def test_enable_disable(self):
-        tel = telemetry.enable()
-        try:
+    def test_a_session_undoes_an_enable_inside_it(self):
+        with telemetry.session():
+            tel = telemetry.enable()
             assert telemetry.current() is tel
-        finally:
-            telemetry.disable()
         assert telemetry.current() is None
 
 
