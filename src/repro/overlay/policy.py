@@ -40,7 +40,12 @@ then ``x = q``; the last axis is what remains) and sums the wrap distances
 wherever the labels do.  There is no per-label coordinate table: it costs
 ``side**dimensions`` entries per axis and measured slower than the
 arithmetic.  Only Chord, whose keys reach ``2 * size + 2``, widens to
-``int64`` above ``2**29`` points.
+``int64`` above ``2**29`` points.  Chord and the prefix rule each take a
+clockwise or digit-block residue with one unsigned comparison or minimum in
+that dtype (see their class docstrings) instead of a masked ``np.where``
+or a full-matrix floor-divide: the same keys in fewer passes over the row
+matrix, which ``tests/property/test_property_overlay.py`` holds to a frozen
+copy of the earlier derivation.
 
 Policies are pure value objects over plain integers/arrays — no graph or
 snapshot references — so they serialise with the spec layer and are shared
@@ -227,6 +232,14 @@ class PrefixGreedyPolicy(GreedyPolicy):
     most one neighbour of a node is admissible (the single-digit mutation
     that fixes the next unresolved target digit), so the argmin reproduces
     the scalar digit-fixing walk exactly.
+
+    A node at distance ``L`` from the target admits exactly the neighbours in
+    the target's block of ``scale = base**(L - 1)`` labels, ``[lo, lo +
+    scale)`` with ``lo = target - target mod scale``.  The keys test that
+    with one unsigned comparison per slot, ``(neighbour - lo) < scale``,
+    where ``scale`` is read from a table of powers (0 at ``L = 0``, so a
+    query at its target admits nothing); there is no floor-divide over the
+    row matrix and no per-row power.  Key values are unchanged.
     """
 
     base: int
@@ -236,9 +249,12 @@ class PrefixGreedyPolicy(GreedyPolicy):
         object.__setattr__(self, "blocked", self.digits + 1)
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Number of digit levels (powers of ``base``) where ``a != b``."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
+        """Number of digit levels (powers of ``base``) where ``a != b``.
+
+        Divides in the labels' own dtype: every scale is below the space
+        size, so it fits wherever the labels do.
+        """
+        a, b = np.asarray(a), np.asarray(b)
         total = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
         for level in range(self.digits):
             scale = self.base**level
@@ -255,31 +271,32 @@ class PrefixGreedyPolicy(GreedyPolicy):
         # Prefix disagreement is downward-closed (equal quotients at level j
         # imply equality at every higher level), so a neighbour is strictly
         # closer than the current node — at distance L from the target — iff
-        # it agrees with the target at level L - 1.  That single comparison
-        # replaces a full per-level distance matrix.  Admissible candidates
-        # all get the key L - 1: a prefix routing table admits at most one
-        # neighbour per (node, target), so ranking within the admissible set
-        # never arises and selection/consumption order are unaffected.
-        # Arithmetic stays in the (compact) label dtype — every intermediate
-        # fits because scales and keys are bounded by the space size.
+        # it agrees with the target at level L - 1: iff it lies in the
+        # target's block ``[lo, lo + scale)``, ``scale = base**(L - 1)`` and
+        # ``lo = target - target mod scale``.  One unsigned comparison,
+        # ``(neighbour - lo) < scale``, tests that (a label below ``lo``
+        # wraps to a huge value); a row at its target (L = 0) has scale 0,
+        # so nothing is admissible.  Admissible candidates all get the key
+        # L - 1: a prefix routing table admits at most one neighbour per
+        # (node, target), so ranking within the admissible set never arises
+        # and selection/consumption order are unaffected.  Arithmetic stays
+        # in the (compact) label dtype: every difference of two labels fits.
         neighbors = np.asarray(neighbor_labels)
         dtype = neighbors.dtype
-        current = np.asarray(current_labels)
+        unsigned = np.dtype(f"u{dtype.itemsize}")
         targets = np.asarray(target_labels)
-        current_distance = self.distance(current, targets)
-        # current != target for every query the router steps, so L >= 1; the
-        # maximum is belt-and-braces for direct callers.
-        scale = (self.base ** np.maximum(current_distance - 1, 0)).astype(dtype)
-        agrees = neighbors // scale[:, None] == (
-            targets.astype(dtype) // scale
-        )[:, None]
-        candidates = agrees & (current_distance[:, None] >= 1)
-        keys = current_distance.astype(dtype) - dtype.type(1)
+        current_distance = self.distance(current_labels, targets)
+        scales = [0] + [self.base**level for level in range(self.digits)]
+        scale = np.array(scales, dtype=np.int64)[current_distance]
+        lo = (targets - targets % np.maximum(scale, 1)).astype(dtype)
+        offset = np.subtract(neighbors, lo[:, None]).view(unsigned)
+        admissible = offset < scale.astype(unsigned)[:, None]
+        # blocked - (blocked - key) where admissible, blocked - 0 elsewhere:
+        # two plain passes, where a masked copy of a broadcast row is slow.
         blocked = dtype.type(self.blocked)
-        return (
-            np.where(candidates, keys[:, None], blocked),
-            np.full(targets.shape[0], blocked, dtype=dtype),
-        )
+        keys = np.multiply(admissible, (self.blocked + 1 - current_distance)[:, None], dtype=dtype)
+        np.subtract(blocked, keys, out=keys)
+        return keys, np.full(targets.shape[0], blocked, dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -293,6 +310,14 @@ class ChordGreedyPolicy(GreedyPolicy):
     keyed at an offset of ``size + 1`` by their own advance, so they are only
     ever chosen when no finger qualifies — and then the *nearest* admissible
     successor wins, exactly the scalar fallback's first-in-list pick.
+
+    Each slot is keyed from one clockwise residue, the distance ``d`` from
+    neighbour to target.  Wherever the hop is admissible ``d = remaining -
+    advance``, and the hop is admissible exactly when ``d < remaining``; a
+    successor's key is ``remaining + size + 1 - d``.  The residue is the
+    minimum of the unsigned difference and the difference plus ``size``, and
+    the successor tier and ``blocked`` are written into it in place.  Key
+    values are unchanged.
     """
 
     size: int
@@ -325,17 +350,33 @@ class ChordGreedyPolicy(GreedyPolicy):
         neighbors = neighbors.astype(dtype, copy=False)
         current = np.asarray(current_labels).astype(dtype, copy=False)
         targets = np.asarray(target_labels).astype(dtype, copy=False)
-        size = dtype.type(self.size)
-        delta = targets - current
-        remaining = np.where(delta < 0, delta + size, delta)
-        delta = neighbors - current[:, None]
-        advance = np.where(delta < 0, delta + size, delta)
-        candidates = (advance >= 1) & (advance <= remaining[:, None])
-        keys = remaining[:, None] - advance
+        remaining = self._clockwise(current, targets)
+        # A finger's key is the clockwise distance from it to the target,
+        # which is ``remaining - advance`` wherever the hop is admissible,
+        # and the hop is admissible exactly where that distance is below
+        # ``remaining``: advance and distance sum to ``remaining`` modulo
+        # ``size``, so a distance below it leaves an advance in
+        # ``[1, remaining]``, and every other advance leaves one at or above.
+        keys = self._clockwise(neighbors, targets[:, None])
+        inadmissible = keys >= remaining[:, None]
         if edge_class is not None:
-            keys = np.where(edge_class > 0, advance + (size + dtype.type(1)), keys)
+            # A successor keys on its advance, offset by size + 1:
+            # remaining + size + 1 - (remaining - advance).
+            offset = remaining + dtype.type(self.size + 1)
+            np.putmask(keys, edge_class > 0, offset[:, None] - keys)
         blocked = dtype.type(self.blocked)
-        return (
-            np.where(candidates, keys, blocked),
-            np.full(targets.shape[0], blocked, dtype=dtype),
-        )
+        np.copyto(keys, blocked, where=inadmissible)
+        return keys, np.full(targets.shape[0], blocked, dtype=dtype)
+
+    def _clockwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``(b - a) mod size`` for labels in ``[0, size)``, in their dtype.
+
+        Read unsigned, a negative difference ``d`` is ``2**bits + d`` and
+        adding ``size`` wraps it to ``d + size``, below it; a non-negative
+        ``d`` stays below ``d + size``, which does not wrap (``2 * size`` fits
+        the dtype).  So the minimum of the two is the residue, with no mask.
+        """
+        delta = np.subtract(b, a)
+        unsigned = delta.view(f"u{delta.dtype.itemsize}")
+        np.minimum(unsigned, unsigned + unsigned.dtype.type(self.size), out=unsigned)
+        return delta

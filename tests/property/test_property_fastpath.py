@@ -25,7 +25,9 @@ from repro.core.graph import OverlayGraph
 from repro.core.metric import RingMetric
 from repro.core.routing import FailureReason, GreedyRouter, RecoveryStrategy
 from repro.fastpath import FAILURE_CODES, BatchGreedyRouter, build_snapshot, compile_snapshot
-from repro.fastpath.dtypes import label_dtype
+from repro.fastpath.batch_router import _PrefixTable
+from repro.fastpath.builder import _first_occurrences
+from repro.fastpath.dtypes import INDEX_DTYPE, label_dtype
 from repro.simulation.workload import LookupWorkload
 
 
@@ -292,12 +294,12 @@ class TestOneGreedyRule:
         assert paths == [[20, first, first + step, 30]]
 
 
-def _revisit_parity(graph, pairs, symmetric, snapshot=None):
+def _revisit_parity(graph, pairs, symmetric, snapshot=None, backtrack_depth=5):
     """Backtracking parity on ``pairs``; returns the scalar paths for the case's own check."""
     with telemetry.session() as tel:
         paths = _assert_parity(
             graph, pairs, recovery=RecoveryStrategy.BACKTRACK, snapshot=snapshot,
-            symmetric=symmetric,
+            symmetric=symmetric, backtrack_depth=backtrack_depth,
         )
     assert tel.counters["route.rows_revisited"].value >= 1
     return paths
@@ -349,6 +351,23 @@ class TestBacktrackRevisits:
         # reached again — the revisits after the overflow are the case.
         paths = _revisit_parity(_ring([(0, 10)], dead=[19]), [(0, 20)], symmetric)
         assert paths[0] == [0, 10, 11, 12, 13, 14, 15, 16, 17, 18, 17, 16, 15, 14, 13]
+
+    def test_a_deep_window_outgrows_the_tried_table(self, symmetric, monkeypatch):
+        # Eleven ring hops (0 to 11) store a tried-set per node; the ninth
+        # outgrows the table's eight initial entries.  12 is dead, so the
+        # walk backs up through the nine-deep window to 2, whose tried-set
+        # was stored before the table grew, and takes the tie it listed
+        # after 3: 37 sits 17 from the target too.
+        grown = []
+        grow = _PrefixTable._grow
+        monkeypatch.setattr(
+            _PrefixTable, "_grow", lambda table: (grown.append(table._nodes.shape[1]), grow(table))
+        )
+        paths = _revisit_parity(
+            _ring([(2, 37)], dead=[12]), [(0, 20)], symmetric, backtrack_depth=9
+        )
+        assert paths[0] == [*range(12), *range(10, 1, -1), *range(37, 19, -1)]
+        assert grown[:1] == [8]
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_the_window_holds_backtrack_depth_nodes(self, symmetric, depth):
@@ -550,3 +569,51 @@ class TestDirectBuildEquivalence:
         assert np.array_equal(compiled.alive, direct.alive)
         assert np.array_equal(compiled.neighbor_indptr, direct.neighbor_indptr)
         assert np.array_equal(compiled.neighbor_indices, direct.neighbor_indices)
+
+
+def _first_occurrences_by_sort(block: np.ndarray) -> np.ndarray:
+    """Frozen reference: the row sort the column comparison replaced.
+
+    One sort of the row keys ``value << shift | slot`` orders a row by value
+    and, among equal values, by slot, so a slot is a repeat exactly when its
+    value equals its predecessor's in that order.
+    """
+    width = block.shape[1]
+    shift = max(width - 1, 1).bit_length()
+    keys = block.astype(np.int64)
+    keys <<= shift
+    keys |= np.arange(width, dtype=np.int64)
+    keys.sort(axis=1)
+    slot = keys & ((1 << shift) - 1)
+    keys >>= shift
+    row, rank = np.nonzero(keys[:, 1:] == keys[:, :-1])
+    first = np.ones(block.shape, dtype=bool)
+    first[row, slot[row, rank + 1]] = False
+    return first
+
+
+class TestFirstOccurrences:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.integers(min_value=0, max_value=12),
+        width=st.integers(min_value=1, max_value=20),
+        largest=st.sampled_from([0, 1, 3, 40, (1 << 31) - 1]),
+        data=st.data(),
+    )
+    def test_equals_the_row_sort(self, rows, width, largest, data):
+        """The column comparison marks the same first occurrences as a row sort.
+
+        ``largest`` 0 makes every row all-equal; small ranges make repeats
+        common, the largest index makes the packed sort keys exceed int32.
+        """
+        values = data.draw(
+            st.lists(st.integers(min_value=0, max_value=largest),
+                     min_size=rows * width, max_size=rows * width)
+        )
+        # A strided view, as the builder passes its long-link columns.
+        slots = np.zeros((rows, width + 2), dtype=INDEX_DTYPE)
+        slots[:, 2:] = np.array(values, dtype=INDEX_DTYPE).reshape(rows, width)
+        block = slots[:, 2:]
+        first = _first_occurrences(block)
+        assert first.shape == block.shape and first.dtype == np.dtype(bool)
+        assert first.tolist() == _first_occurrences_by_sort(block).tolist()

@@ -281,3 +281,147 @@ class TestTorusKeyArithmetic:
         assert keys.tolist() == [[distance(n, t) for n in row] for row, t in zip(rows, target)]
         assert bound.tolist() == [distance(c, t) for c, t in zip(current, target)]
         assert (bound < policy.blocked).all()
+
+
+# Frozen copies of the Chord and prefix keys as they were computed before
+# the keys were derived in fewer passes: five ``np.where`` temporaries for
+# Chord, a full-matrix floor-divide for the prefix rule.  The live policies
+# must return the same keys, bounds and dtypes.
+
+
+def _chord_keys_reference(size, current_labels, neighbor_labels, target_labels, edge_class):
+    neighbors = np.asarray(neighbor_labels)
+    dtype = neighbors.dtype if size <= (1 << 29) else np.dtype(np.int64)
+    neighbors = neighbors.astype(dtype, copy=False)
+    current = np.asarray(current_labels).astype(dtype, copy=False)
+    targets = np.asarray(target_labels).astype(dtype, copy=False)
+    size_ = dtype.type(size)
+    delta = targets - current
+    remaining = np.where(delta < 0, delta + size_, delta)
+    delta = neighbors - current[:, None]
+    advance = np.where(delta < 0, delta + size_, delta)
+    candidates = (advance >= 1) & (advance <= remaining[:, None])
+    keys = remaining[:, None] - advance
+    if edge_class is not None:
+        keys = np.where(edge_class > 0, advance + (size_ + dtype.type(1)), keys)
+    blocked = dtype.type(2 * size + 3)
+    return (
+        np.where(candidates, keys, blocked),
+        np.full(targets.shape[0], blocked, dtype=dtype),
+    )
+
+
+def _prefix_keys_reference(base, digits, current_labels, neighbor_labels, target_labels):
+    def distance(a, b):
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        total = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
+        for level in range(digits):
+            scale = base**level
+            total += a // scale != b // scale
+        return total
+
+    neighbors = np.asarray(neighbor_labels)
+    dtype = neighbors.dtype
+    current = np.asarray(current_labels)
+    targets = np.asarray(target_labels)
+    current_distance = distance(current, targets)
+    scale = (base ** np.maximum(current_distance - 1, 0)).astype(dtype)
+    agrees = neighbors // scale[:, None] == (targets.astype(dtype) // scale)[:, None]
+    candidates = agrees & (current_distance[:, None] >= 1)
+    keys = current_distance.astype(dtype) - dtype.type(1)
+    blocked = dtype.type(digits + 1)
+    return (
+        np.where(candidates, keys[:, None], blocked),
+        np.full(targets.shape[0], blocked, dtype=dtype),
+    )
+
+
+@st.composite
+def _key_rows(draw, size: int, scales: list[int]):
+    """``(current, rows, target)`` label lists that reach the key arithmetic's edges.
+
+    Besides uniform labels, a label is drawn next to an anchor's block of
+    ``scale`` labels — its first label, the first past it, or one either
+    side — with the query's own current node or target as the anchor, so
+    rows hold the node's own label, the hop that lands on the target, and
+    the labels on each side of every digit block.  A current node equals
+    its target in about a third of the queries.
+    """
+    uniform = st.integers(min_value=0, max_value=size - 1)
+
+    def near(anchor: int):
+        return st.builds(
+            lambda scale, past, step: (anchor // scale * scale + past * scale + step) % size,
+            st.sampled_from(scales),
+            st.integers(min_value=0, max_value=1),
+            st.integers(min_value=-1, max_value=1),
+        )
+
+    queries = draw(st.integers(min_value=1, max_value=6))
+    width = draw(st.integers(min_value=1, max_value=6))
+    target = draw(st.lists(uniform, min_size=queries, max_size=queries))
+    current = [draw(st.one_of(st.just(t), uniform, near(t))) for t in target]
+    rows = [
+        draw(st.lists(st.one_of(uniform, near(c), near(t)), min_size=width, max_size=width))
+        for c, t in zip(current, target)
+    ]
+    return current, rows, target
+
+
+def _label_arrays(size, current, rows, target):
+    dtype = label_dtype(size)
+    return [np.array(values, dtype=dtype) for values in (current, rows, target)]
+
+
+def _assert_same_keys(got, expected):
+    for array, reference in zip(got, expected):
+        assert array.dtype == reference.dtype
+        assert array.shape == reference.shape
+        assert array.tolist() == reference.tolist()
+
+
+class TestKeysMatchTheFrozenDerivation:
+    """The fewer-pass Chord and prefix keys equal the ones they replaced."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        size=st.sampled_from(
+            [8 << k for k in range(5)] + [1 << 29, (1 << 29) + 1, 1 << 30, 1 << 33]
+        ),
+        data=st.data(),
+    )
+    def test_chord(self, size, data):
+        scales = [1 << k for k in range(0, size.bit_length(), 3)]
+        current, rows, target = data.draw(_key_rows(size, scales))
+        arrays = _label_arrays(size, current, rows, target)
+        shape = arrays[1].shape
+        mixed = np.array(
+            data.draw(st.lists(st.integers(0, 1), min_size=shape[0] * shape[1],
+                               max_size=shape[0] * shape[1])),
+            dtype=np.int8,
+        ).reshape(shape)
+        policy = ChordGreedyPolicy(size=size)
+        for edge_class in (None, np.zeros(shape, np.int8), np.ones(shape, np.int8), mixed):
+            _assert_same_keys(
+                policy.candidate_keys(*arrays, edge_class),
+                _chord_keys_reference(size, *arrays, edge_class),
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        base_digits=st.sampled_from(
+            [(2, 3), (2, 5), (3, 3), (3, 4), (4, 3), (4, 7), (5, 2), (5, 4), (2, 33)]
+        ),
+        data=st.data(),
+    )
+    def test_prefix(self, base_digits, data):
+        base, digits = base_digits
+        size = base**digits
+        scales = [base**level for level in range(digits + 1)]
+        current, rows, target = data.draw(_key_rows(size, scales))
+        arrays = _label_arrays(size, current, rows, target)
+        _assert_same_keys(
+            PrefixGreedyPolicy(base=base, digits=digits).candidate_keys(*arrays),
+            _prefix_keys_reference(base, digits, *arrays),
+        )

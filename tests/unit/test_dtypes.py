@@ -304,8 +304,8 @@ class TestBuildKeyCutoffs:
     """The direct builder's int64 packed keys, past the int32 range, on tiny inputs."""
 
     def test_first_occurrences_of_wide_values(self):
-        # Row keys are ``value << shift | slot`` with shift 2 here: in int32,
-        # 2**30 + 5 would wrap onto 5 and the row would lose a distinct value.
+        # Values past 2**30: a dedupe that packed ``value << 2 | slot`` into
+        # int32 would wrap 2**30 + 5 onto 5 and lose a distinct value.
         big = (1 << 30) + 5
         block = np.array([[5, big, 5, big], [big, 7, big - 1, big]], dtype=INDEX_DTYPE)
         assert _first_occurrences(block).tolist() == [
