@@ -36,11 +36,12 @@ slots is usable it is also the first minimum over the usable ones (same key,
 and no earlier slot can tie it), and a repaired row is exactly the masked
 row.
 
-**A compact frontier.**  The forward loop (terminate and random re-route)
-carries its in-flight queries as four arrays aligned row for row — query,
-current vertex, goal and hop count — filtered by one mask per round.  The
-full-size result arrays are written only when a query leaves the frontier:
-it arrives, gets stuck, runs out of hops, or freezes to wait for a detour.
+**A compact frontier.**  Both loops, forward (terminate and random
+re-route) and backtracking, carry their in-flight queries as four arrays
+aligned row for row (query, current vertex, goal and hop count), filtered by
+one mask per round.  The full-size result arrays are written only when a
+query leaves the frontier: it arrives, gets stuck, runs out of hops, or
+freezes to wait for a detour.
 No round gathers per-query state out of, or scatters it back into, the
 batch-wide arrays.
 
@@ -57,7 +58,11 @@ All three Section-6 recovery strategies are implemented:
   consumed there.  The scalar router's tried-set is always a *prefix* of the
   candidates in (key, slot) order, so that one integer per (query, node)
   reproduces it exactly, and backtracking runs the same step: only a row the
-  query revisits is re-keyed against its tried set before the pick.
+  query revisits is re-keyed against its tried set before the pick.  That
+  re-keying blocks every slot whose neighbour a consumed slot names — one
+  ``searchsorted`` of the rows' ``(row, neighbour)`` pairs among the sorted
+  consumed ones — and the map's lookup returns the cell each row writes, so
+  the round's update is two ``put`` calls.
 
 Equivalence contract (see also :mod:`repro.core.routing`)
 ---------------------------------------------------------
@@ -193,10 +198,13 @@ class _PrefixTable:
     consumed in distance-sorted order — (key, slot) order over the node's
     label row — that set is always a prefix of it, so the row slot of the
     prefix's *last* candidate carries the full state; the row width (one past
-    the last slot) marks a node with nothing usable left.  Entries
-    live in a small, growable table per query (``-1`` marks a free entry);
-    the scalar router's bounded-memory rule — forget a node's tried-set when
-    it falls out of the backtrack window — maps to :meth:`delete`.
+    the last slot) marks a node with nothing usable left.  Entries live in a
+    small, growable table per query; a free entry holds ``-1`` in both
+    arrays.  :meth:`lookup` hands back the flat cell each row writes — the
+    node's own entry, else the query's first free one — so :meth:`store` is
+    two ``put`` calls.  The scalar router's bounded-memory rule — forget a
+    node's tried-set when it falls out of the backtrack window — maps to
+    :meth:`delete`.
     """
 
     def __init__(self, num_queries: int, initial_entries: int = 8) -> None:
@@ -204,45 +212,38 @@ class _PrefixTable:
         self._last = np.full((num_queries, initial_entries), -1, dtype=np.int64)
 
     def lookup(self, queries: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Last consumed slot of ``nodes[i]`` for query ``queries[i]`` and the
-        entry holding it for :meth:`store` (both ``-1`` where nothing was tried)."""
-        match = np.take(self._nodes, queries, axis=0) == nodes[:, None]
-        entry = match.argmax(axis=1)
-        found = _cells(match, np.arange(queries.shape[0]), entry)
-        last = np.where(found, _cells(self._last, queries, entry), -1)
-        return last, np.where(found, entry, -1)
+        """Last consumed slot of ``nodes[i]`` for query ``queries[i]`` (``-1``
+        where nothing was tried) and the flat cell :meth:`store` writes it to.
 
-    def store(
-        self, queries: np.ndarray, nodes: np.ndarray, last: np.ndarray, entry: np.ndarray
-    ) -> None:
-        """Record ``last`` per row at the ``entry`` :meth:`lookup` returned.
-
-        A node without an entry takes a free one unless nothing was consumed.
+        ``queries`` are distinct.  A query with neither an entry for its node
+        nor a free one gets one: the table grows first.
         """
-        found = entry >= 0
-        if found.any():
-            np.put(self._last, queries[found] * self._last.shape[1] + entry[found], last[found])
-        new = ~found & (last >= 0)
-        if not new.any():
-            return
-        new_queries = queries[new]
-        while True:
-            free = np.take(self._nodes, new_queries, axis=0) == -1
-            if free.any(axis=1).all():
-                break
+        entries = self._nodes.take(queries, axis=0)
+        # Own entry 2, free entry 1, another node's 0: the first maximum is
+        # the node's entry when it has one, else the first free entry.
+        rank = np.where(entries == nodes[:, None], 2, entries < 0)
+        entry = rank.argmax(axis=1)
+        full = ~rank.any(axis=1)
+        if full.any():
+            entry[full] = self._nodes.shape[1]
             self._grow()
-        cells = new_queries * self._nodes.shape[1] + free.argmax(axis=1)
-        np.put(self._nodes, cells, nodes[new])
-        np.put(self._last, cells, last[new])
+        cells = queries * self._nodes.shape[1] + entry
+        return self._last.take(cells), cells
+
+    def store(self, cells: np.ndarray, nodes: np.ndarray, last: np.ndarray) -> None:
+        """Record ``(nodes[i], last[i])`` at the cells :meth:`lookup` returned."""
+        np.put(self._nodes, cells, nodes)
+        np.put(self._last, cells, last)
 
     def delete(self, queries: np.ndarray, nodes: np.ndarray) -> None:
         """Forget the entries of ``nodes[i]`` for query ``queries[i]`` (if present)."""
-        match = np.take(self._nodes, queries, axis=0) == nodes[:, None]
+        match = self._nodes.take(queries, axis=0) == nodes[:, None]
         found = match.any(axis=1)
         if not found.any():
             return
-        entry = match.argmax(axis=1)[found]
-        np.put(self._nodes, queries[found] * self._nodes.shape[1] + entry, -1)
+        cells = queries[found] * self._nodes.shape[1] + match.argmax(axis=1)[found]
+        np.put(self._nodes, cells, -1)
+        np.put(self._last, cells, -1)
 
     def _grow(self) -> None:
         num_queries, entries = self._nodes.shape
@@ -634,53 +635,66 @@ class BatchGreedyRouter:
         advances every in-flight query by exactly one scalar-loop iteration
         (a forward move, a backtrack move, or a terminal verdict), so hop
         counts, paths, and tie-breaks match the scalar router move for move.
+        The frontier is compact, as in :meth:`_run_forward`: ``query``,
+        ``at``, ``goal`` and ``hop`` hold the in-flight rows, and the
+        full-size result arrays are written only for the rows that leave it.
         """
         labels = self.snapshot.labels
         all_alive = bool(self.snapshot.alive.all())
         depth = self.backtrack_depth
+        hop_limit = self.hop_limit
         num_queries = current.shape[0]
 
         history = np.full((num_queries, depth), -1, dtype=np.int64)
         history_len = np.zeros(num_queries, dtype=np.int64)
         tried = _PrefixTable(num_queries)
         tel = telemetry_current()
+        query = active
+        at = current[query]
+        goal = target_index[query]
+        hop = hops[query]
+        # The rows found with nothing to try and nowhere to back up to; they
+        # leave at the top of the next round.  ``None`` while there are none.
+        exhausted: np.ndarray | None = None
 
-        while active.size:
+        while query.size:
             # Scalar loop order: hop budget first, then the arrival check.
-            over = hops[active] >= self.hop_limit
-            if over.any():
-                codes[active[over]] = FAILURE_CODES[FailureReason.HOP_LIMIT]
-                active = active[~over]
-                if not active.size:
-                    break
-            arrived = current[active] == target_index[active]
-            if arrived.any():
-                success[active[arrived]] = True
-                active = active[~arrived]
-                if not active.size:
+            over = hop >= hop_limit
+            arrived = ~over & (at == goal)
+            leave = over | arrived
+            if exhausted is not None:
+                leave |= exhausted
+            if leave.any():
+                leaving = query[leave]
+                current[leaving] = at[leave]
+                hops[leaving] = hop[leave]
+                codes[query[over]] = FAILURE_CODES[FailureReason.HOP_LIMIT]
+                if exhausted is not None:
+                    codes[query[exhausted]] = FAILURE_CODES[FailureReason.STUCK]
+                success[query[arrived]] = True
+                keep = ~leave
+                query, at, goal, hop = query[keep], at[keep], goal[keep], hop[keep]
+                if not query.size:
                     break
 
-            chosen, stuck, repaired, revisited = self._step(
-                current[active], target_index[active], all_alive, tried, active
-            )
+            chosen, stuck, repaired, revisited = self._step(at, goal, all_alive, tried, query)
             if tel is not None:
                 tel.count("route.rounds")
-                tel.count("route.rows_scanned", int(active.size))
+                tel.count("route.rows_scanned", int(query.size))
                 tel.count("route.rows_repaired", repaired)
                 tel.count("route.rows_revisited", revisited)
-                tel.observe("route.frontier", float(active.size), buckets=POW2_BUCKETS)
+                tel.observe("route.frontier", float(query.size), buckets=POW2_BUCKETS)
 
-            movers = ~stuck
-            moving_queries = active[movers]
-            if moving_queries.size:
-                from_vertex = current[moving_queries].copy()
+            any_stuck = bool(stuck.any())
+            moving, from_vertex = (query[~stuck], at[~stuck]) if any_stuck else (query, at)
+            if moving.size:
                 # Push the departed vertex into the history window; when the
                 # window overflows, forget the dropped vertex's tried-set
                 # unless it still appears elsewhere in the window.
-                full = history_len[moving_queries] == depth
+                full = history_len[moving] == depth
                 if full.any():
-                    full_queries = moving_queries[full]
-                    window = np.take(history, full_queries, axis=0)
+                    full_queries = moving[full]
+                    window = history.take(full_queries, axis=0)
                     dropped = window[:, 0].copy()
                     window[:, :-1] = window[:, 1:]
                     window[:, -1] = from_vertex[full]
@@ -690,39 +704,40 @@ class BatchGreedyRouter:
                         tried.delete(full_queries[~still_present], dropped[~still_present])
                 partial = ~full
                 if partial.any():
-                    partial_queries = moving_queries[partial]
+                    partial_queries = moving[partial]
                     np.put(
                         history,
                         partial_queries * depth + history_len[partial_queries],
                         from_vertex[partial],
                     )
                     history_len[partial_queries] += 1
-                current[moving_queries] = chosen[movers]
-                hops[moving_queries] += 1
-                if paths is not None:
-                    for query in moving_queries:
-                        paths[query].append(int(labels[current[query]]))
 
-            stuck_queries = active[stuck]
-            returning = np.empty(0, dtype=np.int64)
-            if stuck_queries.size:
-                can_return = history_len[stuck_queries] > 0
+            exhausted = None
+            if any_stuck:
+                at = np.where(stuck, at, chosen)
+                stuck_rows = np.flatnonzero(stuck)
+                stuck_queries = query[stuck_rows]
+                window_len = history_len[stuck_queries]
+                can_return = window_len > 0
+                if not can_return.all():
+                    exhausted = np.zeros(query.size, dtype=bool)
+                    exhausted[stuck_rows[~can_return]] = True
                 returning = stuck_queries[can_return]
                 if returning.size:
                     if tel is not None:
                         tel.count("route.recovery.backtrack", int(returning.size))
-                    previous = _cells(history, returning, history_len[returning] - 1)
-                    history_len[returning] -= 1
-                    current[returning] = previous
-                    hops[returning] += 1
+                    window_len = window_len[can_return] - 1
+                    at[stuck_rows[can_return]] = history.take(returning * depth + window_len)
+                    history_len[returning] = window_len
                     backtracks[returning] += 1
-                    if paths is not None:
-                        for query in returning.tolist():
-                            paths[query].append(int(labels[current[query]]))
-                exhausted = stuck_queries[~can_return]
-                codes[exhausted] = FAILURE_CODES[FailureReason.STUCK]
-
-            active = np.sort(np.concatenate([moving_queries, returning]))
+            else:
+                at = chosen
+            # Every row but an exhausted one moved, forward or back.
+            moved = True if exhausted is None else ~exhausted
+            hop += moved
+            if paths is not None:
+                for row in np.flatnonzero(np.broadcast_to(moved, query.shape)).tolist():
+                    paths[int(query[row])].append(int(labels[at[row]]))
 
     # ------------------------------------------------------------------ #
     # One vectorized greedy step
@@ -767,27 +782,41 @@ class BatchGreedyRouter:
         width.  The scalar router holds it as *labels*, so every slot sharing
         a consumed label is blocked too (parallel links, Chord's class-keyed
         duplicates); so is every dead-edge slot, which was never a candidate,
-        and every slot at or above the row's ``bound``.
+        and every slot at or above the row's ``bound``.  Only the usable
+        cells are worked on, flat.  A label names one vertex, so the label
+        test runs on the CSR neighbour: each cell's ``(row, neighbour)`` pair,
+        as one integer, is looked up with one ``searchsorted`` among the
+        sorted pairs of the consumed cells.  Padding slots key at or above the
+        bound, so none is usable.
         """
         snapshot = self.snapshot
         width = keyed.shape[1]
         usable = keyed < bound[:, None]
         if snapshot.edge_alive is not None:
-            usable &= np.take(snapshot.edge_alive, self._row_slots(vertices))
-        row = np.arange(vertices.shape[0], dtype=np.int64)
+            usable &= snapshot.edge_alive.take(self._row_slots(vertices))
+        cell = np.flatnonzero(usable)
+        row, column = np.divmod(cell, width)
+        key = keyed.take(cell)
+        last_slot = last.take(row)
         # An exhausted row's threshold key is ``blocked`` (at or above the
         # bound): every usable slot lies before it.
         threshold = np.where(
-            last < width, _cells(keyed, row, np.minimum(last, width - 1)), blocked
+            last_slot < width,
+            keyed.take(cell - column + np.minimum(last_slot, width - 1)),
+            blocked,
         )
-        column = np.arange(width, dtype=np.int64)
-        consumed = usable & (
-            (keyed < threshold[:, None])
-            | ((keyed == threshold[:, None]) & (column <= last[:, None]))
+        consumed = np.where(column <= last_slot, key <= threshold, key < threshold)
+        neighbor = snapshot.neighbor_indices.take(
+            snapshot.neighbor_indptr.take(vertices.take(row)) + column
         )
-        labels = np.take(snapshot.label_matrix(), vertices, axis=0)
-        seen = ((labels[:, :, None] == labels[:, None, :]) & consumed[:, None, :]).any(axis=2)
-        return np.where(usable & ~seen, keyed, blocked)
+        pairs = neighbor + row * snapshot.num_nodes
+        tried = np.sort(pairs[consumed])
+        if tried.size:
+            untried = tried.take(tried.searchsorted(pairs), mode="clip") != pairs
+            cell, key = cell[untried], key[untried]
+        rekeyed = np.full(keyed.shape, blocked, dtype=keyed.dtype)
+        np.put(rekeyed, cell, key)
+        return rekeyed
 
     def _step(
         self,
@@ -831,13 +860,13 @@ class BatchGreedyRouter:
         blocked = keyed.dtype.type(policy.blocked)
         revisited = 0
         if tried is not None:
-            last, entry = tried.lookup(queries, current)
+            last, cells = tried.lookup(queries, current)
             revisit = np.flatnonzero(last >= 0)
             revisited = int(revisit.size)
             if revisited:
                 keyed[revisit] = self._untried_keys(
                     current[revisit],
-                    np.take(keyed, revisit, axis=0),
+                    keyed.take(revisit, axis=0),
                     bound[revisit],
                     blocked,
                     last[revisit],
@@ -878,5 +907,5 @@ class BatchGreedyRouter:
                     pick[repair] = repick
 
         if tried is not None:
-            tried.store(queries, current, np.where(has_candidate, pick, keyed.shape[1]), entry)
+            tried.store(cells, current, np.where(has_candidate, pick, keyed.shape[1]))
         return chosen, ~has_candidate, repaired, revisited

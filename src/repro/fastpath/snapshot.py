@@ -122,10 +122,6 @@ class FastpathSnapshot:
         """Total number of vertices (alive and failed)."""
         return int(self.labels.shape[0])
 
-    def alive_count(self) -> int:
-        """Number of live vertices."""
-        return int(self.alive.sum())
-
     def degrees(self) -> np.ndarray:
         """Out-degree (including folded incoming links) of every vertex."""
         return np.diff(self.neighbor_indptr)

@@ -24,7 +24,13 @@ from repro.core.failures import NodeFailureModel
 from repro.core.graph import OverlayGraph
 from repro.core.metric import RingMetric
 from repro.core.routing import FailureReason, GreedyRouter, RecoveryStrategy
-from repro.fastpath import FAILURE_CODES, BatchGreedyRouter, build_snapshot, compile_snapshot
+from repro.fastpath import (
+    FAILURE_CODES,
+    BatchGreedyRouter,
+    FastpathSnapshot,
+    build_snapshot,
+    compile_snapshot,
+)
 from repro.fastpath.batch_router import _PrefixTable
 from repro.fastpath.builder import _first_occurrences
 from repro.fastpath.dtypes import INDEX_DTYPE, label_dtype
@@ -617,3 +623,143 @@ class TestFirstOccurrences:
         first = _first_occurrences(block)
         assert first.shape == block.shape and first.dtype == np.dtype(bool)
         assert first.tolist() == _first_occurrences_by_sort(block).tolist()
+
+
+def _untried_keys_by_label_cube(snapshot, vertices, keyed, bound, blocked, last):
+    """Frozen reference: the revisit pass that compared every slot's label
+    with every consumed slot's label in one ``(rows, width, width)`` cube."""
+    width = keyed.shape[1]
+    usable = keyed < bound[:, None]
+    if snapshot.edge_alive is not None:
+        slots = snapshot.neighbor_indptr[vertices][:, None] + np.arange(width, dtype=np.int64)
+        slots = np.minimum(slots, snapshot.neighbor_indices.shape[0] - 1)
+        usable &= np.take(snapshot.edge_alive, slots)
+    row = np.arange(vertices.shape[0], dtype=np.int64)
+    threshold = np.where(
+        last < width, np.take(keyed, row * width + np.minimum(last, width - 1)), blocked
+    )
+    column = np.arange(width, dtype=np.int64)
+    consumed = usable & (
+        (keyed < threshold[:, None])
+        | ((keyed == threshold[:, None]) & (column <= last[:, None]))
+    )
+    labels = np.take(snapshot.label_matrix(), vertices, axis=0)
+    seen = ((labels[:, :, None] == labels[:, None, :]) & consumed[:, None, :]).any(axis=2)
+    return np.where(usable & ~seen, keyed, blocked)
+
+
+@st.composite
+def revisited_rows(draw):
+    """A small hand-made CSR snapshot and revisited rows keyed over it.
+
+    Few vertices make parallel links (the same neighbour twice in a row, as
+    Chord's class-keyed twins are) common, and each copy draws its own key;
+    a narrow key range makes ties at the threshold common.  Rows repeat
+    vertices, run out of candidates (``last`` = width), and their padding
+    slots key at or above the bound, as every policy keys them.
+    """
+    n = draw(st.integers(min_value=2, max_value=7))
+    space_size = draw(st.sampled_from([64, (1 << 33) + 5]))
+    labels = np.array(
+        sorted(draw(st.lists(st.integers(0, space_size - 1), min_size=n, max_size=n, unique=True))),
+        dtype=label_dtype(space_size),
+    )
+    degrees = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n).filter(any))
+    indices = [
+        draw(st.lists(st.integers(0, n - 2), min_size=degree, max_size=degree))
+        for degree in degrees
+    ]
+    # Neighbour k of vertex v is vertex k, skipping v itself.
+    indices = np.array(
+        [k + (k >= v) for v, row in enumerate(indices) for k in row], dtype=np.int32
+    )
+    indptr = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int32)
+    edge_alive = None
+    if draw(st.booleans()):
+        edge_alive = np.array(
+            draw(st.lists(st.booleans(), min_size=indices.size, max_size=indices.size)), dtype=bool
+        )
+    snapshot = FastpathSnapshot(
+        kind="ring", space_size=space_size, labels=labels, alive=np.ones(n, dtype=bool),
+        neighbor_indptr=indptr, neighbor_indices=indices, edge_alive=edge_alive,
+    )
+    width = snapshot.label_matrix().shape[1]
+    rows = draw(st.integers(1, 6))
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    top = draw(st.sampled_from([3, 8]))
+    blocked = dtype(top + 1)
+    vertices = np.array(draw(st.lists(st.integers(0, n - 1), min_size=rows, max_size=rows)))
+    bound = np.array(draw(st.lists(st.integers(0, top), min_size=rows, max_size=rows)), dtype=dtype)
+    keyed = np.empty((rows, width), dtype=dtype)
+    for r in range(rows):
+        degree = degrees[vertices[r]]
+        keyed[r, :degree] = draw(st.lists(st.integers(0, top), min_size=degree, max_size=degree))
+        keyed[r, degree:] = draw(
+            st.lists(st.integers(int(bound[r]), top + 1), min_size=width - degree,
+                     max_size=width - degree)
+        )
+    last = np.array(draw(st.lists(st.integers(0, width), min_size=rows, max_size=rows)))
+    return snapshot, vertices, keyed, bound, blocked, last
+
+
+class TestUntriedKeys:
+    @settings(max_examples=300, deadline=None)
+    @given(case=revisited_rows())
+    def test_equals_the_label_cube(self, case):
+        """The sorted-pair membership test blocks exactly what the cube did:
+        every consumed slot, every twin of one, every dead-edge slot and every
+        slot at or above the bound."""
+        snapshot, vertices, keyed, bound, blocked, last = case
+        router = BatchGreedyRouter(snapshot, recovery=RecoveryStrategy.BACKTRACK)
+        got = router._untried_keys(vertices, keyed.copy(), bound, blocked, last)
+        want = _untried_keys_by_label_cube(snapshot, vertices, keyed, bound, blocked, last)
+        assert got.dtype == keyed.dtype
+        assert got.tolist() == want.tolist()
+
+
+class TestPrefixTable:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        num_queries=st.integers(min_value=1, max_value=4),
+        initial_entries=st.integers(min_value=1, max_value=2),
+        data=st.data(),
+    )
+    def test_equals_a_dict_of_dicts(self, num_queries, initial_entries, data):
+        """Lookup, store and delete agree with a per-query dict at every step.
+
+        Up to ten nodes per query outgrow one or two initial entries, so the
+        table grows mid-sequence; deletes free entries that later stores
+        reuse.  Each call names distinct queries, as the router's rounds do.
+        """
+        table = _PrefixTable(num_queries, initial_entries)
+        model: dict[int, dict[int, int]] = {query: {} for query in range(num_queries)}
+        subsets = st.lists(
+            st.integers(0, num_queries - 1), min_size=1, max_size=num_queries, unique=True
+        )
+        for _ in range(data.draw(st.integers(1, 30))):
+            queries = np.array(data.draw(subsets), dtype=np.int64)
+            nodes = np.array(
+                data.draw(st.lists(st.integers(0, 9), min_size=queries.size, max_size=queries.size)),
+                dtype=np.int64,
+            )
+            if data.draw(st.integers(0, 3)) == 0:
+                table.delete(queries, nodes)
+                for query, node in zip(queries.tolist(), nodes.tolist()):
+                    model[query].pop(node, None)
+                continue
+            last, cells = table.lookup(queries, nodes)
+            assert last.tolist() == [
+                model[query].get(node, -1) for query, node in zip(queries.tolist(), nodes.tolist())
+            ]
+            stored = np.array(
+                data.draw(st.lists(st.integers(0, 7), min_size=queries.size, max_size=queries.size)),
+                dtype=np.int64,
+            )
+            table.store(cells, nodes, stored)
+            for query, node, value in zip(queries.tolist(), nodes.tolist(), stored.tolist()):
+                model[query][node] = value
+        for query in range(num_queries):
+            for node in range(10):
+                last, _cells = table.lookup(np.array([query]), np.array([node]))
+                assert int(last[0]) == model[query].get(node, -1)
+            assert table._nodes.shape[1] >= len(model[query])

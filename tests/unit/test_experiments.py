@@ -587,7 +587,9 @@ def test_the_batch_router_derives_only_the_label_matrix():
 
 
 def test_backtracking_selects_through_the_forward_step():
-    """No sort anywhere in the batch router: a revisited row is re-keyed, not ranked."""
+    """No ranking anywhere in the batch router: a revisited row is re-keyed, not
+    ranked (the revisit pass sorts only the consumed cells' pairs, to test
+    membership)."""
     source_root = Path(repro.__file__).parent
     router = ast.parse((source_root / "fastpath" / "batch_router.py").read_text())
     called = {

@@ -190,8 +190,8 @@ class TestOverlaySurface:
     def test_compiled_snapshot_ignores_later_crashes(self, network):
         snapshot = network.compile_snapshot()
         network.crash(16)
-        assert snapshot.alive_count() == 64
-        assert network.compile_snapshot().alive_count() == 63
+        assert int(snapshot.alive.sum()) == 64
+        assert int(network.compile_snapshot().alive.sum()) == 63
 
 
 class TestRouting:

@@ -122,6 +122,7 @@ DELETED_ATTRIBUTES = [
     (OverlayGraph, "incoming_entries"),
     (Finding, "from_dict"),
     (FastpathSnapshot, "neighbors_of_index"),
+    (FastpathSnapshot, "alive_count"),
     # The per-node repair walk survives only as the frozen reference in
     # tests/unit/test_maintenance.py; every caller runs repair_all_batched.
     (MaintenanceDaemon, "repair_all"),
